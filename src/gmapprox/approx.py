@@ -11,13 +11,16 @@ variant. For p = 4 it is the unique real root of the cubic
     x^3 - 3 x^2 E[Z] + 3 x E[Z^2] - E[Z^3] = 0,
 
 whose derivative 3((x - m1)^2 + (m2 - m1^2)) is nonnegative for any valid
-moment pair, so bisection on an expanding bracket always converges to the
-single root. The drift of the approximating SDE is recovered as f = I^{-1} F.
+moment pair. In the central variable d = x - E[Z] it reads
+d^3 + 3 var d - mu3 = 0, solved at every node at once by the hyperbolic
+closed form d = 2 sqrt(var) sinh(asinh(mu3 / (2 var^{3/2})) / 3) and one
+Newton step. For empirical samples (``Fp_root``) the root is bracketed by the
+sample range and found by bisection. The drift of the approximating SDE is
+recovered as f = I^{-1} F.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,60 +132,49 @@ def _mean_Z_closed(model, theta, grid):
     return None
 
 
-def cubic_el_root(m1: float, m2: float, m3: float, tol: float = 1e-13) -> float:
-    """Unique real root of x^3 - 3 x^2 m1 + 3 x m2 - m3 = 0 by bisection.
+def _el_roots(m1: np.ndarray, m2: np.ndarray, m3: np.ndarray) -> np.ndarray:
+    """Unique real roots of x^3 - 3 x^2 m1 + 3 x m2 - m3 = 0, elementwise.
+
+    In central form the cubic is d^3 + 3 var d - mu3 = 0 with d = x - m1, whose
+    single real root is d = 2 sqrt(var) sinh(asinh(mu3 / (2 var^{3/2})) / 3);
+    one Newton step then removes the rounding of the hyperbolic functions.
+    Degenerate nodes (var within rounding slack of 0, a point mass at m1)
+    return m1 exactly. Raises ValueError naming the first node with m2 < m1^2.
+    """
+    scale = np.maximum(m1 * m1, 1.0)
+    var = m2 - m1 * m1
+    bad = np.flatnonzero(var < -_MOMENT_SLACK * scale)
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"invalid moments at node {k}: m2 = {m2[k]} < m1^2 = {m1[k] * m1[k]}"
+        )
+    degenerate = var <= _MOMENT_SLACK * scale
+    var = np.where(degenerate, 1.0, var)
+    mu3 = np.where(degenerate, 0.0, m3 - 3.0 * m1 * m2 + 2.0 * m1**3)
+    s = np.sqrt(var)
+    d = 2.0 * s * np.sinh(np.arcsinh(mu3 / (2.0 * var * s)) / 3.0)
+    d -= (d * (d * d + 3.0 * var) - mu3) / (3.0 * (d * d + var))
+    return np.where(degenerate, m1, m1 + d)
+
+
+def cubic_el_root(m1: float, m2: float, m3: float) -> float:
+    """Unique real root of x^3 - 3 x^2 m1 + 3 x m2 - m3 = 0 for one moment triple.
 
     Requires m2 >= m1^2 (a valid moment pair), which makes the cubic
-    nondecreasing and the root unique. The polynomial is evaluated in the
-    central-moment form (x - m1)^3 + 3 var (x - m1) - mu3, which avoids the
-    cancellation the raw form suffers near the root; degenerate moments
-    (zero variance, a point mass at m1) return m1 directly. The bracket
-    doubles from [-1, 1] around m1 until it straddles the root; the achieved
-    tolerance is max(tol, 8 ulp of the bracket scale).
+    nondecreasing and the root unique. Uses the closed form of
+    ``F4_from_moments``; degenerate moments (a point mass) return m1 exactly.
     """
-    scale = max(m1 * m1, 1.0)
-    var = m2 - m1 * m1
-    if var < -_MOMENT_SLACK * scale:
-        raise ValueError(f"invalid moments: m2 = {m2} < m1^2 = {m1 * m1}")
-    if var <= _MOMENT_SLACK * scale:
-        # degenerate to rounding accuracy: a point mass at m1
-        return m1
-    mu3 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3  # third central moment
-
-    def h(d):
-        return d * (d * d + 3.0 * var) - mu3
-
-    lo, hi = -1.0, 1.0
-    while h(lo) > 0.0:
-        lo *= 2.0
-    while h(hi) < 0.0:
-        hi *= 2.0
-    assert h(lo) <= 0.0 <= h(hi)
-    eps = max(tol, 8.0 * np.spacing(max(abs(lo), abs(hi), abs(m1))))
-    while hi - lo > eps:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if h(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return m1 + 0.5 * (lo + hi)
+    return float(_el_roots(*(np.array([v], dtype=float) for v in (m1, m2, m3)))[0])
 
 
-def F4_from_moments(moments: MomentCurves, theta: float, tol: float = 1e-13) -> Approximant:
-    """Fourth-power-optimal curve: the cubic root solved node by node.
+def F4_from_moments(moments: MomentCurves, theta: float) -> Approximant:
+    """Fourth-power-optimal curve: the cubic root at every node in one pass.
 
     F4(0) = 0 follows from the vanishing moments at t = 0; the drift is
     recovered by finite-difference application of I^{-1}.
     """
-    m1, m2, m3 = moments.m1.values, moments.m2.values, moments.m3.values
-    vals = np.empty(moments.grid.n_nodes)
-    for k in range(moments.grid.n_nodes):
-        try:
-            vals[k] = cubic_el_root(m1[k], m2[k], m3[k], tol)
-        except ValueError as exc:
-            raise ValueError(f"invalid moments at node {k}: {exc}") from exc
+    vals = _el_roots(moments.m1.values, moments.m2.values, moments.m3.values)
     F = Curve(moments.grid, vals)
     f = sde_mod.apply_I_inv(F, theta)
     return Approximant(p=4, F=F, f=f, theta=theta)

@@ -9,7 +9,6 @@ configuration errors, 3 for numerical failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -23,13 +22,11 @@ from . import costs as costs_mod
 from . import drift as drift_mod
 from . import neuro as neuro_mod
 from .sde import LinearSDE, simulate_Y
-from .timebase import Curve, TimeGrid, child_seed, derive_stream, trapezoid
+from .timebase import Curve, TimeGrid, child_seed, derive_stream, write_csv_columns
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-_CSV_FMT = "%.17g"
 
 
 class ConfigError(ValueError):
@@ -53,7 +50,6 @@ class ExperimentConfig:
     model_spec: dict = field(default_factory=lambda: {"type": "single_shot", "rate": 2.0})
     n_paths: int = 10_000
     seed: int = 42
-    p_list: tuple = (2, 4)
     out_dir: str = "out"
     formats: tuple = ("csv", "json")
     threads: int = 1
@@ -71,7 +67,6 @@ class ExperimentConfig:
             "grid": {"T": self.T, "dt": self.dt},
             "model": self.model_spec,
             "mc": {"n_paths": self.n_paths, "seed": self.seed},
-            "costs": {"p_list": list(self.p_list)},
             "output": {"directory": self.out_dir, "formats": list(self.formats)},
         }
 
@@ -161,11 +156,11 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     cfg = ExperimentConfig()
-    sde_spec = raw.get("sde", {})
-    grid_spec = raw.get("grid", {})
-    mc = raw.get("mc", {})
-    out = raw.get("output", {})
     try:
+        sde_spec = raw.get("sde", {})
+        grid_spec = raw.get("grid", {})
+        mc = raw.get("mc", {})
+        out = raw.get("output", {})
         cfg.theta = float(sde_spec.get("theta", cfg.theta))
         cfg.sigma = float(sde_spec.get("sigma", cfg.sigma))
         cfg.x0 = float(sde_spec.get("x0", cfg.x0))
@@ -173,11 +168,12 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
         cfg.dt = float(grid_spec.get("dt", cfg.dt))
         cfg.n_paths = int(mc.get("n_paths", cfg.n_paths))
         cfg.seed = int(mc.get("seed", cfg.seed))
-        cfg.p_list = tuple(raw.get("costs", {}).get("p_list", cfg.p_list))
+        p_list = raw.get("costs", {}).get("p_list", list(costs_mod.P_ORDERS))
         cfg.out_dir = out.get("directory", cfg.out_dir)
         cfg.formats = tuple(out.get("formats", cfg.formats))
         cfg.neuron = raw.get("neuron", {})
-    except (TypeError, ValueError) as exc:
+    # AttributeError: the config or one of its sections is not a JSON object
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
 
     if getattr(overrides, "seed", None) is not None:
@@ -203,8 +199,11 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
         raise ConfigError(f"mc.n_paths must be >= 1, got {cfg.n_paths}")
     if cfg.seed < 0:
         raise ConfigError(f"mc.seed must be nonnegative, got {cfg.seed}")
-    if any(p < 2 or p % 2 for p in cfg.p_list):
-        raise ConfigError(f"costs.p_list must contain even integers >= 2, got {cfg.p_list}")
+    if p_list != list(costs_mod.P_ORDERS):
+        raise ConfigError(
+            f"costs.p_list must be {list(costs_mod.P_ORDERS)}: only orders 2 and 4 "
+            f"are computed, got {p_list!r}"
+        )
     if cfg.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {cfg.threads}")
 
@@ -270,11 +269,7 @@ def cmd_simulate(cfg: ExperimentConfig, n_display_paths: int) -> int:
         data += [x, y.values + F2.F.values, y.values + F4.F.values]
         cols += [f"X_{i}", f"X2_{i}", f"X4_{i}"]
     path = _outpath(cfg, "paths.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for k in range(grid.n_nodes):
-            w.writerow([_CSV_FMT % col[k] for col in data])
+    write_csv_columns(path, cols, data)
     F2.F.to_csv(_outpath(cfg, "F2.csv"))
     F4.F.to_csv(_outpath(cfg, "F4.csv"))
     if "json" in cfg.formats:
@@ -293,11 +288,7 @@ def cmd_approx(cfg: ExperimentConfig) -> int:
     F4 = approx_mod.F4_from_moments(moments, cfg.theta)
     for appr, name in ((F2, "approx_p2.csv"), (F4, "approx_p4.csv")):
         path = _outpath(cfg, name)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "F", "f"])
-            for tk, Fk, fk in zip(grid.times(), appr.F.values, appr.f.values):
-                w.writerow([_CSV_FMT % tk, _CSV_FMT % Fk, _CSV_FMT % fk])
+        write_csv_columns(path, ["t", "F", "f"], [grid.times(), appr.F.values, appr.f.values])
         print(f"wrote {path}")
     if "json" in cfg.formats:
         _write_json(_outpath(cfg, "approx_config.json"), cfg.echo())
@@ -314,11 +305,9 @@ def cmd_bound(cfg: ExperimentConfig) -> int:
     )
     mse, se = bounds_mod.pointwise_mse_streaming(chunks, F2.F, cfg.n_paths)
     path = _outpath(cfg, "bound.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "mse", "se", "d2"])
-        for row in zip(grid.times(), mse.values, se.values, bound.d2.values):
-            w.writerow([_CSV_FMT % v for v in row])
+    write_csv_columns(
+        path, ["t", "mse", "se", "d2"], [grid.times(), mse.values, se.values, bound.d2.values]
+    )
     violation = mse.values - bound.d2.values - 3 * se.values
     print(f"wrote {path}; max violation (mse - d2 - 3 se) = {violation.max():.6g}")
     if "json" in cfg.formats:
@@ -442,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--paths", type=int, default=None, help="Monte Carlo path count")
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument(
-        "--threads", type=int, default=os.cpu_count(), help="worker threads (results identical)"
+        "--threads", type=int, default=1, help="worker threads (results identical)"
     )
     common.add_argument("--format", choices=["csv", "json"], default=None)
 

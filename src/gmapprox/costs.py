@@ -12,7 +12,6 @@ identity cross-check of that cancellation.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -28,6 +27,7 @@ from .timebase import (
     child_seed,
     derive_stream,
     trapezoid_values,
+    write_csv_columns,
 )
 
 __all__ = [
@@ -324,11 +324,9 @@ def write_report_json(report: CostReport, path) -> None:
 def write_report_csv(report: CostReport, path) -> None:
     cols = [(a, b) for a in range(2) for b in range(2)]
     head = [f"J{P_ORDERS[a]}[F{P_ORDERS[b]}]" for a, b in cols]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["scenario"] + head + [f"se_{h}" for h in head])
-        for s, label in enumerate(report.labels):
-            row = [label]
-            row += ["%.17g" % report.values[s, a, b] for a, b in cols]
-            row += ["%.17g" % report.se[s, a, b] for a, b in cols]
-            w.writerow(row)
+    write_csv_columns(
+        path,
+        ["scenario"] + head + [f"se_{h}" for h in head],
+        [report.values[:, a, b] for a, b in cols] + [report.se[:, a, b] for a, b in cols],
+        labels=report.labels,
+    )

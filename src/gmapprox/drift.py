@@ -52,7 +52,6 @@ __all__ = [
     "dist_second_moment",
     "dist_variance",
     "sample_dist",
-    "require_finite_moment",
     "validate_pairing",
     "sample_z_path",
     "sample_Z_path",
@@ -169,17 +168,6 @@ def sample_dist(dist: Distribution, stream: np.random.Generator, size: int):
     if isinstance(dist, PointMass):
         return np.full(size, dist.value, dtype=float)
     raise TypeError(f"not a distribution: {dist!r}")
-
-
-def require_finite_moment(dist: Distribution, order: int) -> None:
-    """Raise if the distribution lacks a finite moment of the given order.
-
-    Every supported family has all moments; the check exists so cost orders
-    beyond p = 2 state their integrability requirement explicitly.
-    """
-    if order < 1:
-        raise ValueError("moment order must be >= 1")
-    # exponential, gamma, uniform, poisson and point masses: all moments finite
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,13 @@ at a random time with density p, the drift moments need
 
     phi(t) = E[R(t - T)] = (R * p)(t),      psi(t) = E[R^2(t - T)] = (R^2 * p)(t).
 
-Closed forms are used for exponential firing times (any rate) and for Gamma
-firing times when the incomplete-gamma argument is positive; otherwise both
-convolutions are evaluated numerically on the grid.
+Closed forms are used for exponential firing times (any rate), point masses,
+and Gamma firing times when the incomplete-gamma argument nu - decay is
+positive; there the regularized incomplete gamma comes from scipy, evaluated
+at all nodes at once. Otherwise both convolutions are evaluated numerically
+on the grid by the trapezoid rule. Because the response is exponential, the
+convolution sum is a first-order linear recurrence along the grid, computed
+in O(n) by ``scipy.signal.lfilter``.
 """
 
 from __future__ import annotations
@@ -15,69 +19,21 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.signal import lfilter
+from scipy.special import gammainc
 
 from .timebase import Curve, TimeGrid, stable_exp_diff
 
 __all__ = ["lower_incomplete_gamma", "response_moment_curves", "convolution_oracle"]
 
-_MAX_ITER = 500
-
 
 def lower_incomplete_gamma(alpha: float, x: float) -> float:
-    """Lower incomplete gamma function g(alpha, x) = int_0^x s^{alpha-1} e^{-s} ds.
-
-    Power series for x < alpha + 1, continued fraction for the upper tail
-    otherwise. Relative error below 1e-10 over the supported domain.
-    """
+    """Lower incomplete gamma function g(alpha, x) = int_0^x s^{alpha-1} e^{-s} ds."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < alpha + 1.0:
-        return _gamma_series(alpha, x)
-    return math.exp(math.lgamma(alpha)) - _upper_gamma_cf(alpha, x)
-
-
-def _gamma_series(alpha: float, x: float) -> float:
-    # g(alpha, x) = x^alpha e^{-x} sum_n x^n / (alpha (alpha+1) ... (alpha+n))
-    term = 1.0 / alpha
-    total = term
-    for n in range(1, _MAX_ITER):
-        term *= x / (alpha + n)
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    else:
-        raise ArithmeticError("incomplete gamma series did not converge")
-    return total * math.exp(alpha * math.log(x) - x)
-
-
-def _upper_gamma_cf(alpha: float, x: float) -> float:
-    # Upper tail via the Lentz continued fraction for Gamma(alpha, x).
-    tiny = 1e-300
-    b = x + 1.0 - alpha
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
-    f = d
-    for n in range(1, _MAX_ITER):
-        an = -n * (n - alpha)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    else:
-        raise ArithmeticError("incomplete gamma continued fraction did not converge")
-    return f * math.exp(alpha * math.log(x) - x)
+    return float(gammainc(alpha, x)) * math.gamma(alpha)
 
 
 def response_moment_curves(dist, lam: float, grid: TimeGrid) -> tuple[Curve, Curve]:
@@ -121,11 +77,9 @@ def _gamma_case(dist, decay: float, grid: TimeGrid) -> Curve:
     t = grid.times()
     arg = nu - decay
     if arg > 0:
-        gam = math.exp(math.lgamma(alpha))
-        inc = np.array([lower_incomplete_gamma(alpha, arg * tk) for tk in t])
-        vals = (nu / arg) ** alpha * np.exp(-decay * t) * inc / gam
+        vals = (nu / arg) ** alpha * np.exp(-decay * t) * gammainc(alpha, arg * t)
         return Curve(grid, vals)
-    return _convolve_response(lambda u: np.exp(-decay * u), _gamma_pdf(nu, alpha), grid)
+    return _convolve_response(decay, _gamma_pdf(nu, alpha), grid)
 
 
 def _gamma_pdf(rate: float, shape: float):
@@ -143,15 +97,20 @@ def _gamma_pdf(rate: float, shape: float):
     return pdf
 
 
-def _convolve_response(response, pdf, grid: TimeGrid) -> Curve:
-    """Trapezoid convolution (response * pdf)(t_k) on the grid."""
+def _convolve_response(decay: float, pdf, grid: TimeGrid) -> Curve:
+    """Trapezoid convolution of e^{-decay u} with the density, at the grid nodes.
+
+    The plain convolution sum full[k] = sum_j q^{k-j} p[j], q = e^{-decay dt},
+    is the first-order recurrence full[k] = q full[k-1] + p[k], so it costs
+    O(n) instead of the O(n^2) of a direct convolution.
+    """
     t = grid.times()
     dt = grid.dt
-    r = response(t)
+    r = np.exp(-decay * t)
     p = pdf(t)
-    full = np.convolve(r, p)[: grid.n_nodes]
-    # convert the plain convolution sum into trapezoid weights
-    vals = dt * (full - 0.5 * r * p[0] - 0.5 * r[0] * p)
+    full = lfilter([1.0], [1.0, -np.exp(-decay * dt)], p)
+    # convert the plain convolution sum into trapezoid weights (r[0] = 1)
+    vals = dt * (full - 0.5 * r * p[0] - 0.5 * p)
     vals[0] = 0.0
     return Curve(grid, vals)
 
@@ -178,4 +137,4 @@ def convolution_oracle(dist, lam: float, grid: TimeGrid, squared: bool = False) 
         )
     else:
         raise ValueError(f"no density available for {type(dist).__name__}")
-    return _convolve_response(lambda u: np.exp(-decay * u), pdf, grid)
+    return _convolve_response(decay, pdf, grid)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,32 @@ THETA = 1.5
 
 def grid(T=1.0, dt=1e-2):
     return TimeGrid.from_step(T, dt)
+
+
+def bisection_central_root(var, mu3, tol=1e-13):
+    """Root of d^3 + 3 var d - mu3 = 0 by bisection on an expanding bracket.
+
+    The node-by-node solver F4 used before the closed form, kept as an oracle.
+    """
+
+    def h(d):
+        return d * (d * d + 3.0 * var) - mu3
+
+    lo, hi = -1.0, 1.0
+    while h(lo) > 0.0:
+        lo *= 2.0
+    while h(hi) < 0.0:
+        hi *= 2.0
+    eps = max(tol, 8.0 * np.spacing(max(abs(lo), abs(hi))))
+    while hi - lo > eps:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if h(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def gaussian_moments(g, m1, var):
@@ -159,6 +187,46 @@ class TestF4FromMoments:
         # the gap is systematic: far beyond the m1 noise scale and seed-stable
         assert gap[k] > 10 * mom_a.se1.values[k]
         assert abs(F4_a[k] - F4_b[k]) < 0.5 * gap[k]
+
+    @given(
+        nodes=st.lists(
+            st.tuples(
+                st.floats(-10, 8),  # log10 var
+                st.floats(-20, 14),  # log10 |mu3|
+                st.sampled_from([-1.0, 0.0, 1.0]),  # sign of mu3
+            ),
+            min_size=2,  # apply_I_inv needs three nodes
+            max_size=20,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_closed_form_residual_no_worse_than_bisection(self, nodes):
+        # with m1 = 0 the moments are the central ones and F4 is the root d itself
+        var = np.array([0.0] + [10.0**lv for lv, _, _ in nodes])
+        mu3 = np.array([0.0] + [sgn * 10.0**lm for _, lm, sgn in nodes])
+        g = TimeGrid(horizon_T=float(len(nodes)), dt=1.0, n_steps=len(nodes))
+        zero = Curve(g, np.zeros(g.n_nodes))
+        mom = MomentCurves(grid=g, m1=zero, m2=Curve(g, var), m3=Curve(g, mu3), se1=zero)
+        d = F4_from_moments(mom, THETA).F.values
+        eps = np.finfo(float).eps
+        for k in range(1, g.n_nodes):
+            v, m = var[k], mu3[k]
+            residual = abs(d[k] * (d[k] * d[k] + 3.0 * v) - m)
+            b = bisection_central_root(v, m)
+            bisection_residual = abs(b * (b * b + 3.0 * v) - m)
+            floor = 4.0 * eps * (abs(d[k]) ** 3 + 3.0 * v * abs(d[k]) + abs(m))
+            assert residual <= max(bisection_residual, floor), k
+
+    def test_invalid_moments_name_first_bad_node(self):
+        g = TimeGrid.from_step(2.0, 0.5)
+        m1 = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
+        m2 = np.array([0.0, 2.0, 0.5, 2.0, 0.1])  # m2 < m1^2 at nodes 2 and 4
+        # MomentCurves rejects these, so pass the curves without its validation
+        mom = SimpleNamespace(
+            grid=g, m1=Curve(g, m1), m2=Curve(g, m2), m3=Curve(g, np.zeros(5))
+        )
+        with pytest.raises(ValueError, match="invalid moments at node 2:"):
+            F4_from_moments(mom, THETA)
 
     def test_moment_validation_names_node(self):
         g = TimeGrid.from_step(1.0, 0.5)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from gmapprox.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from gmapprox.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 
 
 def write_config(tmp_path, **kw):
@@ -57,6 +57,21 @@ class TestConfigValidation:
     def test_odd_cost_order(self, tmp_path):
         p = write_config(tmp_path, costs={"p_list": [3]})
         assert main(["simulate", "--config", str(p)]) == EXIT_CONFIG
+
+    def test_uncomputed_cost_order_rejected(self, tmp_path, capsys):
+        # only orders 2 and 4 are computed, so an even order 6 is refused too
+        p = write_config(tmp_path, costs={"p_list": [2, 6]})
+        assert main(["simulate", "--config", str(p)]) == EXIT_CONFIG
+        assert "only orders 2 and 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["costs", "sde", "mc"])
+    def test_section_must_be_an_object(self, tmp_path, section):
+        p = write_config(tmp_path, **{section: [2, 4]})
+        assert main(["simulate", "--config", str(p)]) == EXIT_CONFIG
+
+    def test_threads_default_is_one(self):
+        for command in ("simulate", "approx", "bound", "costs", "table1", "table2", "neuron"):
+            assert build_parser().parse_args([command]).threads == 1
 
 
 class TestSimulate:

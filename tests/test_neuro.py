@@ -20,7 +20,7 @@ from gmapprox.neuro import (
     run_table2,
     v2_exponential,
 )
-from gmapprox.response import convolution_oracle
+from gmapprox.response import _convolve_response, _gamma_pdf, convolution_oracle
 from gmapprox.sde import apply_I
 from gmapprox.timebase import Curve, TimeGrid, derive_stream
 
@@ -145,6 +145,27 @@ class TestPhiPsi:
             phi_psi(dm.Exponential(1.0), 1.0, grid())
         with pytest.raises(ValueError):
             phi_psi(dm.Exponential(2.0), 1.0, grid())
+
+
+def direct_convolution(decay, pdf, g):
+    """Trapezoid convolution of e^{-decay u} with pdf by the O(n^2) direct sum."""
+    t = g.times()
+    r, p = np.exp(-decay * t), pdf(t)
+    full = np.convolve(r, p)[: g.n_nodes]
+    vals = g.dt * (full - 0.5 * r * p[0] - 0.5 * r[0] * p)
+    vals[0] = 0.0
+    return vals
+
+
+class TestConvolveResponse:
+    @pytest.mark.parametrize("dt", [1e-2, 1e-3])
+    @pytest.mark.parametrize("decay", [1.0, 2.0, 40.0])
+    @pytest.mark.parametrize("shape", [1.0, 2.0])
+    def test_recurrence_matches_direct_sum(self, dt, decay, shape):
+        g = TimeGrid.from_step(5.0, dt)
+        pdf = _gamma_pdf(1 / 15, shape)  # shape 1 has p(0) > 0, shape 2 has p(0) = 0
+        got = _convolve_response(decay, pdf, g).values
+        np.testing.assert_allclose(got, direct_convolution(decay, pdf, g), rtol=1e-12, atol=0)
 
 
 class TestBuildDriftFromNetwork:

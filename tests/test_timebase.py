@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from gmapprox.timebase import (
     split_stream,
     stable_exp_diff,
     trapezoid,
+    write_csv_columns,
 )
 
 
@@ -33,6 +36,36 @@ class TestTimeGrid:
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
             TimeGrid(**bad)
+
+
+class TestWriteCsvColumns:
+    # negative, subnormal, huge, with an integer part, signed zero, fractional
+    SPECIMENS = [-1.5, 5e-324, 2.5e-310, -1.7976931348623157e308, 1e300, 3.0,
+                 12345678.9, -0.0, 0.1, -2.0 / 3.0]
+
+    @staticmethod
+    def reference(path, header, rows):
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            for row in rows:
+                w.writerow([v if isinstance(v, str) else "%.17g" % v for v in row])
+
+    def test_bytes_equal_csv_writer(self, tmp_path):
+        # enough rows to span several write blocks
+        rng = np.random.default_rng(0)
+        cols = [rng.permutation(np.resize(self.SPECIMENS, 12_001)) for _ in range(3)]
+        write_csv_columns(tmp_path / "new.csv", ["t", "a", "b"], cols)
+        self.reference(tmp_path / "ref.csv", ["t", "a", "b"], zip(*cols))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_labelled_rows_bytes_equal_csv_writer(self, tmp_path):
+        labels = ["single_shot", "with,comma", 'with "quote"']
+        cols = [np.array(self.SPECIMENS[:3]), np.array(self.SPECIMENS[3:6])]
+        write_csv_columns(tmp_path / "new.csv", ["scenario", "x", "y"], cols, labels=labels)
+        rows = [[label, *vals] for label, vals in zip(labels, zip(*cols))]
+        self.reference(tmp_path / "ref.csv", ["scenario", "x", "y"], rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestCurve:
