@@ -195,6 +195,9 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
         raise ConfigError("grid.T and grid.dt must be positive")
     if cfg.T / cfg.dt > 5e7:
         raise ConfigError("grid is unreasonably fine (T/dt > 5e7)")
+    if round(cfg.T / cfg.dt) < 2:
+        # the order-4 approximant's f = F' + theta F needs a three-node stencil
+        raise ConfigError(f"grid needs at least 2 steps, got T/dt = {cfg.T / cfg.dt:g}")
     if cfg.n_paths < 1:
         raise ConfigError(f"mc.n_paths must be >= 1, got {cfg.n_paths}")
     if cfg.seed < 0:

@@ -5,11 +5,15 @@ nodes, a sampled path of the damped accumulation
 
     Z(t) = e^{-theta t} int_0^t z(s) e^{theta s} ds,
 
-and exact mean/variance curves of z. Jump-driven variants keep their event
-times in continuous time and evaluate Z through the per-event closed form, so
-the grid introduces no bias; the two diffusion-driven variants sample z with
-exact Gaussian transitions and pass it through the shared exponential
-integrator.
+and exact mean/variance curves of z. The event-driven variants (Poisson,
+compound Poisson, shot noise) draw their event times in continuous time, and
+one batched kernel, :func:`event_kernel`, evaluates z and Z from the events
+of many paths at once: each event's exact contribution inside its grid cell
+is binned, then two exact exponential recurrences run along the time axis,
+so the grid introduces no bias and the cost is O(events + nodes). The
+single-shot drift keeps its one-event closed form; the two diffusion-driven
+variants sample z with exact Gaussian transitions and pass it through the
+shared exponential integrator.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .timebase import (
     TimeGrid,
     derive_stream,
     exp_weighted_values,
+    fill_row_blocks,
     fill_rows,
     stable_exp_diff,
 )
@@ -61,6 +66,8 @@ __all__ = [
     "z_path_ensemble",
     "Z_path_ensemble",
     "iter_Z_chunks",
+    "event_kernel",
+    "event_Z_rows",
 ]
 
 
@@ -299,68 +306,98 @@ def validate_pairing(model: DriftModel, theta: float) -> None:
 # ---------------------------------------------------------------------------
 # event machinery
 
-def _draw_poisson_times(rate: float, T: float, stream) -> np.ndarray:
-    """Event times of a rate-`rate` Poisson process on [0, T], sorted."""
-    n = stream.poisson(rate * T)
-    return np.sort(stream.uniform(0.0, T, n))
+_EVENT_MODELS = (Poisson, CompoundPoisson, ShotNoise)
+
+# Cells (rows x nodes) evaluated per pass of the event kernel: bounds its
+# transient arrays at a few MiB whatever the chunk size and node count.
+_KERNEL_CELLS = 2**17
 
 
-def _jump_kernel_path(times, weights, theta, t) -> np.ndarray:
-    """sum_i w_i (1 - e^{-theta (t - T_i)}) / theta over events with T_i <= t.
+def _draw_events(model, grid: TimeGrid, stream) -> tuple[np.ndarray, np.ndarray]:
+    """Event times and weights of one path of an event-driven drift."""
+    if isinstance(model, ShotNoise):
+        m = int(sample_dist(model.count, stream, 1)[0])
+        betas = sample_dist(model.amplitude, stream, m)
+        return sample_dist(model.arrival, stream, m), betas
+    T = grid.horizon_T
+    # sorted, because compound-Poisson jump sizes pair with the times in order
+    times = np.sort(stream.uniform(0.0, T, stream.poisson(model.rate * T)))
+    if isinstance(model, Poisson):
+        return times, np.ones_like(times)
+    return times, sample_dist(model.jump, stream, len(times))
 
-    Evaluated through prefix sums of w_i and w_i e^{theta T_i} over the sorted
-    events plus one searchsorted per node, which keeps the per-path cost
-    linear in the number of nodes.
+
+def _decay(model) -> float:
+    """Decay rate of one event's contribution to z: 0 for a lasting jump."""
+    return model.response_rate if isinstance(model, ShotNoise) else 0.0
+
+
+def event_kernel(events, lam: float, theta: float | None, grid: TimeGrid):
+    """Z and z at the grid nodes for one path per (times, weights) pair in ``events``.
+
+    A path with events (T_i, w_i) has z(t) = sum_{T_i <= t} w_i e^{-lam (t - T_i)}
+    and Z(t) = sum_{T_i <= t} w_i K(t - T_i) with
+    K(u) = (e^{-lam u} - e^{-theta u}) / (theta - lam), which is the jump
+    kernel (1 - e^{-theta u}) / theta at lam = 0. Each event falls in the
+    cell (t_{k-1}, t_k] of the first node t_k >= T_i; its exact contributions
+    at that node, w e^{-lam u} and w K(u) with u = t_k - T_i, are binned per
+    row and cell. Then, with e_k and c_k the binned sums,
+
+        z_k = e^{-lam dt} z_{k-1} + e_k,
+        Z_k = e^{-theta dt} Z_{k-1} + K(dt) z_{k-1} + c_k,
+
+    which is exact because K(u + dt) = e^{-theta dt} K(u) + K(dt) e^{-lam u}.
+    Time and memory are O(events + rows x nodes), and every factor is at most
+    1, so the result stays finite for any theta T. Events after the last
+    node, including infinite (censored) times, never reach a node and are
+    dropped. A row's values do not depend on the other rows of the call.
+
+    Returns (Z, z), each of shape (len(events), n_nodes); Z is None when
+    ``theta`` is None.
     """
-    if len(times) == 0:
-        return np.zeros_like(t)
-    if theta * times[-1] > 300.0:  # prefix-sum form would overflow; do it directly
-        u = t[None, :] - times[:, None]
-        return np.sum(np.where(u >= 0, -np.expm1(-theta * np.maximum(u, 0.0)), 0.0) * weights[:, None], axis=0) / theta
-    idx = np.searchsorted(times, t, side="right")
-    c1 = np.concatenate(([0.0], np.cumsum(weights)))
-    c2 = np.concatenate(([0.0], np.cumsum(weights * np.exp(theta * times))))
-    return (c1[idx] - np.exp(-theta * t) * c2[idx]) / theta
+    t = grid.times()
+    n, m = grid.n_nodes, len(events)
+    times = np.concatenate([np.asarray(e[0], dtype=float) for e in events])
+    weights = np.concatenate([np.asarray(e[1], dtype=float) for e in events])
+    row = np.repeat(np.arange(m), [len(e[0]) for e in events])
+    cell = np.searchsorted(t, times)
+    live = cell < n
+    cell, times, weights = cell[live], times[live], weights[live]
+    idx = row[live] * n + cell
+    u = t[cell] - times
+
+    def binned(values):
+        # bincount gives int64 zeros when there are no events
+        return np.bincount(idx, values, m * n).astype(float, copy=False).reshape(m, n)
+
+    z = lfilter([1.0], [1.0, -np.exp(-lam * grid.dt)], binned(weights * np.exp(-lam * u)), axis=-1)
+    if theta is None:
+        return None, z
+    c = binned(weights * stable_exp_diff(lam, theta, u))
+    c[:, 1:] += stable_exp_diff(lam, theta, grid.dt) * z[:, :-1]
+    return lfilter([1.0], [1.0, -np.exp(-theta * grid.dt)], c, axis=-1), z
 
 
-def _shot_kernel_path(times, betas, lam, theta, t) -> np.ndarray:
-    """sum_i beta_i (e^{-lam (t-T_i)} - e^{-theta (t-T_i)}) / (theta - lam), T_i <= t."""
-    if len(times) == 0:
-        return np.zeros_like(t)
-    if max(lam, theta) * times[-1] > 300.0:
-        u = t[None, :] - times[:, None]
-        live = u >= 0
-        u = np.maximum(u, 0.0)
-        resp = stable_exp_diff(lam, theta, u.ravel()).reshape(u.shape)
-        return np.sum(np.where(live, resp, 0.0) * betas[:, None], axis=0)
-    idx = np.searchsorted(times, t, side="right")
-    a1 = np.concatenate(([0.0], np.cumsum(betas * np.exp(lam * times))))
-    a2 = np.concatenate(([0.0], np.cumsum(betas * np.exp(theta * times))))
-    return (np.exp(-lam * t) * a1[idx] - np.exp(-theta * t) * a2[idx]) / (theta - lam)
+def event_Z_rows(
+    draw, start: int, stop: int, lam: float, theta: float, grid: TimeGrid, threads: int = 1
+) -> np.ndarray:
+    """Z rows of paths start..stop-1, where path i has the events ``draw(i)``.
 
+    ``draw(i)`` returns (times, weights) and must be a pure function of i.
+    Rows go through :func:`event_kernel` in passes of at most _KERNEL_CELLS
+    cells (at least one row), each thread taking a contiguous range of rows,
+    so memory stays bounded and a row's value does not depend on the thread
+    count or on how the rows are chunked.
+    """
+    per_pass = max(1, _KERNEL_CELLS // grid.n_nodes)
 
-def _shot_z_path(times, betas, lam, t) -> np.ndarray:
-    """sum_i beta_i e^{-lam (t - T_i)} over events with T_i <= t."""
-    if len(times) == 0:
-        return np.zeros_like(t)
-    if lam * times[-1] > 300.0:
-        u = t[None, :] - times[:, None]
-        return np.sum(
-            np.where(u >= 0, np.exp(-lam * np.maximum(u, 0.0)), 0.0) * betas[:, None], axis=0
-        )
-    idx = np.searchsorted(times, t, side="right")
-    a1 = np.concatenate(([0.0], np.cumsum(betas * np.exp(lam * times))))
-    return np.exp(-lam * t) * a1[idx]
+    def fill_block(lo, hi, block):
+        for a in range(lo, hi, per_pass):
+            b = min(a + per_pass, hi)
+            events = [draw(start + i) for i in range(a, b)]
+            block[a - lo : b - lo] = event_kernel(events, lam, theta, grid)[0]
 
-
-def _shot_events(model: ShotNoise, stream) -> tuple[np.ndarray, np.ndarray]:
-    m = int(sample_dist(model.count, stream, 1)[0])
-    if m == 0:
-        return np.empty(0), np.empty(0)
-    betas = np.asarray(sample_dist(model.amplitude, stream, m), dtype=float)
-    taus = np.asarray(sample_dist(model.arrival, stream, m), dtype=float)
-    order = np.argsort(taus, kind="stable")
-    return taus[order], betas[order]
+    return fill_row_blocks(fill_block, stop - start, grid.n_nodes, threads)
 
 
 def _brownian_z(model: BrownianDrift, grid: TimeGrid, stream) -> np.ndarray:
@@ -386,28 +423,19 @@ def sample_z_path(model: DriftModel, grid: TimeGrid, stream: np.random.Generator
     """One realization of the drift z(t) evaluated at the grid nodes.
 
     Jump processes draw their event times in continuous time and evaluate the
-    node values exactly; diffusion drifts use exact Gaussian transitions
+    node values exactly (the event-driven ones as a one-row call of
+    :func:`event_kernel`); diffusion drifts use exact Gaussian transitions
     between nodes.
     """
-    t = grid.times()
-    T = grid.horizon_T
     if isinstance(model, Deterministic):
         _check_same_grid(model.f.grid, grid)
         return model.f
     if isinstance(model, SingleShot):
         tau = stream.exponential(1.0 / model.rate)
-        return Curve(grid, (t >= tau).astype(float))
-    if isinstance(model, Poisson):
-        times = _draw_poisson_times(model.rate, T, stream)
-        return Curve(grid, np.searchsorted(times, t, side="right").astype(float))
-    if isinstance(model, CompoundPoisson):
-        times = _draw_poisson_times(model.rate, T, stream)
-        jumps = np.asarray(sample_dist(model.jump, stream, len(times)), dtype=float)
-        csum = np.concatenate(([0.0], np.cumsum(jumps)))
-        return Curve(grid, csum[np.searchsorted(times, t, side="right")])
-    if isinstance(model, ShotNoise):
-        taus, betas = _shot_events(model, stream)
-        return Curve(grid, _shot_z_path(taus, betas, model.response_rate, t))
+        return Curve(grid, (grid.times() >= tau).astype(float))
+    if isinstance(model, _EVENT_MODELS):
+        _, z = event_kernel([_draw_events(model, grid, stream)], _decay(model), None, grid)
+        return Curve(grid, z[0])
     if isinstance(model, BrownianDrift):
         return Curve(grid, _brownian_z(model, grid, stream))
     if isinstance(model, OUDrift):
@@ -420,33 +448,21 @@ def sample_Z_path(
 ) -> Curve:
     """One realization of Z(t) = e^{-theta t} int_0^t z(s) e^{theta s} ds.
 
-    Uses the per-event closed form for jump-driven drifts (no grid bias) and
-    the exponential integrator applied to a sampled z path for the two
-    diffusion-driven drifts.
+    Event-driven drifts are a one-row call of :func:`event_kernel` (no grid
+    bias), the single shot uses its closed form, and the two diffusion-driven
+    drifts pass a sampled z path through the exponential integrator.
     """
     validate_pairing(model, theta)
-    t = grid.times()
-    T = grid.horizon_T
     if isinstance(model, Deterministic):
         _check_same_grid(model.f.grid, grid)
         return Curve(grid, exp_weighted_values(model.f.values, grid.dt, theta))
     if isinstance(model, SingleShot):
         tau = stream.exponential(1.0 / model.rate)
-        u = np.maximum(t - tau, 0.0)
+        u = np.maximum(grid.times() - tau, 0.0)
         return Curve(grid, -np.expm1(-theta * u) / theta)
-    if isinstance(model, Poisson):
-        times = _draw_poisson_times(model.rate, T, stream)
-        return Curve(grid, _jump_kernel_path(times, np.ones_like(times), theta, t))
-    if isinstance(model, CompoundPoisson):
-        times = _draw_poisson_times(model.rate, T, stream)
-        jumps = np.asarray(sample_dist(model.jump, stream, len(times)), dtype=float)
-        return Curve(grid, _jump_kernel_path(times, jumps, theta, t))
-    if isinstance(model, ShotNoise):
-        taus, betas = _shot_events(model, stream)
-        keep = taus <= T  # later events never influence [0, T]
-        return Curve(
-            grid, _shot_kernel_path(taus[keep], betas[keep], model.response_rate, theta, t)
-        )
+    if isinstance(model, _EVENT_MODELS):
+        Z, _ = event_kernel([_draw_events(model, grid, stream)], _decay(model), theta, grid)
+        return Curve(grid, Z[0])
     if isinstance(model, (BrownianDrift, OUDrift)):
         z = sample_z_path(model, grid, stream)
         return Curve(grid, exp_weighted_values(z.values, grid.dt, theta))
@@ -527,6 +543,15 @@ def z_path_ensemble(
     return PathEnsemble(grid, n_paths, values, master_seed)
 
 
+def _Z_rows(model, theta, grid, master_seed, start, stop, threads) -> np.ndarray:
+    """Rows start..stop-1 of the Z ensemble, row i from derive_stream(master_seed, i)."""
+    if isinstance(model, _EVENT_MODELS):
+        draw = lambda i: _draw_events(model, grid, derive_stream(master_seed, i))
+        return event_Z_rows(draw, start, stop, _decay(model), theta, grid, threads)
+    build = lambda j: sample_Z_path(model, theta, grid, derive_stream(master_seed, start + j)).values
+    return fill_rows(build, stop - start, grid.n_nodes, threads)
+
+
 def Z_path_ensemble(
     model: DriftModel,
     theta: float,
@@ -535,10 +560,15 @@ def Z_path_ensemble(
     master_seed: int,
     threads: int = 1,
 ) -> PathEnsemble:
-    """n_paths independent Z realizations, row i from derive_stream(seed, i)."""
+    """n_paths independent Z realizations, row i from derive_stream(seed, i).
+
+    Event-driven drifts evaluate all rows through the batched
+    :func:`event_Z_rows`; the other variants build row i with
+    :func:`sample_Z_path`. Row i equals ``sample_Z_path`` on the same stream
+    bit for bit, and the matrix does not depend on ``threads``.
+    """
     validate_pairing(model, theta)
-    build = lambda i: sample_Z_path(model, theta, grid, derive_stream(master_seed, i)).values
-    values = fill_rows(build, n_paths, grid.n_nodes, threads)
+    values = _Z_rows(model, theta, grid, master_seed, 0, n_paths, threads)
     return PathEnsemble(grid, n_paths, values, master_seed)
 
 
@@ -554,16 +584,15 @@ def iter_Z_chunks(
     """Yield (start_index, chunk_matrix) blocks of the Z ensemble.
 
     Streaming form of :func:`Z_path_ensemble` for workloads where the full
-    n_paths x n_nodes matrix would be wastefully large; the concatenation of
-    the chunks is bit-identical to the materialized ensemble.
+    n_paths x n_nodes matrix would be wastefully large. Each block is built
+    the same way as the ensemble (event-driven drifts in batched kernel
+    passes), so the concatenation of the chunks is bit-identical to the
+    materialized ensemble for any chunk size and thread count.
     """
     validate_pairing(model, theta)
     for start in range(0, n_paths, chunk):
         stop = min(start + chunk, n_paths)
-        build = lambda j: sample_Z_path(
-            model, theta, grid, derive_stream(master_seed, start + j)
-        ).values
-        yield start, fill_rows(build, stop - start, grid.n_nodes, threads)
+        yield start, _Z_rows(model, theta, grid, master_seed, start, stop, threads)
 
 
 def moments_Z_mc(

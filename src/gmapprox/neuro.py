@@ -30,7 +30,6 @@ from .timebase import (
     TimeGrid,
     child_seed,
     derive_stream,
-    fill_rows,
     split_stream,
     stable_exp_diff,
 )
@@ -203,18 +202,8 @@ class NetworkRealization:
     n_censored: int
 
 
-def build_drift_from_network(
-    model: EmbeddedNeuronModel, grid: TimeGrid, stream: np.random.Generator
-) -> NetworkRealization:
-    """Draw one realization of the shot-noise drift the embedded neuron sees.
-
-    Firing times come from the analytic law or from M independent
-    first-passage simulations (one derived sub-stream per input neuron);
-    inputs that never fire before the cap are dropped from the trial and
-    counted. Z is assembled from the per-event closed form
-    beta (e^{-lam(t - T)} - e^{-theta(t - T)}) / (theta - lam).
-    """
-    t = grid.times()
+def _network_events(model: EmbeddedNeuronModel, stream) -> tuple[np.ndarray, np.ndarray]:
+    """Firing times (inf for inputs censored at the cap) and amplitudes of one trial."""
     if isinstance(model.firing, AnalyticFiring):
         taus = np.asarray(drift_mod.sample_dist(model.firing.dist, stream, model.M), dtype=float)
     else:
@@ -227,22 +216,28 @@ def build_drift_from_network(
             ]
         )
     betas = np.asarray(drift_mod.sample_dist(model.amplitude, stream, model.M), dtype=float)
-    fired = np.isfinite(taus)
-    n_censored = int(model.M - fired.sum())
-    taus_f, betas_f = taus[fired], betas[fired]
-    order = np.argsort(taus_f, kind="stable")
-    taus_f, betas_f = taus_f[order], betas_f[order]
-    live = taus_f <= grid.horizon_T
-    z = drift_mod._shot_z_path(taus_f[live], betas_f[live], model.response_rate, t)
-    z_acc = drift_mod._shot_kernel_path(
-        taus_f[live], betas_f[live], model.response_rate, model.theta, t
-    )
+    return taus, betas
+
+
+def build_drift_from_network(
+    model: EmbeddedNeuronModel, grid: TimeGrid, stream: np.random.Generator
+) -> NetworkRealization:
+    """Draw one realization of the shot-noise drift the embedded neuron sees.
+
+    Firing times come from the analytic law or from M independent
+    first-passage simulations (one derived sub-stream per input neuron);
+    inputs that never fire before the cap are dropped from the trial and
+    counted. z and Z are a one-row call of :func:`drift.event_kernel` with
+    the response rate as the decay rate.
+    """
+    taus, betas = _network_events(model, stream)
+    Z, z = drift_mod.event_kernel([(taus, betas)], model.response_rate, model.theta, grid)
     return NetworkRealization(
         firing_times=taus,
         amplitudes=betas,
-        z=Curve(grid, z),
-        Z=Curve(grid, z_acc),
-        n_censored=n_censored,
+        z=Curve(grid, z[0]),
+        Z=Curve(grid, Z[0]),
+        n_censored=int(np.isinf(taus).sum()),
     )
 
 
@@ -273,17 +268,23 @@ def v2_exponential(model: EmbeddedNeuronModel, grid: TimeGrid) -> approx_mod.App
 # the three-scenario experiment
 
 def _network_chunks(model, grid, n_paths, master_seed, threads=1, chunk=256, censored=None):
-    """Yield (start, Z block) for network trials; accumulate censor counts."""
+    """Yield (start, Z block) for network trials; accumulate censor counts.
+
+    Trial i draws its inputs from derive_stream(master_seed, i), and each
+    chunk of trials is evaluated by the batched :func:`drift.event_Z_rows`.
+    """
     counts = np.zeros(n_paths, dtype=int)
 
-    def build(i):
-        real = build_drift_from_network(model, grid, derive_stream(master_seed, i))
-        counts[i] = real.n_censored
-        return real.Z.values
+    def draw(i):
+        taus, betas = _network_events(model, derive_stream(master_seed, i))
+        counts[i] = np.isinf(taus).sum()
+        return taus, betas
 
     for start in range(0, n_paths, chunk):
         stop = min(start + chunk, n_paths)
-        block = fill_rows(lambda j: build(start + j), stop - start, grid.n_nodes, threads)
+        block = drift_mod.event_Z_rows(
+            draw, start, stop, model.response_rate, model.theta, grid, threads
+        )
         yield start, block
     if censored is not None:
         censored.append(int(counts.sum()))

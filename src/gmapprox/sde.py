@@ -117,11 +117,14 @@ def apply_I_inv(F: Curve, theta: float) -> Curve:
     """f = I^{-1} F = F' + theta F, with F' by second-order finite differences.
 
     Central differences at interior nodes, one-sided second-order stencils at
-    the endpoints. Requires F(0) = 0.
+    the endpoints. Requires F(0) = 0 and at least 3 nodes (the stencils'
+    width).
     """
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")
     v = F.values
+    if len(v) < 3:
+        raise ValueError(f"I^-1 needs at least 3 grid nodes, got {len(v)}")
     if abs(v[0]) > 1e-12:
         raise ValueError(f"I^-1 needs F(0) = 0, got F(0) = {v[0]}")
     dt = F.grid.dt

@@ -27,6 +27,7 @@ __all__ = [
     "split_stream",
     "child_seed",
     "fill_rows",
+    "fill_row_blocks",
     "stable_exp_diff",
     "write_csv_columns",
 ]
@@ -235,31 +236,39 @@ def child_seed(master_seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def fill_rows(build_row, n_paths: int, n_nodes: int, threads: int = 1) -> np.ndarray:
-    """Assemble a (n_paths, n_nodes) matrix with row i = build_row(i).
+def fill_row_blocks(fill_block, n_paths: int, n_nodes: int, threads: int = 1) -> np.ndarray:
+    """Assemble a (n_paths, n_nodes) matrix; fill_block(lo, hi, block) writes rows lo..hi-1.
 
-    ``build_row`` must be a pure function of the row index (each row draws
-    from its own derived stream), so the result is identical for any number
-    of threads.
+    ``block`` is the view of those rows. Each of ``threads`` workers fills one
+    contiguous range of rows, and ``fill_block`` must make row i a pure
+    function of i (each row draws from its own derived stream), so the result
+    is identical for any number of threads.
     """
     out = np.empty((n_paths, n_nodes), dtype=float)
     if threads is None:
         threads = 1
     if threads <= 1 or n_paths < 2 * threads:
-        for i in range(n_paths):
-            out[i] = build_row(i)
+        fill_block(0, n_paths, out)
         return out
 
     bounds = np.linspace(0, n_paths, threads + 1).astype(int)
-
-    def run_block(lo_hi):
-        lo, hi = lo_hi
-        for i in range(lo, hi):
-            out[i] = build_row(i)
-
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        list(ex.map(run_block, zip(bounds[:-1], bounds[1:])))
+        list(ex.map(lambda lo, hi: fill_block(lo, hi, out[lo:hi]), bounds[:-1], bounds[1:]))
     return out
+
+
+def fill_rows(build_row, n_paths: int, n_nodes: int, threads: int = 1) -> np.ndarray:
+    """Assemble a (n_paths, n_nodes) matrix with row i = build_row(i).
+
+    ``build_row`` must be a pure function of the row index; see
+    :func:`fill_row_blocks`.
+    """
+
+    def fill_block(lo, hi, block):
+        for i in range(lo, hi):
+            block[i - lo] = build_row(i)
+
+    return fill_row_blocks(fill_block, n_paths, n_nodes, threads)
 
 
 def stable_exp_diff(a: float, b: float, t: np.ndarray | float):
@@ -267,8 +276,12 @@ def stable_exp_diff(a: float, b: float, t: np.ndarray | float):
 
     Written as e^{-a t} * (1 - e^{-(b-a) t})/(b-a) with expm1, whose relative
     error stays small uniformly in |b - a|; the b == a limit is t e^{-a t}.
+    The expression is symmetric in a and b, and a is taken as the smaller
+    rate so that no factor exceeds 1: with a > b, 1 - e^{-(b-a) t} would
+    overflow once (a - b) t passes about 709.
     """
     t = np.asarray(t, dtype=float)
+    a, b = min(a, b), max(a, b)
     delta = b - a
     if delta == 0.0:
         return t * np.exp(-a * t)

@@ -54,6 +54,12 @@ class TestConfigValidation:
         p = write_config(tmp_path, grid={"T": -1.0, "dt": 0.01})
         assert main(["simulate", "--config", str(p)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("grid", [{"T": 1.0, "dt": 1.0}, {"T": 1.0, "dt": 4.0}])
+    def test_grid_needs_two_steps(self, tmp_path, capsys, grid):
+        p = write_config(tmp_path, grid=grid)
+        assert main(["approx", "--config", str(p)]) == EXIT_CONFIG
+        assert "at least 2 steps" in capsys.readouterr().err
+
     def test_odd_cost_order(self, tmp_path):
         p = write_config(tmp_path, costs={"p_list": [3]})
         assert main(["simulate", "--config", str(p)]) == EXIT_CONFIG

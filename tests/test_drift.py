@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmapprox import approx as approx_mod
 from gmapprox import drift as dm
 from gmapprox.response import convolution_oracle
-from gmapprox.timebase import Curve, TimeGrid, derive_stream, exp_weighted_running_integral
+from gmapprox.timebase import (
+    Curve,
+    TimeGrid,
+    derive_stream,
+    exp_weighted_running_integral,
+    stable_exp_diff,
+)
 
 THETA = 1.5
 
@@ -275,3 +283,144 @@ class TestEnsembles:
         full = dm.Z_path_ensemble(model, THETA, g, 100, master_seed=9).values
         parts = [blk for _, blk in dm.iter_Z_chunks(model, THETA, g, 100, 9, chunk=17)]
         assert np.array_equal(np.vstack(parts), full)
+
+    # 20,001 nodes: the kernel takes 6 rows per pass, so chunks of 17 rows
+    # and thread ranges both cut through passes
+    @pytest.mark.parametrize(
+        "model",
+        [
+            dm.Poisson(2.0),
+            dm.CompoundPoisson(2.0, dm.Exponential(2.0)),
+            dm.ShotNoise(arrival=dm.Gamma(rate=1.0, shape=2.0)),
+        ],
+        ids=lambda m: type(m).__name__,
+    )
+    def test_event_variants_reproducible(self, model):
+        g = grid(T=2.0, dt=1e-4)
+        n, seed = 40, 12
+        full = dm.Z_path_ensemble(model, THETA, g, n, master_seed=seed).values
+        parts = [blk for _, blk in dm.iter_Z_chunks(model, THETA, g, n, seed, chunk=17)]
+        assert np.array_equal(np.vstack(parts), full)
+        threaded = dm.Z_path_ensemble(model, THETA, g, n, master_seed=seed, threads=3).values
+        assert np.array_equal(threaded, full)
+        for i in (0, 23, n - 1):
+            row = dm.sample_Z_path(model, THETA, g, derive_stream(seed, i)).values
+            assert np.array_equal(row, full[i])
+
+
+# ---------------------------------------------------------------------------
+# the batched event kernel against a dense O(events x nodes) oracle
+
+
+def dense_oracle(times, weights, lam, theta, g):
+    """Z and z summed event by event at every node, with K from stable_exp_diff."""
+    u = g.times()[None, :] - np.asarray(times, dtype=float)[:, None]
+    live = u >= 0
+    u = np.maximum(u, 0.0)
+    w = np.asarray(weights, dtype=float)[:, None]
+    Z = np.sum(np.where(live, stable_exp_diff(lam, theta, u), 0.0) * w, axis=0)
+    z = np.sum(np.where(live, np.exp(-lam * u), 0.0) * w, axis=0)
+    return Z, z
+
+
+def assert_matches_oracle(events, lam, theta, g, rtol=1e-12):
+    Z, z = dm.event_kernel(events, lam, theta, g)
+    assert Z.shape == z.shape == (len(events), g.n_nodes)
+    for r, (times, weights) in enumerate(events):
+        Z_ref, z_ref = dense_oracle(times, weights, lam, theta, g)
+        assert np.max(np.abs(Z[r] - Z_ref)) <= rtol * max(np.max(np.abs(Z_ref)), 1e-300)
+        assert np.max(np.abs(z[r] - z_ref)) <= rtol * max(np.max(np.abs(z_ref)), 1e-300)
+
+
+@st.composite
+def event_case(draw, max_events=200, max_steps=2000):
+    n_steps = draw(st.integers(2, max_steps))
+    dt = draw(st.floats(1e-3, 0.1))
+    g = TimeGrid(horizon_T=n_steps * dt, dt=dt, n_steps=n_steps)
+    rows = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    events = []
+    for _ in range(rows):
+        k = draw(st.integers(0, max_events // rows))
+        events.append((rng.uniform(0.0, g.horizon_T, k), rng.uniform(0.01, 10.0, k)))
+    return g, events
+
+
+class TestEventKernel:
+    @given(
+        case=event_case(),
+        theta=st.floats(1e-2, 20.0),
+        lam=st.one_of(st.just(0.0), st.floats(1e-2, 20.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_oracle(self, case, theta, lam):
+        g, events = case
+        assert_matches_oracle(events, lam, theta, g)
+
+    @given(case=event_case(), lam=st.floats(1e-2, 20.0), sign=st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_near_coincident_rates(self, case, lam, sign):
+        g, events = case
+        assert_matches_oracle(events, lam, lam * (1.0 + sign * 1e-9), g)
+
+    @given(
+        theta_T=st.floats(1.0, 1e3),
+        rate_T=st.floats(1.0, 1e5),
+        n_steps=st.integers(2, 20_000),
+        lam_T=st.one_of(st.just(0.0), st.floats(1.0, 1e5)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_long_horizons_and_high_rates_stay_finite(self, theta_T, rate_T, n_steps, lam_T, seed):
+        T = 10.0
+        g = TimeGrid(horizon_T=T, dt=T / n_steps, n_steps=n_steps)
+        theta, lam = theta_T / T, lam_T / T
+        rng = np.random.default_rng(seed)
+        k = rng.poisson(rate_T)
+        times, weights = rng.uniform(0.0, T, k), rng.exponential(1.0, k)
+        Z, z = dm.event_kernel([(times, weights)], lam, theta, g)
+        assert np.all(np.isfinite(Z)) and np.all(np.isfinite(z))
+        # the dense oracle at a few nodes only: O(events) each
+        t = g.times()
+        for node in (1, n_steps // 2, n_steps):
+            u = t[node] - times
+            live = u >= 0
+            Z_ref = np.sum(weights[live] * stable_exp_diff(lam, theta, u[live]))
+            z_ref = np.sum(weights[live] * np.exp(-lam * u[live]))
+            scale = np.sum(weights) / min(theta, 1.0)
+            assert abs(Z[0, node] - Z_ref) <= 1e-10 * scale
+            assert abs(z[0, node] - z_ref) <= 1e-10 * np.sum(weights)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_edge_cases(self, lam):
+        # one-step-short horizon: t[-1] = 1.0 < T, so (t[-1], T] is not empty
+        g = TimeGrid(horizon_T=1.0 + 1e-12, dt=0.1, n_steps=10)
+        t = g.times()
+        assert t[-1] < g.horizon_T
+        events = [
+            (np.empty(0), np.empty(0)),  # no events at all
+            (t[[0, 3, 10]], np.array([1.0, 2.0, 3.0])),  # exactly on nodes, one at t = 0
+            (np.array([0.35, g.horizon_T, np.inf]), np.array([1.0, 5.0, 7.0])),  # after t[-1]
+        ]
+        Z, z = dm.event_kernel(events, lam, THETA, g)
+        assert Z.dtype == z.dtype == np.float64
+        assert np.array_equal(Z[0], np.zeros(g.n_nodes))
+        assert np.array_equal(z[0], np.zeros(g.n_nodes))
+        # an event at t = 0 contributes to z but not to Z at t = 0
+        assert z[1, 0] == 1.0 and Z[1, 0] == 0.0
+        assert_matches_oracle(events[:2] + [(events[2][0][:2], events[2][1][:2])], lam, THETA, g)
+        assert np.array_equal(Z[2], dm.event_kernel([events[2]], lam, THETA, g)[0][0])
+
+    def test_no_event_before_T_in_any_row(self):
+        g = grid(T=1.0, dt=1e-2)
+        events = [(np.array([2.0, 3.0]), np.array([1.0, 1.0]))] * 3
+        Z, z = dm.event_kernel(events, 1.0, THETA, g)
+        assert Z.dtype == np.float64
+        assert not Z.any() and not z.any()
+
+    def test_z_only(self):
+        g = grid()
+        events = [(np.array([0.25, 0.5]), np.array([1.0, 2.0]))]
+        Z, z = dm.event_kernel(events, 0.0, None, g)
+        assert Z is None
+        assert np.array_equal(z[0], dm.event_kernel(events, 0.0, THETA, g)[1][0])

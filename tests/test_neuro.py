@@ -9,6 +9,7 @@ from gmapprox.approx import F2_analytic
 from gmapprox.bounds import d2_closed
 from gmapprox.neuro import (
     CENSORED,
+    _network_chunks,
     AnalyticFiring,
     EmbeddedNeuronModel,
     LIFNeuron,
@@ -211,6 +212,24 @@ class TestBuildDriftFromNetwork:
         b = build_drift_from_network(model, g, derive_stream(5, 0))
         assert np.array_equal(a.firing_times, b.firing_times)
         assert len(np.unique(np.round(a.firing_times, 12))) == model.M
+
+    def test_network_chunks_reproducible(self):
+        # 10,001 nodes: 13 rows per kernel pass, so chunks of 7 and thread
+        # ranges cut through passes; a 5 ms cap censors some inputs
+        g = grid(T=10.0, dt=1e-3)
+        model = embedded(SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=5.0))
+        runs = {}
+        for threads, chunk in ((1, 256), (2, 256), (2, 7)):
+            cens = []
+            blocks = _network_chunks(model, g, 30, 8, threads, chunk=chunk, censored=cens)
+            runs[threads, chunk] = (np.vstack([b for _, b in blocks]), cens)
+        ref, cens = runs[1, 256]
+        assert cens[0] > 0
+        for Z, c in runs.values():
+            assert np.array_equal(Z, ref) and c == cens
+        for i in (0, 17):
+            real = build_drift_from_network(model, g, derive_stream(8, i))
+            assert np.array_equal(real.Z.values, ref[i])
 
     def test_rejects_response_equal_theta(self):
         with pytest.raises(dm.PairingError):

@@ -152,6 +152,11 @@ class TestIMaps:
         with pytest.raises(ValueError):
             apply_I_inv(Curve(g, np.ones(g.n_nodes)), THETA)
 
+    def test_apply_I_inv_rejects_one_step_grid(self):
+        g = TimeGrid.from_step(1.0, 1.0)
+        with pytest.raises(ValueError, match="at least 3 grid nodes"):
+            apply_I_inv(Curve(g, np.array([0.0, 1.0])), THETA)
+
     def test_round_trip_I_then_inv(self):
         g = TimeGrid.from_step(1.0, 1e-3)
         f = Curve.from_function(g, lambda t: -np.expm1(-2 * t))

@@ -216,6 +216,13 @@ class TestStableExpDiff:
         tol = 1e-10 * abs(direct) + 1e-15 / abs(b - a)
         assert abs(stable_exp_diff(a, b, t) - direct) <= tol
 
+    def test_symmetric_and_finite_for_far_apart_rates(self):
+        t = np.array([0.0, 0.5, 2.0, 50.0])
+        np.testing.assert_array_equal(stable_exp_diff(1e3, 1.0, t), stable_exp_diff(1.0, 1e3, t))
+        # (a - b) t = 5e4: the unordered form overflows to inf * 0
+        assert np.all(np.isfinite(stable_exp_diff(1e3, 1.0, t)))
+        assert stable_exp_diff(1e3, 1.0, 50.0) == pytest.approx(np.exp(-50.0) / 999.0, rel=1e-14)
+
     def test_coincidence_limit(self):
         t = np.linspace(0, 3, 7)
         np.testing.assert_allclose(stable_exp_diff(2.0, 2.0, t), t * np.exp(-2 * t), rtol=1e-14)
