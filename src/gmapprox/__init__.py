@@ -56,6 +56,7 @@ from .neuro import (
     SimulatedFiring,
     build_drift_from_network,
     first_passage_time,
+    first_passage_times,
     lower_incomplete_gamma,
     phi_psi,
     run_table2,

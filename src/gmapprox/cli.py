@@ -388,7 +388,7 @@ def cmd_neuron(cfg: ExperimentConfig) -> int:
         censor_rate = 0.0
     else:
         cens = []
-        moments = neuro_mod._moments_from_chunks(
+        moments = drift_mod.moments_from_chunks(
             neuro_mod._network_chunks(
                 model, grid, cfg.n_paths, child_seed(cfg.seed, 0), cfg.threads, censored=cens
             ),

@@ -63,6 +63,7 @@ __all__ = [
     "mean_z",
     "var_z",
     "moments_Z_mc",
+    "moments_from_chunks",
     "z_path_ensemble",
     "Z_path_ensemble",
     "iter_Z_chunks",
@@ -381,12 +382,14 @@ def event_kernel(events, lam: float, theta: float | None, grid: TimeGrid):
 def event_Z_rows(
     draw, start: int, stop: int, lam: float, theta: float, grid: TimeGrid, threads: int = 1
 ) -> np.ndarray:
-    """Z rows of paths start..stop-1, where path i has the events ``draw(i)``.
+    """Z rows of paths start..stop-1, where ``draw(lo, hi)`` lists the events of paths lo..hi-1.
 
-    ``draw(i)`` returns (times, weights) and must be a pure function of i.
-    Rows go through :func:`event_kernel` in passes of at most _KERNEL_CELLS
-    cells (at least one row), each thread taking a contiguous range of rows,
-    so memory stays bounded and a row's value does not depend on the thread
+    ``draw(lo, hi)`` returns one (times, weights) pair per path, and path i's
+    pair must be a pure function of i. Rows go through :func:`event_kernel`
+    in passes of at most _KERNEL_CELLS cells (at least one row), and each
+    pass draws its paths with one ``draw`` call, so a caller can batch the
+    work behind a pass. Each thread takes a contiguous range of rows, so
+    memory stays bounded and a row's value does not depend on the thread
     count or on how the rows are chunked.
     """
     per_pass = max(1, _KERNEL_CELLS // grid.n_nodes)
@@ -394,7 +397,7 @@ def event_Z_rows(
     def fill_block(lo, hi, block):
         for a in range(lo, hi, per_pass):
             b = min(a + per_pass, hi)
-            events = [draw(start + i) for i in range(a, b)]
+            events = draw(start + a, start + b)
             block[a - lo : b - lo] = event_kernel(events, lam, theta, grid)[0]
 
     return fill_row_blocks(fill_block, stop - start, grid.n_nodes, threads)
@@ -546,7 +549,9 @@ def z_path_ensemble(
 def _Z_rows(model, theta, grid, master_seed, start, stop, threads) -> np.ndarray:
     """Rows start..stop-1 of the Z ensemble, row i from derive_stream(master_seed, i)."""
     if isinstance(model, _EVENT_MODELS):
-        draw = lambda i: _draw_events(model, grid, derive_stream(master_seed, i))
+        draw = lambda lo, hi: [
+            _draw_events(model, grid, derive_stream(master_seed, i)) for i in range(lo, hi)
+        ]
         return event_Z_rows(draw, start, stop, _decay(model), theta, grid, threads)
     build = lambda j: sample_Z_path(model, theta, grid, derive_stream(master_seed, start + j)).values
     return fill_rows(build, stop - start, grid.n_nodes, threads)
@@ -609,6 +614,17 @@ def moments_Z_mc(
     standard error of m1. Moments use the n-denominator convention so the
     implied variance m2 - m1^2 is nonnegative by construction.
     """
+    chunks = iter_Z_chunks(model, theta, grid, n_paths, master_seed, threads)
+    return moments_from_chunks(chunks, grid, n_paths)
+
+
+def moments_from_chunks(chunks, grid: TimeGrid, n_paths: int):
+    """Plain sample moments m1, m2, m3 and the SE of m1 from (start, block) chunks.
+
+    The chunks together hold the n_paths rows of one ensemble on ``grid``,
+    as :func:`iter_Z_chunks` yields them. The power sums are accumulated
+    chunk by chunk, so only one chunk is held at a time.
+    """
     from .approx import MomentCurves  # MomentCurves lives with its consumers
 
     if n_paths < 2:
@@ -616,7 +632,7 @@ def moments_Z_mc(
     s1 = np.zeros(grid.n_nodes)
     s2 = np.zeros(grid.n_nodes)
     s3 = np.zeros(grid.n_nodes)
-    for _, block in iter_Z_chunks(model, theta, grid, n_paths, master_seed, threads):
+    for _, block in chunks:
         s1 += block.sum(axis=0)
         b2 = block * block
         s2 += b2.sum(axis=0)

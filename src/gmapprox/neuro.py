@@ -8,6 +8,12 @@ response moment curves phi and psi for exponential and Gamma firing-time
 laws, the closed-form mean-square approximant for the exponential case, and
 the three-scenario cost table (exponential, Gamma, fully simulated network).
 
+Every input neuron draws its noise from its own stream, split from the
+stream of its trial. The first-passage simulation advances all input neurons
+of a kernel pass together, a block of steps at a time, and retires each one
+once it fires; because each neuron reads its stream sequentially, the block
+size and the batching change no draw and no result.
+
 Units are milliseconds and millivolts throughout.
 """
 
@@ -42,6 +48,7 @@ __all__ = [
     "NetworkRealization",
     "CENSORED",
     "first_passage_time",
+    "first_passage_times",
     "phi_psi",
     "lower_incomplete_gamma",
     "build_drift_from_network",
@@ -79,7 +86,7 @@ TABLE2_PARAMS = {
     "horizon_cap": 100.0,  # ms
 }
 
-_FPT_BLOCK = 2048  # steps simulated per draw block in the first-passage loop
+_FPT_BLOCK = 512  # steps per block of the batched first-passage recurrence
 
 
 @dataclass(frozen=True)
@@ -149,32 +156,65 @@ def first_passage_time(
 ) -> float:
     """First time the Euler-Maruyama LIF path reaches the firing threshold.
 
-    The crossing time is interpolated linearly inside the crossing step.
-    Returns CENSORED (= inf) if no crossing occurs before horizon_cap.
+    A one-neuron call of :func:`first_passage_times`: the crossing time is
+    interpolated linearly inside the crossing step, and CENSORED (= inf) is
+    returned if no crossing occurs before horizon_cap.
+    """
+    return float(first_passage_times(neuron, dt, horizon_cap, [stream])[0])
+
+
+def first_passage_times(neuron: LIFNeuron, dt: float, horizon_cap: float, streams) -> np.ndarray:
+    """First threshold crossing of one Euler-Maruyama LIF path per stream.
+
+    Path j draws its normals from ``streams[j]`` in order, one per step, and
+    follows v_k = a v_{k-1} + mu_i dt + sigma_i sqrt(dt) n_k with
+    a = 1 - theta_i dt from v_0 = v0_i. The crossing time is interpolated
+    linearly inside the crossing step; paths that do not cross before
+    horizon_cap give CENSORED (= inf). Paths are advanced together in
+    sub-batches of at most ``_KERNEL_CELLS // _FPT_BLOCK`` rows (at least
+    one), _FPT_BLOCK steps at a time, so the working set is bounded whatever
+    the number of streams. A path's result depends only on its own stream.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n_total = int(math.ceil(horizon_cap / dt))
+    out = np.full(len(streams), CENSORED)
+    rows = max(1, drift_mod._KERNEL_CELLS // _FPT_BLOCK)
+    for lo in range(0, len(streams), rows):
+        _first_passage_batch(neuron, dt, n_total, streams[lo : lo + rows], out[lo : lo + rows])
+    return out
+
+
+def _first_passage_batch(neuron: LIFNeuron, dt: float, n_total: int, streams, out) -> None:
+    """Write the crossing times of one sub-batch of paths into ``out``."""
     a = 1.0 - neuron.theta_i * dt
     mu_dt = neuron.mu_i * dt
     s = neuron.sigma_i * math.sqrt(dt)
-    v_prev = neuron.v0_i
+    live = np.arange(len(streams))  # paths that have not fired yet
+    v_prev = np.full(len(streams), float(neuron.v0_i))
     done = 0
-    while done < n_total:
+    while done < n_total and live.size:
         block = min(_FPT_BLOCK, n_total - done)
-        x = np.full(block, mu_dt)
+        x = np.empty((live.size, block))
         if neuron.sigma_i > 0:
-            x += s * stream.standard_normal(block)
-        path, _ = lfilter([1.0], [1.0, -a], x, zi=np.array([a * v_prev]))
-        hits = np.nonzero(path >= neuron.v_th)[0]
-        if hits.size:
-            k = int(hits[0])
-            v_before = v_prev if k == 0 else path[k - 1]
-            frac = (neuron.v_th - v_before) / (path[k] - v_before)
-            return (done + k + frac) * dt
-        v_prev = float(path[-1])
+            for row, j in enumerate(live):
+                streams[j].standard_normal(out=x[row])
+            x *= s  # rounds exactly as mu_dt + s * n
+            x += mu_dt
+        else:
+            x.fill(mu_dt)
+        path, _ = lfilter([1.0], [1.0, -a], x, axis=-1, zi=a * v_prev[:, None])
+        hit = path >= neuron.v_th
+        fired = hit.any(axis=1)
+        r = np.flatnonzero(fired)
+        k = hit[r].argmax(axis=1)
+        # a crossing at the first step of a block interpolates from the last block's end
+        v_before = np.where(k == 0, v_prev[r], path[r, k - 1])
+        frac = (neuron.v_th - v_before) / (path[r, k] - v_before)
+        out[live[r]] = (done + k + frac) * dt
+        v_prev = path[~fired, -1]
+        live = live[~fired]
         done += block
-    return CENSORED
 
 
 def phi_psi(
@@ -202,21 +242,25 @@ class NetworkRealization:
     n_censored: int
 
 
-def _network_events(model: EmbeddedNeuronModel, stream) -> tuple[np.ndarray, np.ndarray]:
-    """Firing times (inf for inputs censored at the cap) and amplitudes of one trial."""
+def _network_events(model: EmbeddedNeuronModel, streams) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Firing times (inf for inputs censored at the cap) and amplitudes, one pair per trial.
+
+    Trial j draws from ``streams[j]``: analytic firing times and then the
+    amplitudes, or, for simulated firing, the amplitudes after its M input
+    neurons have run on sub-streams split from it. The input neurons of all
+    trials go through one :func:`first_passage_times` call.
+    """
+    amplitudes = lambda s: np.asarray(drift_mod.sample_dist(model.amplitude, s, model.M), dtype=float)
     if isinstance(model.firing, AnalyticFiring):
-        taus = np.asarray(drift_mod.sample_dist(model.firing.dist, stream, model.M), dtype=float)
-    else:
-        spec = model.firing
-        streams = split_stream(stream, model.M)
-        taus = np.array(
-            [
-                first_passage_time(spec.neuron, spec.sim_dt, spec.horizon_cap, s)
-                for s in streams
-            ]
-        )
-    betas = np.asarray(drift_mod.sample_dist(model.amplitude, stream, model.M), dtype=float)
-    return taus, betas
+        events = []
+        for s in streams:
+            taus = np.asarray(drift_mod.sample_dist(model.firing.dist, s, model.M), dtype=float)
+            events.append((taus, amplitudes(s)))
+        return events
+    spec = model.firing
+    inputs = [child for s in streams for child in split_stream(s, model.M)]
+    taus = first_passage_times(spec.neuron, spec.sim_dt, spec.horizon_cap, inputs)
+    return [(t, amplitudes(s)) for t, s in zip(taus.reshape(len(streams), model.M), streams)]
 
 
 def build_drift_from_network(
@@ -230,7 +274,7 @@ def build_drift_from_network(
     counted. z and Z are a one-row call of :func:`drift.event_kernel` with
     the response rate as the decay rate.
     """
-    taus, betas = _network_events(model, stream)
+    taus, betas = _network_events(model, [stream])[0]
     Z, z = drift_mod.event_kernel([(taus, betas)], model.response_rate, model.theta, grid)
     return NetworkRealization(
         firing_times=taus,
@@ -270,15 +314,17 @@ def v2_exponential(model: EmbeddedNeuronModel, grid: TimeGrid) -> approx_mod.App
 def _network_chunks(model, grid, n_paths, master_seed, threads=1, chunk=256, censored=None):
     """Yield (start, Z block) for network trials; accumulate censor counts.
 
-    Trial i draws its inputs from derive_stream(master_seed, i), and each
-    chunk of trials is evaluated by the batched :func:`drift.event_Z_rows`.
+    Trial i draws its inputs from derive_stream(master_seed, i). Each kernel
+    pass of :func:`drift.event_Z_rows` draws its trials together, so the
+    input neurons of the whole pass share one batched first-passage
+    simulation; a trial's row does not depend on the chunking or the threads.
     """
     counts = np.zeros(n_paths, dtype=int)
 
-    def draw(i):
-        taus, betas = _network_events(model, derive_stream(master_seed, i))
-        counts[i] = np.isinf(taus).sum()
-        return taus, betas
+    def draw(lo, hi):
+        events = _network_events(model, [derive_stream(master_seed, i) for i in range(lo, hi)])
+        counts[lo:hi] = [np.isinf(taus).sum() for taus, _ in events]
+        return events
 
     for start in range(0, n_paths, chunk):
         stop = min(start + chunk, n_paths)
@@ -288,28 +334,6 @@ def _network_chunks(model, grid, n_paths, master_seed, threads=1, chunk=256, cen
         yield start, block
     if censored is not None:
         censored.append(int(counts.sum()))
-
-
-def _moments_from_chunks(chunks, grid, n_paths):
-    s1 = np.zeros(grid.n_nodes)
-    s2 = np.zeros(grid.n_nodes)
-    s3 = np.zeros(grid.n_nodes)
-    for _, block in chunks:
-        s1 += block.sum(axis=0)
-        b2 = block * block
-        s2 += b2.sum(axis=0)
-        s3 += (b2 * block).sum(axis=0)
-    m1, m2, m3 = s1 / n_paths, s2 / n_paths, s3 / n_paths
-    var1 = np.maximum(s2 - n_paths * m1**2, 0.0) / (n_paths - 1)
-    return approx_mod.MomentCurves(
-        grid=grid,
-        m1=Curve(grid, m1),
-        m2=Curve(grid, m2),
-        m3=Curve(grid, m3),
-        se1=Curve(grid, np.sqrt(var1 / n_paths)),
-    )
-
-
 
 
 def table2_models(params: dict = TABLE2_PARAMS):
@@ -396,7 +420,7 @@ def run_table2(seed: int, n_paths: int = 10_000, threads: int = 1) -> CostReport
             chunks = drift_mod.iter_Z_chunks(sn, theta, grid, n_paths, e_seed, threads)
         else:
             cens = []
-            moments = _moments_from_chunks(
+            moments = drift_mod.moments_from_chunks(
                 _network_chunks(model, grid, n_paths, m_seed, threads, censored=cens),
                 grid,
                 n_paths,

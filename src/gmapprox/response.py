@@ -6,12 +6,12 @@ at a random time with density p, the drift moments need
     phi(t) = E[R(t - T)] = (R * p)(t),      psi(t) = E[R^2(t - T)] = (R^2 * p)(t).
 
 Closed forms are used for exponential firing times (any rate), point masses,
-and Gamma firing times when the incomplete-gamma argument nu - decay is
-positive; there the regularized incomplete gamma comes from scipy, evaluated
-at all nodes at once. Otherwise both convolutions are evaluated numerically
-on the grid by the trapezoid rule. Because the response is exponential, the
-convolution sum is a first-order linear recurrence along the grid, computed
-in O(n) by ``scipy.signal.lfilter``.
+uniform firing times, and Gamma firing times when the incomplete-gamma
+argument nu - decay is positive; there the regularized incomplete gamma comes
+from scipy, evaluated at all nodes at once. Otherwise both convolutions are
+evaluated numerically on the grid by the trapezoid rule. Because the response
+is exponential, the convolution sum is a first-order linear recurrence along
+the grid, computed in O(n) by ``scipy.signal.lfilter``.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ def lower_incomplete_gamma(alpha: float, x: float) -> float:
 def response_moment_curves(dist, lam: float, grid: TimeGrid) -> tuple[Curve, Curve]:
     """phi and psi curves for a firing-time distribution; see module docstring.
 
-    Supports exponential, gamma and point-mass firing times (the drift zoo
-    needs nothing else); gamma falls back to numerical convolution whenever a
-    closed-form incomplete-gamma argument is nonpositive.
+    Supports exponential, gamma, uniform and point-mass firing times (every
+    arrival law ``ShotNoise`` accepts); gamma falls back to numerical
+    convolution whenever a closed-form incomplete-gamma argument is
+    nonpositive.
     """
     from . import drift  # local import: drift also imports this module
 
@@ -68,7 +69,20 @@ def response_moment_curves(dist, lam: float, grid: TimeGrid) -> tuple[Curve, Cur
         u = t - tau
         phi = np.where(u >= 0, np.exp(-lam * np.maximum(u, 0.0)), 0.0)
         return Curve(grid, phi), Curve(grid, phi**2)
+    if isinstance(dist, drift.Uniform):
+        if dist.lo < 0:
+            raise ValueError("firing-time support must be nonnegative")
+        return _uniform_case(dist, lam, t, grid), _uniform_case(dist, 2 * lam, t, grid)
     raise ValueError(f"unsupported firing-time distribution: {type(dist).__name__}")
+
+
+def _uniform_case(dist, decay: float, t: np.ndarray, grid: TimeGrid) -> Curve:
+    # E[e^{-decay (t-T)} 1_{T<=t}] for T ~ Uniform(lo, hi):
+    # (e^{-decay (t - m)} - e^{-decay (t - lo)}) / (decay (hi - lo)), m = clip(t, lo, hi),
+    # with the difference written through expm1 (zero for t <= lo)
+    m = np.clip(t, dist.lo, dist.hi)
+    vals = np.exp(-decay * (t - m)) * -np.expm1(-decay * (m - dist.lo))
+    return Curve(grid, vals / (decay * (dist.hi - dist.lo)))
 
 
 def _gamma_case(dist, decay: float, grid: TimeGrid) -> Curve:

@@ -184,6 +184,14 @@ class TestTables:
         payload = json.loads((tmp_path / "out" / "costs.json").read_text())
         assert len(payload["records"]) == 4
 
+    def test_costs_uniform_arrivals(self, tmp_path):
+        model = {"type": "shot_noise", "arrival": {"type": "uniform", "lo": 0, "hi": 250}}
+        p = write_config(tmp_path, sde={"theta": 0.1, "sigma": 1.0, "x0": 0.0}, model=model,
+                         grid={"T": 20.0, "dt": 0.05}, mc={"n_paths": 50, "seed": 3})
+        assert main(["costs", "--config", str(p)]) == EXIT_OK
+        payload = json.loads((tmp_path / "out" / "costs.json").read_text())
+        assert len(payload["records"]) == 4
+
 
 class TestNeuron:
     def test_analytic_scenario(self, tmp_path):

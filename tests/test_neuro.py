@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.signal import lfilter
 
 from gmapprox import drift as dm
+from gmapprox import neuro
 from gmapprox.approx import F2_analytic
 from gmapprox.bounds import d2_closed
 from gmapprox.neuro import (
@@ -16,12 +21,18 @@ from gmapprox.neuro import (
     SimulatedFiring,
     build_drift_from_network,
     first_passage_time,
+    first_passage_times,
     lower_incomplete_gamma,
     phi_psi,
     run_table2,
     v2_exponential,
 )
-from gmapprox.response import _convolve_response, _gamma_pdf, convolution_oracle
+from gmapprox.response import (
+    _convolve_response,
+    _gamma_pdf,
+    convolution_oracle,
+    response_moment_curves,
+)
 from gmapprox.sde import apply_I
 from gmapprox.timebase import Curve, TimeGrid, derive_stream
 
@@ -52,9 +63,8 @@ class TestFirstPassage:
         assert first_passage_time(neuron, 1e-2, 50.0, derive_stream(0, 0)) == CENSORED
 
     def test_noisy_crossings_sane(self):
-        times = np.array(
-            [first_passage_time(TABLE2_LIF, 1e-2, 100.0, derive_stream(12, i)) for i in range(10_000)]
-        )
+        streams = [derive_stream(12, i) for i in range(10_000)]
+        times = first_passage_times(TABLE2_LIF, 1e-2, 100.0, streams)
         det = 4.054651081081644
         assert np.all(np.isfinite(times))
         assert times.max() < 10 * det
@@ -68,6 +78,99 @@ class TestFirstPassage:
     def test_validates_threshold(self):
         with pytest.raises(ValueError):
             LIFNeuron(theta_i=0.1, mu_i=6.0, sigma_i=1.0, v0_i=5.0, v_th=5.0)
+
+
+def scalar_first_passage(neuron, dt, horizon_cap, stream):
+    """Oracle: one neuron at a time, 2,048-step blocks, as the scalar loop did it."""
+    block = 2048
+    n_total = int(math.ceil(horizon_cap / dt))
+    a = 1.0 - neuron.theta_i * dt
+    mu_dt = neuron.mu_i * dt
+    s = neuron.sigma_i * math.sqrt(dt)
+    v_prev = neuron.v0_i
+    done = 0
+    while done < n_total:
+        size = min(block, n_total - done)
+        x = np.full(size, mu_dt)
+        if neuron.sigma_i > 0:
+            x += s * stream.standard_normal(size)
+        path, _ = lfilter([1.0], [1.0, -a], x, zi=np.array([a * v_prev]))
+        hits = np.nonzero(path >= neuron.v_th)[0]
+        if hits.size:
+            k = int(hits[0])
+            v_before = v_prev if k == 0 else path[k - 1]
+            frac = (neuron.v_th - v_before) / (path[k] - v_before)
+            return (done + k + frac) * dt
+        v_prev = float(path[-1])
+        done += size
+    return CENSORED
+
+
+def oracle_times(neuron, dt, cap, seed, n):
+    return np.array([scalar_first_passage(neuron, dt, cap, derive_stream(seed, i)) for i in range(n)])
+
+
+def batched_times(neuron, dt, cap, seed, n):
+    return first_passage_times(neuron, dt, cap, [derive_stream(seed, i) for i in range(n)])
+
+
+class TestBatchedFirstPassage:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        theta_i=st.floats(0.01, 1.0),
+        mu_i=st.floats(0.0, 20.0),
+        sigma_i=st.one_of(st.just(0.0), st.floats(0.1, 4.0)),
+        v_th=st.floats(1.0, 40.0),
+        cap=st.floats(0.05, 30.0),
+        dt=st.sampled_from([1e-2, 0.05]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_scalar_oracle(self, theta_i, mu_i, sigma_i, v_th, cap, dt, seed):
+        # caps up to 3,000 steps: not multiples of the block, crossings past
+        # the oracle's first 2,048-step block, and censored subthreshold inputs
+        neuron = LIFNeuron(theta_i=theta_i, mu_i=mu_i, sigma_i=sigma_i, v0_i=0.0, v_th=v_th)
+        got = batched_times(neuron, dt, cap, seed, 5)
+        assert np.array_equal(got, oracle_times(neuron, dt, cap, seed, 5))
+
+    def test_noiseless_subthreshold_batch_censored(self):
+        neuron = LIFNeuron(theta_i=0.1, mu_i=1.5, sigma_i=0.0, v0_i=0.0, v_th=20.0)
+        got = batched_times(neuron, 1e-2, 37.3, 0, 4)
+        assert np.array_equal(got, np.full(4, CENSORED))
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    @pytest.mark.parametrize("block", [1, 3, 2048])
+    def test_independent_of_batch_and_block(self, monkeypatch, n, block):
+        # a 4.5 ms cap censors some inputs; small blocks put crossings at the
+        # first step of a later block
+        monkeypatch.setattr(neuro, "_FPT_BLOCK", block)
+        ref = oracle_times(TABLE2_LIF, 1e-2, 4.5, 4, n)
+        assert np.array_equal(batched_times(TABLE2_LIF, 1e-2, 4.5, 4, n), ref)
+        if n == 300:
+            assert np.isinf(ref).any() and np.isfinite(ref).any()
+
+    def test_one_element_call(self):
+        ref = oracle_times(TABLE2_LIF, 1e-2, 100.0, 6, 20)
+        got = [first_passage_time(TABLE2_LIF, 1e-2, 100.0, derive_stream(6, i)) for i in range(20)]
+        assert np.array_equal(got, ref)
+
+    def test_working_set_within_cell_budget(self, monkeypatch):
+        monkeypatch.setattr(dm, "_KERNEL_CELLS", 2048)
+        monkeypatch.setattr(neuro, "_FPT_BLOCK", 100)
+        cells = []
+
+        def recording_lfilter(b, a, x, **kw):
+            cells.append(x.size)
+            return lfilter(b, a, x, **kw)
+
+        monkeypatch.setattr(neuro, "lfilter", recording_lfilter)
+        got = batched_times(TABLE2_LIF, 1e-2, 10.0, 9, 75)
+        assert np.array_equal(got, oracle_times(TABLE2_LIF, 1e-2, 10.0, 9, 75))
+        assert max(cells) == 2000  # 20 rows of 100 steps
+        assert len(cells) > 4
+
+    def test_rejects_nonpositive_step(self):
+        with pytest.raises(ValueError):
+            first_passage_times(TABLE2_LIF, 0.0, 10.0, [derive_stream(0, 0)])
 
 
 class TestLowerIncompleteGamma:
@@ -146,6 +249,32 @@ class TestPhiPsi:
             phi_psi(dm.Exponential(1.0), 1.0, grid())
         with pytest.raises(ValueError):
             phi_psi(dm.Exponential(2.0), 1.0, grid())
+
+
+class TestUniformArrival:
+    @pytest.mark.parametrize(
+        "lo, hi, lam", [(0.0, 250.0, 1.0), (10.0, 12.0, 0.3), (5.0, 5.000001, 2.0), (0.0, 1.0, 1e-4)]
+    )
+    def test_matches_quadrature(self, lo, hi, lam):
+        g = TimeGrid.from_step(300.0, 0.5)
+        phi, psi = response_moment_curves(dm.Uniform(lo, hi), lam, g)
+        for k in (0, 5, 20, 23, 24, 100, 500, 600):
+            t = g.times()[k]
+            for curve, decay in ((phi, lam), (psi, 2 * lam)):
+                top = min(t, hi)
+                if top <= lo:
+                    assert curve.values[k] == 0.0
+                    continue
+                ref, _ = quad(lambda s: np.exp(-decay * (t - s)) / (hi - lo), lo, top, epsabs=0, epsrel=1e-13)
+                assert curve.values[k] == pytest.approx(ref, rel=1e-10, abs=0)
+
+    def test_shot_noise_mean_matches_sampling(self):
+        g = grid(T=20.0, dt=0.1)
+        sn = dm.ShotNoise(arrival=dm.Uniform(2.0, 12.0))
+        mean = dm.mean_z(sn, g).values
+        zs = dm.z_path_ensemble(sn, g, 4000, 3).values
+        se = zs.std(axis=0, ddof=1) / np.sqrt(len(zs))
+        assert np.all(np.abs(zs.mean(axis=0) - mean) <= 4 * np.maximum(se, 1e-12))
 
 
 def direct_convolution(decay, pdf, g):
