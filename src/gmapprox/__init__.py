@@ -15,6 +15,7 @@ from .approx import (
     MomentCurves,
     cubic_el_root,
     eta2,
+    exact_moments,
     transversality_residual,
 )
 from .bounds import BoundCurve, d2_closed, d2_generic, pointwise_mse
@@ -41,6 +42,7 @@ from .drift import (
     ShotNoise,
     SingleShot,
     Uniform,
+    cumulant_curves,
     mean_z,
     moments_Z_mc,
     sample_Z_path,

@@ -5,18 +5,20 @@ each time, the stationarity condition
 
     E[|x - Z(t)|^{p-2} (x - Z(t))] = 0.
 
-For p = 2 this is the mean of Z, available in closed form for every drift
+For p = 2 this is the mean of Z, the first exact cumulant of every drift
 variant. For p = 4 it is the unique real root of the cubic
 
     x^3 - 3 x^2 E[Z] + 3 x E[Z^2] - E[Z^3] = 0,
 
-whose derivative 3((x - m1)^2 + (m2 - m1^2)) is nonnegative for any valid
-moment pair. In the central variable d = x - E[Z] it reads
-d^3 + 3 var d - mu3 = 0, solved at every node at once by the hyperbolic
-closed form d = 2 sqrt(var) sinh(asinh(mu3 / (2 var^{3/2})) / 3) and one
-Newton step. For empirical samples (``Fp_root``) the root is bracketed by the
-sample range and found by bisection. The drift of the approximating SDE is
-recovered as f = I^{-1} F.
+whose derivative 3((x - m1)^2 + var) is nonnegative for any valid moment
+set. In the central variable d = x - E[Z] it reads d^3 + 3 var d - mu3 = 0,
+so it needs only the mean, the variance and the third central moment: the
+exact cumulants kappa_1..kappa_3 of :func:`drift.cumulant_curves`, or sample
+moments for a drift without an exact law. It is solved at every node at once
+by the hyperbolic closed form d = 2 sqrt(var) sinh(asinh(mu3 / (2 var^{3/2})) / 3)
+and one Newton step. For empirical samples (``Fp_root``) the root is
+bracketed by the sample range and found by bisection. The drift of the
+approximating SDE is recovered as f = I^{-1} F.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ import numpy as np
 
 from . import drift as drift_mod
 from . import sde as sde_mod
-from .timebase import Curve, TimeGrid, stable_exp_diff
+from .timebase import Curve, TimeGrid
 
 __all__ = [
     "MomentCurves",
+    "exact_moments",
     "Approximant",
     "F2_analytic",
     "cubic_el_root",
@@ -45,25 +48,61 @@ _MOMENT_SLACK = 1e-12  # relative rounding slack allowed in m2 >= m1^2
 
 @dataclass(frozen=True)
 class MomentCurves:
-    """First three moments of Z(t) on a grid, plus the standard error of m1."""
+    """Mean, raw moments and central moments of Z(t) on a grid, plus the SE of the mean.
+
+    Built from raw moments (m1, m2, m3) the central ones follow by the
+    raw-moment conversion; built with :meth:`from_central` or
+    :meth:`from_cumulants` the variance and third central moment are kept
+    as given and the raw moments are derived, so an exact or pairwise-merged
+    fit never goes through the cancelling conversion.
+    """
 
     grid: TimeGrid
     m1: Curve
     m2: Curve
     m3: Curve
     se1: Curve
+    var: Curve = None
+    mu3: Curve = None
 
     def __post_init__(self):
         for name in ("m1", "m2", "m3", "se1"):
             c = getattr(self, name)
             if c.grid != self.grid:
                 raise ValueError(f"{name} grid does not match the moment grid")
-        v1, v2 = self.m1.values, self.m2.values
+        v1, v2, v3 = self.m1.values, self.m2.values, self.m3.values
+        if self.var is None:
+            object.__setattr__(self, "var", Curve(self.grid, v2 - v1**2))
+            object.__setattr__(self, "mu3", Curve(self.grid, v3 - 3.0 * v1 * v2 + 2.0 * v1**3))
         scale = np.maximum(v1**2, 1.0)
-        if np.any(v2 - v1**2 < -_MOMENT_SLACK * scale):
+        if np.any(self.var.values < -_MOMENT_SLACK * scale):
             raise ValueError("invalid moments: m2 < m1^2 at some node")
         if any(abs(getattr(self, n).values[0]) > 1e-12 for n in ("m1", "m2", "m3")):
             raise ValueError("moments must vanish at t = 0 (Z starts at 0)")
+
+    @classmethod
+    def from_central(cls, grid: TimeGrid, m1, var, mu3, se1) -> "MomentCurves":
+        """Moment curves from node values of the mean, variance, third central moment and SE."""
+        m1, var, mu3 = (np.asarray(v, dtype=float) for v in (m1, var, mu3))
+        return cls(
+            grid=grid,
+            m1=Curve(grid, m1),
+            m2=Curve(grid, var + m1 * m1),
+            m3=Curve(grid, mu3 + 3.0 * m1 * var + m1**3),
+            se1=Curve(grid, se1),
+            var=Curve(grid, var),
+            mu3=Curve(grid, mu3),
+        )
+
+    @classmethod
+    def from_cumulants(cls, grid: TimeGrid, kappa) -> "MomentCurves":
+        """Exact moment curves from cumulant rows kappa_1, kappa_2, kappa_3 (no sampling error)."""
+        return cls.from_central(grid, kappa[0], kappa[1], kappa[2], np.zeros(grid.n_nodes))
+
+
+def exact_moments(model: drift_mod.DriftModel, theta: float, grid: TimeGrid) -> MomentCurves:
+    """The exact moment curves of Z(t) that F4 needs, from :func:`drift.cumulant_curves`."""
+    return MomentCurves.from_cumulants(grid, drift_mod.cumulant_curves(model, theta, grid, 3))
 
 
 @dataclass(frozen=True)
@@ -83,75 +122,34 @@ class Approximant:
 
 
 def F2_analytic(model: drift_mod.DriftModel, theta: float, grid: TimeGrid) -> Approximant:
-    """The mean-square-optimal approximant: F2 = E[Z], f2 = E[z].
+    """The mean-square-optimal approximant: F2 = E[Z] = kappa_1, f2 = E[z].
 
-    Uses the per-variant closed form of E[Z] where one exists and falls back
-    to the exponential integrator applied to the exact mean of z otherwise
-    (deterministic drifts and shot noise without a closed-form response
-    moment).
+    kappa_1 comes from :func:`drift.cumulant_curves`, which uses each
+    variant's closed-form mean where one exists.
     """
-    drift_mod.validate_pairing(model, theta)
+    F = Curve(grid, drift_mod.cumulant_curves(model, theta, grid, 1)[0])
     f2 = drift_mod.mean_z(model, grid)
-    F_vals = _mean_Z_closed(model, theta, grid)
-    if F_vals is None:
-        F = sde_mod.apply_I(f2, theta)
-    else:
-        F = Curve(grid, F_vals)
     return Approximant(p=2, F=F, f=f2, theta=theta)
 
 
-def _mean_Z_closed(model, theta, grid):
-    """Closed-form E[Z(t)] values, or None when no closed form is listed."""
-    t = grid.times()
-    th = theta
-    if isinstance(model, drift_mod.SingleShot):
-        lam = model.rate
-        return -np.expm1(-th * t) / th - stable_exp_diff(lam, th, t)
-    if isinstance(model, (drift_mod.Poisson, drift_mod.BrownianDrift, drift_mod.CompoundPoisson)):
-        if isinstance(model, drift_mod.Poisson):
-            slope = model.rate
-        elif isinstance(model, drift_mod.BrownianDrift):
-            slope = model.trend
-        else:
-            slope = model.rate * drift_mod.dist_mean(model.jump)
-        return slope * (t / th + np.expm1(-th * t) / th**2)
-    if isinstance(model, drift_mod.OUDrift):
-        return model.u0 * stable_exp_diff(model.rate, th, t)
-    if isinstance(model, drift_mod.ShotNoise):
-        lam = model.response_rate
-        scale = drift_mod.dist_mean(model.count) * drift_mod.dist_mean(model.amplitude)
-        arr = model.arrival
-        if isinstance(arr, drift_mod.Exponential) and not np.isclose(arr.rate, th):
-            nu = arr.rate
-            vals = nu / (nu - lam) * (stable_exp_diff(lam, th, t) - stable_exp_diff(nu, th, t))
-            return scale * vals
-        if isinstance(arr, drift_mod.PointMass):
-            u = np.maximum(t - arr.value, 0.0)
-            return scale * np.where(t >= arr.value, stable_exp_diff(lam, th, u), 0.0)
-        return None
-    return None
+def _el_roots(m1: np.ndarray, var: np.ndarray, mu3: np.ndarray) -> np.ndarray:
+    """Unique real roots of (x - m1)^3 + 3 var (x - m1) - mu3 = 0, elementwise.
 
-
-def _el_roots(m1: np.ndarray, m2: np.ndarray, m3: np.ndarray) -> np.ndarray:
-    """Unique real roots of x^3 - 3 x^2 m1 + 3 x m2 - m3 = 0, elementwise.
-
-    In central form the cubic is d^3 + 3 var d - mu3 = 0 with d = x - m1, whose
-    single real root is d = 2 sqrt(var) sinh(asinh(mu3 / (2 var^{3/2})) / 3);
-    one Newton step then removes the rounding of the hyperbolic functions.
-    Degenerate nodes (var within rounding slack of 0, a point mass at m1)
-    return m1 exactly. Raises ValueError naming the first node with m2 < m1^2.
+    In the central variable d = x - m1 the single real root is
+    d = 2 sqrt(var) sinh(asinh(mu3 / (2 var^{3/2})) / 3); one Newton step
+    then removes the rounding of the hyperbolic functions. Degenerate nodes
+    (var within rounding slack of 0, a point mass at m1) and nodes with
+    mu3 = 0 return m1 exactly. Raises ValueError naming the first node with
+    a negative variance.
     """
     scale = np.maximum(m1 * m1, 1.0)
-    var = m2 - m1 * m1
     bad = np.flatnonzero(var < -_MOMENT_SLACK * scale)
     if bad.size:
         k = int(bad[0])
-        raise ValueError(
-            f"invalid moments at node {k}: m2 = {m2[k]} < m1^2 = {m1[k] * m1[k]}"
-        )
+        raise ValueError(f"invalid moments at node {k}: variance {var[k]} < 0")
     degenerate = var <= _MOMENT_SLACK * scale
     var = np.where(degenerate, 1.0, var)
-    mu3 = np.where(degenerate, 0.0, m3 - 3.0 * m1 * m2 + 2.0 * m1**3)
+    mu3 = np.where(degenerate, 0.0, mu3)
     s = np.sqrt(var)
     d = 2.0 * s * np.sinh(np.arcsinh(mu3 / (2.0 * var * s)) / 3.0)
     d -= (d * (d * d + 3.0 * var) - mu3) / (3.0 * (d * d + var))
@@ -159,23 +157,24 @@ def _el_roots(m1: np.ndarray, m2: np.ndarray, m3: np.ndarray) -> np.ndarray:
 
 
 def cubic_el_root(m1: float, m2: float, m3: float) -> float:
-    """Unique real root of x^3 - 3 x^2 m1 + 3 x m2 - m3 = 0 for one moment triple.
+    """Unique real root of x^3 - 3 x^2 m1 + 3 x m2 - m3 = 0 for one raw moment triple.
 
     Requires m2 >= m1^2 (a valid moment pair), which makes the cubic
     nondecreasing and the root unique. Uses the closed form of
     ``F4_from_moments``; degenerate moments (a point mass) return m1 exactly.
     """
-    return float(_el_roots(*(np.array([v], dtype=float) for v in (m1, m2, m3)))[0])
+    v1, v2, v3 = (np.array([v], dtype=float) for v in (m1, m2, m3))
+    return float(_el_roots(v1, v2 - v1 * v1, v3 - 3.0 * v1 * v2 + 2.0 * v1**3)[0])
 
 
 def F4_from_moments(moments: MomentCurves, theta: float) -> Approximant:
     """Fourth-power-optimal curve: the cubic root at every node in one pass.
 
+    Reads the mean, variance and third central moment of ``moments``.
     F4(0) = 0 follows from the vanishing moments at t = 0; the drift is
     recovered by finite-difference application of I^{-1}.
     """
-    vals = _el_roots(moments.m1.values, moments.m2.values, moments.m3.values)
-    F = Curve(moments.grid, vals)
+    F = Curve(moments.grid, _el_roots(moments.m1.values, moments.var.values, moments.mu3.values))
     f = sde_mod.apply_I_inv(F, theta)
     return Approximant(p=4, F=F, f=f, theta=theta)
 

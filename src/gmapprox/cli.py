@@ -251,14 +251,14 @@ def _write_table(cfg: ExperimentConfig, report, stem: str) -> list[str]:
 # subcommands
 
 def cmd_simulate(cfg: ExperimentConfig, n_display_paths: int) -> int:
-    """Emit sample paths of X, X2 and X4 sharing one noise realization."""
+    """Emit sample paths of X, X2 and X4 sharing one noise realization.
+
+    F2 and F4 are exact (from the cumulants of Z); mc.n_paths is not read.
+    """
     grid = cfg.grid()
     sde = cfg.sde()
     F2 = approx_mod.F2_analytic(cfg.model, cfg.theta, grid)
-    moments = drift_mod.moments_Z_mc(
-        cfg.model, cfg.theta, grid, cfg.n_paths, child_seed(cfg.seed, 0), cfg.threads
-    )
-    F4 = approx_mod.F4_from_moments(moments, cfg.theta)
+    F4 = approx_mod.F4_from_moments(approx_mod.exact_moments(cfg.model, cfg.theta, grid), cfg.theta)
 
     t = grid.times()
     cols = ["t"]
@@ -282,13 +282,14 @@ def cmd_simulate(cfg: ExperimentConfig, n_display_paths: int) -> int:
 
 
 def cmd_approx(cfg: ExperimentConfig) -> int:
-    """Emit the order-2 and order-4 approximants as t,F,f tables."""
+    """Emit the order-2 and order-4 approximants as t,F,f tables.
+
+    Both are exact (from the cumulants of Z); nothing is sampled, so
+    mc.n_paths and the seed are not read.
+    """
     grid = cfg.grid()
     F2 = approx_mod.F2_analytic(cfg.model, cfg.theta, grid)
-    moments = drift_mod.moments_Z_mc(
-        cfg.model, cfg.theta, grid, cfg.n_paths, child_seed(cfg.seed, 0), cfg.threads
-    )
-    F4 = approx_mod.F4_from_moments(moments, cfg.theta)
+    F4 = approx_mod.F4_from_moments(approx_mod.exact_moments(cfg.model, cfg.theta, grid), cfg.theta)
     for appr, name in ((F2, "approx_p2.csv"), (F4, "approx_p4.csv")):
         path = _outpath(cfg, name)
         write_csv_columns(path, ["t", "F", "f"], [grid.times(), appr.F.values, appr.f.values])
@@ -333,7 +334,6 @@ def cmd_costs(cfg: ExperimentConfig) -> int:
         cfg.theta,
         grid,
         cfg.n_paths,
-        moment_seed=child_seed(cfg.seed, 0, 0),
         eval_seed=child_seed(cfg.seed, 0, 1),
         threads=cfg.threads,
     )
@@ -378,9 +378,7 @@ def cmd_neuron(cfg: ExperimentConfig) -> int:
 
     if isinstance(model.firing, neuro_mod.AnalyticFiring):
         sn = neuro_mod._as_shot_noise(model)
-        moments = drift_mod.moments_Z_mc(
-            sn, model.theta, grid, cfg.n_paths, child_seed(cfg.seed, 0), cfg.threads
-        )
+        moments = approx_mod.exact_moments(sn, model.theta, grid)
         if isinstance(model.firing.dist, drift_mod.Exponential):
             F2 = neuro_mod.v2_exponential(model, grid).F
         else:
@@ -438,9 +436,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--format", choices=["csv", "json"], default=None)
 
-    p = sub.add_parser("simulate", parents=[common], help="sample paths of X, X2, X4")
+    p = sub.add_parser(
+        "simulate",
+        parents=[common],
+        help="sample paths of X, X2, X4 (F2 and F4 exact; mc.n_paths is not read)",
+    )
     p.add_argument("--display-paths", type=int, default=1)
-    sub.add_parser("approx", parents=[common], help="export F2/F4 approximants")
+    sub.add_parser(
+        "approx",
+        parents=[common],
+        help="export the exact F2/F4 approximants (nothing is sampled; mc.n_paths is not read)",
+    )
     sub.add_parser("bound", parents=[common], help="pointwise MSE against d2")
     sub.add_parser("costs", parents=[common], help="cost matrix for the configured model")
     sub.add_parser("table1", parents=[common], help="five-scenario cost table")

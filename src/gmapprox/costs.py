@@ -224,20 +224,18 @@ def cost_block(
     theta: float,
     grid: TimeGrid,
     n_paths: int,
-    moment_seed: int,
     eval_seed: int,
     threads: int = 1,
     F2: Curve | None = None,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """One scenario's 2x2 cost matrix (orders 2 and 4 against F2 and F4).
 
-    F4 is fitted on a moment-estimation ensemble and every cost is evaluated
-    on a second, independently seeded ensemble; reusing the fitting ensemble
-    would bias the order-4 diagonal low.
+    F2 is the exact mean and F4 is fitted on the exact cumulants of Z
+    (:func:`approx.exact_moments`), so neither carries sampling noise and the
+    reported SEs are complete. Every cost is evaluated on one ensemble of
+    n_paths paths keyed by ``eval_seed``.
     """
-    if moment_seed == eval_seed:
-        raise ValueError("moment and evaluation ensembles must use distinct seeds")
-    moments = drift_mod.moments_Z_mc(model, theta, grid, n_paths, moment_seed, threads)
+    moments = approx_mod.exact_moments(model, theta, grid)
     if F2 is None:
         F2 = approx_mod.F2_analytic(model, theta, grid).F
     F4 = approx_mod.F4_from_moments(moments, theta).F
@@ -255,9 +253,9 @@ def cost_block(
 def run_table1(seed: int, n_paths: int = 10_000, threads: int = 1) -> CostReport:
     """The five-scenario cost table at the standard protocol parameters.
 
-    For each drift scenario: F2 in closed form, F4 from Monte Carlo moments
-    of an independently seeded fitting ensemble, then J_2 and J_4 of both
-    approximants estimated on a fresh evaluation ensemble of n_paths paths.
+    For each drift scenario: F2 and F4 from the exact cumulants of Z, then
+    J_2 and J_4 of both approximants estimated on an evaluation ensemble of
+    n_paths paths keyed by child_seed(seed, scenario, 1).
     """
     params = TABLE1_PARAMS
     grid = TimeGrid.from_step(params["T"], params["dt"])
@@ -271,7 +269,6 @@ def run_table1(seed: int, n_paths: int = 10_000, threads: int = 1) -> CostReport
             params["theta"],
             grid,
             n_paths,
-            moment_seed=child_seed(seed, k, 0),
             eval_seed=child_seed(seed, k, 1),
             threads=threads,
         )

@@ -14,17 +14,22 @@ so the grid introduces no bias and the cost is O(events + nodes). The
 single-shot drift keeps its one-event closed form; the two diffusion-driven
 variants sample z with exact Gaussian transitions and pass it through the
 shared exponential integrator.
+
+Every variant also has an exact law for Z: :func:`cumulant_curves` returns
+its first four cumulants at the grid nodes, which is all the order-2 and
+order-4 approximants need.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .response import response_moment_curves
+from .response import chain_states, response_moment_curves, response_power_means
 from .timebase import (
     Curve,
     PathEnsemble,
@@ -56,12 +61,14 @@ __all__ = [
     "dist_mean",
     "dist_second_moment",
     "dist_variance",
+    "dist_raw_moment",
     "sample_dist",
     "validate_pairing",
     "sample_z_path",
     "sample_Z_path",
     "mean_z",
     "var_z",
+    "cumulant_curves",
     "moments_Z_mc",
     "moments_from_chunks",
     "z_path_ensemble",
@@ -131,35 +138,33 @@ Distribution = Union[Exponential, Gamma, Uniform, PoissonCount, FixedCount, Poin
 
 
 def dist_mean(dist: Distribution) -> float:
-    if isinstance(dist, Exponential):
-        return 1.0 / dist.rate
-    if isinstance(dist, Gamma):
-        return dist.shape / dist.rate
-    if isinstance(dist, Uniform):
-        return 0.5 * (dist.lo + dist.hi)
-    if isinstance(dist, PoissonCount):
-        return dist.mean
-    if isinstance(dist, (FixedCount, PointMass)):
-        return float(dist.value)
-    raise TypeError(f"not a distribution: {dist!r}")
+    return dist_raw_moment(dist, 1)
 
 
 def dist_second_moment(dist: Distribution) -> float:
-    if isinstance(dist, Exponential):
-        return 2.0 / dist.rate**2
-    if isinstance(dist, Gamma):
-        return dist.shape * (dist.shape + 1) / dist.rate**2
-    if isinstance(dist, Uniform):
-        return (dist.lo**2 + dist.lo * dist.hi + dist.hi**2) / 3.0
-    if isinstance(dist, PoissonCount):
-        return dist.mean + dist.mean**2
-    if isinstance(dist, (FixedCount, PointMass)):
-        return float(dist.value) ** 2
-    raise TypeError(f"not a distribution: {dist!r}")
+    return dist_raw_moment(dist, 2)
 
 
 def dist_variance(dist: Distribution) -> float:
     return dist_second_moment(dist) - dist_mean(dist) ** 2
+
+
+def dist_raw_moment(dist: Distribution, n: int) -> float:
+    """E[X^n] for n = 1..4."""
+    if isinstance(dist, Exponential):
+        return math.factorial(n) / dist.rate**n
+    if isinstance(dist, Gamma):
+        return math.prod(dist.shape + j for j in range(n)) / dist.rate**n
+    if isinstance(dist, Uniform):
+        # (hi^{n+1} - lo^{n+1}) / ((n + 1)(hi - lo)) without the subtraction
+        return sum(dist.hi**j * dist.lo ** (n - j) for j in range(n + 1)) / (n + 1)
+    if isinstance(dist, PoissonCount):
+        # Touchard polynomial: sum over k of S(n, k) mean^k
+        stirling = {1: (1,), 2: (1, 1), 3: (1, 3, 1), 4: (1, 7, 6, 1)}[n]
+        return sum(c * dist.mean ** (k + 1) for k, c in enumerate(stirling))
+    if isinstance(dist, (FixedCount, PointMass)):
+        return float(dist.value) ** n
+    raise TypeError(f"not a distribution: {dist!r}")
 
 
 def sample_dist(dist: Distribution, stream: np.random.Generator, size: int):
@@ -302,6 +307,11 @@ def validate_pairing(model: DriftModel, theta: float) -> None:
         _check_distinct("OU drift rate", model.rate, theta, "theta")
     elif isinstance(model, ShotNoise):
         _check_distinct("response rate", model.response_rate, theta, "theta")
+        if isinstance(model.arrival, Exponential):
+            # the response moment curves phi and psi divide by these differences
+            lam = model.response_rate
+            _check_distinct("arrival rate", model.arrival.rate, lam, "the response rate")
+            _check_distinct("arrival rate", model.arrival.rate, 2 * lam, "twice the response rate")
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +542,99 @@ def var_z(model: DriftModel, grid: TimeGrid) -> Curve:
 
 
 # ---------------------------------------------------------------------------
+# exact cumulants of Z
+
+def _cumulants_from_raw(r: np.ndarray) -> np.ndarray:
+    """Cumulant rows kappa_1..kappa_n from raw moment rows r_1..r_n, n <= 4."""
+    r1 = r[0]
+    out = [r1]
+    if len(r) > 1:
+        out.append(r[1] - r1 * r1)
+    if len(r) > 2:
+        out.append(r[2] - 3.0 * r1 * r[1] + 2.0 * r1**3)
+    if len(r) > 3:
+        mu4 = r[3] - 4.0 * r1 * r[2] + 6.0 * r1 * r1 * r[1] - 3.0 * r1**4
+        out.append(mu4 - 3.0 * out[1] ** 2)
+    return np.array(out)
+
+
+def cumulant_curves(model: DriftModel, theta: float, grid: TimeGrid, order: int = 4) -> np.ndarray:
+    """Exact cumulants kappa_1..kappa_order of Z(t) at the grid nodes, as rows.
+
+    - Poisson and compound Poisson: Campbell's theorem,
+      kappa_n = rate E[J^n] int_0^t K(u)^n du with K(u) = (1 - e^{-theta u}) / theta.
+    - Shot noise: Z is a fixed or Poisson count of i.i.d. terms
+      X = beta K_lam(t - T), whose raw moments are E[beta^n] E[K_lam(t - T)^n]
+      (:func:`response.response_power_means`); kappa_n = E[M] E[X^n] for a
+      Poisson count and N kappa_n(X) for a fixed count N (Rice 1944).
+    - Single shot: the same means with an exponential arrival, converted to
+      cumulants about 0 or about the limit 1/theta, whichever lies nearer
+      the mean, so the conversion never cancels.
+    - Brownian and OU drifts: Z is Gaussian with kappa_2 = int_0^t G(u)^2 du
+      for the drift's kernel G, and kappa_3 = kappa_4 = 0.
+    - Deterministic drifts: kappa_1 = I f and no spread.
+
+    The integrals are chains of exponential convolutions
+    (:func:`response.chain_states`), which keep their relative accuracy at
+    t -> 0. kappa_1 reuses the closed-form mean of each variant that has one.
+    """
+    validate_pairing(model, theta)
+    if not 1 <= order <= 4:
+        raise ValueError(f"order must be 1..4, got {order}")
+    t = grid.times()
+    th = theta
+    kappa = np.zeros((order, grid.n_nodes))
+    if isinstance(model, Deterministic):
+        _check_same_grid(model.f.grid, grid)
+        kappa[0] = exp_weighted_values(model.f.values, grid.dt, theta)
+    elif isinstance(model, (Poisson, CompoundPoisson, BrownianDrift)):
+        # kappa_n = w_n int_0^t K(u)^n du: w_n = rate E[J^n] by Campbell's
+        # theorem, and w_2 = 1 (with no higher cumulant) for the Brownian drift
+        if isinstance(model, BrownianDrift):
+            w = [model.trend, 1.0]
+        else:
+            jump = model.jump if isinstance(model, CompoundPoisson) else PointMass(1.0)
+            w = [model.rate * dist_raw_moment(jump, n) for n in range(1, order + 1)]
+        kappa[0] = w[0] * (t / th + np.expm1(-th * t) / th**2)
+        if order > 1:
+            # row n + 1 is int_0^t K(u)^n du / n!; one chain for every order,
+            # so a lower order gives the same rows bit for bit
+            v = chain_states([0.0, 0.0, th, 2 * th, 3 * th, 4 * th], grid)
+            for n in range(2, min(order, len(w)) + 1):
+                kappa[n - 1] = w[n - 1] * math.factorial(n) * v[n + 1]
+    elif isinstance(model, OUDrift):
+        lam = model.rate
+        kappa[0] = model.u0 * stable_exp_diff(lam, th, t)
+        if order > 1:
+            # G(u)^2 = 2 chain(2 lam, lam + theta, 2 theta), integrated once more
+            v = chain_states([0.0, 2 * lam, lam + th, 2 * th], grid)
+            kappa[1] = 2.0 * model.sigma_u**2 * v[3]
+    elif isinstance(model, SingleShot):
+        lam = model.rate
+        kappa[0] = -np.expm1(-th * t) / th - stable_exp_diff(lam, th, t)
+        if order > 1:
+            near0 = response_power_means(Exponential(lam), 0.0, th, grid, order)
+            # W = 1/theta - Z: 1/theta before the shot, e^{-theta (t - tau)} / theta after it
+            near1 = np.array([
+                (np.exp(-lam * t) + lam * stable_exp_diff(lam, n * th, t)) / th**n
+                for n in range(1, order + 1)
+            ])
+            about0, about1 = _cumulants_from_raw(near0), _cumulants_from_raw(near1)
+            about1[2:3] *= -1.0  # kappa_3 of Z is minus that of W
+            kappa[1:] = np.where(kappa[0] > 0.5 / th, about1, about0)[1:]
+    elif isinstance(model, ShotNoise):
+        means = response_power_means(model.arrival, model.response_rate, th, grid, order)
+        raw = np.array([dist_raw_moment(model.amplitude, n) for n in range(1, order + 1)])[:, None] * means
+        if isinstance(model.count, PoissonCount):
+            kappa[:] = model.count.mean * raw
+        else:
+            kappa[:] = model.count.value * _cumulants_from_raw(raw)
+    else:
+        raise TypeError(f"not a drift model: {model!r}")
+    return kappa
+
+
+# ---------------------------------------------------------------------------
 # ensembles and Monte Carlo moments
 
 _CHUNK = 512
@@ -608,44 +711,81 @@ def moments_Z_mc(
     master_seed: int,
     threads: int = 1,
 ):
-    """Plain sample moments m1, m2, m3 of Z(t) at each node over n_paths paths.
+    """Sample mean, variance and third central moment of Z(t) at each node.
 
-    Returns a MomentCurves holding E[Z], E[Z^2], E[Z^3] estimates plus the
-    standard error of m1. Moments use the n-denominator convention so the
-    implied variance m2 - m1^2 is nonnegative by construction.
+    Returns a MomentCurves (n-denominator convention, so the variance is
+    nonnegative) plus the standard error of the mean; see
+    :func:`moments_from_chunks`.
     """
     chunks = iter_Z_chunks(model, theta, grid, n_paths, master_seed, threads)
     return moments_from_chunks(chunks, grid, n_paths)
 
 
+def _chunk_stats(block: np.ndarray):
+    """(n, c, e, M2, M3) of one block: mean c + e, central sums M2 and M3.
+
+    c is the rounded block mean and e the mean of the deviations from it, so
+    c + e is the sample mean to far below one ulp of c and M2, M3 are
+    central about it.
+    """
+    n = block.shape[0]
+    c = block.mean(axis=0)
+    d = block - c
+    e = d.sum(axis=0) / n
+    d2 = d * d
+    s2 = d2.sum(axis=0)
+    d2 *= d  # now d^3: no third (rows, nodes) temporary
+    M2 = s2 - n * e * e
+    M3 = d2.sum(axis=0) - 3.0 * e * s2 + 2.0 * n * e**3
+    return n, c, e, M2, M3
+
+
+def _merge_stats(a, b):
+    """Pooled (n, c, e, M2, M3) of two disjoint samples (Chan, Golub & LeVeque 1979; Pebay 2008)."""
+    na, ca, ea, M2a, M3a = a
+    nb, cb, eb, M2b, M3b = b
+    n = na + nb
+    delta = (cb - ca) + (eb - ea)
+    M2 = M2a + M2b + delta * delta * (na * nb / n)
+    M3 = (
+        M3a
+        + M3b
+        + delta**3 * (na * nb * (na - nb) / n**2)
+        + 3.0 * delta * (na * M2b - nb * M2a) / n
+    )
+    return n, ca, ea + delta * (nb / n), M2, M3
+
+
 def moments_from_chunks(chunks, grid: TimeGrid, n_paths: int):
-    """Plain sample moments m1, m2, m3 and the SE of m1 from (start, block) chunks.
+    """Sample mean, variance, third central moment and the SE of the mean from (start, block) chunks.
 
     The chunks together hold the n_paths rows of one ensemble on ``grid``,
-    as :func:`iter_Z_chunks` yields them. The power sums are accumulated
-    chunk by chunk, so only one chunk is held at a time.
+    as :func:`iter_Z_chunks` yields them. Each chunk is reduced to its count,
+    mean and central sums M2, M3 and the chunks are merged pairwise, equal
+    counts first, so no raw power sum is formed: the variance and the third
+    central moment keep their relative accuracy however large the mean is
+    against the spread. Only one chunk is held at a time.
     """
     from .approx import MomentCurves  # MomentCurves lives with its consumers
 
     if n_paths < 2:
         raise ValueError("need at least 2 paths for moment estimation")
-    s1 = np.zeros(grid.n_nodes)
-    s2 = np.zeros(grid.n_nodes)
-    s3 = np.zeros(grid.n_nodes)
+    stack = []  # (level, stats), levels strictly decreasing: a binary merge tree
     for _, block in chunks:
-        s1 += block.sum(axis=0)
-        b2 = block * block
-        s2 += b2.sum(axis=0)
-        s3 += (b2 * block).sum(axis=0)
-    m1 = s1 / n_paths
-    m2 = s2 / n_paths
-    m3 = s3 / n_paths
-    var1 = np.maximum(s2 - n_paths * m1**2, 0.0) / (n_paths - 1)
-    se1 = np.sqrt(var1 / n_paths)
-    return MomentCurves(
-        grid=grid,
-        m1=Curve(grid, m1),
-        m2=Curve(grid, m2),
-        m3=Curve(grid, m3),
-        se1=Curve(grid, se1),
+        level, stats = 0, _chunk_stats(block)
+        while stack and stack[-1][0] == level:
+            stats = _merge_stats(stack.pop()[1], stats)
+            level += 1
+        stack.append((level, stats))
+    if not stack:
+        raise ValueError(f"no chunks, expected {n_paths} rows")
+    stats = stack.pop()[1]
+    while stack:
+        stats = _merge_stats(stack.pop()[1], stats)
+    n, c, e, M2, M3 = stats
+    if n != n_paths:
+        raise ValueError(f"chunks hold {n} rows, expected {n_paths}")
+    M2 = np.maximum(M2, 0.0)  # rounding of identical rows
+    return MomentCurves.from_central(
+        grid, m1=c + e, var=M2 / n, mu3=M3 / n, se1=np.sqrt(M2 / (n - 1) / n)
     )

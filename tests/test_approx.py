@@ -223,7 +223,7 @@ class TestF4FromMoments:
         m2 = np.array([0.0, 2.0, 0.5, 2.0, 0.1])  # m2 < m1^2 at nodes 2 and 4
         # MomentCurves rejects these, so pass the curves without its validation
         mom = SimpleNamespace(
-            grid=g, m1=Curve(g, m1), m2=Curve(g, m2), m3=Curve(g, np.zeros(5))
+            grid=g, m1=Curve(g, m1), var=Curve(g, m2 - m1**2), mu3=Curve(g, np.zeros(5))
         )
         with pytest.raises(ValueError, match="invalid moments at node 2:"):
             F4_from_moments(mom, THETA)

@@ -192,6 +192,26 @@ class TestTables:
         payload = json.loads((tmp_path / "out" / "costs.json").read_text())
         assert len(payload["records"]) == 4
 
+    @pytest.mark.parametrize("command", ["costs", "approx"])
+    @pytest.mark.parametrize("arrival_rate", [1.0, 2.0])
+    def test_shot_noise_rate_coincidence_is_a_config_error(self, tmp_path, capsys, command, arrival_rate):
+        # arrival rate equal to the response rate or to twice it
+        model = {"type": "shot_noise", "response_rate": 1.0,
+                 "arrival": {"type": "exponential", "rate": arrival_rate}}
+        p = write_config(tmp_path, sde={"theta": 0.1, "sigma": 1.0, "x0": 0.0}, model=model,
+                         grid={"T": 5.0, "dt": 0.05}, mc={"n_paths": 20, "seed": 3})
+        assert main([command, "--config", str(p)]) == EXIT_CONFIG
+        assert "coincides" in capsys.readouterr().err
+
+    def test_approx_reads_no_paths(self, tmp_path):
+        # F2 and F4 are exact: the path count and the seed do not change them
+        outs = []
+        for k, mc in enumerate(({"n_paths": 5, "seed": 1}, {"n_paths": 900, "seed": 2})):
+            p = write_config(tmp_path, mc=mc, output={"directory": str(tmp_path / f"o{k}")})
+            assert main(["approx", "--config", str(p)]) == EXIT_OK
+            outs.append((tmp_path / f"o{k}" / "approx_p4.csv").read_bytes())
+        assert outs[0] == outs[1]
+
 
 class TestNeuron:
     def test_analytic_scenario(self, tmp_path):
