@@ -148,10 +148,17 @@ def pointwise_mse_streaming(chunks, F: Curve, n_paths: int) -> tuple[Curve, Curv
     """
     s1 = np.zeros(F.grid.n_nodes)
     s2 = np.zeros(F.grid.n_nodes)
+    buf = None  # one (rows, nodes) work array for every chunk
     for _, block in chunks:
-        w = (block - F.values[None, :]) ** 2
+        rows = block.shape[0]
+        if buf is None or buf.shape[0] < rows:
+            buf = np.empty_like(block)
+        w = buf[:rows]
+        np.subtract(block, F.values, out=w)
+        np.square(w, out=w)
         s1 += w.sum(axis=0)
-        s2 += (w * w).sum(axis=0)
+        np.square(w, out=w)
+        s2 += w.sum(axis=0)
     mse = s1 / n_paths
     var = np.maximum(s2 - n_paths * mse**2, 0.0) / (n_paths - 1)
     se = np.sqrt(var / n_paths)

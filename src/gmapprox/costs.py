@@ -141,13 +141,18 @@ def per_path_cost_matrix(chunks, curves, dt: float, n_paths: int):
     per_path = {
         (p, j): np.empty(n_paths) for p in P_ORDERS for j in range(len(curves))
     }
+    buf = None  # one (rows, nodes) work array for every chunk: p is even, so no abs
     for start, block in chunks:
-        stop = start + block.shape[0]
+        rows = block.shape[0]
+        if buf is None or buf.shape[0] < rows:
+            buf = np.empty_like(block)
+        err = buf[:rows]
         for j, fv in enumerate(curves):
-            err = np.abs(block - fv[None, :])
-            e2 = err * err
-            per_path[(2, j)][start:stop] = trapezoid_values(e2, dt)
-            per_path[(4, j)][start:stop] = trapezoid_values(e2 * e2, dt)
+            np.subtract(block, fv, out=err)
+            np.square(err, out=err)
+            per_path[(2, j)][start : start + rows] = trapezoid_values(err, dt)
+            np.square(err, out=err)
+            per_path[(4, j)][start : start + rows] = trapezoid_values(err, dt)
     k = len(curves)
     values = np.empty((len(P_ORDERS), k))
     se = np.empty((len(P_ORDERS), k))
@@ -170,20 +175,21 @@ def full_path_costs(
 ) -> np.ndarray:
     """Per-path costs from full trajectories of X and X^f with shared noise.
 
-    Path i uses the Z realization of ``derive_stream(master_seed, i)`` (the
-    same stream keying as the Z ensembles) and an independent Y stream; Y is
-    added to both X and X^f, so these costs agree with the Z-only estimator
-    path by path up to floating-point roundoff.
+    Path i uses row i of the Z ensemble of ``master_seed`` (read from the
+    same block streams as :func:`drift.iter_Z_chunks`) and an independent Y
+    stream keyed by (master_seed, i, 1); Y is added to both X and X^f, so
+    these costs agree with the Z-only estimator path by path up to
+    floating-point roundoff.
     """
     if p < 2 or p % 2 != 0:
         raise ValueError(f"p must be an even integer >= 2, got {p}")
     out = np.empty(n_paths)
-    for i in range(n_paths):
-        z_acc = drift_mod.sample_Z_path(model, sde.theta, sde.grid, derive_stream(master_seed, i))
-        y = simulate_Y(sde, derive_stream(master_seed, i, 1))
-        x = y.values + z_acc.values
-        xf = y.values + F.values
-        out[i] = trapezoid_values(np.abs(x - xf) ** p, sde.grid.dt)
+    for start, block in drift_mod.iter_Z_chunks(model, sde.theta, sde.grid, n_paths, master_seed):
+        for i, z_acc in enumerate(block, start):
+            y = simulate_Y(sde, derive_stream(master_seed, i, 1))
+            x = y.values + z_acc
+            xf = y.values + F.values
+            out[i] = trapezoid_values(np.abs(x - xf) ** p, sde.grid.dt)
     return out
 
 

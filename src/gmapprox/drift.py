@@ -18,6 +18,12 @@ shared exponential integrator.
 Every variant also has an exact law for Z: :func:`cumulant_curves` returns
 its first four cumulants at the grid nodes, which is all the order-2 and
 order-4 approximants need.
+
+Ensembles follow the block-stream contract of :mod:`timebase`: the rows of
+block b = i // _BLOCK are sampled together from ``block_stream(seed, b)`` by
+the variant's block sampler (:func:`_block_sampler`), a pass of at most
+_KERNEL_CELLS cells at a time, and a single path is a block of one row
+drawn from the stream it is given.
 """
 
 from __future__ import annotations
@@ -31,13 +37,13 @@ from scipy.signal import lfilter
 
 from .response import chain_states, response_moment_curves, response_power_means
 from .timebase import (
+    _BLOCK,
     Curve,
     PathEnsemble,
     TimeGrid,
-    derive_stream,
+    block_stream,
     exp_weighted_values,
     fill_row_blocks,
-    fill_rows,
     stable_exp_diff,
 )
 
@@ -75,7 +81,8 @@ __all__ = [
     "Z_path_ensemble",
     "iter_Z_chunks",
     "event_kernel",
-    "event_Z_rows",
+    "event_rows",
+    "block_rows",
 ]
 
 
@@ -127,6 +134,10 @@ class FixedCount:
     def __post_init__(self):
         if self.value < 1:
             raise ValueError(f"fixed count must be >= 1, got {self.value}")
+        # the sampler draws int(value) events, so the moments must use the same count
+        if not float(self.value).is_integer():
+            raise ValueError(f"fixed count must be an integer, got {self.value}")
+        object.__setattr__(self, "value", int(self.value))
 
 
 @dataclass(frozen=True)
@@ -319,23 +330,32 @@ def validate_pairing(model: DriftModel, theta: float) -> None:
 
 _EVENT_MODELS = (Poisson, CompoundPoisson, ShotNoise)
 
-# Cells (rows x nodes) evaluated per pass of the event kernel: bounds its
-# transient arrays at a few MiB whatever the chunk size and node count.
+# Cells (rows x nodes) of every transient array in one pass of a sampler:
+# bounds the working set at a few MiB whatever the block and node count.
 _KERNEL_CELLS = 2**17
 
 
-def _draw_events(model, grid: TimeGrid, stream) -> tuple[np.ndarray, np.ndarray]:
-    """Event times and weights of one path of an event-driven drift."""
+def _pass_rows(grid: TimeGrid) -> int:
+    """Rows per sampler pass: at most _KERNEL_CELLS cells, at least one row."""
+    return max(1, _KERNEL_CELLS // grid.n_nodes)
+
+
+def _draw_block_events(model, grid: TimeGrid, stream, rows: int):
+    """Event times, weights and per-row counts of ``rows`` paths, drawn as whole vectors.
+
+    Counts come first, then the times and the weights of all events, each
+    with one call, so the draws depend on the stream and the row count only.
+    """
     if isinstance(model, ShotNoise):
-        m = int(sample_dist(model.count, stream, 1)[0])
-        betas = sample_dist(model.amplitude, stream, m)
-        return sample_dist(model.arrival, stream, m), betas
+        counts = np.asarray(sample_dist(model.count, stream, rows), dtype=np.int64)
+        times = sample_dist(model.arrival, stream, counts.sum())
+        return times, sample_dist(model.amplitude, stream, counts.sum()), counts
     T = grid.horizon_T
-    # sorted, because compound-Poisson jump sizes pair with the times in order
-    times = np.sort(stream.uniform(0.0, T, stream.poisson(model.rate * T)))
+    counts = stream.poisson(model.rate * T, size=rows)
+    times = stream.uniform(0.0, T, counts.sum())
     if isinstance(model, Poisson):
-        return times, np.ones_like(times)
-    return times, sample_dist(model.jump, stream, len(times))
+        return times, np.ones_like(times), counts
+    return times, sample_dist(model.jump, stream, counts.sum()), counts
 
 
 def _decay(model) -> float:
@@ -366,11 +386,16 @@ def event_kernel(events, lam: float, theta: float | None, grid: TimeGrid):
     Returns (Z, z), each of shape (len(events), n_nodes); Z is None when
     ``theta`` is None.
     """
-    t = grid.times()
-    n, m = grid.n_nodes, len(events)
     times = np.concatenate([np.asarray(e[0], dtype=float) for e in events])
     weights = np.concatenate([np.asarray(e[1], dtype=float) for e in events])
-    row = np.repeat(np.arange(m), [len(e[0]) for e in events])
+    row = np.repeat(np.arange(len(events)), [len(e[0]) for e in events])
+    return _kernel(times, weights, row, len(events), lam, theta, grid)
+
+
+def _kernel(times, weights, row, m: int, lam: float, theta: float | None, grid: TimeGrid):
+    """:func:`event_kernel` on flat event arrays; ``row`` maps each event to its row 0..m-1."""
+    t = grid.times()
+    n = grid.n_nodes
     cell = np.searchsorted(t, times)
     live = cell < n
     cell, times, weights = cell[live], times[live], weights[live]
@@ -389,71 +414,140 @@ def event_kernel(events, lam: float, theta: float | None, grid: TimeGrid):
     return lfilter([1.0], [1.0, -np.exp(-theta * grid.dt)], c, axis=-1), z
 
 
-def event_Z_rows(
-    draw, start: int, stop: int, lam: float, theta: float, grid: TimeGrid, threads: int = 1
-) -> np.ndarray:
-    """Z rows of paths start..stop-1, where ``draw(lo, hi)`` lists the events of paths lo..hi-1.
+def event_rows(
+    times, weights, counts, lo: int, hi: int, lam: float, theta, grid: TimeGrid, out
+) -> None:
+    """Write Z (z when ``theta`` is None) of rows lo..hi-1 of a drawn block into ``out``.
 
-    ``draw(lo, hi)`` returns one (times, weights) pair per path, and path i's
-    pair must be a pure function of i. Rows go through :func:`event_kernel`
-    in passes of at most _KERNEL_CELLS cells (at least one row), and each
-    pass draws its paths with one ``draw`` call, so a caller can batch the
-    work behind a pass. Each thread takes a contiguous range of rows, so
-    memory stays bounded and a row's value does not depend on the thread
-    count or on how the rows are chunked.
+    The block's events are flat: row j owns ``counts[j]`` consecutive
+    entries of ``times`` and ``weights``. Rows go through :func:`event_kernel`
+    in passes of at most _KERNEL_CELLS cells.
     """
-    per_pass = max(1, _KERNEL_CELLS // grid.n_nodes)
-
-    def fill_block(lo, hi, block):
-        for a in range(lo, hi, per_pass):
-            b = min(a + per_pass, hi)
-            events = draw(start + a, start + b)
-            block[a - lo : b - lo] = event_kernel(events, lam, theta, grid)[0]
-
-    return fill_row_blocks(fill_block, stop - start, grid.n_nodes, threads)
-
-
-def _brownian_z(model: BrownianDrift, grid: TimeGrid, stream) -> np.ndarray:
-    t = grid.times()
-    dW = stream.standard_normal(grid.n_steps) * np.sqrt(grid.dt)
-    w = np.concatenate(([0.0], np.cumsum(dW)))
-    return w + model.trend * t
+    edges = np.concatenate(([0], np.cumsum(counts)))
+    times = np.asarray(times, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    step = _pass_rows(grid)
+    for a in range(lo, hi, step):
+        b = min(a + step, hi)
+        e0, e1 = edges[a], edges[b]
+        row = np.repeat(np.arange(b - a), counts[a:b])
+        Z, z = _kernel(times[e0:e1], weights[e0:e1], row, b - a, lam, theta, grid)
+        out[a - lo : b - lo] = z if theta is None else Z
 
 
-def _ou_z(model: OUDrift, grid: TimeGrid, stream) -> np.ndarray:
+def _diffusion_z(model, grid: TimeGrid, noise: np.ndarray) -> np.ndarray:
+    """z at the nodes, exact in distribution, of one path per row of (rows, n_steps) normals."""
+    rows = noise.shape[0]
+    z = np.zeros((rows, grid.n_nodes))
+    if isinstance(model, BrownianDrift):
+        noise *= np.sqrt(grid.dt)
+        np.cumsum(noise, axis=1, out=z[:, 1:])
+        z += model.trend * grid.times()
+        return z
     lam, dt = model.rate, grid.dt
     a = np.exp(-lam * dt)
-    s = model.sigma_u * np.sqrt(-np.expm1(-2 * lam * dt) / (2 * lam))
-    x = np.zeros(grid.n_nodes)
-    x[1:] = s * stream.standard_normal(grid.n_steps)
-    return lfilter([1.0], [1.0, -a], x) + model.u0 * a ** np.arange(grid.n_nodes)
+    z[:, 1:] = model.sigma_u * np.sqrt(-np.expm1(-2 * lam * dt) / (2 * lam)) * noise
+    return lfilter([1.0], [1.0, -a], z, axis=-1) + model.u0 * a ** np.arange(grid.n_nodes)
+
+
+def _block_sampler(model: DriftModel, theta: float | None, grid: TimeGrid):
+    """``sample(stream, rows, lo, hi, out)``: Z rows (z when theta is None) of one block.
+
+    The block holds ``rows`` ensemble rows and draws all of them from
+    ``stream``; ``sample`` writes its local rows lo..hi-1 into ``out``, in
+    passes whose transients have at most _KERNEL_CELLS cells. The draws:
+
+    - single shot: one exponential vector of the shot times of rows 0..hi-1;
+    - Brownian and OU: a (pass rows, n_steps) matrix of normals per pass,
+      row after row, including the rows before lo;
+    - event variants: counts, times and weights of all ``rows`` rows, one
+      call each (:func:`_draw_block_events`);
+    - deterministic drifts draw nothing.
+    """
+    dt = grid.dt
+    step = _pass_rows(grid)
+    if isinstance(model, Deterministic):
+        _check_same_grid(model.f.grid, grid)
+        curve = model.f.values if theta is None else exp_weighted_values(model.f.values, dt, theta)
+
+        def sample(stream, rows, lo, hi, out):
+            out[:] = curve
+
+    elif isinstance(model, SingleShot):
+        t = grid.times()
+
+        def sample(stream, rows, lo, hi, out):
+            tau = stream.exponential(1.0 / model.rate, size=hi)[lo:]
+            for a in range(0, hi - lo, step):
+                o = out[a : a + step]
+                np.subtract(t, tau[a : a + step, None], out=o)
+                if theta is None:
+                    np.greater_equal(o, 0.0, out=o)
+                    continue
+                # Z = (1 - e^{-theta u}) / theta after the shot, u = t - tau
+                np.maximum(o, 0.0, out=o)
+                o *= -theta
+                np.expm1(o, out=o)
+                o /= -theta
+
+    elif isinstance(model, _EVENT_MODELS):
+        lam = _decay(model)
+
+        def sample(stream, rows, lo, hi, out):
+            times, weights, counts = _draw_block_events(model, grid, stream, rows)
+            event_rows(times, weights, counts, lo, hi, lam, theta, grid, out)
+
+    elif isinstance(model, (BrownianDrift, OUDrift)):
+
+        def sample(stream, rows, lo, hi, out):
+            for a in range(0, lo, step):  # keep the stream in step: rows before lo
+                stream.standard_normal((min(step, lo - a), grid.n_steps))
+            for a in range(lo, hi, step):
+                b = min(a + step, hi)
+                z = _diffusion_z(model, grid, stream.standard_normal((b - a, grid.n_steps)))
+                out[a - lo : b - lo] = z if theta is None else exp_weighted_values(z, dt, theta)
+
+    else:
+        raise TypeError(f"not a drift model: {model!r}")
+    return sample
+
+
+def block_rows(
+    sample, n_paths: int, master_seed: int, n_nodes: int, start: int = 0, stop=None, threads=1
+):
+    """Rows start..stop-1 of an n_paths-row ensemble drawn by ``sample`` from the block streams.
+
+    ``sample(stream, rows, lo, hi, out)`` is a block sampler such as
+    :func:`_block_sampler` returns; block b reads ``block_stream(master_seed, b)``.
+    """
+
+    def fill(b, rows, lo, hi, out):
+        sample(block_stream(master_seed, b), rows, lo, hi, out)
+
+    return fill_row_blocks(fill, n_paths, n_nodes, threads, start, stop)
 
 
 # ---------------------------------------------------------------------------
 # path sampling
 
+def _one_row(model, theta, grid: TimeGrid, stream) -> Curve:
+    out = np.empty((1, grid.n_nodes))
+    _block_sampler(model, theta, grid)(stream, 1, 0, 1, out)
+    return Curve(grid, out[0])
+
+
 def sample_z_path(model: DriftModel, grid: TimeGrid, stream: np.random.Generator) -> Curve:
     """One realization of the drift z(t) evaluated at the grid nodes.
 
-    Jump processes draw their event times in continuous time and evaluate the
-    node values exactly (the event-driven ones as a one-row call of
-    :func:`event_kernel`); diffusion drifts use exact Gaussian transitions
-    between nodes.
+    A one-row block drawn from ``stream``: jump processes draw their event
+    times in continuous time and evaluate the node values exactly (the
+    event-driven ones through :func:`event_kernel`); diffusion drifts use
+    exact Gaussian transitions between nodes.
     """
     if isinstance(model, Deterministic):
         _check_same_grid(model.f.grid, grid)
         return model.f
-    if isinstance(model, SingleShot):
-        tau = stream.exponential(1.0 / model.rate)
-        return Curve(grid, (grid.times() >= tau).astype(float))
-    if isinstance(model, _EVENT_MODELS):
-        _, z = event_kernel([_draw_events(model, grid, stream)], _decay(model), None, grid)
-        return Curve(grid, z[0])
-    if isinstance(model, BrownianDrift):
-        return Curve(grid, _brownian_z(model, grid, stream))
-    if isinstance(model, OUDrift):
-        return Curve(grid, _ou_z(model, grid, stream))
-    raise TypeError(f"not a drift model: {model!r}")
+    return _one_row(model, None, grid, stream)
 
 
 def sample_Z_path(
@@ -461,25 +555,14 @@ def sample_Z_path(
 ) -> Curve:
     """One realization of Z(t) = e^{-theta t} int_0^t z(s) e^{theta s} ds.
 
-    Event-driven drifts are a one-row call of :func:`event_kernel` (no grid
-    bias), the single shot uses its closed form, and the two diffusion-driven
-    drifts pass a sampled z path through the exponential integrator.
+    A one-row block drawn from ``stream``, so it equals the row of an
+    ensemble whose block holds that row alone. Event-driven drifts go
+    through :func:`event_kernel` (no grid bias), the single shot uses its
+    closed form, and the two diffusion-driven drifts pass a sampled z path
+    through the exponential integrator.
     """
     validate_pairing(model, theta)
-    if isinstance(model, Deterministic):
-        _check_same_grid(model.f.grid, grid)
-        return Curve(grid, exp_weighted_values(model.f.values, grid.dt, theta))
-    if isinstance(model, SingleShot):
-        tau = stream.exponential(1.0 / model.rate)
-        u = np.maximum(grid.times() - tau, 0.0)
-        return Curve(grid, -np.expm1(-theta * u) / theta)
-    if isinstance(model, _EVENT_MODELS):
-        Z, _ = event_kernel([_draw_events(model, grid, stream)], _decay(model), theta, grid)
-        return Curve(grid, Z[0])
-    if isinstance(model, (BrownianDrift, OUDrift)):
-        z = sample_z_path(model, grid, stream)
-        return Curve(grid, exp_weighted_values(z.values, grid.dt, theta))
-    raise TypeError(f"not a drift model: {model!r}")
+    return _one_row(model, theta, grid, stream)
 
 
 def _check_same_grid(a: TimeGrid, b: TimeGrid) -> None:
@@ -637,27 +720,13 @@ def cumulant_curves(model: DriftModel, theta: float, grid: TimeGrid, order: int 
 # ---------------------------------------------------------------------------
 # ensembles and Monte Carlo moments
 
-_CHUNK = 512
-
-
 def z_path_ensemble(
     model: DriftModel, grid: TimeGrid, n_paths: int, master_seed: int, threads: int = 1
 ) -> PathEnsemble:
-    """n_paths independent z realizations, row i from derive_stream(seed, i)."""
-    build = lambda i: sample_z_path(model, grid, derive_stream(master_seed, i)).values
-    values = fill_rows(build, n_paths, grid.n_nodes, threads)
+    """n_paths independent z realizations, block b from block_stream(seed, b)."""
+    sample = _block_sampler(model, None, grid)
+    values = block_rows(sample, n_paths, master_seed, grid.n_nodes, threads=threads)
     return PathEnsemble(grid, n_paths, values, master_seed)
-
-
-def _Z_rows(model, theta, grid, master_seed, start, stop, threads) -> np.ndarray:
-    """Rows start..stop-1 of the Z ensemble, row i from derive_stream(master_seed, i)."""
-    if isinstance(model, _EVENT_MODELS):
-        draw = lambda lo, hi: [
-            _draw_events(model, grid, derive_stream(master_seed, i)) for i in range(lo, hi)
-        ]
-        return event_Z_rows(draw, start, stop, _decay(model), theta, grid, threads)
-    build = lambda j: sample_Z_path(model, theta, grid, derive_stream(master_seed, start + j)).values
-    return fill_rows(build, stop - start, grid.n_nodes, threads)
 
 
 def Z_path_ensemble(
@@ -668,15 +737,18 @@ def Z_path_ensemble(
     master_seed: int,
     threads: int = 1,
 ) -> PathEnsemble:
-    """n_paths independent Z realizations, row i from derive_stream(seed, i).
+    """n_paths independent Z realizations under the block-stream contract.
 
-    Event-driven drifts evaluate all rows through the batched
-    :func:`event_Z_rows`; the other variants build row i with
-    :func:`sample_Z_path`. Row i equals ``sample_Z_path`` on the same stream
-    bit for bit, and the matrix does not depend on ``threads``.
+    Rows i of block b = i // _BLOCK are drawn together from
+    ``block_stream(seed, b)`` by the variant's block sampler (one exponential
+    vector for the single shot, normal matrices for the diffusions, one
+    vector per event quantity for the event variants). The matrix does not
+    depend on ``threads``; a block holding one row equals ``sample_Z_path``
+    on the block's stream bit for bit.
     """
     validate_pairing(model, theta)
-    values = _Z_rows(model, theta, grid, master_seed, 0, n_paths, threads)
+    sample = _block_sampler(model, theta, grid)
+    values = block_rows(sample, n_paths, master_seed, grid.n_nodes, threads=threads)
     return PathEnsemble(grid, n_paths, values, master_seed)
 
 
@@ -687,20 +759,25 @@ def iter_Z_chunks(
     n_paths: int,
     master_seed: int,
     threads: int = 1,
-    chunk: int = _CHUNK,
+    chunk: int | None = None,
 ):
     """Yield (start_index, chunk_matrix) blocks of the Z ensemble.
 
     Streaming form of :func:`Z_path_ensemble` for workloads where the full
-    n_paths x n_nodes matrix would be wastefully large. Each block is built
-    the same way as the ensemble (event-driven drifts in batched kernel
-    passes), so the concatenation of the chunks is bit-identical to the
-    materialized ensemble for any chunk size and thread count.
+    n_paths x n_nodes matrix would be wastefully large. Each chunk draws its
+    rows from the block streams of the ensemble, so the concatenation of the
+    chunks is bit-identical to the materialized ensemble for any chunk size
+    and thread count. The default chunk holds one block per thread, which
+    the threads fill side by side. A chunk that starts inside a block
+    redraws that block's leading variates; chunks that are multiples of
+    _BLOCK draw every variate once.
     """
     validate_pairing(model, theta)
+    sample = _block_sampler(model, theta, grid)
+    chunk = chunk or _BLOCK * max(1, threads)  # one block per thread
     for start in range(0, n_paths, chunk):
         stop = min(start + chunk, n_paths)
-        yield start, _Z_rows(model, theta, grid, master_seed, start, stop, threads)
+        yield start, block_rows(sample, n_paths, master_seed, grid.n_nodes, start, stop, threads)
 
 
 def moments_Z_mc(

@@ -8,11 +8,14 @@ response moment curves phi and psi for exponential and Gamma firing-time
 laws, the closed-form mean-square approximant for the exponential case, and
 the three-scenario cost table (exponential, Gamma, fully simulated network).
 
-Every input neuron draws its noise from its own stream, split from the
-stream of its trial. The first-passage simulation advances all input neurons
-of a kernel pass together, a block of steps at a time, and retires each one
-once it fires; because each neuron reads its stream sequentially, the block
-size and the batching change no draw and no result.
+Trials follow the block-stream contract of :mod:`timebase`: the trials of
+block b (trials b*_BLOCK onward) draw every variate from
+``block_stream(seed, b)``. All M x rows input neurons of a block run one
+first-passage simulation on that stream, which advances them together
+_FPT_BLOCK steps at a time and draws each step block's normals with one call
+for every neuron still live; the amplitudes are drawn after the firing
+times. The draws therefore depend on the block, its trial count and
+_FPT_BLOCK, never on threads or on how a caller chunks the trials.
 
 Units are milliseconds and millivolts throughout.
 """
@@ -32,11 +35,12 @@ from . import drift as drift_mod
 from .costs import P_ORDERS, CostReport, per_path_cost_matrix
 from .response import lower_incomplete_gamma, response_moment_curves
 from .timebase import (
+    _BLOCK,
     Curve,
     TimeGrid,
+    block_stream,
     child_seed,
-    derive_stream,
-    split_stream,
+    fill_row_blocks,
     stable_exp_diff,
 )
 
@@ -143,8 +147,8 @@ class EmbeddedNeuronModel:
     def __post_init__(self):
         if self.theta <= 0:
             raise ValueError(f"theta must be positive, got {self.theta}")
-        if self.M < 1:
-            raise ValueError(f"M must be >= 1, got {self.M}")
+        if self.M < 1 or not float(self.M).is_integer():
+            raise ValueError(f"M must be an integer >= 1, got {self.M}")
         if abs(self.response_rate - self.theta) <= 1e-12 * max(self.response_rate, self.theta):
             raise drift_mod.PairingError(
                 f"response rate {self.response_rate} must differ from theta {self.theta}"
@@ -156,53 +160,56 @@ def first_passage_time(
 ) -> float:
     """First time the Euler-Maruyama LIF path reaches the firing threshold.
 
-    A one-neuron call of :func:`first_passage_times`: the crossing time is
-    interpolated linearly inside the crossing step, and CENSORED (= inf) is
-    returned if no crossing occurs before horizon_cap.
+    A one-neuron call of :func:`first_passage_times`, which reads one normal
+    per step from ``stream`` in order: the crossing time is interpolated
+    linearly inside the crossing step, and CENSORED (= inf) is returned if no
+    crossing occurs before horizon_cap.
     """
-    return float(first_passage_times(neuron, dt, horizon_cap, [stream])[0])
+    return float(first_passage_times(neuron, dt, horizon_cap, 1, stream)[0])
 
 
-def first_passage_times(neuron: LIFNeuron, dt: float, horizon_cap: float, streams) -> np.ndarray:
-    """First threshold crossing of one Euler-Maruyama LIF path per stream.
+def first_passage_times(
+    neuron: LIFNeuron, dt: float, horizon_cap: float, n: int, stream: np.random.Generator
+) -> np.ndarray:
+    """First threshold crossing of n Euler-Maruyama LIF paths drawn from one stream.
 
-    Path j draws its normals from ``streams[j]`` in order, one per step, and
-    follows v_k = a v_{k-1} + mu_i dt + sigma_i sqrt(dt) n_k with
+    Each path follows v_k = a v_{k-1} + mu_i dt + sigma_i sqrt(dt) n_k with
     a = 1 - theta_i dt from v_0 = v0_i. The crossing time is interpolated
     linearly inside the crossing step; paths that do not cross before
-    horizon_cap give CENSORED (= inf). Paths are advanced together in
-    sub-batches of at most ``_KERNEL_CELLS // _FPT_BLOCK`` rows (at least
-    one), _FPT_BLOCK steps at a time, so the working set is bounded whatever
-    the number of streams. A path's result depends only on its own stream.
+    horizon_cap give CENSORED (= inf). Paths run in sub-batches of at most
+    ``_KERNEL_CELLS // _FPT_BLOCK`` rows (at least one), one sub-batch after
+    the other, _FPT_BLOCK steps at a time: each step block draws the normals
+    of the sub-batch's live paths, in path order, with one
+    ``standard_normal((live, steps))`` call. The working set is bounded
+    whatever n, and a single path reads its stream exactly as a sequential
+    per-step loop would.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n_total = int(math.ceil(horizon_cap / dt))
-    out = np.full(len(streams), CENSORED)
+    out = np.full(n, CENSORED)
     rows = max(1, drift_mod._KERNEL_CELLS // _FPT_BLOCK)
-    for lo in range(0, len(streams), rows):
-        _first_passage_batch(neuron, dt, n_total, streams[lo : lo + rows], out[lo : lo + rows])
+    for lo in range(0, n, rows):
+        _first_passage_batch(neuron, dt, n_total, stream, out[lo : lo + rows])
     return out
 
 
-def _first_passage_batch(neuron: LIFNeuron, dt: float, n_total: int, streams, out) -> None:
+def _first_passage_batch(neuron: LIFNeuron, dt: float, n_total: int, stream, out) -> None:
     """Write the crossing times of one sub-batch of paths into ``out``."""
     a = 1.0 - neuron.theta_i * dt
     mu_dt = neuron.mu_i * dt
     s = neuron.sigma_i * math.sqrt(dt)
-    live = np.arange(len(streams))  # paths that have not fired yet
-    v_prev = np.full(len(streams), float(neuron.v0_i))
+    live = np.arange(len(out))  # paths that have not fired yet
+    v_prev = np.full(len(out), float(neuron.v0_i))
     done = 0
     while done < n_total and live.size:
         block = min(_FPT_BLOCK, n_total - done)
-        x = np.empty((live.size, block))
         if neuron.sigma_i > 0:
-            for row, j in enumerate(live):
-                streams[j].standard_normal(out=x[row])
+            x = stream.standard_normal((live.size, block))
             x *= s  # rounds exactly as mu_dt + s * n
             x += mu_dt
         else:
-            x.fill(mu_dt)
+            x = np.full((live.size, block), mu_dt)
         path, _ = lfilter([1.0], [1.0, -a], x, axis=-1, zi=a * v_prev[:, None])
         hit = path >= neuron.v_th
         fired = hit.any(axis=1)
@@ -223,8 +230,7 @@ def phi_psi(
     """Response moment curves phi = R * p_T and psi = R^2 * p_T.
 
     Exponential firing times use the two-rate closed forms; Gamma firing
-    times use the incomplete-gamma closed form when its argument is positive
-    and a trapezoid convolution of the density otherwise.
+    times use the exact one-rate chain convolution for any firing rate.
     """
     if not isinstance(dist, (drift_mod.Exponential, drift_mod.Gamma)):
         raise ValueError(f"unsupported firing-time distribution: {type(dist).__name__}")
@@ -242,25 +248,22 @@ class NetworkRealization:
     n_censored: int
 
 
-def _network_events(model: EmbeddedNeuronModel, streams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Firing times (inf for inputs censored at the cap) and amplitudes, one pair per trial.
+def _network_events(model: EmbeddedNeuronModel, stream, trials: int):
+    """Firing times (inf for inputs censored at the cap), amplitudes and per-trial counts.
 
-    Trial j draws from ``streams[j]``: analytic firing times and then the
-    amplitudes, or, for simulated firing, the amplitudes after its M input
-    neurons have run on sub-streams split from it. The input neurons of all
-    trials go through one :func:`first_passage_times` call.
+    The M inputs of each of ``trials`` trials draw from ``stream``: first
+    all M x trials firing times (analytic draws, or one
+    :func:`first_passage_times` call over every input neuron), then all
+    amplitudes. Trial j owns entries j*M .. (j+1)*M - 1.
     """
-    amplitudes = lambda s: np.asarray(drift_mod.sample_dist(model.amplitude, s, model.M), dtype=float)
+    n = model.M * trials
     if isinstance(model.firing, AnalyticFiring):
-        events = []
-        for s in streams:
-            taus = np.asarray(drift_mod.sample_dist(model.firing.dist, s, model.M), dtype=float)
-            events.append((taus, amplitudes(s)))
-        return events
-    spec = model.firing
-    inputs = [child for s in streams for child in split_stream(s, model.M)]
-    taus = first_passage_times(spec.neuron, spec.sim_dt, spec.horizon_cap, inputs)
-    return [(t, amplitudes(s)) for t, s in zip(taus.reshape(len(streams), model.M), streams)]
+        taus = np.asarray(drift_mod.sample_dist(model.firing.dist, stream, n), dtype=float)
+    else:
+        spec = model.firing
+        taus = first_passage_times(spec.neuron, spec.sim_dt, spec.horizon_cap, n, stream)
+    betas = np.asarray(drift_mod.sample_dist(model.amplitude, stream, n), dtype=float)
+    return taus, betas, np.full(trials, model.M)
 
 
 def build_drift_from_network(
@@ -268,13 +271,13 @@ def build_drift_from_network(
 ) -> NetworkRealization:
     """Draw one realization of the shot-noise drift the embedded neuron sees.
 
-    Firing times come from the analytic law or from M independent
-    first-passage simulations (one derived sub-stream per input neuron);
+    A block of one trial drawn from ``stream``: firing times come from the
+    analytic law or from M first-passage simulations on the stream;
     inputs that never fire before the cap are dropped from the trial and
     counted. z and Z are a one-row call of :func:`drift.event_kernel` with
     the response rate as the decay rate.
     """
-    taus, betas = _network_events(model, [stream])[0]
+    taus, betas, _ = _network_events(model, stream, 1)
     Z, z = drift_mod.event_kernel([(taus, betas)], model.response_rate, model.theta, grid)
     return NetworkRealization(
         firing_times=taus,
@@ -311,27 +314,28 @@ def v2_exponential(model: EmbeddedNeuronModel, grid: TimeGrid) -> approx_mod.App
 # ---------------------------------------------------------------------------
 # the three-scenario experiment
 
-def _network_chunks(model, grid, n_paths, master_seed, threads=1, chunk=256, censored=None):
+def _network_chunks(model, grid, n_paths, master_seed, threads=1, chunk=None, censored=None):
     """Yield (start, Z block) for network trials; accumulate censor counts.
 
-    Trial i draws its inputs from derive_stream(master_seed, i). Each kernel
-    pass of :func:`drift.event_Z_rows` draws its trials together, so the
-    input neurons of the whole pass share one batched first-passage
-    simulation; a trial's row does not depend on the chunking or the threads.
+    Trials follow the block-stream contract: the trials of block b draw
+    their inputs together from ``block_stream(master_seed, b)``
+    (:func:`_network_events`), so a trial's row does not depend on the
+    chunking or the threads. A chunk that is a multiple of _BLOCK, as the
+    default is, simulates every input neuron once.
     """
     counts = np.zeros(n_paths, dtype=int)
 
-    def draw(lo, hi):
-        events = _network_events(model, [derive_stream(master_seed, i) for i in range(lo, hi)])
-        counts[lo:hi] = [np.isinf(taus).sum() for taus, _ in events]
-        return events
+    def fill(b, rows, lo, hi, out):
+        taus, betas, per_trial = _network_events(model, block_stream(master_seed, b), rows)
+        censored_inputs = np.isinf(taus).reshape(rows, model.M).sum(axis=1)
+        counts[b * _BLOCK + lo : b * _BLOCK + hi] = censored_inputs[lo:hi]
+        lam, theta = model.response_rate, model.theta
+        drift_mod.event_rows(taus, betas, per_trial, lo, hi, lam, theta, grid, out)
 
+    chunk = chunk or _BLOCK * max(1, threads)  # one block per thread
     for start in range(0, n_paths, chunk):
         stop = min(start + chunk, n_paths)
-        block = drift_mod.event_Z_rows(
-            draw, start, stop, model.response_rate, model.theta, grid, threads
-        )
-        yield start, block
+        yield start, fill_row_blocks(fill, n_paths, grid.n_nodes, threads, start, stop)
     if censored is not None:
         censored.append(int(counts.sum()))
 

@@ -5,13 +5,13 @@ at a random time with density p, the drift moments need
 
     phi(t) = E[R(t - T)] = (R * p)(t),      psi(t) = E[R^2(t - T)] = (R^2 * p)(t).
 
-Closed forms are used for exponential firing times (any rate), point masses,
-uniform firing times, and Gamma firing times when the incomplete-gamma
-argument nu - decay is positive; there the regularized incomplete gamma comes
-from scipy, evaluated at all nodes at once. Otherwise both convolutions are
-evaluated numerically on the grid by the trapezoid rule. Because the response
-is exponential, the convolution sum is a first-order linear recurrence along
-the grid, computed in O(n) by ``scipy.signal.lfilter``.
+Closed forms are used for exponential firing times (any rate), point masses
+and uniform firing times. Gamma firing times use the exact one-rate chain
+convolution of :func:`_gamma_convolution`, whichever side of the decay rate
+the firing rate lies on. The trapezoid convolution of a density on the grid,
+:func:`_convolve_response`, remains as an independent check; because the
+response is exponential, its convolution sum is a first-order linear
+recurrence along the grid, computed in O(n) by ``scipy.signal.lfilter``.
 
 The exact cumulants of Z need every power E[K(t - T)^k] of the damped
 response K, k = 1..4. Those come from chains of exponential convolutions
@@ -51,9 +51,8 @@ def response_moment_curves(dist, lam: float, grid: TimeGrid) -> tuple[Curve, Cur
     """phi and psi curves for a firing-time distribution; see module docstring.
 
     Supports exponential, gamma, uniform and point-mass firing times (every
-    arrival law ``ShotNoise`` accepts); gamma falls back to numerical
-    convolution whenever a closed-form incomplete-gamma argument is
-    nonpositive.
+    arrival law ``ShotNoise`` accepts); gamma uses the exact chain
+    convolution for every pair of rates.
     """
     from . import drift  # local import: drift also imports this module
 
@@ -70,9 +69,9 @@ def response_moment_curves(dist, lam: float, grid: TimeGrid) -> tuple[Curve, Cur
         psi = nu * stable_exp_diff(2 * lam, nu, t)
         return Curve(grid, phi), Curve(grid, psi)
     if isinstance(dist, drift.Gamma):
-        phi = _gamma_case(dist, lam, grid)
-        psi = _gamma_case(dist, 2 * lam, grid)
-        return phi, psi
+        nu, alpha = dist.rate, dist.shape
+        phi, psi = (_gamma_convolution([r], nu, alpha, grid)[-1] for r in (lam, 2 * lam))
+        return Curve(grid, phi), Curve(grid, psi)
     if isinstance(dist, drift.PointMass):
         tau = dist.value
         if tau < 0:
@@ -94,17 +93,6 @@ def _uniform_case(dist, decay: float, t: np.ndarray, grid: TimeGrid) -> Curve:
     m = np.clip(t, dist.lo, dist.hi)
     vals = np.exp(-decay * (t - m)) * -np.expm1(-decay * (m - dist.lo))
     return Curve(grid, vals / (decay * (dist.hi - dist.lo)))
-
-
-def _gamma_case(dist, decay: float, grid: TimeGrid) -> Curve:
-    # E[e^{-decay (t-T)} 1_{T<=t}] for T ~ Gamma(rate, shape)
-    nu, alpha = dist.rate, dist.shape
-    t = grid.times()
-    arg = nu - decay
-    if arg > 0:
-        vals = (nu / arg) ** alpha * np.exp(-decay * t) * gammainc(alpha, arg * t)
-        return Curve(grid, vals)
-    return _convolve_response(decay, _gamma_pdf(nu, alpha), grid)
 
 
 def _gamma_pdf(rate: float, shape: float):

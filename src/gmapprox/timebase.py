@@ -2,9 +2,16 @@
 
 Everything downstream shares three conventions fixed here: curves hold node
 values on a uniform grid, integrals between nodes are trapezoidal, and every
-source of randomness is a counter-derived stream that is a pure function of
-``(master_seed, path_index)`` so ensembles are reproducible under any
-execution schedule.
+source of randomness is a counter-based Philox stream that is a pure function
+of its key, so ensembles are reproducible under any execution schedule.
+
+The block-stream contract: the rows of an ensemble fall into blocks of
+``_BLOCK`` rows, and block b (rows b*_BLOCK onward) draws every variate of its
+rows from the one stream ``block_stream(master_seed, b)``, in an order fixed
+by the sampler, the grid and the number of ensemble rows in the block
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
+:func:`fill_row_blocks` hands out whole blocks, so a row's value depends on
+neither the thread count nor how a caller chunks the rows.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ __all__ = [
     "derive_stream",
     "split_stream",
     "child_seed",
+    "block_stream",
     "fill_rows",
     "fill_row_blocks",
     "stable_exp_diff",
@@ -34,6 +42,7 @@ __all__ = [
 
 _CSV_FMT = "%.17g"  # full double precision round-trip
 _CSV_BLOCK_CELLS = 4096  # cells formatted per write: about a thousand rows of a narrow table
+_BLOCK = 512  # ensemble rows per random stream: part of the reproducibility contract
 
 
 @dataclass(frozen=True)
@@ -115,8 +124,9 @@ class PathEnsemble:
     """Matrix of sample paths, one row per path, on a shared grid.
 
     Regenerating with the same ``master_seed`` reproduces the values
-    bit-for-bit because row i is drawn from ``derive_stream(master_seed, i)``
-    regardless of the order in which rows are filled.
+    bit-for-bit: the rows of block b = i // _BLOCK are drawn from
+    ``block_stream(master_seed, b)`` (see the module docstring), whatever the
+    order in which the blocks are filled.
     """
 
     grid: TimeGrid
@@ -236,24 +246,37 @@ def child_seed(master_seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def fill_row_blocks(fill_block, n_paths: int, n_nodes: int, threads: int = 1) -> np.ndarray:
-    """Assemble a (n_paths, n_nodes) matrix; fill_block(lo, hi, block) writes rows lo..hi-1.
+def block_stream(master_seed: int, block: int) -> np.random.Generator:
+    """The stream that draws every variate of the ensemble rows in ``block``."""
+    return derive_stream(master_seed, block)
 
-    ``block`` is the view of those rows. Each of ``threads`` workers fills one
-    contiguous range of rows, and ``fill_block`` must make row i a pure
-    function of i (each row draws from its own derived stream), so the result
-    is identical for any number of threads.
+
+def fill_row_blocks(
+    fill_block, n_paths: int, n_nodes: int, threads: int = 1, start: int = 0, stop=None
+) -> np.ndarray:
+    """Rows start..stop-1 (default: all) of an n_paths-row ensemble, assembled block by block.
+
+    Block b holds the ``rows = min(_BLOCK, n_paths - b*_BLOCK)`` ensemble rows
+    from b*_BLOCK on. ``fill_block(b, rows, lo, hi, out)`` writes the block's
+    local rows lo..hi-1 into ``out``, a (hi - lo, n_nodes) view, and must
+    make them a pure function of (b, rows, lo..hi-1): drawing from
+    ``block_stream(seed, b)`` does that. Each call covers the requested rows
+    of one block, and ``threads`` workers take whole blocks, so the result
+    is identical for any number of threads and any start/stop cut.
     """
-    out = np.empty((n_paths, n_nodes), dtype=float)
-    if threads is None:
-        threads = 1
-    if threads <= 1 or n_paths < 2 * threads:
-        fill_block(0, n_paths, out)
+    stop = n_paths if stop is None else stop
+    out = np.empty((stop - start, n_nodes), dtype=float)
+    calls = []
+    for b in range(start // _BLOCK, -(-stop // _BLOCK)):
+        b0 = b * _BLOCK
+        lo, hi = max(start, b0), min(stop, b0 + _BLOCK)
+        calls.append((b, min(_BLOCK, n_paths - b0), lo - b0, hi - b0, out[lo - start : hi - start]))
+    if threads is None or threads <= 1 or len(calls) < 2:
+        for args in calls:
+            fill_block(*args)
         return out
-
-    bounds = np.linspace(0, n_paths, threads + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        list(ex.map(lambda lo, hi: fill_block(lo, hi, out[lo:hi]), bounds[:-1], bounds[1:]))
+    with ThreadPoolExecutor(max_workers=min(threads, len(calls))) as ex:
+        list(ex.map(lambda args: fill_block(*args), calls))
     return out
 
 
@@ -264,9 +287,9 @@ def fill_rows(build_row, n_paths: int, n_nodes: int, threads: int = 1) -> np.nda
     :func:`fill_row_blocks`.
     """
 
-    def fill_block(lo, hi, block):
-        for i in range(lo, hi):
-            block[i - lo] = build_row(i)
+    def fill_block(b, rows, lo, hi, out):
+        for j in range(lo, hi):
+            out[j - lo] = build_row(b * _BLOCK + j)
 
     return fill_row_blocks(fill_block, n_paths, n_nodes, threads)
 

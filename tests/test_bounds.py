@@ -3,7 +3,7 @@ import pytest
 
 from gmapprox import drift as dm
 from gmapprox.approx import F2_analytic
-from gmapprox.bounds import BoundCurve, d2_closed, d2_generic, pointwise_mse
+from gmapprox.bounds import BoundCurve, d2_closed, d2_generic, pointwise_mse, pointwise_mse_streaming
 from gmapprox.timebase import Curve, TimeGrid
 
 THETA = 1.5
@@ -127,6 +127,33 @@ class TestPointwiseMSE:
         mse, se = pointwise_mse(ens, F2)
         d2 = d2_closed(model, THETA, g).d2.values
         assert np.all(mse.values <= d2 + 3 * se.values)
+
+
+def streaming_oracle(chunks, F, n_paths):
+    """pointwise_mse_streaming by the former formulas: a fresh (Z - F)^2 and its square per chunk."""
+    s1 = np.zeros(F.grid.n_nodes)
+    s2 = np.zeros(F.grid.n_nodes)
+    for _, block in chunks:
+        w = (block - F.values[None, :]) ** 2
+        s1 += w.sum(axis=0)
+        s2 += (w * w).sum(axis=0)
+    mse = s1 / n_paths
+    var = np.maximum(s2 - n_paths * mse**2, 0.0) / (n_paths - 1)
+    return mse, np.sqrt(var / n_paths)
+
+
+class TestPointwiseMSEStreaming:
+    @pytest.mark.parametrize("model", TABLE1_MODELS, ids=lambda m: type(m).__name__)
+    def test_bit_identical_to_former_formulas(self, model):
+        # chunks of 300 rows: the last chunk is shorter than the work array
+        g = grid(T=1.0, dt=0.01)
+        n = 700
+        F = F2_analytic(model, THETA, g).F
+        chunks = lambda: dm.iter_Z_chunks(model, THETA, g, n, 4, chunk=300)
+        mse, se = pointwise_mse_streaming(chunks(), F, n)
+        ref_mse, ref_se = streaming_oracle(chunks(), F, n)
+        assert np.array_equal(mse.values, ref_mse)
+        assert np.array_equal(se.values, ref_se)
 
 
 class TestGrowthClasses:

@@ -192,6 +192,27 @@ class TestTables:
         payload = json.loads((tmp_path / "out" / "costs.json").read_text())
         assert len(payload["records"]) == 4
 
+    def test_fractional_fixed_count_is_a_config_error(self, tmp_path, capsys):
+        # 2.5 events cannot be drawn: the sampler would draw 2 while the moments use 2.5
+        model = {"type": "shot_noise", "count": {"type": "fixed", "value": 2.5}}
+        p = write_config(tmp_path, sde={"theta": 0.1, "sigma": 1.0, "x0": 0.0}, model=model,
+                         grid={"T": 5.0, "dt": 0.05}, mc={"n_paths": 20, "seed": 3})
+        assert main(["costs", "--config", str(p)]) == EXIT_CONFIG
+        assert "integer" in capsys.readouterr().err
+
+    def test_integral_float_fixed_count_accepted(self, tmp_path):
+        model = {"type": "shot_noise", "count": {"type": "fixed", "value": 2.0}}
+        p = write_config(tmp_path, sde={"theta": 0.1, "sigma": 1.0, "x0": 0.0}, model=model,
+                         grid={"T": 5.0, "dt": 0.05}, mc={"n_paths": 20, "seed": 3})
+        assert main(["costs", "--config", str(p)]) == EXIT_OK
+        ref = tmp_path / "int"
+        model["count"]["value"] = 2
+        p = write_config(tmp_path, sde={"theta": 0.1, "sigma": 1.0, "x0": 0.0}, model=model,
+                         grid={"T": 5.0, "dt": 0.05}, mc={"n_paths": 20, "seed": 3},
+                         output={"directory": str(ref), "formats": ["csv"]})
+        assert main(["costs", "--config", str(p)]) == EXIT_OK
+        assert (ref / "costs.csv").read_bytes() == (tmp_path / "out" / "costs.csv").read_bytes()
+
     @pytest.mark.parametrize("command", ["costs", "approx"])
     @pytest.mark.parametrize("arrival_rate", [1.0, 2.0])
     def test_shot_noise_rate_coincidence_is_a_config_error(self, tmp_path, capsys, command, arrival_rate):
@@ -229,6 +250,16 @@ class TestNeuron:
         assert main(["neuron", "--config", str(p)]) == EXIT_OK
         summary = json.loads((tmp_path / "out" / "neuron_summary.json").read_text())
         assert summary["censor_rate"] < 1e-3
+
+    @pytest.mark.parametrize(
+        "section",
+        [{"dt": -1}, {"M": 0}, {"M": 2.5}, {"scenario": "gamma", "gamma_shape": -2}],
+        ids=["negative_dt", "no_inputs", "fractional_inputs", "negative_gamma_shape"],
+    )
+    def test_bad_section_is_a_config_error(self, tmp_path, capsys, section):
+        p = write_config(tmp_path, neuron=section, mc={"n_paths": 3, "seed": 2})
+        assert main(["neuron", "--config", str(p)]) == EXIT_CONFIG
+        assert "config error: neuron:" in capsys.readouterr().err
 
     def test_censoring_failure_exit_code(self, tmp_path):
         # subthreshold noiseless inputs never fire: numerical failure, exit 3

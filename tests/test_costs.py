@@ -11,6 +11,7 @@ from gmapprox.costs import (
     estimate_cost,
     full_path_costs,
     full_path_cross_check,
+    per_path_cost_matrix,
     report_records,
     run_table1,
     write_report_csv,
@@ -89,6 +90,38 @@ class TestSEConvergence:
             ses.append(estimate_cost(2, ens, F2)[1])
         slope = np.polyfit(np.log(ns), np.log(ses), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.1)
+
+
+def cost_matrix_oracle(chunks, curves, dt, n_paths):
+    """The cost matrix's per-path costs by the former formulas: |Z - F| and its powers."""
+    per_path = {(p, j): np.empty(n_paths) for p in (2, 4) for j in range(len(curves))}
+    for start, block in chunks:
+        stop = start + block.shape[0]
+        for j, fv in enumerate(curves):
+            err = np.abs(block - fv[None, :])
+            e2 = err * err
+            per_path[(2, j)][start:stop] = trapezoid_values(e2, dt)
+            per_path[(4, j)][start:stop] = trapezoid_values(e2 * e2, dt)
+    return per_path
+
+
+class TestPerPathCostMatrix:
+    @pytest.mark.parametrize("model", [dm.SingleShot(2.0), dm.Poisson(2.0), dm.BrownianDrift(2.0)],
+                             ids=lambda m: type(m).__name__)
+    def test_bit_identical_to_former_formulas(self, model):
+        # chunks of 300 rows: the last chunk is shorter than the work array
+        g = grid(T=2.0, dt=0.01)
+        n = 700
+        curves = (F2_analytic(model, THETA, g).F.values, np.linspace(0.0, 1.0, g.n_nodes))
+        chunks = lambda: dm.iter_Z_chunks(model, THETA, g, n, 5, chunk=300)
+        values, se, gap_se = per_path_cost_matrix(chunks(), curves, g.dt, n)
+        ref = cost_matrix_oracle(chunks(), curves, g.dt, n)
+        for a, p in enumerate((2, 4)):
+            for j in range(2):
+                c = ref[(p, j)]
+                assert values[a, j] == np.mean(c)
+                assert se[a, j] == np.std(c, ddof=1) / np.sqrt(n)
+            assert gap_se[a] == np.std(ref[(p, 1 - a)] - ref[(p, a)], ddof=1) / np.sqrt(n)
 
 
 class TestCostBlock:

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from gmapprox import approx as approx_mod
 from gmapprox import drift as dm
+from gmapprox import timebase
 from gmapprox.response import convolution_oracle
 from gmapprox.timebase import (
     Curve,
     TimeGrid,
+    block_stream,
     derive_stream,
     exp_weighted_running_integral,
     stable_exp_diff,
@@ -68,6 +71,13 @@ class TestDistributions:
             dm.Uniform(2.0, 1.0)
         with pytest.raises(ValueError):
             dm.FixedCount(0)
+        with pytest.raises(ValueError, match="integer"):
+            dm.FixedCount(2.5)
+
+    def test_integral_fixed_count_is_an_int(self):
+        count = dm.FixedCount(2.0)
+        assert count.value == 2 and isinstance(count.value, int)
+        assert dm.dist_raw_moment(count, 3) == 8.0
 
 
 class TestPairing:
@@ -271,10 +281,11 @@ class TestMomentCurves:
 
 class TestEnsembles:
     def test_bit_identical_regeneration(self):
+        # 1,100 paths: three blocks, so the threads share the work
         g = grid(T=1.0, dt=0.05)
         model = dm.CompoundPoisson(2.0, dm.Exponential(2.0))
-        a = dm.Z_path_ensemble(model, THETA, g, 64, master_seed=42, threads=1)
-        b = dm.Z_path_ensemble(model, THETA, g, 64, master_seed=42, threads=3)
+        a = dm.Z_path_ensemble(model, THETA, g, 1100, master_seed=42, threads=1)
+        b = dm.Z_path_ensemble(model, THETA, g, 1100, master_seed=42, threads=3)
         assert np.array_equal(a.values, b.values)
 
     def test_chunks_concatenate_to_ensemble(self):
@@ -285,7 +296,7 @@ class TestEnsembles:
         assert np.array_equal(np.vstack(parts), full)
 
     # 20,001 nodes: the kernel takes 6 rows per pass, so chunks of 17 rows
-    # and thread ranges both cut through passes
+    # cut through passes
     @pytest.mark.parametrize(
         "model",
         [
@@ -303,9 +314,64 @@ class TestEnsembles:
         assert np.array_equal(np.vstack(parts), full)
         threaded = dm.Z_path_ensemble(model, THETA, g, n, master_seed=seed, threads=3).values
         assert np.array_equal(threaded, full)
+        # the block's rows are the kernel of the block's draws, row by row
+        times, weights, counts = dm._draw_block_events(model, g, block_stream(seed, 0), n)
+        edges = np.concatenate(([0], np.cumsum(counts)))
         for i in (0, 23, n - 1):
-            row = dm.sample_Z_path(model, THETA, g, derive_stream(seed, i)).values
+            events = [(times[edges[i] : edges[i + 1]], weights[edges[i] : edges[i + 1]])]
+            row = dm.event_kernel(events, dm._decay(model), THETA, g)[0][0]
             assert np.array_equal(row, full[i])
+        # a block of one row is sample_Z_path on the block's stream
+        one = dm.Z_path_ensemble(model, THETA, g, 1, master_seed=seed).values[0]
+        assert np.array_equal(dm.sample_Z_path(model, THETA, g, block_stream(seed, 0)).values, one)
+
+
+BLOCK_MODELS = ALL_MODELS + [dm.Deterministic(Curve.from_function(grid(T=2.0, dt=0.05), np.sin))]
+
+
+@pytest.mark.parametrize("model", BLOCK_MODELS, ids=lambda m: type(m).__name__)
+def test_block_contract_reproducible(model):
+    """Every variant: threads 1, 2, 4 and chunks 1, 17, 511, 512, 513 and the default agree.
+
+    1,025 paths make three blocks, the last holding one path, which is
+    ``sample_Z_path`` (and ``sample_z_path`` for z) on that block's stream.
+    """
+    g = grid(T=2.0, dt=0.05)
+    n, seed = 1025, 7
+    full = dm.Z_path_ensemble(model, THETA, g, n, master_seed=seed).values
+    for threads in (2, 4):
+        assert np.array_equal(dm.Z_path_ensemble(model, THETA, g, n, seed, threads=threads).values, full)
+    # the default chunk holds one block per thread
+    for chunk, threads in ((1, 2), (17, 2), (511, 2), (512, 2), (513, 2), (None, 2), (None, 4)):
+        parts = list(dm.iter_Z_chunks(model, THETA, g, n, seed, threads=threads, chunk=chunk))
+        assert [start for start, _ in parts] == list(range(0, n, chunk or 512 * threads))
+        assert np.array_equal(np.vstack([blk for _, blk in parts]), full)
+    assert np.array_equal(dm.sample_Z_path(model, THETA, g, block_stream(seed, 2)).values, full[1024])
+    z = dm.z_path_ensemble(model, g, n, seed, threads=2).values
+    assert np.array_equal(dm.sample_z_path(model, g, block_stream(seed, 2)).values, z[1024])
+    # the rows of a partial block do not draw the block's missing rows
+    if not isinstance(model, dm.Deterministic):
+        assert not np.array_equal(full[1024], full[0]) and not np.array_equal(full[1024], full[512])
+
+
+def test_sampler_passes_stay_within_cell_budget(monkeypatch):
+    """Every recurrence a sampler runs covers at most _KERNEL_CELLS cells, whatever the block."""
+    sizes = []
+
+    def recording(b, a, x, **kw):
+        sizes.append(np.size(x))
+        return lfilter(b, a, x, **kw)
+
+    monkeypatch.setattr(dm, "_KERNEL_CELLS", 4096)
+    monkeypatch.setattr(dm, "lfilter", recording)
+    monkeypatch.setattr(timebase, "lfilter", recording)
+    g = grid(T=2.0, dt=1e-2)  # 201 nodes: 20 rows per pass
+    for model in ALL_MODELS:
+        sizes.clear()
+        dm.Z_path_ensemble(model, THETA, g, 300, master_seed=2)
+        assert max(sizes, default=0) <= 4096, type(model).__name__
+        # the single shot is evaluated in place and runs no recurrence
+        assert sizes or isinstance(model, dm.SingleShot)
 
 
 # ---------------------------------------------------------------------------

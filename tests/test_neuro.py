@@ -34,7 +34,7 @@ from gmapprox.response import (
     response_moment_curves,
 )
 from gmapprox.sde import apply_I
-from gmapprox.timebase import Curve, TimeGrid, derive_stream
+from gmapprox.timebase import Curve, TimeGrid, block_stream, derive_stream
 
 TABLE2_LIF = LIFNeuron(theta_i=0.1, mu_i=6.0, sigma_i=1.0, v0_i=0.0, v_th=20.0)
 
@@ -63,8 +63,7 @@ class TestFirstPassage:
         assert first_passage_time(neuron, 1e-2, 50.0, derive_stream(0, 0)) == CENSORED
 
     def test_noisy_crossings_sane(self):
-        streams = [derive_stream(12, i) for i in range(10_000)]
-        times = first_passage_times(TABLE2_LIF, 1e-2, 100.0, streams)
+        times = first_passage_times(TABLE2_LIF, 1e-2, 100.0, 10_000, derive_stream(12, 0))
         det = 4.054651081081644
         assert np.all(np.isfinite(times))
         assert times.max() < 10 * det
@@ -80,38 +79,87 @@ class TestFirstPassage:
             LIFNeuron(theta_i=0.1, mu_i=6.0, sigma_i=1.0, v0_i=5.0, v_th=5.0)
 
 
+def scalar_steps(neuron, dt, v_prev, done, normals):
+    """Advance one neuron over len(normals) steps: (crossing time or None, last potential)."""
+    a = 1.0 - neuron.theta_i * dt
+    x = np.full(len(normals), neuron.mu_i * dt)
+    if neuron.sigma_i > 0:
+        x += neuron.sigma_i * math.sqrt(dt) * normals
+    path, _ = lfilter([1.0], [1.0, -a], x, zi=np.array([a * v_prev]))
+    hits = np.nonzero(path >= neuron.v_th)[0]
+    if hits.size:
+        k = int(hits[0])
+        v_before = v_prev if k == 0 else path[k - 1]
+        frac = (neuron.v_th - v_before) / (path[k] - v_before)
+        return (done + k + frac) * dt, None
+    return None, float(path[-1])
+
+
 def scalar_first_passage(neuron, dt, horizon_cap, stream):
-    """Oracle: one neuron at a time, 2,048-step blocks, as the scalar loop did it."""
+    """Oracle: one neuron on its own stream, 2,048-step blocks, as a sequential loop reads it."""
     block = 2048
     n_total = int(math.ceil(horizon_cap / dt))
-    a = 1.0 - neuron.theta_i * dt
-    mu_dt = neuron.mu_i * dt
-    s = neuron.sigma_i * math.sqrt(dt)
     v_prev = neuron.v0_i
     done = 0
     while done < n_total:
         size = min(block, n_total - done)
-        x = np.full(size, mu_dt)
-        if neuron.sigma_i > 0:
-            x += s * stream.standard_normal(size)
-        path, _ = lfilter([1.0], [1.0, -a], x, zi=np.array([a * v_prev]))
-        hits = np.nonzero(path >= neuron.v_th)[0]
-        if hits.size:
-            k = int(hits[0])
-            v_before = v_prev if k == 0 else path[k - 1]
-            frac = (neuron.v_th - v_before) / (path[k] - v_before)
-            return (done + k + frac) * dt
-        v_prev = float(path[-1])
+        normals = stream.standard_normal(size) if neuron.sigma_i > 0 else np.zeros(size)
+        t, v_prev = scalar_steps(neuron, dt, v_prev, done, normals)
+        if t is not None:
+            return t
         done += size
     return CENSORED
 
 
 def oracle_times(neuron, dt, cap, seed, n):
-    return np.array([scalar_first_passage(neuron, dt, cap, derive_stream(seed, i)) for i in range(n)])
+    """Oracle for n neurons on one stream: the documented draw layout, stepped neuron by neuron.
+
+    Sub-batches of _KERNEL_CELLS // _FPT_BLOCK neurons in turn; per step
+    block, one (live, steps) normal matrix for the sub-batch's live neurons
+    in order. Each row is then advanced by the scalar loop.
+    """
+    stream = derive_stream(seed, 0)
+    block = neuro._FPT_BLOCK
+    rows = max(1, dm._KERNEL_CELLS // block)
+    n_total = int(math.ceil(cap / dt))
+    out = np.full(n, CENSORED)
+    for lo in range(0, n, rows):
+        live = {i: neuron.v0_i for i in range(lo, min(lo + rows, n))}
+        done = 0
+        while done < n_total and live:
+            size = min(block, n_total - done)
+            if neuron.sigma_i > 0:
+                noise = stream.standard_normal((len(live), size))
+            else:
+                noise = np.zeros((len(live), size))
+            for i, normals in zip(list(live), noise):
+                t, live[i] = scalar_steps(neuron, dt, live[i], done, normals)
+                if t is not None:
+                    out[i] = t
+                    del live[i]
+            done += size
+    return out
 
 
 def batched_times(neuron, dt, cap, seed, n):
-    return first_passage_times(neuron, dt, cap, [derive_stream(seed, i) for i in range(n)])
+    return first_passage_times(neuron, dt, cap, n, derive_stream(seed, 0))
+
+
+def euler_reference(neuron, dt, cap, n, rng):
+    """Independent per-neuron Euler scheme: a plain step loop on numpy's default generator."""
+    a = 1.0 - neuron.theta_i * dt
+    v = np.full(n, float(neuron.v0_i))
+    out = np.full(n, CENSORED)
+    live = np.arange(n)
+    for k in range(1, int(math.ceil(cap / dt)) + 1):
+        if not live.size:
+            break
+        v_new = a * v + neuron.mu_i * dt + neuron.sigma_i * math.sqrt(dt) * rng.standard_normal(live.size)
+        hit = v_new >= neuron.v_th
+        frac = (neuron.v_th - v[hit]) / (v_new[hit] - v[hit])
+        out[live[hit]] = (k - 1 + frac) * dt
+        v, live = v_new[~hit], live[~hit]
+    return out
 
 
 class TestBatchedFirstPassage:
@@ -127,7 +175,7 @@ class TestBatchedFirstPassage:
     )
     def test_matches_scalar_oracle(self, theta_i, mu_i, sigma_i, v_th, cap, dt, seed):
         # caps up to 3,000 steps: not multiples of the block, crossings past
-        # the oracle's first 2,048-step block, and censored subthreshold inputs
+        # the first step block, and censored subthreshold inputs
         neuron = LIFNeuron(theta_i=theta_i, mu_i=mu_i, sigma_i=sigma_i, v0_i=0.0, v_th=v_th)
         got = batched_times(neuron, dt, cap, seed, 5)
         assert np.array_equal(got, oracle_times(neuron, dt, cap, seed, 5))
@@ -140,16 +188,24 @@ class TestBatchedFirstPassage:
     @pytest.mark.parametrize("n", [1, 7, 300])
     @pytest.mark.parametrize("block", [1, 3, 2048])
     def test_independent_of_batch_and_block(self, monkeypatch, n, block):
-        # a 4.5 ms cap censors some inputs; small blocks put crossings at the
-        # first step of a later block
+        """Any step block and batch size: the batch equals the oracle of the same layout.
+
+        The draws of a batch follow its step block (every step block draws
+        the live neurons' normals together), so the oracle replays that
+        layout; a 4.5 ms cap censors some inputs, and small blocks put
+        crossings at the first step of a later block.
+        """
         monkeypatch.setattr(neuro, "_FPT_BLOCK", block)
         ref = oracle_times(TABLE2_LIF, 1e-2, 4.5, 4, n)
         assert np.array_equal(batched_times(TABLE2_LIF, 1e-2, 4.5, 4, n), ref)
         if n == 300:
             assert np.isinf(ref).any() and np.isfinite(ref).any()
+        if n == 1:
+            # one neuron reads its stream as the sequential loop does, whatever the block
+            assert np.array_equal(ref, [scalar_first_passage(TABLE2_LIF, 1e-2, 4.5, derive_stream(4, 0))])
 
     def test_one_element_call(self):
-        ref = oracle_times(TABLE2_LIF, 1e-2, 100.0, 6, 20)
+        ref = [scalar_first_passage(TABLE2_LIF, 1e-2, 100.0, derive_stream(6, i)) for i in range(20)]
         got = [first_passage_time(TABLE2_LIF, 1e-2, 100.0, derive_stream(6, i)) for i in range(20)]
         assert np.array_equal(got, ref)
 
@@ -170,7 +226,27 @@ class TestBatchedFirstPassage:
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
-            first_passage_times(TABLE2_LIF, 0.0, 10.0, [derive_stream(0, 0)])
+            first_passage_times(TABLE2_LIF, 0.0, 10.0, 1, derive_stream(0, 0))
+
+    def test_batch_matches_independent_euler_scheme(self):
+        """1e5 neurons on block streams against an independent per-neuron Euler loop at the same step.
+
+        The mean and the nine deciles agree within 3 SE of the difference;
+        a quantile's SE comes from the order statistics p +- sqrt(p (1 - p) / n).
+        """
+        n, dt = 100_000, 1e-2
+        got = np.concatenate([
+            first_passage_times(TABLE2_LIF, dt, 100.0, 5120, block_stream(31, b)) for b in range(n // 5120 + 1)
+        ])[:n]
+        ref = euler_reference(TABLE2_LIF, dt, 100.0, n, np.random.default_rng(32))
+        assert np.all(np.isfinite(got)) and np.all(np.isfinite(ref))
+        se = math.sqrt(got.var(ddof=1) / n + ref.var(ddof=1) / n)
+        assert abs(got.mean() - ref.mean()) <= 3 * se
+        for p in np.arange(1, 10) / 10:
+            h = math.sqrt(p * (1 - p) / n)
+            se_q = [0.5 * (np.quantile(x, p + h) - np.quantile(x, p - h)) for x in (got, ref)]
+            diff = np.quantile(got, p) - np.quantile(ref, p)
+            assert abs(diff) <= 3 * math.hypot(*se_q), (p, diff, se_q)
 
 
 class TestLowerIncompleteGamma:
@@ -239,6 +315,28 @@ class TestPhiPsi:
         x = (nu - lam) * t
         exact = (nu / (nu - lam)) ** 2 * np.exp(-lam * t) * (1 - np.exp(-x) * (1 + x))
         assert np.max(np.abs(phi.values - exact)) < 1e-4
+
+    @pytest.mark.parametrize(
+        "nu, shape", [(1 / 15, 2.0), (1.5, 2.0), (3.0, 2.0), (1 / 15, 0.7), (3.0, 0.7)]
+    )
+    def test_gamma_matches_quadrature(self, nu, shape):
+        # firing rate below, between and above the decay rates lam and 2 lam
+        lam = 1.0
+        g = TimeGrid.from_step(50.0, 1e-2)
+        phi, psi = response_moment_curves(dm.Gamma(rate=nu, shape=shape), lam, g)
+        c = math.exp(shape * math.log(nu) - math.lgamma(shape))
+        for k in list(range(11)) + [100, 1000, 2500, 5000]:
+            t = g.times()[k]
+            for curve, decay in ((phi, lam), (psi, 2 * lam)):
+                if k == 0:
+                    assert curve.values[0] == 0.0
+                    continue
+                # the s^(shape - 1) factor of the density as a quadrature weight
+                ref, _ = quad(
+                    lambda s: c * np.exp(-nu * s - decay * (t - s)), 0.0, t,
+                    weight="alg", wvar=(shape - 1.0, 0.0), epsabs=0, epsrel=1e-13, limit=500,
+                )
+                assert curve.values[k] == pytest.approx(ref, rel=1e-10, abs=0), (k, decay)
 
     def test_rejects_unsupported(self):
         with pytest.raises(ValueError):
@@ -343,22 +441,33 @@ class TestBuildDriftFromNetwork:
         assert len(np.unique(np.round(a.firing_times, 12))) == model.M
 
     def test_network_chunks_reproducible(self):
-        # 10,001 nodes: 13 rows per kernel pass, so chunks of 7 and thread
-        # ranges cut through passes; a 5 ms cap censors some inputs
-        g = grid(T=10.0, dt=1e-3)
-        model = embedded(SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=5.0))
+        # 1,025 trials: three blocks, the last holding one trial; chunks of 17
+        # and 513 cut through blocks, and thread ranges hold whole blocks. A
+        # 5 ms cap censors some inputs
+        g = grid(T=10.0, dt=0.1)
+        model = embedded(SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=5.0), M=2)
         runs = {}
-        for threads, chunk in ((1, 256), (2, 256), (2, 7)):
+        for threads, chunk in ((1, 512), (2, 512), (4, 512), (1, 17), (2, 511), (1, 513)):
             cens = []
-            blocks = _network_chunks(model, g, 30, 8, threads, chunk=chunk, censored=cens)
+            blocks = _network_chunks(model, g, 1025, 8, threads, chunk=chunk, censored=cens)
             runs[threads, chunk] = (np.vstack([b for _, b in blocks]), cens)
-        ref, cens = runs[1, 256]
-        assert cens[0] > 0
+        ref, cens = runs[1, 512]
+        # every censored input of the three blocks is counted once
+        taus = [neuro._network_events(model, block_stream(8, b), r)[0] for b, r in enumerate((512, 512, 1))]
+        assert cens == [sum(int(np.isinf(t).sum()) for t in taus)] and cens[0] > 0
         for Z, c in runs.values():
             assert np.array_equal(Z, ref) and c == cens
-        for i in (0, 17):
-            real = build_drift_from_network(model, g, derive_stream(8, i))
-            assert np.array_equal(real.Z.values, ref[i])
+        # a block of one trial is build_drift_from_network on the block's stream
+        real = build_drift_from_network(model, g, block_stream(8, 2))
+        assert np.array_equal(real.Z.values, ref[1024])
+        one = np.vstack([b for _, b in _network_chunks(model, g, 1, 8, chunk=1)])
+        assert np.array_equal(build_drift_from_network(model, g, block_stream(8, 0)).Z.values, one[0])
+
+    def test_network_chunks_of_one_trial(self):
+        g = grid(T=10.0, dt=0.1)
+        model = embedded(SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=5.0), M=2)
+        ref = np.vstack([b for _, b in _network_chunks(model, g, 40, 3)])
+        assert np.array_equal(np.vstack([b for _, b in _network_chunks(model, g, 40, 3, chunk=1)]), ref)
 
     def test_rejects_response_equal_theta(self):
         with pytest.raises(dm.PairingError):
