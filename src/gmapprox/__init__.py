@@ -18,10 +18,9 @@ from .approx import (
     exact_moments,
     transversality_residual,
 )
-from .bounds import BoundCurve, d2_closed, d2_generic, pointwise_mse
+from .bounds import BoundCurve, d2_closed, d2_generic, pointwise_mse_streaming
 from .costs import (
     CostReport,
-    estimate_cost,
     full_path_cross_check,
     run_table1,
 )

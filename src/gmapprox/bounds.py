@@ -19,14 +19,14 @@ import numpy as np
 from . import drift as drift_mod
 from .timebase import (
     Curve,
-    PathEnsemble,
     TimeGrid,
     exp_weighted_values,
+    iter_slabs,
     stable_exp_diff,
     trapezoid,
 )
 
-__all__ = ["BoundCurve", "d2_generic", "d2_closed", "pointwise_mse"]
+__all__ = ["BoundCurve", "d2_generic", "d2_closed", "pointwise_mse_streaming"]
 
 
 @dataclass(frozen=True)
@@ -125,36 +125,27 @@ def _shot_noise_d2(model: drift_mod.ShotNoise, th: float, grid: TimeGrid):
     return exp_weighted_values(v.values, grid.dt, 2 * th), False
 
 
-def pointwise_mse(Z_ensemble: PathEnsemble, F: Curve) -> tuple[Curve, Curve]:
-    """Per-node sample mean and standard error of (Z_i(t) - F(t))^2."""
-    if Z_ensemble.grid != F.grid:
-        raise ValueError("ensemble and curve grids differ")
-    w = (Z_ensemble.values - F.values[None, :]) ** 2
-    n = Z_ensemble.n_paths
-    mse = w.mean(axis=0)
-    if n > 1:
-        se = w.std(axis=0, ddof=1) / np.sqrt(n)
-    else:
-        se = np.zeros_like(mse)
-    return Curve(F.grid, mse), Curve(F.grid, se)
-
-
 def pointwise_mse_streaming(chunks, F: Curve, n_paths: int) -> tuple[Curve, Curve]:
-    """Chunked variant of :func:`pointwise_mse` for large ensembles.
+    """Per-node sample mean and standard error of (Z_i(t) - F(t))^2 over streamed chunks.
 
-    ``chunks`` yields (start, block) pairs as from drift.iter_Z_chunks; the
-    result is identical to the materialized computation up to summation
-    order.
+    ``chunks`` yields (start, block) pairs as from drift.iter_Z_chunks and
+    together hold the n_paths rows of one ensemble. Each chunk is cut into
+    slabs (:func:`timebase.iter_slabs`), and the per-slab column sums are
+    added in row order, so chunks cut on block boundaries give the same bits
+    for any chunk size and thread count. Only one slab-sized work array is
+    held.
     """
+    if n_paths < 2:
+        raise ValueError("need at least 2 paths for a standard error")
     s1 = np.zeros(F.grid.n_nodes)
     s2 = np.zeros(F.grid.n_nodes)
-    buf = None  # one (rows, nodes) work array for every chunk
-    for _, block in chunks:
-        rows = block.shape[0]
+    buf = None  # one (slab rows, nodes) work array for every slab
+    for _, slab in iter_slabs(chunks):
+        rows = slab.shape[0]
         if buf is None or buf.shape[0] < rows:
-            buf = np.empty_like(block)
+            buf = np.empty_like(slab)
         w = buf[:rows]
-        np.subtract(block, F.values, out=w)
+        np.subtract(slab, F.values, out=w)
         np.square(w, out=w)
         s1 += w.sum(axis=0)
         np.square(w, out=w)

@@ -299,8 +299,15 @@ def cmd_approx(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _require_two_paths(cfg: ExperimentConfig, what: str) -> None:
+    """Sample variances and SEs need two paths: reject fewer as a config error."""
+    if cfg.n_paths < 2:
+        raise ConfigError(f"mc.n_paths must be >= 2 for {what}, got {cfg.n_paths}")
+
+
 def cmd_bound(cfg: ExperimentConfig) -> int:
     """Emit t,mse,se,d2 and report the worst violation of mse <= d2 + 3 se."""
+    _require_two_paths(cfg, "the pointwise MSE and its SE")
     grid = cfg.grid()
     F2 = approx_mod.F2_analytic(cfg.model, cfg.theta, grid)
     bound = bounds_mod.d2_generic(cfg.model, cfg.theta, grid)
@@ -358,6 +365,7 @@ def cmd_table1(cfg: ExperimentConfig) -> int:
 
 
 def cmd_table2(cfg: ExperimentConfig) -> int:
+    _require_two_paths(cfg, "the network row's Monte Carlo moments")
     report = neuro_mod.run_table2(cfg.seed, cfg.n_paths, cfg.threads)
     for p in _write_table(cfg, report, "table2"):
         print(f"wrote {p}")
@@ -388,6 +396,7 @@ def cmd_neuron(cfg: ExperimentConfig) -> int:
             F2 = approx_mod.F2_analytic(sn, model.theta, grid).F
         censor_rate = 0.0
     else:
+        _require_two_paths(cfg, "the network's Monte Carlo moments")
         cens = []
         moments = drift_mod.moments_from_chunks(
             neuro_mod._network_chunks(
@@ -438,9 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker threads, each filling whole 512-path blocks (results identical for any "
-        "count); on a 2-core machine, 2 threads ran table1 and table2 at 10,000 paths in "
-        "5.1 s against 6.7-7.0 s for 1",
+        help="worker threads, each filling whole 512-path blocks; every sample and every sum "
+        "follows the blocks, so results are bit-identical for any count; on a 2-core "
+        "machine, 2 threads ran table1 and table2 at 10,000 paths in 5.1 s against "
+        "6.7-7.0 s for 1",
     )
     common.add_argument("--format", choices=["csv", "json"], default=None)
 

@@ -22,18 +22,18 @@ from . import drift as drift_mod
 from .sde import LinearSDE, simulate_Y
 from .timebase import (
     Curve,
-    PathEnsemble,
     TimeGrid,
     child_seed,
     derive_stream,
+    iter_slabs,
     trapezoid_values,
     write_csv_columns,
 )
 
 __all__ = [
     "CostReport",
-    "estimate_cost",
     "full_path_costs",
+    "per_path_cost_matrix",
     "full_path_cross_check",
     "run_table1",
     "TABLE1_PARAMS",
@@ -105,25 +105,6 @@ class CostReport:
         return float(self.values[s, a, 1 - a] - self.values[s, a, a]), float(self.gap_se[s, a])
 
 
-def _per_path_costs(block: np.ndarray, F: np.ndarray, p: int, dt: float) -> np.ndarray:
-    err = np.abs(block - F[None, :])
-    return trapezoid_values(err**p, dt)
-
-
-def estimate_cost(p: int, Z_ensemble: PathEnsemble, F: Curve) -> tuple[float, float]:
-    """Monte Carlo estimate of J_p[F] with its standard error.
-
-    Per-path integrated costs are i.i.d., so the value is their mean and the
-    standard error the sample standard deviation over sqrt(n).
-    """
-    if p < 2 or p % 2 != 0:
-        raise ValueError(f"p must be an even integer >= 2, got {p}")
-    if Z_ensemble.grid != F.grid:
-        raise ValueError("ensemble and curve grids differ")
-    c = _per_path_costs(Z_ensemble.values, F.values, p, F.grid.dt)
-    return _mean_se(c)
-
-
 def _mean_se(c: np.ndarray) -> tuple[float, float]:
     value = float(np.mean(c))
     se = float(np.std(c, ddof=1) / np.sqrt(len(c))) if len(c) > 1 else 0.0
@@ -136,19 +117,22 @@ def per_path_cost_matrix(chunks, curves, dt: float, n_paths: int):
     ``curves`` are the node values of the candidate F curves (fit orders in
     P_ORDERS order); every cost of every candidate is evaluated on the same
     paths, so the per-path cost differences give tight standard errors for
-    the optimality gaps.
+    the optimality gaps. Chunks are evaluated a slab at a time
+    (:func:`timebase.iter_slabs`) in one slab-sized work array; per-path
+    costs are row-wise, so they do not depend on the slab or chunk size, and
+    the means and SEs are taken over the per-path costs in row order.
     """
     per_path = {
         (p, j): np.empty(n_paths) for p in P_ORDERS for j in range(len(curves))
     }
-    buf = None  # one (rows, nodes) work array for every chunk: p is even, so no abs
-    for start, block in chunks:
-        rows = block.shape[0]
+    buf = None  # one (slab rows, nodes) work array for every slab: p is even, so no abs
+    for start, slab in iter_slabs(chunks):
+        rows = slab.shape[0]
         if buf is None or buf.shape[0] < rows:
-            buf = np.empty_like(block)
+            buf = np.empty_like(slab)
         err = buf[:rows]
         for j, fv in enumerate(curves):
-            np.subtract(block, fv, out=err)
+            np.subtract(slab, fv, out=err)
             np.square(err, out=err)
             per_path[(2, j)][start : start + rows] = trapezoid_values(err, dt)
             np.square(err, out=err)

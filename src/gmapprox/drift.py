@@ -22,8 +22,8 @@ order-4 approximants need.
 Ensembles follow the block-stream contract of :mod:`timebase`: the rows of
 block b = i // _BLOCK are sampled together from ``block_stream(seed, b)`` by
 the variant's block sampler (:func:`_block_sampler`), a pass of at most
-_KERNEL_CELLS cells at a time, and a single path is a block of one row
-drawn from the stream it is given.
+``timebase._KERNEL_CELLS`` cells at a time, and a single path is a block of
+one row drawn from the stream it is given.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ from .timebase import (
     block_stream,
     exp_weighted_values,
     fill_row_blocks,
+    iter_slabs,
+    pass_rows,
     stable_exp_diff,
 )
 
@@ -330,16 +332,6 @@ def validate_pairing(model: DriftModel, theta: float) -> None:
 
 _EVENT_MODELS = (Poisson, CompoundPoisson, ShotNoise)
 
-# Cells (rows x nodes) of every transient array in one pass of a sampler:
-# bounds the working set at a few MiB whatever the block and node count.
-_KERNEL_CELLS = 2**17
-
-
-def _pass_rows(grid: TimeGrid) -> int:
-    """Rows per sampler pass: at most _KERNEL_CELLS cells, at least one row."""
-    return max(1, _KERNEL_CELLS // grid.n_nodes)
-
-
 def _draw_block_events(model, grid: TimeGrid, stream, rows: int):
     """Event times, weights and per-row counts of ``rows`` paths, drawn as whole vectors.
 
@@ -426,7 +418,7 @@ def event_rows(
     edges = np.concatenate(([0], np.cumsum(counts)))
     times = np.asarray(times, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    step = _pass_rows(grid)
+    step = pass_rows(grid.n_nodes)
     for a in range(lo, hi, step):
         b = min(a + step, hi)
         e0, e1 = edges[a], edges[b]
@@ -465,7 +457,7 @@ def _block_sampler(model: DriftModel, theta: float | None, grid: TimeGrid):
     - deterministic drifts draw nothing.
     """
     dt = grid.dt
-    step = _pass_rows(grid)
+    step = pass_rows(grid.n_nodes)
     if isinstance(model, Deterministic):
         _check_same_grid(model.f.grid, grid)
         curve = model.f.values if theta is None else exp_weighted_values(model.f.values, dt, theta)
@@ -799,9 +791,9 @@ def moments_Z_mc(
 
 
 def _chunk_stats(block: np.ndarray):
-    """(n, c, e, M2, M3) of one block: mean c + e, central sums M2 and M3.
+    """(n, c, e, M2, M3) of one slab of rows: mean c + e, central sums M2 and M3.
 
-    c is the rounded block mean and e the mean of the deviations from it, so
+    c is the rounded slab mean and e the mean of the deviations from it, so
     c + e is the sample mean to far below one ulp of c and M2, M3 are
     central about it.
     """
@@ -813,7 +805,8 @@ def _chunk_stats(block: np.ndarray):
     s2 = d2.sum(axis=0)
     d2 *= d  # now d^3: no third (rows, nodes) temporary
     M2 = s2 - n * e * e
-    M3 = d2.sum(axis=0) - 3.0 * e * s2 + 2.0 * n * e**3
+    # cubes as products: numpy's power(x, 3) costs about 50 times as much
+    M3 = d2.sum(axis=0) - 3.0 * e * s2 + 2.0 * n * (e * e * e)
     return n, c, e, M2, M3
 
 
@@ -827,7 +820,7 @@ def _merge_stats(a, b):
     M3 = (
         M3a
         + M3b
-        + delta**3 * (na * nb * (na - nb) / n**2)
+        + delta * delta * delta * (na * nb * (na - nb) / n**2)
         + 3.0 * delta * (na * M2b - nb * M2a) / n
     )
     return n, ca, ea + delta * (nb / n), M2, M3
@@ -837,19 +830,22 @@ def moments_from_chunks(chunks, grid: TimeGrid, n_paths: int):
     """Sample mean, variance, third central moment and the SE of the mean from (start, block) chunks.
 
     The chunks together hold the n_paths rows of one ensemble on ``grid``,
-    as :func:`iter_Z_chunks` yields them. Each chunk is reduced to its count,
-    mean and central sums M2, M3 and the chunks are merged pairwise, equal
-    counts first, so no raw power sum is formed: the variance and the third
-    central moment keep their relative accuracy however large the mean is
-    against the spread. Only one chunk is held at a time.
+    as :func:`iter_Z_chunks` yields them. Each chunk is cut into slabs
+    (:func:`timebase.iter_slabs`), each slab is reduced to its count, mean
+    and central sums M2, M3, and the slabs are merged pairwise in row order,
+    equal counts first, so no raw power sum is formed: the variance and the
+    third central moment keep their relative accuracy however large the mean
+    is against the spread. The slabs are the leaves of the merge tree, so
+    chunks cut on block boundaries give the same bits for any chunk size and
+    thread count. Only one chunk is held at a time.
     """
     from .approx import MomentCurves  # MomentCurves lives with its consumers
 
     if n_paths < 2:
         raise ValueError("need at least 2 paths for moment estimation")
     stack = []  # (level, stats), levels strictly decreasing: a binary merge tree
-    for _, block in chunks:
-        level, stats = 0, _chunk_stats(block)
+    for _, slab in iter_slabs(chunks):
+        level, stats = 0, _chunk_stats(slab)
         while stack and stack[-1][0] == level:
             stats = _merge_stats(stack.pop()[1], stats)
             level += 1

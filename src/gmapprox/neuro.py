@@ -41,6 +41,7 @@ from .timebase import (
     block_stream,
     child_seed,
     fill_row_blocks,
+    pass_rows,
     stable_exp_diff,
 )
 
@@ -188,7 +189,7 @@ def first_passage_times(
         raise ValueError(f"dt must be positive, got {dt}")
     n_total = int(math.ceil(horizon_cap / dt))
     out = np.full(n, CENSORED)
-    rows = max(1, drift_mod._KERNEL_CELLS // _FPT_BLOCK)
+    rows = pass_rows(_FPT_BLOCK)
     for lo in range(0, n, rows):
         _first_passage_batch(neuron, dt, n_total, stream, out[lo : lo + rows])
     return out

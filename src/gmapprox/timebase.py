@@ -12,6 +12,14 @@ by the sampler, the grid and the number of ensemble rows in the block
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
 :func:`fill_row_blocks` hands out whole blocks, so a row's value depends on
 neither the thread count nor how a caller chunks the rows.
+
+The contract extends to reductions over the rows. A reducer reads each chunk
+in slabs of :func:`slab_rows` rows, counted from the chunk's start
+(:func:`iter_slabs`): a power of two that divides ``_BLOCK`` and keeps a slab
+within ``_KERNEL_CELLS`` cells. Chunks that start on block boundaries, as
+the default chunks do, therefore cut into the same sequence of slabs for any
+thread count, and a reduction that combines slab partials in row order gives
+the same bits for any thread count.
 """
 
 from __future__ import annotations
@@ -36,6 +44,9 @@ __all__ = [
     "block_stream",
     "fill_rows",
     "fill_row_blocks",
+    "pass_rows",
+    "slab_rows",
+    "iter_slabs",
     "stable_exp_diff",
     "write_csv_columns",
 ]
@@ -43,6 +54,9 @@ __all__ = [
 _CSV_FMT = "%.17g"  # full double precision round-trip
 _CSV_BLOCK_CELLS = 4096  # cells formatted per write: about a thousand rows of a narrow table
 _BLOCK = 512  # ensemble rows per random stream: part of the reproducibility contract
+# Cells (rows x columns) of every transient array in one pass of a sampler and
+# of every reducer slab: bounds the working set at about 1 MiB of float64.
+_KERNEL_CELLS = 2**17
 
 
 @dataclass(frozen=True)
@@ -278,6 +292,34 @@ def fill_row_blocks(
     with ThreadPoolExecutor(max_workers=min(threads, len(calls))) as ex:
         list(ex.map(lambda args: fill_block(*args), calls))
     return out
+
+
+def pass_rows(width: int) -> int:
+    """Rows of ``width`` columns per pass: at most _KERNEL_CELLS cells, at least one row."""
+    return max(1, _KERNEL_CELLS // width)
+
+
+def slab_rows(n_nodes: int) -> int:
+    """Rows per reducer slab: the largest power of two within :func:`pass_rows`, at most _BLOCK.
+
+    _BLOCK is a power of two, so the slab size divides it and slabs counted
+    from a block's first row never straddle two blocks.
+    """
+    rows = pass_rows(n_nodes)
+    return min(_BLOCK, 1 << (rows.bit_length() - 1))
+
+
+def iter_slabs(chunks):
+    """Cut each (start, chunk) pair into (start, slab) views of :func:`slab_rows` rows.
+
+    Slabs are counted from the chunk's start, and the last slab of a chunk
+    may be shorter, so chunks that start on block boundaries give the same
+    slabs whatever their size.
+    """
+    for start, chunk in chunks:
+        step = slab_rows(chunk.shape[1])
+        for lo in range(0, chunk.shape[0], step):
+            yield start + lo, chunk[lo : lo + step]
 
 
 def fill_rows(build_row, n_paths: int, n_nodes: int, threads: int = 1) -> np.ndarray:

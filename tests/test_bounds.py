@@ -3,8 +3,8 @@ import pytest
 
 from gmapprox import drift as dm
 from gmapprox.approx import F2_analytic
-from gmapprox.bounds import BoundCurve, d2_closed, d2_generic, pointwise_mse, pointwise_mse_streaming
-from gmapprox.timebase import Curve, TimeGrid
+from gmapprox.bounds import BoundCurve, d2_closed, d2_generic, pointwise_mse_streaming
+from gmapprox.timebase import Curve, TimeGrid, slab_rows
 
 THETA = 1.5
 
@@ -92,13 +92,25 @@ class TestD2Closed:
             BoundCurve(grid=g, d2=Curve(g, np.ones(g.n_nodes)), l1_mass=1.0, closed_form=True)
 
 
+def pointwise_mse(Z_ensemble, F):
+    """Oracle: per-node sample mean and SE of (Z_i(t) - F(t))^2 over a materialized ensemble."""
+    w = (Z_ensemble.values - F.values[None, :]) ** 2
+    n = Z_ensemble.n_paths
+    return w.mean(axis=0), w.std(axis=0, ddof=1) / np.sqrt(n)
+
+
+def mse_of(ens, F):
+    """pointwise_mse_streaming over an ensemble handed over as one chunk."""
+    return pointwise_mse_streaming([(0, ens.values)], F, ens.n_paths)
+
+
 class TestPointwiseMSE:
     def test_zero_when_F_matches_paths(self):
         g = grid(dt=0.05)
         f = Curve.from_function(g, lambda t: 1 - np.exp(-2 * t))
         model = dm.Deterministic(f)
         ens = dm.Z_path_ensemble(model, THETA, g, 16, master_seed=0)
-        mse, se = pointwise_mse(ens, Curve(g, ens.values[0]))
+        mse, se = mse_of(ens, Curve(g, ens.values[0]))
         assert np.array_equal(mse.values, np.zeros(g.n_nodes))
         assert np.array_equal(se.values, np.zeros(g.n_nodes))
 
@@ -106,8 +118,11 @@ class TestPointwiseMSE:
         g = grid(T=1.0, dt=0.05)
         ens = dm.Z_path_ensemble(dm.Poisson(2.0), THETA, g, 300, master_seed=1)
         mean_curve = Curve(g, ens.values.mean(axis=0))
-        mse, _ = pointwise_mse(ens, mean_curve)
+        mse, se = mse_of(ens, mean_curve)
         np.testing.assert_allclose(mse.values, ens.values.var(axis=0), rtol=1e-12, atol=1e-15)
+        ref_mse, ref_se = pointwise_mse(ens, mean_curve)
+        np.testing.assert_allclose(mse.values, ref_mse, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(se.values, ref_se, rtol=1e-9, atol=1e-15)
 
     def test_single_shot_dominated_by_d2(self):
         # the 3 se cushion absorbs the Monte Carlo fluctuation of the estimate
@@ -115,7 +130,7 @@ class TestPointwiseMSE:
         model = dm.SingleShot(2.0)
         ens = dm.Z_path_ensemble(model, THETA, g, 2000, master_seed=42)
         F2 = F2_analytic(model, THETA, g).F
-        mse, se = pointwise_mse(ens, F2)
+        mse, se = mse_of(ens, F2)
         d2 = d2_closed(model, THETA, g).d2.values
         assert np.all(mse.values <= d2 + 3 * se.values)
 
@@ -124,9 +139,15 @@ class TestPointwiseMSE:
         model = dm.OUDrift(2.0, 1.0, 1.0)
         ens = dm.Z_path_ensemble(model, THETA, g, 2000, master_seed=7)
         F2 = F2_analytic(model, THETA, g).F
-        mse, se = pointwise_mse(ens, F2)
+        mse, se = mse_of(ens, F2)
         d2 = d2_closed(model, THETA, g).d2.values
         assert np.all(mse.values <= d2 + 3 * se.values)
+
+    def test_rejects_single_path(self):
+        g = grid(dt=0.05)
+        ens = dm.Z_path_ensemble(dm.Poisson(2.0), THETA, g, 1, master_seed=0)
+        with pytest.raises(ValueError):
+            mse_of(ens, Curve(g, np.zeros(g.n_nodes)))
 
 
 def streaming_oracle(chunks, F, n_paths):
@@ -142,6 +163,13 @@ def streaming_oracle(chunks, F, n_paths):
     return mse, np.sqrt(var / n_paths)
 
 
+def cut_slabs(chunks, rows):
+    """Each (start, chunk) cut by hand into (start, slab) pieces of ``rows`` rows."""
+    for start, block in chunks:
+        for lo in range(0, len(block), rows):
+            yield start + lo, block[lo : lo + rows]
+
+
 class TestPointwiseMSEStreaming:
     @pytest.mark.parametrize("model", TABLE1_MODELS, ids=lambda m: type(m).__name__)
     def test_bit_identical_to_former_formulas(self, model):
@@ -154,6 +182,34 @@ class TestPointwiseMSEStreaming:
         ref_mse, ref_se = streaming_oracle(chunks(), F, n)
         assert np.array_equal(mse.values, ref_mse)
         assert np.array_equal(se.values, ref_se)
+
+    def test_fine_grid_sums_slabs_in_row_order(self):
+        # 20,001 nodes: slabs of 4 rows, so each 300-row chunk is 75 slabs
+        # and the 50-row last chunk ends in a slab of 2
+        g = grid(T=2.0, dt=1e-4)
+        assert slab_rows(g.n_nodes) == 4
+        model = dm.Poisson(2.0)
+        n = 650
+        F = F2_analytic(model, THETA, g).F
+        chunks = lambda: dm.iter_Z_chunks(model, THETA, g, n, 4, chunk=300)
+        mse, se = pointwise_mse_streaming(chunks(), F, n)
+        ref_mse, ref_se = streaming_oracle(cut_slabs(chunks(), 4), F, n)
+        assert np.array_equal(mse.values, ref_mse)
+        assert np.array_equal(se.values, ref_se)
+
+    def test_identical_for_any_thread_count(self):
+        # 600 paths at 20,001 nodes: two blocks, read as two default chunks
+        # on one thread and as one chunk on two or four
+        g = grid(T=2.0, dt=1e-4)
+        model = dm.Poisson(2.0)
+        F = F2_analytic(model, THETA, g).F
+        runs = [
+            pointwise_mse_streaming(dm.iter_Z_chunks(model, THETA, g, 600, 9, threads), F, 600)
+            for threads in (1, 2, 4)
+        ]
+        for mse, se in runs[1:]:
+            assert np.array_equal(mse.values, runs[0][0].values)
+            assert np.array_equal(se.values, runs[0][1].values)
 
 
 class TestGrowthClasses:

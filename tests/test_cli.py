@@ -277,6 +277,21 @@ class TestNeuron:
         assert main(["neuron", "--config", str(p)]) == EXIT_NUMERICAL
 
 
+class TestOnePath:
+    @pytest.mark.parametrize("command", ["bound", "table2", "neuron"])
+    def test_one_path_is_a_config_error(self, tmp_path, capsys, command):
+        # a sample variance needs two paths: exit 2, not a traceback
+        p = write_config(tmp_path, mc={"n_paths": 1, "seed": 2})
+        assert main([command, "--config", str(p)]) == EXIT_CONFIG
+        assert "mc.n_paths must be >= 2" in capsys.readouterr().err
+
+    def test_analytic_neuron_reads_no_paths(self, tmp_path):
+        p = write_config(
+            tmp_path, neuron={"scenario": "exponential", "T": 10.0}, mc={"n_paths": 1, "seed": 2}
+        )
+        assert main(["neuron", "--config", str(p)]) == EXIT_OK
+
+
 class TestConfigEcho:
     def test_rerun_from_echo_reproduces(self, tmp_path):
         p = write_config(tmp_path)

@@ -8,7 +8,6 @@ from gmapprox.approx import F2_analytic
 from gmapprox.costs import (
     CostReport,
     cost_block,
-    estimate_cost,
     full_path_costs,
     full_path_cross_check,
     per_path_cost_matrix,
@@ -18,7 +17,7 @@ from gmapprox.costs import (
     write_report_json,
 )
 from gmapprox.sde import LinearSDE
-from gmapprox.timebase import Curve, PathEnsemble, TimeGrid, child_seed, trapezoid_values
+from gmapprox.timebase import Curve, PathEnsemble, TimeGrid, child_seed, slab_rows, trapezoid_values
 
 THETA = 1.5
 
@@ -27,27 +26,39 @@ def grid(T=1.0, dt=1e-2):
     return TimeGrid.from_step(T, dt)
 
 
+def estimate_cost(p, Z_ensemble, F):
+    """Oracle: J_p[F] and its SE as the mean and SE of per-path costs of a materialized ensemble."""
+    c = trapezoid_values(np.abs(Z_ensemble.values - F.values[None, :]) ** p, F.grid.dt)
+    se = np.std(c, ddof=1) / np.sqrt(len(c)) if len(c) > 1 else 0.0
+    return float(np.mean(c)), float(se)
+
+
+def ensemble_costs(ens, curves):
+    """per_path_cost_matrix over an ensemble handed over as one chunk."""
+    return per_path_cost_matrix([(0, ens.values)], curves, ens.grid.dt, ens.n_paths)
+
+
 class TestEstimateCost:
     def test_zero_when_paths_equal_F(self):
         g = grid()
         f = Curve.from_function(g, lambda t: np.sin(t))
         vals = np.tile(f.values, (8, 1))
         ens = PathEnsemble(g, 8, vals, master_seed=0)
-        value, se = estimate_cost(2, ens, f)
-        assert value == 0.0 and se == 0.0
+        values, se, _ = ensemble_costs(ens, (f.values,))
+        assert np.all(values == 0.0) and np.all(se == 0.0)
 
     def test_constant_error_integrates_exactly(self):
         g = TimeGrid.from_step(5.0, 0.05)
         ens = PathEnsemble(g, 1, np.ones((1, g.n_nodes)), master_seed=0)
-        value, se = estimate_cost(2, ens, Curve(g, np.zeros(g.n_nodes)))
-        assert value == pytest.approx(5.0, rel=1e-12)
-        assert se == 0.0
+        values, se, _ = ensemble_costs(ens, (np.zeros(g.n_nodes),))
+        assert values[0, 0] == pytest.approx(5.0, rel=1e-12)
+        assert se[0, 0] == 0.0
 
     def test_rejects_odd_order(self):
         g = grid()
-        ens = PathEnsemble(g, 2, np.zeros((2, g.n_nodes)), master_seed=0)
+        sde = LinearSDE(theta=THETA, sigma=1.0, x0=0.0, grid=g)
         with pytest.raises(ValueError):
-            estimate_cost(3, ens, Curve(g, np.zeros(g.n_nodes)))
+            full_path_costs(sde, dm.SingleShot(2.0), Curve(g, np.zeros(g.n_nodes)), 3, 2, 0)
 
 
 class TestEstimatorEquivalence:
@@ -73,9 +84,11 @@ class TestEstimatorEquivalence:
         n, seed = 50, 5
         v_full, se_full = full_path_cross_check(sde, model, appr, 2, n, seed)
         ens = dm.Z_path_ensemble(model, THETA, g, n, master_seed=seed)
-        v_z, se_z = estimate_cost(2, ens, appr.F)
+        values, se, _ = ensemble_costs(ens, (appr.F.values,))
+        v_z, se_z = values[0, 0], se[0, 0]
         assert v_full == pytest.approx(v_z, abs=1e-10)
         assert se_full == pytest.approx(se_z, abs=1e-10)
+        assert (v_z, se_z) == estimate_cost(2, ens, appr.F)
 
 
 class TestSEConvergence:
@@ -87,7 +100,7 @@ class TestSEConvergence:
         ses = []
         for n in ns:
             ens = dm.Z_path_ensemble(model, THETA, g, n, master_seed=3)
-            ses.append(estimate_cost(2, ens, F2)[1])
+            ses.append(ensemble_costs(ens, (F2.values,))[1][0, 0])
         slope = np.polyfit(np.log(ns), np.log(ses), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.1)
 
@@ -119,6 +132,28 @@ class TestPerPathCostMatrix:
         for a, p in enumerate((2, 4)):
             for j in range(2):
                 c = ref[(p, j)]
+                assert values[a, j] == np.mean(c)
+                assert se[a, j] == np.std(c, ddof=1) / np.sqrt(n)
+            assert gap_se[a] == np.std(ref[(p, 1 - a)] - ref[(p, a)], ddof=1) / np.sqrt(n)
+
+
+    def test_fine_grid_slabs_keep_per_path_costs(self):
+        # 20,001 nodes: slabs of 4 rows, so each 300-row chunk is 75 slabs
+        # and the 50-row last chunk ends in a slab of 2
+        g = grid(T=2.0, dt=1e-4)
+        assert slab_rows(g.n_nodes) == 4
+        model = dm.Poisson(2.0)
+        n = 650
+        curves = (F2_analytic(model, THETA, g).F.values, np.linspace(0.0, 1.0, g.n_nodes))
+        chunks = lambda: dm.iter_Z_chunks(model, THETA, g, n, 5, chunk=300)
+        slabs = lambda: ((s + lo, b[lo : lo + 4]) for s, b in chunks() for lo in range(0, len(b), 4))
+        values, se, gap_se = per_path_cost_matrix(chunks(), curves, g.dt, n)
+        ref = cost_matrix_oracle(slabs(), curves, g.dt, n)
+        whole = cost_matrix_oracle(chunks(), curves, g.dt, n)
+        for a, p in enumerate((2, 4)):
+            for j in range(2):
+                c = ref[(p, j)]
+                assert np.array_equal(c, whole[(p, j)])
                 assert values[a, j] == np.mean(c)
                 assert se[a, j] == np.std(c, ddof=1) / np.sqrt(n)
             assert gap_se[a] == np.std(ref[(p, 1 - a)] - ref[(p, a)], ddof=1) / np.sqrt(n)

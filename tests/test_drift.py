@@ -278,6 +278,16 @@ class TestMomentCurves:
         with pytest.raises(ValueError):
             dm.moments_Z_mc(dm.Poisson(2.0), THETA, grid(), 1, master_seed=0)
 
+    def test_identical_for_any_thread_count(self):
+        # 600 paths at 20,001 nodes: two blocks cut into slabs of four rows,
+        # read as two default chunks on one thread and one chunk on two or four
+        g = grid(T=2.0, dt=1e-4)
+        assert timebase.slab_rows(g.n_nodes) == 4
+        runs = [dm.moments_Z_mc(dm.Poisson(2.0), THETA, g, 600, 12, threads) for threads in (1, 2, 4)]
+        for mom in runs[1:]:
+            for name in ("m1", "var", "mu3", "se1"):
+                assert np.array_equal(getattr(mom, name).values, getattr(runs[0], name).values), name
+
 
 class TestEnsembles:
     def test_bit_identical_regeneration(self):
@@ -362,7 +372,7 @@ def test_sampler_passes_stay_within_cell_budget(monkeypatch):
         sizes.append(np.size(x))
         return lfilter(b, a, x, **kw)
 
-    monkeypatch.setattr(dm, "_KERNEL_CELLS", 4096)
+    monkeypatch.setattr(timebase, "_KERNEL_CELLS", 4096)
     monkeypatch.setattr(dm, "lfilter", recording)
     monkeypatch.setattr(timebase, "lfilter", recording)
     g = grid(T=2.0, dt=1e-2)  # 201 nodes: 20 rows per pass

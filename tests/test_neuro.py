@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.signal import lfilter
 
 from gmapprox import drift as dm
-from gmapprox import neuro
+from gmapprox import neuro, timebase
 from gmapprox.approx import F2_analytic
 from gmapprox.bounds import d2_closed
 from gmapprox.neuro import (
@@ -120,7 +120,7 @@ def oracle_times(neuron, dt, cap, seed, n):
     """
     stream = derive_stream(seed, 0)
     block = neuro._FPT_BLOCK
-    rows = max(1, dm._KERNEL_CELLS // block)
+    rows = max(1, timebase._KERNEL_CELLS // block)
     n_total = int(math.ceil(cap / dt))
     out = np.full(n, CENSORED)
     for lo in range(0, n, rows):
@@ -210,7 +210,7 @@ class TestBatchedFirstPassage:
         assert np.array_equal(got, ref)
 
     def test_working_set_within_cell_budget(self, monkeypatch):
-        monkeypatch.setattr(dm, "_KERNEL_CELLS", 2048)
+        monkeypatch.setattr(timebase, "_KERNEL_CELLS", 2048)
         monkeypatch.setattr(neuro, "_FPT_BLOCK", 100)
         cells = []
 
@@ -462,6 +462,20 @@ class TestBuildDriftFromNetwork:
         assert np.array_equal(real.Z.values, ref[1024])
         one = np.vstack([b for _, b in _network_chunks(model, g, 1, 8, chunk=1)])
         assert np.array_equal(build_drift_from_network(model, g, block_stream(8, 0)).Z.values, one[0])
+
+    def test_network_moments_identical_for_any_thread_count(self):
+        # 600 trials at 20,001 nodes: two blocks cut into slabs of four rows,
+        # read as two default chunks on one thread and one chunk on two or four
+        g = grid(T=10.0, dt=5e-4)
+        assert timebase.slab_rows(g.n_nodes) == 4
+        model = embedded(SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=5.0), M=2)
+        runs = [
+            dm.moments_from_chunks(_network_chunks(model, g, 600, 8, threads), g, 600)
+            for threads in (1, 2, 4)
+        ]
+        for mom in runs[1:]:
+            for name in ("m1", "var", "mu3", "se1"):
+                assert np.array_equal(getattr(mom, name).values, getattr(runs[0], name).values), name
 
     def test_network_chunks_of_one_trial(self):
         g = grid(T=10.0, dt=0.1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmapprox import timebase
 from gmapprox.timebase import (
     Curve,
     PathEnsemble,
@@ -13,6 +14,8 @@ from gmapprox.timebase import (
     derive_stream,
     exp_weighted_running_integral,
     fill_rows,
+    iter_slabs,
+    slab_rows,
     split_stream,
     stable_exp_diff,
     trapezoid,
@@ -200,6 +203,33 @@ class TestStreams:
         a = fill_rows(row, 40, 64, threads=1)
         b = fill_rows(row, 40, 64, threads=4)
         assert np.array_equal(a, b)
+
+
+class TestSlabs:
+    @pytest.mark.parametrize(
+        "n_nodes, rows",
+        [(1, 512), (101, 512), (201, 512), (501, 256), (5001, 16), (20_001, 4), (2**17, 1), (10**6, 1)],
+    )
+    def test_slab_rows(self, n_nodes, rows):
+        assert slab_rows(n_nodes) == rows
+        assert timebase._BLOCK % rows == 0
+        assert rows * n_nodes <= timebase._KERNEL_CELLS or rows == 1
+
+    def test_cuts_from_each_chunk_start(self):
+        # 5,001 nodes: slabs of 16 rows; a 40-row chunk ends in a slab of 8
+        x = np.arange(72 * 5001, dtype=float).reshape(72, 5001)
+        got = list(iter_slabs([(0, x[:32]), (32, x[32:])]))
+        assert [(s, len(b)) for s, b in got] == [(0, 16), (16, 16), (32, 16), (48, 16), (64, 8)]
+        for s, b in got:
+            assert np.shares_memory(b, x) and np.array_equal(b, x[s : s + len(b)])
+
+    def test_same_slabs_for_any_whole_block_chunking(self):
+        # every chunking into whole blocks gives the same slabs
+        x = np.zeros((1100, 5001))
+        cuts = lambda size: [(lo, x[lo : lo + size]) for lo in range(0, 1100, size)]
+        ref = [(s, len(b)) for s, b in iter_slabs(cuts(512))]
+        for size in (1024, 2048):
+            assert [(s, len(b)) for s, b in iter_slabs(cuts(size))] == ref
 
 
 class TestStableExpDiff:
