@@ -16,14 +16,11 @@ from .approx import (
     cubic_el_root,
     eta2,
     exact_moments,
+    fit,
     transversality_residual,
 )
 from .bounds import BoundCurve, d2_closed, d2_generic, pointwise_mse_streaming
-from .costs import (
-    CostReport,
-    full_path_cross_check,
-    run_table1,
-)
+from .costs import CostReport, run_table1
 from .drift import (
     BrownianDrift,
     CompoundPoisson,
@@ -39,6 +36,7 @@ from .drift import (
     Poisson,
     PoissonCount,
     ShotNoise,
+    SimulatedFiring,
     SingleShot,
     Uniform,
     cumulant_curves,
@@ -51,17 +49,11 @@ from .drift import (
     z_path_ensemble,
 )
 from .neuro import (
-    AnalyticFiring,
-    EmbeddedNeuronModel,
     LIFNeuron,
-    SimulatedFiring,
     build_drift_from_network,
     first_passage_time,
     first_passage_times,
-    lower_incomplete_gamma,
-    phi_psi,
     run_table2,
-    v2_exponential,
 )
 from .sde import (
     LinearSDE,

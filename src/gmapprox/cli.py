@@ -33,10 +33,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-class NumericalFailure(RuntimeError):
-    """A numerical procedure exhausted its budget (bracket, censoring cap, ...)."""
-
-
 @dataclass
 class ExperimentConfig:
     """Validated experiment configuration with the standard protocol defaults."""
@@ -145,6 +141,41 @@ def parse_model(spec, grid: TimeGrid, where: str = "model") -> drift_mod.DriftMo
     raise ConfigError(f"{where}: unknown model type {tag!r}")
 
 
+def _check_steps(where: str, T: float, dt: float, cap: float = 0.0) -> None:
+    """Grid rules: positive T and dt, at least 2 steps, at most 5e7 steps to T or to ``cap``."""
+    if T <= 0 or dt <= 0:
+        raise ConfigError(f"{where}: T and dt must be positive")
+    if max(T, cap) / dt > 5e7:
+        raise ConfigError(f"{where}: unreasonably fine step (more than 5e7 steps)")
+    if round(T / dt) < 2:
+        # the order-4 approximant's f = F' + theta F needs a three-node stencil
+        raise ConfigError(f"{where}: grid needs at least 2 steps, got T/dt = {T / dt:g}")
+
+
+def parse_neuron(spec) -> tuple[dict, str, drift_mod.ShotNoise]:
+    """The 'neuron' section: Table 2 parameters with its overrides, the scenario and its drift."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"neuron: expected an object, got {spec!r}")
+    unknown = sorted(set(spec) - set(neuro_mod.TABLE2_PARAMS) - {"scenario"})
+    if unknown:
+        raise ConfigError(f"neuron: unknown keys {unknown}")
+    params = dict(neuro_mod.TABLE2_PARAMS)
+    params.update({k: v for k, v in spec.items() if k != "scenario"})
+    try:
+        _check_steps("neuron", params["T"], params["dt"], params["horizon_cap"])
+        models = dict(neuro_mod.table2_models(params))
+        for model in models.values():
+            drift_mod.validate_pairing(model, params["theta"])
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"neuron: {exc}") from exc
+    kind = spec.get("scenario", "simulated_network")
+    if kind not in models:
+        raise ConfigError(f"neuron.scenario must be one of {sorted(models)}, got {kind!r}")
+    return params, kind, models[kind]
+
+
 def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentConfig:
     raw = {}
     if path is not None:
@@ -191,13 +222,7 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
         raise ConfigError(f"sde.theta must be positive, got {cfg.theta}")
     if cfg.sigma < 0:
         raise ConfigError(f"sde.sigma must be nonnegative, got {cfg.sigma}")
-    if cfg.T <= 0 or cfg.dt <= 0:
-        raise ConfigError("grid.T and grid.dt must be positive")
-    if cfg.T / cfg.dt > 5e7:
-        raise ConfigError("grid is unreasonably fine (T/dt > 5e7)")
-    if round(cfg.T / cfg.dt) < 2:
-        # the order-4 approximant's f = F' + theta F needs a three-node stencil
-        raise ConfigError(f"grid needs at least 2 steps, got T/dt = {cfg.T / cfg.dt:g}")
+    _check_steps("grid", cfg.T, cfg.dt)
     if cfg.n_paths < 1:
         raise ConfigError(f"mc.n_paths must be >= 1, got {cfg.n_paths}")
     if cfg.seed < 0:
@@ -209,6 +234,7 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
         )
     if cfg.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {cfg.threads}")
+    parse_neuron(cfg.neuron)
 
     grid = cfg.grid()
     cfg.model_spec = raw.get("model", cfg.model_spec)
@@ -257,8 +283,7 @@ def cmd_simulate(cfg: ExperimentConfig, n_display_paths: int) -> int:
     """
     grid = cfg.grid()
     sde = cfg.sde()
-    F2 = approx_mod.F2_analytic(cfg.model, cfg.theta, grid)
-    F4 = approx_mod.F4_from_moments(approx_mod.exact_moments(cfg.model, cfg.theta, grid), cfg.theta)
+    F2, F4 = approx_mod.fit(cfg.model, cfg.theta, grid)
 
     t = grid.times()
     cols = ["t"]
@@ -288,8 +313,7 @@ def cmd_approx(cfg: ExperimentConfig) -> int:
     mc.n_paths and the seed are not read.
     """
     grid = cfg.grid()
-    F2 = approx_mod.F2_analytic(cfg.model, cfg.theta, grid)
-    F4 = approx_mod.F4_from_moments(approx_mod.exact_moments(cfg.model, cfg.theta, grid), cfg.theta)
+    F2, F4 = approx_mod.fit(cfg.model, cfg.theta, grid)
     for appr, name in ((F2, "approx_p2.csv"), (F4, "approx_p4.csv")):
         path = _outpath(cfg, name)
         write_csv_columns(path, ["t", "F", "f"], [grid.times(), appr.F.values, appr.f.values])
@@ -334,24 +358,10 @@ def cmd_bound(cfg: ExperimentConfig) -> int:
 
 
 def cmd_costs(cfg: ExperimentConfig) -> int:
-    """Cost matrix J_i[X_j] for the configured model."""
-    grid = cfg.grid()
-    values, se, _ = costs_mod.cost_block(
-        cfg.model,
-        cfg.theta,
-        grid,
-        cfg.n_paths,
-        eval_seed=child_seed(cfg.seed, 0, 1),
-        threads=cfg.threads,
-    )
-    echo = cfg.echo()
-    echo["mc"]["n_paths"] = cfg.n_paths
-    report = costs_mod.CostReport(
-        labels=[cfg.model_spec.get("type", "model")],
-        values=values[None, :, :],
-        se=se[None, :, :],
-        config_echo={"seed": cfg.seed, "n_paths": cfg.n_paths, "dt": cfg.dt, "T": cfg.T, "config": echo},
-    )
+    """Cost matrix J_i[X_j] for the configured model: a one-row :func:`costs.run_table`."""
+    params = {"theta": cfg.theta, "T": cfg.T, "dt": cfg.dt, "config": cfg.echo()}
+    scenario = [(cfg.model_spec.get("type", "model"), cfg.model)]
+    report = costs_mod.run_table(scenario, params, cfg.seed, cfg.n_paths, cfg.threads)
     for p in _write_table(cfg, report, "costs"):
         print(f"wrote {p}")
     return EXIT_OK
@@ -373,46 +383,22 @@ def cmd_table2(cfg: ExperimentConfig) -> int:
 
 
 def cmd_neuron(cfg: ExperimentConfig) -> int:
-    """Simulate the embedded-neuron scenario configured under 'neuron'."""
-    spec = cfg.neuron or {}
-    params = dict(neuro_mod.TABLE2_PARAMS)
-    params.update({k: v for k, v in spec.items() if k in params})
-    try:
-        grid = TimeGrid.from_step(params["T"], params["dt"])
-        models = dict(neuro_mod.table2_models(params))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"neuron: {exc}") from exc
-    kind = spec.get("scenario", "simulated_network")
-    if kind not in models:
-        raise ConfigError(f"neuron.scenario must be one of {sorted(models)}, got {kind!r}")
-    model = models[kind]
+    """Fit the approximants of the embedded-neuron scenario configured under 'neuron'.
 
-    if isinstance(model.firing, neuro_mod.AnalyticFiring):
-        sn = neuro_mod._as_shot_noise(model)
-        moments = approx_mod.exact_moments(sn, model.theta, grid)
-        if isinstance(model.firing.dist, drift_mod.Exponential):
-            F2 = neuro_mod.v2_exponential(model, grid).F
-        else:
-            F2 = approx_mod.F2_analytic(sn, model.theta, grid).F
-        censor_rate = 0.0
-    else:
+    The exponential and Gamma scenarios are exact; the simulated network is
+    fitted on mc.n_paths paths keyed by child_seed(seed, 0).
+    """
+    params, kind, model = parse_neuron(cfg.neuron)
+    if isinstance(model.arrival, drift_mod.SimulatedFiring):
         _require_two_paths(cfg, "the network's Monte Carlo moments")
-        cens = []
-        moments = drift_mod.moments_from_chunks(
-            neuro_mod._network_chunks(
-                model, grid, cfg.n_paths, child_seed(cfg.seed, 0), cfg.threads, censored=cens
-            ),
-            grid,
-            cfg.n_paths,
-        )
-        F2 = moments.m1
-        censor_rate = sum(cens) / (cfg.n_paths * model.M)
-        if censor_rate > 0.5:
-            raise NumericalFailure(
-                f"censoring rate {censor_rate:.2f} exceeds 0.5; raise horizon_cap"
-            )
-    F4 = approx_mod.F4_from_moments(moments, model.theta)
-    F2.to_csv(_outpath(cfg, "neuron_F2.csv"))
+    grid = TimeGrid.from_step(params["T"], params["dt"])
+    tally = []
+    F2, F4 = approx_mod.fit(
+        model, params["theta"], grid, cfg.n_paths, child_seed(cfg.seed, 0), cfg.threads, tally
+    )
+    lost, drawn = tally[0] if tally else (0, 0)
+    censor_rate = lost / drawn if drawn else 0.0
+    F2.F.to_csv(_outpath(cfg, "neuron_F2.csv"))
     F4.F.to_csv(_outpath(cfg, "neuron_F4.csv"))
     if "json" in cfg.formats:
         _write_json(
@@ -496,7 +482,7 @@ def main(argv=None) -> int:
     except (ConfigError, drift_mod.PairingError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalFailure, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # drift.CensoringError among them
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return code

@@ -13,6 +13,7 @@ identity cross-check of that cancellation.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,13 +35,16 @@ __all__ = [
     "CostReport",
     "full_path_costs",
     "per_path_cost_matrix",
-    "full_path_cross_check",
+    "cost_block",
+    "run_table",
     "run_table1",
     "TABLE1_PARAMS",
     "report_records",
     "write_report_json",
     "write_report_csv",
 ]
+
+log = logging.getLogger(__name__)
 
 # protocol for the five-scenario cost table
 TABLE1_PARAMS = {
@@ -177,18 +181,6 @@ def full_path_costs(
     return out
 
 
-def full_path_cross_check(
-    sde: LinearSDE,
-    model: drift_mod.DriftModel,
-    approximant: approx_mod.Approximant,
-    p: int,
-    n_paths: int,
-    master_seed: int,
-) -> tuple[float, float]:
-    """J_p estimated from full X and X^f trajectories; see full_path_costs."""
-    return _mean_se(full_path_costs(sde, model, approximant.F, p, n_paths, master_seed))
-
-
 # ---------------------------------------------------------------------------
 # the five-scenario experiment
 
@@ -216,57 +208,62 @@ def cost_block(
     n_paths: int,
     eval_seed: int,
     threads: int = 1,
-    F2: Curve | None = None,
+    moment_seed: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """One scenario's 2x2 cost matrix (orders 2 and 4 against F2 and F4).
 
-    F2 is the exact mean and F4 is fitted on the exact cumulants of Z
-    (:func:`approx.exact_moments`), so neither carries sampling noise and the
-    reported SEs are complete. Every cost is evaluated on one ensemble of
-    n_paths paths keyed by ``eval_seed``.
+    F2 and F4 come from :func:`approx.fit`: exact for every drift with an
+    exact law, so the reported SEs are complete, and fitted on an ensemble
+    keyed by ``moment_seed`` for the simulated network, whose SEs leave that
+    fitting noise out. Every cost is evaluated on one ensemble of n_paths
+    paths keyed by ``eval_seed``, independent of the fitting one. ``extras``
+    holds the F2 and F4 curves, the gap SEs and ``censored``, the
+    (censored, drawn) event times of both ensembles; an ensemble more than
+    half censored raises :class:`drift.CensoringError`.
     """
-    moments = approx_mod.exact_moments(model, theta, grid)
-    if F2 is None:
-        F2 = approx_mod.F2_analytic(model, theta, grid).F
-    F4 = approx_mod.F4_from_moments(moments, theta).F
-
+    tally = []
+    F2, F4 = approx_mod.fit(model, theta, grid, n_paths, moment_seed, threads, tally)
     values, se, gap_se = per_path_cost_matrix(
-        drift_mod.iter_Z_chunks(model, theta, grid, n_paths, eval_seed, threads),
-        (F2.values, F4.values),
+        drift_mod.iter_Z_chunks(model, theta, grid, n_paths, eval_seed, threads, censored=tally),
+        (F2.F.values, F4.F.values),
         grid.dt,
         n_paths,
     )
-    extras = {"F2": F2, "F4": F4, "moments": moments, "gap_se": gap_se}
-    return values, se, extras
+    censored = (sum(c for c, _ in tally), sum(n for _, n in tally))
+    return values, se, {"F2": F2.F, "F4": F4.F, "gap_se": gap_se, "censored": censored}
 
 
-def run_table1(seed: int, n_paths: int = 10_000, threads: int = 1) -> CostReport:
-    """The five-scenario cost table at the standard protocol parameters.
+def run_table(scenarios, params: dict, seed: int, n_paths: int, threads: int = 1) -> CostReport:
+    """The cost table of (label, drift) scenarios at params' theta, T and dt.
 
-    For each drift scenario: F2 and F4 from the exact cumulants of Z, then
-    J_2 and J_4 of both approximants estimated on an evaluation ensemble of
-    n_paths paths keyed by child_seed(seed, scenario, 1).
+    Scenario k is one :func:`cost_block`, evaluated on n_paths paths keyed
+    by child_seed(seed, k, 1) and, where it has no exact law, fitted on a
+    moment ensemble keyed by child_seed(seed, k, 0). The echo holds params,
+    n_paths, seed, the censored input count and the largest censor rate of
+    a row.
     """
-    params = TABLE1_PARAMS
     grid = TimeGrid.from_step(params["T"], params["dt"])
-    scenarios = table1_scenarios(params)
     values = np.empty((len(scenarios), 2, 2))
     se = np.empty((len(scenarios), 2, 2))
     gap_se = np.empty((len(scenarios), 2))
+    censored, censor_rate = 0, 0.0
     for k, (label, model) in enumerate(scenarios):
-        v, s, extras = cost_block(
+        values[k], se[k], extras = cost_block(
             model,
             params["theta"],
             grid,
             n_paths,
             eval_seed=child_seed(seed, k, 1),
             threads=threads,
+            moment_seed=child_seed(seed, k, 0),
         )
-        values[k] = v
-        se[k] = s
         gap_se[k] = extras["gap_se"]
-    echo = dict(params)
-    echo.update({"n_paths": n_paths, "seed": seed})
+        lost, drawn = extras["censored"]
+        if drawn:
+            log.info("%s censor rate: %d/%d = %.2e", label, lost, drawn, lost / drawn)
+            censored += lost
+            censor_rate = max(censor_rate, lost / drawn)
+    echo = dict(params, n_paths=n_paths, seed=seed, censored_inputs=censored, censor_rate=censor_rate)
     return CostReport(
         labels=[label for label, _ in scenarios],
         values=values,
@@ -274,6 +271,16 @@ def run_table1(seed: int, n_paths: int = 10_000, threads: int = 1) -> CostReport
         gap_se=gap_se,
         config_echo=echo,
     )
+
+
+def run_table1(seed: int, n_paths: int = 10_000, threads: int = 1) -> CostReport:
+    """The five-scenario cost table at the standard protocol parameters.
+
+    For each drift scenario: F2 and F4 from the exact cumulants of Z, then
+    J_2 and J_4 of both approximants estimated on an evaluation ensemble of
+    n_paths paths keyed by child_seed(seed, scenario, 1) (:func:`run_table`).
+    """
+    return run_table(table1_scenarios(TABLE1_PARAMS), TABLE1_PARAMS, seed, n_paths, threads)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,12 @@ shared exponential integrator.
 
 Every variant also has an exact law for Z: :func:`cumulant_curves` returns
 its first four cumulants at the grid nodes, which is all the order-2 and
-order-4 approximants need.
+order-4 approximants need. The one exception is a shot noise whose event
+times are the first passages of LIF input neurons (:class:`SimulatedFiring`,
+the embedded neuron's network): it is sampled like any other shot noise, and
+its approximants are fitted on Monte Carlo moments (:func:`approx.fit`).
+An input that never fires before its cap has an infinite (censored) event
+time, which never reaches a grid node.
 
 Ensembles follow the block-stream contract of :mod:`timebase`: the rows of
 block b = i // _BLOCK are sampled together from ``block_stream(seed, b)`` by
@@ -56,6 +61,7 @@ __all__ = [
     "PoissonCount",
     "FixedCount",
     "PointMass",
+    "SimulatedFiring",
     "Distribution",
     "SingleShot",
     "Poisson",
@@ -66,6 +72,7 @@ __all__ = [
     "Deterministic",
     "DriftModel",
     "PairingError",
+    "CensoringError",
     "dist_mean",
     "dist_second_moment",
     "dist_variance",
@@ -147,7 +154,27 @@ class PointMass:
     value: float
 
 
-Distribution = Union[Exponential, Gamma, Uniform, PoissonCount, FixedCount, PointMass]
+@dataclass(frozen=True)
+class SimulatedFiring:
+    """Firing times of a :class:`neuro.LIFNeuron` input, drawn by first-passage simulation.
+
+    A draw is :func:`neuro.first_passage_times` at step sim_dt; an input
+    that has not fired by horizon_cap gives an infinite (censored) time.
+    The law has no closed form, so it has no moments here.
+    """
+
+    neuron: object  # a neuro.LIFNeuron
+    sim_dt: float = 1e-2
+    horizon_cap: float = 100.0
+
+    def __post_init__(self):
+        if self.sim_dt <= 0 or self.horizon_cap <= 0:
+            raise ValueError("sim_dt and horizon_cap must be positive")
+
+
+Distribution = Union[
+    Exponential, Gamma, Uniform, PoissonCount, FixedCount, PointMass, SimulatedFiring
+]
 
 
 def dist_mean(dist: Distribution) -> float:
@@ -177,7 +204,7 @@ def dist_raw_moment(dist: Distribution, n: int) -> float:
         return sum(c * dist.mean ** (k + 1) for k, c in enumerate(stirling))
     if isinstance(dist, (FixedCount, PointMass)):
         return float(dist.value) ** n
-    raise TypeError(f"not a distribution: {dist!r}")
+    raise TypeError(f"no closed-form moments for {dist!r}")
 
 
 def sample_dist(dist: Distribution, stream: np.random.Generator, size: int):
@@ -193,6 +220,10 @@ def sample_dist(dist: Distribution, stream: np.random.Generator, size: int):
         return np.full(size, dist.value, dtype=int)
     if isinstance(dist, PointMass):
         return np.full(size, dist.value, dtype=float)
+    if isinstance(dist, SimulatedFiring):
+        from .neuro import first_passage_times  # local import: neuro imports this module
+
+        return first_passage_times(dist.neuron, dist.sim_dt, dist.horizon_cap, size, stream)
     raise TypeError(f"not a distribution: {dist!r}")
 
 
@@ -239,7 +270,8 @@ class ShotNoise:
 
     z(t) = sum_{i<=M} beta_i e^{-response_rate (t - T_i)} on t >= T_i, with a
     random event count M, i.i.d. amplitudes beta_i and i.i.d. positive event
-    times T_i. Defaults mirror the embedded-neuron experiment.
+    times T_i, which may be LIF first passages (:class:`SimulatedFiring`).
+    Defaults mirror the embedded-neuron experiment.
     """
 
     count: Distribution = field(default_factory=lambda: FixedCount(10))
@@ -252,7 +284,7 @@ class ShotNoise:
             raise ValueError(f"response_rate must be positive, got {self.response_rate}")
         if not isinstance(self.count, (PoissonCount, FixedCount)):
             raise ValueError("count must be a PoissonCount or FixedCount distribution")
-        if isinstance(self.arrival, (Exponential, Gamma)):
+        if isinstance(self.arrival, (Exponential, Gamma, SimulatedFiring)):
             pass
         elif isinstance(self.arrival, PointMass) and self.arrival.value >= 0:
             pass
@@ -302,6 +334,10 @@ DriftModel = Union[
 
 class PairingError(ValueError):
     """A drift parameter coincides with a damping rate it must differ from."""
+
+
+class CensoringError(ArithmeticError):
+    """More than half of an ensemble's event times are censored (never happened)."""
 
 
 def _check_distinct(name: str, value: float, theta: float, what: str) -> None:
@@ -442,7 +478,7 @@ def _diffusion_z(model, grid: TimeGrid, noise: np.ndarray) -> np.ndarray:
     return lfilter([1.0], [1.0, -a], z, axis=-1) + model.u0 * a ** np.arange(grid.n_nodes)
 
 
-def _block_sampler(model: DriftModel, theta: float | None, grid: TimeGrid):
+def _block_sampler(model: DriftModel, theta: float | None, grid: TimeGrid, tally=None):
     """``sample(stream, rows, lo, hi, out)``: Z rows (z when theta is None) of one block.
 
     The block holds ``rows`` ensemble rows and draws all of them from
@@ -455,6 +491,9 @@ def _block_sampler(model: DriftModel, theta: float | None, grid: TimeGrid):
     - event variants: counts, times and weights of all ``rows`` rows, one
       call each (:func:`_draw_block_events`);
     - deterministic drifts draw nothing.
+
+    An event sampler given a ``tally`` list appends (censored, drawn), the
+    infinite and all event times of its rows lo..hi-1, at each call.
     """
     dt = grid.dt
     step = pass_rows(grid.n_nodes)
@@ -487,6 +526,9 @@ def _block_sampler(model: DriftModel, theta: float | None, grid: TimeGrid):
 
         def sample(stream, rows, lo, hi, out):
             times, weights, counts = _draw_block_events(model, grid, stream, rows)
+            if tally is not None:  # only the rows written, so a block cut by chunks counts once
+                own = times[counts[:lo].sum() : counts[:hi].sum()]
+                tally.append((int(np.isinf(own).sum()), own.size))
             event_rows(times, weights, counts, lo, hi, lam, theta, grid, out)
 
     elif isinstance(model, (BrownianDrift, OUDrift)):
@@ -736,11 +778,10 @@ def Z_path_ensemble(
     vector for the single shot, normal matrices for the diffusions, one
     vector per event quantity for the event variants). The matrix does not
     depend on ``threads``; a block holding one row equals ``sample_Z_path``
-    on the block's stream bit for bit.
+    on the block's stream bit for bit. It is :func:`iter_Z_chunks` as one
+    chunk, under the same censoring policy.
     """
-    validate_pairing(model, theta)
-    sample = _block_sampler(model, theta, grid)
-    values = block_rows(sample, n_paths, master_seed, grid.n_nodes, threads=threads)
+    [(_, values)] = iter_Z_chunks(model, theta, grid, n_paths, master_seed, threads, chunk=n_paths)
     return PathEnsemble(grid, n_paths, values, master_seed)
 
 
@@ -752,6 +793,7 @@ def iter_Z_chunks(
     master_seed: int,
     threads: int = 1,
     chunk: int | None = None,
+    censored: list | None = None,
 ):
     """Yield (start_index, chunk_matrix) blocks of the Z ensemble.
 
@@ -763,13 +805,25 @@ def iter_Z_chunks(
     the threads fill side by side. A chunk that starts inside a block
     redraws that block's leading variates; chunks that are multiples of
     _BLOCK draw every variate once.
+
+    The block samplers count the censored event times of the rows they
+    write, so once the last chunk is out the ensemble's (censored, drawn)
+    event count is the same for any chunk size and thread count. It is
+    appended to ``censored`` when that is a list, and an ensemble with more
+    than half of its event times censored raises :class:`CensoringError`.
     """
     validate_pairing(model, theta)
-    sample = _block_sampler(model, theta, grid)
+    tally = []
+    sample = _block_sampler(model, theta, grid, tally)
     chunk = chunk or _BLOCK * max(1, threads)  # one block per thread
     for start in range(0, n_paths, chunk):
         stop = min(start + chunk, n_paths)
         yield start, block_rows(sample, n_paths, master_seed, grid.n_nodes, start, stop, threads)
+    lost, drawn = sum(c for c, _ in tally), sum(n for _, n in tally)
+    if censored is not None:
+        censored.append((lost, drawn))
+    if 2 * lost > drawn:
+        raise CensoringError(f"{lost} of {drawn} event times are censored; raise horizon_cap")
 
 
 def moments_Z_mc(
@@ -779,14 +833,15 @@ def moments_Z_mc(
     n_paths: int,
     master_seed: int,
     threads: int = 1,
+    censored: list | None = None,
 ):
     """Sample mean, variance and third central moment of Z(t) at each node.
 
     Returns a MomentCurves (n-denominator convention, so the variance is
     nonnegative) plus the standard error of the mean; see
-    :func:`moments_from_chunks`.
+    :func:`moments_from_chunks`. ``censored`` is passed to :func:`iter_Z_chunks`.
     """
-    chunks = iter_Z_chunks(model, theta, grid, n_paths, master_seed, threads)
+    chunks = iter_Z_chunks(model, theta, grid, n_paths, master_seed, threads, censored=censored)
     return moments_from_chunks(chunks, grid, n_paths)
 
 

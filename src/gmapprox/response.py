@@ -8,10 +8,7 @@ at a random time with density p, the drift moments need
 Closed forms are used for exponential firing times (any rate), point masses
 and uniform firing times. Gamma firing times use the exact one-rate chain
 convolution of :func:`_gamma_convolution`, whichever side of the decay rate
-the firing rate lies on. The trapezoid convolution of a density on the grid,
-:func:`_convolve_response`, remains as an independent check; because the
-response is exponential, its convolution sum is a first-order linear
-recurrence along the grid, computed in O(n) by ``scipy.signal.lfilter``.
+the firing rate lies on.
 
 The exact cumulants of Z need every power E[K(t - T)^k] of the damped
 response K, k = 1..4. Those come from chains of exponential convolutions
@@ -25,34 +22,24 @@ import math
 
 import numpy as np
 from scipy.signal import lfilter
-from scipy.special import gammainc, roots_jacobi, roots_legendre
+from scipy.special import roots_jacobi, roots_legendre
 
 from .timebase import Curve, TimeGrid, stable_exp_diff
 
 __all__ = [
-    "lower_incomplete_gamma",
     "response_moment_curves",
     "chain_states",
     "response_power_means",
-    "convolution_oracle",
 ]
-
-
-def lower_incomplete_gamma(alpha: float, x: float) -> float:
-    """Lower incomplete gamma function g(alpha, x) = int_0^x s^{alpha-1} e^{-s} ds."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    return float(gammainc(alpha, x)) * math.gamma(alpha)
 
 
 def response_moment_curves(dist, lam: float, grid: TimeGrid) -> tuple[Curve, Curve]:
     """phi and psi curves for a firing-time distribution; see module docstring.
 
     Supports exponential, gamma, uniform and point-mass firing times (every
-    arrival law ``ShotNoise`` accepts); gamma uses the exact chain
-    convolution for every pair of rates.
+    arrival law ``ShotNoise`` accepts but the simulated network's, which has
+    no closed form); gamma uses the exact chain convolution for every pair
+    of rates.
     """
     from . import drift  # local import: drift also imports this module
 
@@ -93,39 +80,6 @@ def _uniform_case(dist, decay: float, t: np.ndarray, grid: TimeGrid) -> Curve:
     m = np.clip(t, dist.lo, dist.hi)
     vals = np.exp(-decay * (t - m)) * -np.expm1(-decay * (m - dist.lo))
     return Curve(grid, vals / (decay * (dist.hi - dist.lo)))
-
-
-def _gamma_pdf(rate: float, shape: float):
-    logc = shape * math.log(rate) - math.lgamma(shape)
-
-    def pdf(s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        pos = s > 0
-        out[pos] = np.exp(logc + (shape - 1) * np.log(s[pos]) - rate * s[pos])
-        if shape == 1:
-            out[s == 0] = rate
-        return out
-
-    return pdf
-
-
-def _convolve_response(decay: float, pdf, grid: TimeGrid) -> Curve:
-    """Trapezoid convolution of e^{-decay u} with the density, at the grid nodes.
-
-    The plain convolution sum full[k] = sum_j q^{k-j} p[j], q = e^{-decay dt},
-    is the first-order recurrence full[k] = q full[k-1] + p[k], so it costs
-    O(n) instead of the O(n^2) of a direct convolution.
-    """
-    t = grid.times()
-    dt = grid.dt
-    r = np.exp(-decay * t)
-    p = pdf(t)
-    full = lfilter([1.0], [1.0, -np.exp(-decay * dt)], p)
-    # convert the plain convolution sum into trapezoid weights (r[0] = 1)
-    vals = dt * (full - 0.5 * r * p[0] - 0.5 * p)
-    vals[0] = 0.0
-    return Curve(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -258,28 +212,3 @@ def response_power_means(arrival, lam: float, theta: float, grid: TimeGrid, orde
             raise ValueError(f"unsupported arrival distribution: {type(arrival).__name__}")
         out[k - 1] = math.factorial(k) * v
     return out
-
-
-def convolution_oracle(dist, lam: float, grid: TimeGrid, squared: bool = False) -> Curve:
-    """Direct numerical convolution of R (or R^2) with the firing-time density.
-
-    Exists as an independent check of the closed forms; not used on any
-    production path for exponential firing times.
-    """
-    from . import drift
-
-    decay = 2 * lam if squared else lam
-    if isinstance(dist, drift.Exponential):
-        pdf = lambda s: dist.rate * np.exp(-dist.rate * np.asarray(s, dtype=float))
-    elif isinstance(dist, drift.Gamma):
-        pdf = _gamma_pdf(dist.rate, dist.shape)
-    elif isinstance(dist, drift.Uniform):
-        if dist.lo < 0:
-            raise ValueError("firing-time support must be nonnegative")
-        width = dist.hi - dist.lo
-        pdf = lambda s: np.where(
-            (np.asarray(s) >= dist.lo) & (np.asarray(s) <= dist.hi), 1.0 / width, 0.0
-        )
-    else:
-        raise ValueError(f"no density available for {type(dist).__name__}")
-    return _convolve_response(decay, pdf, grid)

@@ -1,0 +1,59 @@
+"""Independent numerical oracles shared by the tests (not part of the package)."""
+
+import math
+
+import numpy as np
+from scipy.signal import lfilter
+
+from gmapprox import drift as dm
+from gmapprox.timebase import Curve, TimeGrid
+
+
+def gamma_pdf(rate: float, shape: float):
+    logc = shape * math.log(rate) - math.lgamma(shape)
+
+    def pdf(s):
+        s = np.asarray(s, dtype=float)
+        out = np.zeros_like(s)
+        pos = s > 0
+        out[pos] = np.exp(logc + (shape - 1) * np.log(s[pos]) - rate * s[pos])
+        if shape == 1:
+            out[s == 0] = rate
+        return out
+
+    return pdf
+
+
+def convolve_response(decay: float, pdf, grid: TimeGrid) -> Curve:
+    """Trapezoid convolution of e^{-decay u} with the density, at the grid nodes.
+
+    The plain convolution sum full[k] = sum_j q^{k-j} p[j], q = e^{-decay dt},
+    is the first-order recurrence full[k] = q full[k-1] + p[k], so it costs
+    O(n) instead of the O(n^2) of a direct convolution.
+    """
+    t = grid.times()
+    dt = grid.dt
+    r = np.exp(-decay * t)
+    p = pdf(t)
+    full = lfilter([1.0], [1.0, -np.exp(-decay * dt)], p)
+    # convert the plain convolution sum into trapezoid weights (r[0] = 1)
+    vals = dt * (full - 0.5 * r * p[0] - 0.5 * p)
+    vals[0] = 0.0
+    return Curve(grid, vals)
+
+
+def convolution_oracle(dist, lam: float, grid: TimeGrid, squared: bool = False) -> Curve:
+    """Direct numerical convolution of R (or R^2) with the firing-time density."""
+    decay = 2 * lam if squared else lam
+    if isinstance(dist, dm.Exponential):
+        pdf = lambda s: dist.rate * np.exp(-dist.rate * np.asarray(s, dtype=float))
+    elif isinstance(dist, dm.Gamma):
+        pdf = gamma_pdf(dist.rate, dist.shape)
+    elif isinstance(dist, dm.Uniform):
+        width = dist.hi - dist.lo
+        pdf = lambda s: np.where(
+            (np.asarray(s) >= dist.lo) & (np.asarray(s) <= dist.hi), 1.0 / width, 0.0
+        )
+    else:
+        raise ValueError(f"no density available for {type(dist).__name__}")
+    return convolve_response(decay, pdf, grid)

@@ -253,8 +253,30 @@ class TestNeuron:
 
     @pytest.mark.parametrize(
         "section",
-        [{"dt": -1}, {"M": 0}, {"M": 2.5}, {"scenario": "gamma", "gamma_shape": -2}],
-        ids=["negative_dt", "no_inputs", "fractional_inputs", "negative_gamma_shape"],
+        [
+            {"dt": -1},
+            {"M": 0},
+            {"M": 2.5},
+            {"scenario": "gamma", "gamma_shape": -2},
+            {"scenario": "exponential", "T": 0.01},
+            {"dt": 0},
+            {"T": 1e6},
+            {"sigma_i": 0, "mu_i": 1, "horizon_cap": 1e9},
+            {"mu": 3},
+            {"theta": 1.0},
+        ],
+        ids=[
+            "negative_dt",
+            "no_inputs",
+            "fractional_inputs",
+            "negative_gamma_shape",
+            "one_step",
+            "zero_dt",
+            "too_many_steps",
+            "unbounded_horizon_cap",
+            "unknown_key",
+            "response_rate_equals_theta",
+        ],
     )
     def test_bad_section_is_a_config_error(self, tmp_path, capsys, section):
         p = write_config(tmp_path, neuron=section, mc={"n_paths": 3, "seed": 2})

@@ -7,7 +7,6 @@ from scipy.signal import lfilter
 from gmapprox import approx as approx_mod
 from gmapprox import drift as dm
 from gmapprox import timebase
-from gmapprox.response import convolution_oracle
 from gmapprox.timebase import (
     Curve,
     TimeGrid,
@@ -16,6 +15,7 @@ from gmapprox.timebase import (
     exp_weighted_running_integral,
     stable_exp_diff,
 )
+from oracles import convolution_oracle
 
 THETA = 1.5
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,39 +11,50 @@ from scipy.signal import lfilter
 
 from gmapprox import drift as dm
 from gmapprox import neuro, timebase
-from gmapprox.approx import F2_analytic
+from gmapprox.approx import Approximant, F2_analytic
 from gmapprox.bounds import d2_closed
+from gmapprox.costs import cost_block
 from gmapprox.neuro import (
     CENSORED,
-    _network_chunks,
-    AnalyticFiring,
-    EmbeddedNeuronModel,
+    TABLE2_PARAMS,
     LIFNeuron,
-    SimulatedFiring,
     build_drift_from_network,
     first_passage_time,
     first_passage_times,
-    lower_incomplete_gamma,
-    phi_psi,
     run_table2,
-    v2_exponential,
+    table2_models,
 )
-from gmapprox.response import (
-    _convolve_response,
-    _gamma_pdf,
-    convolution_oracle,
-    response_moment_curves,
-)
+from gmapprox.response import response_moment_curves
 from gmapprox.sde import apply_I
-from gmapprox.timebase import Curve, TimeGrid, block_stream, derive_stream
+from gmapprox.timebase import Curve, TimeGrid, block_stream, derive_stream, stable_exp_diff
+from oracles import convolution_oracle, convolve_response, gamma_pdf
 
 TABLE2_LIF = LIFNeuron(theta_i=0.1, mu_i=6.0, sigma_i=1.0, v0_i=0.0, v_th=20.0)
 
 
-def embedded(firing, M=10, theta=0.1, lam=1.0, amplitude=dm.Uniform(0.5, 1.5)):
-    return EmbeddedNeuronModel(
-        theta=theta, sigma=1.0, v0=0.0, response_rate=lam, amplitude=amplitude, M=M, firing=firing
-    )
+def network(arrival, M=10, lam=1.0, amplitude=dm.Uniform(0.5, 1.5)):
+    """The embedded neuron's drift: M inputs firing at i.i.d. times drawn from ``arrival``."""
+    return dm.ShotNoise(count=dm.FixedCount(M), amplitude=amplitude, arrival=arrival, response_rate=lam)
+
+
+def v2_exponential(model: dm.ShotNoise, theta: float, grid: TimeGrid) -> Approximant:
+    """Closed-form mean-square approximant for exponential firing times (oracle).
+
+    F2(t) = M E[beta] nu/(nu - lam) [ (e^{-lam t} - e^{-theta t})/(theta - lam)
+                                      - (e^{-nu t} - e^{-theta t})/(theta - nu) ].
+    """
+    nu = model.arrival.rate
+    lam, th = model.response_rate, theta
+    t = grid.times()
+    scale = model.count.value * dm.dist_mean(model.amplitude)
+    F = scale * nu / (nu - lam) * (stable_exp_diff(lam, th, t) - stable_exp_diff(nu, th, t))
+    phi, _ = response_moment_curves(model.arrival, lam, grid)
+    return Approximant(p=2, F=Curve(grid, F), f=Curve(grid, scale * phi.values), theta=th)
+
+
+def lower_incomplete_gamma(alpha, x):
+    """g(alpha, x) = int_0^x s^{alpha-1} e^{-s} ds from scipy's regularized gammainc."""
+    return float(sps.gammainc(alpha, x) * sps.gamma(alpha))
 
 
 def grid(T=10.0, dt=1e-2):
@@ -261,10 +273,9 @@ class TestLowerIncompleteGamma:
             assert lower_incomplete_gamma(alpha, 0.0) == 0.0
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            lower_incomplete_gamma(1.0, -0.5)
-        with pytest.raises(ValueError):
-            lower_incomplete_gamma(-1.0, 0.5)
+        # outside the domain scipy returns nan, never a number
+        assert math.isnan(lower_incomplete_gamma(1.0, -0.5))
+        assert math.isnan(lower_incomplete_gamma(-1.0, 0.5))
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5, 7.0, 20.0])
     def test_matches_scipy(self, alpha):
@@ -278,19 +289,19 @@ class TestPhiPsi:
     def test_start_at_zero(self):
         g = grid()
         for dist in (dm.Exponential(1 / 15), dm.Gamma(rate=1 / 15, shape=2.0)):
-            phi, psi = phi_psi(dist, 1.0, g)
+            phi, psi = response_moment_curves(dist, 1.0, g)
             assert phi.values[0] == 0.0
             assert psi.values[0] == 0.0
 
     def test_exponential_value(self):
         g = TimeGrid.from_step(1.0, 1e-2)
-        phi, _ = phi_psi(dm.Exponential(1 / 15), 1.0, g)
+        phi, _ = response_moment_curves(dm.Exponential(1 / 15), 1.0, g)
         assert phi.values[-1] == pytest.approx(0.0405448245614411, rel=1e-12)
 
     def test_exponential_vs_convolution(self):
         g = grid(T=10.0, dt=1e-3)
         dist = dm.Exponential(1 / 15)
-        phi, psi = phi_psi(dist, 1.0, g)
+        phi, psi = response_moment_curves(dist, 1.0, g)
         conv_phi = convolution_oracle(dist, 1.0, g).values
         conv_psi = convolution_oracle(dist, 1.0, g, squared=True).values
         assert np.max(np.abs(phi.values - conv_phi)) < 1e-4
@@ -300,7 +311,7 @@ class TestPhiPsi:
         # nu > 2 lam: both closed forms valid
         g = grid(T=5.0, dt=1e-3)
         dist = dm.Gamma(rate=3.0, shape=2.0)
-        phi, psi = phi_psi(dist, 1.0, g)
+        phi, psi = response_moment_curves(dist, 1.0, g)
         assert np.max(np.abs(phi.values - convolution_oracle(dist, 1.0, g).values)) < 1e-4
         assert np.max(np.abs(psi.values - convolution_oracle(dist, 1.0, g, squared=True).values)) < 1e-4
 
@@ -310,7 +321,7 @@ class TestPhiPsi:
         # phi(t) = (nu/(nu-lam))^2 e^{-lam t} (1 - e^{-x}(1+x)), x = (nu-lam) t
         g = grid(T=10.0, dt=1e-3)
         nu, lam = 1 / 15, 1.0
-        phi, _ = phi_psi(dm.Gamma(rate=nu, shape=2.0), lam, g)
+        phi, _ = response_moment_curves(dm.Gamma(rate=nu, shape=2.0), lam, g)
         t = g.times()
         x = (nu - lam) * t
         exact = (nu / (nu - lam)) ** 2 * np.exp(-lam * t) * (1 - np.exp(-x) * (1 + x))
@@ -339,14 +350,15 @@ class TestPhiPsi:
                 assert curve.values[k] == pytest.approx(ref, rel=1e-10, abs=0), (k, decay)
 
     def test_rejects_unsupported(self):
+        # simulated firing times have no closed-form law
         with pytest.raises(ValueError):
-            phi_psi(dm.Uniform(0.0, 1.0), 1.0, grid())
+            response_moment_curves(dm.SimulatedFiring(TABLE2_LIF), 1.0, grid())
 
     def test_rejects_rate_coincidences(self):
         with pytest.raises(ValueError):
-            phi_psi(dm.Exponential(1.0), 1.0, grid())
+            response_moment_curves(dm.Exponential(1.0), 1.0, grid())
         with pytest.raises(ValueError):
-            phi_psi(dm.Exponential(2.0), 1.0, grid())
+            response_moment_curves(dm.Exponential(2.0), 1.0, grid())
 
 
 class TestUniformArrival:
@@ -391,8 +403,8 @@ class TestConvolveResponse:
     @pytest.mark.parametrize("shape", [1.0, 2.0])
     def test_recurrence_matches_direct_sum(self, dt, decay, shape):
         g = TimeGrid.from_step(5.0, dt)
-        pdf = _gamma_pdf(1 / 15, shape)  # shape 1 has p(0) > 0, shape 2 has p(0) = 0
-        got = _convolve_response(decay, pdf, g).values
+        pdf = gamma_pdf(1 / 15, shape)  # shape 1 has p(0) > 0, shape 2 has p(0) = 0
+        got = convolve_response(decay, pdf, g).values
         np.testing.assert_allclose(got, direct_convolution(decay, pdf, g), rtol=1e-12, atol=0)
 
 
@@ -400,121 +412,125 @@ class TestBuildDriftFromNetwork:
     def test_point_event_closed_form(self):
         # single unit event at time zero: Z(1) = (e^{-lam} - e^{-theta})/(theta - lam)
         g = TimeGrid.from_step(1.0, 1e-2)
-        model = embedded(
-            AnalyticFiring(dm.PointMass(0.0)), M=1, theta=1.5, lam=1.0,
-            amplitude=dm.PointMass(1.0),
-        )
-        real = build_drift_from_network(model, g, derive_stream(0, 0))
-        assert real.Z.values[-1] == pytest.approx(0.28949856204602503, rel=1e-12)
-        assert real.n_censored == 0
+        model = network(dm.PointMass(0.0), M=1, amplitude=dm.PointMass(1.0))
+        Z = build_drift_from_network(model, 1.5, g, derive_stream(0, 0))
+        assert Z.values[-1] == pytest.approx(0.28949856204602503, rel=1e-12)
+        cens = []
+        list(dm.iter_Z_chunks(model, 1.5, g, 1, 0, censored=cens))
+        assert cens == [(0, 1)]
 
     def test_zero_amplitude(self):
         g = grid()
-        model = embedded(AnalyticFiring(dm.Exponential(1 / 15)), amplitude=dm.PointMass(0.0))
-        real = build_drift_from_network(model, g, derive_stream(1, 1))
-        assert np.array_equal(real.z.values, np.zeros(g.n_nodes))
-        assert np.array_equal(real.Z.values, np.zeros(g.n_nodes))
+        model = network(dm.Exponential(1 / 15), amplitude=dm.PointMass(0.0))
+        z = dm.sample_z_path(model, g, derive_stream(1, 1))
+        Z = build_drift_from_network(model, 0.1, g, derive_stream(1, 1))
+        assert np.array_equal(z.values, np.zeros(g.n_nodes))
+        assert np.array_equal(Z.values, np.zeros(g.n_nodes))
 
     def test_exponential_mean_drive_matches_phi(self):
         # ensemble mean of z equals M E[beta] phi
         g = grid(T=10.0, dt=0.1)
-        model = embedded(AnalyticFiring(dm.Exponential(1 / 15)))
-        n = 4000
-        acc = np.zeros(g.n_nodes)
-        acc2 = np.zeros(g.n_nodes)
-        for i in range(n):
-            z = build_drift_from_network(model, g, derive_stream(77, i)).z.values
-            acc += z
-            acc2 += z**2
-        mean = acc / n
-        se = np.sqrt(np.maximum(acc2 - n * mean**2, 0) / (n - 1) / n)
-        phi, _ = phi_psi(dm.Exponential(1 / 15), 1.0, g)
-        expected = model.M * dm.dist_mean(model.amplitude) * phi.values
+        model = network(dm.Exponential(1 / 15))
+        zs = dm.z_path_ensemble(model, g, 4000, 77).values
+        mean = zs.mean(axis=0)
+        se = zs.std(axis=0, ddof=1) / np.sqrt(len(zs))
+        phi, _ = response_moment_curves(dm.Exponential(1 / 15), 1.0, g)
+        expected = model.count.value * dm.dist_mean(model.amplitude) * phi.values
         assert np.all(np.abs(mean - expected)[1:] <= 4 * np.maximum(se[1:], 1e-12))
 
     def test_simulated_firing_uses_per_neuron_streams(self):
-        g = grid(T=10.0, dt=0.1)
-        model = embedded(SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=100.0))
-        a = build_drift_from_network(model, g, derive_stream(5, 0))
-        b = build_drift_from_network(model, g, derive_stream(5, 0))
-        assert np.array_equal(a.firing_times, b.firing_times)
-        assert len(np.unique(np.round(a.firing_times, 12))) == model.M
+        arrival = dm.SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=100.0)
+        a = dm.sample_dist(arrival, derive_stream(5, 0), 10)
+        b = dm.sample_dist(arrival, derive_stream(5, 0), 10)
+        assert np.array_equal(a, b)
+        assert len(np.unique(np.round(a, 12))) == 10
 
     def test_network_chunks_reproducible(self):
         # 1,025 trials: three blocks, the last holding one trial; chunks of 17
         # and 513 cut through blocks, and thread ranges hold whole blocks. A
         # 5 ms cap censors some inputs
         g = grid(T=10.0, dt=0.1)
-        model = embedded(SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=5.0), M=2)
+        arrival = dm.SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=5.0)
+        model = network(arrival, M=2)
         runs = {}
-        for threads, chunk in ((1, 512), (2, 512), (4, 512), (1, 17), (2, 511), (1, 513)):
-            cens = []
-            blocks = _network_chunks(model, g, 1025, 8, threads, chunk=chunk, censored=cens)
-            runs[threads, chunk] = (np.vstack([b for _, b in blocks]), cens)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads interleave often: a lost tally entry would change the count
+        try:
+            for threads, chunk in ((1, 512), (2, 512), (4, 512), (1, 17), (2, 511), (1, 513)):
+                cens = []
+                blocks = dm.iter_Z_chunks(model, 0.1, g, 1025, 8, threads, chunk=chunk, censored=cens)
+                runs[threads, chunk] = (np.vstack([b for _, b in blocks]), cens)
+        finally:
+            sys.setswitchinterval(switch)
         ref, cens = runs[1, 512]
-        # every censored input of the three blocks is counted once
-        taus = [neuro._network_events(model, block_stream(8, b), r)[0] for b, r in enumerate((512, 512, 1))]
-        assert cens == [sum(int(np.isinf(t).sum()) for t in taus)] and cens[0] > 0
+        # every censored input of the three blocks is counted once: a fixed
+        # count draws nothing, so each block's first draws are its firing times
+        taus = [dm.sample_dist(arrival, block_stream(8, b), 2 * r) for b, r in enumerate((512, 512, 1))]
+        assert cens == [(sum(int(np.isinf(t).sum()) for t in taus), 2 * 1025)] and cens[0][0] > 0
         for Z, c in runs.values():
             assert np.array_equal(Z, ref) and c == cens
-        # a block of one trial is build_drift_from_network on the block's stream
-        real = build_drift_from_network(model, g, block_stream(8, 2))
-        assert np.array_equal(real.Z.values, ref[1024])
-        one = np.vstack([b for _, b in _network_chunks(model, g, 1, 8, chunk=1)])
-        assert np.array_equal(build_drift_from_network(model, g, block_stream(8, 0)).Z.values, one[0])
+        # a block of one trial: the firing times, then the amplitudes, through the event kernel
+        stream = block_stream(8, 2)
+        times = first_passage_times(TABLE2_LIF, 1e-2, 5.0, 2, stream)
+        weights = stream.uniform(0.5, 1.5, 2)
+        Z, _ = dm.event_kernel([(times, weights)], 1.0, 0.1, g)
+        assert np.array_equal(Z[0], ref[1024])
+        assert np.array_equal(build_drift_from_network(model, 0.1, g, block_stream(8, 2)).values, ref[1024])
+        one = np.vstack([b for _, b in dm.iter_Z_chunks(model, 0.1, g, 1, 8, chunk=1)])
+        assert np.array_equal(build_drift_from_network(model, 0.1, g, block_stream(8, 0)).values, one[0])
 
     def test_network_moments_identical_for_any_thread_count(self):
         # 600 trials at 20,001 nodes: two blocks cut into slabs of four rows,
         # read as two default chunks on one thread and one chunk on two or four
         g = grid(T=10.0, dt=5e-4)
         assert timebase.slab_rows(g.n_nodes) == 4
-        model = embedded(SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=5.0), M=2)
-        runs = [
-            dm.moments_from_chunks(_network_chunks(model, g, 600, 8, threads), g, 600)
-            for threads in (1, 2, 4)
-        ]
+        model = network(dm.SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=5.0), M=2)
+        runs = [dm.moments_Z_mc(model, 0.1, g, 600, 8, threads) for threads in (1, 2, 4)]
         for mom in runs[1:]:
             for name in ("m1", "var", "mu3", "se1"):
                 assert np.array_equal(getattr(mom, name).values, getattr(runs[0], name).values), name
 
     def test_network_chunks_of_one_trial(self):
         g = grid(T=10.0, dt=0.1)
-        model = embedded(SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=5.0), M=2)
-        ref = np.vstack([b for _, b in _network_chunks(model, g, 40, 3)])
-        assert np.array_equal(np.vstack([b for _, b in _network_chunks(model, g, 40, 3, chunk=1)]), ref)
+        model = network(dm.SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=5.0), M=2)
+        ref = np.vstack([b for _, b in dm.iter_Z_chunks(model, 0.1, g, 40, 3)])
+        assert np.array_equal(np.vstack([b for _, b in dm.iter_Z_chunks(model, 0.1, g, 40, 3, chunk=1)]), ref)
 
     def test_rejects_response_equal_theta(self):
         with pytest.raises(dm.PairingError):
-            embedded(AnalyticFiring(dm.Exponential(1 / 15)), theta=1.0, lam=1.0)
+            build_drift_from_network(network(dm.Exponential(1 / 15)), 1.0, grid(), derive_stream(0, 0))
+
+    def test_mostly_censored_inputs_raise(self):
+        # subthreshold noiseless inputs never fire: every event time is censored
+        silent = LIFNeuron(theta_i=0.1, mu_i=1.0, sigma_i=0.0, v0_i=0.0, v_th=20.0)
+        model = network(dm.SimulatedFiring(silent, sim_dt=1e-2, horizon_cap=5.0), M=2)
+        with pytest.raises(dm.CensoringError):
+            cost_block(model, 0.1, grid(T=2.0), 3, eval_seed=1, moment_seed=0)
+        with pytest.raises(dm.CensoringError):
+            dm.Z_path_ensemble(model, 0.1, grid(T=2.0), 3, 0)
 
 
 class TestV2Exponential:
     def test_zero_mean_amplitude(self):
         g = grid()
-        model = embedded(AnalyticFiring(dm.Exponential(1 / 15)), amplitude=dm.PointMass(0.0))
-        appr = v2_exponential(model, g)
+        appr = F2_analytic(network(dm.Exponential(1 / 15), amplitude=dm.PointMass(0.0)), 0.1, g)
         assert np.array_equal(appr.F.values, np.zeros(g.n_nodes))
 
     def test_closed_form_matches_quadrature(self):
         g = TimeGrid.from_step(10.0, 1e-3)
-        model = embedded(AnalyticFiring(dm.Exponential(1 / 15)))
-        appr = v2_exponential(model, g)
-        quad = apply_I(appr.f, model.theta)
+        appr = F2_analytic(network(dm.Exponential(1 / 15)), 0.1, g)
+        quad = apply_I(appr.f, 0.1)
         assert abs(appr.F.values[-1] - quad.values[-1]) < 1e-5
         assert np.max(np.abs(appr.F.values - quad.values)) < 1e-5
 
     def test_matches_generic_F2(self):
+        # kappa_1, the fit's F2, against the two-rate closed form
         g = grid()
-        model = embedded(AnalyticFiring(dm.Exponential(1 / 15)))
-        sn = dm.ShotNoise(
-            count=dm.FixedCount(model.M),
-            amplitude=model.amplitude,
-            arrival=model.firing.dist,
-            response_rate=model.response_rate,
-        )
-        generic = F2_analytic(sn, model.theta, g)
-        appr = v2_exponential(model, g)
-        np.testing.assert_allclose(appr.F.values, generic.F.values, rtol=1e-10, atol=1e-14)
+        model = network(dm.Exponential(1 / 15))
+        generic = F2_analytic(model, 0.1, g)
+        appr = v2_exponential(model, 0.1, g)
+        np.testing.assert_allclose(generic.F.values, appr.F.values, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(generic.f.values, appr.f.values, rtol=1e-10, atol=1e-14)
 
     def test_d2_vanishes_at_infinity(self):
         # shot-noise d2 is integrable here: far tail below 1e-3 of the peak
@@ -523,10 +539,6 @@ class TestV2Exponential:
         b = d2_closed(sn, 0.1, g)
         assert b.closed_form
         assert b.d2.values[-1] < 1e-3 * b.d2.values.max()
-
-    def test_requires_exponential_firing(self):
-        with pytest.raises(ValueError):
-            v2_exponential(embedded(AnalyticFiring(dm.Gamma(rate=0.5, shape=2.0))), grid())
 
 
 class TestRunTable2Smoke:
@@ -537,3 +549,10 @@ class TestRunTable2Smoke:
         assert a.values.shape == (3, 2, 2)
         assert np.array_equal(a.values, b.values)
         assert a.config_echo["censor_rate"] < 1e-3
+
+    def test_rows_are_shot_noise_by_arrival_law(self):
+        rows = table2_models(TABLE2_PARAMS)
+        assert [label for label, _ in rows] == ["exponential", "gamma", "simulated_network"]
+        arrivals = [type(model.arrival) for _, model in rows]
+        assert arrivals == [dm.Exponential, dm.Gamma, dm.SimulatedFiring]
+        assert all(model.count == dm.FixedCount(TABLE2_PARAMS["M"]) for _, model in rows)
