@@ -69,7 +69,6 @@ from .timebase import (
     TimeGrid,
     child_seed,
     derive_stream,
-    exp_weighted_running_integral,
     split_stream,
     trapezoid,
 )

@@ -434,9 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker threads, each filling whole 512-path blocks; every sample and every sum "
-        "follows the blocks, so results are bit-identical for any count; on a 2-core "
-        "machine, 2 threads ran table1 and table2 at 10,000 paths in 5.1 s against "
-        "6.7-7.0 s for 1",
+        "follows the blocks, so results are bit-identical for any count",
     )
     common.add_argument("--format", choices=["csv", "json"], default=None)
 

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .response import chain_states, response_moment_curves, response_power_means
 from .timebase import (
@@ -50,6 +49,7 @@ from .timebase import (
     exp_weighted_values,
     fill_row_blocks,
     iter_slabs,
+    one_pole,
     pass_rows,
     stable_exp_diff,
 )
@@ -434,12 +434,12 @@ def _kernel(times, weights, row, m: int, lam: float, theta: float | None, grid: 
         # bincount gives int64 zeros when there are no events
         return np.bincount(idx, values, m * n).astype(float, copy=False).reshape(m, n)
 
-    z = lfilter([1.0], [1.0, -np.exp(-lam * grid.dt)], binned(weights * np.exp(-lam * u)), axis=-1)
+    z = one_pole(binned(weights * np.exp(-lam * u)), np.exp(-lam * grid.dt))
     if theta is None:
         return None, z
     c = binned(weights * stable_exp_diff(lam, theta, u))
     c[:, 1:] += stable_exp_diff(lam, theta, grid.dt) * z[:, :-1]
-    return lfilter([1.0], [1.0, -np.exp(-theta * grid.dt)], c, axis=-1), z
+    return one_pole(c, np.exp(-theta * grid.dt)), z
 
 
 def event_rows(
@@ -475,7 +475,9 @@ def _diffusion_z(model, grid: TimeGrid, noise: np.ndarray) -> np.ndarray:
     lam, dt = model.rate, grid.dt
     a = np.exp(-lam * dt)
     z[:, 1:] = model.sigma_u * np.sqrt(-np.expm1(-2 * lam * dt) / (2 * lam)) * noise
-    return lfilter([1.0], [1.0, -a], z, axis=-1) + model.u0 * a ** np.arange(grid.n_nodes)
+    one_pole(z, a)
+    z += model.u0 * a ** np.arange(grid.n_nodes)
+    return z
 
 
 def _block_sampler(model: DriftModel, theta: float | None, grid: TimeGrid, tally=None):

@@ -26,11 +26,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import drift as drift_mod
 from .costs import CostReport, run_table
-from .timebase import Curve, TimeGrid, pass_rows
+from .timebase import Curve, TimeGrid, one_pole, pass_rows
 
 __all__ = [
     "LIFNeuron",
@@ -135,13 +134,16 @@ def _first_passage_batch(neuron: LIFNeuron, dt: float, n_total: int, stream, out
     done = 0
     while done < n_total and live.size:
         block = min(_FPT_BLOCK, n_total - done)
+        # the state enters as a leading column, so the block boundary is one more step
+        x = np.empty((live.size, block + 1))
+        x[:, 0] = v_prev
         if neuron.sigma_i > 0:
-            x = stream.standard_normal((live.size, block))
-            x *= s  # rounds exactly as mu_dt + s * n
-            x += mu_dt
+            normals = stream.standard_normal((live.size, block))
+            normals *= s  # rounds exactly as mu_dt + s * n
+            np.add(normals, mu_dt, out=x[:, 1:])
         else:
-            x = np.full((live.size, block), mu_dt)
-        path, _ = lfilter([1.0], [1.0, -a], x, axis=-1, zi=a * v_prev[:, None])
+            x[:, 1:] = mu_dt
+        path = one_pole(x, a)[:, 1:]
         hit = path >= neuron.v_th
         fired = hit.any(axis=1)
         r = np.flatnonzero(fired)

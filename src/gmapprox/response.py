@@ -21,10 +21,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.signal import lfilter
-from scipy.special import roots_jacobi, roots_legendre
 
-from .timebase import Curve, TimeGrid, stable_exp_diff
+from .timebase import Curve, TimeGrid, one_pole, stable_exp_diff
 
 __all__ = [
     "response_moment_curves",
@@ -124,13 +122,14 @@ def _chain_run(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """States v_k = A v_{k-1} + x_k along the last axis of ``x``, from v_{-1} = 0.
 
     A is a lower-triangular nonnegative step matrix, so each component is one
-    first-order ``lfilter`` recurrence fed by the components before it. The
-    states overwrite ``x``, which is returned.
+    first-order recurrence (:func:`timebase.one_pole`) fed by the components
+    before it. The states overwrite ``x``, whose rows must be contiguous, and
+    ``x`` is returned.
     """
     for j in range(x.shape[0]):
         if j:
             x[j, 1:] += A[j, :j] @ x[:j, :-1]
-        x[j] = lfilter([1.0], [1.0, -A[j, j]], x[j])
+        one_pole(x[j], A[j, j])
     return x
 
 
@@ -159,6 +158,8 @@ def _gamma_convolution(rates, nu: float, alpha: float, grid: TimeGrid) -> np.nda
     The first cell carries the s^{alpha - 1} factor of p and uses Gauss-Jacobi
     nodes for it, the others Gauss-Legendre nodes; every weight is positive.
     """
+    from scipy.special import roots_jacobi, roots_legendre
+
     m, n, dt = len(rates), grid.n_nodes, grid.dt
     t = grid.times()
     logc = alpha * math.log(nu) - math.lgamma(alpha)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import drift as drift_mod
 from .timebase import (
@@ -23,6 +22,7 @@ from .timebase import (
     derive_stream,
     exp_weighted_values,
     fill_rows,
+    one_pole,
     split_stream,
 )
 
@@ -63,7 +63,9 @@ def _y_values(sde: LinearSDE, stream: np.random.Generator) -> np.ndarray:
     x = np.zeros(sde.grid.n_nodes)
     if sde.sigma > 0:
         x[1:] = s * stream.standard_normal(sde.grid.n_steps)
-    return lfilter([1.0], [1.0, -a], x) + sde.x0 * a ** np.arange(sde.grid.n_nodes)
+    one_pole(x, a)
+    x += sde.x0 * a ** np.arange(sde.grid.n_nodes)
+    return x
 
 
 def simulate_Y(sde: LinearSDE, stream: np.random.Generator) -> Curve:

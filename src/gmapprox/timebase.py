@@ -25,19 +25,20 @@ the same bits for any thread count.
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg import cython_lapack
 
 __all__ = [
     "TimeGrid",
     "Curve",
     "PathEnsemble",
     "trapezoid",
-    "exp_weighted_running_integral",
+    "one_pole",
     "derive_stream",
     "split_stream",
     "child_seed",
@@ -118,20 +119,6 @@ class Curve:
     def to_csv(self, path) -> None:
         write_csv_columns(path, ["t", "value"], [self.grid.times(), self.values])
 
-    @classmethod
-    def from_csv(cls, path) -> "Curve":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if rows[0] != ["t", "value"]:
-            raise ValueError(f"unexpected curve CSV header: {rows[0]}")
-        t = np.array([float(r[0]) for r in rows[1:]])
-        v = np.array([float(r[1]) for r in rows[1:]])
-        if len(t) < 2:
-            raise ValueError("curve CSV needs at least two nodes")
-        dt = t[1] - t[0]
-        grid = TimeGrid(horizon_T=t[-1], dt=dt, n_steps=len(t) - 1)
-        return cls(grid, v)
-
 
 @dataclass(frozen=True)
 class PathEnsemble:
@@ -210,8 +197,8 @@ def trapezoid_values(values: np.ndarray, dt: float) -> float | np.ndarray:
     return dt * (v.sum(axis=-1) - 0.5 * (v[..., 0] + v[..., -1]))
 
 
-def exp_weighted_running_integral(g: Curve, theta: float) -> Curve:
-    """Running integral H(t) = e^{-theta t} * int_0^t g(s) e^{theta s} ds.
+def exp_weighted_values(values: np.ndarray, dt: float, theta: float) -> np.ndarray:
+    """Running integral H(t) = e^{-theta t} int_0^t g(s) e^{theta s} ds along the last axis.
 
     Computed by the per-step exact recursion
 
@@ -223,19 +210,66 @@ def exp_weighted_running_integral(g: Curve, theta: float) -> Curve:
     """
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")
-    return Curve(g.grid, exp_weighted_values(g.values, g.grid.dt, theta))
-
-
-def exp_weighted_values(values: np.ndarray, dt: float, theta: float) -> np.ndarray:
-    """Array form of :func:`exp_weighted_running_integral` along the last axis."""
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
     g = np.asarray(values, dtype=float)
     a = np.exp(-theta * dt)
-    x = np.zeros_like(g)
+    x = np.zeros(g.shape)
     x[..., 1:] = 0.5 * dt * (a * g[..., :-1] + g[..., 1:])
-    # linear recurrence H_k = a H_{k-1} + x_k with H_0 = 0
-    return lfilter([1.0], [1.0, -a], x, axis=-1)
+    # H_k = a H_{k-1} + x_k with H_0 = x_0 = 0
+    return one_pole(x, a)
+
+
+def one_pole(x: np.ndarray, a: float) -> np.ndarray:
+    """Run y_k = a y_{k-1} + x_k, from y_{-1} = 0, in place along the last axis of ``x``.
+
+    ``x`` must be a writeable C-contiguous float64 array; it is overwritten
+    by y and returned. The rows are one call of LAPACK's unit lower bidiagonal solve
+    ``dtbtrs`` (subdiagonal -a) on their transpose, which is Fortran-ordered,
+    so nothing is copied. The call goes through ctypes to the routine of
+    scipy's Cython LAPACK table, so the GIL is released while it runs (the
+    f2py wrapper ``scipy.linalg.lapack.dtbtrs`` holds it). A state carried
+    over from an earlier run enters as a leading column: the run over
+    [v, x_1..x_n] continues the one that ended at v.
+
+    Each row is solved on its own, so a row's bits are the same for any
+    thread count and any chunking of the rows. Across machines they follow
+    the BLAS's per-CPU kernel: one fused multiply-add per step where it uses
+    FMA, a rounded product and a rounded sum where it does not.
+    """
+    if x.dtype != np.float64 or not (x.flags.c_contiguous and x.flags.writeable):
+        raise ValueError("one_pole needs a writeable C-contiguous float64 array")
+    if x.size == 0:
+        return x
+    n = x.shape[-1]
+    ab = np.empty((n, 2))  # Fortran-ordered band: unit diagonal (not read), subdiagonal
+    ab[:, 0] = 1.0
+    ab[:, 1] = -a
+    n_, kd, nrhs, ldab, info = (ctypes.c_int(v) for v in (n, 1, x.size // n, 2, 0))
+    _DTBTRS(b"L", b"N", b"U", n_, kd, nrhs, ab.ctypes.data, ldab, x.ctypes.data, n_, info)
+    if info.value != 0:
+        raise ValueError(f"dtbtrs failed with info = {info.value}")
+    return x
+
+
+def _lapack_dtbtrs():
+    """dtbtrs(uplo, trans, diag, n, kd, nrhs, ab, ldab, b, ldb, info) from scipy's Cython LAPACK table.
+
+    Returned as a ctypes function, which releases the GIL for the length of
+    each call.
+    """
+    capsule = cython_lapack.__pyx_capi__["dtbtrs"]
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+    char, doubles, int_ = ctypes.c_char_p, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int)
+    prototype = ctypes.CFUNCTYPE(
+        None, char, char, char, int_, int_, int_, doubles, int_, doubles, int_, int_
+    )
+    return prototype(get_pointer(capsule, get_name(capsule)))
+
+
+_DTBTRS = _lapack_dtbtrs()
 
 
 def derive_stream(master_seed: int, *key: int) -> np.random.Generator:

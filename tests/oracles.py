@@ -1,5 +1,6 @@
 """Independent numerical oracles shared by the tests (not part of the package)."""
 
+import csv
 import math
 
 import numpy as np
@@ -7,6 +8,34 @@ from scipy.signal import lfilter
 
 from gmapprox import drift as dm
 from gmapprox.timebase import Curve, TimeGrid
+
+
+def exp_weighted_running_integral(g: Curve, theta: float) -> Curve:
+    """H(t) = e^{-theta t} int_0^t g(s) e^{theta s} ds by the per-step trapezoid recursion.
+
+    H(t_{k+1}) = e^{-theta dt} H(t_k) + trapezoid of g(s) e^{theta (s - t_{k+1})}
+    over [t_k, t_{k+1}], run with ``lfilter`` rather than the package's kernel.
+    """
+    if theta <= 0:
+        raise ValueError(f"theta must be positive, got {theta}")
+    a = np.exp(-theta * g.grid.dt)
+    x = np.zeros(g.grid.n_nodes)
+    x[1:] = 0.5 * g.grid.dt * (a * g.values[:-1] + g.values[1:])
+    return Curve(g.grid, lfilter([1.0], [1.0, -a], x))
+
+
+def curve_from_csv(path) -> Curve:
+    """Read back a curve written by ``Curve.to_csv``."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if rows[0] != ["t", "value"]:
+        raise ValueError(f"unexpected curve CSV header: {rows[0]}")
+    t = np.array([float(r[0]) for r in rows[1:]])
+    v = np.array([float(r[1]) for r in rows[1:]])
+    if len(t) < 2:
+        raise ValueError("curve CSV needs at least two nodes")
+    grid = TimeGrid(horizon_T=t[-1], dt=t[1] - t[0], n_steps=len(t) - 1)
+    return Curve(grid, v)
 
 
 def gamma_pdf(rate: float, shape: float):

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gmapprox
 from gmapprox.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 
 
@@ -322,3 +327,17 @@ class TestConfigEcho:
         echo = tmp_path / "out" / "simulate_config.json"
         assert main(["simulate", "--config", str(echo)]) == EXIT_OK
         assert (tmp_path / "out" / "paths.csv").read_bytes() == first
+
+
+def test_import_loads_no_heavy_scipy_modules():
+    """Every command starts by importing the CLI; it needs numpy and scipy.linalg only."""
+    heavy = ("scipy.signal", "scipy.stats", "scipy.special", "scipy.integrate")
+    code = f"import sys, gmapprox.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+    # a fresh interpreter that imports the same gmapprox package as this test
+    src = str(Path(gmapprox.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.split() == []

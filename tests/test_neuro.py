@@ -7,7 +7,6 @@ import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.signal import lfilter
 
 from gmapprox import drift as dm
 from gmapprox import neuro, timebase
@@ -26,7 +25,7 @@ from gmapprox.neuro import (
 )
 from gmapprox.response import response_moment_curves
 from gmapprox.sde import apply_I
-from gmapprox.timebase import Curve, TimeGrid, block_stream, derive_stream, stable_exp_diff
+from gmapprox.timebase import Curve, TimeGrid, block_stream, derive_stream, one_pole, stable_exp_diff
 from oracles import convolution_oracle, convolve_response, gamma_pdf
 
 TABLE2_LIF = LIFNeuron(theta_i=0.1, mu_i=6.0, sigma_i=1.0, v0_i=0.0, v_th=20.0)
@@ -94,10 +93,11 @@ class TestFirstPassage:
 def scalar_steps(neuron, dt, v_prev, done, normals):
     """Advance one neuron over len(normals) steps: (crossing time or None, last potential)."""
     a = 1.0 - neuron.theta_i * dt
-    x = np.full(len(normals), neuron.mu_i * dt)
+    x = np.full(len(normals) + 1, neuron.mu_i * dt)
+    x[0] = v_prev  # the state enters as a leading column
     if neuron.sigma_i > 0:
-        x += neuron.sigma_i * math.sqrt(dt) * normals
-    path, _ = lfilter([1.0], [1.0, -a], x, zi=np.array([a * v_prev]))
+        x[1:] += neuron.sigma_i * math.sqrt(dt) * normals
+    path = one_pole(x, a)[1:]
     hits = np.nonzero(path >= neuron.v_th)[0]
     if hits.size:
         k = int(hits[0])
@@ -226,14 +226,14 @@ class TestBatchedFirstPassage:
         monkeypatch.setattr(neuro, "_FPT_BLOCK", 100)
         cells = []
 
-        def recording_lfilter(b, a, x, **kw):
+        def recording(x, a):
             cells.append(x.size)
-            return lfilter(b, a, x, **kw)
+            return one_pole(x, a)
 
-        monkeypatch.setattr(neuro, "lfilter", recording_lfilter)
+        monkeypatch.setattr(neuro, "one_pole", recording)
         got = batched_times(TABLE2_LIF, 1e-2, 10.0, 9, 75)
         assert np.array_equal(got, oracle_times(TABLE2_LIF, 1e-2, 10.0, 9, 75))
-        assert max(cells) == 2000  # 20 rows of 100 steps
+        assert max(cells) == 2020  # 20 rows of a state column and 100 steps
         assert len(cells) > 4
 
     def test_rejects_nonpositive_step(self):

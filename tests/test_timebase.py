@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from gmapprox import timebase
 from gmapprox.timebase import (
@@ -12,15 +13,17 @@ from gmapprox.timebase import (
     TimeGrid,
     child_seed,
     derive_stream,
-    exp_weighted_running_integral,
+    exp_weighted_values,
     fill_rows,
     iter_slabs,
+    one_pole,
     slab_rows,
     split_stream,
     stable_exp_diff,
     trapezoid,
     write_csv_columns,
 )
+from oracles import curve_from_csv, exp_weighted_running_integral
 
 
 def grid(T=1.0, dt=1e-3):
@@ -87,7 +90,7 @@ class TestCurve:
         c = Curve.from_function(g, lambda t: np.sin(3 * t) / 7)
         p = tmp_path / "c.csv"
         c.to_csv(p)
-        back = Curve.from_csv(p)
+        back = curve_from_csv(p)
         assert np.array_equal(back.values, c.values)
 
     def test_ensemble_csv_header(self, tmp_path):
@@ -131,28 +134,30 @@ class TestTrapezoid:
 class TestExpWeightedIntegral:
     def test_zero(self):
         g = grid()
-        h = exp_weighted_running_integral(Curve(g, np.zeros(g.n_nodes)), 2.0)
-        assert np.array_equal(h.values, np.zeros(g.n_nodes))
+        h = exp_weighted_values(np.zeros(g.n_nodes), g.dt, 2.0)
+        assert np.array_equal(h, np.zeros(g.n_nodes))
 
     def test_constant_one(self):
         # H(t) = (1 - e^{-t}) for g = 1, theta = 1
         g = grid(1.0, 1e-3)
-        h = exp_weighted_running_integral(Curve(g, np.ones(g.n_nodes)), 1.0)
+        h = exp_weighted_values(np.ones(g.n_nodes), g.dt, 1.0)
         exact = 1.0 - np.exp(-g.times())
-        assert np.max(np.abs(h.values - exact)) < 1e-6
-        assert h.values[-1] == pytest.approx(0.6321205588285577, abs=1e-6)
+        assert np.max(np.abs(h - exact)) < 1e-6
+        assert h[-1] == pytest.approx(0.6321205588285577, abs=1e-6)
 
     def test_exponential_input(self):
         # g = e^{-2t}, theta = 1.5: H(t) = (e^{-1.5 t} - e^{-2 t}) / 0.5
         g = grid(1.0, 1e-3)
-        h = exp_weighted_running_integral(Curve.from_function(g, lambda t: np.exp(-2 * t)), 1.5)
         t = g.times()
+        h = exp_weighted_values(np.exp(-2 * t), g.dt, 1.5)
         exact = (np.exp(-1.5 * t) - np.exp(-2 * t)) / 0.5
-        assert np.max(np.abs(h.values - exact)) < 1e-6
-        assert h.values[-1] == pytest.approx(0.17558975382363423, abs=1e-6)
+        assert np.max(np.abs(h - exact)) < 1e-6
+        assert h[-1] == pytest.approx(0.17558975382363423, abs=1e-6)
 
     def test_rejects_nonpositive_theta(self):
         g = grid(1.0, 0.1)
+        with pytest.raises(ValueError):
+            exp_weighted_values(np.ones(g.n_nodes), g.dt, 0.0)
         with pytest.raises(ValueError):
             exp_weighted_running_integral(Curve(g, np.ones(g.n_nodes)), 0.0)
 
@@ -163,11 +168,70 @@ class TestExpWeightedIntegral:
             g = grid(1.0, dt)
             t = g.times()
             gv = np.sin(t) + 2.0
-            h = exp_weighted_running_integral(Curve(g, gv), theta).values
+            h = exp_weighted_values(gv, dt, theta)
             h_mid = 0.5 * (h[:-1] + h[1:])
             g_mid = np.sin(t[:-1] + dt / 2) + 2.0
             resid = np.abs(h[1:] - h[:-1] - dt * (-theta * h_mid + g_mid))
             assert resid.max() < 2.0 * dt**2
+
+    def test_rows_match_the_oracle(self):
+        g = grid(1.0, 1e-3)
+        gv = np.sin(np.outer([1.0, 3.0, 7.0], g.times())) + 1.5
+        h = exp_weighted_values(gv, g.dt, 1.5)
+        for row, got in zip(gv, h):
+            ref = exp_weighted_running_integral(Curve(g, row), 1.5).values
+            np.testing.assert_allclose(got, ref, rtol=1e-13)
+
+
+class TestOnePole:
+    @pytest.mark.parametrize("a", [np.exp(-1.5e-4), np.exp(-0.075)])
+    @pytest.mark.parametrize("shape", [(1, 5001), (26, 5001), (256, 513), (50_001,)])
+    def test_matches_lfilter(self, shape, a):
+        x = derive_stream(5, len(shape), shape[-1]).standard_normal(shape)
+        ref = lfilter([1.0], [1.0, -a], x, axis=-1)
+        # the scale keeps the comparison relative where the signed sums cross zero
+        np.testing.assert_allclose(one_pole(x, a), ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+    def test_rows_equal_one_row_calls(self):
+        a = np.exp(-0.075)
+        x = derive_stream(6, 0).standard_normal((37, 501))
+        rows = [one_pole(r.copy(), a) for r in x]
+        got = one_pole(x.copy(), a)
+        for r, ref in zip(got, rows):
+            assert np.array_equal(r, ref)
+        for lo, hi in ((0, 5), (5, 36), (36, 37)):
+            assert np.array_equal(one_pole(x[lo:hi].copy(), a), got[lo:hi])
+
+    def test_runs_in_place(self):
+        x = derive_stream(7, 0).standard_normal((3, 100))
+        x0 = x.copy()
+        y = one_pole(x, 0.9)
+        assert y is x and not np.array_equal(x, x0)
+        ref = lfilter([1.0], [1.0, -0.9], x0, axis=-1)
+        np.testing.assert_allclose(x, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+    def test_state_carried_as_a_leading_column(self):
+        a = 1.0 - 0.1 * 1e-2
+        x = derive_stream(8, 0).standard_normal(41)  # x[0] is the carried state v
+        full = one_pole(x.copy(), a)
+        for k in range(1, 40):
+            head = one_pole(x[: k + 1].copy(), a)
+            tail = x[k:].copy()
+            tail[0] = head[-1]
+            tail = one_pole(tail, a)
+            assert np.array_equal(np.concatenate([head, tail[1:]]), full), k
+
+    def test_rejects_layouts_it_cannot_overwrite(self):
+        x = np.zeros((4, 6))
+        frozen = x.copy()
+        frozen.flags.writeable = False
+        for bad in (x.T, x[:, ::2], x.astype(np.float32), frozen):
+            with pytest.raises(ValueError):
+                one_pole(bad, 0.5)
+
+    def test_empty(self):
+        for shape in ((0, 5), (3, 0)):
+            assert one_pole(np.zeros(shape), 0.5).shape == shape
 
 
 class TestStreams:
