@@ -32,6 +32,7 @@ from .drift import (
     Gamma,
     OUDrift,
     PairingError,
+    PiecewiseUniform,
     PointMass,
     Poisson,
     PoissonCount,
@@ -51,6 +52,7 @@ from .drift import (
 from .neuro import (
     LIFNeuron,
     build_drift_from_network,
+    first_passage_law,
     first_passage_time,
     first_passage_times,
     run_table2,

@@ -14,13 +14,13 @@ whose derivative 3((x - m1)^2 + var) is nonnegative for any valid moment
 set. In the central variable d = x - E[Z] it reads d^3 + 3 var d - mu3 = 0,
 so it needs only the mean, the variance and the third central moment: the
 exact cumulants kappa_1..kappa_3 of :func:`drift.cumulant_curves`, or sample
-moments for a drift without an exact law. It is solved at every node at once
+moments (:meth:`MomentCurves.from_central`). It is solved at every node at once
 by the hyperbolic closed form d = 2 sqrt(var) sinh(asinh(mu3 / (2 var^{3/2})) / 3)
 and one Newton step. For empirical samples (``Fp_root``) the root is
 bracketed by the sample range and found by bisection. The drift of the
-approximating SDE is recovered as f = I^{-1} F. :func:`fit` is the one place
-that chooses the moments: exact ones for every drift with an exact law,
-sample moments for the simulated network.
+approximating SDE is recovered as f = I^{-1} F. :func:`fit`, the fit of every
+table row and command, uses the exact cumulants: every drift variant has an
+exact law, the simulated network's included.
 """
 
 from __future__ import annotations
@@ -182,36 +182,18 @@ def F4_from_moments(moments: MomentCurves, theta: float) -> Approximant:
     return Approximant(p=4, F=F, f=f, theta=theta)
 
 
-def fit(
-    model: drift_mod.DriftModel,
-    theta: float,
-    grid: TimeGrid,
-    n_paths: int | None = None,
-    moment_seed: int | None = None,
-    threads: int = 1,
-    censored: list | None = None,
-) -> tuple[Approximant, Approximant]:
+def fit(model: drift_mod.DriftModel, theta: float, grid: TimeGrid) -> tuple[Approximant, Approximant]:
     """The order-2 and order-4 approximants (F2, F4): the fit of every table row and command.
 
-    A drift with an exact law is fitted on its exact cumulants: F2 is
-    kappa_1 (:func:`F2_analytic`) and F4 the cubic root on kappa_1..kappa_3
-    (:func:`exact_moments`); nothing is sampled, and n_paths, moment_seed
-    and threads are not read. Only a shot noise with a
-    :class:`drift.SimulatedFiring` arrival has no exact law: it is fitted on
-    the sample moments of an n_paths-path ensemble keyed by ``moment_seed``
-    (:func:`drift.moments_Z_mc`, which appends the ensemble's censoring
-    tally to ``censored``), with F2 the sample mean.
+    F2 is kappa_1 (:func:`F2_analytic`) and F4 the cubic root on
+    kappa_1..kappa_3 (:func:`exact_moments`); nothing is sampled. A shot
+    noise with a :class:`drift.SimulatedFiring` arrival is fitted on the
+    first-passage law it is sampled from, which needs the grid step to equal
+    its sim_dt (ValueError otherwise) and raises
+    :class:`drift.CensoringError` when more than half of its firing times
+    are censored.
     """
-    if isinstance(model, drift_mod.ShotNoise) and isinstance(model.arrival, drift_mod.SimulatedFiring):
-        if moment_seed is None:
-            raise ValueError("a simulated arrival law is fitted on Monte Carlo moments: pass moment_seed")
-        moments = drift_mod.moments_Z_mc(model, theta, grid, n_paths, moment_seed, threads, censored)
-        f2 = sde_mod.apply_I_inv(moments.m1, theta)
-        F2 = Approximant(p=2, F=moments.m1, f=f2, theta=theta)
-    else:
-        moments = exact_moments(model, theta, grid)
-        F2 = F2_analytic(model, theta, grid)
-    return F2, F4_from_moments(moments, theta)
+    return F2_analytic(model, theta, grid), F4_from_moments(exact_moments(model, theta, grid), theta)
 
 
 def Fp_root(p: int, samples: np.ndarray, tol: float = 1e-13) -> float:

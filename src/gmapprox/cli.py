@@ -176,6 +176,9 @@ def parse_neuron(spec) -> tuple[dict, str, drift_mod.ShotNoise]:
     return params, kind, models[kind]
 
 
+_FORMATS = ("csv", "json")
+
+
 def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentConfig:
     raw = {}
     if path is not None:
@@ -201,7 +204,7 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
         cfg.seed = int(mc.get("seed", cfg.seed))
         p_list = raw.get("costs", {}).get("p_list", list(costs_mod.P_ORDERS))
         cfg.out_dir = out.get("directory", cfg.out_dir)
-        cfg.formats = tuple(out.get("formats", cfg.formats))
+        formats = out.get("formats", list(cfg.formats))
         cfg.neuron = raw.get("neuron", {})
     # AttributeError: the config or one of its sections is not a JSON object
     except (AttributeError, TypeError, ValueError) as exc:
@@ -216,7 +219,7 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
     if getattr(overrides, "threads", None) is not None:
         cfg.threads = overrides.threads
     if getattr(overrides, "format", None) is not None:
-        cfg.formats = (overrides.format,)
+        formats = [overrides.format]
 
     if cfg.theta <= 0:
         raise ConfigError(f"sde.theta must be positive, got {cfg.theta}")
@@ -234,6 +237,11 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
         )
     if cfg.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {cfg.threads}")
+    if not (isinstance(formats, list) and formats and all(f in _FORMATS for f in formats)):
+        raise ConfigError(
+            f"output.formats must be a non-empty list drawn from {list(_FORMATS)}, got {formats!r}"
+        )
+    cfg.formats = tuple(formats)
     parse_neuron(cfg.neuron)
 
     grid = cfg.grid()
@@ -260,17 +268,20 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_table(cfg: ExperimentConfig, report, stem: str) -> list[str]:
-    written = []
-    if "csv" in cfg.formats:
-        p = _outpath(cfg, f"{stem}.csv")
-        costs_mod.write_report_csv(report, p)
-        written.append(p)
-    if "json" in cfg.formats:
-        p = _outpath(cfg, f"{stem}.json")
-        costs_mod.write_report_json(report, p)
-        written.append(p)
-    return written
+def _emit(cfg: ExperimentConfig, files) -> None:
+    """Write each (format, name, write) whose format output.formats lists, and print its path."""
+    for fmt, name, write in files:
+        if fmt in cfg.formats:
+            path = _outpath(cfg, name)
+            write(path)
+            print(f"wrote {path}")
+
+
+def _write_table(cfg: ExperimentConfig, report, stem: str) -> None:
+    _emit(cfg, [
+        ("csv", f"{stem}.csv", lambda p: costs_mod.write_report_csv(report, p)),
+        ("json", f"{stem}.json", lambda p: costs_mod.write_report_json(report, p)),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +307,12 @@ def cmd_simulate(cfg: ExperimentConfig, n_display_paths: int) -> int:
         x = y.values + z_acc.values
         data += [x, y.values + F2.F.values, y.values + F4.F.values]
         cols += [f"X_{i}", f"X2_{i}", f"X4_{i}"]
-    path = _outpath(cfg, "paths.csv")
-    write_csv_columns(path, cols, data)
-    F2.F.to_csv(_outpath(cfg, "F2.csv"))
-    F4.F.to_csv(_outpath(cfg, "F4.csv"))
-    if "json" in cfg.formats:
-        _write_json(_outpath(cfg, "simulate_config.json"), cfg.echo())
-    print(f"wrote {path}, F2.csv, F4.csv ({n_display_paths} displayed paths)")
+    _emit(cfg, [
+        ("csv", "paths.csv", lambda p: write_csv_columns(p, cols, data)),
+        ("csv", "F2.csv", F2.F.to_csv),
+        ("csv", "F4.csv", F4.F.to_csv),
+        ("json", "simulate_config.json", lambda p: _write_json(p, cfg.echo())),
+    ])
     return EXIT_OK
 
 
@@ -314,12 +324,12 @@ def cmd_approx(cfg: ExperimentConfig) -> int:
     """
     grid = cfg.grid()
     F2, F4 = approx_mod.fit(cfg.model, cfg.theta, grid)
-    for appr, name in ((F2, "approx_p2.csv"), (F4, "approx_p4.csv")):
-        path = _outpath(cfg, name)
-        write_csv_columns(path, ["t", "F", "f"], [grid.times(), appr.F.values, appr.f.values])
-        print(f"wrote {path}")
-    if "json" in cfg.formats:
-        _write_json(_outpath(cfg, "approx_config.json"), cfg.echo())
+    columns = lambda appr: [grid.times(), appr.F.values, appr.f.values]
+    _emit(cfg, [
+        ("csv", "approx_p2.csv", lambda p: write_csv_columns(p, ["t", "F", "f"], columns(F2))),
+        ("csv", "approx_p4.csv", lambda p: write_csv_columns(p, ["t", "F", "f"], columns(F4))),
+        ("json", "approx_config.json", lambda p: _write_json(p, cfg.echo())),
+    ])
     return EXIT_OK
 
 
@@ -339,21 +349,16 @@ def cmd_bound(cfg: ExperimentConfig) -> int:
         cfg.model, cfg.theta, grid, cfg.n_paths, child_seed(cfg.seed, 2), cfg.threads
     )
     mse, se = bounds_mod.pointwise_mse_streaming(chunks, F2.F, cfg.n_paths)
-    path = _outpath(cfg, "bound.csv")
-    write_csv_columns(
-        path, ["t", "mse", "se", "d2"], [grid.times(), mse.values, se.values, bound.d2.values]
-    )
     violation = mse.values - bound.d2.values - 3 * se.values
-    print(f"wrote {path}; max violation (mse - d2 - 3 se) = {violation.max():.6g}")
-    if "json" in cfg.formats:
-        _write_json(
-            _outpath(cfg, "bound_summary.json"),
-            {
-                "max_violation": float(violation.max()),
-                "d2_l1_mass": bound.l1_mass,
-                "config": cfg.echo(),
-            },
-        )
+    summary = {
+        "max_violation": float(violation.max()), "d2_l1_mass": bound.l1_mass, "config": cfg.echo()
+    }
+    columns = [grid.times(), mse.values, se.values, bound.d2.values]
+    _emit(cfg, [
+        ("csv", "bound.csv", lambda p: write_csv_columns(p, ["t", "mse", "se", "d2"], columns)),
+        ("json", "bound_summary.json", lambda p: _write_json(p, summary)),
+    ])
+    print(f"max violation (mse - d2 - 3 se) = {violation.max():.6g}")
     return EXIT_OK
 
 
@@ -362,56 +367,40 @@ def cmd_costs(cfg: ExperimentConfig) -> int:
     params = {"theta": cfg.theta, "T": cfg.T, "dt": cfg.dt, "config": cfg.echo()}
     scenario = [(cfg.model_spec.get("type", "model"), cfg.model)]
     report = costs_mod.run_table(scenario, params, cfg.seed, cfg.n_paths, cfg.threads)
-    for p in _write_table(cfg, report, "costs"):
-        print(f"wrote {p}")
+    _write_table(cfg, report, "costs")
     return EXIT_OK
 
 
 def cmd_table1(cfg: ExperimentConfig) -> int:
-    report = costs_mod.run_table1(cfg.seed, cfg.n_paths, cfg.threads)
-    for p in _write_table(cfg, report, "table1"):
-        print(f"wrote {p}")
+    _write_table(cfg, costs_mod.run_table1(cfg.seed, cfg.n_paths, cfg.threads), "table1")
     return EXIT_OK
 
 
 def cmd_table2(cfg: ExperimentConfig) -> int:
-    _require_two_paths(cfg, "the network row's Monte Carlo moments")
-    report = neuro_mod.run_table2(cfg.seed, cfg.n_paths, cfg.threads)
-    for p in _write_table(cfg, report, "table2"):
-        print(f"wrote {p}")
+    _require_two_paths(cfg, "the cost standard errors")
+    _write_table(cfg, neuro_mod.run_table2(cfg.seed, cfg.n_paths, cfg.threads), "table2")
     return EXIT_OK
 
 
 def cmd_neuron(cfg: ExperimentConfig) -> int:
     """Fit the approximants of the embedded-neuron scenario configured under 'neuron'.
 
-    The exponential and Gamma scenarios are exact; the simulated network is
-    fitted on mc.n_paths paths keyed by child_seed(seed, 0).
+    Every scenario is fitted on its exact law, the simulated network on the
+    first-passage law of its inputs at the neuron grid's dt, so nothing is
+    sampled: mc.n_paths and the seed are not read. The summary reports the
+    censor rate 1 - G(horizon_cap) of that law (0 for the other scenarios).
     """
     params, kind, model = parse_neuron(cfg.neuron)
-    if isinstance(model.arrival, drift_mod.SimulatedFiring):
-        _require_two_paths(cfg, "the network's Monte Carlo moments")
     grid = TimeGrid.from_step(params["T"], params["dt"])
-    tally = []
-    F2, F4 = approx_mod.fit(
-        model, params["theta"], grid, cfg.n_paths, child_seed(cfg.seed, 0), cfg.threads, tally
-    )
-    lost, drawn = tally[0] if tally else (0, 0)
-    censor_rate = lost / drawn if drawn else 0.0
-    F2.F.to_csv(_outpath(cfg, "neuron_F2.csv"))
-    F4.F.to_csv(_outpath(cfg, "neuron_F4.csv"))
-    if "json" in cfg.formats:
-        _write_json(
-            _outpath(cfg, "neuron_summary.json"),
-            {
-                "scenario": kind,
-                "censor_rate": censor_rate,
-                "params": params,
-                "n_paths": cfg.n_paths,
-                "seed": cfg.seed,
-            },
-        )
-    print(f"wrote neuron_F2.csv, neuron_F4.csv (scenario {kind}, censor rate {censor_rate:.2e})")
+    F2, F4 = approx_mod.fit(model, params["theta"], grid)
+    censor_rate = drift_mod.censored_share(model.arrival)
+    summary = {"scenario": kind, "censor_rate": censor_rate, "params": params}
+    _emit(cfg, [
+        ("csv", "neuron_F2.csv", F2.F.to_csv),
+        ("csv", "neuron_F4.csv", F4.F.to_csv),
+        ("json", "neuron_summary.json", lambda p: _write_json(p, summary)),
+    ])
+    print(f"scenario {kind}, censor rate {censor_rate:.2e}")
     return EXIT_OK
 
 

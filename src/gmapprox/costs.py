@@ -208,37 +208,32 @@ def cost_block(
     n_paths: int,
     eval_seed: int,
     threads: int = 1,
-    moment_seed: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """One scenario's 2x2 cost matrix (orders 2 and 4 against F2 and F4).
 
-    F2 and F4 come from :func:`approx.fit`: exact for every drift with an
-    exact law, so the reported SEs are complete, and fitted on an ensemble
-    keyed by ``moment_seed`` for the simulated network, whose SEs leave that
-    fitting noise out. Every cost is evaluated on one ensemble of n_paths
-    paths keyed by ``eval_seed``, independent of the fitting one. ``extras``
-    holds the F2 and F4 curves, the gap SEs and ``censored``, the
-    (censored, drawn) event times of both ensembles; an ensemble more than
-    half censored raises :class:`drift.CensoringError`.
+    F2 and F4 come from :func:`approx.fit`, exact for every drift, so the
+    reported SEs are complete. Every cost is evaluated on one ensemble of
+    n_paths paths keyed by ``eval_seed``. ``extras`` holds the F2 and F4
+    curves, the gap SEs and ``censored``, the (censored, drawn) event times
+    of the ensemble; a law or an ensemble more than half censored raises
+    :class:`drift.CensoringError`.
     """
     tally = []
-    F2, F4 = approx_mod.fit(model, theta, grid, n_paths, moment_seed, threads, tally)
+    F2, F4 = approx_mod.fit(model, theta, grid)
     values, se, gap_se = per_path_cost_matrix(
         drift_mod.iter_Z_chunks(model, theta, grid, n_paths, eval_seed, threads, censored=tally),
         (F2.F.values, F4.F.values),
         grid.dt,
         n_paths,
     )
-    censored = (sum(c for c, _ in tally), sum(n for _, n in tally))
-    return values, se, {"F2": F2.F, "F4": F4.F, "gap_se": gap_se, "censored": censored}
+    return values, se, {"F2": F2.F, "F4": F4.F, "gap_se": gap_se, "censored": tally[0]}
 
 
 def run_table(scenarios, params: dict, seed: int, n_paths: int, threads: int = 1) -> CostReport:
     """The cost table of (label, drift) scenarios at params' theta, T and dt.
 
     Scenario k is one :func:`cost_block`, evaluated on n_paths paths keyed
-    by child_seed(seed, k, 1) and, where it has no exact law, fitted on a
-    moment ensemble keyed by child_seed(seed, k, 0). The echo holds params,
+    by child_seed(seed, k, 1). The echo holds params,
     n_paths, seed, the censored input count and the largest censor rate of
     a row.
     """
@@ -255,7 +250,6 @@ def run_table(scenarios, params: dict, seed: int, n_paths: int, threads: int = 1
             n_paths,
             eval_seed=child_seed(seed, k, 1),
             threads=threads,
-            moment_seed=child_seed(seed, k, 0),
         )
         gap_se[k] = extras["gap_se"]
         lost, drawn = extras["censored"]

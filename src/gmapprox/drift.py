@@ -15,14 +15,14 @@ single-shot drift keeps its one-event closed form; the two diffusion-driven
 variants sample z with exact Gaussian transitions and pass it through the
 shared exponential integrator.
 
-Every variant also has an exact law for Z: :func:`cumulant_curves` returns
-its first four cumulants at the grid nodes, which is all the order-2 and
-order-4 approximants need. The one exception is a shot noise whose event
-times are the first passages of LIF input neurons (:class:`SimulatedFiring`,
-the embedded neuron's network): it is sampled like any other shot noise, and
-its approximants are fitted on Monte Carlo moments (:func:`approx.fit`).
-An input that never fires before its cap has an infinite (censored) event
-time, which never reaches a grid node.
+Every variant has an exact law for Z: :func:`cumulant_curves` returns its
+first four cumulants at the grid nodes, which is all the order-2 and order-4
+approximants need. That includes a shot noise whose event times are the
+first passages of LIF input neurons (:class:`SimulatedFiring`, the embedded
+neuron's network): their law is solved once per instance on the sim_dt grid
+(:func:`neuro.first_passage_law`), and sampling and the cumulants both read
+that one tabulated law. An input that never fires before its cap has an
+infinite (censored) event time, which never reaches a grid node.
 
 Ensembles follow the block-stream contract of :mod:`timebase`: the rows of
 block b = i // _BLOCK are sampled together from ``block_stream(seed, b)`` by
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -61,6 +62,7 @@ __all__ = [
     "PoissonCount",
     "FixedCount",
     "PointMass",
+    "PiecewiseUniform",
     "SimulatedFiring",
     "Distribution",
     "SingleShot",
@@ -77,6 +79,7 @@ __all__ = [
     "dist_second_moment",
     "dist_variance",
     "dist_raw_moment",
+    "censored_share",
     "sample_dist",
     "validate_pairing",
     "sample_z_path",
@@ -154,13 +157,37 @@ class PointMass:
     value: float
 
 
+@dataclass(frozen=True, eq=False)
+class PiecewiseUniform:
+    """A law with CDF ``cdf[k]`` at the nodes k dt, linear in between, and mass 1 - cdf[-1] at +inf.
+
+    Inside each cell (k dt, (k + 1) dt] it is uniform; the mass beyond the
+    last node is an event that never happens (a censored time).
+    """
+
+    dt: float
+    cdf: np.ndarray
+
+    def __post_init__(self):
+        c = np.asarray(self.cdf, dtype=float)
+        object.__setattr__(self, "cdf", c)
+        if not self.dt > 0:
+            raise ValueError(f"cell width must be positive, got {self.dt}")
+        if c.ndim != 1 or c.size < 2 or c[0] != 0.0:
+            raise ValueError("cdf needs at least two nodes and cdf[0] = 0")
+        if np.any(np.diff(c) < 0) or c[-1] > 1.0:
+            raise ValueError("cdf must be nondecreasing and at most 1")
+
+
 @dataclass(frozen=True)
 class SimulatedFiring:
-    """Firing times of a :class:`neuro.LIFNeuron` input, drawn by first-passage simulation.
+    """Firing times of a :class:`neuro.LIFNeuron` input: its exact first-passage law.
 
-    A draw is :func:`neuro.first_passage_times` at step sim_dt; an input
-    that has not fired by horizon_cap gives an infinite (censored) time.
-    The law has no closed form, so it has no moments here.
+    :attr:`law` is :func:`neuro.first_passage_law` on the sim_dt grid up to
+    horizon_cap, solved on first use and kept by this instance: a point mass
+    for a noiseless input, else a :class:`PiecewiseUniform` law whose mass
+    beyond the cap is censored (infinite times). Sampling and the cumulants
+    read the same law, and a fit needs the cost grid's step to equal sim_dt.
     """
 
     neuron: object  # a neuro.LIFNeuron
@@ -171,9 +198,15 @@ class SimulatedFiring:
         if self.sim_dt <= 0 or self.horizon_cap <= 0:
             raise ValueError("sim_dt and horizon_cap must be positive")
 
+    @cached_property
+    def law(self) -> PointMass | PiecewiseUniform:
+        from .neuro import first_passage_law  # local import: neuro imports this module
+
+        return first_passage_law(self.neuron, self.sim_dt, self.horizon_cap)
+
 
 Distribution = Union[
-    Exponential, Gamma, Uniform, PoissonCount, FixedCount, PointMass, SimulatedFiring
+    Exponential, Gamma, Uniform, PoissonCount, FixedCount, PointMass, PiecewiseUniform, SimulatedFiring
 ]
 
 
@@ -220,11 +253,30 @@ def sample_dist(dist: Distribution, stream: np.random.Generator, size: int):
         return np.full(size, dist.value, dtype=int)
     if isinstance(dist, PointMass):
         return np.full(size, dist.value, dtype=float)
+    if isinstance(dist, PiecewiseUniform):
+        # inverse CDF, one uniform per draw: cdf[k - 1] <= u < cdf[k] falls in cell k
+        u = stream.random(size)
+        k = np.searchsorted(dist.cdf, u, side="right")
+        out = np.full(size, math.inf)
+        hit = k < dist.cdf.size  # u >= cdf[-1]: never fires
+        k, u = k[hit], u[hit]
+        lo = dist.cdf[k - 1]
+        out[hit] = (k - 1 + (u - lo) / (dist.cdf[k] - lo)) * dist.dt
+        return out
     if isinstance(dist, SimulatedFiring):
-        from .neuro import first_passage_times  # local import: neuro imports this module
-
-        return first_passage_times(dist.neuron, dist.sim_dt, dist.horizon_cap, size, stream)
+        return sample_dist(dist.law, stream, size)
     raise TypeError(f"not a distribution: {dist!r}")
+
+
+def censored_share(dist: Distribution) -> float:
+    """The probability that an event time is infinite: 0 for every law but a censored one."""
+    if isinstance(dist, SimulatedFiring):
+        dist = dist.law
+    if isinstance(dist, PiecewiseUniform):
+        return 1.0 - float(dist.cdf[-1])
+    if isinstance(dist, PointMass):
+        return float(math.isinf(dist.value))
+    return 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,22 @@ independent LIF diffusion whose first threshold crossing triggers an
 exponentially decaying current. Its drift is therefore a shot noise
 (:class:`drift.ShotNoise`) with a fixed count of M events, and the three
 Table 2 rows differ only in the law of the event times: exponential, Gamma,
-or the simulated first passage of an LIF input (:class:`drift.SimulatedFiring`,
-drawn by :func:`first_passage_times`). Every row goes through the drift
-ensembles, the one fit (:func:`approx.fit`) and the table loop
-(:func:`costs.run_table`) that Table 1 uses.
+or the first passage of an LIF input (:class:`drift.SimulatedFiring`). Every
+row goes through the drift ensembles, the one fit (:func:`approx.fit`) and
+the table loop (:func:`costs.run_table`) that Table 1 uses.
 
-The first passage of n inputs reads one stream: it advances them together
-_FPT_BLOCK steps at a time and draws each step block's normals with one call
-for every input still live. A shot-noise block draws its M x rows firing
-times this way, then the amplitudes, so the draws depend on the block, its
-trial count and _FPT_BLOCK, never on threads or on how a caller chunks the
-trials.
+An LIF input is an Ornstein-Uhlenbeck process with a constant threshold, so
+its first-passage density g solves a second-kind Volterra equation whose
+kernel vanishes on the diagonal (Buonocore, Nobile & Ricciardi 1987, Adv.
+Appl. Prob. 19:784-800; Di Nardo, Nobile, Pirozzi & Ricciardi 2001, Adv.
+Appl. Prob. 33:453-482). :func:`first_passage_law` solves it by the
+trapezoid rule and tabulates the CDF: the exact law that the network row is
+both sampled from (one uniform per input) and fitted on (its cumulants).
+
+:func:`first_passage_times` keeps the Euler-Maruyama simulation of the
+inputs: it advances n paths together _FPT_BLOCK steps at a time and draws
+each step block's normals with one call for every input still live. No
+table or command uses it.
 
 Units are milliseconds and millivolts throughout.
 """
@@ -36,6 +41,7 @@ __all__ = [
     "CENSORED",
     "first_passage_time",
     "first_passage_times",
+    "first_passage_law",
     "build_drift_from_network",
     "table2_models",
     "run_table2",
@@ -70,6 +76,11 @@ TABLE2_PARAMS = {
 }
 
 _FPT_BLOCK = 512  # steps per block of the batched first-passage recurrence
+# Most steps a first-passage solve takes: a finer sim_dt grid is solved on
+# cells of a whole number of its steps, so the solve costs at most
+# _SOLVE_STEPS^2 / 2 multiply-adds and holds _SOLVE_STEPS + 1 CDF values.
+_SOLVE_STEPS = 2**15
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -112,7 +123,9 @@ def first_passage_times(
     of the sub-batch's live paths, in path order, with one
     ``standard_normal((live, steps))`` call. The working set is bounded
     whatever n, and a single path reads its stream exactly as a sequential
-    per-step loop would.
+    per-step loop would. It fires about 0.014 ms late against
+    :func:`first_passage_law` at dt = 1e-2 (Table 2's input), and no table or
+    command draws from it.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -157,14 +170,84 @@ def _first_passage_batch(neuron: LIFNeuron, dt: float, n_total: int, stream, out
         done += block
 
 
+def first_passage_law(
+    neuron: LIFNeuron, dt: float, horizon_cap: float
+) -> drift_mod.PointMass | drift_mod.PiecewiseUniform:
+    """The exact law of the first threshold crossing of one LIF input, up to horizon_cap.
+
+    A noiseless input crosses at t* = ln((mu_i - theta_i v0_i) / (mu_i - theta_i v_th)) / theta_i,
+    a point mass, or never (an infinite point mass) when mu_i / theta_i <= v_th
+    or t* > horizon_cap. Otherwise the density g solves
+
+        g(t) = -2 Psi(S, t | v0, 0) + 2 int_0^t g(tau) Psi(S, t | S, tau) dtau,
+        Psi(S, t | y, tau) = f(S, t | y, tau) [(theta S - mu) / 2 - sigma^2 (S - m) / (2 v)],
+
+    with S = v_th, f the OU transition density from y at tau, and m, v its
+    mean and variance over t - tau. Psi(S, t | S, tau) vanishes as
+    t - tau -> 0, and it depends on t - tau alone, so the trapezoid rule on
+    the nodes t_n = n h is one sequential convolution,
+    g_n = -2 Psi(S, t_n | v0, 0) + 2 h sum_{0<j<n} g_j Psi(S, t_n | S, t_j).
+    The kernel is cut after its last lag above float64 resolution of its
+    peak, and the solve stops once 1 - G is below float64 resolution.
+
+    h is dt, or the smallest whole multiple of dt that covers horizon_cap in
+    at most _SOLVE_STEPS steps, so the work is bounded for any dt. The CDF G
+    at the nodes integrates max(g, 0) by the trapezoid rule, capped at 1; the
+    law is linear in G between nodes, and the mass 1 - G beyond the last
+    node never fires.
+    """
+    if dt <= 0 or horizon_cap <= 0:
+        raise ValueError("dt and horizon_cap must be positive")
+    th, S = neuron.theta_i, neuron.v_th
+    if neuron.sigma_i == 0:
+        drive = neuron.mu_i - th * S  # the slope of v at the threshold
+        t = math.log1p(th * (S - neuron.v0_i) / drive) / th if drive > 0 else math.inf
+        return drift_mod.PointMass(t if t <= horizon_cap else math.inf)
+    steps = max(1, math.ceil(horizon_cap / dt - 1e-9))
+    cells = math.ceil(steps / _SOLVE_STEPS)  # sim_dt steps per solve step
+    n = math.ceil(steps / cells)
+    h = cells * dt
+    lags = h * np.arange(1, n + 1)
+    free = -2.0 * _psi(neuron, neuron.v0_i, lags)
+    kernel = 2.0 * h * _psi(neuron, S, lags)
+    above = np.flatnonzero(np.abs(kernel) > _EPS * np.abs(kernel).max())
+    width = int(above[-1]) + 1 if above.size else 0
+    kernel = kernel[:width][::-1].copy()  # kernel[-d] weighs g_{n-d}
+    g = np.zeros(n + 1)
+    mass = 0.0
+    for k in range(1, n + 1):
+        lo = max(0, k - width)
+        g[k] = free[k - 1] + np.dot(g[lo:k], kernel[width - (k - lo) :])
+        mass += 0.5 * h * (g[k - 1] + g[k])
+        if 1.0 - mass < _EPS:
+            break
+    np.maximum(g, 0.0, out=g)
+    cdf = np.zeros(n + 1)
+    np.cumsum(0.5 * h * (g[:k] + g[1 : k + 1]), out=cdf[1 : k + 1])
+    cdf[k + 1 :] = cdf[k]  # flat after the last node solved
+    np.minimum(cdf, 1.0, out=cdf)
+    return drift_mod.PiecewiseUniform(h, cdf)
+
+
+def _psi(neuron: LIFNeuron, y: float, lags: np.ndarray) -> np.ndarray:
+    """Psi(S, t | y, tau) of :func:`first_passage_law` at the lags t - tau."""
+    th, mu, s2, S = neuron.theta_i, neuron.mu_i, neuron.sigma_i**2, neuron.v_th
+    m = y * np.exp(-th * lags) - (mu / th) * np.expm1(-th * lags)
+    v = -s2 * np.expm1(-2.0 * th * lags) / (2.0 * th)
+    d = S - m
+    f = np.exp(-d * d / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
+    return f * (0.5 * (th * S - mu) - s2 * d / (2.0 * v))
+
+
 def build_drift_from_network(
     model: drift_mod.ShotNoise, theta: float, grid: TimeGrid, stream: np.random.Generator
 ) -> Curve:
     """One realization of Z for a network drift: a one-row block drawn from ``stream``.
 
     The same as :func:`drift.sample_Z_path`: the M firing times come first
-    (first passages for a :class:`drift.SimulatedFiring` arrival, censored
-    inputs never reach a node), then the amplitudes.
+    (one uniform per input through the first-passage law of a
+    :class:`drift.SimulatedFiring` arrival; censored inputs never reach a
+    node), then the amplitudes.
     """
     return drift_mod.sample_Z_path(model, theta, grid, stream)
 
@@ -201,12 +284,13 @@ def table2_models(params: dict = TABLE2_PARAMS) -> list[tuple[str, drift_mod.Sho
 def run_table2(seed: int, n_paths: int = 10_000, threads: int = 1) -> CostReport:
     """The three-scenario embedded-neuron cost table (:func:`costs.run_table`).
 
-    The exponential and Gamma rows have an exact law, so F2 is kappa_1 and
-    F4 is fitted on the exact cumulants. The simulated-network row fits F2
-    (the sample mean) and F4 on the Monte Carlo moments of an ensemble keyed
-    by child_seed(seed, 2, 0). Every row is evaluated on an ensemble keyed by
-    child_seed(seed, row, 1). The echo reports the censored inputs and the
-    network row's censor rate; a row with more than half of an ensemble's
-    inputs censored raises :class:`drift.CensoringError`.
+    Every row has an exact law: exponential, Gamma, or the first-passage law
+    of the LIF inputs (:func:`first_passage_law` at the table's dt), so F2
+    is kappa_1 and F4 is fitted on the exact cumulants, the same bits for
+    any seed, path count and thread count. Every row is evaluated on an
+    ensemble keyed by child_seed(seed, row, 1); the network row samples the
+    same law it was fitted on. The echo reports the censored inputs and the
+    network row's censor rate; a row with more than half of its inputs
+    censored raises :class:`drift.CensoringError`.
     """
     return run_table(table2_models(TABLE2_PARAMS), TABLE2_PARAMS, seed, n_paths, threads)

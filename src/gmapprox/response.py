@@ -8,7 +8,9 @@ at a random time with density p, the drift moments need
 Closed forms are used for exponential firing times (any rate), point masses
 and uniform firing times. Gamma firing times use the exact one-rate chain
 convolution of :func:`_gamma_convolution`, whichever side of the decay rate
-the firing rate lies on.
+the firing rate lies on. Piecewise-uniform firing times, the first-passage
+law of a simulated LIF input among them, are convolved cell by cell
+(:func:`_cell_convolution`).
 
 The exact cumulants of Z need every power E[K(t - T)^k] of the damped
 response K, k = 1..4. Those come from chains of exponential convolutions
@@ -34,15 +36,16 @@ __all__ = [
 def response_moment_curves(dist, lam: float, grid: TimeGrid) -> tuple[Curve, Curve]:
     """phi and psi curves for a firing-time distribution; see module docstring.
 
-    Supports exponential, gamma, uniform and point-mass firing times (every
-    arrival law ``ShotNoise`` accepts but the simulated network's, which has
-    no closed form); gamma uses the exact chain convolution for every pair
-    of rates.
+    Supports exponential, gamma, uniform, point-mass and piecewise-uniform
+    firing times, and the first-passage law of a simulated input
+    (:func:`_arrival_law`), so every arrival law ``ShotNoise`` accepts; gamma
+    uses the exact chain convolution for every pair of rates.
     """
     from . import drift  # local import: drift also imports this module
 
     if lam <= 0:
         raise ValueError(f"response rate must be positive, got {lam}")
+    dist = _arrival_law(dist, grid)
     t = grid.times()
     if isinstance(dist, drift.Exponential):
         nu = dist.rate
@@ -68,6 +71,8 @@ def response_moment_curves(dist, lam: float, grid: TimeGrid) -> tuple[Curve, Cur
         if dist.lo < 0:
             raise ValueError("firing-time support must be nonnegative")
         return _uniform_case(dist, lam, t, grid), _uniform_case(dist, 2 * lam, t, grid)
+    if isinstance(dist, drift.PiecewiseUniform):
+        return tuple(Curve(grid, _cell_convolution([r], dist, grid)[-1]) for r in (lam, 2 * lam))
     raise ValueError(f"unsupported firing-time distribution: {type(dist).__name__}")
 
 
@@ -187,11 +192,13 @@ def response_power_means(arrival, lam: float, theta: float, grid: TimeGrid, orde
     (1 - e^{-theta u}) / theta. K^k is k! times the chain of rates
     (k - j) lam + j theta, j = 0..k, so each mean is a chain state:
     exponential arrivals prepend their rate, point masses shift the chain,
-    uniform arrivals average it over the window, and Gamma arrivals are
-    convolved cell by cell.
+    uniform arrivals average it over the window, and Gamma and
+    piecewise-uniform arrivals (the first-passage law of a simulated input,
+    :func:`_arrival_law`) are convolved cell by cell.
     """
     from . import drift  # local import: drift also imports this module
 
+    arrival = _arrival_law(arrival, grid)
     out = np.empty((order, grid.n_nodes))
     for k in range(1, order + 1):
         rates = [(k - j) * lam + j * theta for j in range(k + 1)]
@@ -209,7 +216,49 @@ def response_power_means(arrival, lam: float, theta: float, grid: TimeGrid, orde
             window = _chain_expm(aug, hi - lo)[1:, 0]  # int_0^{hi - lo} v(x) dx
             after = chain_states(rates, grid, start=hi, v0=window)[-1]
             v = np.where(grid.times() < hi, inside, after) / (hi - lo)
+        elif isinstance(arrival, drift.PiecewiseUniform):
+            v = _cell_convolution(rates, arrival, grid)[-1]
         else:
             raise ValueError(f"unsupported arrival distribution: {type(arrival).__name__}")
         out[k - 1] = math.factorial(k) * v
     return out
+
+
+def _arrival_law(arrival, grid: TimeGrid):
+    """The law whose moments a fit on ``grid`` integrates: a simulated input's first-passage law.
+
+    A :class:`drift.SimulatedFiring` arrival must have sim_dt equal to the
+    grid step (ValueError otherwise), and a law with more than half of its
+    event times censored raises :class:`drift.CensoringError`. Every other
+    law is returned as it is.
+    """
+    from . import drift  # local import: drift also imports this module
+
+    if not isinstance(arrival, drift.SimulatedFiring):
+        return arrival
+    if arrival.sim_dt != grid.dt:
+        raise ValueError(f"simulated firing has sim_dt = {arrival.sim_dt}, the grid dt = {grid.dt}")
+    lost = drift.censored_share(arrival)
+    if 2 * lost > 1:
+        raise drift.CensoringError(f"{lost:.2%} of the firing times are censored; raise horizon_cap")
+    return arrival.law
+
+
+def _cell_convolution(rates, law, grid: TimeGrid) -> np.ndarray:
+    """Chain states E[v(t_k - T) 1{T <= t_k}] at the grid nodes for a piecewise-uniform T.
+
+    The law's cells hold a whole number of grid cells, each taking an equal
+    share of its mass. The mass dG_k of grid cell (t_{k-1}, t_k] is uniform
+    on it, so it adds dG_k w to the state at t_k, with w the mean of v over
+    one step (the window integral of the uniform case), and the states
+    follow v_k = exp(dt M) v_{k-1} + dG_k w.
+    """
+    n, dt = grid.n_nodes, grid.dt
+    per = round(law.dt / dt)
+    if per < 1 or abs(per * dt - law.dt) > 1e-9 * law.dt:
+        raise ValueError(f"law cells of width {law.dt} are not whole grid steps of {dt}")
+    masses = np.repeat(np.diff(law.cdf) / per, per)[: n - 1]
+    x = np.zeros((len(rates), n))
+    window = _chain_expm([0.0] + list(rates), dt)[1:, 0] / dt
+    x[:, 1 : masses.size + 1] = window[:, None] * masses
+    return _chain_run(_chain_expm(rates, dt), x)

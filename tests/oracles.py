@@ -86,3 +86,33 @@ def convolution_oracle(dist, lam: float, grid: TimeGrid, squared: bool = False) 
     else:
         raise ValueError(f"no density available for {type(dist).__name__}")
     return convolve_response(decay, pdf, grid)
+
+
+def bridge_first_passages(neuron, dt: float, horizon_cap: float, n: int, rng) -> np.ndarray:
+    """First threshold crossings of n LIF inputs by exact OU steps and a Brownian-bridge test.
+
+    Each step draws the exact Gaussian transition v0 -> v1 over dt. A path
+    that ends a step at or above the threshold b has crossed; one that ends
+    below it crossed inside the step with the Brownian-bridge probability
+    exp(-2 (b - v0)(b - v1) / (sigma^2 dt)). Given a crossing, the bridge's
+    first hitting time tau has x = tau / (dt - tau) inverse Gaussian with mean
+    (b - v0) / |b - v1| and shape (b - v0)^2 / (sigma^2 dt), so the crossing
+    time is t + dt x / (1 + x). Paths that do not cross by horizon_cap are inf.
+    """
+    th, mu, s, b = neuron.theta_i, neuron.mu_i, neuron.sigma_i, neuron.v_th
+    decay = math.exp(-th * dt)
+    sd = s * math.sqrt(-math.expm1(-2.0 * th * dt) / (2.0 * th))
+    v = np.full(n, float(neuron.v0_i))
+    out = np.full(n, math.inf)
+    live = np.arange(n)
+    for k in range(int(math.ceil(horizon_cap / dt))):
+        if not live.size:
+            break
+        v1 = v * decay + (mu / th) * (1.0 - decay) + sd * rng.standard_normal(live.size)
+        a, c = b - v, b - v1
+        crossed = (c <= 0) | (rng.random(live.size) < np.exp(-2.0 * a * np.maximum(c, 0.0) / (s * s * dt)))
+        a, c = a[crossed], np.maximum(np.abs(c[crossed]), 1e-300)
+        x = rng.wald(a / c, a * a / (s * s * dt))
+        out[live[crossed]] = (k + x / (1.0 + x)) * dt
+        v, live = v1[~crossed], live[~crossed]
+    return out

@@ -288,6 +288,16 @@ class TestNeuron:
         assert main(["neuron", "--config", str(p)]) == EXIT_CONFIG
         assert "config error: neuron:" in capsys.readouterr().err
 
+    def test_subthreshold_noisy_inputs_exit_code(self, tmp_path, capsys):
+        # mu / theta = 15 below the threshold: most inputs never fire before the cap, exit 3
+        p = write_config(
+            tmp_path,
+            neuron={"scenario": "simulated_network", "mu_i": 1.5, "horizon_cap": 50.0, "T": 2.0},
+            mc={"n_paths": 3, "seed": 2},
+        )
+        assert main(["neuron", "--config", str(p)]) == EXIT_NUMERICAL
+        assert "censored" in capsys.readouterr().err
+
     def test_censoring_failure_exit_code(self, tmp_path):
         # subthreshold noiseless inputs never fire: numerical failure, exit 3
         p = write_config(
@@ -305,7 +315,7 @@ class TestNeuron:
 
 
 class TestOnePath:
-    @pytest.mark.parametrize("command", ["bound", "table2", "neuron"])
+    @pytest.mark.parametrize("command", ["bound", "table2"])
     def test_one_path_is_a_config_error(self, tmp_path, capsys, command):
         # a sample variance needs two paths: exit 2, not a traceback
         p = write_config(tmp_path, mc={"n_paths": 1, "seed": 2})
@@ -317,6 +327,54 @@ class TestOnePath:
             tmp_path, neuron={"scenario": "exponential", "T": 10.0}, mc={"n_paths": 1, "seed": 2}
         )
         assert main(["neuron", "--config", str(p)]) == EXIT_OK
+
+    def test_simulated_neuron_reads_no_paths(self, tmp_path):
+        # the network is fitted on its exact first-passage law: any seed and path count, the same bits
+        outs = []
+        for k, mc in enumerate(({"n_paths": 1, "seed": 2}, {"n_paths": 300, "seed": 7})):
+            p = write_config(tmp_path, neuron={"T": 10.0}, mc=mc, output={
+                "directory": str(tmp_path / f"o{k}"), "formats": ["csv", "json"]})
+            assert main(["neuron", "--config", str(p), "--threads", str(k + 1)]) == EXIT_OK
+            outs.append([(tmp_path / f"o{k}" / f"neuron_F{order}.csv").read_bytes() for order in (2, 4)])
+        assert outs[0] == outs[1]
+        summary = json.loads((tmp_path / "o0" / "neuron_summary.json").read_text())
+        assert summary["scenario"] == "simulated_network"
+        assert 0 < summary["censor_rate"] < 1e-4
+
+
+class TestFormats:
+    # every file a command writes, by format, for the write_config defaults
+    FILES = {
+        "simulate": {"csv": ["paths.csv", "F2.csv", "F4.csv"], "json": ["simulate_config.json"]},
+        "approx": {"csv": ["approx_p2.csv", "approx_p4.csv"], "json": ["approx_config.json"]},
+        "bound": {"csv": ["bound.csv"], "json": ["bound_summary.json"]},
+        "costs": {"csv": ["costs.csv"], "json": ["costs.json"]},
+        "table1": {"csv": ["table1.csv"], "json": ["table1.json"]},
+        "table2": {"csv": ["table2.csv"], "json": ["table2.json"]},
+        "neuron": {"csv": ["neuron_F2.csv", "neuron_F4.csv"], "json": ["neuron_summary.json"]},
+    }
+
+    @pytest.mark.parametrize("formats", [["xml"], [], "csv", ["csv", "xml"], [["csv"]], None])
+    def test_invalid_formats_are_a_config_error(self, tmp_path, capsys, formats):
+        p = write_config(tmp_path, output={"directory": str(tmp_path / "out"), "formats": formats})
+        assert main(["costs", "--config", str(p)]) == EXIT_CONFIG
+        assert "output.formats" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", sorted(FILES))
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_every_command_writes_only_the_listed_format(self, tmp_path, command, fmt):
+        out = tmp_path / "out"
+        p = write_config(tmp_path, mc={"n_paths": 20, "seed": 1}, neuron={"T": 2.0},
+                         output={"directory": str(out), "formats": [fmt]})
+        assert main([command, "--config", str(p)]) == EXIT_OK
+        assert sorted(os.listdir(out)) == sorted(self.FILES[command][fmt])
+
+    def test_format_flag_overrides_the_config(self, tmp_path):
+        out = tmp_path / "out"
+        p = write_config(tmp_path, output={"directory": str(out), "formats": ["csv"]})
+        assert main(["approx", "--config", str(p), "--format", "json"]) == EXIT_OK
+        assert os.listdir(out) == ["approx_config.json"]
 
 
 class TestConfigEcho:

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from gmapprox import drift as dm
 from gmapprox.approx import F2_analytic, F4_from_moments, exact_moments
 from gmapprox.costs import TABLE1_PARAMS, cost_block, table1_scenarios
+from gmapprox.neuro import TABLE2_PARAMS, table2_models
 from gmapprox.timebase import TimeGrid, child_seed, trapezoid_values
 
 from test_acceptance import TABLE1_REFERENCE, CELLS
@@ -228,6 +229,28 @@ def test_monte_carlo_moments_agree_with_exact(model):
         assert np.all(resid <= 4.0 * s[1:] / math.sqrt(n) + 1e-12), resid / (s[1:] / math.sqrt(n))
 
 
+def test_network_monte_carlo_moments_agree_with_exact():
+    """The network's sampler and its cumulants read one first-passage law: 1e5 paths within 4 SE.
+
+    The law is solved at the grid step 0.1 ms, so its cells are the grid's.
+    """
+    theta, n = 0.1, 100_000
+    grid = TimeGrid.from_step(20.0, 0.1)
+    lif = dict(table2_models())["simulated_network"].arrival.neuron
+    model = dm.ShotNoise(dm.FixedCount(3), dm.Uniform(0.5, 1.5), dm.SimulatedFiring(lif, 0.1), 1.0)
+    kappa = dm.cumulant_curves(model, theta, grid)
+    mom = dm.moments_Z_mc(model, theta, grid, n, master_seed=child_seed(6, 1))
+    Z = dm.Z_path_ensemble(model, theta, grid, 10_000, master_seed=child_seed(6, 2)).values
+    d = Z - kappa[0]
+    se = [d.std(axis=0), (d * d).std(axis=0), (d**3 - 3.0 * kappa[1] * d).std(axis=0)]
+    # the delta-method SEs need the events in the sample: nodes where 1% of the paths have fired
+    live = (Z != 0).mean(axis=0) >= 0.01
+    assert live.sum() > 150
+    for est, exact, s in zip((mom.m1, mom.var, mom.mu3), kappa[:3], se):
+        resid = np.abs(est.values - exact)[live]
+        assert np.all(resid <= 4.0 * s[live] / math.sqrt(n) + 1e-12), resid / (s[live] / math.sqrt(n))
+
+
 def test_central_moments_of_offset_data():
     """Pairwise-merged central moments against a two-pass long-double reference, |mean| / sd = 1e4."""
     rng = np.random.default_rng(3)
@@ -289,3 +312,16 @@ def test_exact_table1_within_criterion_1():
             assert abs(J[cell] - ref) <= 0.10 * ref, (label, cell, J[cell], ref)
         # each curve is optimal for its own order
         assert J[(2, 2)] <= J[(2, 4)] and J[(4, 4)] <= J[(4, 2)]
+
+
+def test_exact_network_row_against_the_seed_42_table():
+    """The network row's four cells from its exact law lie within |z| <= 4 of the 10k-path, seed-42 row."""
+    label, model = table2_models()[2]
+    assert label == "simulated_network"
+    theta = TABLE2_PARAMS["theta"]
+    grid = TimeGrid.from_step(TABLE2_PARAMS["T"], TABLE2_PARAMS["dt"])
+    values, se, extras = cost_block(model, theta, grid, 10_000, eval_seed=child_seed(42, 2, 1))
+    for b, F in enumerate((extras["F2"], extras["F4"])):
+        for a, J in enumerate(exact_costs(model, theta, grid, F.values)):
+            z = (values[a, b] - J) / se[a, b]
+            assert abs(z) <= 4.0, (CELLS[2 * a + b], values[a, b], J, z)

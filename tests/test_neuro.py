@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gmapprox import drift as dm
-from gmapprox import neuro, timebase
-from gmapprox.approx import Approximant, F2_analytic
+from gmapprox import cli, neuro, timebase
+from gmapprox.approx import Approximant, F2_analytic, fit
 from gmapprox.bounds import d2_closed
 from gmapprox.costs import cost_block
 from gmapprox.neuro import (
@@ -23,10 +23,10 @@ from gmapprox.neuro import (
     run_table2,
     table2_models,
 )
-from gmapprox.response import response_moment_curves
+from gmapprox.response import response_moment_curves, response_power_means
 from gmapprox.sde import apply_I
 from gmapprox.timebase import Curve, TimeGrid, block_stream, derive_stream, one_pole, stable_exp_diff
-from oracles import convolution_oracle, convolve_response, gamma_pdf
+from oracles import bridge_first_passages, convolution_oracle, convolve_response, gamma_pdf
 
 TABLE2_LIF = LIFNeuron(theta_i=0.1, mu_i=6.0, sigma_i=1.0, v0_i=0.0, v_th=20.0)
 
@@ -261,6 +261,143 @@ class TestBatchedFirstPassage:
             assert abs(diff) <= 3 * math.hypot(*se_q), (p, diff, se_q)
 
 
+def law_quantiles(law, probs):
+    """Quantiles of a PiecewiseUniform law: its CDF is linear between the nodes."""
+    return np.interp(probs, law.cdf, np.arange(law.cdf.size) * law.dt)
+
+
+class TestFirstPassageLaw:
+    def test_noiseless_crossing_is_a_point_mass(self):
+        neuron = LIFNeuron(theta_i=0.1, mu_i=6.0, sigma_i=0.0, v0_i=0.0, v_th=20.0)
+        law = neuro.first_passage_law(neuron, 1e-2, 100.0)
+        assert law == dm.PointMass(math.log(6.0 / 4.0) / 0.1)
+        assert np.all(dm.sample_dist(dm.SimulatedFiring(neuron), derive_stream(0, 0), 5) == law.value)
+        # the fit reads the point mass
+        g = grid(T=10.0)
+        F2, _ = fit(network(dm.SimulatedFiring(neuron)), 0.1, g)
+        F2_point, _ = fit(network(law), 0.1, g)
+        assert np.array_equal(F2.F.values, F2_point.F.values)
+
+    @pytest.mark.parametrize("mu_i, cap", [(2.0, 100.0), (1.0, 100.0), (6.0, 4.0)])
+    def test_noiseless_input_that_never_fires_is_censored(self, mu_i, cap):
+        # mu / theta = 20 sits on the threshold, 10 below it; t* = 4.05 lies past a 4 ms cap
+        neuron = LIFNeuron(theta_i=0.1, mu_i=mu_i, sigma_i=0.0, v0_i=0.0, v_th=20.0)
+        arrival = dm.SimulatedFiring(neuron, horizon_cap=cap)
+        assert arrival.law == dm.PointMass(math.inf)
+        assert dm.censored_share(arrival) == 1.0
+        assert np.all(np.isinf(dm.sample_dist(arrival, derive_stream(0, 0), 4)))
+        with pytest.raises(dm.CensoringError):
+            fit(network(arrival), 0.1, grid(T=2.0))
+
+    def test_subthreshold_noisy_input_raises_censoring(self):
+        # mu / theta = 15 below the threshold 20: most inputs never fire within 50 ms
+        neuron = LIFNeuron(theta_i=0.1, mu_i=1.5, sigma_i=1.0, v0_i=0.0, v_th=20.0)
+        arrival = dm.SimulatedFiring(neuron, horizon_cap=50.0)
+        assert dm.censored_share(arrival) > 0.5
+        with pytest.raises(dm.CensoringError):
+            fit(network(arrival), 0.1, grid(T=2.0))
+        with pytest.raises(dm.CensoringError):
+            cost_block(network(arrival), 0.1, grid(T=2.0), 3, eval_seed=1)
+
+    def test_fit_needs_the_law_on_the_grid_step(self):
+        arrival = dm.SimulatedFiring(TABLE2_LIF, sim_dt=1e-2)
+        with pytest.raises(ValueError, match="sim_dt"):
+            fit(network(arrival), 0.1, grid(T=10.0, dt=2e-2))
+        assert "law" not in vars(arrival)  # rejected before the solve
+
+    def test_solved_once_per_instance_and_never_by_parsing(self, monkeypatch):
+        calls = []
+        solve = neuro.first_passage_law
+        monkeypatch.setattr(neuro, "first_passage_law", lambda *a: calls.append(a) or solve(*a))
+        _, kind, model = cli.parse_neuron({})  # the default scenario: the simulated network
+        assert kind == "simulated_network" and calls == []
+        fit(model, TABLE2_PARAMS["theta"], grid(T=5.0))
+        list(dm.iter_Z_chunks(model, TABLE2_PARAMS["theta"], grid(T=5.0), 20, 3))
+        assert calls == [(TABLE2_LIF, 1e-2, 100.0)]
+
+    def test_cdf_converges_in_the_step(self):
+        coarse = neuro.first_passage_law(TABLE2_LIF, 1e-2, 100.0)
+        fine = neuro.first_passage_law(TABLE2_LIF, 5e-3, 100.0)
+        assert np.max(np.abs(coarse.cdf - fine.cdf[::2])) <= 1e-4
+        assert 1.0 - coarse.cdf[-1] < 1e-4 and np.all(np.diff(coarse.cdf) >= 0)
+
+    def test_matches_bridge_simulation(self):
+        """Mean and nine deciles within 3 SE of 5e4 exact-transition + bridge first passages.
+
+        The law's mean and quantiles are exact, so the SE is the sample's;
+        a quantile's SE comes from the order statistics p +- sqrt(p (1 - p) / n).
+        """
+        n = 50_000
+        law = neuro.first_passage_law(TABLE2_LIF, 1e-2, 100.0)
+        ref = bridge_first_passages(TABLE2_LIF, 1e-2, 100.0, n, np.random.default_rng(2))
+        assert np.all(np.isfinite(ref))
+        t = np.arange(law.cdf.size) * law.dt
+        mean = np.sum(np.diff(law.cdf) * 0.5 * (t[1:] + t[:-1])) / law.cdf[-1]
+        assert abs(mean - ref.mean()) <= 3 * ref.std(ddof=1) / math.sqrt(n)
+        for p in np.arange(1, 10) / 10:
+            h = math.sqrt(p * (1 - p) / n)
+            se_q = 0.5 * (np.quantile(ref, p + h) - np.quantile(ref, p - h))
+            diff = law_quantiles(law, p * law.cdf[-1]) - np.quantile(ref, p)
+            assert abs(diff) <= 3 * se_q, (p, diff, se_q)
+
+    def test_solve_is_bounded_at_the_finest_admitted_step(self):
+        # 5e7 sim_dt steps to the cap: the solve takes whole multiples of sim_dt
+        law = neuro.first_passage_law(TABLE2_LIF, 100.0 / 5e7, 100.0)
+        cells = round(law.dt / 2e-6)
+        assert law.cdf.size <= neuro._SOLVE_STEPS + 1 and cells * 2e-6 == pytest.approx(law.dt, rel=1e-12)
+        ref = neuro.first_passage_law(TABLE2_LIF, 1e-2, 100.0)
+        probs = np.arange(1, 10) / 10
+        np.testing.assert_allclose(law_quantiles(law, probs), law_quantiles(ref, probs), atol=1e-3)
+
+    def test_coarse_cells_are_the_solve_at_their_width(self, monkeypatch):
+        monkeypatch.setattr(neuro, "_SOLVE_STEPS", 1000)
+        law = neuro.first_passage_law(TABLE2_LIF, 1e-2, 100.0)
+        assert law.dt == 10 * 1e-2 and law.cdf.size == 1001
+        assert np.array_equal(law.cdf, neuro.first_passage_law(TABLE2_LIF, 10 * 1e-2, 100.0).cdf)
+        # and the fit spreads each coarse cell's mass evenly over the grid's ten steps
+        g = grid(T=20.0)
+        ref = response_power_means(law, 1.0, 0.1, TimeGrid.from_step(20.0, law.dt), 4)
+        got = response_power_means(dm.SimulatedFiring(TABLE2_LIF), 1.0, 0.1, g, 4)
+        np.testing.assert_allclose(got[:, ::10], ref, rtol=1e-9, atol=0)
+
+    def test_stops_once_the_mass_is_spent(self, monkeypatch):
+        # with a resolution of 1e-3 the solve stops once G > 1 - 1e-3, about 6 ms in: G is flat after it
+        monkeypatch.setattr(neuro, "_EPS", 1e-3)
+        law = neuro.first_passage_law(TABLE2_LIF, 1e-2, 100.0)
+        last = np.flatnonzero(np.diff(law.cdf))[-1] + 1
+        assert law.cdf[last] > 1 - 1e-3 > law.cdf[last - 1]
+        assert last * law.dt < 10.0 and np.all(law.cdf[last:] == law.cdf[last])
+
+    def test_kernel_cut_changes_nothing(self, monkeypatch):
+        # the cut keeps 496 of the 1e4 lags at Table 2's input; the full kernel gives the same CDF
+        cut = neuro.first_passage_law(TABLE2_LIF, 1e-2, 100.0)
+        monkeypatch.setattr(neuro, "_EPS", 0.0)
+        full = neuro.first_passage_law(TABLE2_LIF, 1e-2, 100.0)
+        np.testing.assert_allclose(cut.cdf, full.cdf, rtol=1e-14, atol=0)
+
+    def test_inverse_cdf_sampling(self):
+        law = dm.PiecewiseUniform(0.5, [0.0, 0.0, 0.25, 0.25, 0.75])
+        stream = derive_stream(4, 0)
+        u = derive_stream(4, 0).random(6)
+        got = dm.sample_dist(law, stream, 6)
+        # cell (0.5, 1] holds u < 0.25, cell (1.5, 2] holds 0.25 <= u < 0.75, u >= 0.75 never fires
+        want = np.where(u < 0.25, 0.5 + 0.5 * u / 0.25, 1.5 + 0.5 * (u - 0.25) / 0.5)
+        want[u >= 0.75] = np.inf
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+        assert dm.censored_share(law) == 0.25
+
+    def test_cell_convolution_is_a_mixture_of_uniforms(self):
+        law = dm.PiecewiseUniform(1.0, [0.0, 0.25, 0.25, 1.0])
+        g = TimeGrid.from_step(8.0, 0.25)
+        got = response_power_means(law, 1.0, 0.1, g, 4)
+        want = sum(w * response_power_means(dm.Uniform(lo, lo + 1.0), 1.0, 0.1, g, 4)
+                   for w, lo in ((0.25, 0.0), (0.75, 2.0)))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+        curves = lambda dist: np.array([c.values for c in response_moment_curves(dist, 1.0, g)])
+        mix = 0.25 * curves(dm.Uniform(0.0, 1.0)) + 0.75 * curves(dm.Uniform(2.0, 3.0))
+        np.testing.assert_allclose(curves(law), mix, rtol=1e-12)
+
+
 class TestLowerIncompleteGamma:
     def test_alpha_one(self):
         assert lower_incomplete_gamma(1.0, 1.0) == pytest.approx(0.6321205588285577, rel=1e-12)
@@ -350,9 +487,11 @@ class TestPhiPsi:
                 assert curve.values[k] == pytest.approx(ref, rel=1e-10, abs=0), (k, decay)
 
     def test_rejects_unsupported(self):
-        # simulated firing times have no closed-form law
+        # a count law is no firing-time law, and a simulated input's cells must be the grid's
         with pytest.raises(ValueError):
-            response_moment_curves(dm.SimulatedFiring(TABLE2_LIF), 1.0, grid())
+            response_moment_curves(dm.PoissonCount(2.0), 1.0, grid())
+        with pytest.raises(ValueError):
+            response_moment_curves(dm.SimulatedFiring(TABLE2_LIF, sim_dt=2e-2), 1.0, grid())
 
     def test_rejects_rate_coincidences(self):
         with pytest.raises(ValueError):
@@ -471,7 +610,7 @@ class TestBuildDriftFromNetwork:
             assert np.array_equal(Z, ref) and c == cens
         # a block of one trial: the firing times, then the amplitudes, through the event kernel
         stream = block_stream(8, 2)
-        times = first_passage_times(TABLE2_LIF, 1e-2, 5.0, 2, stream)
+        times = dm.sample_dist(neuro.first_passage_law(TABLE2_LIF, 1e-2, 5.0), stream, 2)
         weights = stream.uniform(0.5, 1.5, 2)
         Z, _ = dm.event_kernel([(times, weights)], 1.0, 0.1, g)
         assert np.array_equal(Z[0], ref[1024])
@@ -505,7 +644,7 @@ class TestBuildDriftFromNetwork:
         silent = LIFNeuron(theta_i=0.1, mu_i=1.0, sigma_i=0.0, v0_i=0.0, v_th=20.0)
         model = network(dm.SimulatedFiring(silent, sim_dt=1e-2, horizon_cap=5.0), M=2)
         with pytest.raises(dm.CensoringError):
-            cost_block(model, 0.1, grid(T=2.0), 3, eval_seed=1, moment_seed=0)
+            cost_block(model, 0.1, grid(T=2.0), 3, eval_seed=1)
         with pytest.raises(dm.CensoringError):
             dm.Z_path_ensemble(model, 0.1, grid(T=2.0), 3, 0)
 
