@@ -11,13 +11,11 @@ from .approx import (
     Approximant,
     F2_analytic,
     F4_from_moments,
-    Fp_root,
     MomentCurves,
     cubic_el_root,
     eta2,
     exact_moments,
     fit,
-    transversality_residual,
 )
 from .bounds import BoundCurve, d2_closed, d2_generic, pointwise_mse_streaming
 from .costs import CostReport, run_table1

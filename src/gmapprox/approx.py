@@ -16,11 +16,10 @@ so it needs only the mean, the variance and the third central moment: the
 exact cumulants kappa_1..kappa_3 of :func:`drift.cumulant_curves`, or sample
 moments (:meth:`MomentCurves.from_central`). It is solved at every node at once
 by the hyperbolic closed form d = 2 sqrt(var) sinh(asinh(mu3 / (2 var^{3/2})) / 3)
-and one Newton step. For empirical samples (``Fp_root``) the root is
-bracketed by the sample range and found by bisection. The drift of the
-approximating SDE is recovered as f = I^{-1} F. :func:`fit`, the fit of every
-table row and command, uses the exact cumulants: every drift variant has an
-exact law, the simulated network's included.
+and one Newton step. The drift of the approximating SDE is recovered as
+f = I^{-1} F. :func:`fit`, the fit of every table row and command, uses the
+exact cumulants: every drift variant has an exact law, the simulated
+network's included.
 """
 
 from __future__ import annotations
@@ -41,9 +40,7 @@ __all__ = [
     "cubic_el_root",
     "F4_from_moments",
     "fit",
-    "Fp_root",
     "eta2",
-    "transversality_residual",
 ]
 
 _MOMENT_SLACK = 1e-12  # relative rounding slack allowed in m2 >= m1^2
@@ -196,56 +193,7 @@ def fit(model: drift_mod.DriftModel, theta: float, grid: TimeGrid) -> tuple[Appr
     return F2_analytic(model, theta, grid), F4_from_moments(exact_moments(model, theta, grid), theta)
 
 
-def Fp_root(p: int, samples: np.ndarray, tol: float = 1e-13) -> float:
-    """Root of the empirical stationarity function for even power p.
-
-    Solves mean(|x - Z_i|^{p-2} (x - Z_i)) = 0 over the sample; the function
-    is continuous and nondecreasing, with the root bracketed by the sample
-    range. p = 2 reduces to the sample mean.
-    """
-    if p < 2 or p % 2 != 0:
-        raise ValueError(f"p must be an even integer >= 2, got {p}")
-    z = np.asarray(samples, dtype=float)
-    if z.size == 0:
-        raise ValueError("samples must be nonempty")
-    if p == 2:
-        return float(np.mean(z))
-    lo, hi = float(np.min(z)), float(np.max(z))
-    if lo == hi:
-        return lo
-
-    def g(x):
-        d = x - z
-        return float(np.mean(np.abs(d) ** (p - 2) * d))
-
-    eps = max(tol, 8.0 * np.spacing(max(abs(lo), abs(hi))))
-    while hi - lo > eps:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def eta2(model: drift_mod.DriftModel, theta: float, grid: TimeGrid) -> Curve:
     """The derivative of F2 in closed form: eta2(t) = -theta E[Z(t)] + E[z(t)]."""
     F2 = F2_analytic(model, theta, grid)
     return Curve(grid, -theta * F2.F.values + F2.f.values)
-
-
-def transversality_residual(p: int, Z_T_samples: np.ndarray, F_T: float) -> float:
-    """Empirical terminal-time stationarity residual mean(|F_T - Z_i|^{p-2}(F_T - Z_i)).
-
-    Zero (to sampling accuracy) exactly when F_T is the order-p optimal
-    terminal value for the sampled Z(T).
-    """
-    if p < 2 or p % 2 != 0:
-        raise ValueError(f"p must be an even integer >= 2, got {p}")
-    z = np.asarray(Z_T_samples, dtype=float)
-    d = F_T - z
-    if p == 2:
-        return float(np.mean(d))
-    return float(np.mean(np.abs(d) ** (p - 2) * d))

@@ -22,7 +22,7 @@ from . import costs as costs_mod
 from . import drift as drift_mod
 from . import neuro as neuro_mod
 from .sde import LinearSDE, simulate_Y
-from .timebase import Curve, TimeGrid, child_seed, derive_stream, write_csv_columns
+from .timebase import Curve, TimeGrid, child_seed, derive_stream, tune_malloc, write_csv_columns
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -364,6 +364,7 @@ def cmd_bound(cfg: ExperimentConfig) -> int:
 
 def cmd_costs(cfg: ExperimentConfig) -> int:
     """Cost matrix J_i[X_j] for the configured model: a one-row :func:`costs.run_table`."""
+    _require_two_paths(cfg, "the cost standard errors")
     params = {"theta": cfg.theta, "T": cfg.T, "dt": cfg.dt, "config": cfg.echo()}
     scenario = [(cfg.model_spec.get("type", "model"), cfg.model)]
     report = costs_mod.run_table(scenario, params, cfg.seed, cfg.n_paths, cfg.threads)
@@ -372,6 +373,7 @@ def cmd_costs(cfg: ExperimentConfig) -> int:
 
 
 def cmd_table1(cfg: ExperimentConfig) -> int:
+    _require_two_paths(cfg, "the cost standard errors")
     _write_table(cfg, costs_mod.run_table1(cfg.seed, cfg.n_paths, cfg.threads), "table1")
     return EXIT_OK
 
@@ -448,6 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    tune_malloc()
     try:
         cfg = load_config(args.config, args)
         if args.command == "simulate":

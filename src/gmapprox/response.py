@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .timebase import Curve, TimeGrid, one_pole, stable_exp_diff
 
@@ -99,6 +100,7 @@ def _uniform_case(dist, decay: float, t: np.ndarray, grid: TimeGrid) -> Curve:
 # accuracy at t -> 0, and equal or nearly equal rates need no special case.
 
 _GAUSS_NODES = 16  # quadrature nodes per grid cell for a convolution with a density
+_LEGENDRE = leggauss(_GAUSS_NODES)  # Gauss-Legendre nodes and weights on [-1, 1]
 
 
 def _chain_expm(rates, u: float) -> np.ndarray:
@@ -161,20 +163,19 @@ def _gamma_convolution(rates, nu: float, alpha: float, grid: TimeGrid) -> np.nda
 
     Cell by cell, w_k = exp(dt M) w_{k-1} + int_{t_{k-1}}^{t_k} p(s) v(t_k - s) ds.
     The first cell carries the s^{alpha - 1} factor of p and uses Gauss-Jacobi
-    nodes for it, the others Gauss-Legendre nodes; every weight is positive.
+    nodes for it (:func:`_gauss_jacobi`), the others Gauss-Legendre nodes
+    (numpy's ``leggauss``, computed once); every weight is positive.
     """
-    from scipy.special import roots_jacobi, roots_legendre
-
     m, n, dt = len(rates), grid.n_nodes, grid.dt
     t = grid.times()
     logc = alpha * math.log(nu) - math.lgamma(alpha)
     states = lambda u: np.stack([_chain_expm(rates, x)[:, 0] for x in u], axis=1)
     x = np.zeros((m, n))
-    xj, wj = roots_jacobi(_GAUSS_NODES, 0.0, alpha - 1.0)
+    xj, wj = _gauss_jacobi(_GAUSS_NODES, alpha - 1.0)
     s = 0.5 * dt * (1.0 + xj)
     logw = np.log(wj) + logc + alpha * math.log(0.5 * dt) - nu * s
     x[:, 1] = states(dt - s) @ np.exp(logw)
-    xl, wl = roots_legendre(_GAUSS_NODES)
+    xl, wl = _LEGENDRE
     u = 0.5 * dt * (1.0 + xl)
     V = states(u)
     for q in range(_GAUSS_NODES):  # one node at a time: transients of one row each
@@ -182,6 +183,29 @@ def _gamma_convolution(rates, nu: float, alpha: float, grid: TimeGrid) -> np.nda
         p = np.exp(logc + (alpha - 1.0) * np.log(s) - nu * s)
         x[:, 2:] += V[:, q : q + 1] * ((0.5 * dt * wl[q]) * p)
     return _chain_run(_chain_expm(rates, dt), x)
+
+
+def _gauss_jacobi(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss rule for the weight (1 + x)^b on [-1, 1], b > -1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    orthonormal Jacobi polynomials p_j of P^(0, b). Each weight is the
+    Christoffel number mu_0 / sum_j p_j(x)^2, mu_0 = 2^(b + 1) / (b + 1)
+    being the total weight, with the p_j run by their three-term recurrence:
+    a sum of squares, so the smallest weights keep their relative accuracy
+    (an eigenvector's first component holds only its absolute accuracy).
+    """
+    k = np.arange(1.0, n)
+    s = 2.0 * k + b  # 2k + a + b with a = 0
+    diag = np.concatenate(([b / (b + 2.0)], b * b / (s * (s + 2.0))))
+    off = 2.0 * k * (k + b) / (s * np.sqrt(s * s - 1.0))  # couples p_{k-1} and p_k
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    off = np.concatenate(([0.0], off))
+    p_prev, p, norm2 = np.zeros(n), np.ones(n), np.ones(n)
+    for j in range(n - 1):
+        p_prev, p = p, ((x - diag[j]) * p - off[j] * p_prev) / off[j + 1]
+        norm2 += p * p
+    return x, 2.0 ** (b + 1.0) / (b + 1.0) / norm2
 
 
 def response_power_means(arrival, lam: float, theta: float, grid: TimeGrid, order: int):

@@ -20,18 +20,28 @@ within ``_KERNEL_CELLS`` cells. Chunks that start on block boundaries, as
 the default chunks do, therefore cut into the same sequence of slabs for any
 thread count, and a reduction that combines slab partials in row order gives
 the same bits for any thread count.
+
+Every first-order recurrence runs through :func:`one_pole`, one call of
+LAPACK's ``dtbtrs``. The routine comes from scipy's Cython LAPACK table,
+the extension module ``scipy.linalg.cython_lapack``, which is loaded on its
+own: the ``scipy.linalg`` package and its Python modules are never imported.
+The CLI lets glibc's malloc keep the memory of the kernels' transients
+(:func:`tune_malloc`), so passes do not fault it in anew.
 """
 
 from __future__ import annotations
 
 import csv
 import ctypes
+import importlib.machinery
+import importlib.util
 import io
+import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cython_lapack
 
 __all__ = [
     "TimeGrid",
@@ -49,6 +59,7 @@ __all__ = [
     "slab_rows",
     "iter_slabs",
     "stable_exp_diff",
+    "tune_malloc",
     "write_csv_columns",
 ]
 
@@ -58,6 +69,7 @@ _BLOCK = 512  # ensemble rows per random stream: part of the reproducibility con
 # Cells (rows x columns) of every transient array in one pass of a sampler and
 # of every reducer slab: bounds the working set at about 1 MiB of float64.
 _KERNEL_CELLS = 2**17
+_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3  # glibc mallopt parameters
 
 
 @dataclass(frozen=True)
@@ -225,10 +237,10 @@ def one_pole(x: np.ndarray, a: float) -> np.ndarray:
     by y and returned. The rows are one call of LAPACK's unit lower bidiagonal solve
     ``dtbtrs`` (subdiagonal -a) on their transpose, which is Fortran-ordered,
     so nothing is copied. The call goes through ctypes to the routine of
-    scipy's Cython LAPACK table, so the GIL is released while it runs (the
-    f2py wrapper ``scipy.linalg.lapack.dtbtrs`` holds it). A state carried
-    over from an earlier run enters as a leading column: the run over
-    [v, x_1..x_n] continues the one that ended at v.
+    scipy's Cython LAPACK table (:func:`_lapack_dtbtrs`), so the GIL is
+    released while it runs (the f2py wrapper ``scipy.linalg.lapack.dtbtrs``
+    holds it). A state carried over from an earlier run enters as a leading
+    column: the run over [v, x_1..x_n] continues the one that ended at v.
 
     Each row is solved on its own, so a row's bits are the same for any
     thread count and any chunking of the rows. Across machines they follow
@@ -253,10 +265,32 @@ def one_pole(x: np.ndarray, a: float) -> np.ndarray:
 def _lapack_dtbtrs():
     """dtbtrs(uplo, trans, diag, n, kd, nrhs, ab, ldab, b, ldb, info) from scipy's Cython LAPACK table.
 
-    Returned as a ctypes function, which releases the GIL for the length of
-    each call.
+    The table is the ``__pyx_capi__`` of the extension module
+    ``scipy.linalg.cython_lapack``. A module already imported is reused;
+    otherwise the extension is found in the ``linalg`` directory of the
+    scipy package (located without importing it) and executed by itself, so
+    ``scipy/linalg/__init__.py`` never runs. The module enters itself in
+    ``sys.modules`` as it runs; that entry is taken out again, so a later
+    ``import scipy.linalg`` imports it as its own submodule (Cython returns
+    the same module object) and binds ``scipy.linalg.cython_lapack``.
+    ImportError names the directories searched when the extension is
+    missing. Returned as a ctypes function, which releases the GIL for the
+    length of each call.
     """
-    capsule = cython_lapack.__pyx_capi__["dtbtrs"]
+    name = "scipy.linalg.cython_lapack"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            raise ImportError(f"no scipy package on sys.path to load {name} from")
+        where = [os.path.join(d, "linalg") for d in scipy.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec(name, where)
+        if spec is None:
+            raise ImportError(f"no extension module {name} in {where}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules.pop(name, None)
+    capsule = module.__pyx_capi__["dtbtrs"]
     api = ctypes.pythonapi
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
@@ -326,6 +360,26 @@ def fill_row_blocks(
     with ThreadPoolExecutor(max_workers=min(threads, len(calls))) as ex:
         list(ex.map(lambda args: fill_block(*args), calls))
     return out
+
+
+def tune_malloc() -> None:
+    """Let glibc's malloc serve the kernels' transients from memory it keeps.
+
+    Every pass of a sampler and every reducer slab allocates and frees arrays
+    of up to ``_KERNEL_CELLS`` float64 cells, about 1 MiB. Left to itself,
+    glibc maps such an array afresh whenever it lies above its (adaptive)
+    mmap threshold, and hands freed heap back to the system, so a pass pays
+    one page fault for every 4 KiB it touches. With this setting, arrays
+    below 4 MiB come from the heap, and the heap keeps 8 MiB of slack when
+    it shrinks; ensemble-sized arrays above 4 MiB are still mapped and
+    unmapped. A C library without ``mallopt`` is left as it is. The setting
+    is for the whole process: the CLI makes it, the library does not.
+    """
+    libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+        mallopt(_M_TOP_PAD, 8 << 20)
 
 
 def pass_rows(width: int) -> int:

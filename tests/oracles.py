@@ -1,11 +1,16 @@
-"""Independent numerical oracles shared by the tests (not part of the package)."""
+"""Independent numerical oracles and helpers shared by the tests (not part of the package)."""
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from scipy.signal import lfilter
 
+import gmapprox
 from gmapprox import drift as dm
 from gmapprox.timebase import Curve, TimeGrid
 
@@ -116,3 +121,63 @@ def bridge_first_passages(neuron, dt: float, horizon_cap: float, n: int, rng) ->
         out[live[crossed]] = (k + x / (1.0 + x)) * dt
         v, live = v1[~crossed], live[~crossed]
     return out
+
+
+def Fp_root(p: int, samples: np.ndarray, tol: float = 1e-13) -> float:
+    """Root of the empirical stationarity function for even power p.
+
+    Solves mean(|x - Z_i|^{p-2} (x - Z_i)) = 0 over the sample; the function
+    is continuous and nondecreasing, with the root bracketed by the sample
+    range. p = 2 reduces to the sample mean.
+    """
+    if p < 2 or p % 2 != 0:
+        raise ValueError(f"p must be an even integer >= 2, got {p}")
+    z = np.asarray(samples, dtype=float)
+    if z.size == 0:
+        raise ValueError("samples must be nonempty")
+    if p == 2:
+        return float(np.mean(z))
+    lo, hi = float(np.min(z)), float(np.max(z))
+    if lo == hi:
+        return lo
+
+    def g(x):
+        d = x - z
+        return float(np.mean(np.abs(d) ** (p - 2) * d))
+
+    eps = max(tol, 8.0 * np.spacing(max(abs(lo), abs(hi))))
+    while hi - lo > eps:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def transversality_residual(p: int, Z_T_samples: np.ndarray, F_T: float) -> float:
+    """Empirical terminal-time stationarity residual mean(|F_T - Z_i|^{p-2}(F_T - Z_i)).
+
+    Zero (to sampling accuracy) exactly when F_T is the order-p optimal
+    terminal value for the sampled Z(T).
+    """
+    if p < 2 or p % 2 != 0:
+        raise ValueError(f"p must be an even integer >= 2, got {p}")
+    z = np.asarray(Z_T_samples, dtype=float)
+    d = F_T - z
+    if p == 2:
+        return float(np.mean(d))
+    return float(np.mean(np.abs(d) ** (p - 2) * d))
+
+
+def fresh_interpreter_stdout(code: str) -> str:
+    """Stdout of ``python -c code`` in a fresh interpreter that imports the tests' gmapprox."""
+    src = str(Path(gmapprox.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    return done.stdout

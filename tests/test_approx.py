@@ -10,14 +10,14 @@ from gmapprox.approx import (
     Approximant,
     F2_analytic,
     F4_from_moments,
-    Fp_root,
     MomentCurves,
     cubic_el_root,
     eta2,
-    transversality_residual,
 )
 from gmapprox.sde import apply_I, ou_drift_cov_kernel, z_variance_quadrature
 from gmapprox.timebase import Curve, TimeGrid
+
+from oracles import Fp_root, transversality_residual
 
 THETA = 1.5
 

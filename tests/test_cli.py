@@ -1,15 +1,13 @@
 import csv
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import gmapprox
 from gmapprox.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
+
+from oracles import fresh_interpreter_stdout
 
 
 def write_config(tmp_path, **kw):
@@ -315,7 +313,7 @@ class TestNeuron:
 
 
 class TestOnePath:
-    @pytest.mark.parametrize("command", ["bound", "table2"])
+    @pytest.mark.parametrize("command", ["bound", "costs", "table1", "table2"])
     def test_one_path_is_a_config_error(self, tmp_path, capsys, command):
         # a sample variance needs two paths: exit 2, not a traceback
         p = write_config(tmp_path, mc={"n_paths": 1, "seed": 2})
@@ -387,15 +385,25 @@ class TestConfigEcho:
         assert (tmp_path / "out" / "paths.csv").read_bytes() == first
 
 
-def test_import_loads_no_heavy_scipy_modules():
-    """Every command starts by importing the CLI; it needs numpy and scipy.linalg only."""
-    heavy = ("scipy.signal", "scipy.stats", "scipy.special", "scipy.integrate")
-    code = f"import sys, gmapprox.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
-    # a fresh interpreter that imports the same gmapprox package as this test
-    src = str(Path(gmapprox.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True,
+def test_import_loads_no_heavy_scipy_modules(tmp_path):
+    """Every command needs numpy and one LAPACK routine: no scipy subpackage, lazy imports included."""
+    heavy = ("scipy.linalg", "scipy.signal", "scipy.stats", "scipy.special", "scipy.integrate")
+    gamma_arrival = {"type": "shot_noise", "arrival": {"type": "gamma", "rate": 3.0, "shape": 2.5}}
+    p = write_config(tmp_path, model=gamma_arrival)
+    code = (
+        "import sys, gmapprox.cli\n"
+        f"assert gmapprox.cli.main(['approx', '--config', {str(p)!r}]) == 0\n"
+        f"print(*[m for m in {heavy!r} if m in sys.modules])"
     )
-    assert done.stdout.split() == []
+    assert fresh_interpreter_stdout(code).splitlines()[-1].split() == []
+
+
+@pytest.mark.parametrize("imports", ["gmapprox.cli, scipy.linalg", "scipy.linalg, gmapprox.cli"])
+def test_loading_lapack_leaves_scipy_importable(imports):
+    # the LAPACK table is loaded without its package; importing the package later must still bind it
+    code = (
+        f"import {imports}, scipy.signal\n"
+        "assert scipy.linalg.cython_lapack.__pyx_capi__['dtbtrs'] is not None\n"
+        "print(*scipy.signal.lfilter([1.0], [1.0, -0.5], [1.0, 0.0, 0.0]))"
+    )
+    assert fresh_interpreter_stdout(code).split() == ["1.0", "0.5", "0.25"]

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
+from scipy.special import roots_jacobi, roots_legendre
 
 from gmapprox import drift as dm
 from gmapprox.approx import F2_analytic, F4_from_moments, exact_moments
 from gmapprox.costs import TABLE1_PARAMS, cost_block, table1_scenarios
 from gmapprox.neuro import TABLE2_PARAMS, table2_models
+from gmapprox.response import _LEGENDRE, _gauss_jacobi
 from gmapprox.timebase import TimeGrid, child_seed, trapezoid_values
 
 from test_acceptance import TABLE1_REFERENCE, CELLS
@@ -187,6 +189,25 @@ def test_shot_noise_rate_coincidence_is_a_pairing_error():
         model = dm.ShotNoise(arrival=dm.Exponential(nu), response_rate=1.0)
         with pytest.raises(dm.PairingError):
             dm.validate_pairing(model, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# the Gauss rules of the Gamma convolution, against scipy's
+
+
+@pytest.mark.parametrize("b", [-0.3, 0.0, 1.0, 1.5, 4.0, 9.0])
+def test_gauss_jacobi_matches_scipy(b):
+    nodes, weights = _gauss_jacobi(16, b)
+    ref_nodes, ref_weights = roots_jacobi(16, 0.0, b)
+    np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(weights, ref_weights, rtol=1e-12, atol=0)
+
+
+def test_gauss_legendre_matches_scipy():
+    nodes, weights = _LEGENDRE
+    ref_nodes, ref_weights = roots_legendre(16)
+    np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(weights, ref_weights, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
