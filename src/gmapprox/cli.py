@@ -22,7 +22,7 @@ from . import costs as costs_mod
 from . import drift as drift_mod
 from . import neuro as neuro_mod
 from .sde import LinearSDE, simulate_Y
-from .timebase import Curve, TimeGrid, child_seed, derive_stream, tune_malloc, write_csv_columns
+from .timebase import Curve, TimeGrid, child_seed, derive_stream, write_csv_columns
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -450,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    tune_malloc()
     try:
         cfg = load_config(args.config, args)
         if args.command == "simulate":

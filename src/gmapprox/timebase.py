@@ -25,8 +25,6 @@ Every first-order recurrence runs through :func:`one_pole`, one call of
 LAPACK's ``dtbtrs``. The routine comes from scipy's Cython LAPACK table,
 the extension module ``scipy.linalg.cython_lapack``, which is loaded on its
 own: the ``scipy.linalg`` package and its Python modules are never imported.
-The CLI lets glibc's malloc keep the memory of the kernels' transients
-(:func:`tune_malloc`), so passes do not fault it in anew.
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ __all__ = [
     "slab_rows",
     "iter_slabs",
     "stable_exp_diff",
-    "tune_malloc",
     "write_csv_columns",
 ]
 
@@ -69,7 +66,6 @@ _BLOCK = 512  # ensemble rows per random stream: part of the reproducibility con
 # Cells (rows x columns) of every transient array in one pass of a sampler and
 # of every reducer slab: bounds the working set at about 1 MiB of float64.
 _KERNEL_CELLS = 2**17
-_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3  # glibc mallopt parameters
 
 
 @dataclass(frozen=True)
@@ -360,26 +356,6 @@ def fill_row_blocks(
     with ThreadPoolExecutor(max_workers=min(threads, len(calls))) as ex:
         list(ex.map(lambda args: fill_block(*args), calls))
     return out
-
-
-def tune_malloc() -> None:
-    """Let glibc's malloc serve the kernels' transients from memory it keeps.
-
-    Every pass of a sampler and every reducer slab allocates and frees arrays
-    of up to ``_KERNEL_CELLS`` float64 cells, about 1 MiB. Left to itself,
-    glibc maps such an array afresh whenever it lies above its (adaptive)
-    mmap threshold, and hands freed heap back to the system, so a pass pays
-    one page fault for every 4 KiB it touches. With this setting, arrays
-    below 4 MiB come from the heap, and the heap keeps 8 MiB of slack when
-    it shrinks; ensemble-sized arrays above 4 MiB are still mapped and
-    unmapped. A C library without ``mallopt`` is left as it is. The setting
-    is for the whole process: the CLI makes it, the library does not.
-    """
-    libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
-    mallopt = getattr(libc, "mallopt", None)
-    if mallopt is not None:
-        mallopt(_M_MMAP_THRESHOLD, 4 << 20)
-        mallopt(_M_TOP_PAD, 8 << 20)
 
 
 def pass_rows(width: int) -> int:

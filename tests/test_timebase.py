@@ -1,5 +1,4 @@
 import csv
-import platform
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from gmapprox.timebase import (
     trapezoid,
     write_csv_columns,
 )
-from oracles import curve_from_csv, exp_weighted_running_integral, fresh_interpreter_stdout
+from oracles import curve_from_csv, exp_weighted_running_integral
 
 
 def grid(T=1.0, dt=1e-3):
@@ -324,25 +323,3 @@ class TestStableExpDiff:
         # near-coincidence stays close to the limit
         near = stable_exp_diff(2.0, 2.0 + 1e-12, t)
         np.testing.assert_allclose(near, t * np.exp(-2 * t), rtol=1e-9)
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
-def test_tuned_malloc_keeps_pass_transients_resident():
-    # three 1 MiB transients per pass, freed together: glibc's defaults return them to the
-    # system and fault them in again on every pass (9,600 faults with glibc 2.36); after
-    # tune_malloc the heap keeps them
-    code = (
-        "import resource, numpy as np\n"
-        "from gmapprox.timebase import tune_malloc\n"
-        "tune_malloc()\n"
-        "faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "def passes(k):\n"
-        "    f0 = faults()\n"
-        "    for _ in range(k):\n"
-        "        work = [np.ones(1 << 17) for _ in range(3)]\n"
-        "        del work\n"
-        "    return faults() - f0\n"
-        "passes(2)\n"
-        "print(passes(20))"
-    )
-    assert int(fresh_interpreter_stdout(code)) < 100  # of the 15,360 pages that 20 passes touch
