@@ -45,7 +45,6 @@ from .drift import (
     sample_z_path,
     var_z,
     Z_path_ensemble,
-    z_path_ensemble,
 )
 from .neuro import (
     LIFNeuron,

@@ -130,15 +130,17 @@ def pointwise_mse_streaming(chunks, F: Curve, n_paths: int) -> tuple[Curve, Curv
 
     ``chunks`` yields (start, block) pairs as from drift.iter_Z_chunks and
     together hold the n_paths rows of one ensemble. Each chunk is cut into
-    slabs (:func:`timebase.iter_slabs`), and the per-slab column sums are
-    added in row order, so chunks cut on block boundaries give the same bits
-    for any chunk size and thread count. Only one slab-sized work array is
+    slabs (:func:`timebase.iter_slabs`; a default chunk of iter_Z_chunks is
+    one slab), and the per-slab column sums are added in row order, so
+    chunks cut on block boundaries give the same bits for any chunk size and
+    thread count. One slab-sized work array and one row of column sums are
     held.
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths for a standard error")
     s1 = np.zeros(F.grid.n_nodes)
     s2 = np.zeros(F.grid.n_nodes)
+    col = np.empty(F.grid.n_nodes)
     buf = None  # one (slab rows, nodes) work array for every slab
     for _, slab in iter_slabs(chunks):
         rows = slab.shape[0]
@@ -147,9 +149,9 @@ def pointwise_mse_streaming(chunks, F: Curve, n_paths: int) -> tuple[Curve, Curv
         w = buf[:rows]
         np.subtract(slab, F.values, out=w)
         np.square(w, out=w)
-        s1 += w.sum(axis=0)
+        s1 += w.sum(axis=0, out=col)
         np.square(w, out=w)
-        s2 += w.sum(axis=0)
+        s2 += w.sum(axis=0, out=col)
     mse = s1 / n_paths
     var = np.maximum(s2 - n_paths * mse**2, 0.0) / (n_paths - 1)
     se = np.sqrt(var / n_paths)

@@ -122,9 +122,11 @@ def per_path_cost_matrix(chunks, curves, dt: float, n_paths: int):
     P_ORDERS order); every cost of every candidate is evaluated on the same
     paths, so the per-path cost differences give tight standard errors for
     the optimality gaps. Chunks are evaluated a slab at a time
-    (:func:`timebase.iter_slabs`) in one slab-sized work array; per-path
-    costs are row-wise, so they do not depend on the slab or chunk size, and
-    the means and SEs are taken over the per-path costs in row order.
+    (:func:`timebase.iter_slabs`; a default chunk of
+    :func:`drift.iter_Z_chunks` is one slab) in one slab-sized work array;
+    per-path costs are row-wise, so they do not depend on the slab or chunk
+    size, and the means and SEs are taken over the per-path costs in row
+    order.
     """
     per_path = {
         (p, j): np.empty(n_paths) for p in P_ORDERS for j in range(len(curves))

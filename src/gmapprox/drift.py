@@ -26,9 +26,10 @@ infinite (censored) event time, which never reaches a grid node.
 
 Ensembles follow the block-stream contract of :mod:`timebase`: the rows of
 block b = i // _BLOCK are sampled together from ``block_stream(seed, b)`` by
-the variant's block sampler (:func:`_block_sampler`), a pass of at most
-``timebase._KERNEL_CELLS`` cells at a time, and a single path is a block of
-one row drawn from the stream it is given.
+the variant's block sampler (:func:`_block_sampler`), a generator that hands
+the block out pass by pass, one reducer slab of at most
+``timebase._KERNEL_CELLS`` cells at a time, so no block is ever held whole;
+a single path is a block of one row drawn from the stream it is given.
 """
 
 from __future__ import annotations
@@ -42,16 +43,17 @@ import numpy as np
 
 from .response import chain_states, response_moment_curves, response_power_means
 from .timebase import (
-    _BLOCK,
     Curve,
     PathEnsemble,
     TimeGrid,
     block_stream,
+    exp_weight_in_place,
     exp_weighted_values,
-    fill_row_blocks,
+    iter_block_passes,
     iter_slabs,
     one_pole,
-    pass_rows,
+    pole_band,
+    slab_rows,
     stable_exp_diff,
 )
 
@@ -89,12 +91,9 @@ __all__ = [
     "cumulant_curves",
     "moments_Z_mc",
     "moments_from_chunks",
-    "z_path_ensemble",
     "Z_path_ensemble",
     "iter_Z_chunks",
     "event_kernel",
-    "event_rows",
-    "block_rows",
 ]
 
 
@@ -469,150 +468,174 @@ def event_kernel(events, lam: float, theta: float | None, grid: TimeGrid):
     times = np.concatenate([np.asarray(e[0], dtype=float) for e in events])
     weights = np.concatenate([np.asarray(e[1], dtype=float) for e in events])
     row = np.repeat(np.arange(len(events)), [len(e[0]) for e in events])
-    return _kernel(times, weights, row, len(events), lam, theta, grid)
-
-
-def _kernel(times, weights, row, m: int, lam: float, theta: float | None, grid: TimeGrid):
-    """:func:`event_kernel` on flat event arrays; ``row`` maps each event to its row 0..m-1."""
-    t = grid.times()
-    n = grid.n_nodes
-    cell = np.searchsorted(t, times)
-    live = cell < n
-    cell, times, weights = cell[live], times[live], weights[live]
-    idx = row[live] * n + cell
-    u = t[cell] - times
-
-    def binned(values):
-        # bincount gives int64 zeros when there are no events
-        return np.bincount(idx, values, m * n).astype(float, copy=False).reshape(m, n)
-
-    z = one_pole(binned(weights * np.exp(-lam * u)), np.exp(-lam * grid.dt))
+    shape = (len(events), grid.n_nodes)
+    z_only = _EventKernel(lam, None, grid)
+    z = z_only.rows(z_only.terms(times, weights, row), 0, np.empty(shape), None)
     if theta is None:
         return None, z
-    c = binned(weights * stable_exp_diff(lam, theta, u))
-    c[:, 1:] += stable_exp_diff(lam, theta, grid.dt) * z[:, :-1]
-    return one_pole(c, np.exp(-theta * grid.dt)), z
+    kernel = _EventKernel(lam, theta, grid)
+    Z = kernel.rows(kernel.terms(times, weights, row), 0, np.empty(shape), np.empty(shape[0] * shape[1]))
+    return Z, z
 
 
-def event_rows(
-    times, weights, counts, lo: int, hi: int, lam: float, theta, grid: TimeGrid, out
-) -> None:
-    """Write Z (z when ``theta`` is None) of rows lo..hi-1 of a drawn block into ``out``.
+class _EventKernel:
+    """:func:`event_kernel` on one grid, pass by pass, in caller-owned arrays.
 
-    The block's events are flat: row j owns ``counts[j]`` consecutive
-    entries of ``times`` and ``weights``. Rows go through :func:`event_kernel`
-    in passes of at most _KERNEL_CELLS cells.
+    The node times, the bands of the two recurrences and K(dt) are built
+    once, for every pass of every block.
     """
-    edges = np.concatenate(([0], np.cumsum(counts)))
-    times = np.asarray(times, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    step = pass_rows(grid.n_nodes)
-    for a in range(lo, hi, step):
-        b = min(a + step, hi)
-        e0, e1 = edges[a], edges[b]
-        row = np.repeat(np.arange(b - a), counts[a:b])
-        Z, z = _kernel(times[e0:e1], weights[e0:e1], row, b - a, lam, theta, grid)
-        out[a - lo : b - lo] = z if theta is None else Z
 
+    def __init__(self, lam: float, theta: float | None, grid: TimeGrid):
+        self.t, self.n = grid.times(), grid.n_nodes
+        self.lam, self.theta = lam, theta
+        self.z_band = pole_band(np.exp(-lam * grid.dt), self.n)
+        if theta is not None:
+            self.Z_band = pole_band(np.exp(-theta * grid.dt), self.n)
+            self.k_dt = stable_exp_diff(lam, theta, grid.dt)
 
-def _diffusion_z(model, grid: TimeGrid, noise: np.ndarray) -> np.ndarray:
-    """z at the nodes, exact in distribution, of one path per row of (rows, n_steps) normals."""
-    rows = noise.shape[0]
-    z = np.zeros((rows, grid.n_nodes))
-    if isinstance(model, BrownianDrift):
-        noise *= np.sqrt(grid.dt)
-        np.cumsum(noise, axis=1, out=z[:, 1:])
-        z += model.trend * grid.times()
-        return z
-    lam, dt = model.rate, grid.dt
-    a = np.exp(-lam * dt)
-    z[:, 1:] = model.sigma_u * np.sqrt(-np.expm1(-2 * lam * dt) / (2 * lam)) * noise
-    one_pole(z, a)
-    z += model.u0 * a ** np.arange(grid.n_nodes)
-    return z
+    def terms(self, times, weights, row):
+        """(row, cell, z term, Z term) of the events that reach a node; ``row`` is nondecreasing.
+
+        The terms are an event's exact contributions at the node that closes
+        its cell; the Z term is None when theta is None.
+        """
+        cell = np.searchsorted(self.t, times)
+        live = cell < self.n
+        row, cell, times, weights = row[live], cell[live], times[live], weights[live]
+        u = self.t[cell] - times
+        Z_term = None if self.theta is None else weights * stable_exp_diff(self.lam, self.theta, u)
+        return row, cell, weights * np.exp(-self.lam * u), Z_term
+
+    def rows(self, terms, lo: int, out, ws):
+        """Z (z when theta is None) of rows lo.. into ``out``, a C-contiguous (rows, n) array.
+
+        ``ws`` holds at least ``out.size`` cells for z; it is not read when
+        theta is None. Events are binned by ``fill(0)`` and ``np.add.at``,
+        which add each bin's terms in event order, as ``np.bincount`` does.
+        """
+        row, cell, z_term, Z_term = terms
+        e0, e1 = np.searchsorted(row, (lo, lo + len(out)))
+        idx = (row[e0:e1] - lo) * self.n + cell[e0:e1]
+        z = out if Z_term is None else ws[: out.size].reshape(out.shape)
+        z.fill(0.0)
+        np.add.at(z.reshape(-1), idx, z_term[e0:e1])
+        one_pole(z, self.z_band)
+        if Z_term is None:
+            return z
+        out.fill(0.0)
+        np.add.at(out.reshape(-1), idx, Z_term[e0:e1])
+        z[:, :-1] *= self.k_dt  # z is spent: K(dt) z_{k-1} in place
+        out[:, 1:] += z[:, :-1]
+        return one_pole(out, self.Z_band)
 
 
 def _block_sampler(model: DriftModel, theta: float | None, grid: TimeGrid, tally=None):
-    """``sample(stream, rows, lo, hi, out)``: Z rows (z when theta is None) of one block.
+    """``passes(stream, rows, take, ws)``: the Z rows (z when theta is None) of one block, pass by pass.
 
-    The block holds ``rows`` ensemble rows and draws all of them from
-    ``stream``; ``sample`` writes its local rows lo..hi-1 into ``out``, in
-    passes whose transients have at most _KERNEL_CELLS cells. The draws:
+    A generator over the block's ``rows`` ensemble rows, all drawn from
+    ``stream``: each pass fills the first rows of the array ``take()``
+    returns with the next :func:`timebase.slab_rows` rows of the block (or
+    what is left of it) and yields them. The stream and the block's drawn
+    events persist from pass to pass, and the pass-sized transients live in
+    ``ws``, a flat scratch array of at least a pass's cells (see
+    :func:`timebase.iter_block_passes`), so the pass loop allocates nothing
+    of pass size. The draws, in stream order:
 
-    - single shot: one exponential vector of the shot times of rows 0..hi-1;
-    - Brownian and OU: a (pass rows, n_steps) matrix of normals per pass,
-      row after row, including the rows before lo;
+    - single shot: one exponential vector of the block's shot times;
+    - Brownian and OU: a (pass rows, n_steps) matrix of normals per pass;
     - event variants: counts, times and weights of all ``rows`` rows, one
       call each (:func:`_draw_block_events`);
     - deterministic drifts draw nothing.
 
-    An event sampler given a ``tally`` list appends (censored, drawn), the
-    infinite and all event times of its rows lo..hi-1, at each call.
+    A row's values are a function of its own draws, so they do not depend on
+    the pass size. An event sampler given a ``tally`` list appends
+    (censored, drawn), the infinite and all event times of the block, as the
+    generator starts.
     """
-    dt = grid.dt
-    step = pass_rows(grid.n_nodes)
+    dt, n = grid.dt, grid.n_nodes
+    step = slab_rows(n)
+
+    def cuts(rows, take):
+        for a in range(0, rows, step):
+            yield a, take()[: min(step, rows - a)]
+
     if isinstance(model, Deterministic):
         _check_same_grid(model.f.grid, grid)
         curve = model.f.values if theta is None else exp_weighted_values(model.f.values, dt, theta)
 
-        def sample(stream, rows, lo, hi, out):
-            out[:] = curve
+        def passes(stream, rows, take, ws):
+            for _, out in cuts(rows, take):
+                out[:] = curve
+                yield out
 
     elif isinstance(model, SingleShot):
         t = grid.times()
 
-        def sample(stream, rows, lo, hi, out):
-            tau = stream.exponential(1.0 / model.rate, size=hi)[lo:]
-            for a in range(0, hi - lo, step):
-                o = out[a : a + step]
-                np.subtract(t, tau[a : a + step, None], out=o)
+        def passes(stream, rows, take, ws):
+            tau = stream.exponential(1.0 / model.rate, size=rows)
+            for a, out in cuts(rows, take):
+                np.subtract(t, tau[a : a + len(out), None], out=out)
                 if theta is None:
-                    np.greater_equal(o, 0.0, out=o)
-                    continue
-                # Z = (1 - e^{-theta u}) / theta after the shot, u = t - tau
-                np.maximum(o, 0.0, out=o)
-                o *= -theta
-                np.expm1(o, out=o)
-                o /= -theta
+                    np.greater_equal(out, 0.0, out=out)
+                else:
+                    # Z = (1 - e^{-theta u}) / theta after the shot, u = t - tau
+                    np.maximum(out, 0.0, out=out)
+                    out *= -theta
+                    np.expm1(out, out=out)
+                    out /= -theta
+                yield out
 
     elif isinstance(model, _EVENT_MODELS):
-        lam = _decay(model)
+        kernel = _EventKernel(_decay(model), theta, grid)
 
-        def sample(stream, rows, lo, hi, out):
+        def passes(stream, rows, take, ws):
             times, weights, counts = _draw_block_events(model, grid, stream, rows)
-            if tally is not None:  # only the rows written, so a block cut by chunks counts once
-                own = times[counts[:lo].sum() : counts[:hi].sum()]
-                tally.append((int(np.isinf(own).sum()), own.size))
-            event_rows(times, weights, counts, lo, hi, lam, theta, grid, out)
+            if tally is not None:
+                tally.append((int(np.isinf(times).sum()), times.size))
+            terms = kernel.terms(times, weights, np.repeat(np.arange(rows), counts))
+            for a, out in cuts(rows, take):
+                yield kernel.rows(terms, a, out, ws)
 
     elif isinstance(model, (BrownianDrift, OUDrift)):
+        # z at the nodes, exact in distribution, from one row of n_steps normals per path
+        brownian = isinstance(model, BrownianDrift)
+        if brownian:
+            scale, mean = np.sqrt(dt), model.trend * grid.times()
+        else:
+            lam = model.rate
+            a = np.exp(-lam * dt)
+            scale = model.sigma_u * np.sqrt(-np.expm1(-2 * lam * dt) / (2 * lam))
+            mean, band = model.u0 * a ** np.arange(n), pole_band(a, n)
+        if theta is not None:
+            w = np.exp(-theta * dt)
+            w_band = pole_band(w, n)
 
-        def sample(stream, rows, lo, hi, out):
-            for a in range(0, lo, step):  # keep the stream in step: rows before lo
-                stream.standard_normal((min(step, lo - a), grid.n_steps))
-            for a in range(lo, hi, step):
-                b = min(a + step, hi)
-                z = _diffusion_z(model, grid, stream.standard_normal((b - a, grid.n_steps)))
-                out[a - lo : b - lo] = z if theta is None else exp_weighted_values(z, dt, theta)
+        def passes(stream, rows, take, ws):
+            for _, out in cuts(rows, take):
+                noise = ws[: len(out) * grid.n_steps].reshape(len(out), grid.n_steps)
+                stream.standard_normal(out=noise)
+                out[:, 0] = 0.0
+                if brownian:
+                    noise *= scale
+                    np.cumsum(noise, axis=1, out=out[:, 1:])
+                else:
+                    np.multiply(noise, scale, out=out[:, 1:])
+                    one_pole(out, band)
+                out += mean
+                if theta is not None:  # the spent normals are its scratch
+                    exp_weight_in_place(out, w, dt, noise, w_band)
+                yield out
 
     else:
         raise TypeError(f"not a drift model: {model!r}")
-    return sample
+    return passes
 
 
-def block_rows(
-    sample, n_paths: int, master_seed: int, n_nodes: int, start: int = 0, stop=None, threads=1
-):
-    """Rows start..stop-1 of an n_paths-row ensemble drawn by ``sample`` from the block streams.
-
-    ``sample(stream, rows, lo, hi, out)`` is a block sampler such as
-    :func:`_block_sampler` returns; block b reads ``block_stream(master_seed, b)``.
-    """
-
-    def fill(b, rows, lo, hi, out):
-        sample(block_stream(master_seed, b), rows, lo, hi, out)
-
-    return fill_row_blocks(fill, n_paths, n_nodes, threads, start, stop)
+def _pass_stream(model, theta, grid: TimeGrid, n_paths: int, master_seed: int, threads=1, tally=None):
+    """(start, pass) of the n_paths-row ensemble (z when theta is None), block b from block_stream(seed, b)."""
+    passes = _block_sampler(model, theta, grid, tally)
+    block = lambda b, rows, take, ws: passes(block_stream(master_seed, b), rows, take, ws)
+    return iter_block_passes(block, n_paths, grid.n_nodes, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +643,8 @@ def block_rows(
 
 def _one_row(model, theta, grid: TimeGrid, stream) -> Curve:
     out = np.empty((1, grid.n_nodes))
-    _block_sampler(model, theta, grid)(stream, 1, 0, 1, out)
+    for _ in _block_sampler(model, theta, grid)(stream, 1, lambda: out, np.empty(grid.n_nodes)):
+        pass
     return Curve(grid, out[0])
 
 
@@ -808,15 +832,6 @@ def cumulant_curves(model: DriftModel, theta: float, grid: TimeGrid, order: int 
 # ---------------------------------------------------------------------------
 # ensembles and Monte Carlo moments
 
-def z_path_ensemble(
-    model: DriftModel, grid: TimeGrid, n_paths: int, master_seed: int, threads: int = 1
-) -> PathEnsemble:
-    """n_paths independent z realizations, block b from block_stream(seed, b)."""
-    sample = _block_sampler(model, None, grid)
-    values = block_rows(sample, n_paths, master_seed, grid.n_nodes, threads=threads)
-    return PathEnsemble(grid, n_paths, values, master_seed)
-
-
 def Z_path_ensemble(
     model: DriftModel,
     theta: float,
@@ -825,17 +840,19 @@ def Z_path_ensemble(
     master_seed: int,
     threads: int = 1,
 ) -> PathEnsemble:
-    """n_paths independent Z realizations under the block-stream contract.
+    """n_paths independent Z realizations under the block-stream contract, as one matrix.
 
-    Rows i of block b = i // _BLOCK are drawn together from
-    ``block_stream(seed, b)`` by the variant's block sampler (one exponential
-    vector for the single shot, normal matrices for the diffusions, one
-    vector per event quantity for the event variants). The matrix does not
-    depend on ``threads``; a block holding one row equals ``sample_Z_path``
-    on the block's stream bit for bit. It is :func:`iter_Z_chunks` as one
-    chunk, under the same censoring policy.
+    The passes of :func:`iter_Z_chunks`, under the same censoring policy,
+    copied into an (n_paths, n_nodes) matrix: rows i of block b = i // _BLOCK
+    are drawn together from ``block_stream(seed, b)`` by the variant's block
+    sampler (one exponential vector for the single shot, a normal matrix per
+    pass for the diffusions, one vector per event quantity for the event
+    variants). The matrix does not depend on ``threads``; a block holding
+    one row equals ``sample_Z_path`` on the block's stream bit for bit.
     """
-    [(_, values)] = iter_Z_chunks(model, theta, grid, n_paths, master_seed, threads, chunk=n_paths)
+    values = np.empty((n_paths, grid.n_nodes))
+    for start, rows in iter_Z_chunks(model, theta, grid, n_paths, master_seed, threads):
+        values[start : start + len(rows)] = rows
     return PathEnsemble(grid, n_paths, values, master_seed)
 
 
@@ -849,35 +866,51 @@ def iter_Z_chunks(
     chunk: int | None = None,
     censored: list | None = None,
 ):
-    """Yield (start_index, chunk_matrix) blocks of the Z ensemble.
+    """Yield (start_index, chunk) row ranges of the Z ensemble, in row order.
 
-    Streaming form of :func:`Z_path_ensemble` for workloads where the full
-    n_paths x n_nodes matrix would be wastefully large. Each chunk draws its
-    rows from the block streams of the ensemble, so the concatenation of the
-    chunks is bit-identical to the materialized ensemble for any chunk size
-    and thread count. The default chunk holds one block per thread, which
-    the threads fill side by side. A chunk that starts inside a block
-    redraws that block's leading variates; chunks that are multiples of
-    _BLOCK draw every variate once.
+    Streaming form of :func:`Z_path_ensemble`: the block samplers produce
+    each block pass by pass (:func:`timebase.iter_block_passes`), and by
+    default each chunk is one pass, :func:`timebase.slab_rows` rows counted
+    from its block's first row, so a reducer's slabs are the passes
+    themselves. A ``chunk`` of rows gathers the passes into chunks of that
+    many rows. Either way a chunk is a view of a reused buffer, valid until
+    the next chunk is requested: copy it to keep it. No block is ever held
+    whole, every variate is drawn once, and the concatenation of the chunks
+    is bit-identical to the materialized ensemble for any chunk size and
+    thread count. With ``threads`` > 1 worker threads produce whole blocks
+    ahead of the caller.
 
-    The block samplers count the censored event times of the rows they
-    write, so once the last chunk is out the ensemble's (censored, drawn)
-    event count is the same for any chunk size and thread count. It is
-    appended to ``censored`` when that is a list, and an ensemble with more
-    than half of its event times censored raises :class:`CensoringError`.
+    The block samplers count the censored event times of their blocks, so
+    once the last chunk is out the ensemble's (censored, drawn) event count
+    is the same for any chunk size and thread count. It is appended to
+    ``censored`` when that is a list, and an ensemble with more than half of
+    its event times censored raises :class:`CensoringError`.
     """
     validate_pairing(model, theta)
     tally = []
-    sample = _block_sampler(model, theta, grid, tally)
-    chunk = chunk or _BLOCK * max(1, threads)  # one block per thread
-    for start in range(0, n_paths, chunk):
-        stop = min(start + chunk, n_paths)
-        yield start, block_rows(sample, n_paths, master_seed, grid.n_nodes, start, stop, threads)
+    passes = _pass_stream(model, theta, grid, n_paths, master_seed, threads, tally)
+    yield from _gather(passes, chunk, n_paths, grid.n_nodes) if chunk else passes
     lost, drawn = sum(c for c, _ in tally), sum(n for _, n in tally)
     if censored is not None:
         censored.append((lost, drawn))
     if 2 * lost > drawn:
         raise CensoringError(f"{lost} of {drawn} event times are censored; raise horizon_cap")
+
+
+def _gather(passes, chunk: int, n_paths: int, n_nodes: int):
+    """The rows of (start, pass) pairs regrouped as (start, chunk) views of one chunk-sized buffer."""
+    buf = np.empty((min(chunk, n_paths), n_nodes))
+    start = held = 0
+    for _, rows in passes:
+        while len(rows):
+            k = min(len(buf) - held, len(rows))
+            buf[held : held + k] = rows[:k]
+            held, rows = held + k, rows[k:]
+            if held == len(buf):
+                yield start, buf
+                start, held = start + held, 0
+    if held:
+        yield start, buf[:held]
 
 
 def moments_Z_mc(
@@ -899,20 +932,21 @@ def moments_Z_mc(
     return moments_from_chunks(chunks, grid, n_paths)
 
 
-def _chunk_stats(block: np.ndarray):
+def _chunk_stats(block: np.ndarray, ws: np.ndarray):
     """(n, c, e, M2, M3) of one slab of rows: mean c + e, central sums M2 and M3.
 
     c is the rounded slab mean and e the mean of the deviations from it, so
     c + e is the sample mean to far below one ulp of c and M2, M3 are
-    central about it.
+    central about it. The deviations and their powers go to ``ws``, which
+    holds at least twice the slab's cells.
     """
-    n = block.shape[0]
+    n, size = block.shape[0], block.size
     c = block.mean(axis=0)
-    d = block - c
+    d = np.subtract(block, c, out=ws[:size].reshape(block.shape))
     e = d.sum(axis=0) / n
-    d2 = d * d
+    d2 = np.multiply(d, d, out=ws[size : 2 * size].reshape(block.shape))
     s2 = d2.sum(axis=0)
-    d2 *= d  # now d^3: no third (rows, nodes) temporary
+    d2 *= d  # now d^3
     M2 = s2 - n * e * e
     # cubes as products: numpy's power(x, 3) costs about 50 times as much
     M3 = d2.sum(axis=0) - 3.0 * e * s2 + 2.0 * n * (e * e * e)
@@ -946,15 +980,20 @@ def moments_from_chunks(chunks, grid: TimeGrid, n_paths: int):
     third central moment keep their relative accuracy however large the mean
     is against the spread. The slabs are the leaves of the merge tree, so
     chunks cut on block boundaries give the same bits for any chunk size and
-    thread count. Only one chunk is held at a time.
+    thread count. The slab transients live in one work array, so besides the
+    chunk being read only the merge stack's per-node sums are held: about
+    log2 of the slab count of them.
     """
     from .approx import MomentCurves  # MomentCurves lives with its consumers
 
     if n_paths < 2:
         raise ValueError("need at least 2 paths for moment estimation")
     stack = []  # (level, stats), levels strictly decreasing: a binary merge tree
+    ws = np.empty(0)  # deviations and their powers, for every slab
     for _, slab in iter_slabs(chunks):
-        level, stats = 0, _chunk_stats(slab)
+        if ws.size < 2 * slab.size:
+            ws = np.empty(2 * slab.size)
+        level, stats = 0, _chunk_stats(slab, ws)
         while stack and stack[-1][0] == level:
             stats = _merge_stats(stack.pop()[1], stats)
             level += 1

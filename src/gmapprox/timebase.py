@@ -10,16 +10,19 @@ The block-stream contract: the rows of an ensemble fall into blocks of
 rows from the one stream ``block_stream(master_seed, b)``, in an order fixed
 by the sampler, the grid and the number of ensemble rows in the block
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
-:func:`fill_row_blocks` hands out whole blocks, so a row's value depends on
-neither the thread count nor how a caller chunks the rows.
+A block is produced as a sequence of passes of :func:`slab_rows` rows,
+counted from its first row, and :func:`iter_block_passes` hands the passes
+out in row order, one reused pass buffer at a time; threads produce whole
+blocks, so a row's value depends on neither the thread count nor how a
+caller cuts the rows, and no block is ever held whole.
 
 The contract extends to reductions over the rows. A reducer reads each chunk
 in slabs of :func:`slab_rows` rows, counted from the chunk's start
 (:func:`iter_slabs`): a power of two that divides ``_BLOCK`` and keeps a slab
-within ``_KERNEL_CELLS`` cells. Chunks that start on block boundaries, as
-the default chunks do, therefore cut into the same sequence of slabs for any
-thread count, and a reduction that combines slab partials in row order gives
-the same bits for any thread count.
+within ``_KERNEL_CELLS`` cells. A pass is one slab, and chunks that start on
+block boundaries cut into the same sequence of slabs, so a reduction that
+combines slab partials in row order gives the same bits for any thread count
+and any such chunking.
 
 Every first-order recurrence runs through :func:`one_pole`, one call of
 LAPACK's ``dtbtrs``. The routine comes from scipy's Cython LAPACK table,
@@ -35,7 +38,9 @@ import importlib.machinery
 import importlib.util
 import io
 import os
+import queue
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -47,12 +52,13 @@ __all__ = [
     "PathEnsemble",
     "trapezoid",
     "one_pole",
+    "pole_band",
     "derive_stream",
     "split_stream",
     "child_seed",
     "block_stream",
     "fill_rows",
-    "fill_row_blocks",
+    "iter_block_passes",
     "pass_rows",
     "slab_rows",
     "iter_slabs",
@@ -218,19 +224,45 @@ def exp_weighted_values(values: np.ndarray, dt: float, theta: float) -> np.ndarr
     """
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")
-    g = np.asarray(values, dtype=float)
-    a = np.exp(-theta * dt)
-    x = np.zeros(g.shape)
-    x[..., 1:] = 0.5 * dt * (a * g[..., :-1] + g[..., 1:])
-    # H_k = a H_{k-1} + x_k with H_0 = x_0 = 0
-    return one_pole(x, a)
+    h = np.array(values, dtype=float, order="C")
+    scratch = np.empty(h.shape[:-1] + (h.shape[-1] - 1,))
+    return exp_weight_in_place(h, np.exp(-theta * dt), dt, scratch)
 
 
-def one_pole(x: np.ndarray, a: float) -> np.ndarray:
+def exp_weight_in_place(h: np.ndarray, a: float, dt: float, scratch: np.ndarray, band=None) -> np.ndarray:
+    """Overwrite the node values g in ``h`` with :func:`exp_weighted_values` (g, dt, theta), a = e^{-theta dt}.
+
+    ``h`` is as :func:`one_pole` takes it, ``scratch`` any float64 array of
+    h's shape less one column, and ``band`` the recurrence's :func:`pole_band`
+    when the caller keeps one; nothing is allocated.
+    """
+    # x_k = (dt / 2)(a g_{k-1} + g_k), x_0 = 0; then H_k = a H_{k-1} + x_k
+    np.multiply(h[..., :-1], a, out=scratch)
+    scratch += h[..., 1:]
+    scratch *= 0.5 * dt
+    h[..., 0] = 0.0
+    h[..., 1:] = scratch
+    return one_pole(h, a if band is None else band)
+
+
+def pole_band(a: float, n: int) -> np.ndarray:
+    """The band of y_k = a y_{k-1} + x_k over n steps, as :func:`one_pole` hands it to ``dtbtrs``.
+
+    A caller that runs one recurrence many times builds it once and passes
+    it to :func:`one_pole` in place of ``a``.
+    """
+    ab = np.empty((n, 2))  # Fortran-ordered band: unit diagonal (not read), subdiagonal
+    ab[:, 0] = 1.0
+    ab[:, 1] = -a
+    return ab
+
+
+def one_pole(x: np.ndarray, a) -> np.ndarray:
     """Run y_k = a y_{k-1} + x_k, from y_{-1} = 0, in place along the last axis of ``x``.
 
     ``x`` must be a writeable C-contiguous float64 array; it is overwritten
-    by y and returned. The rows are one call of LAPACK's unit lower bidiagonal solve
+    by y and returned. ``a`` is the pole or its :func:`pole_band` over the
+    row length. The rows are one call of LAPACK's unit lower bidiagonal solve
     ``dtbtrs`` (subdiagonal -a) on their transpose, which is Fortran-ordered,
     so nothing is copied. The call goes through ctypes to the routine of
     scipy's Cython LAPACK table (:func:`_lapack_dtbtrs`), so the GIL is
@@ -248,9 +280,9 @@ def one_pole(x: np.ndarray, a: float) -> np.ndarray:
     if x.size == 0:
         return x
     n = x.shape[-1]
-    ab = np.empty((n, 2))  # Fortran-ordered band: unit diagonal (not read), subdiagonal
-    ab[:, 0] = 1.0
-    ab[:, 1] = -a
+    ab = a if np.ndim(a) == 2 else pole_band(a, n)
+    if ab.shape != (n, 2):
+        raise ValueError(f"band of shape {ab.shape} for rows of {n} steps")
     n_, kd, nrhs, ldab, info = (ctypes.c_int(v) for v in (n, 1, x.size // n, 2, 0))
     _DTBTRS(b"L", b"N", b"U", n_, kd, nrhs, ab.ctypes.data, ldab, x.ctypes.data, n_, info)
     if info.value != 0:
@@ -329,33 +361,85 @@ def block_stream(master_seed: int, block: int) -> np.random.Generator:
     return derive_stream(master_seed, block)
 
 
-def fill_row_blocks(
-    fill_block, n_paths: int, n_nodes: int, threads: int = 1, start: int = 0, stop=None
-) -> np.ndarray:
-    """Rows start..stop-1 (default: all) of an n_paths-row ensemble, assembled block by block.
+class _Stopped(Exception):
+    """The consumer of :func:`iter_block_passes` stopped reading: a worker ends."""
+
+
+def iter_block_passes(block_passes, n_paths: int, n_nodes: int, threads: int = 1):
+    """Yield (start, pass) for the rows of an n_paths-row ensemble, in row order.
 
     Block b holds the ``rows = min(_BLOCK, n_paths - b*_BLOCK)`` ensemble rows
-    from b*_BLOCK on. ``fill_block(b, rows, lo, hi, out)`` writes the block's
-    local rows lo..hi-1 into ``out``, a (hi - lo, n_nodes) view, and must
-    make them a pure function of (b, rows, lo..hi-1): drawing from
-    ``block_stream(seed, b)`` does that. Each call covers the requested rows
-    of one block, and ``threads`` workers take whole blocks, so the result
-    is identical for any number of threads and any start/stop cut.
+    from b*_BLOCK on. ``block_passes(b, rows, take, ws)`` is a generator of
+    the block's passes: for each it fills the first rows of the array
+    ``take()`` returns, a (min(slab_rows(n_nodes), n_paths), n_nodes) buffer,
+    and yields those rows; it must make them a pure function of (b, rows)
+    and the row indices, which drawing from ``block_stream(seed, b)`` does.
+    ``ws`` is a flat float64 scratch array of as many cells as that buffer,
+    which the generator may overwrite at will.
+
+    A pass is a view of a reused buffer: it is valid until the next pass is
+    requested. One thread runs the blocks in the caller, into one buffer.
+    With more, worker w produces blocks w, w + threads, ... ahead of the
+    caller into its own pool of two buffers, and the caller reads the
+    workers' passes in row order and hands each buffer back when it asks for
+    the next pass. Every buffer and scratch array is allocated once per
+    call, so the rows are the same bits for any thread count, and the memory
+    held is a few passes per thread, whatever n_paths.
     """
-    stop = n_paths if stop is None else stop
-    out = np.empty((stop - start, n_nodes), dtype=float)
-    calls = []
-    for b in range(start // _BLOCK, -(-stop // _BLOCK)):
-        b0 = b * _BLOCK
-        lo, hi = max(start, b0), min(stop, b0 + _BLOCK)
-        calls.append((b, min(_BLOCK, n_paths - b0), lo - b0, hi - b0, out[lo - start : hi - start]))
-    if threads is None or threads <= 1 or len(calls) < 2:
-        for args in calls:
-            fill_block(*args)
-        return out
-    with ThreadPoolExecutor(max_workers=min(threads, len(calls))) as ex:
-        list(ex.map(lambda args: fill_block(*args), calls))
-    return out
+    blocks = [(b, min(_BLOCK, n_paths - b * _BLOCK)) for b in range(-(-n_paths // _BLOCK))]
+    width = min(slab_rows(n_nodes), n_paths)
+    if threads is None or threads <= 1 or len(blocks) < 2:
+        buf, ws = np.empty((width, n_nodes)), np.empty(width * n_nodes)
+        for b, rows in blocks:
+            start = b * _BLOCK
+            for rows_done in block_passes(b, rows, lambda: buf, ws):
+                yield start, rows_done
+                start += len(rows_done)
+        return
+    workers = min(threads, len(blocks))
+    free = [queue.SimpleQueue() for _ in range(workers)]
+    ready = [queue.SimpleQueue() for _ in range(workers)]
+
+    def work(w):
+        taken, ws = [], np.empty(width * n_nodes)
+
+        def take():
+            buf = free[w].get()
+            if buf is None:
+                raise _Stopped
+            taken.append(buf)
+            return buf
+
+        try:
+            for b, rows in blocks[w::workers]:
+                for rows_done in block_passes(b, rows, take, ws):
+                    ready[w].put((rows_done, taken.pop()))
+        except _Stopped:
+            pass
+        except BaseException as exc:  # raised in the caller when it reaches this worker's pass
+            ready[w].put((exc, None))
+
+    for q in free:
+        for _ in range(2):
+            q.put(np.empty((width, n_nodes)))
+    pool = [threading.Thread(target=work, args=(w,), daemon=True) for w in range(workers)]
+    for t in pool:
+        t.start()
+    try:
+        for i, (b, rows) in enumerate(blocks):
+            start, stop = b * _BLOCK, b * _BLOCK + rows
+            while start < stop:
+                rows_done, buf = ready[i % workers].get()
+                if buf is None:
+                    raise rows_done
+                yield start, rows_done
+                start += len(rows_done)
+                free[i % workers].put(buf)
+    finally:
+        for q in free:
+            q.put(None)
+        for t in pool:
+            t.join()
 
 
 def pass_rows(width: int) -> int:
@@ -389,15 +473,24 @@ def iter_slabs(chunks):
 def fill_rows(build_row, n_paths: int, n_nodes: int, threads: int = 1) -> np.ndarray:
     """Assemble a (n_paths, n_nodes) matrix with row i = build_row(i).
 
-    ``build_row`` must be a pure function of the row index; see
-    :func:`fill_row_blocks`.
+    ``build_row`` must be a pure function of the row index. ``threads``
+    workers take whole blocks of _BLOCK rows, so the matrix is the same for
+    any number of threads.
     """
+    out = np.empty((n_paths, n_nodes), dtype=float)
 
-    def fill_block(b, rows, lo, hi, out):
-        for j in range(lo, hi):
-            out[j - lo] = build_row(b * _BLOCK + j)
+    def fill_block(lo):
+        for i in range(lo, min(lo + _BLOCK, n_paths)):
+            out[i] = build_row(i)
 
-    return fill_row_blocks(fill_block, n_paths, n_nodes, threads)
+    starts = range(0, n_paths, _BLOCK)
+    if threads is None or threads <= 1 or len(starts) < 2:
+        for lo in starts:
+            fill_block(lo)
+        return out
+    with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as ex:
+        list(ex.map(fill_block, starts))
+    return out
 
 
 def stable_exp_diff(a: float, b: float, t: np.ndarray | float):

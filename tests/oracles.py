@@ -12,7 +12,7 @@ from scipy.signal import lfilter
 
 import gmapprox
 from gmapprox import drift as dm
-from gmapprox.timebase import Curve, TimeGrid
+from gmapprox.timebase import Curve, PathEnsemble, TimeGrid
 
 
 def exp_weighted_running_integral(g: Curve, theta: float) -> Curve:
@@ -27,6 +27,27 @@ def exp_weighted_running_integral(g: Curve, theta: float) -> Curve:
     x = np.zeros(g.grid.n_nodes)
     x[1:] = 0.5 * g.grid.dt * (a * g.values[:-1] + g.values[1:])
     return Curve(g.grid, lfilter([1.0], [1.0, -a], x))
+
+
+def z_path_ensemble(model, grid: TimeGrid, n_paths: int, master_seed: int, threads: int = 1) -> PathEnsemble:
+    """n_paths independent z realizations: the block samplers' pass stream with theta=None.
+
+    Block b is drawn from ``block_stream(master_seed, b)``, as the Z
+    ensemble of the same seed is.
+    """
+    values = np.empty((n_paths, grid.n_nodes))
+    for start, rows in dm._pass_stream(model, None, grid, n_paths, master_seed, threads):
+        values[start : start + len(rows)] = rows
+    return PathEnsemble(grid, n_paths, values, master_seed)
+
+
+def stacked_chunks(chunks):
+    """(starts, matrix) of (start, chunk) pairs whose chunks are views of reused buffers."""
+    starts, rows = [], []
+    for start, chunk in chunks:
+        starts.append(start)
+        rows.append(chunk.copy())
+    return starts, np.vstack(rows)
 
 
 def curve_from_csv(path) -> Curve:

@@ -198,8 +198,8 @@ class TestPointwiseMSEStreaming:
         assert np.array_equal(se.values, ref_se)
 
     def test_identical_for_any_thread_count(self):
-        # 600 paths at 20,001 nodes: two blocks, read as two default chunks
-        # on one thread and as one chunk on two or four
+        # 600 paths at 20,001 nodes: two blocks, streamed as passes of four
+        # rows by one thread and by two or four workers
         g = grid(T=2.0, dt=1e-4)
         model = dm.Poisson(2.0)
         F = F2_analytic(model, THETA, g).F

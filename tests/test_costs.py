@@ -1,10 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gmapprox import drift as dm
+from gmapprox import timebase
 from gmapprox.approx import F2_analytic
+from gmapprox.bounds import pointwise_mse_streaming
 from gmapprox.costs import (
     CostReport,
     cost_block,
@@ -166,6 +169,48 @@ class TestCostBlock:
         for a in range(2):
             other = 1 - a
             assert values[a, a] <= values[a, other] + 4 * (se[a, a] + se[a, other])
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc traces while ``fn()`` runs, above what was traced before."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_reducers_hold_a_few_passes(self, threads):
+        """cost_block and the streamed pointwise MSE on Table 1's 5,001-node grid.
+
+        Both peak below 8 x _KERNEL_CELLS float64 cells (8 MiB), and the peak
+        does not grow with the path count: 600 paths (a full and a partial
+        block) and 3,000 (six blocks) peak within 1 MiB of each other. One
+        (block x nodes) chunk matrix would be 20.5 MB here. The event
+        kernel's workspace is exercised by cost_block, the diffusion's by
+        the MSE.
+        """
+        g = TimeGrid.from_step(5.0, 1e-3)
+        limit = 8 * timebase._KERNEL_CELLS * 8
+        poisson, ou = dm.Poisson(2.0), dm.OUDrift(2.0, 1.0, 1.0)
+        F = F2_analytic(ou, THETA, g).F
+        peaks = {}
+        for n in (600, 3000):
+            peaks["cost_block", n] = traced_peak(lambda: cost_block(poisson, THETA, g, n, 5, threads))
+            chunks = lambda: dm.iter_Z_chunks(ou, THETA, g, n, 5, threads)
+            peaks["mse", n] = traced_peak(lambda: pointwise_mse_streaming(chunks(), F, n))
+        for (what, n), peak in peaks.items():
+            assert peak < limit, (what, n, peak)
+        for what in ("cost_block", "mse"):
+            assert abs(peaks[what, 3000] - peaks[what, 600]) < 2**20, (what, peaks)
 
 
 class TestCostReport:

@@ -14,7 +14,7 @@ from gmapprox.timebase import (
     one_pole,
     stable_exp_diff,
 )
-from oracles import convolution_oracle, exp_weighted_running_integral
+from oracles import convolution_oracle, exp_weighted_running_integral, stacked_chunks, z_path_ensemble
 
 THETA = 1.5
 
@@ -128,7 +128,7 @@ class TestZPaths:
     def test_poisson_ensemble_mean(self):
         # E[N(1)] = rate
         g = grid()
-        ens = dm.z_path_ensemble(dm.Poisson(2.0), g, 10_000, master_seed=21)
+        ens = z_path_ensemble(dm.Poisson(2.0), g, 10_000, master_seed=21)
         end = ens.values[:, -1]
         se = end.std(ddof=1) / np.sqrt(len(end))
         assert end.mean() == pytest.approx(2.0, abs=4 * se)
@@ -224,7 +224,7 @@ class TestAnalyticMoments:
     def test_mean_variance_vs_sampling(self):
         g = grid(T=1.0, dt=0.05)
         for model in ALL_MODELS:
-            ens = dm.z_path_ensemble(model, g, 4000, master_seed=13)
+            ens = z_path_ensemble(model, g, 4000, master_seed=13)
             m = ens.values.mean(axis=0)
             se = ens.values.std(axis=0, ddof=1) / np.sqrt(ens.n_paths)
             resid = np.abs(m - dm.mean_z(model, g).values)
@@ -278,8 +278,8 @@ class TestMomentCurves:
             dm.moments_Z_mc(dm.Poisson(2.0), THETA, grid(), 1, master_seed=0)
 
     def test_identical_for_any_thread_count(self):
-        # 600 paths at 20,001 nodes: two blocks cut into slabs of four rows,
-        # read as two default chunks on one thread and one chunk on two or four
+        # 600 paths at 20,001 nodes: two blocks, streamed as passes of four rows
+        # by one thread and by two or four workers
         g = grid(T=2.0, dt=1e-4)
         assert timebase.slab_rows(g.n_nodes) == 4
         runs = [dm.moments_Z_mc(dm.Poisson(2.0), THETA, g, 600, 12, threads) for threads in (1, 2, 4)]
@@ -301,11 +301,11 @@ class TestEnsembles:
         g = grid(T=1.0, dt=0.05)
         model = dm.OUDrift(2.0, 1.0, 1.0)
         full = dm.Z_path_ensemble(model, THETA, g, 100, master_seed=9).values
-        parts = [blk for _, blk in dm.iter_Z_chunks(model, THETA, g, 100, 9, chunk=17)]
-        assert np.array_equal(np.vstack(parts), full)
+        _, parts = stacked_chunks(dm.iter_Z_chunks(model, THETA, g, 100, 9, chunk=17))
+        assert np.array_equal(parts, full)
 
-    # 20,001 nodes: the kernel takes 6 rows per pass, so chunks of 17 rows
-    # cut through passes
+    # 20,001 nodes: a pass holds 4 rows, so chunks of 17 rows cut through
+    # passes
     @pytest.mark.parametrize(
         "model",
         [
@@ -319,8 +319,8 @@ class TestEnsembles:
         g = grid(T=2.0, dt=1e-4)
         n, seed = 40, 12
         full = dm.Z_path_ensemble(model, THETA, g, n, master_seed=seed).values
-        parts = [blk for _, blk in dm.iter_Z_chunks(model, THETA, g, n, seed, chunk=17)]
-        assert np.array_equal(np.vstack(parts), full)
+        _, parts = stacked_chunks(dm.iter_Z_chunks(model, THETA, g, n, seed, chunk=17))
+        assert np.array_equal(parts, full)
         threaded = dm.Z_path_ensemble(model, THETA, g, n, master_seed=seed, threads=3).values
         assert np.array_equal(threaded, full)
         # the block's rows are the kernel of the block's draws, row by row
@@ -350,13 +350,14 @@ def test_block_contract_reproducible(model):
     full = dm.Z_path_ensemble(model, THETA, g, n, master_seed=seed).values
     for threads in (2, 4):
         assert np.array_equal(dm.Z_path_ensemble(model, THETA, g, n, seed, threads=threads).values, full)
-    # the default chunk holds one block per thread
+    # the default chunk is one pass: slab_rows rows, counted from each block's start
+    one_pass = timebase.slab_rows(g.n_nodes)
     for chunk, threads in ((1, 2), (17, 2), (511, 2), (512, 2), (513, 2), (None, 2), (None, 4)):
-        parts = list(dm.iter_Z_chunks(model, THETA, g, n, seed, threads=threads, chunk=chunk))
-        assert [start for start, _ in parts] == list(range(0, n, chunk or 512 * threads))
-        assert np.array_equal(np.vstack([blk for _, blk in parts]), full)
+        starts, parts = stacked_chunks(dm.iter_Z_chunks(model, THETA, g, n, seed, threads=threads, chunk=chunk))
+        assert starts == list(range(0, n, chunk or one_pass))
+        assert np.array_equal(parts, full)
     assert np.array_equal(dm.sample_Z_path(model, THETA, g, block_stream(seed, 2)).values, full[1024])
-    z = dm.z_path_ensemble(model, g, n, seed, threads=2).values
+    z = z_path_ensemble(model, g, n, seed, threads=2).values
     assert np.array_equal(dm.sample_z_path(model, g, block_stream(seed, 2)).values, z[1024])
     # the rows of a partial block do not draw the block's missing rows
     if not isinstance(model, dm.Deterministic):

@@ -26,7 +26,14 @@ from gmapprox.neuro import (
 from gmapprox.response import response_moment_curves, response_power_means
 from gmapprox.sde import apply_I
 from gmapprox.timebase import Curve, TimeGrid, block_stream, derive_stream, one_pole, stable_exp_diff
-from oracles import bridge_first_passages, convolution_oracle, convolve_response, gamma_pdf
+from oracles import (
+    bridge_first_passages,
+    convolution_oracle,
+    convolve_response,
+    gamma_pdf,
+    stacked_chunks,
+    z_path_ensemble,
+)
 
 TABLE2_LIF = LIFNeuron(theta_i=0.1, mu_i=6.0, sigma_i=1.0, v0_i=0.0, v_th=20.0)
 
@@ -521,7 +528,7 @@ class TestUniformArrival:
         g = grid(T=20.0, dt=0.1)
         sn = dm.ShotNoise(arrival=dm.Uniform(2.0, 12.0))
         mean = dm.mean_z(sn, g).values
-        zs = dm.z_path_ensemble(sn, g, 4000, 3).values
+        zs = z_path_ensemble(sn, g, 4000, 3).values
         se = zs.std(axis=0, ddof=1) / np.sqrt(len(zs))
         assert np.all(np.abs(zs.mean(axis=0) - mean) <= 4 * np.maximum(se, 1e-12))
 
@@ -570,7 +577,7 @@ class TestBuildDriftFromNetwork:
         # ensemble mean of z equals M E[beta] phi
         g = grid(T=10.0, dt=0.1)
         model = network(dm.Exponential(1 / 15))
-        zs = dm.z_path_ensemble(model, g, 4000, 77).values
+        zs = z_path_ensemble(model, g, 4000, 77).values
         mean = zs.mean(axis=0)
         se = zs.std(axis=0, ddof=1) / np.sqrt(len(zs))
         phi, _ = response_moment_curves(dm.Exponential(1 / 15), 1.0, g)
@@ -586,7 +593,7 @@ class TestBuildDriftFromNetwork:
 
     def test_network_chunks_reproducible(self):
         # 1,025 trials: three blocks, the last holding one trial; chunks of 17
-        # and 513 cut through blocks, and thread ranges hold whole blocks. A
+        # and 513 cut through blocks, and worker threads produce whole blocks. A
         # 5 ms cap censors some inputs
         g = grid(T=10.0, dt=0.1)
         arrival = dm.SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=5.0)
@@ -598,7 +605,7 @@ class TestBuildDriftFromNetwork:
             for threads, chunk in ((1, 512), (2, 512), (4, 512), (1, 17), (2, 511), (1, 513)):
                 cens = []
                 blocks = dm.iter_Z_chunks(model, 0.1, g, 1025, 8, threads, chunk=chunk, censored=cens)
-                runs[threads, chunk] = (np.vstack([b for _, b in blocks]), cens)
+                runs[threads, chunk] = (stacked_chunks(blocks)[1], cens)
         finally:
             sys.setswitchinterval(switch)
         ref, cens = runs[1, 512]
@@ -615,12 +622,12 @@ class TestBuildDriftFromNetwork:
         Z, _ = dm.event_kernel([(times, weights)], 1.0, 0.1, g)
         assert np.array_equal(Z[0], ref[1024])
         assert np.array_equal(build_drift_from_network(model, 0.1, g, block_stream(8, 2)).values, ref[1024])
-        one = np.vstack([b for _, b in dm.iter_Z_chunks(model, 0.1, g, 1, 8, chunk=1)])
+        _, one = stacked_chunks(dm.iter_Z_chunks(model, 0.1, g, 1, 8, chunk=1))
         assert np.array_equal(build_drift_from_network(model, 0.1, g, block_stream(8, 0)).values, one[0])
 
     def test_network_moments_identical_for_any_thread_count(self):
-        # 600 trials at 20,001 nodes: two blocks cut into slabs of four rows,
-        # read as two default chunks on one thread and one chunk on two or four
+        # 600 trials at 20,001 nodes: two blocks, streamed as passes of four rows
+        # by one thread and by two or four workers
         g = grid(T=10.0, dt=5e-4)
         assert timebase.slab_rows(g.n_nodes) == 4
         model = network(dm.SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=5.0), M=2)
@@ -632,8 +639,8 @@ class TestBuildDriftFromNetwork:
     def test_network_chunks_of_one_trial(self):
         g = grid(T=10.0, dt=0.1)
         model = network(dm.SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=5.0), M=2)
-        ref = np.vstack([b for _, b in dm.iter_Z_chunks(model, 0.1, g, 40, 3)])
-        assert np.array_equal(np.vstack([b for _, b in dm.iter_Z_chunks(model, 0.1, g, 40, 3, chunk=1)]), ref)
+        _, ref = stacked_chunks(dm.iter_Z_chunks(model, 0.1, g, 40, 3))
+        assert np.array_equal(stacked_chunks(dm.iter_Z_chunks(model, 0.1, g, 40, 3, chunk=1))[1], ref)
 
     def test_rejects_response_equal_theta(self):
         with pytest.raises(dm.PairingError):

@@ -1,4 +1,5 @@
 import csv
+import threading
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from gmapprox.timebase import (
     derive_stream,
     exp_weighted_values,
     fill_rows,
+    iter_block_passes,
     iter_slabs,
     one_pole,
+    pole_band,
     slab_rows,
     split_stream,
     stable_exp_diff,
@@ -233,6 +236,14 @@ class TestOnePole:
         for shape in ((0, 5), (3, 0)):
             assert one_pole(np.zeros(shape), 0.5).shape == shape
 
+    def test_band_built_once_gives_the_same_bits(self):
+        a = np.exp(-0.075)
+        x = derive_stream(9, 0).standard_normal((5, 301))
+        band = pole_band(a, 301)
+        assert np.array_equal(one_pole(x.copy(), band), one_pole(x.copy(), a))
+        with pytest.raises(ValueError):
+            one_pole(x.copy(), pole_band(a, 300))
+
 
 class TestStreams:
     def test_same_key_same_draws(self):
@@ -294,6 +305,51 @@ class TestSlabs:
         ref = [(s, len(b)) for s, b in iter_slabs(cuts(512))]
         for size in (1024, 2048):
             assert [(s, len(b)) for s, b in iter_slabs(cuts(size))] == ref
+
+
+def index_passes(b, rows, take, ws):
+    """A block generator whose rows hold their ensemble row index in every column."""
+    step = slab_rows(1025)
+    for a in range(0, rows, step):
+        out = take()[: min(step, rows - a)]
+        out[:] = (b * timebase._BLOCK + a + np.arange(len(out)))[:, None]
+        yield out
+
+
+class TestBlockPasses:
+    # 1,100 rows of 1,025 nodes: passes of 64 rows from each block's start,
+    # so the 76-row last block ends in a pass of 12
+    def test_passes_in_row_order_for_any_thread_count(self):
+        assert slab_rows(1025) == 64
+        blocks = ((0, 512), (512, 512), (1024, 76))
+        starts = [b0 + a for b0, rows in blocks for a in range(0, rows, 64)]
+        for threads in (1, 2, 3):
+            got = [(s, p.copy()) for s, p in iter_block_passes(index_passes, 1100, 1025, threads)]
+            assert [s for s, _ in got] == starts
+            assert len(got[-1][1]) == 12
+            for s, p in got:
+                assert np.array_equal(p, np.broadcast_to((s + np.arange(len(p)))[:, None], p.shape))
+
+    def test_one_thread_reuses_one_buffer(self):
+        passes = iter_block_passes(index_passes, 1100, 1025)
+        _, first = next(passes)
+        assert all(np.shares_memory(p, first) for _, p in passes)
+
+    def test_worker_error_reaches_the_caller(self):
+        def failing(b, rows, take, ws):
+            yield from index_passes(b, 1 if b == 1 else rows, take, ws)
+            if b == 1:
+                raise ArithmeticError("block 1")
+
+        with pytest.raises(ArithmeticError, match="block 1"):
+            list(iter_block_passes(failing, 1100, 1025, threads=2))
+
+    def test_closing_early_ends_the_workers(self):
+        before = threading.active_count()
+        passes = iter_block_passes(index_passes, 1100, 1025, threads=3)
+        next(passes)
+        passes.close()
+        assert threading.active_count() == before
 
 
 class TestStableExpDiff:
