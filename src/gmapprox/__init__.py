@@ -58,9 +58,7 @@ from .sde import (
     LinearSDE,
     apply_I,
     apply_I_inv,
-    ou_mean_cov,
     simulate_Y,
-    solve_X,
 )
 from .timebase import (
     Curve,

@@ -5,9 +5,9 @@ d2 is the damped accumulation of the drift variance,
     d2(t) = e^{-2 theta t} int_0^t D[z(s)] e^{2 theta s} ds,
 
 available generically through the exponential integrator and in closed form
-for each drift variant. The companion estimator measures the pointwise mean
-square error E[(Z(t) - F(t))^2] from an ensemble, with per-node standard
-errors.
+from each drift variant (its ``_d2`` method). The companion estimator
+measures the pointwise mean square error E[(Z(t) - F(t))^2] from an
+ensemble, with per-node standard errors.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .timebase import (
     TimeGrid,
     exp_weighted_values,
     iter_slabs,
-    stable_exp_diff,
     trapezoid,
 )
 
@@ -61,68 +60,9 @@ def d2_closed(model: drift_mod.DriftModel, theta: float, grid: TimeGrid) -> Boun
     variance curve (flagged as not closed form).
     """
     drift_mod.validate_pairing(model, theta)
-    t = grid.times()
-    th = theta
-    closed = True
-    if isinstance(model, drift_mod.Deterministic):
-        vals = np.zeros(grid.n_nodes)
-    elif isinstance(model, drift_mod.SingleShot):
-        lam = model.rate
-        vals = stable_exp_diff(lam, 2 * th, t) - stable_exp_diff(2 * lam, 2 * th, t)
-    elif isinstance(model, drift_mod.Poisson):
-        vals = model.rate * _ramp_d2(th, t)
-    elif isinstance(model, drift_mod.CompoundPoisson):
-        vals = model.rate * drift_mod.dist_second_moment(model.jump) * _ramp_d2(th, t)
-    elif isinstance(model, drift_mod.BrownianDrift):
-        vals = _ramp_d2(th, t)
-    elif isinstance(model, drift_mod.OUDrift):
-        lam, s2 = model.rate, model.sigma_u**2
-        vals = s2 / (2 * lam) * (
-            -np.expm1(-2 * th * t) / (2 * th) - stable_exp_diff(2 * lam, 2 * th, t)
-        )
-    elif isinstance(model, drift_mod.ShotNoise):
-        vals, closed = _shot_noise_d2(model, th, grid)
-    else:
-        raise TypeError(f"not a drift model: {model!r}")
+    vals, closed = model._d2(theta, grid)
     d2 = Curve(grid, vals)
     return BoundCurve(grid=grid, d2=d2, l1_mass=float(trapezoid(d2)), closed_form=closed)
-
-
-def _ramp_d2(th: float, t: np.ndarray) -> np.ndarray:
-    # damped accumulation of D[z(s)] = s
-    return t / (2 * th) + np.expm1(-2 * th * t) / (4 * th**2)
-
-
-def _shot_noise_d2(model: drift_mod.ShotNoise, th: float, grid: TimeGrid):
-    t = grid.times()
-    lam = model.response_rate
-    em = drift_mod.dist_mean(model.count)
-    vm = drift_mod.dist_variance(model.count)
-    eb = drift_mod.dist_mean(model.amplitude)
-    eb2 = drift_mod.dist_second_moment(model.amplitude)
-    arr = model.arrival
-    if isinstance(arr, drift_mod.Exponential):
-        nu = arr.rate
-        # only the phi/psi prefactors are singular; decay-rate coincidences
-        # inside the damped differences are handled by the stable kernel
-        for bad, nm in ((lam, "response rate"), (2 * lam, "twice the response rate")):
-            if abs(nu - bad) <= 1e-12 * max(nu, bad):
-                raise drift_mod.PairingError(
-                    f"shot-noise d2 closed form needs firing rate != {nm} ({bad})"
-                )
-        # damped accumulations of phi^2 and of psi
-        acc_phi2 = (nu / (nu - lam)) ** 2 * (
-            stable_exp_diff(2 * lam, 2 * th, t)
-            - 2 * stable_exp_diff(lam + nu, 2 * th, t)
-            + stable_exp_diff(2 * nu, 2 * th, t)
-        )
-        acc_psi = nu / (nu - 2 * lam) * (
-            stable_exp_diff(2 * lam, 2 * th, t) - stable_exp_diff(nu, 2 * th, t)
-        )
-        return eb**2 * (vm - em) * acc_phi2 + em * eb2 * acc_psi, True
-    # defining integral on the analytic variance curve
-    v = drift_mod.var_z(model, grid)
-    return exp_weighted_values(v.values, grid.dt, 2 * th), False
 
 
 def pointwise_mse_streaming(chunks, F: Curve, n_paths: int) -> tuple[Curve, Curve]:

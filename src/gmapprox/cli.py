@@ -142,14 +142,18 @@ def parse_model(spec, grid: TimeGrid, where: str = "model") -> drift_mod.DriftMo
 
 
 def _check_steps(where: str, T: float, dt: float, cap: float = 0.0) -> None:
-    """Grid rules: positive T and dt, at least 2 steps, at most 5e7 steps to T or to ``cap``."""
+    """Grid rules: positive T and dt, T a whole number (2 or more) of steps, at most 5e7 to T or ``cap``."""
     if T <= 0 or dt <= 0:
         raise ConfigError(f"{where}: T and dt must be positive")
     if max(T, cap) / dt > 5e7:
         raise ConfigError(f"{where}: unreasonably fine step (more than 5e7 steps)")
-    if round(T / dt) < 2:
+    n = round(T / dt)
+    if n < 2:
         # the order-4 approximant's f = F' + theta F needs a three-node stencil
         raise ConfigError(f"{where}: grid needs at least 2 steps, got T/dt = {T / dt:g}")
+    if abs(n * dt - T) > 1e-9 * T:
+        # the grid would end at n dt, short of the T its outputs echo
+        raise ConfigError(f"{where}: T = {T} is not a whole number of steps dt = {dt}")
 
 
 def parse_neuron(spec) -> tuple[dict, str, drift_mod.ShotNoise]:
@@ -395,7 +399,7 @@ def cmd_neuron(cfg: ExperimentConfig) -> int:
     params, kind, model = parse_neuron(cfg.neuron)
     grid = TimeGrid.from_step(params["T"], params["dt"])
     F2, F4 = approx_mod.fit(model, params["theta"], grid)
-    censor_rate = drift_mod.censored_share(model.arrival)
+    censor_rate = model.arrival.censored
     summary = {"scenario": kind, "censor_rate": censor_rate, "params": params}
     _emit(cfg, [
         ("csv", "neuron_F2.csv", F2.F.to_csv),

@@ -24,12 +24,17 @@ neuron's network): their law is solved once per instance on the sim_dt grid
 that one tabulated law. An input that never fires before its cap has an
 infinite (censored) event time, which never reaches a grid node.
 
+Each law and each variant carries its own behaviour as methods (listed
+where their sections open); the public functions check their arguments and
+call them.
+
 Ensembles follow the block-stream contract of :mod:`timebase`: the rows of
 block b = i // _BLOCK are sampled together from ``block_stream(seed, b)`` by
-the variant's block sampler (:func:`_block_sampler`), a generator that hands
-the block out pass by pass, one reducer slab of at most
-``timebase._KERNEL_CELLS`` cells at a time, so no block is ever held whole;
-a single path is a block of one row drawn from the stream it is given.
+the variant's block sampler (its ``_block_sampler`` method, see
+:func:`_pass_stream`), a generator that hands the block out pass by pass,
+one reducer slab of at most ``timebase._KERNEL_CELLS`` cells at a time, so
+no block is ever held whole; a single path is a block of one row drawn from
+the stream it is given.
 """
 
 from __future__ import annotations
@@ -41,7 +46,14 @@ from typing import Union
 
 import numpy as np
 
-from .response import chain_states, response_moment_curves, response_power_means
+from .response import (
+    _cell_convolution,
+    _chain_expm,
+    _gamma_convolution,
+    chain_states,
+    response_moment_curves,
+    response_power_means,
+)
 from .timebase import (
     Curve,
     PathEnsemble,
@@ -77,12 +89,6 @@ __all__ = [
     "DriftModel",
     "PairingError",
     "CensoringError",
-    "dist_mean",
-    "dist_second_moment",
-    "dist_variance",
-    "dist_raw_moment",
-    "censored_share",
-    "sample_dist",
     "validate_pairing",
     "sample_z_path",
     "sample_Z_path",
@@ -97,20 +103,56 @@ __all__ = [
 ]
 
 
+class PairingError(ValueError):
+    """A drift parameter coincides with a damping rate it must differ from."""
+
+
+class CensoringError(ArithmeticError):
+    """More than half of an ensemble's event times are censored (never happened)."""
+
+
 # ---------------------------------------------------------------------------
 # distributions
+#
+# A law has ``sample(stream, size)``, ``raw_moment(n)`` and ``censored``, the
+# share of infinite draws. A law of event times T also has
+# ``chain_mean(rates, grid)``: E[v(t - T) 1{T <= t}] at the nodes for the
+# chain v of the list ``rates`` (:mod:`response`), all shot noise needs.
+
+class _Law:
+    """What a law has unless it says otherwise: no censored mass, no moments, no chain means."""
+
+    censored = 0.0
+
+    def raw_moment(self, n: int) -> float:
+        """E[X^n] for n = 1..4."""
+        raise TypeError(f"no closed-form moments for {self!r}")
+
+    def chain_mean(self, rates: list, grid: TimeGrid) -> np.ndarray:
+        raise ValueError(f"unsupported arrival distribution: {type(self).__name__}")
+
 
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(_Law):
     rate: float
 
     def __post_init__(self):
         if self.rate <= 0:
             raise ValueError(f"exponential rate must be positive, got {self.rate}")
 
+    def raw_moment(self, n: int) -> float:
+        return math.factorial(n) / self.rate**n
+
+    def sample(self, stream: np.random.Generator, size: int):
+        return stream.exponential(scale=1.0 / self.rate, size=size)
+
+    def chain_mean(self, rates: list, grid: TimeGrid) -> np.ndarray:
+        # the density nu e^{-nu s} prepends its rate to the chain
+        return self.rate * chain_states([self.rate] + rates, grid)[-1]
+
 
 @dataclass(frozen=True)
-class Gamma:
+class Gamma(_Law):
     rate: float
     shape: float
 
@@ -118,9 +160,18 @@ class Gamma:
         if self.rate <= 0 or self.shape <= 0:
             raise ValueError("gamma rate and shape must be positive")
 
+    def raw_moment(self, n: int) -> float:
+        return math.prod(self.shape + j for j in range(n)) / self.rate**n
+
+    def sample(self, stream: np.random.Generator, size: int):
+        return stream.gamma(shape=self.shape, scale=1.0 / self.rate, size=size)
+
+    def chain_mean(self, rates: list, grid: TimeGrid) -> np.ndarray:
+        return _gamma_convolution(rates, self.rate, self.shape, grid)[-1]
+
 
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(_Law):
     lo: float
     hi: float
 
@@ -128,18 +179,48 @@ class Uniform:
         if not self.lo < self.hi:
             raise ValueError(f"uniform needs lo < hi, got [{self.lo}, {self.hi}]")
 
+    def raw_moment(self, n: int) -> float:
+        # (hi^{n+1} - lo^{n+1}) / ((n + 1)(hi - lo)) without the subtraction
+        return sum(self.hi**j * self.lo ** (n - j) for j in range(n + 1)) / (n + 1)
+
+    def sample(self, stream: np.random.Generator, size: int):
+        return stream.uniform(self.lo, self.hi, size=size)
+
+    def chain_mean(self, rates: list, grid: TimeGrid) -> np.ndarray:
+        """The chain averaged over the arrival window [lo, hi]."""
+        lo, hi = self.lo, self.hi
+        if lo < 0:
+            raise ValueError("firing-time support must be nonnegative")
+        aug = [0.0] + rates  # integrates the chain: row j + 1 is int_0^u v_j
+        inside = chain_states(aug, grid, start=lo)[-1]
+        window = _chain_expm(aug, hi - lo)[1:, 0]  # int_0^{hi - lo} v(x) dx
+        after = chain_states(rates, grid, start=hi, v0=window)[-1]
+        return np.where(grid.times() < hi, inside, after) / (hi - lo)
+
 
 @dataclass(frozen=True)
-class PoissonCount:
+class PoissonCount(_Law):
     mean: float
 
     def __post_init__(self):
         if self.mean <= 0:
             raise ValueError(f"poisson count mean must be positive, got {self.mean}")
 
+    def raw_moment(self, n: int) -> float:
+        # Touchard polynomial: sum over k of S(n, k) mean^k
+        stirling = {1: (1,), 2: (1, 1), 3: (1, 3, 1), 4: (1, 7, 6, 1)}[n]
+        return sum(c * self.mean ** (k + 1) for k, c in enumerate(stirling))
+
+    def sample(self, stream: np.random.Generator, size: int):
+        return stream.poisson(self.mean, size=size)
+
+    def _sum_cumulants(self, raw: np.ndarray) -> np.ndarray:
+        """Cumulants of a sum of this many i.i.d. terms with raw moments ``raw``: E[M] E[X^n]."""
+        return self.mean * raw
+
 
 @dataclass(frozen=True)
-class FixedCount:
+class FixedCount(_Law):
     value: int
 
     def __post_init__(self):
@@ -150,14 +231,40 @@ class FixedCount:
             raise ValueError(f"fixed count must be an integer, got {self.value}")
         object.__setattr__(self, "value", int(self.value))
 
+    def raw_moment(self, n: int) -> float:
+        return float(self.value) ** n
+
+    def sample(self, stream: np.random.Generator, size: int):
+        return np.full(size, self.value, dtype=int)
+
+    def _sum_cumulants(self, raw: np.ndarray) -> np.ndarray:
+        """Cumulants of a sum of this many i.i.d. terms with raw moments ``raw``: N kappa_n(X)."""
+        return self.value * _cumulants_from_raw(raw)
+
 
 @dataclass(frozen=True)
-class PointMass:
+class PointMass(_Law):
     value: float
+
+    def raw_moment(self, n: int) -> float:
+        return float(self.value) ** n
+
+    def sample(self, stream: np.random.Generator, size: int):
+        return np.full(size, self.value, dtype=float)
+
+    @property
+    def censored(self) -> float:
+        return float(math.isinf(self.value))
+
+    def chain_mean(self, rates: list, grid: TimeGrid) -> np.ndarray:
+        """The chain shifted to start at the point."""
+        if self.value < 0:
+            raise ValueError("firing time must be nonnegative")
+        return chain_states(rates, grid, start=self.value)[-1]
 
 
 @dataclass(frozen=True, eq=False)
-class PiecewiseUniform:
+class PiecewiseUniform(_Law):
     """A law with CDF ``cdf[k]`` at the nodes k dt, linear in between, and mass 1 - cdf[-1] at +inf.
 
     Inside each cell (k dt, (k + 1) dt] it is uniform; the mass beyond the
@@ -177,9 +284,27 @@ class PiecewiseUniform:
         if np.any(np.diff(c) < 0) or c[-1] > 1.0:
             raise ValueError("cdf must be nondecreasing and at most 1")
 
+    def sample(self, stream: np.random.Generator, size: int):
+        # inverse CDF, one uniform per draw: cdf[k - 1] <= u < cdf[k] falls in cell k
+        u = stream.random(size)
+        k = np.searchsorted(self.cdf, u, side="right")
+        out = np.full(size, math.inf)
+        hit = k < self.cdf.size  # u >= cdf[-1]: never fires
+        k, u = k[hit], u[hit]
+        lo = self.cdf[k - 1]
+        out[hit] = (k - 1 + (u - lo) / (self.cdf[k] - lo)) * self.dt
+        return out
+
+    @property
+    def censored(self) -> float:
+        return 1.0 - float(self.cdf[-1])
+
+    def chain_mean(self, rates: list, grid: TimeGrid) -> np.ndarray:
+        return _cell_convolution(rates, self, grid)[-1]
+
 
 @dataclass(frozen=True)
-class SimulatedFiring:
+class SimulatedFiring(_Law):
     """Firing times of a :class:`neuro.LIFNeuron` input: its exact first-passage law.
 
     :attr:`law` is :func:`neuro.first_passage_law` on the sim_dt grid up to
@@ -203,243 +328,96 @@ class SimulatedFiring:
 
         return first_passage_law(self.neuron, self.sim_dt, self.horizon_cap)
 
+    def sample(self, stream: np.random.Generator, size: int):
+        return self.law.sample(stream, size)
+
+    @property
+    def censored(self) -> float:
+        return self.law.censored
+
+    def chain_mean(self, rates: list, grid: TimeGrid) -> np.ndarray:
+        """The chain mean of :attr:`law`; ValueError unless the grid step is sim_dt.
+
+        A law with more than half of its times censored raises :class:`CensoringError`.
+        """
+        if self.sim_dt != grid.dt:
+            raise ValueError(f"simulated firing has sim_dt = {self.sim_dt}, the grid dt = {grid.dt}")
+        if 2 * self.censored > 1:
+            raise CensoringError(f"{self.censored:.2%} of the firing times are censored; raise horizon_cap")
+        return self.law.chain_mean(rates, grid)
+
 
 Distribution = Union[
     Exponential, Gamma, Uniform, PoissonCount, FixedCount, PointMass, PiecewiseUniform, SimulatedFiring
 ]
 
 
-def dist_mean(dist: Distribution) -> float:
-    return dist_raw_moment(dist, 1)
-
-
-def dist_second_moment(dist: Distribution) -> float:
-    return dist_raw_moment(dist, 2)
-
-
-def dist_variance(dist: Distribution) -> float:
-    return dist_second_moment(dist) - dist_mean(dist) ** 2
-
-
-def dist_raw_moment(dist: Distribution, n: int) -> float:
-    """E[X^n] for n = 1..4."""
-    if isinstance(dist, Exponential):
-        return math.factorial(n) / dist.rate**n
-    if isinstance(dist, Gamma):
-        return math.prod(dist.shape + j for j in range(n)) / dist.rate**n
-    if isinstance(dist, Uniform):
-        # (hi^{n+1} - lo^{n+1}) / ((n + 1)(hi - lo)) without the subtraction
-        return sum(dist.hi**j * dist.lo ** (n - j) for j in range(n + 1)) / (n + 1)
-    if isinstance(dist, PoissonCount):
-        # Touchard polynomial: sum over k of S(n, k) mean^k
-        stirling = {1: (1,), 2: (1, 1), 3: (1, 3, 1), 4: (1, 7, 6, 1)}[n]
-        return sum(c * dist.mean ** (k + 1) for k, c in enumerate(stirling))
-    if isinstance(dist, (FixedCount, PointMass)):
-        return float(dist.value) ** n
-    raise TypeError(f"no closed-form moments for {dist!r}")
-
-
-def sample_dist(dist: Distribution, stream: np.random.Generator, size: int):
-    if isinstance(dist, Exponential):
-        return stream.exponential(scale=1.0 / dist.rate, size=size)
-    if isinstance(dist, Gamma):
-        return stream.gamma(shape=dist.shape, scale=1.0 / dist.rate, size=size)
-    if isinstance(dist, Uniform):
-        return stream.uniform(dist.lo, dist.hi, size=size)
-    if isinstance(dist, PoissonCount):
-        return stream.poisson(dist.mean, size=size)
-    if isinstance(dist, FixedCount):
-        return np.full(size, dist.value, dtype=int)
-    if isinstance(dist, PointMass):
-        return np.full(size, dist.value, dtype=float)
-    if isinstance(dist, PiecewiseUniform):
-        # inverse CDF, one uniform per draw: cdf[k - 1] <= u < cdf[k] falls in cell k
-        u = stream.random(size)
-        k = np.searchsorted(dist.cdf, u, side="right")
-        out = np.full(size, math.inf)
-        hit = k < dist.cdf.size  # u >= cdf[-1]: never fires
-        k, u = k[hit], u[hit]
-        lo = dist.cdf[k - 1]
-        out[hit] = (k - 1 + (u - lo) / (dist.cdf[k] - lo)) * dist.dt
-        return out
-    if isinstance(dist, SimulatedFiring):
-        return sample_dist(dist.law, stream, size)
-    raise TypeError(f"not a distribution: {dist!r}")
-
-
-def censored_share(dist: Distribution) -> float:
-    """The probability that an event time is infinite: 0 for every law but a censored one."""
-    if isinstance(dist, SimulatedFiring):
-        dist = dist.law
-    if isinstance(dist, PiecewiseUniform):
-        return 1.0 - float(dist.cdf[-1])
-    if isinstance(dist, PointMass):
-        return float(math.isinf(dist.value))
-    return 0.0
-
-
 # ---------------------------------------------------------------------------
-# drift variants
+# block samplers
+#
+# A variant's ``_block_sampler(theta, grid, tally=None)`` returns
+# ``passes(stream, rows, take, ws)``, a generator over one block's ``rows``
+# ensemble rows, all drawn from ``stream``: each pass fills the first rows of
+# the array ``take()`` returns with the next :func:`timebase.slab_rows` rows
+# of the block (or what is left of it) and yields them. The stream and the
+# block's drawn events persist from pass to pass, and the pass-sized
+# transients live in ``ws``, a flat scratch array of at least a pass's cells
+# (see :func:`timebase.iter_block_passes`), so the pass loop allocates
+# nothing of pass size. A row's values are a function of its own draws, so
+# they do not depend on the pass size. The samplers yield Z rows, or z rows
+# when theta is None.
 
-@dataclass(frozen=True)
-class SingleShot:
-    """z jumps from 0 to 1 at a single exponential time with the given rate."""
-
-    rate: float
-
-    def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
-
-
-@dataclass(frozen=True)
-class Poisson:
-    """z(t) = N(t), a unit-jump Poisson counting process."""
-
-    rate: float
-
-    def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+def _cuts(rows: int, take, grid: TimeGrid):
+    """(first row, pass array) of a block of ``rows`` rows, :func:`timebase.slab_rows` rows a pass."""
+    step = slab_rows(grid.n_nodes)
+    for a in range(0, rows, step):
+        yield a, take()[: min(step, rows - a)]
 
 
-@dataclass(frozen=True)
-class CompoundPoisson:
-    """z(t) = sum of i.i.d. jump sizes at Poisson event times."""
+def _event_sampler(draw, lam: float, theta: float | None, grid: TimeGrid, tally):
+    """An event variant's sampler: ``draw(grid, stream, rows)`` the block's events, then the kernel.
 
-    rate: float
-    jump: Distribution = field(default_factory=lambda: Exponential(2.0))
-
-    def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
-
-
-@dataclass(frozen=True)
-class ShotNoise:
-    """Sum of exponentially decaying responses at random times.
-
-    z(t) = sum_{i<=M} beta_i e^{-response_rate (t - T_i)} on t >= T_i, with a
-    random event count M, i.i.d. amplitudes beta_i and i.i.d. positive event
-    times T_i, which may be LIF first passages (:class:`SimulatedFiring`).
-    Defaults mirror the embedded-neuron experiment.
+    ``draw`` takes the counts first, then the times and the weights of all
+    events, one call each, so the draws depend on the stream and the row
+    count only. A ``tally`` list gets (censored, drawn), the infinite and all
+    event times of the block, as the generator starts.
     """
+    kernel = _EventKernel(lam, theta, grid)
 
-    count: Distribution = field(default_factory=lambda: FixedCount(10))
-    amplitude: Distribution = field(default_factory=lambda: Uniform(0.5, 1.5))
-    arrival: Distribution = field(default_factory=lambda: Exponential(1.0 / 15.0))
-    response_rate: float = 1.0
+    def passes(stream, rows, take, ws):
+        times, weights, counts = draw(grid, stream, rows)
+        if tally is not None:
+            tally.append((int(np.isinf(times).sum()), times.size))
+        terms = kernel.terms(times, weights, np.repeat(np.arange(rows), counts))
+        for a, out in _cuts(rows, take, grid):
+            yield kernel.rows(terms, a, out, ws)
 
-    def __post_init__(self):
-        if self.response_rate <= 0:
-            raise ValueError(f"response_rate must be positive, got {self.response_rate}")
-        if not isinstance(self.count, (PoissonCount, FixedCount)):
-            raise ValueError("count must be a PoissonCount or FixedCount distribution")
-        if isinstance(self.arrival, (Exponential, Gamma, SimulatedFiring)):
-            pass
-        elif isinstance(self.arrival, PointMass) and self.arrival.value >= 0:
-            pass
-        elif isinstance(self.arrival, Uniform) and self.arrival.lo >= 0:
-            pass
-        else:
-            raise ValueError("arrival must be a distribution over positive reals")
+    return passes
 
 
-@dataclass(frozen=True)
-class BrownianDrift:
-    """z(t) = W~(t) + trend * t for an independent Brownian motion W~."""
+def _diffusion_sampler(increments, mean: np.ndarray, theta: float | None, grid: TimeGrid):
+    """The sampler of a drift driven by a (pass rows, n_steps) matrix of normals per pass.
 
-    trend: float = 0.0
-
-    def __post_init__(self):
-        if self.trend < 0:
-            raise ValueError(f"trend must be nonnegative, got {self.trend}")
-
-
-@dataclass(frozen=True)
-class OUDrift:
-    """z(t) = U(t) with dU = -rate U dt + sigma_u dW~, U(0) = u0."""
-
-    rate: float
-    sigma_u: float = 1.0
-    u0: float = 0.0
-
-    def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
-        if self.sigma_u < 0:
-            raise ValueError(f"sigma_u must be nonnegative, got {self.sigma_u}")
-
-
-@dataclass(frozen=True)
-class Deterministic:
-    """Degenerate drift: z is a fixed curve, independent of the stream."""
-
-    f: Curve
-
-
-DriftModel = Union[
-    SingleShot, Poisson, CompoundPoisson, ShotNoise, BrownianDrift, OUDrift, Deterministic
-]
-
-
-class PairingError(ValueError):
-    """A drift parameter coincides with a damping rate it must differ from."""
-
-
-class CensoringError(ArithmeticError):
-    """More than half of an ensemble's event times are censored (never happened)."""
-
-
-def _check_distinct(name: str, value: float, theta: float, what: str) -> None:
-    if abs(value - theta) <= 1e-12 * max(abs(value), abs(theta)):
-        raise PairingError(f"{name} = {value} coincides with {what} = {theta}")
-
-
-def validate_pairing(model: DriftModel, theta: float) -> None:
-    """Reject drift/damping parameter coincidences the closed forms exclude."""
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    if isinstance(model, SingleShot):
-        _check_distinct("single-shot rate", model.rate, theta, "theta")
-        _check_distinct("single-shot rate", model.rate, 2 * theta, "2*theta")
-    elif isinstance(model, OUDrift):
-        _check_distinct("OU drift rate", model.rate, theta, "theta")
-    elif isinstance(model, ShotNoise):
-        _check_distinct("response rate", model.response_rate, theta, "theta")
-        if isinstance(model.arrival, Exponential):
-            # the response moment curves phi and psi divide by these differences
-            lam = model.response_rate
-            _check_distinct("arrival rate", model.arrival.rate, lam, "the response rate")
-            _check_distinct("arrival rate", model.arrival.rate, 2 * lam, "twice the response rate")
-
-
-# ---------------------------------------------------------------------------
-# event machinery
-
-_EVENT_MODELS = (Poisson, CompoundPoisson, ShotNoise)
-
-def _draw_block_events(model, grid: TimeGrid, stream, rows: int):
-    """Event times, weights and per-row counts of ``rows`` paths, drawn as whole vectors.
-
-    Counts come first, then the times and the weights of all events, each
-    with one call, so the draws depend on the stream and the row count only.
+    ``increments(noise, out)`` turns the normals into z - ``mean`` at the
+    nodes of ``out``, whose first column is 0.
     """
-    if isinstance(model, ShotNoise):
-        counts = np.asarray(sample_dist(model.count, stream, rows), dtype=np.int64)
-        times = sample_dist(model.arrival, stream, counts.sum())
-        return times, sample_dist(model.amplitude, stream, counts.sum()), counts
-    T = grid.horizon_T
-    counts = stream.poisson(model.rate * T, size=rows)
-    times = stream.uniform(0.0, T, counts.sum())
-    if isinstance(model, Poisson):
-        return times, np.ones_like(times), counts
-    return times, sample_dist(model.jump, stream, counts.sum()), counts
+    dt, n = grid.dt, grid.n_nodes
+    if theta is not None:
+        w = np.exp(-theta * dt)
+        w_band = pole_band(w, n)
 
+    def passes(stream, rows, take, ws):
+        for _, out in _cuts(rows, take, grid):
+            noise = ws[: len(out) * grid.n_steps].reshape(len(out), grid.n_steps)
+            stream.standard_normal(out=noise)
+            out[:, 0] = 0.0
+            increments(noise, out)
+            out += mean
+            if theta is not None:  # the spent normals are its scratch
+                exp_weight_in_place(out, w, dt, noise, w_band)
+            yield out
 
-def _decay(model) -> float:
-    """Decay rate of one event's contribution to z: 0 for a lasting jump."""
-    return model.response_rate if isinstance(model, ShotNoise) else 0.0
+    return passes
 
 
 def event_kernel(events, lam: float, theta: float | None, grid: TimeGrid):
@@ -529,51 +507,65 @@ class _EventKernel:
         return one_pole(out, self.Z_band)
 
 
-def _block_sampler(model: DriftModel, theta: float | None, grid: TimeGrid, tally=None):
-    """``passes(stream, rows, take, ws)``: the Z rows (z when theta is None) of one block, pass by pass.
+# ---------------------------------------------------------------------------
+# drift variants
+#
+# A variant has _check_pairing(theta), which rejects the coincidences its
+# closed forms exclude; its _block_sampler; _mean_z(grid) and _var_z(grid),
+# exact E[z] and D[z] at the nodes; _cumulants(theta, grid, kappa), which
+# fills the rows of kappa with the cumulants of Z (rows it leaves are 0);
+# and _d2(theta, grid), the d2 curve and whether it is a closed form.
 
-    A generator over the block's ``rows`` ensemble rows, all drawn from
-    ``stream``: each pass fills the first rows of the array ``take()``
-    returns with the next :func:`timebase.slab_rows` rows of the block (or
-    what is left of it) and yields them. The stream and the block's drawn
-    events persist from pass to pass, and the pass-sized transients live in
-    ``ws``, a flat scratch array of at least a pass's cells (see
-    :func:`timebase.iter_block_passes`), so the pass loop allocates nothing
-    of pass size. The draws, in stream order:
+class _Drift:
+    """What a drift variant has unless it says otherwise: no parameter coincidence to reject."""
 
-    - single shot: one exponential vector of the block's shot times;
-    - Brownian and OU: a (pass rows, n_steps) matrix of normals per pass;
-    - event variants: counts, times and weights of all ``rows`` rows, one
-      call each (:func:`_draw_block_events`);
-    - deterministic drifts draw nothing.
+    def _check_pairing(self, theta: float) -> None:
+        pass
 
-    A row's values are a function of its own draws, so they do not depend on
-    the pass size. An event sampler given a ``tally`` list appends
-    (censored, drawn), the infinite and all event times of the block, as the
-    generator starts.
-    """
-    dt, n = grid.dt, grid.n_nodes
-    step = slab_rows(n)
 
-    def cuts(rows, take):
-        for a in range(0, rows, step):
-            yield a, take()[: min(step, rows - a)]
+def _check_distinct(name: str, value: float, theta: float, what: str) -> None:
+    if abs(value - theta) <= 1e-12 * max(abs(value), abs(theta)):
+        raise PairingError(f"{name} = {value} coincides with {what} = {theta}")
 
-    if isinstance(model, Deterministic):
-        _check_same_grid(model.f.grid, grid)
-        curve = model.f.values if theta is None else exp_weighted_values(model.f.values, dt, theta)
 
-        def passes(stream, rows, take, ws):
-            for _, out in cuts(rows, take):
-                out[:] = curve
-                yield out
+def _ramp_d2(th: float, t: np.ndarray) -> np.ndarray:
+    # damped accumulation of D[z(s)] = s
+    return t / (2 * th) + np.expm1(-2 * th * t) / (4 * th**2)
 
-    elif isinstance(model, SingleShot):
+
+def _ramp_cumulants(w, theta: float, grid: TimeGrid, kappa: np.ndarray) -> None:
+    """kappa_n = w_n int_0^t K(u)^n du with K(u) = (1 - e^{-theta u}) / theta, for n up to len(w)."""
+    t = grid.times()
+    kappa[0] = w[0] * (t / theta + np.expm1(-theta * t) / theta**2)
+    if len(kappa) > 1:
+        # row n + 1 is int_0^t K(u)^n du / n!; one chain for every order,
+        # so a lower order gives the same rows bit for bit
+        v = chain_states([0.0, 0.0, theta, 2 * theta, 3 * theta, 4 * theta], grid)
+        for n in range(2, min(len(kappa), len(w)) + 1):
+            kappa[n - 1] = w[n - 1] * math.factorial(n) * v[n + 1]
+
+
+@dataclass(frozen=True)
+class SingleShot(_Drift):
+    """z jumps from 0 to 1 at a single exponential time with the given rate."""
+
+    rate: float
+
+    def __post_init__(self):
+        if self.rate <= 0:
+            raise ValueError(f"rate must be positive, got {self.rate}")
+
+    def _check_pairing(self, theta: float) -> None:
+        _check_distinct("single-shot rate", self.rate, theta, "theta")
+        _check_distinct("single-shot rate", self.rate, 2 * theta, "2*theta")
+
+    def _block_sampler(self, theta: float | None, grid: TimeGrid, tally=None):
+        """One exponential vector of the block's shot times, then the closed form."""
         t = grid.times()
 
         def passes(stream, rows, take, ws):
-            tau = stream.exponential(1.0 / model.rate, size=rows)
-            for a, out in cuts(rows, take):
+            tau = stream.exponential(1.0 / self.rate, size=rows)
+            for a, out in _cuts(rows, take, grid):
                 np.subtract(t, tau[a : a + len(out), None], out=out)
                 if theta is None:
                     np.greater_equal(out, 0.0, out=out)
@@ -585,65 +577,322 @@ def _block_sampler(model: DriftModel, theta: float | None, grid: TimeGrid, tally
                     out /= -theta
                 yield out
 
-    elif isinstance(model, _EVENT_MODELS):
-        kernel = _EventKernel(_decay(model), theta, grid)
+        return passes
 
-        def passes(stream, rows, take, ws):
-            times, weights, counts = _draw_block_events(model, grid, stream, rows)
-            if tally is not None:
-                tally.append((int(np.isinf(times).sum()), times.size))
-            terms = kernel.terms(times, weights, np.repeat(np.arange(rows), counts))
-            for a, out in cuts(rows, take):
-                yield kernel.rows(terms, a, out, ws)
+    def _mean_z(self, grid: TimeGrid) -> np.ndarray:
+        return -np.expm1(-self.rate * grid.times())
 
-    elif isinstance(model, (BrownianDrift, OUDrift)):
-        # z at the nodes, exact in distribution, from one row of n_steps normals per path
-        brownian = isinstance(model, BrownianDrift)
-        if brownian:
-            scale, mean = np.sqrt(dt), model.trend * grid.times()
+    def _var_z(self, grid: TimeGrid) -> np.ndarray:
+        p = -np.expm1(-self.rate * grid.times())
+        return p * (1.0 - p)
+
+    def _cumulants(self, theta: float, grid: TimeGrid, kappa: np.ndarray) -> None:
+        """The chain means of an exponential arrival (:func:`response.response_power_means`).
+
+        They are converted to cumulants about 0 or about the limit 1/theta,
+        whichever lies nearer the mean, so the conversion never cancels.
+        """
+        lam, th, t, order = self.rate, theta, grid.times(), len(kappa)
+        kappa[0] = -np.expm1(-th * t) / th - stable_exp_diff(lam, th, t)
+        if order > 1:
+            near0 = response_power_means(Exponential(lam), 0.0, th, grid, order)
+            # W = 1/theta - Z: 1/theta before the shot, e^{-theta (t - tau)} / theta after it
+            near1 = np.array([
+                (np.exp(-lam * t) + lam * stable_exp_diff(lam, n * th, t)) / th**n
+                for n in range(1, order + 1)
+            ])
+            about0, about1 = _cumulants_from_raw(near0), _cumulants_from_raw(near1)
+            about1[2:3] *= -1.0  # kappa_3 of Z is minus that of W
+            kappa[1:] = np.where(kappa[0] > 0.5 / th, about1, about0)[1:]
+
+    def _d2(self, theta: float, grid: TimeGrid):
+        lam, t = self.rate, grid.times()
+        return stable_exp_diff(lam, 2 * theta, t) - stable_exp_diff(2 * lam, 2 * theta, t), True
+
+
+@dataclass(frozen=True)
+class CompoundPoisson(_Drift):
+    """z(t) = sum of i.i.d. jump sizes at Poisson event times."""
+
+    rate: float
+    jump: Distribution = field(default_factory=lambda: Exponential(2.0))
+
+    def __post_init__(self):
+        if self.rate <= 0:
+            raise ValueError(f"rate must be positive, got {self.rate}")
+
+    def _draw_events(self, grid: TimeGrid, stream: np.random.Generator, rows: int):
+        """(times, jump sizes, counts per row) of the events of ``rows`` paths."""
+        T = grid.horizon_T
+        counts = stream.poisson(self.rate * T, size=rows)
+        times = stream.uniform(0.0, T, counts.sum())
+        return times, self.jump.sample(stream, counts.sum()), counts
+
+    def _block_sampler(self, theta: float | None, grid: TimeGrid, tally=None):
+        return _event_sampler(self._draw_events, 0.0, theta, grid, tally)
+
+    def _mean_z(self, grid: TimeGrid) -> np.ndarray:
+        return self.rate * self.jump.raw_moment(1) * grid.times()
+
+    def _var_z(self, grid: TimeGrid) -> np.ndarray:
+        return self.rate * self.jump.raw_moment(2) * grid.times()
+
+    def _cumulants(self, theta: float, grid: TimeGrid, kappa: np.ndarray) -> None:
+        """Campbell's theorem: kappa_n = rate E[J^n] int_0^t K(u)^n du, K(u) = (1 - e^{-theta u}) / theta."""
+        w = [self.rate * self.jump.raw_moment(n) for n in range(1, len(kappa) + 1)]
+        _ramp_cumulants(w, theta, grid, kappa)
+
+    def _d2(self, theta: float, grid: TimeGrid):
+        return self.rate * self.jump.raw_moment(2) * _ramp_d2(theta, grid.times()), True
+
+
+@dataclass(frozen=True)
+class Poisson(CompoundPoisson):
+    """z(t) = N(t), a unit-jump Poisson counting process: the compound Poisson with jumps of 1."""
+
+    jump: Distribution = field(default=PointMass(1.0), init=False)
+
+
+@dataclass(frozen=True)
+class ShotNoise(_Drift):
+    """Sum of exponentially decaying responses at random times.
+
+    z(t) = sum_{i<=M} beta_i e^{-response_rate (t - T_i)} on t >= T_i, with a
+    random event count M, i.i.d. amplitudes beta_i and i.i.d. positive event
+    times T_i, which may be LIF first passages (:class:`SimulatedFiring`).
+    Defaults mirror the embedded-neuron experiment.
+    """
+
+    count: Distribution = field(default_factory=lambda: FixedCount(10))
+    amplitude: Distribution = field(default_factory=lambda: Uniform(0.5, 1.5))
+    arrival: Distribution = field(default_factory=lambda: Exponential(1.0 / 15.0))
+    response_rate: float = 1.0
+
+    def __post_init__(self):
+        if self.response_rate <= 0:
+            raise ValueError(f"response_rate must be positive, got {self.response_rate}")
+        if not isinstance(self.count, (PoissonCount, FixedCount)):
+            raise ValueError("count must be a PoissonCount or FixedCount distribution")
+        if isinstance(self.arrival, (Exponential, Gamma, SimulatedFiring)):
+            pass
+        elif isinstance(self.arrival, PointMass) and self.arrival.value >= 0:
+            pass
+        elif isinstance(self.arrival, Uniform) and self.arrival.lo >= 0:
+            pass
         else:
-            lam = model.rate
-            a = np.exp(-lam * dt)
-            scale = model.sigma_u * np.sqrt(-np.expm1(-2 * lam * dt) / (2 * lam))
-            mean, band = model.u0 * a ** np.arange(n), pole_band(a, n)
-        if theta is not None:
-            w = np.exp(-theta * dt)
-            w_band = pole_band(w, n)
+            raise ValueError("arrival must be a distribution over positive reals")
+
+    def _check_pairing(self, theta: float) -> None:
+        _check_distinct("response rate", self.response_rate, theta, "theta")
+        if isinstance(self.arrival, Exponential):
+            # the closed form of d2 for exponential arrivals divides by these differences
+            lam = self.response_rate
+            _check_distinct("arrival rate", self.arrival.rate, lam, "the response rate")
+            _check_distinct("arrival rate", self.arrival.rate, 2 * lam, "twice the response rate")
+
+    def _draw_events(self, grid: TimeGrid, stream: np.random.Generator, rows: int):
+        """(times, amplitudes, counts per row) of the events of ``rows`` paths."""
+        counts = np.asarray(self.count.sample(stream, rows), dtype=np.int64)
+        times = self.arrival.sample(stream, counts.sum())
+        return times, self.amplitude.sample(stream, counts.sum()), counts
+
+    def _block_sampler(self, theta: float | None, grid: TimeGrid, tally=None):
+        return _event_sampler(self._draw_events, self.response_rate, theta, grid, tally)
+
+    def _moments(self):
+        """E[M], D[M], E[beta] and E[beta^2] of the count M and the amplitude beta."""
+        em, eb = self.count.raw_moment(1), self.amplitude.raw_moment(1)
+        return em, self.count.raw_moment(2) - em**2, eb, self.amplitude.raw_moment(2)
+
+    def _mean_z(self, grid: TimeGrid) -> np.ndarray:
+        phi = self.arrival.chain_mean([self.response_rate], grid)
+        return self.count.raw_moment(1) * self.amplitude.raw_moment(1) * phi
+
+    def _var_z(self, grid: TimeGrid) -> np.ndarray:
+        phi, psi = response_moment_curves(self.arrival, self.response_rate, grid)
+        em, vm, eb, eb2 = self._moments()
+        return eb**2 * phi.values**2 * (vm - em) + em * eb2 * psi.values
+
+    def _cumulants(self, theta: float, grid: TimeGrid, kappa: np.ndarray) -> None:
+        """Z is a count of i.i.d. terms X = beta K_lam(t - T) (Rice 1944).
+
+        Their raw moments are E[beta^n] E[K_lam(t - T)^n]
+        (:func:`response.response_power_means`), summed by the count.
+        """
+        order = len(kappa)
+        means = response_power_means(self.arrival, self.response_rate, theta, grid, order)
+        raw = np.array([self.amplitude.raw_moment(n) for n in range(1, order + 1)])[:, None] * means
+        kappa[:] = self.count._sum_cumulants(raw)
+
+    def _d2(self, theta: float, grid: TimeGrid):
+        """Closed form for exponential arrivals; else the defining integral on D[z] (not closed form)."""
+        if not isinstance(self.arrival, Exponential):
+            return exp_weighted_values(var_z(self, grid).values, grid.dt, 2 * theta), False
+        t, th, lam, nu = grid.times(), theta, self.response_rate, self.arrival.rate
+        em, vm, eb, eb2 = self._moments()
+        # damped accumulations of phi^2 and of psi: validate_pairing keeps nu
+        # off lam and 2 lam, where the prefactors are singular; coincidences
+        # inside the damped differences are handled by the stable kernel
+        acc_phi2 = (nu / (nu - lam)) ** 2 * (
+            stable_exp_diff(2 * lam, 2 * th, t)
+            - 2 * stable_exp_diff(lam + nu, 2 * th, t)
+            + stable_exp_diff(2 * nu, 2 * th, t)
+        )
+        acc_psi = nu / (nu - 2 * lam) * (
+            stable_exp_diff(2 * lam, 2 * th, t) - stable_exp_diff(nu, 2 * th, t)
+        )
+        return eb**2 * (vm - em) * acc_phi2 + em * eb2 * acc_psi, True
+
+
+@dataclass(frozen=True)
+class BrownianDrift(_Drift):
+    """z(t) = W~(t) + trend * t for an independent Brownian motion W~."""
+
+    trend: float = 0.0
+
+    def __post_init__(self):
+        if self.trend < 0:
+            raise ValueError(f"trend must be nonnegative, got {self.trend}")
+
+    def _block_sampler(self, theta: float | None, grid: TimeGrid, tally=None):
+        """z at the nodes as the running sum of sqrt(dt) normals, plus the trend."""
+        scale = np.sqrt(grid.dt)
+
+        def walk(noise, out):
+            noise *= scale
+            np.cumsum(noise, axis=1, out=out[:, 1:])
+
+        return _diffusion_sampler(walk, self.trend * grid.times(), theta, grid)
+
+    def _mean_z(self, grid: TimeGrid) -> np.ndarray:
+        return self.trend * grid.times()
+
+    def _var_z(self, grid: TimeGrid) -> np.ndarray:
+        return grid.times()
+
+    def _cumulants(self, theta: float, grid: TimeGrid, kappa: np.ndarray) -> None:
+        """Z is Gaussian: kappa_1 = trend int_0^t K(u) du and kappa_2 = int_0^t K(u)^2 du."""
+        _ramp_cumulants([self.trend, 1.0], theta, grid, kappa)
+
+    def _d2(self, theta: float, grid: TimeGrid):
+        return _ramp_d2(theta, grid.times()), True
+
+
+@dataclass(frozen=True)
+class OUDrift(_Drift):
+    """z(t) = U(t) with dU = -rate U dt + sigma_u dW~, U(0) = u0."""
+
+    rate: float
+    sigma_u: float = 1.0
+    u0: float = 0.0
+
+    def __post_init__(self):
+        if self.rate <= 0:
+            raise ValueError(f"rate must be positive, got {self.rate}")
+        if self.sigma_u < 0:
+            raise ValueError(f"sigma_u must be nonnegative, got {self.sigma_u}")
+
+    def _check_pairing(self, theta: float) -> None:
+        _check_distinct("OU drift rate", self.rate, theta, "theta")
+
+    def _block_sampler(self, theta: float | None, grid: TimeGrid, tally=None):
+        """z at the nodes through the exact OU transition, one normal per step."""
+        lam, n = self.rate, grid.n_nodes
+        a = np.exp(-lam * grid.dt)
+        scale = self.sigma_u * np.sqrt(-np.expm1(-2 * lam * grid.dt) / (2 * lam))
+        band = pole_band(a, n)
+
+        def transition(noise, out):
+            np.multiply(noise, scale, out=out[:, 1:])
+            one_pole(out, band)
+
+        return _diffusion_sampler(transition, self.u0 * a ** np.arange(n), theta, grid)
+
+    def _mean_z(self, grid: TimeGrid) -> np.ndarray:
+        return self.u0 * np.exp(-self.rate * grid.times())
+
+    def _var_z(self, grid: TimeGrid) -> np.ndarray:
+        return self.sigma_u**2 / (2 * self.rate) * (-np.expm1(-2 * self.rate * grid.times()))
+
+    def _cumulants(self, theta: float, grid: TimeGrid, kappa: np.ndarray) -> None:
+        """Z is Gaussian with kappa_2 = int_0^t G(u)^2 du for the drift's kernel G."""
+        lam, th = self.rate, theta
+        kappa[0] = self.u0 * stable_exp_diff(lam, th, grid.times())
+        if len(kappa) > 1:
+            # G(u)^2 = 2 chain(2 lam, lam + theta, 2 theta), integrated once more
+            v = chain_states([0.0, 2 * lam, lam + th, 2 * th], grid)
+            kappa[1] = 2.0 * self.sigma_u**2 * v[3]
+
+    def _d2(self, theta: float, grid: TimeGrid):
+        lam, s2, th, t = self.rate, self.sigma_u**2, theta, grid.times()
+        vals = s2 / (2 * lam) * (-np.expm1(-2 * th * t) / (2 * th) - stable_exp_diff(2 * lam, 2 * th, t))
+        return vals, True
+
+
+@dataclass(frozen=True)
+class Deterministic(_Drift):
+    """Degenerate drift: z is a fixed curve, independent of the stream."""
+
+    f: Curve
+
+    def _block_sampler(self, theta: float | None, grid: TimeGrid, tally=None):
+        """Draws nothing: every row is f, or I f."""
+        _check_same_grid(self.f.grid, grid)
+        curve = self.f.values if theta is None else exp_weighted_values(self.f.values, grid.dt, theta)
 
         def passes(stream, rows, take, ws):
-            for _, out in cuts(rows, take):
-                noise = ws[: len(out) * grid.n_steps].reshape(len(out), grid.n_steps)
-                stream.standard_normal(out=noise)
-                out[:, 0] = 0.0
-                if brownian:
-                    noise *= scale
-                    np.cumsum(noise, axis=1, out=out[:, 1:])
-                else:
-                    np.multiply(noise, scale, out=out[:, 1:])
-                    one_pole(out, band)
-                out += mean
-                if theta is not None:  # the spent normals are its scratch
-                    exp_weight_in_place(out, w, dt, noise, w_band)
+            for _, out in _cuts(rows, take, grid):
+                out[:] = curve
                 yield out
 
-    else:
-        raise TypeError(f"not a drift model: {model!r}")
-    return passes
+        return passes
+
+    def _mean_z(self, grid: TimeGrid) -> np.ndarray:
+        _check_same_grid(self.f.grid, grid)
+        return self.f.values
+
+    def _var_z(self, grid: TimeGrid) -> np.ndarray:
+        return np.zeros(grid.n_nodes)
+
+    def _cumulants(self, theta: float, grid: TimeGrid, kappa: np.ndarray) -> None:
+        """kappa_1 = I f and no spread."""
+        _check_same_grid(self.f.grid, grid)
+        kappa[0] = exp_weighted_values(self.f.values, grid.dt, theta)
+
+    def _d2(self, theta: float, grid: TimeGrid):
+        return np.zeros(grid.n_nodes), True
+
+
+DriftModel = Union[
+    SingleShot, Poisson, CompoundPoisson, ShotNoise, BrownianDrift, OUDrift, Deterministic
+]
+
+
+def _check_same_grid(a: TimeGrid, b: TimeGrid) -> None:
+    if a != b:
+        raise ValueError(f"grids differ: {a} vs {b}")
+
+
+# ---------------------------------------------------------------------------
+# the public entry points: checks, then the variant's method
+
+def validate_pairing(model: DriftModel, theta: float) -> None:
+    """Reject drift/damping parameter coincidences the closed forms exclude."""
+    if theta <= 0:
+        raise ValueError(f"theta must be positive, got {theta}")
+    model._check_pairing(theta)
 
 
 def _pass_stream(model, theta, grid: TimeGrid, n_paths: int, master_seed: int, threads=1, tally=None):
     """(start, pass) of the n_paths-row ensemble (z when theta is None), block b from block_stream(seed, b)."""
-    passes = _block_sampler(model, theta, grid, tally)
+    passes = model._block_sampler(theta, grid, tally)
     block = lambda b, rows, take, ws: passes(block_stream(master_seed, b), rows, take, ws)
     return iter_block_passes(block, n_paths, grid.n_nodes, threads)
 
 
-# ---------------------------------------------------------------------------
-# path sampling
-
 def _one_row(model, theta, grid: TimeGrid, stream) -> Curve:
     out = np.empty((1, grid.n_nodes))
-    for _ in _block_sampler(model, theta, grid)(stream, 1, lambda: out, np.empty(grid.n_nodes)):
+    for _ in model._block_sampler(theta, grid)(stream, 1, lambda: out, np.empty(grid.n_nodes)):
         pass
     return Curve(grid, out[0])
 
@@ -656,9 +905,6 @@ def sample_z_path(model: DriftModel, grid: TimeGrid, stream: np.random.Generator
     event-driven ones through :func:`event_kernel`); diffusion drifts use
     exact Gaussian transitions between nodes.
     """
-    if isinstance(model, Deterministic):
-        _check_same_grid(model.f.grid, grid)
-        return model.f
     return _one_row(model, None, grid, stream)
 
 
@@ -677,67 +923,15 @@ def sample_Z_path(
     return _one_row(model, theta, grid, stream)
 
 
-def _check_same_grid(a: TimeGrid, b: TimeGrid) -> None:
-    if a != b:
-        raise ValueError(f"grids differ: {a} vs {b}")
-
-
-# ---------------------------------------------------------------------------
-# exact low-order moments of z
-
 def mean_z(model: DriftModel, grid: TimeGrid) -> Curve:
     """Exact E[z(t)] at the grid nodes."""
-    t = grid.times()
-    if isinstance(model, Deterministic):
-        _check_same_grid(model.f.grid, grid)
-        return model.f
-    if isinstance(model, SingleShot):
-        return Curve(grid, -np.expm1(-model.rate * t))
-    if isinstance(model, Poisson):
-        return Curve(grid, model.rate * t)
-    if isinstance(model, CompoundPoisson):
-        return Curve(grid, model.rate * dist_mean(model.jump) * t)
-    if isinstance(model, ShotNoise):
-        phi, _ = response_moment_curves(model.arrival, model.response_rate, grid)
-        scale = dist_mean(model.count) * dist_mean(model.amplitude)
-        return Curve(grid, scale * phi.values)
-    if isinstance(model, BrownianDrift):
-        return Curve(grid, model.trend * t)
-    if isinstance(model, OUDrift):
-        return Curve(grid, model.u0 * np.exp(-model.rate * t))
-    raise TypeError(f"not a drift model: {model!r}")
+    return Curve(grid, model._mean_z(grid))
 
 
 def var_z(model: DriftModel, grid: TimeGrid) -> Curve:
     """Exact D[z(t)] at the grid nodes."""
-    t = grid.times()
-    if isinstance(model, Deterministic):
-        return Curve(grid, np.zeros(grid.n_nodes))
-    if isinstance(model, SingleShot):
-        p = -np.expm1(-model.rate * t)
-        return Curve(grid, p * (1.0 - p))
-    if isinstance(model, Poisson):
-        return Curve(grid, model.rate * t)
-    if isinstance(model, CompoundPoisson):
-        return Curve(grid, model.rate * dist_second_moment(model.jump) * t)
-    if isinstance(model, ShotNoise):
-        phi, psi = response_moment_curves(model.arrival, model.response_rate, grid)
-        em = dist_mean(model.count)
-        vm = dist_variance(model.count)
-        eb = dist_mean(model.amplitude)
-        eb2 = dist_second_moment(model.amplitude)
-        vals = eb**2 * phi.values**2 * (vm - em) + em * eb2 * psi.values
-        return Curve(grid, vals)
-    if isinstance(model, BrownianDrift):
-        return Curve(grid, t.copy())
-    if isinstance(model, OUDrift):
-        vals = model.sigma_u**2 / (2 * model.rate) * (-np.expm1(-2 * model.rate * t))
-        return Curve(grid, vals)
-    raise TypeError(f"not a drift model: {model!r}")
+    return Curve(grid, model._var_z(grid))
 
-
-# ---------------------------------------------------------------------------
-# exact cumulants of Z
 
 def _cumulants_from_raw(r: np.ndarray) -> np.ndarray:
     """Cumulant rows kappa_1..kappa_n from raw moment rows r_1..r_n, n <= 4."""
@@ -756,76 +950,16 @@ def _cumulants_from_raw(r: np.ndarray) -> np.ndarray:
 def cumulant_curves(model: DriftModel, theta: float, grid: TimeGrid, order: int = 4) -> np.ndarray:
     """Exact cumulants kappa_1..kappa_order of Z(t) at the grid nodes, as rows.
 
-    - Poisson and compound Poisson: Campbell's theorem,
-      kappa_n = rate E[J^n] int_0^t K(u)^n du with K(u) = (1 - e^{-theta u}) / theta.
-    - Shot noise: Z is a fixed or Poisson count of i.i.d. terms
-      X = beta K_lam(t - T), whose raw moments are E[beta^n] E[K_lam(t - T)^n]
-      (:func:`response.response_power_means`); kappa_n = E[M] E[X^n] for a
-      Poisson count and N kappa_n(X) for a fixed count N (Rice 1944).
-    - Single shot: the same means with an exponential arrival, converted to
-      cumulants about 0 or about the limit 1/theta, whichever lies nearer
-      the mean, so the conversion never cancels.
-    - Brownian and OU drifts: Z is Gaussian with kappa_2 = int_0^t G(u)^2 du
-      for the drift's kernel G, and kappa_3 = kappa_4 = 0.
-    - Deterministic drifts: kappa_1 = I f and no spread.
-
-    The integrals are chains of exponential convolutions
-    (:func:`response.chain_states`), which keep their relative accuracy at
-    t -> 0. kappa_1 reuses the closed-form mean of each variant that has one.
+    Each variant's ``_cumulants`` gives them. The integrals are chains of
+    exponential convolutions (:func:`response.chain_states`), which keep
+    their relative accuracy at t -> 0. kappa_1 reuses the closed-form mean
+    of each variant that has one.
     """
     validate_pairing(model, theta)
     if not 1 <= order <= 4:
         raise ValueError(f"order must be 1..4, got {order}")
-    t = grid.times()
-    th = theta
     kappa = np.zeros((order, grid.n_nodes))
-    if isinstance(model, Deterministic):
-        _check_same_grid(model.f.grid, grid)
-        kappa[0] = exp_weighted_values(model.f.values, grid.dt, theta)
-    elif isinstance(model, (Poisson, CompoundPoisson, BrownianDrift)):
-        # kappa_n = w_n int_0^t K(u)^n du: w_n = rate E[J^n] by Campbell's
-        # theorem, and w_2 = 1 (with no higher cumulant) for the Brownian drift
-        if isinstance(model, BrownianDrift):
-            w = [model.trend, 1.0]
-        else:
-            jump = model.jump if isinstance(model, CompoundPoisson) else PointMass(1.0)
-            w = [model.rate * dist_raw_moment(jump, n) for n in range(1, order + 1)]
-        kappa[0] = w[0] * (t / th + np.expm1(-th * t) / th**2)
-        if order > 1:
-            # row n + 1 is int_0^t K(u)^n du / n!; one chain for every order,
-            # so a lower order gives the same rows bit for bit
-            v = chain_states([0.0, 0.0, th, 2 * th, 3 * th, 4 * th], grid)
-            for n in range(2, min(order, len(w)) + 1):
-                kappa[n - 1] = w[n - 1] * math.factorial(n) * v[n + 1]
-    elif isinstance(model, OUDrift):
-        lam = model.rate
-        kappa[0] = model.u0 * stable_exp_diff(lam, th, t)
-        if order > 1:
-            # G(u)^2 = 2 chain(2 lam, lam + theta, 2 theta), integrated once more
-            v = chain_states([0.0, 2 * lam, lam + th, 2 * th], grid)
-            kappa[1] = 2.0 * model.sigma_u**2 * v[3]
-    elif isinstance(model, SingleShot):
-        lam = model.rate
-        kappa[0] = -np.expm1(-th * t) / th - stable_exp_diff(lam, th, t)
-        if order > 1:
-            near0 = response_power_means(Exponential(lam), 0.0, th, grid, order)
-            # W = 1/theta - Z: 1/theta before the shot, e^{-theta (t - tau)} / theta after it
-            near1 = np.array([
-                (np.exp(-lam * t) + lam * stable_exp_diff(lam, n * th, t)) / th**n
-                for n in range(1, order + 1)
-            ])
-            about0, about1 = _cumulants_from_raw(near0), _cumulants_from_raw(near1)
-            about1[2:3] *= -1.0  # kappa_3 of Z is minus that of W
-            kappa[1:] = np.where(kappa[0] > 0.5 / th, about1, about0)[1:]
-    elif isinstance(model, ShotNoise):
-        means = response_power_means(model.arrival, model.response_rate, th, grid, order)
-        raw = np.array([dist_raw_moment(model.amplitude, n) for n in range(1, order + 1)])[:, None] * means
-        if isinstance(model.count, PoissonCount):
-            kappa[:] = model.count.mean * raw
-        else:
-            kappa[:] = model.count.value * _cumulants_from_raw(raw)
-    else:
-        raise TypeError(f"not a drift model: {model!r}")
+    model._cumulants(theta, grid, kappa)
     return kappa
 
 

@@ -1,21 +1,22 @@
-"""Response-function moment curves for shot-noise drifts.
+"""Chains of exponential convolutions and their means under an event-time law.
 
 For an exponentially decaying response R(t) = e^{-lam t} on t >= 0 triggered
-at a random time with density p, the drift moments need
+at a random time T with law p, the drift moments need
 
-    phi(t) = E[R(t - T)] = (R * p)(t),      psi(t) = E[R^2(t - T)] = (R^2 * p)(t).
+    phi(t) = E[R(t - T)] = (R * p)(t),      psi(t) = E[R^2(t - T)] = (R^2 * p)(t),
 
-Closed forms are used for exponential firing times (any rate), point masses
-and uniform firing times. Gamma firing times use the exact one-rate chain
-convolution of :func:`_gamma_convolution`, whichever side of the decay rate
-the firing rate lies on. Piecewise-uniform firing times, the first-passage
-law of a simulated LIF input among them, are convolved cell by cell
-(:func:`_cell_convolution`).
-
-The exact cumulants of Z need every power E[K(t - T)^k] of the damped
-response K, k = 1..4. Those come from chains of exponential convolutions
-(:func:`chain_states`, :func:`response_power_means`), which are sums of
-nonnegative terms and so keep their relative accuracy at every t.
+and the exact cumulants of Z need every power E[K(t - T)^k] of the damped
+response K, k = 1..4. All of them are means E[v(t - T) 1{T <= t}] of chains
+v of exponential convolutions (:func:`chain_states`): phi and psi are those
+of the one-rate chains [lam] and [2 lam]. Each event-time law of
+:mod:`drift` takes its mean with its ``chain_mean`` method, built from the
+pieces here: exponential arrivals prepend their rate to the chain, point
+masses shift it, uniform arrivals average it over the window, Gamma arrivals
+are convolved cell by cell with Gauss rules (:func:`_gamma_convolution`)
+and piecewise-uniform ones, the first-passage law of a simulated LIF input
+among them, by their cell masses (:func:`_cell_convolution`). The chains
+are sums of nonnegative terms and so keep their relative accuracy at every
+t, whichever side of each other the rates lie on.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .timebase import Curve, TimeGrid, one_pole, stable_exp_diff
+from .timebase import Curve, TimeGrid, one_pole
 
 __all__ = [
     "response_moment_curves",
@@ -35,55 +36,14 @@ __all__ = [
 
 
 def response_moment_curves(dist, lam: float, grid: TimeGrid) -> tuple[Curve, Curve]:
-    """phi and psi curves for a firing-time distribution; see module docstring.
+    """phi and psi curves for a firing-time law: its chain means of [lam] and [2 lam].
 
-    Supports exponential, gamma, uniform, point-mass and piecewise-uniform
-    firing times, and the first-passage law of a simulated input
-    (:func:`_arrival_law`), so every arrival law ``ShotNoise`` accepts; gamma
-    uses the exact chain convolution for every pair of rates.
+    ``dist`` is any law with a ``chain_mean``, so every arrival law
+    ``ShotNoise`` accepts; see the module docstring.
     """
-    from . import drift  # local import: drift also imports this module
-
     if lam <= 0:
         raise ValueError(f"response rate must be positive, got {lam}")
-    dist = _arrival_law(dist, grid)
-    t = grid.times()
-    if isinstance(dist, drift.Exponential):
-        nu = dist.rate
-        if nu == lam or nu == 2 * lam:
-            raise ValueError(
-                f"firing rate {nu} must differ from response rate {lam} and {2 * lam}"
-            )
-        phi = nu * stable_exp_diff(lam, nu, t)
-        psi = nu * stable_exp_diff(2 * lam, nu, t)
-        return Curve(grid, phi), Curve(grid, psi)
-    if isinstance(dist, drift.Gamma):
-        nu, alpha = dist.rate, dist.shape
-        phi, psi = (_gamma_convolution([r], nu, alpha, grid)[-1] for r in (lam, 2 * lam))
-        return Curve(grid, phi), Curve(grid, psi)
-    if isinstance(dist, drift.PointMass):
-        tau = dist.value
-        if tau < 0:
-            raise ValueError("firing time must be nonnegative")
-        u = t - tau
-        phi = np.where(u >= 0, np.exp(-lam * np.maximum(u, 0.0)), 0.0)
-        return Curve(grid, phi), Curve(grid, phi**2)
-    if isinstance(dist, drift.Uniform):
-        if dist.lo < 0:
-            raise ValueError("firing-time support must be nonnegative")
-        return _uniform_case(dist, lam, t, grid), _uniform_case(dist, 2 * lam, t, grid)
-    if isinstance(dist, drift.PiecewiseUniform):
-        return tuple(Curve(grid, _cell_convolution([r], dist, grid)[-1]) for r in (lam, 2 * lam))
-    raise ValueError(f"unsupported firing-time distribution: {type(dist).__name__}")
-
-
-def _uniform_case(dist, decay: float, t: np.ndarray, grid: TimeGrid) -> Curve:
-    # E[e^{-decay (t-T)} 1_{T<=t}] for T ~ Uniform(lo, hi):
-    # (e^{-decay (t - m)} - e^{-decay (t - lo)}) / (decay (hi - lo)), m = clip(t, lo, hi),
-    # with the difference written through expm1 (zero for t <= lo)
-    m = np.clip(t, dist.lo, dist.hi)
-    vals = np.exp(-decay * (t - m)) * -np.expm1(-decay * (m - dist.lo))
-    return Curve(grid, vals / (decay * (dist.hi - dist.lo)))
+    return tuple(Curve(grid, dist.chain_mean([r], grid)) for r in (lam, 2 * lam))
 
 
 # ---------------------------------------------------------------------------
@@ -214,58 +174,14 @@ def response_power_means(arrival, lam: float, theta: float, grid: TimeGrid, orde
     K(u) = (e^{-lam u} - e^{-theta u}) / (theta - lam) is the damped response
     to one event at time T, and lam = 0 gives the lasting jump
     (1 - e^{-theta u}) / theta. K^k is k! times the chain of rates
-    (k - j) lam + j theta, j = 0..k, so each mean is a chain state:
-    exponential arrivals prepend their rate, point masses shift the chain,
-    uniform arrivals average it over the window, and Gamma and
-    piecewise-uniform arrivals (the first-passage law of a simulated input,
-    :func:`_arrival_law`) are convolved cell by cell.
+    (k - j) lam + j theta, j = 0..k, so each mean is a chain mean of the
+    arrival law (its ``chain_mean``).
     """
-    from . import drift  # local import: drift also imports this module
-
-    arrival = _arrival_law(arrival, grid)
     out = np.empty((order, grid.n_nodes))
     for k in range(1, order + 1):
         rates = [(k - j) * lam + j * theta for j in range(k + 1)]
-        if isinstance(arrival, drift.Exponential):
-            nu = arrival.rate
-            v = nu * chain_states([nu] + rates, grid)[-1]
-        elif isinstance(arrival, drift.Gamma):
-            v = _gamma_convolution(rates, arrival.rate, arrival.shape, grid)[-1]
-        elif isinstance(arrival, drift.PointMass):
-            v = chain_states(rates, grid, start=arrival.value)[-1]
-        elif isinstance(arrival, drift.Uniform):
-            lo, hi = arrival.lo, arrival.hi
-            aug = [0.0] + rates  # integrates the chain: row j + 1 is int_0^u v_j
-            inside = chain_states(aug, grid, start=lo)[-1]
-            window = _chain_expm(aug, hi - lo)[1:, 0]  # int_0^{hi - lo} v(x) dx
-            after = chain_states(rates, grid, start=hi, v0=window)[-1]
-            v = np.where(grid.times() < hi, inside, after) / (hi - lo)
-        elif isinstance(arrival, drift.PiecewiseUniform):
-            v = _cell_convolution(rates, arrival, grid)[-1]
-        else:
-            raise ValueError(f"unsupported arrival distribution: {type(arrival).__name__}")
-        out[k - 1] = math.factorial(k) * v
+        out[k - 1] = math.factorial(k) * arrival.chain_mean(rates, grid)
     return out
-
-
-def _arrival_law(arrival, grid: TimeGrid):
-    """The law whose moments a fit on ``grid`` integrates: a simulated input's first-passage law.
-
-    A :class:`drift.SimulatedFiring` arrival must have sim_dt equal to the
-    grid step (ValueError otherwise), and a law with more than half of its
-    event times censored raises :class:`drift.CensoringError`. Every other
-    law is returned as it is.
-    """
-    from . import drift  # local import: drift also imports this module
-
-    if not isinstance(arrival, drift.SimulatedFiring):
-        return arrival
-    if arrival.sim_dt != grid.dt:
-        raise ValueError(f"simulated firing has sim_dt = {arrival.sim_dt}, the grid dt = {grid.dt}")
-    lost = drift.censored_share(arrival)
-    if 2 * lost > 1:
-        raise drift.CensoringError(f"{lost:.2%} of the firing times are censored; raise horizon_cap")
-    return arrival.law
 
 
 def _cell_convolution(rates, law, grid: TimeGrid) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Linear SDE container, the X = Y + Z solution split, and the f <-> F maps.
+"""Linear SDE container, its Ornstein-Uhlenbeck part Y, and the f <-> F maps.
 
 The target equation is dX = (-theta X + z) dt + sigma dW with constant
 damping. Its strong solution splits into an Ornstein-Uhlenbeck part Y
@@ -14,27 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import drift as drift_mod
-from .timebase import (
-    Curve,
-    PathEnsemble,
-    TimeGrid,
-    derive_stream,
-    exp_weighted_values,
-    fill_rows,
-    one_pole,
-    split_stream,
-)
+from .timebase import Curve, TimeGrid, exp_weighted_values, one_pole
 
 __all__ = [
     "LinearSDE",
     "simulate_Y",
-    "y_path_ensemble",
-    "ou_mean_cov",
-    "solve_X",
     "apply_I",
     "apply_I_inv",
-    "x_mean_analytic",
     "z_variance_quadrature",
     "ou_drift_cov_kernel",
 ]
@@ -78,38 +64,6 @@ def simulate_Y(sde: LinearSDE, stream: np.random.Generator) -> Curve:
     return Curve(sde.grid, _y_values(sde, stream))
 
 
-def y_path_ensemble(
-    sde: LinearSDE, n_paths: int, master_seed: int, threads: int = 1
-) -> PathEnsemble:
-    build = lambda i: _y_values(sde, derive_stream(master_seed, i))
-    values = fill_rows(build, n_paths, sde.grid.n_nodes, threads)
-    return PathEnsemble(sde.grid, n_paths, values, master_seed)
-
-
-def ou_mean_cov(sde: LinearSDE, t: float, s: float) -> tuple[float, float]:
-    """Closed-form mean E[Y(t)] and covariance Cov(Y(t), Y(s))."""
-    th = sde.theta
-    mean_t = sde.x0 * np.exp(-th * t)
-    cov = sde.sigma**2 / (2 * th) * (np.exp(-th * abs(t - s)) - np.exp(-th * (t + s)))
-    return float(mean_t), float(cov)
-
-
-def solve_X(
-    sde: LinearSDE, model: drift_mod.DriftModel, stream: np.random.Generator
-) -> tuple[Curve, Curve, Curve]:
-    """One strong-solution path X = Y + Z, returning (X, Z, Y).
-
-    Y and Z are built from two disjoint sub-streams of ``stream`` so they are
-    independent, matching the standing assumption that z is independent of
-    the driving Brownian motion.
-    """
-    y_stream, z_stream = split_stream(stream, 2)
-    y = simulate_Y(sde, y_stream)
-    z_acc = drift_mod.sample_Z_path(model, sde.theta, sde.grid, z_stream)
-    x = Curve(sde.grid, y.values + z_acc.values)
-    return x, z_acc, y
-
-
 def apply_I(f: Curve, theta: float) -> Curve:
     """F = I f: the accumulated curve solving F' = -theta F + f, F(0) = 0."""
     return Curve(f.grid, exp_weighted_values(f.values, f.grid.dt, theta))
@@ -137,14 +91,6 @@ def apply_I_inv(F: Curve, theta: float) -> Curve:
     return Curve(F.grid, d + theta * v)
 
 
-def x_mean_analytic(sde: LinearSDE, model: drift_mod.DriftModel) -> Curve:
-    """E[X(t)] = e^{-theta t} x0 + I(E[z])(t), exact up to the I quadrature."""
-    t = sde.grid.times()
-    mz = drift_mod.mean_z(model, sde.grid)
-    acc = exp_weighted_values(mz.values, sde.grid.dt, sde.theta)
-    return Curve(sde.grid, sde.x0 * np.exp(-sde.theta * t) + acc)
-
-
 def z_variance_quadrature(cov_kernel, theta: float, grid: TimeGrid) -> Curve:
     """Var[Z(t)] from a caller-supplied drift covariance kernel.
 
@@ -166,7 +112,7 @@ def z_variance_quadrature(cov_kernel, theta: float, grid: TimeGrid) -> Curve:
     return Curve(grid, np.exp(-2 * theta * t) * np.diagonal(outer))
 
 
-def ou_drift_cov_kernel(model: drift_mod.OUDrift):
+def ou_drift_cov_kernel(model):
     """Cov(z(u), z(v)) for the OU drift, for use with z_variance_quadrature."""
     lam, s2 = model.rate, model.sigma_u**2
 

@@ -97,8 +97,10 @@ class TimeGrid:
 
     @classmethod
     def from_step(cls, horizon_T: float, dt: float) -> "TimeGrid":
-        """Grid with the given step; T must be an integer multiple of dt."""
+        """Grid with the given step; T must be an integer multiple of dt (ValueError otherwise)."""
         n = int(round(horizon_T / dt))
+        if abs(n * dt - horizon_T) > 1e-9 * horizon_T:
+            raise ValueError(f"horizon_T = {horizon_T} is not a whole number of steps dt = {dt}")
         return cls(horizon_T=n * dt, dt=dt, n_steps=n)
 
     @property

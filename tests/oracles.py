@@ -12,7 +12,16 @@ from scipy.signal import lfilter
 
 import gmapprox
 from gmapprox import drift as dm
-from gmapprox.timebase import Curve, PathEnsemble, TimeGrid
+from gmapprox.sde import LinearSDE, simulate_Y
+from gmapprox.timebase import (
+    Curve,
+    PathEnsemble,
+    TimeGrid,
+    derive_stream,
+    exp_weighted_values,
+    fill_rows,
+    split_stream,
+)
 
 
 def exp_weighted_running_integral(g: Curve, theta: float) -> Curve:
@@ -39,6 +48,41 @@ def z_path_ensemble(model, grid: TimeGrid, n_paths: int, master_seed: int, threa
     for start, rows in dm._pass_stream(model, None, grid, n_paths, master_seed, threads):
         values[start : start + len(rows)] = rows
     return PathEnsemble(grid, n_paths, values, master_seed)
+
+
+def y_path_ensemble(sde: LinearSDE, n_paths: int, master_seed: int, threads: int = 1) -> PathEnsemble:
+    """n_paths OU paths Y of ``sde``, row i from ``derive_stream(master_seed, i)``."""
+    build = lambda i: simulate_Y(sde, derive_stream(master_seed, i)).values
+    values = fill_rows(build, n_paths, sde.grid.n_nodes, threads)
+    return PathEnsemble(sde.grid, n_paths, values, master_seed)
+
+
+def ou_mean_cov(sde: LinearSDE, t: float, s: float) -> tuple[float, float]:
+    """Closed-form mean E[Y(t)] and covariance Cov(Y(t), Y(s))."""
+    th = sde.theta
+    mean_t = sde.x0 * np.exp(-th * t)
+    cov = sde.sigma**2 / (2 * th) * (np.exp(-th * abs(t - s)) - np.exp(-th * (t + s)))
+    return float(mean_t), float(cov)
+
+
+def solve_X(sde: LinearSDE, model, stream: np.random.Generator) -> tuple[Curve, Curve, Curve]:
+    """One strong-solution path X = Y + Z, returning (X, Z, Y).
+
+    Y and Z are built from two disjoint sub-streams of ``stream`` so they are
+    independent, matching the standing assumption that z is independent of
+    the driving Brownian motion.
+    """
+    y_stream, z_stream = split_stream(stream, 2)
+    y = simulate_Y(sde, y_stream)
+    z_acc = dm.sample_Z_path(model, sde.theta, sde.grid, z_stream)
+    return Curve(sde.grid, y.values + z_acc.values), z_acc, y
+
+
+def x_mean_analytic(sde: LinearSDE, model) -> Curve:
+    """E[X(t)] = e^{-theta t} x0 + I(E[z])(t), exact up to the I quadrature."""
+    t = sde.grid.times()
+    acc = exp_weighted_values(dm.mean_z(model, sde.grid).values, sde.grid.dt, sde.theta)
+    return Curve(sde.grid, sde.x0 * np.exp(-sde.theta * t) + acc)
 
 
 def stacked_chunks(chunks):

@@ -63,6 +63,13 @@ class TestConfigValidation:
         assert main(["approx", "--config", str(p)]) == EXIT_CONFIG
         assert "at least 2 steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["approx", "costs"])
+    def test_grid_needs_a_whole_number_of_steps(self, tmp_path, capsys, command):
+        # T = 1 is 3.33 steps of 0.3: the grid would end at 0.9, short of the echoed T
+        p = write_config(tmp_path, grid={"T": 1.0, "dt": 0.3})
+        assert main([command, "--config", str(p)]) == EXIT_CONFIG
+        assert "whole number of steps" in capsys.readouterr().err
+
     def test_odd_cost_order(self, tmp_path):
         p = write_config(tmp_path, costs={"p_list": [3]})
         assert main(["simulate", "--config", str(p)]) == EXIT_CONFIG
@@ -267,6 +274,7 @@ class TestNeuron:
             {"sigma_i": 0, "mu_i": 1, "horizon_cap": 1e9},
             {"mu": 3},
             {"theta": 1.0},
+            {"T": 1.0, "dt": 0.3},
         ],
         ids=[
             "negative_dt",
@@ -279,6 +287,7 @@ class TestNeuron:
             "unbounded_horizon_cap",
             "unknown_key",
             "response_rate_equals_theta",
+            "fractional_steps",
         ],
     )
     def test_bad_section_is_a_config_error(self, tmp_path, capsys, section):

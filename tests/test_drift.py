@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from gmapprox import approx as approx_mod
 from gmapprox import drift as dm
 from gmapprox import timebase
+from gmapprox.bounds import d2_closed
 from gmapprox.timebase import (
     Curve,
     TimeGrid,
@@ -51,17 +52,17 @@ class TestDistributions:
         ],
     )
     def test_moments(self, dist, mean, second):
-        assert dm.dist_mean(dist) == pytest.approx(mean)
-        assert dm.dist_second_moment(dist) == pytest.approx(second)
+        assert dist.raw_moment(1) == pytest.approx(mean)
+        assert dist.raw_moment(2) == pytest.approx(second)
 
     def test_moments_match_sampling(self):
         stream = derive_stream(3, 0)
         for dist in (dm.Exponential(1.3), dm.Gamma(2.0, 1.7), dm.Uniform(-1, 2), dm.PoissonCount(3.0)):
-            x = np.asarray(dm.sample_dist(dist, stream, 200_000), dtype=float)
-            assert np.mean(x) == pytest.approx(dm.dist_mean(dist), abs=5 * x.std() / np.sqrt(len(x)))
+            x = np.asarray(dist.sample(stream, 200_000), dtype=float)
+            assert np.mean(x) == pytest.approx(dist.raw_moment(1), abs=5 * x.std() / np.sqrt(len(x)))
             m2 = np.mean(x**2)
             se2 = np.std(x**2) / np.sqrt(len(x))
-            assert m2 == pytest.approx(dm.dist_second_moment(dist), abs=5 * se2)
+            assert m2 == pytest.approx(dist.raw_moment(2), abs=5 * se2)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -76,7 +77,7 @@ class TestDistributions:
     def test_integral_fixed_count_is_an_int(self):
         count = dm.FixedCount(2.0)
         assert count.value == 2 and isinstance(count.value, int)
-        assert dm.dist_raw_moment(count, 3) == 8.0
+        assert count.raw_moment(3) == 8.0
 
 
 class TestPairing:
@@ -236,7 +237,7 @@ class TestAnalyticMoments:
         model = dm.ShotNoise()
         mz = dm.mean_z(model, g).values
         conv = convolution_oracle(model.arrival, model.response_rate, g).values
-        scale = dm.dist_mean(model.count) * dm.dist_mean(model.amplitude)
+        scale = model.count.raw_moment(1) * model.amplitude.raw_moment(1)
         assert np.max(np.abs(mz - scale * conv)) < 1e-4 * max(1.0, np.max(np.abs(mz)))
 
 
@@ -324,11 +325,11 @@ class TestEnsembles:
         threaded = dm.Z_path_ensemble(model, THETA, g, n, master_seed=seed, threads=3).values
         assert np.array_equal(threaded, full)
         # the block's rows are the kernel of the block's draws, row by row
-        times, weights, counts = dm._draw_block_events(model, g, block_stream(seed, 0), n)
+        times, weights, counts = model._draw_events(g, block_stream(seed, 0), n)
         edges = np.concatenate(([0], np.cumsum(counts)))
         for i in (0, 23, n - 1):
             events = [(times[edges[i] : edges[i + 1]], weights[edges[i] : edges[i + 1]])]
-            row = dm.event_kernel(events, dm._decay(model), THETA, g)[0][0]
+            row = dm.event_kernel(events, getattr(model, "response_rate", 0.0), THETA, g)[0][0]
             assert np.array_equal(row, full[i])
         # a block of one row is sample_Z_path on the block's stream
         one = dm.Z_path_ensemble(model, THETA, g, 1, master_seed=seed).values[0]
@@ -362,6 +363,23 @@ def test_block_contract_reproducible(model):
     # the rows of a partial block do not draw the block's missing rows
     if not isinstance(model, dm.Deterministic):
         assert not np.array_equal(full[1024], full[0]) and not np.array_equal(full[1024], full[512])
+
+
+def test_poisson_is_compound_poisson_with_unit_jumps():
+    """Poisson(r) and CompoundPoisson(r, PointMass(1)) give the same bits everywhere."""
+    g = grid(T=2.0, dt=0.01)
+    a, b = dm.Poisson(2.0), dm.CompoundPoisson(2.0, dm.PointMass(1.0))
+    assert a.jump == dm.PointMass(1.0)
+    with pytest.raises(TypeError):
+        dm.Poisson(2.0, dm.Exponential(1.0))
+    for threads in (1, 2):
+        _, za = stacked_chunks(dm.iter_Z_chunks(a, THETA, g, 600, 7, threads))
+        _, zb = stacked_chunks(dm.iter_Z_chunks(b, THETA, g, 600, 7, threads))
+        assert np.array_equal(za, zb), threads
+    assert np.array_equal(dm.cumulant_curves(a, THETA, g, 4), dm.cumulant_curves(b, THETA, g, 4))
+    for curve in (dm.mean_z, dm.var_z):
+        assert np.array_equal(curve(a, g).values, curve(b, g).values)
+    assert np.array_equal(d2_closed(a, THETA, g).d2.values, d2_closed(b, THETA, g).d2.values)
 
 
 def test_sampler_passes_stay_within_cell_budget(monkeypatch):

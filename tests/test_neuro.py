@@ -52,7 +52,7 @@ def v2_exponential(model: dm.ShotNoise, theta: float, grid: TimeGrid) -> Approxi
     nu = model.arrival.rate
     lam, th = model.response_rate, theta
     t = grid.times()
-    scale = model.count.value * dm.dist_mean(model.amplitude)
+    scale = model.count.value * model.amplitude.raw_moment(1)
     F = scale * nu / (nu - lam) * (stable_exp_diff(lam, th, t) - stable_exp_diff(nu, th, t))
     phi, _ = response_moment_curves(model.arrival, lam, grid)
     return Approximant(p=2, F=Curve(grid, F), f=Curve(grid, scale * phi.values), theta=th)
@@ -278,7 +278,7 @@ class TestFirstPassageLaw:
         neuron = LIFNeuron(theta_i=0.1, mu_i=6.0, sigma_i=0.0, v0_i=0.0, v_th=20.0)
         law = neuro.first_passage_law(neuron, 1e-2, 100.0)
         assert law == dm.PointMass(math.log(6.0 / 4.0) / 0.1)
-        assert np.all(dm.sample_dist(dm.SimulatedFiring(neuron), derive_stream(0, 0), 5) == law.value)
+        assert np.all(dm.SimulatedFiring(neuron).sample(derive_stream(0, 0), 5) == law.value)
         # the fit reads the point mass
         g = grid(T=10.0)
         F2, _ = fit(network(dm.SimulatedFiring(neuron)), 0.1, g)
@@ -291,8 +291,8 @@ class TestFirstPassageLaw:
         neuron = LIFNeuron(theta_i=0.1, mu_i=mu_i, sigma_i=0.0, v0_i=0.0, v_th=20.0)
         arrival = dm.SimulatedFiring(neuron, horizon_cap=cap)
         assert arrival.law == dm.PointMass(math.inf)
-        assert dm.censored_share(arrival) == 1.0
-        assert np.all(np.isinf(dm.sample_dist(arrival, derive_stream(0, 0), 4)))
+        assert arrival.censored == 1.0
+        assert np.all(np.isinf(arrival.sample(derive_stream(0, 0), 4)))
         with pytest.raises(dm.CensoringError):
             fit(network(arrival), 0.1, grid(T=2.0))
 
@@ -300,7 +300,7 @@ class TestFirstPassageLaw:
         # mu / theta = 15 below the threshold 20: most inputs never fire within 50 ms
         neuron = LIFNeuron(theta_i=0.1, mu_i=1.5, sigma_i=1.0, v0_i=0.0, v_th=20.0)
         arrival = dm.SimulatedFiring(neuron, horizon_cap=50.0)
-        assert dm.censored_share(arrival) > 0.5
+        assert arrival.censored > 0.5
         with pytest.raises(dm.CensoringError):
             fit(network(arrival), 0.1, grid(T=2.0))
         with pytest.raises(dm.CensoringError):
@@ -386,12 +386,12 @@ class TestFirstPassageLaw:
         law = dm.PiecewiseUniform(0.5, [0.0, 0.0, 0.25, 0.25, 0.75])
         stream = derive_stream(4, 0)
         u = derive_stream(4, 0).random(6)
-        got = dm.sample_dist(law, stream, 6)
+        got = law.sample(stream, 6)
         # cell (0.5, 1] holds u < 0.25, cell (1.5, 2] holds 0.25 <= u < 0.75, u >= 0.75 never fires
         want = np.where(u < 0.25, 0.5 + 0.5 * u / 0.25, 1.5 + 0.5 * (u - 0.25) / 0.5)
         want[u >= 0.75] = np.inf
         np.testing.assert_allclose(got, want, rtol=1e-15)
-        assert dm.censored_share(law) == 0.25
+        assert law.censored == 0.25
 
     def test_cell_convolution_is_a_mixture_of_uniforms(self):
         law = dm.PiecewiseUniform(1.0, [0.0, 0.25, 0.25, 1.0])
@@ -500,11 +500,16 @@ class TestPhiPsi:
         with pytest.raises(ValueError):
             response_moment_curves(dm.SimulatedFiring(TABLE2_LIF, sim_dt=2e-2), 1.0, grid())
 
-    def test_rejects_rate_coincidences(self):
-        with pytest.raises(ValueError):
-            response_moment_curves(dm.Exponential(1.0), 1.0, grid())
-        with pytest.raises(ValueError):
-            response_moment_curves(dm.Exponential(2.0), 1.0, grid())
+    def test_rate_coincidences(self):
+        # phi at nu = lam and psi at nu = 2 lam are chains of equal rates, nu t e^{-nu t};
+        # only the closed form of the shot-noise d2 excludes these arrival rates
+        g = grid()
+        t = g.times()
+        for nu, pick in ((1.0, 0), (2.0, 1)):
+            curve = response_moment_curves(dm.Exponential(nu), 1.0, g)[pick]
+            np.testing.assert_allclose(curve.values, nu * t * np.exp(-nu * t), rtol=1e-12, atol=0)
+            with pytest.raises(dm.PairingError):
+                dm.validate_pairing(dm.ShotNoise(arrival=dm.Exponential(nu), response_rate=1.0), 1.5)
 
 
 class TestUniformArrival:
@@ -581,13 +586,13 @@ class TestBuildDriftFromNetwork:
         mean = zs.mean(axis=0)
         se = zs.std(axis=0, ddof=1) / np.sqrt(len(zs))
         phi, _ = response_moment_curves(dm.Exponential(1 / 15), 1.0, g)
-        expected = model.count.value * dm.dist_mean(model.amplitude) * phi.values
+        expected = model.count.value * model.amplitude.raw_moment(1) * phi.values
         assert np.all(np.abs(mean - expected)[1:] <= 4 * np.maximum(se[1:], 1e-12))
 
     def test_simulated_firing_uses_per_neuron_streams(self):
         arrival = dm.SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=100.0)
-        a = dm.sample_dist(arrival, derive_stream(5, 0), 10)
-        b = dm.sample_dist(arrival, derive_stream(5, 0), 10)
+        a = arrival.sample(derive_stream(5, 0), 10)
+        b = arrival.sample(derive_stream(5, 0), 10)
         assert np.array_equal(a, b)
         assert len(np.unique(np.round(a, 12))) == 10
 
@@ -611,13 +616,13 @@ class TestBuildDriftFromNetwork:
         ref, cens = runs[1, 512]
         # every censored input of the three blocks is counted once: a fixed
         # count draws nothing, so each block's first draws are its firing times
-        taus = [dm.sample_dist(arrival, block_stream(8, b), 2 * r) for b, r in enumerate((512, 512, 1))]
+        taus = [arrival.sample(block_stream(8, b), 2 * r) for b, r in enumerate((512, 512, 1))]
         assert cens == [(sum(int(np.isinf(t).sum()) for t in taus), 2 * 1025)] and cens[0][0] > 0
         for Z, c in runs.values():
             assert np.array_equal(Z, ref) and c == cens
         # a block of one trial: the firing times, then the amplitudes, through the event kernel
         stream = block_stream(8, 2)
-        times = dm.sample_dist(neuro.first_passage_law(TABLE2_LIF, 1e-2, 5.0), stream, 2)
+        times = neuro.first_passage_law(TABLE2_LIF, 1e-2, 5.0).sample(stream, 2)
         weights = stream.uniform(0.5, 1.5, 2)
         Z, _ = dm.event_kernel([(times, weights)], 1.0, 0.1, g)
         assert np.array_equal(Z[0], ref[1024])

@@ -7,14 +7,11 @@ from gmapprox.sde import (
     apply_I,
     apply_I_inv,
     ou_drift_cov_kernel,
-    ou_mean_cov,
     simulate_Y,
-    solve_X,
-    x_mean_analytic,
-    y_path_ensemble,
     z_variance_quadrature,
 )
 from gmapprox.timebase import Curve, TimeGrid, derive_stream
+from oracles import ou_mean_cov, solve_X, x_mean_analytic, y_path_ensemble
 
 THETA = 1.5
 

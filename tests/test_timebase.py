@@ -39,6 +39,14 @@ class TestTimeGrid:
         assert g.n_steps == 4
         np.testing.assert_allclose(g.times(), [0, 0.25, 0.5, 0.75, 1.0])
 
+    def test_from_step_needs_a_whole_number_of_steps(self):
+        # 1.0 is 3.33 steps of 0.3: the grid would end at 0.9
+        with pytest.raises(ValueError, match="whole number of steps"):
+            TimeGrid.from_step(1.0, 0.3)
+        # within the grid's 1e-9 relative tolerance the horizon is n dt
+        g = TimeGrid.from_step(0.3, 0.1)
+        assert g.n_steps == 3 and g.horizon_T == 3 * 0.1
+
     @pytest.mark.parametrize("bad", [dict(horizon_T=1, dt=-0.1, n_steps=10),
                                      dict(horizon_T=1, dt=0.1, n_steps=0),
                                      dict(horizon_T=2, dt=0.1, n_steps=10)])
