@@ -42,7 +42,6 @@ from .drift import (
     mean_z,
     moments_Z_mc,
     sample_Z_path,
-    sample_z_path,
     var_z,
     Z_path_ensemble,
 )

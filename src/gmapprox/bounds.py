@@ -70,8 +70,8 @@ def pointwise_mse_streaming(chunks, F: Curve, n_paths: int) -> tuple[Curve, Curv
 
     ``chunks`` yields (start, block) pairs as from drift.iter_Z_chunks and
     together hold the n_paths rows of one ensemble. Each chunk is cut into
-    slabs (:func:`timebase.iter_slabs`; a default chunk of iter_Z_chunks is
-    one slab), and the per-slab column sums are added in row order, so
+    slabs (:func:`timebase.iter_slabs`; a chunk of iter_Z_chunks is one
+    slab), and the per-slab column sums are added in row order, so
     chunks cut on block boundaries give the same bits for any chunk size and
     thread count. One slab-sized work array and one row of column sums are
     held.

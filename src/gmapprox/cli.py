@@ -22,7 +22,7 @@ from . import costs as costs_mod
 from . import drift as drift_mod
 from . import neuro as neuro_mod
 from .sde import LinearSDE, simulate_Y
-from .timebase import Curve, TimeGrid, child_seed, derive_stream, write_csv_columns
+from .timebase import Curve, TimeGrid, child_seed, derive_stream, write_csv_columns, write_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,6 +70,25 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # tagged-object parsing
 
+def _object(spec, where: str, keys) -> dict:
+    """``spec`` if it is a JSON object with no key outside ``keys``."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where}: expected an object, got {spec!r}")
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    return spec
+
+
+def _tag(spec, where: str, kinds, what: str) -> str:
+    """The "type" of a tagged object, which must be one of ``kinds``."""
+    if not isinstance(spec, dict) or "type" not in spec:
+        raise ConfigError(f"{where}: expected a tagged {what} object, got {spec!r}")
+    if spec["type"] not in tuple(kinds):  # a tuple: the tag may be an unhashable JSON value
+        raise ConfigError(f"{where}: unknown {what} type {spec['type']!r}")
+    return spec["type"]
+
+
 _DIST_TAGS = {
     "exponential": (drift_mod.Exponential, ("rate",)),
     "gamma": (drift_mod.Gamma, ("rate", "shape")),
@@ -82,12 +101,9 @@ _DIST_TAGS = {
 
 
 def parse_distribution(spec, where: str) -> drift_mod.Distribution:
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError(f"{where}: expected a tagged distribution object, got {spec!r}")
-    tag = spec["type"]
-    if tag not in _DIST_TAGS:
-        raise ConfigError(f"{where}: unknown distribution type {tag!r}")
+    tag = _tag(spec, where, _DIST_TAGS, "distribution")
     cls, fields = _DIST_TAGS[tag]
+    _object(spec, where, ("type", *fields))
     missing = [f for f in fields if f not in spec]
     if missing:
         raise ConfigError(f"{where}: distribution {tag!r} is missing fields {missing}")
@@ -97,10 +113,21 @@ def parse_distribution(spec, where: str) -> drift_mod.Distribution:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+# the fields each model type reads besides "type"
+_MODEL_FIELDS = {
+    "single_shot": ("rate",),
+    "poisson": ("rate",),
+    "compound_poisson": ("rate", "jump"),
+    "shot_noise": ("count", "amplitude", "arrival", "response_rate"),
+    "brownian": ("trend",),
+    "ou": ("rate", "sigma_u", "u0"),
+    "deterministic": ("values", "constant"),
+}
+
+
 def parse_model(spec, grid: TimeGrid, where: str = "model") -> drift_mod.DriftModel:
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError(f"{where}: expected a tagged model object, got {spec!r}")
-    tag = spec["type"]
+    tag = _tag(spec, where, _MODEL_FIELDS, "model")
+    _object(spec, where, ("type", *_MODEL_FIELDS[tag]))
     try:
         if tag == "single_shot":
             return drift_mod.SingleShot(rate=spec["rate"])
@@ -126,19 +153,20 @@ def parse_model(spec, grid: TimeGrid, where: str = "model") -> drift_mod.DriftMo
             return drift_mod.OUDrift(
                 rate=spec["rate"], sigma_u=spec.get("sigma_u", 1.0), u0=spec.get("u0", 0.0)
             )
-        if tag == "deterministic":
-            if "values" in spec:
-                vals = np.asarray(spec["values"], dtype=float)
-            elif "constant" in spec:
-                vals = np.full(grid.n_nodes, float(spec["constant"]))
-            else:
-                raise ConfigError(f"{where}: deterministic model needs 'values' or 'constant'")
-            return drift_mod.Deterministic(Curve(grid, vals))
+        # deterministic, the one type left
+        if "values" in spec:
+            vals = np.asarray(spec["values"], dtype=float)
+        elif "constant" in spec:
+            vals = np.full(grid.n_nodes, float(spec["constant"]))
+        else:
+            raise ConfigError(f"{where}: deterministic model needs 'values' or 'constant'")
+        return drift_mod.Deterministic(Curve(grid, vals))
+    except ConfigError:
+        raise
     except KeyError as exc:
         raise ConfigError(f"{where}: missing field {exc} for model {tag!r}") from exc
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown model type {tag!r}")
 
 
 def _check_steps(where: str, T: float, dt: float, cap: float = 0.0) -> None:
@@ -158,11 +186,7 @@ def _check_steps(where: str, T: float, dt: float, cap: float = 0.0) -> None:
 
 def parse_neuron(spec) -> tuple[dict, str, drift_mod.ShotNoise]:
     """The 'neuron' section: Table 2 parameters with its overrides, the scenario and its drift."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"neuron: expected an object, got {spec!r}")
-    unknown = sorted(set(spec) - set(neuro_mod.TABLE2_PARAMS) - {"scenario"})
-    if unknown:
-        raise ConfigError(f"neuron: unknown keys {unknown}")
+    _object(spec, "neuron", (*neuro_mod.TABLE2_PARAMS, "scenario"))
     params = dict(neuro_mod.TABLE2_PARAMS)
     params.update({k: v for k, v in spec.items() if k != "scenario"})
     try:
@@ -181,6 +205,20 @@ def parse_neuron(spec) -> tuple[dict, str, drift_mod.ShotNoise]:
 
 
 _FORMATS = ("csv", "json")
+# the keys of each config section; "model" and "neuron" are checked by their parsers
+_SECTION_KEYS = {
+    "sde": ("theta", "sigma", "x0"),
+    "grid": ("T", "dt"),
+    "mc": ("n_paths", "seed"),
+    "output": ("directory", "formats"),
+    "costs": ("p_list",),
+}
+
+
+def _integer(value, where: str) -> int:
+    if type(value) is not int:  # not a bool, and not a float that int() would truncate
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
 def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentConfig:
@@ -194,25 +232,24 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     cfg = ExperimentConfig()
+    _object(raw, "config", (*_SECTION_KEYS, "model", "neuron"))
+    sde_spec, grid_spec, mc, out, costs = (
+        _object(raw.get(name, {}), name, keys) for name, keys in _SECTION_KEYS.items()
+    )
     try:
-        sde_spec = raw.get("sde", {})
-        grid_spec = raw.get("grid", {})
-        mc = raw.get("mc", {})
-        out = raw.get("output", {})
         cfg.theta = float(sde_spec.get("theta", cfg.theta))
         cfg.sigma = float(sde_spec.get("sigma", cfg.sigma))
         cfg.x0 = float(sde_spec.get("x0", cfg.x0))
         cfg.T = float(grid_spec.get("T", cfg.T))
         cfg.dt = float(grid_spec.get("dt", cfg.dt))
-        cfg.n_paths = int(mc.get("n_paths", cfg.n_paths))
-        cfg.seed = int(mc.get("seed", cfg.seed))
-        p_list = raw.get("costs", {}).get("p_list", list(costs_mod.P_ORDERS))
-        cfg.out_dir = out.get("directory", cfg.out_dir)
-        formats = out.get("formats", list(cfg.formats))
-        cfg.neuron = raw.get("neuron", {})
-    # AttributeError: the config or one of its sections is not a JSON object
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
+    cfg.n_paths = _integer(mc.get("n_paths", cfg.n_paths), "mc.n_paths")
+    cfg.seed = _integer(mc.get("seed", cfg.seed), "mc.seed")
+    p_list = costs.get("p_list", list(costs_mod.P_ORDERS))
+    cfg.out_dir = out.get("directory", cfg.out_dir)
+    formats = out.get("formats", list(cfg.formats))
+    cfg.neuron = raw.get("neuron", {})
 
     if getattr(overrides, "seed", None) is not None:
         cfg.seed = overrides.seed
@@ -266,12 +303,6 @@ def _outpath(cfg: ExperimentConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _emit(cfg: ExperimentConfig, files) -> None:
     """Write each (format, name, write) whose format output.formats lists, and print its path."""
     for fmt, name, write in files:
@@ -296,6 +327,8 @@ def cmd_simulate(cfg: ExperimentConfig, n_display_paths: int) -> int:
 
     F2 and F4 are exact (from the cumulants of Z); mc.n_paths is not read.
     """
+    if n_display_paths < 1:
+        raise ConfigError(f"--display-paths must be >= 1, got {n_display_paths}")
     grid = cfg.grid()
     sde = cfg.sde()
     F2, F4 = approx_mod.fit(cfg.model, cfg.theta, grid)
@@ -315,7 +348,7 @@ def cmd_simulate(cfg: ExperimentConfig, n_display_paths: int) -> int:
         ("csv", "paths.csv", lambda p: write_csv_columns(p, cols, data)),
         ("csv", "F2.csv", F2.F.to_csv),
         ("csv", "F4.csv", F4.F.to_csv),
-        ("json", "simulate_config.json", lambda p: _write_json(p, cfg.echo())),
+        ("json", "simulate_config.json", lambda p: write_json(p, cfg.echo())),
     ])
     return EXIT_OK
 
@@ -332,7 +365,7 @@ def cmd_approx(cfg: ExperimentConfig) -> int:
     _emit(cfg, [
         ("csv", "approx_p2.csv", lambda p: write_csv_columns(p, ["t", "F", "f"], columns(F2))),
         ("csv", "approx_p4.csv", lambda p: write_csv_columns(p, ["t", "F", "f"], columns(F4))),
-        ("json", "approx_config.json", lambda p: _write_json(p, cfg.echo())),
+        ("json", "approx_config.json", lambda p: write_json(p, cfg.echo())),
     ])
     return EXIT_OK
 
@@ -360,7 +393,7 @@ def cmd_bound(cfg: ExperimentConfig) -> int:
     columns = [grid.times(), mse.values, se.values, bound.d2.values]
     _emit(cfg, [
         ("csv", "bound.csv", lambda p: write_csv_columns(p, ["t", "mse", "se", "d2"], columns)),
-        ("json", "bound_summary.json", lambda p: _write_json(p, summary)),
+        ("json", "bound_summary.json", lambda p: write_json(p, summary)),
     ])
     print(f"max violation (mse - d2 - 3 se) = {violation.max():.6g}")
     return EXIT_OK
@@ -404,7 +437,7 @@ def cmd_neuron(cfg: ExperimentConfig) -> int:
     _emit(cfg, [
         ("csv", "neuron_F2.csv", F2.F.to_csv),
         ("csv", "neuron_F4.csv", F4.F.to_csv),
-        ("json", "neuron_summary.json", lambda p: _write_json(p, summary)),
+        ("json", "neuron_summary.json", lambda p: write_json(p, summary)),
     ])
     print(f"scenario {kind}, censor rate {censor_rate:.2e}")
     return EXIT_OK

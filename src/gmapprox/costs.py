@@ -12,7 +12,6 @@ identity cross-check of that cancellation.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -29,6 +28,7 @@ from .timebase import (
     iter_slabs,
     trapezoid_values,
     write_csv_columns,
+    write_json,
 )
 
 __all__ = [
@@ -122,7 +122,7 @@ def per_path_cost_matrix(chunks, curves, dt: float, n_paths: int):
     P_ORDERS order); every cost of every candidate is evaluated on the same
     paths, so the per-path cost differences give tight standard errors for
     the optimality gaps. Chunks are evaluated a slab at a time
-    (:func:`timebase.iter_slabs`; a default chunk of
+    (:func:`timebase.iter_slabs`; a chunk of
     :func:`drift.iter_Z_chunks` is one slab) in one slab-sized work array;
     per-path costs are row-wise, so they do not depend on the slab or chunk
     size, and the means and SEs are taken over the per-path costs in row
@@ -305,10 +305,7 @@ def report_records(report: CostReport) -> list[dict]:
 
 
 def write_report_json(report: CostReport, path) -> None:
-    payload = {"records": report_records(report), "config": report.config_echo}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"records": report_records(report), "config": report.config_echo})
 
 
 def write_report_csv(report: CostReport, path) -> None:

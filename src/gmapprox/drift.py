@@ -1,19 +1,19 @@
 """The zoo of stochastic drift processes z(t) and their damped accumulations.
 
-Each drift variant can produce three things: a sampled z path at the grid
-nodes, a sampled path of the damped accumulation
+The approximants, the costs and the d2 bound see the drift only through its
+damped accumulation
 
     Z(t) = e^{-theta t} int_0^t z(s) e^{theta s} ds,
 
-and exact mean/variance curves of z. The event-driven variants (Poisson,
-compound Poisson, shot noise) draw their event times in continuous time, and
-one batched kernel, :func:`event_kernel`, evaluates z and Z from the events
-of many paths at once: each event's exact contribution inside its grid cell
-is binned, then two exact exponential recurrences run along the time axis,
-so the grid introduces no bias and the cost is O(events + nodes). The
-single-shot drift keeps its one-event closed form; the two diffusion-driven
-variants sample z with exact Gaussian transitions and pass it through the
-shared exponential integrator.
+so each drift variant samples Z paths at the grid nodes and has exact
+mean/variance curves of z. The event-driven variants (Poisson, compound
+Poisson, shot noise) draw their event times in continuous time, and one
+batched kernel evaluates Z from the events of many paths at once: each
+event's exact contribution inside its grid cell is binned, then two exact
+exponential recurrences run along the time axis, so the grid introduces no
+bias and the cost is O(events + nodes). The single-shot drift keeps its
+one-event closed form; the two diffusion-driven variants sample z with exact
+Gaussian transitions and pass it through the shared exponential integrator.
 
 Every variant has an exact law for Z: :func:`cumulant_curves` returns its
 first four cumulants at the grid nodes, which is all the order-2 and order-4
@@ -31,7 +31,7 @@ call them.
 Ensembles follow the block-stream contract of :mod:`timebase`: the rows of
 block b = i // _BLOCK are sampled together from ``block_stream(seed, b)`` by
 the variant's block sampler (its ``_block_sampler`` method, see
-:func:`_pass_stream`), a generator that hands the block out pass by pass,
+:func:`iter_Z_chunks`), a generator that hands the block out pass by pass,
 one reducer slab of at most ``timebase._KERNEL_CELLS`` cells at a time, so
 no block is ever held whole; a single path is a block of one row drawn from
 the stream it is given.
@@ -90,7 +90,6 @@ __all__ = [
     "PairingError",
     "CensoringError",
     "validate_pairing",
-    "sample_z_path",
     "sample_Z_path",
     "mean_z",
     "var_z",
@@ -99,7 +98,6 @@ __all__ = [
     "moments_from_chunks",
     "Z_path_ensemble",
     "iter_Z_chunks",
-    "event_kernel",
 ]
 
 
@@ -356,16 +354,15 @@ Distribution = Union[
 # block samplers
 #
 # A variant's ``_block_sampler(theta, grid, tally=None)`` returns
-# ``passes(stream, rows, take, ws)``, a generator over one block's ``rows``
-# ensemble rows, all drawn from ``stream``: each pass fills the first rows of
-# the array ``take()`` returns with the next :func:`timebase.slab_rows` rows
-# of the block (or what is left of it) and yields them. The stream and the
-# block's drawn events persist from pass to pass, and the pass-sized
-# transients live in ``ws``, a flat scratch array of at least a pass's cells
-# (see :func:`timebase.iter_block_passes`), so the pass loop allocates
-# nothing of pass size. A row's values are a function of its own draws, so
-# they do not depend on the pass size. The samplers yield Z rows, or z rows
-# when theta is None.
+# ``passes(stream, rows, take, ws)``, a generator over the Z rows of one
+# block of ``rows`` ensemble rows, all drawn from ``stream``: each pass fills
+# the first rows of the array ``take()`` returns with the next
+# :func:`timebase.slab_rows` rows of the block (or what is left of it) and
+# yields them. The stream and the block's drawn events persist from pass to
+# pass, and the pass-sized transients live in ``ws``, a flat scratch array of
+# at least a pass's cells (see :func:`timebase.iter_block_passes`), so the
+# pass loop allocates nothing of pass size. A row's values are a function of
+# its own draws, so they do not depend on the pass size.
 
 def _cuts(rows: int, take, grid: TimeGrid):
     """(first row, pass array) of a block of ``rows`` rows, :func:`timebase.slab_rows` rows a pass."""
@@ -374,7 +371,7 @@ def _cuts(rows: int, take, grid: TimeGrid):
         yield a, take()[: min(step, rows - a)]
 
 
-def _event_sampler(draw, lam: float, theta: float | None, grid: TimeGrid, tally):
+def _event_sampler(draw, lam: float, theta: float, grid: TimeGrid, tally):
     """An event variant's sampler: ``draw(grid, stream, rows)`` the block's events, then the kernel.
 
     ``draw`` takes the counts first, then the times and the weights of all
@@ -395,16 +392,16 @@ def _event_sampler(draw, lam: float, theta: float | None, grid: TimeGrid, tally)
     return passes
 
 
-def _diffusion_sampler(increments, mean: np.ndarray, theta: float | None, grid: TimeGrid):
+def _diffusion_sampler(increments, mean: np.ndarray, theta: float, grid: TimeGrid):
     """The sampler of a drift driven by a (pass rows, n_steps) matrix of normals per pass.
 
     ``increments(noise, out)`` turns the normals into z - ``mean`` at the
-    nodes of ``out``, whose first column is 0.
+    nodes of ``out``, whose first column is 0; the exponential integrator
+    then turns z into Z in place.
     """
-    dt, n = grid.dt, grid.n_nodes
-    if theta is not None:
-        w = np.exp(-theta * dt)
-        w_band = pole_band(w, n)
+    dt = grid.dt
+    w = np.exp(-theta * dt)
+    w_band = pole_band(w, grid.n_nodes)
 
     def passes(stream, rows, take, ws):
         for _, out in _cuts(rows, take, grid):
@@ -413,15 +410,14 @@ def _diffusion_sampler(increments, mean: np.ndarray, theta: float | None, grid: 
             out[:, 0] = 0.0
             increments(noise, out)
             out += mean
-            if theta is not None:  # the spent normals are its scratch
-                exp_weight_in_place(out, w, dt, noise, w_band)
+            exp_weight_in_place(out, w, dt, noise, w_band)  # the spent normals are its scratch
             yield out
 
     return passes
 
 
-def event_kernel(events, lam: float, theta: float | None, grid: TimeGrid):
-    """Z and z at the grid nodes for one path per (times, weights) pair in ``events``.
+class _EventKernel:
+    """Z at the grid nodes of paths given by their events, pass by pass, in caller-owned arrays.
 
     A path with events (T_i, w_i) has z(t) = sum_{T_i <= t} w_i e^{-lam (t - T_i)}
     and Z(t) = sum_{T_i <= t} w_i K(t - T_i) with
@@ -438,68 +434,45 @@ def event_kernel(events, lam: float, theta: float | None, grid: TimeGrid):
     Time and memory are O(events + rows x nodes), and every factor is at most
     1, so the result stays finite for any theta T. Events after the last
     node, including infinite (censored) times, never reach a node and are
-    dropped. A row's values do not depend on the other rows of the call.
-
-    Returns (Z, z), each of shape (len(events), n_nodes); Z is None when
-    ``theta`` is None.
-    """
-    times = np.concatenate([np.asarray(e[0], dtype=float) for e in events])
-    weights = np.concatenate([np.asarray(e[1], dtype=float) for e in events])
-    row = np.repeat(np.arange(len(events)), [len(e[0]) for e in events])
-    shape = (len(events), grid.n_nodes)
-    z_only = _EventKernel(lam, None, grid)
-    z = z_only.rows(z_only.terms(times, weights, row), 0, np.empty(shape), None)
-    if theta is None:
-        return None, z
-    kernel = _EventKernel(lam, theta, grid)
-    Z = kernel.rows(kernel.terms(times, weights, row), 0, np.empty(shape), np.empty(shape[0] * shape[1]))
-    return Z, z
-
-
-class _EventKernel:
-    """:func:`event_kernel` on one grid, pass by pass, in caller-owned arrays.
-
-    The node times, the bands of the two recurrences and K(dt) are built
-    once, for every pass of every block.
+    dropped. A row's values do not depend on the other rows. The node times,
+    the bands of the two recurrences and K(dt) are built once, for every
+    pass of every block.
     """
 
-    def __init__(self, lam: float, theta: float | None, grid: TimeGrid):
+    def __init__(self, lam: float, theta: float, grid: TimeGrid):
         self.t, self.n = grid.times(), grid.n_nodes
         self.lam, self.theta = lam, theta
         self.z_band = pole_band(np.exp(-lam * grid.dt), self.n)
-        if theta is not None:
-            self.Z_band = pole_band(np.exp(-theta * grid.dt), self.n)
-            self.k_dt = stable_exp_diff(lam, theta, grid.dt)
+        self.Z_band = pole_band(np.exp(-theta * grid.dt), self.n)
+        self.k_dt = stable_exp_diff(lam, theta, grid.dt)
 
     def terms(self, times, weights, row):
         """(row, cell, z term, Z term) of the events that reach a node; ``row`` is nondecreasing.
 
         The terms are an event's exact contributions at the node that closes
-        its cell; the Z term is None when theta is None.
+        its cell.
         """
         cell = np.searchsorted(self.t, times)
         live = cell < self.n
         row, cell, times, weights = row[live], cell[live], times[live], weights[live]
         u = self.t[cell] - times
-        Z_term = None if self.theta is None else weights * stable_exp_diff(self.lam, self.theta, u)
+        Z_term = weights * stable_exp_diff(self.lam, self.theta, u)
         return row, cell, weights * np.exp(-self.lam * u), Z_term
 
     def rows(self, terms, lo: int, out, ws):
-        """Z (z when theta is None) of rows lo.. into ``out``, a C-contiguous (rows, n) array.
+        """Z of rows lo.. into ``out``, a C-contiguous (rows, n) array.
 
-        ``ws`` holds at least ``out.size`` cells for z; it is not read when
-        theta is None. Events are binned by ``fill(0)`` and ``np.add.at``,
-        which add each bin's terms in event order, as ``np.bincount`` does.
+        ``ws`` holds at least ``out.size`` cells, for z. Events are binned by
+        ``fill(0)`` and ``np.add.at``, which add each bin's terms in event
+        order, as ``np.bincount`` does.
         """
         row, cell, z_term, Z_term = terms
         e0, e1 = np.searchsorted(row, (lo, lo + len(out)))
         idx = (row[e0:e1] - lo) * self.n + cell[e0:e1]
-        z = out if Z_term is None else ws[: out.size].reshape(out.shape)
+        z = ws[: out.size].reshape(out.shape)
         z.fill(0.0)
         np.add.at(z.reshape(-1), idx, z_term[e0:e1])
         one_pole(z, self.z_band)
-        if Z_term is None:
-            return z
         out.fill(0.0)
         np.add.at(out.reshape(-1), idx, Z_term[e0:e1])
         z[:, :-1] *= self.k_dt  # z is spent: K(dt) z_{k-1} in place
@@ -559,22 +532,19 @@ class SingleShot(_Drift):
         _check_distinct("single-shot rate", self.rate, theta, "theta")
         _check_distinct("single-shot rate", self.rate, 2 * theta, "2*theta")
 
-    def _block_sampler(self, theta: float | None, grid: TimeGrid, tally=None):
+    def _block_sampler(self, theta: float, grid: TimeGrid, tally=None):
         """One exponential vector of the block's shot times, then the closed form."""
         t = grid.times()
 
         def passes(stream, rows, take, ws):
             tau = stream.exponential(1.0 / self.rate, size=rows)
             for a, out in _cuts(rows, take, grid):
+                # Z = (1 - e^{-theta u}) / theta after the shot, u = t - tau
                 np.subtract(t, tau[a : a + len(out), None], out=out)
-                if theta is None:
-                    np.greater_equal(out, 0.0, out=out)
-                else:
-                    # Z = (1 - e^{-theta u}) / theta after the shot, u = t - tau
-                    np.maximum(out, 0.0, out=out)
-                    out *= -theta
-                    np.expm1(out, out=out)
-                    out /= -theta
+                np.maximum(out, 0.0, out=out)
+                out *= -theta
+                np.expm1(out, out=out)
+                out /= -theta
                 yield out
 
         return passes
@@ -628,7 +598,7 @@ class CompoundPoisson(_Drift):
         times = stream.uniform(0.0, T, counts.sum())
         return times, self.jump.sample(stream, counts.sum()), counts
 
-    def _block_sampler(self, theta: float | None, grid: TimeGrid, tally=None):
+    def _block_sampler(self, theta: float, grid: TimeGrid, tally=None):
         return _event_sampler(self._draw_events, 0.0, theta, grid, tally)
 
     def _mean_z(self, grid: TimeGrid) -> np.ndarray:
@@ -696,7 +666,7 @@ class ShotNoise(_Drift):
         times = self.arrival.sample(stream, counts.sum())
         return times, self.amplitude.sample(stream, counts.sum()), counts
 
-    def _block_sampler(self, theta: float | None, grid: TimeGrid, tally=None):
+    def _block_sampler(self, theta: float, grid: TimeGrid, tally=None):
         return _event_sampler(self._draw_events, self.response_rate, theta, grid, tally)
 
     def _moments(self):
@@ -754,7 +724,7 @@ class BrownianDrift(_Drift):
         if self.trend < 0:
             raise ValueError(f"trend must be nonnegative, got {self.trend}")
 
-    def _block_sampler(self, theta: float | None, grid: TimeGrid, tally=None):
+    def _block_sampler(self, theta: float, grid: TimeGrid, tally=None):
         """z at the nodes as the running sum of sqrt(dt) normals, plus the trend."""
         scale = np.sqrt(grid.dt)
 
@@ -795,7 +765,7 @@ class OUDrift(_Drift):
     def _check_pairing(self, theta: float) -> None:
         _check_distinct("OU drift rate", self.rate, theta, "theta")
 
-    def _block_sampler(self, theta: float | None, grid: TimeGrid, tally=None):
+    def _block_sampler(self, theta: float, grid: TimeGrid, tally=None):
         """z at the nodes through the exact OU transition, one normal per step."""
         lam, n = self.rate, grid.n_nodes
         a = np.exp(-lam * grid.dt)
@@ -835,10 +805,10 @@ class Deterministic(_Drift):
 
     f: Curve
 
-    def _block_sampler(self, theta: float | None, grid: TimeGrid, tally=None):
-        """Draws nothing: every row is f, or I f."""
+    def _block_sampler(self, theta: float, grid: TimeGrid, tally=None):
+        """Draws nothing: every row is I f."""
         _check_same_grid(self.f.grid, grid)
-        curve = self.f.values if theta is None else exp_weighted_values(self.f.values, grid.dt, theta)
+        curve = exp_weighted_values(self.f.values, grid.dt, theta)
 
         def passes(stream, rows, take, ws):
             for _, out in _cuts(rows, take, grid):
@@ -883,31 +853,6 @@ def validate_pairing(model: DriftModel, theta: float) -> None:
     model._check_pairing(theta)
 
 
-def _pass_stream(model, theta, grid: TimeGrid, n_paths: int, master_seed: int, threads=1, tally=None):
-    """(start, pass) of the n_paths-row ensemble (z when theta is None), block b from block_stream(seed, b)."""
-    passes = model._block_sampler(theta, grid, tally)
-    block = lambda b, rows, take, ws: passes(block_stream(master_seed, b), rows, take, ws)
-    return iter_block_passes(block, n_paths, grid.n_nodes, threads)
-
-
-def _one_row(model, theta, grid: TimeGrid, stream) -> Curve:
-    out = np.empty((1, grid.n_nodes))
-    for _ in model._block_sampler(theta, grid)(stream, 1, lambda: out, np.empty(grid.n_nodes)):
-        pass
-    return Curve(grid, out[0])
-
-
-def sample_z_path(model: DriftModel, grid: TimeGrid, stream: np.random.Generator) -> Curve:
-    """One realization of the drift z(t) evaluated at the grid nodes.
-
-    A one-row block drawn from ``stream``: jump processes draw their event
-    times in continuous time and evaluate the node values exactly (the
-    event-driven ones through :func:`event_kernel`); diffusion drifts use
-    exact Gaussian transitions between nodes.
-    """
-    return _one_row(model, None, grid, stream)
-
-
 def sample_Z_path(
     model: DriftModel, theta: float, grid: TimeGrid, stream: np.random.Generator
 ) -> Curve:
@@ -915,12 +860,15 @@ def sample_Z_path(
 
     A one-row block drawn from ``stream``, so it equals the row of an
     ensemble whose block holds that row alone. Event-driven drifts go
-    through :func:`event_kernel` (no grid bias), the single shot uses its
-    closed form, and the two diffusion-driven drifts pass a sampled z path
-    through the exponential integrator.
+    through the batched event kernel (no grid bias), the single shot uses
+    its closed form, and the two diffusion-driven drifts pass a sampled z
+    path through the exponential integrator.
     """
     validate_pairing(model, theta)
-    return _one_row(model, theta, grid, stream)
+    out = np.empty((1, grid.n_nodes))
+    for _ in model._block_sampler(theta, grid)(stream, 1, lambda: out, np.empty(grid.n_nodes)):
+        pass
+    return Curve(grid, out[0])
 
 
 def mean_z(model: DriftModel, grid: TimeGrid) -> Curve:
@@ -997,54 +945,37 @@ def iter_Z_chunks(
     n_paths: int,
     master_seed: int,
     threads: int = 1,
-    chunk: int | None = None,
     censored: list | None = None,
 ):
-    """Yield (start_index, chunk) row ranges of the Z ensemble, in row order.
+    """Yield (start_index, pass) row ranges of the Z ensemble, in row order.
 
-    Streaming form of :func:`Z_path_ensemble`: the block samplers produce
-    each block pass by pass (:func:`timebase.iter_block_passes`), and by
-    default each chunk is one pass, :func:`timebase.slab_rows` rows counted
-    from its block's first row, so a reducer's slabs are the passes
-    themselves. A ``chunk`` of rows gathers the passes into chunks of that
-    many rows. Either way a chunk is a view of a reused buffer, valid until
-    the next chunk is requested: copy it to keep it. No block is ever held
-    whole, every variate is drawn once, and the concatenation of the chunks
-    is bit-identical to the materialized ensemble for any chunk size and
-    thread count. With ``threads`` > 1 worker threads produce whole blocks
-    ahead of the caller.
+    Streaming form of :func:`Z_path_ensemble`: block b is drawn from
+    ``block_stream(master_seed, b)`` by the variant's block sampler, which
+    hands it out pass by pass (:func:`timebase.iter_block_passes`). Each
+    chunk is one pass, :func:`timebase.slab_rows` rows counted from its
+    block's first row, so a reducer's slabs are the passes themselves. A
+    chunk is a view of a reused buffer, valid until the next chunk is
+    requested: copy it to keep it. No block is ever held whole, every
+    variate is drawn once, and the concatenation of the chunks is
+    bit-identical to the materialized ensemble for any thread count. With
+    ``threads`` > 1 worker threads produce whole blocks ahead of the caller.
 
     The block samplers count the censored event times of their blocks, so
     once the last chunk is out the ensemble's (censored, drawn) event count
-    is the same for any chunk size and thread count. It is appended to
-    ``censored`` when that is a list, and an ensemble with more than half of
-    its event times censored raises :class:`CensoringError`.
+    is the same for any thread count. It is appended to ``censored`` when
+    that is a list, and an ensemble with more than half of its event times
+    censored raises :class:`CensoringError`.
     """
     validate_pairing(model, theta)
     tally = []
-    passes = _pass_stream(model, theta, grid, n_paths, master_seed, threads, tally)
-    yield from _gather(passes, chunk, n_paths, grid.n_nodes) if chunk else passes
+    passes = model._block_sampler(theta, grid, tally)
+    block = lambda b, rows, take, ws: passes(block_stream(master_seed, b), rows, take, ws)
+    yield from iter_block_passes(block, n_paths, grid.n_nodes, threads)
     lost, drawn = sum(c for c, _ in tally), sum(n for _, n in tally)
     if censored is not None:
         censored.append((lost, drawn))
     if 2 * lost > drawn:
         raise CensoringError(f"{lost} of {drawn} event times are censored; raise horizon_cap")
-
-
-def _gather(passes, chunk: int, n_paths: int, n_nodes: int):
-    """The rows of (start, pass) pairs regrouped as (start, chunk) views of one chunk-sized buffer."""
-    buf = np.empty((min(chunk, n_paths), n_nodes))
-    start = held = 0
-    for _, rows in passes:
-        while len(rows):
-            k = min(len(buf) - held, len(rows))
-            buf[held : held + k] = rows[:k]
-            held, rows = held + k, rows[k:]
-            if held == len(buf):
-                yield start, buf
-                start, held = start + held, 0
-    if held:
-        yield start, buf[:held]
 
 
 def moments_Z_mc(

@@ -37,6 +37,7 @@ import ctypes
 import importlib.machinery
 import importlib.util
 import io
+import json
 import os
 import queue
 import sys
@@ -64,6 +65,7 @@ __all__ = [
     "iter_slabs",
     "stable_exp_diff",
     "write_csv_columns",
+    "write_json",
 ]
 
 _CSV_FMT = "%.17g"  # full double precision round-trip
@@ -164,10 +166,6 @@ class PathEnsemble:
         if not np.all(np.isfinite(v)):
             raise ValueError("ensemble values must be finite")
 
-    def to_csv(self, path) -> None:
-        header = ["t"] + [f"path_{i}" for i in range(self.n_paths)]
-        write_csv_columns(path, header, [self.grid.times(), *self.values])
-
 
 def write_csv_columns(path, header, columns, labels=None) -> None:
     """Write float columns, optionally after a column of string labels, as CSV.
@@ -193,6 +191,13 @@ def write_csv_columns(path, header, columns, labels=None) -> None:
                 cells.insert(0, labels[lo : lo + block])
             cells = np.column_stack(cells)
             fh.write(row * len(cells) % tuple(cells.ravel().tolist()))
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as JSON with sorted keys and two-space indents, ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _csv_field(text: str) -> str:

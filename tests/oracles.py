@@ -14,12 +14,15 @@ import gmapprox
 from gmapprox import drift as dm
 from gmapprox.sde import LinearSDE, simulate_Y
 from gmapprox.timebase import (
+    _BLOCK,
     Curve,
     PathEnsemble,
     TimeGrid,
+    block_stream,
     derive_stream,
     exp_weighted_values,
     fill_rows,
+    one_pole,
     split_stream,
 )
 
@@ -38,16 +41,73 @@ def exp_weighted_running_integral(g: Curve, theta: float) -> Curve:
     return Curve(g.grid, lfilter([1.0], [1.0, -a], x))
 
 
-def z_path_ensemble(model, grid: TimeGrid, n_paths: int, master_seed: int, threads: int = 1) -> PathEnsemble:
-    """n_paths independent z realizations: the block samplers' pass stream with theta=None.
+def z_rows(model, grid: TimeGrid, stream: np.random.Generator, rows: int) -> np.ndarray:
+    """z at the nodes of ``rows`` paths, from the variates the block sampler draws from ``stream``.
 
-    Block b is drawn from ``block_stream(master_seed, b)``, as the Z
-    ensemble of the same seed is.
+    Brute force from the draws and the closed forms, with none of the
+    package's kernels: an event variant sums every event's response
+    w e^{-lam (t - T)} at every node it reaches (``model._draw_events``),
+    the single shot is a step at its exponential time, the Brownian drift
+    a running sum of sqrt(dt) normals plus the trend, the OU drift its
+    exact transition run by ``lfilter``, and a deterministic drift its curve.
     """
-    values = np.empty((n_paths, grid.n_nodes))
-    for start, rows in dm._pass_stream(model, None, grid, n_paths, master_seed, threads):
-        values[start : start + len(rows)] = rows
-    return PathEnsemble(grid, n_paths, values, master_seed)
+    t = grid.times()
+    if isinstance(model, (dm.CompoundPoisson, dm.ShotNoise)):
+        times, weights, counts = model._draw_events(grid, stream, rows)
+        lam = getattr(model, "response_rate", 0.0)
+        edges = np.concatenate(([0], np.cumsum(counts)))
+        out = np.empty((rows, grid.n_nodes))
+        for r in range(rows):
+            u = t - times[edges[r] : edges[r + 1], None]
+            w = weights[edges[r] : edges[r + 1], None]
+            out[r] = np.sum(np.where(u >= 0, w * np.exp(-lam * np.maximum(u, 0.0)), 0.0), axis=0)
+        return out
+    if isinstance(model, dm.SingleShot):
+        tau = stream.exponential(1.0 / model.rate, size=rows)
+        return (t >= tau[:, None]).astype(float)
+    if isinstance(model, dm.Deterministic):
+        return np.tile(model.f.values, (rows, 1))
+    noise = stream.standard_normal((rows, grid.n_steps))
+    if isinstance(model, dm.BrownianDrift):
+        walk = np.cumsum(noise * np.sqrt(grid.dt), axis=1)
+        return model.trend * t + np.hstack([np.zeros((rows, 1)), walk])
+    lam = model.rate  # OUDrift: U_{k+1} = a U_k + scale * normal_k
+    scale = model.sigma_u * np.sqrt(-np.expm1(-2 * lam * grid.dt) / (2 * lam))
+    steps = np.hstack([np.full((rows, 1), float(model.u0)), scale * noise])
+    return lfilter([1.0], [1.0, -np.exp(-lam * grid.dt)], steps, axis=1)
+
+
+def z_path(model, grid: TimeGrid, stream: np.random.Generator) -> Curve:
+    """One z path by :func:`z_rows`: the path whose Z ``drift.sample_Z_path`` draws from ``stream``."""
+    return Curve(grid, z_rows(model, grid, stream, 1)[0])
+
+
+def z_path_ensemble(model, grid: TimeGrid, n_paths: int, master_seed: int) -> PathEnsemble:
+    """n_paths z paths by :func:`z_rows`, block b from ``block_stream(master_seed, b)`` as the Z ensemble's."""
+    blocks = [
+        z_rows(model, grid, block_stream(master_seed, b), min(_BLOCK, n_paths - lo))
+        for b, lo in enumerate(range(0, n_paths, _BLOCK))
+    ]
+    return PathEnsemble(grid, n_paths, np.vstack(blocks), master_seed)
+
+
+def event_kernel(events, lam: float, theta: float, grid: TimeGrid):
+    """(Z, z) at the nodes, one row per (times, weights) pair in ``events``, through ``drift._EventKernel``.
+
+    Z is the kernel's output. z, the state its Z recurrence reads, is binned
+    and run from the kernel's own z terms and band.
+    """
+    times = np.concatenate([np.asarray(e[0], dtype=float) for e in events])
+    weights = np.concatenate([np.asarray(e[1], dtype=float) for e in events])
+    row = np.repeat(np.arange(len(events)), [len(e[0]) for e in events])
+    kernel = dm._EventKernel(lam, theta, grid)
+    terms = kernel.terms(times, weights, row)
+    shape = (len(events), grid.n_nodes)
+    Z = kernel.rows(terms, 0, np.empty(shape), np.empty(shape[0] * shape[1]))
+    live_row, cell, z_term, _ = terms
+    z = np.zeros(shape)
+    np.add.at(z.reshape(-1), live_row * grid.n_nodes + cell, z_term)
+    return Z, one_pole(z, kernel.z_band)
 
 
 def y_path_ensemble(sde: LinearSDE, n_paths: int, master_seed: int, threads: int = 1) -> PathEnsemble:
@@ -92,6 +152,11 @@ def stacked_chunks(chunks):
         starts.append(start)
         rows.append(chunk.copy())
     return starts, np.vstack(rows)
+
+
+def cut_rows(values: np.ndarray, size: int):
+    """(start, chunk) pairs of ``size`` rows of a materialized ensemble (the last may be shorter)."""
+    return ((lo, values[lo : lo + size]) for lo in range(0, len(values), size))
 
 
 def curve_from_csv(path) -> Curve:

@@ -5,6 +5,7 @@ from gmapprox import drift as dm
 from gmapprox.approx import F2_analytic
 from gmapprox.bounds import BoundCurve, d2_closed, d2_generic, pointwise_mse_streaming
 from gmapprox.timebase import Curve, TimeGrid, slab_rows
+from oracles import cut_rows
 
 THETA = 1.5
 
@@ -177,7 +178,8 @@ class TestPointwiseMSEStreaming:
         g = grid(T=1.0, dt=0.01)
         n = 700
         F = F2_analytic(model, THETA, g).F
-        chunks = lambda: dm.iter_Z_chunks(model, THETA, g, n, 4, chunk=300)
+        Z = dm.Z_path_ensemble(model, THETA, g, n, 4).values
+        chunks = lambda: cut_rows(Z, 300)
         mse, se = pointwise_mse_streaming(chunks(), F, n)
         ref_mse, ref_se = streaming_oracle(chunks(), F, n)
         assert np.array_equal(mse.values, ref_mse)
@@ -191,7 +193,8 @@ class TestPointwiseMSEStreaming:
         model = dm.Poisson(2.0)
         n = 650
         F = F2_analytic(model, THETA, g).F
-        chunks = lambda: dm.iter_Z_chunks(model, THETA, g, n, 4, chunk=300)
+        Z = dm.Z_path_ensemble(model, THETA, g, n, 4).values
+        chunks = lambda: cut_rows(Z, 300)
         mse, se = pointwise_mse_streaming(chunks(), F, n)
         ref_mse, ref_se = streaming_oracle(cut_slabs(chunks(), 4), F, n)
         assert np.array_equal(mse.values, ref_mse)

@@ -85,6 +85,42 @@ class TestConfigValidation:
         p = write_config(tmp_path, **{section: [2, 4]})
         assert main(["simulate", "--config", str(p)]) == EXIT_CONFIG
 
+    EXP = {"type": "exponential", "rate": 2.0}
+    MC = {"n_paths": 300, "seed": 7}
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            # an unknown key would be echoed as if it had been honoured
+            ({"model": {"type": "ou", "rate": 2, "sigma": 5.0}}, "model: unknown keys ['sigma']"),
+            ({"model": {"type": "poisson", "rate": 2.0, "jump": EXP}}, "model: unknown keys ['jump']"),
+            ({"model": {"type": "compound_poisson", "rate": 2.0, "jump": dict(EXP, shape=3.0)}},
+             "model.jump: unknown keys ['shape']"),
+            ({"model": {"type": "shot_noise", "arrival": dict(EXP, lo=0.0)}}, "model.arrival: unknown keys ['lo']"),
+            ({"solver": {"order": 4}}, "config: unknown keys ['solver']"),
+            ({"sde": {"theta": 1.5, "sigma_u": 2.0}}, "sde: unknown keys ['sigma_u']"),
+            ({"grid": {"T": 1.0, "dt": 0.01, "n": 100}}, "grid: unknown keys ['n']"),
+            ({"mc": dict(MC, threads=2)}, "mc: unknown keys ['threads']"),
+            ({"output": {"formats": ["csv"], "dir": "elsewhere"}}, "output: unknown keys ['dir']"),
+            ({"costs": {"p_list": [2, 4], "p": 4}}, "costs: unknown keys ['p']"),
+            # int() would truncate a float and read a bool or a string
+            ({"mc": dict(MC, n_paths=2.9)}, "mc.n_paths must be an integer"),
+            ({"mc": dict(MC, n_paths=300.0)}, "mc.n_paths must be an integer"),
+            ({"mc": dict(MC, n_paths="300")}, "mc.n_paths must be an integer"),
+            ({"mc": dict(MC, seed=True)}, "mc.seed must be an integer"),
+            ({"mc": dict(MC, seed=1.5)}, "mc.seed must be an integer"),
+            ({"mc": dict(MC, seed=None)}, "mc.seed must be an integer"),
+        ],
+        ids=["model_key", "poisson_jump", "distribution_key", "arrival_key", "top_level_key", "sde_key",
+             "grid_key", "mc_key", "output_key", "costs_key", "fractional_paths", "float_paths",
+             "string_paths", "bool_seed", "fractional_seed", "null_seed"],
+    )
+    def test_bad_config_is_a_config_error(self, tmp_path, capsys, section, message):
+        p = write_config(tmp_path, **section)
+        assert main(["costs", "--config", str(p)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_threads_default_is_one(self):
         for command in ("simulate", "approx", "bound", "costs", "table1", "table2", "neuron"):
             assert build_parser().parse_args([command]).threads == 1
@@ -105,6 +141,13 @@ class TestSimulate:
         np.testing.assert_allclose(
             data[:, 2] - data[:, 3], f2[:, 1] - f4[:, 1], atol=1e-12
         )
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_display_paths_below_one_is_a_config_error(self, tmp_path, capsys, n):
+        p = write_config(tmp_path)
+        assert main(["simulate", "--config", str(p), "--display-paths", n]) == EXIT_CONFIG
+        assert "--display-paths must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_deterministic_noise_free_columns_coincide(self, tmp_path):
         p = write_config(

@@ -20,6 +20,7 @@ from gmapprox.costs import (
 )
 from gmapprox.sde import LinearSDE
 from gmapprox.timebase import Curve, PathEnsemble, TimeGrid, child_seed, slab_rows, trapezoid_values
+from oracles import cut_rows
 
 THETA = 1.5
 
@@ -129,7 +130,8 @@ class TestPerPathCostMatrix:
         g = grid(T=2.0, dt=0.01)
         n = 700
         curves = (F2_analytic(model, THETA, g).F.values, np.linspace(0.0, 1.0, g.n_nodes))
-        chunks = lambda: dm.iter_Z_chunks(model, THETA, g, n, 5, chunk=300)
+        Z = dm.Z_path_ensemble(model, THETA, g, n, 5).values
+        chunks = lambda: cut_rows(Z, 300)
         values, se, gap_se = per_path_cost_matrix(chunks(), curves, g.dt, n)
         ref = cost_matrix_oracle(chunks(), curves, g.dt, n)
         for a, p in enumerate((2, 4)):
@@ -148,7 +150,8 @@ class TestPerPathCostMatrix:
         model = dm.Poisson(2.0)
         n = 650
         curves = (F2_analytic(model, THETA, g).F.values, np.linspace(0.0, 1.0, g.n_nodes))
-        chunks = lambda: dm.iter_Z_chunks(model, THETA, g, n, 5, chunk=300)
+        Z = dm.Z_path_ensemble(model, THETA, g, n, 5).values
+        chunks = lambda: cut_rows(Z, 300)
         slabs = lambda: ((s + lo, b[lo : lo + 4]) for s, b in chunks() for lo in range(0, len(b), 4))
         values, se, gap_se = per_path_cost_matrix(chunks(), curves, g.dt, n)
         ref = cost_matrix_oracle(slabs(), curves, g.dt, n)

@@ -7,15 +7,25 @@ from gmapprox import approx as approx_mod
 from gmapprox import drift as dm
 from gmapprox import timebase
 from gmapprox.bounds import d2_closed
+from gmapprox.costs import per_path_cost_matrix
 from gmapprox.timebase import (
     Curve,
     TimeGrid,
     block_stream,
     derive_stream,
+    exp_weighted_values,
     one_pole,
     stable_exp_diff,
 )
-from oracles import convolution_oracle, exp_weighted_running_integral, stacked_chunks, z_path_ensemble
+from oracles import (
+    convolution_oracle,
+    cut_rows,
+    event_kernel,
+    exp_weighted_running_integral,
+    stacked_chunks,
+    z_path,
+    z_path_ensemble,
+)
 
 THETA = 1.5
 
@@ -106,25 +116,11 @@ class TestZPaths:
         g = grid()
         f = Curve.from_function(g, lambda t: np.sin(t))
         model = dm.Deterministic(f)
-        a = dm.sample_z_path(model, g, derive_stream(0, 0))
-        b = dm.sample_z_path(model, g, derive_stream(99, 1))
-        assert np.array_equal(a.values, f.values)
-        assert np.array_equal(b.values, f.values)
-
-    def test_single_shot_is_a_step(self):
-        g = grid()
-        z = dm.sample_z_path(dm.SingleShot(2.0), g, derive_stream(5, 3)).values
-        assert set(np.unique(z)) <= {0.0, 1.0}
-        assert np.all(np.diff(z) >= 0)
-        # the step location equals the stream's exponential draw
-        tau = derive_stream(5, 3).exponential(1 / 2.0)
-        np.testing.assert_array_equal(z, (g.times() >= tau).astype(float))
-
-    def test_poisson_counting_path(self):
-        g = grid(T=2.0)
-        z = dm.sample_z_path(dm.Poisson(3.0), g, derive_stream(7, 1)).values
-        assert np.all(z == np.round(z))
-        assert np.all(np.diff(z) >= 0)
+        a = dm.sample_Z_path(model, THETA, g, derive_stream(0, 0))
+        b = dm.sample_Z_path(model, THETA, g, derive_stream(99, 1))
+        acc = exp_weighted_values(f.values, g.dt, THETA)
+        assert np.array_equal(a.values, acc)
+        assert np.array_equal(b.values, acc)
 
     def test_poisson_ensemble_mean(self):
         # E[N(1)] = rate
@@ -133,16 +129,6 @@ class TestZPaths:
         end = ens.values[:, -1]
         se = end.std(ddof=1) / np.sqrt(len(end))
         assert end.mean() == pytest.approx(2.0, abs=4 * se)
-
-    def test_compound_poisson_piecewise_constant(self):
-        g = grid(T=2.0, dt=1e-3)
-        model = dm.CompoundPoisson(2.0, dm.Exponential(2.0))
-        z = dm.sample_z_path(model, g, derive_stream(11, 0)).values
-        jumps = np.nonzero(np.diff(z))[0]
-        # number of value changes equals the Poisson draw of the same stream
-        n = derive_stream(11, 0).poisson(2.0 * 2.0)
-        assert len(jumps) == n
-        assert z[0] == 0.0
 
 
 class TestAccumulatedPaths:
@@ -176,7 +162,7 @@ class TestAccumulatedPaths:
         # two independent constructions of the same realization
         g = grid(T=1.0, dt=1e-3)
         model = dm.Poisson(2.0)
-        z = dm.sample_z_path(model, g, derive_stream(seed, 0))
+        z = z_path(model, g, derive_stream(seed, 0))
         z_acc = dm.sample_Z_path(model, THETA, g, derive_stream(seed, 0))
         quad = exp_weighted_running_integral(z, THETA)
         assert np.max(np.abs(z_acc.values - quad.values)) < 1e-3
@@ -184,7 +170,7 @@ class TestAccumulatedPaths:
     def test_shot_noise_jump_sum_vs_quadrature(self):
         g = grid(T=10.0, dt=1e-3)
         model = dm.ShotNoise()
-        z = dm.sample_z_path(model, g, derive_stream(23, 5))
+        z = z_path(model, g, derive_stream(23, 5))
         z_acc = dm.sample_Z_path(model, 0.1, g, derive_stream(23, 5))
         quad = exp_weighted_running_integral(z, 0.1)
         assert np.max(np.abs(z_acc.values - quad.values)) < 1e-3
@@ -302,11 +288,10 @@ class TestEnsembles:
         g = grid(T=1.0, dt=0.05)
         model = dm.OUDrift(2.0, 1.0, 1.0)
         full = dm.Z_path_ensemble(model, THETA, g, 100, master_seed=9).values
-        _, parts = stacked_chunks(dm.iter_Z_chunks(model, THETA, g, 100, 9, chunk=17))
+        _, parts = stacked_chunks(dm.iter_Z_chunks(model, THETA, g, 100, 9))
         assert np.array_equal(parts, full)
 
-    # 20,001 nodes: a pass holds 4 rows, so chunks of 17 rows cut through
-    # passes
+    # 20,001 nodes: a pass holds 4 rows
     @pytest.mark.parametrize(
         "model",
         [
@@ -320,7 +305,7 @@ class TestEnsembles:
         g = grid(T=2.0, dt=1e-4)
         n, seed = 40, 12
         full = dm.Z_path_ensemble(model, THETA, g, n, master_seed=seed).values
-        _, parts = stacked_chunks(dm.iter_Z_chunks(model, THETA, g, n, seed, chunk=17))
+        _, parts = stacked_chunks(dm.iter_Z_chunks(model, THETA, g, n, seed))
         assert np.array_equal(parts, full)
         threaded = dm.Z_path_ensemble(model, THETA, g, n, master_seed=seed, threads=3).values
         assert np.array_equal(threaded, full)
@@ -329,7 +314,7 @@ class TestEnsembles:
         edges = np.concatenate(([0], np.cumsum(counts)))
         for i in (0, 23, n - 1):
             events = [(times[edges[i] : edges[i + 1]], weights[edges[i] : edges[i + 1]])]
-            row = dm.event_kernel(events, getattr(model, "response_rate", 0.0), THETA, g)[0][0]
+            row = event_kernel(events, getattr(model, "response_rate", 0.0), THETA, g)[0][0]
             assert np.array_equal(row, full[i])
         # a block of one row is sample_Z_path on the block's stream
         one = dm.Z_path_ensemble(model, THETA, g, 1, master_seed=seed).values[0]
@@ -341,25 +326,35 @@ BLOCK_MODELS = ALL_MODELS + [dm.Deterministic(Curve.from_function(grid(T=2.0, dt
 
 @pytest.mark.parametrize("model", BLOCK_MODELS, ids=lambda m: type(m).__name__)
 def test_block_contract_reproducible(model):
-    """Every variant: threads 1, 2, 4 and chunks 1, 17, 511, 512, 513 and the default agree.
+    """Every variant: threads 1, 2, 4 agree, and the reducers read chunks of 1, 17, 511, 512, 513 rows alike.
 
     1,025 paths make three blocks, the last holding one path, which is
-    ``sample_Z_path`` (and ``sample_z_path`` for z) on that block's stream.
+    ``sample_Z_path`` on that block's stream. The materialized ensemble, cut
+    into chunks of each size, gives the per-path costs of the streamed
+    passes, and cut on block boundaries also their moments.
     """
     g = grid(T=2.0, dt=0.05)
     n, seed = 1025, 7
     full = dm.Z_path_ensemble(model, THETA, g, n, master_seed=seed).values
     for threads in (2, 4):
         assert np.array_equal(dm.Z_path_ensemble(model, THETA, g, n, seed, threads=threads).values, full)
-    # the default chunk is one pass: slab_rows rows, counted from each block's start
+    # a chunk is one pass: slab_rows rows, counted from each block's start
     one_pass = timebase.slab_rows(g.n_nodes)
-    for chunk, threads in ((1, 2), (17, 2), (511, 2), (512, 2), (513, 2), (None, 2), (None, 4)):
-        starts, parts = stacked_chunks(dm.iter_Z_chunks(model, THETA, g, n, seed, threads=threads, chunk=chunk))
-        assert starts == list(range(0, n, chunk or one_pass))
+    for threads in (2, 4):
+        starts, parts = stacked_chunks(dm.iter_Z_chunks(model, THETA, g, n, seed, threads=threads))
+        assert starts == list(range(0, n, one_pass))
         assert np.array_equal(parts, full)
+    curves = (np.zeros(g.n_nodes), np.linspace(0.0, 1.0, g.n_nodes))
+    streamed = per_path_cost_matrix(dm.iter_Z_chunks(model, THETA, g, n, seed, threads=2), curves, g.dt, n)
+    for size in (1, 17, 511, 512, 513):
+        cut = per_path_cost_matrix(cut_rows(full, size), curves, g.dt, n)
+        for a, b in zip(cut, streamed):
+            assert np.array_equal(a, b), size
+    mom = dm.moments_Z_mc(model, THETA, g, n, seed, threads=2)
+    cut_mom = dm.moments_from_chunks(cut_rows(full, 512), g, n)
+    for name in ("m1", "var", "mu3", "se1"):
+        assert np.array_equal(getattr(cut_mom, name).values, getattr(mom, name).values), name
     assert np.array_equal(dm.sample_Z_path(model, THETA, g, block_stream(seed, 2)).values, full[1024])
-    z = z_path_ensemble(model, g, n, seed, threads=2).values
-    assert np.array_equal(dm.sample_z_path(model, g, block_stream(seed, 2)).values, z[1024])
     # the rows of a partial block do not draw the block's missing rows
     if not isinstance(model, dm.Deterministic):
         assert not np.array_equal(full[1024], full[0]) and not np.array_equal(full[1024], full[512])
@@ -418,7 +413,7 @@ def dense_oracle(times, weights, lam, theta, g):
 
 
 def assert_matches_oracle(events, lam, theta, g, rtol=1e-12):
-    Z, z = dm.event_kernel(events, lam, theta, g)
+    Z, z = event_kernel(events, lam, theta, g)
     assert Z.shape == z.shape == (len(events), g.n_nodes)
     for r, (times, weights) in enumerate(events):
         Z_ref, z_ref = dense_oracle(times, weights, lam, theta, g)
@@ -472,7 +467,7 @@ class TestEventKernel:
         rng = np.random.default_rng(seed)
         k = rng.poisson(rate_T)
         times, weights = rng.uniform(0.0, T, k), rng.exponential(1.0, k)
-        Z, z = dm.event_kernel([(times, weights)], lam, theta, g)
+        Z, z = event_kernel([(times, weights)], lam, theta, g)
         assert np.all(np.isfinite(Z)) and np.all(np.isfinite(z))
         # the dense oracle at a few nodes only: O(events) each
         t = g.times()
@@ -496,25 +491,18 @@ class TestEventKernel:
             (t[[0, 3, 10]], np.array([1.0, 2.0, 3.0])),  # exactly on nodes, one at t = 0
             (np.array([0.35, g.horizon_T, np.inf]), np.array([1.0, 5.0, 7.0])),  # after t[-1]
         ]
-        Z, z = dm.event_kernel(events, lam, THETA, g)
+        Z, z = event_kernel(events, lam, THETA, g)
         assert Z.dtype == z.dtype == np.float64
         assert np.array_equal(Z[0], np.zeros(g.n_nodes))
         assert np.array_equal(z[0], np.zeros(g.n_nodes))
         # an event at t = 0 contributes to z but not to Z at t = 0
         assert z[1, 0] == 1.0 and Z[1, 0] == 0.0
         assert_matches_oracle(events[:2] + [(events[2][0][:2], events[2][1][:2])], lam, THETA, g)
-        assert np.array_equal(Z[2], dm.event_kernel([events[2]], lam, THETA, g)[0][0])
+        assert np.array_equal(Z[2], event_kernel([events[2]], lam, THETA, g)[0][0])
 
     def test_no_event_before_T_in_any_row(self):
         g = grid(T=1.0, dt=1e-2)
         events = [(np.array([2.0, 3.0]), np.array([1.0, 1.0]))] * 3
-        Z, z = dm.event_kernel(events, 1.0, THETA, g)
+        Z, z = event_kernel(events, 1.0, THETA, g)
         assert Z.dtype == np.float64
         assert not Z.any() and not z.any()
-
-    def test_z_only(self):
-        g = grid()
-        events = [(np.array([0.25, 0.5]), np.array([1.0, 2.0]))]
-        Z, z = dm.event_kernel(events, 0.0, None, g)
-        assert Z is None
-        assert np.array_equal(z[0], dm.event_kernel(events, 0.0, THETA, g)[1][0])

@@ -12,7 +12,7 @@ from gmapprox import drift as dm
 from gmapprox import cli, neuro, timebase
 from gmapprox.approx import Approximant, F2_analytic, fit
 from gmapprox.bounds import d2_closed
-from gmapprox.costs import cost_block
+from gmapprox.costs import cost_block, per_path_cost_matrix
 from gmapprox.neuro import (
     CENSORED,
     TABLE2_PARAMS,
@@ -30,6 +30,8 @@ from oracles import (
     bridge_first_passages,
     convolution_oracle,
     convolve_response,
+    cut_rows,
+    event_kernel,
     gamma_pdf,
     stacked_chunks,
     z_path_ensemble,
@@ -573,9 +575,7 @@ class TestBuildDriftFromNetwork:
     def test_zero_amplitude(self):
         g = grid()
         model = network(dm.Exponential(1 / 15), amplitude=dm.PointMass(0.0))
-        z = dm.sample_z_path(model, g, derive_stream(1, 1))
         Z = build_drift_from_network(model, 0.1, g, derive_stream(1, 1))
-        assert np.array_equal(z.values, np.zeros(g.n_nodes))
         assert np.array_equal(Z.values, np.zeros(g.n_nodes))
 
     def test_exponential_mean_drive_matches_phi(self):
@@ -597,9 +597,8 @@ class TestBuildDriftFromNetwork:
         assert len(np.unique(np.round(a, 12))) == 10
 
     def test_network_chunks_reproducible(self):
-        # 1,025 trials: three blocks, the last holding one trial; chunks of 17
-        # and 513 cut through blocks, and worker threads produce whole blocks. A
-        # 5 ms cap censors some inputs
+        # 1,025 trials: three blocks, the last holding one trial, and worker
+        # threads produce whole blocks. A 5 ms cap censors some inputs
         g = grid(T=10.0, dt=0.1)
         arrival = dm.SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=5.0)
         model = network(arrival, M=2)
@@ -607,13 +606,13 @@ class TestBuildDriftFromNetwork:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # threads interleave often: a lost tally entry would change the count
         try:
-            for threads, chunk in ((1, 512), (2, 512), (4, 512), (1, 17), (2, 511), (1, 513)):
+            for threads in (1, 2, 4):
                 cens = []
-                blocks = dm.iter_Z_chunks(model, 0.1, g, 1025, 8, threads, chunk=chunk, censored=cens)
-                runs[threads, chunk] = (stacked_chunks(blocks)[1], cens)
+                blocks = dm.iter_Z_chunks(model, 0.1, g, 1025, 8, threads, censored=cens)
+                runs[threads] = (stacked_chunks(blocks)[1], cens)
         finally:
             sys.setswitchinterval(switch)
-        ref, cens = runs[1, 512]
+        ref, cens = runs[1]
         # every censored input of the three blocks is counted once: a fixed
         # count draws nothing, so each block's first draws are its firing times
         taus = [arrival.sample(block_stream(8, b), 2 * r) for b, r in enumerate((512, 512, 1))]
@@ -624,10 +623,10 @@ class TestBuildDriftFromNetwork:
         stream = block_stream(8, 2)
         times = neuro.first_passage_law(TABLE2_LIF, 1e-2, 5.0).sample(stream, 2)
         weights = stream.uniform(0.5, 1.5, 2)
-        Z, _ = dm.event_kernel([(times, weights)], 1.0, 0.1, g)
+        Z, _ = event_kernel([(times, weights)], 1.0, 0.1, g)
         assert np.array_equal(Z[0], ref[1024])
         assert np.array_equal(build_drift_from_network(model, 0.1, g, block_stream(8, 2)).values, ref[1024])
-        _, one = stacked_chunks(dm.iter_Z_chunks(model, 0.1, g, 1, 8, chunk=1))
+        _, one = stacked_chunks(dm.iter_Z_chunks(model, 0.1, g, 1, 8))
         assert np.array_equal(build_drift_from_network(model, 0.1, g, block_stream(8, 0)).values, one[0])
 
     def test_network_moments_identical_for_any_thread_count(self):
@@ -642,10 +641,14 @@ class TestBuildDriftFromNetwork:
                 assert np.array_equal(getattr(mom, name).values, getattr(runs[0], name).values), name
 
     def test_network_chunks_of_one_trial(self):
+        # the network's ensemble cut into chunks of one trial gives the per-path costs of its passes
         g = grid(T=10.0, dt=0.1)
         model = network(dm.SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=5.0), M=2)
-        _, ref = stacked_chunks(dm.iter_Z_chunks(model, 0.1, g, 40, 3))
-        assert np.array_equal(stacked_chunks(dm.iter_Z_chunks(model, 0.1, g, 40, 3, chunk=1))[1], ref)
+        curves = (np.zeros(g.n_nodes), np.linspace(0.0, 1.0, g.n_nodes))
+        ref = per_path_cost_matrix(dm.iter_Z_chunks(model, 0.1, g, 40, 3), curves, g.dt, 40)
+        one = per_path_cost_matrix(cut_rows(dm.Z_path_ensemble(model, 0.1, g, 40, 3).values, 1), curves, g.dt, 40)
+        for a, b in zip(one, ref):
+            assert np.array_equal(a, b)
 
     def test_rejects_response_equal_theta(self):
         with pytest.raises(dm.PairingError):

@@ -10,7 +10,6 @@ from scipy.signal import lfilter
 from gmapprox import timebase
 from gmapprox.timebase import (
     Curve,
-    PathEnsemble,
     TimeGrid,
     child_seed,
     derive_stream,
@@ -103,14 +102,6 @@ class TestCurve:
         c.to_csv(p)
         back = curve_from_csv(p)
         assert np.array_equal(back.values, c.values)
-
-    def test_ensemble_csv_header(self, tmp_path):
-        g = grid(1.0, 0.5)
-        e = PathEnsemble(g, 2, np.arange(6, dtype=float).reshape(2, 3), master_seed=7)
-        p = tmp_path / "e.csv"
-        e.to_csv(p)
-        head = p.read_text().splitlines()[0]
-        assert head == "t,path_0,path_1"
 
 
 class TestTrapezoid:
