@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -109,6 +110,8 @@ def parse_distribution(spec, where: str) -> drift_mod.Distribution:
         raise ConfigError(f"{where}: distribution {tag!r} is missing fields {missing}")
     try:
         return cls(**{f: spec[f] for f in fields})
+    except TypeError as exc:
+        raise ConfigError(f"{where}: a field of distribution {tag!r} has the wrong type ({exc})") from exc
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -165,6 +168,8 @@ def parse_model(spec, grid: TimeGrid, where: str = "model") -> drift_mod.DriftMo
         raise
     except KeyError as exc:
         raise ConfigError(f"{where}: missing field {exc} for model {tag!r}") from exc
+    except TypeError as exc:
+        raise ConfigError(f"{where}: a field of model {tag!r} has the wrong type ({exc})") from exc
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -221,6 +226,13 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _number(value, where: str) -> float:
+    # a JSON number: not a bool or a string that float() would read, nor NaN or Infinity
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentConfig:
     raw = {}
     if path is not None:
@@ -236,18 +248,17 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
     sde_spec, grid_spec, mc, out, costs = (
         _object(raw.get(name, {}), name, keys) for name, keys in _SECTION_KEYS.items()
     )
-    try:
-        cfg.theta = float(sde_spec.get("theta", cfg.theta))
-        cfg.sigma = float(sde_spec.get("sigma", cfg.sigma))
-        cfg.x0 = float(sde_spec.get("x0", cfg.x0))
-        cfg.T = float(grid_spec.get("T", cfg.T))
-        cfg.dt = float(grid_spec.get("dt", cfg.dt))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    cfg.theta = _number(sde_spec.get("theta", cfg.theta), "sde.theta")
+    cfg.sigma = _number(sde_spec.get("sigma", cfg.sigma), "sde.sigma")
+    cfg.x0 = _number(sde_spec.get("x0", cfg.x0), "sde.x0")
+    cfg.T = _number(grid_spec.get("T", cfg.T), "grid.T")
+    cfg.dt = _number(grid_spec.get("dt", cfg.dt), "grid.dt")
     cfg.n_paths = _integer(mc.get("n_paths", cfg.n_paths), "mc.n_paths")
     cfg.seed = _integer(mc.get("seed", cfg.seed), "mc.seed")
     p_list = costs.get("p_list", list(costs_mod.P_ORDERS))
     cfg.out_dir = out.get("directory", cfg.out_dir)
+    if not isinstance(cfg.out_dir, str):
+        raise ConfigError(f"output.directory must be a string, got {cfg.out_dir!r}")
     formats = out.get("formats", list(cfg.formats))
     cfg.neuron = raw.get("neuron", {})
 

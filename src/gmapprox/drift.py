@@ -57,14 +57,13 @@ from .response import (
 from .timebase import (
     Curve,
     PathEnsemble,
+    PoleRun,
     TimeGrid,
     block_stream,
     exp_weight_in_place,
     exp_weighted_values,
     iter_block_passes,
     iter_slabs,
-    one_pole,
-    pole_band,
     slab_rows,
     stable_exp_diff,
 )
@@ -400,8 +399,7 @@ def _diffusion_sampler(increments, mean: np.ndarray, theta: float, grid: TimeGri
     then turns z into Z in place.
     """
     dt = grid.dt
-    w = np.exp(-theta * dt)
-    w_band = pole_band(w, grid.n_nodes)
+    run = PoleRun(np.exp(-theta * dt), grid.n_steps)
 
     def passes(stream, rows, take, ws):
         for _, out in _cuts(rows, take, grid):
@@ -410,7 +408,7 @@ def _diffusion_sampler(increments, mean: np.ndarray, theta: float, grid: TimeGri
             out[:, 0] = 0.0
             increments(noise, out)
             out += mean
-            exp_weight_in_place(out, w, dt, noise, w_band)  # the spent normals are its scratch
+            exp_weight_in_place(out, run, dt, noise)  # the spent normals are its scratch
             yield out
 
     return passes
@@ -435,15 +433,15 @@ class _EventKernel:
     1, so the result stays finite for any theta T. Events after the last
     node, including infinite (censored) times, never reach a node and are
     dropped. A row's values do not depend on the other rows. The node times,
-    the bands of the two recurrences and K(dt) are built once, for every
-    pass of every block.
+    the :class:`timebase.PoleRun` of each recurrence and K(dt) are built
+    once, for every pass of every block.
     """
 
     def __init__(self, lam: float, theta: float, grid: TimeGrid):
         self.t, self.n = grid.times(), grid.n_nodes
         self.lam, self.theta = lam, theta
-        self.z_band = pole_band(np.exp(-lam * grid.dt), self.n)
-        self.Z_band = pole_band(np.exp(-theta * grid.dt), self.n)
+        self.z_run = PoleRun(np.exp(-lam * grid.dt), self.n)
+        self.Z_run = PoleRun(np.exp(-theta * grid.dt), self.n)
         self.k_dt = stable_exp_diff(lam, theta, grid.dt)
 
     def terms(self, times, weights, row):
@@ -462,22 +460,23 @@ class _EventKernel:
     def rows(self, terms, lo: int, out, ws):
         """Z of rows lo.. into ``out``, a C-contiguous (rows, n) array.
 
-        ``ws`` holds at least ``out.size`` cells, for z. Events are binned by
-        ``fill(0)`` and ``np.add.at``, which add each bin's terms in event
+        ``ws`` holds at least ``out.size`` cells, for the binned terms of
+        each recurrence; z runs into ``out`` before Z does. Events are binned
+        by ``fill(0)`` and ``np.add.at``, which add each bin's terms in event
         order, as ``np.bincount`` does.
         """
         row, cell, z_term, Z_term = terms
         e0, e1 = np.searchsorted(row, (lo, lo + len(out)))
         idx = (row[e0:e1] - lo) * self.n + cell[e0:e1]
-        z = ws[: out.size].reshape(out.shape)
-        z.fill(0.0)
-        np.add.at(z.reshape(-1), idx, z_term[e0:e1])
-        one_pole(z, self.z_band)
-        out.fill(0.0)
-        np.add.at(out.reshape(-1), idx, Z_term[e0:e1])
+        x = ws[: out.size].reshape(out.shape)
+        x.fill(0.0)
+        np.add.at(x.reshape(-1), idx, z_term[e0:e1])
+        z = self.z_run(x, out)
+        x.fill(0.0)
+        np.add.at(x.reshape(-1), idx, Z_term[e0:e1])
         z[:, :-1] *= self.k_dt  # z is spent: K(dt) z_{k-1} in place
-        out[:, 1:] += z[:, :-1]
-        return one_pole(out, self.Z_band)
+        x[:, 1:] += z[:, :-1]
+        return self.Z_run(x, out)
 
 
 # ---------------------------------------------------------------------------
@@ -770,11 +769,11 @@ class OUDrift(_Drift):
         lam, n = self.rate, grid.n_nodes
         a = np.exp(-lam * grid.dt)
         scale = self.sigma_u * np.sqrt(-np.expm1(-2 * lam * grid.dt) / (2 * lam))
-        band = pole_band(a, n)
+        run = PoleRun(a, grid.n_steps)
 
         def transition(noise, out):
-            np.multiply(noise, scale, out=out[:, 1:])
-            one_pole(out, band)
+            noise *= scale
+            run(noise, out[:, 1:])
 
         return _diffusion_sampler(transition, self.u0 * a ** np.arange(n), theta, grid)
 

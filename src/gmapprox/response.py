@@ -26,7 +26,7 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .timebase import Curve, TimeGrid, one_pole
+from .timebase import Curve, PoleRun, TimeGrid
 
 __all__ = [
     "response_moment_curves",
@@ -63,23 +63,30 @@ _GAUSS_NODES = 16  # quadrature nodes per grid cell for a convolution with a den
 _LEGENDRE = leggauss(_GAUSS_NODES)  # Gauss-Legendre nodes and weights on [-1, 1]
 
 
-def _chain_expm(rates, u: float) -> np.ndarray:
-    """exp(u M) for the chain generator of ``rates``, accurate entry by entry."""
+def _chain_expm(rates, u) -> np.ndarray:
+    """exp(u M) for the chain generator of ``rates``, accurate entry by entry.
+
+    ``u`` is one offset or an array of them, giving an array of shape
+    u.shape + (m, m). The offsets share one scaling and squaring: the
+    squaring count is set by the largest, and the Taylor series runs until
+    its terms are negligible for all of them.
+    """
     r = np.asarray(rates, dtype=float)
+    u = np.asarray(u, dtype=float)
     m = r.size
     s = r.max()
     P = np.diag(s - r) + np.eye(m, k=-1)  # M + s I, nonnegative
-    norm = u * (np.max(s - r) + 1.0)
+    norm = u.max() * (np.max(s - r) + 1.0)
     q = int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0
-    hP = (u / 2.0**q) * P
+    hP = (u[..., None, None] / 2.0**q) * P
     term = np.eye(m)
-    E = np.eye(m)
+    E = np.broadcast_to(term, hP.shape).copy()
     for j in range(1, 100):
         term = term @ hP / j
         E += term
         if j >= m and np.all(term <= 1e-17 * E):
             break
-    E *= math.exp(-s * u / 2.0**q)
+    E *= np.exp(-s * u / 2.0**q)[..., None, None]
     for _ in range(q):
         E = E @ E
     return E
@@ -89,14 +96,14 @@ def _chain_run(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """States v_k = A v_{k-1} + x_k along the last axis of ``x``, from v_{-1} = 0.
 
     A is a lower-triangular nonnegative step matrix, so each component is one
-    first-order recurrence (:func:`timebase.one_pole`) fed by the components
-    before it. The states overwrite ``x``, whose rows must be contiguous, and
-    ``x`` is returned.
+    first-order recurrence from rest with pole A[j, j] (a
+    :class:`timebase.PoleRun`), fed by the components before it. The states
+    overwrite ``x``, whose rows must be contiguous, and ``x`` is returned.
     """
     for j in range(x.shape[0]):
         if j:
             x[j, 1:] += A[j, :j] @ x[:j, :-1]
-        one_pole(x[j], A[j, j])
+        PoleRun(A[j, j], x.shape[1])(x[j].copy(), x[j])
     return x
 
 
@@ -129,7 +136,7 @@ def _gamma_convolution(rates, nu: float, alpha: float, grid: TimeGrid) -> np.nda
     m, n, dt = len(rates), grid.n_nodes, grid.dt
     t = grid.times()
     logc = alpha * math.log(nu) - math.lgamma(alpha)
-    states = lambda u: np.stack([_chain_expm(rates, x)[:, 0] for x in u], axis=1)
+    states = lambda u: _chain_expm(rates, u)[:, :, 0].T  # v at each offset, as columns
     x = np.zeros((m, n))
     xj, wj = _gauss_jacobi(_GAUSS_NODES, alpha - 1.0)
     s = 0.5 * dt * (1.0 + xj)

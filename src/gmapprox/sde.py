@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .timebase import Curve, TimeGrid, exp_weighted_values, one_pole
+from .timebase import Curve, PoleRun, TimeGrid, exp_weighted_values
 
 __all__ = [
     "LinearSDE",
@@ -49,7 +49,7 @@ def _y_values(sde: LinearSDE, stream: np.random.Generator) -> np.ndarray:
     x = np.zeros(sde.grid.n_nodes)
     if sde.sigma > 0:
         x[1:] = s * stream.standard_normal(sde.grid.n_steps)
-    one_pole(x, a)
+    x = PoleRun(a, sde.grid.n_nodes)(x)
     x += sde.x0 * a ** np.arange(sde.grid.n_nodes)
     return x
 

@@ -24,10 +24,14 @@ block boundaries cut into the same sequence of slabs, so a reduction that
 combines slab partials in row order gives the same bits for any thread count
 and any such chunking.
 
-Every first-order recurrence runs through :func:`one_pole`, one call of
-LAPACK's ``dtbtrs``. The routine comes from scipy's Cython LAPACK table,
-the extension module ``scipy.linalg.cython_lapack``, which is loaded on its
-own: the ``scipy.linalg`` package and its Python modules are never imported.
+Every first-order recurrence that starts from rest runs through a
+:class:`PoleRun`, built once per pole and row length: numpy matrix products
+on blocks of each row, every factor a power of the pole. A run that continues
+one that ended earlier, with its state carried as a leading column, goes
+through :func:`one_pole`, one call of LAPACK's ``dtbtrs``. That routine
+comes from scipy's Cython LAPACK table, the extension module
+``scipy.linalg.cython_lapack``, which is loaded on its own: the
+``scipy.linalg`` package and its Python modules are never imported.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ __all__ = [
     "Curve",
     "PathEnsemble",
     "trapezoid",
+    "PoleRun",
     "one_pole",
     "pole_band",
     "derive_stream",
@@ -74,6 +79,12 @@ _BLOCK = 512  # ensemble rows per random stream: part of the reproducibility con
 # Cells (rows x columns) of every transient array in one pass of a sampler and
 # of every reducer slab: bounds the working set at about 1 MiB of float64.
 _KERNEL_CELLS = 2**17
+_RUN_BLOCK = 16  # columns per block of a PoleRun
+_RUN_DENSE = 64  # a PoleRun over at most this many columns is one dense product
+# Entry (j, i) is i - j, the index of a^{i-j} in a list of powers, on and above the
+# diagonal, and -1 below it, which picks the 0 that ends the list.
+_TOEPLITZ = np.subtract.outer(np.arange(_RUN_DENSE), np.arange(_RUN_DENSE)).T
+_TOEPLITZ[_TOEPLITZ < 0] = -1
 
 
 @dataclass(frozen=True)
@@ -233,23 +244,90 @@ def exp_weighted_values(values: np.ndarray, dt: float, theta: float) -> np.ndarr
         raise ValueError(f"theta must be positive, got {theta}")
     h = np.array(values, dtype=float, order="C")
     scratch = np.empty(h.shape[:-1] + (h.shape[-1] - 1,))
-    return exp_weight_in_place(h, np.exp(-theta * dt), dt, scratch)
+    return exp_weight_in_place(h, PoleRun(np.exp(-theta * dt), h.shape[-1] - 1), dt, scratch)
 
 
-def exp_weight_in_place(h: np.ndarray, a: float, dt: float, scratch: np.ndarray, band=None) -> np.ndarray:
-    """Overwrite the node values g in ``h`` with :func:`exp_weighted_values` (g, dt, theta), a = e^{-theta dt}.
+def exp_weight_in_place(h: np.ndarray, run: PoleRun, dt: float, scratch: np.ndarray) -> np.ndarray:
+    """Overwrite the node values g in ``h`` with :func:`exp_weighted_values` (g, dt, theta).
 
-    ``h`` is as :func:`one_pole` takes it, ``scratch`` any float64 array of
-    h's shape less one column, and ``band`` the recurrence's :func:`pole_band`
-    when the caller keeps one; nothing is allocated.
+    ``run`` is the :class:`PoleRun` of the pole e^{-theta dt} over the
+    steps, one column fewer than h's rows; a caller that weights many arrays
+    builds it once. h's rows must be contiguous. ``scratch`` is a
+    C-contiguous float64 array of h's shape less one column; its contents
+    are spent. Nothing is allocated beyond the run's block ends.
     """
-    # x_k = (dt / 2)(a g_{k-1} + g_k), x_0 = 0; then H_k = a H_{k-1} + x_k
-    np.multiply(h[..., :-1], a, out=scratch)
+    # x_k = (dt / 2)(a g_{k-1} + g_k) for k >= 1; H_0 = 0, then H_k = a H_{k-1} + x_k
+    np.multiply(h[..., :-1], run.a, out=scratch)
     scratch += h[..., 1:]
     scratch *= 0.5 * dt
     h[..., 0] = 0.0
-    h[..., 1:] = scratch
-    return one_pole(h, a if band is None else band)
+    run(scratch, h[..., 1:])
+    return h
+
+
+class PoleRun:
+    """y_k = a y_{k-1} + x_k from rest (y_{-1} = 0) along rows of n columns, 0 <= a <= 1.
+
+    Built once per (a, n) and called on any number of rows. A row of at most
+    ``_RUN_DENSE`` columns is one product with the n x n lower-triangular
+    Toeplitz matrix T of a^{i-j}. A longer row is cut into blocks of
+    L = ``_RUN_BLOCK`` columns and a tail of fewer:
+
+    - the state c_b at the end of block b follows the same recurrence with
+      pole a^L, fed by each block's end state from rest, so it is a PoleRun
+      over the n // L blocks;
+    - a c_{b-1} is added to block b's first input (the tail is the block
+      after the last), and then each block is one product with T of L.
+
+    Every factor is a power of a, at most 1, so no scale grows with the row
+    length and a run stays finite at any theta T (a prefix-sum scan of
+    a^{-k} x_k, as in Blelloch 1990, would have to be cut to keep a^{-k}
+    finite). The products run on the (rows, blocks, L) view, so each row is
+    a GEMM of its own whose shape depends only on n: a row's bits are the
+    same for any row count, thread count and BLAS threading.
+    """
+
+    def __init__(self, a: float, n: int):
+        self.a, self.n = float(a), n
+        width = n if n <= _RUN_DENSE else _RUN_BLOCK
+        powers = np.empty(width + 1)
+        np.power(self.a, np.arange(width, dtype=float), out=powers[:width])
+        powers[width] = 0.0  # what _TOEPLITZ's -1 entries pick
+        # the transpose of T: a row times it runs the recurrence over `width` columns
+        self.step = powers[_TOEPLITZ[:width, :width]]
+        self.carry = None
+        if n > _RUN_DENSE:
+            self.end = np.ascontiguousarray(self.step[:, -1])  # a block's end state from rest
+            self.carry = PoleRun(self.a**_RUN_BLOCK, n // _RUN_BLOCK)
+
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Run the recurrence along the last axis of ``x`` into ``out`` and return ``out``.
+
+        ``x`` is a C-contiguous float64 array of rows of n columns; the
+        carries are added into it, so its contents are spent. ``out`` is an
+        array of x's shape with contiguous rows, a new one by default. An
+        ``out`` that overlaps ``x`` gives the same values, but numpy copies
+        the operands of every product for it.
+        """
+        if out is None:
+            out = np.empty(x.shape)
+        if x.size == 0:
+            return out
+        X = x.reshape(-1, self.n, copy=False)
+        Y = out.reshape(-1, self.n, copy=False)
+        if self.carry is None:
+            np.matmul(X[:, None], self.step, out=Y[:, None])
+            return out
+        rows, split = len(X), self.n - self.n % _RUN_BLOCK
+        body = X[:, :split].reshape(rows, -1, _RUN_BLOCK, copy=False)
+        ends = self.carry(body @ self.end)
+        body[:, 1:, 0] += self.a * ends[:, :-1]
+        np.matmul(body, self.step, out=Y[:, :split].reshape(rows, -1, _RUN_BLOCK, copy=False))
+        if split < self.n:
+            r = self.n - split
+            X[:, split] += self.a * ends[:, -1]
+            np.matmul(X[:, None, split:], self.step[:r, :r], out=Y[:, None, split:])
+        return out
 
 
 def pole_band(a: float, n: int) -> np.ndarray:
@@ -266,6 +344,12 @@ def pole_band(a: float, n: int) -> np.ndarray:
 
 def one_pole(x: np.ndarray, a) -> np.ndarray:
     """Run y_k = a y_{k-1} + x_k, from y_{-1} = 0, in place along the last axis of ``x``.
+
+    It is kept for runs that continue one that ended earlier, which a
+    blocked kernel cannot do bit for bit: the first-passage loop of
+    :mod:`neuro` runs block after block this way, and the tests use it as
+    the sequential reference for :class:`PoleRun`, which runs every
+    recurrence from rest.
 
     ``x`` must be a writeable C-contiguous float64 array; it is overwritten
     by y and returned. ``a`` is the pole or its :func:`pole_band` over the

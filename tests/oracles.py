@@ -95,7 +95,8 @@ def event_kernel(events, lam: float, theta: float, grid: TimeGrid):
     """(Z, z) at the nodes, one row per (times, weights) pair in ``events``, through ``drift._EventKernel``.
 
     Z is the kernel's output. z, the state its Z recurrence reads, is binned
-    and run from the kernel's own z terms and band.
+    from the kernel's own z terms and run by the sequential ``one_pole`` with
+    the scalar pole, independently of the kernel's blocked run.
     """
     times = np.concatenate([np.asarray(e[0], dtype=float) for e in events])
     weights = np.concatenate([np.asarray(e[1], dtype=float) for e in events])
@@ -107,7 +108,7 @@ def event_kernel(events, lam: float, theta: float, grid: TimeGrid):
     live_row, cell, z_term, _ = terms
     z = np.zeros(shape)
     np.add.at(z.reshape(-1), live_row * grid.n_nodes + cell, z_term)
-    return Z, one_pole(z, kernel.z_band)
+    return Z, one_pole(z, np.exp(-lam * grid.dt))
 
 
 def y_path_ensemble(sde: LinearSDE, n_paths: int, master_seed: int, threads: int = 1) -> PathEnsemble:

@@ -110,10 +110,23 @@ class TestConfigValidation:
             ({"mc": dict(MC, seed=True)}, "mc.seed must be an integer"),
             ({"mc": dict(MC, seed=1.5)}, "mc.seed must be an integer"),
             ({"mc": dict(MC, seed=None)}, "mc.seed must be an integer"),
+            # a field of the wrong JSON type would end in a TypeError traceback
+            ({"model": {"type": "single_shot", "rate": "2"}},
+             "model: a field of model 'single_shot' has the wrong type"),
+            ({"model": {"type": "compound_poisson", "rate": 2.0, "jump": dict(EXP, rate="2")}},
+             "model.jump: a field of distribution 'exponential' has the wrong type"),
+            ({"output": {"directory": 5}}, "output.directory must be a string"),
+            # float() would read a string or a bool
+            ({"sde": {"theta": "1.5"}}, "sde.theta must be a finite number"),
+            ({"sde": {"theta": True}}, "sde.theta must be a finite number"),
+            ({"grid": {"T": 1.0, "dt": "0.01"}}, "grid.dt must be a finite number"),
+            ({"sde": {"sigma": float("nan")}}, "sde.sigma must be a finite number"),
         ],
         ids=["model_key", "poisson_jump", "distribution_key", "arrival_key", "top_level_key", "sde_key",
              "grid_key", "mc_key", "output_key", "costs_key", "fractional_paths", "float_paths",
-             "string_paths", "bool_seed", "fractional_seed", "null_seed"],
+             "string_paths", "bool_seed", "fractional_seed", "null_seed", "string_model_rate",
+             "string_jump_rate", "numeric_directory", "string_theta", "bool_theta", "string_dt",
+             "nan_sigma"],
     )
     def test_bad_config_is_a_config_error(self, tmp_path, capsys, section, message):
         p = write_config(tmp_path, **section)

@@ -14,7 +14,6 @@ from gmapprox.timebase import (
     block_stream,
     derive_stream,
     exp_weighted_values,
-    one_pole,
     stable_exp_diff,
 )
 from oracles import (
@@ -381,13 +380,14 @@ def test_sampler_passes_stay_within_cell_budget(monkeypatch):
     """Every recurrence a sampler runs covers at most _KERNEL_CELLS cells, whatever the block."""
     sizes = []
 
-    def recording(x, a):
+    run = timebase.PoleRun.__call__
+
+    def recording(self, x, out=None):
         sizes.append(x.size)
-        return one_pole(x, a)
+        return run(self, x, out)
 
     monkeypatch.setattr(timebase, "_KERNEL_CELLS", 4096)
-    monkeypatch.setattr(dm, "one_pole", recording)
-    monkeypatch.setattr(timebase, "one_pole", recording)
+    monkeypatch.setattr(timebase.PoleRun, "__call__", recording)
     g = grid(T=2.0, dt=1e-2)  # 201 nodes: 20 rows per pass
     for model in ALL_MODELS:
         sizes.clear()

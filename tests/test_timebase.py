@@ -10,6 +10,7 @@ from scipy.signal import lfilter
 from gmapprox import timebase
 from gmapprox.timebase import (
     Curve,
+    PoleRun,
     TimeGrid,
     child_seed,
     derive_stream,
@@ -242,6 +243,64 @@ class TestOnePole:
         assert np.array_equal(one_pole(x.copy(), band), one_pole(x.copy(), a))
         with pytest.raises(ValueError):
             one_pole(x.copy(), pole_band(a, 300))
+
+
+class TestPoleRun:
+    POLES = [1.0, np.exp(-1.5e-4), np.exp(-0.075), 0.0]
+
+    @pytest.mark.parametrize("a", POLES)
+    @pytest.mark.parametrize(
+        "shape",
+        # below one block, below two, the dense limit and one past it, whole blocks under
+        # one carry level and under two, a tail, tails at two levels, 1-D rows
+        [(3, 1), (4, 7), (4, 31), (2, 64), (2, 65), (3, 160), (2, 1280), (2, 1283), (16, 5001), (50_001,), (5001,)],
+    )
+    def test_matches_lfilter(self, shape, a):
+        x = derive_stream(15, len(shape), shape[-1]).standard_normal(shape)
+        ref = lfilter([1.0], [1.0, -a], x, axis=-1)
+        got = PoleRun(a, shape[-1])(x)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("n", [40, 160, 5001])
+    def test_rows_equal_one_row_calls(self, n):
+        run = PoleRun(np.exp(-0.075), n)
+        x = derive_stream(16, n).standard_normal((37, n))
+        full = run(x.copy())
+        for r in range(37):
+            assert np.array_equal(run(x[r].copy()), full[r]), r
+        for rows in (1, 5, 16, 37):
+            for lo in range(0, 37, rows):
+                assert np.array_equal(run(x[lo : lo + rows].copy()), full[lo : lo + rows]), (rows, lo)
+
+    def test_writes_into_out(self):
+        run = PoleRun(0.9, 200)
+        x = derive_stream(17, 0).standard_normal((3, 200))
+        ref = lfilter([1.0], [1.0, -0.9], x, axis=-1)
+        out = np.empty((3, 201))
+        view = out[:, 1:]  # rows contiguous, the array not
+        assert run(x.copy(), view) is view
+        np.testing.assert_allclose(view, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+        same = x.copy()
+        assert run(same, same) is same  # an out that overlaps x gives the same values
+        assert np.array_equal(same, view)
+
+    @pytest.mark.parametrize("n", [7, 500, 5001])
+    def test_first_column_passes_through(self, n):
+        x = derive_stream(18, n).standard_normal((4, n))
+        for a in self.POLES:
+            assert np.array_equal(PoleRun(a, n)(x.copy())[:, 0], x[:, 0]), a
+
+    def test_long_horizon_stays_finite(self):
+        # theta T = 375 on the long-horizon grid: a^{-k} reaches e^{375}
+        n, a = 5001, np.exp(-1.5 * 0.05)
+        x = derive_stream(19, 0).standard_normal((2, n))
+        got = PoleRun(a, n)(x.copy())
+        assert np.all(np.isfinite(got))
+        ref = one_pole(x.copy(), a)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+    def test_empty(self):
+        assert PoleRun(0.5, 5)(np.zeros((0, 5))).shape == (0, 5)
 
 
 class TestStreams:
