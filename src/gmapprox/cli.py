@@ -108,10 +108,10 @@ def parse_distribution(spec, where: str) -> drift_mod.Distribution:
     missing = [f for f in fields if f not in spec]
     if missing:
         raise ConfigError(f"{where}: distribution {tag!r} is missing fields {missing}")
+    for f in fields:
+        _number(spec[f], f"{where}.{f}")
     try:
         return cls(**{f: spec[f] for f in fields})
-    except TypeError as exc:
-        raise ConfigError(f"{where}: a field of distribution {tag!r} has the wrong type ({exc})") from exc
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -126,11 +126,15 @@ _MODEL_FIELDS = {
     "ou": ("rate", "sigma_u", "u0"),
     "deterministic": ("values", "constant"),
 }
+# the model fields that hold an object or a list, not a number
+_NESTED_FIELDS = ("jump", "count", "amplitude", "arrival", "values")
 
 
 def parse_model(spec, grid: TimeGrid, where: str = "model") -> drift_mod.DriftModel:
     tag = _tag(spec, where, _MODEL_FIELDS, "model")
     _object(spec, where, ("type", *_MODEL_FIELDS[tag]))
+    for key in sorted(set(spec) - {"type", *_NESTED_FIELDS}):
+        _number(spec[key], f"{where}.{key}")
     try:
         if tag == "single_shot":
             return drift_mod.SingleShot(rate=spec["rate"])
@@ -158,7 +162,10 @@ def parse_model(spec, grid: TimeGrid, where: str = "model") -> drift_mod.DriftMo
             )
         # deterministic, the one type left
         if "values" in spec:
-            vals = np.asarray(spec["values"], dtype=float)
+            values = spec["values"]
+            if not isinstance(values, list):
+                raise ConfigError(f"{where}.values must be a list of numbers, got {values!r}")
+            vals = np.array([_number(v, f"{where}.values[{i}]") for i, v in enumerate(values)])
         elif "constant" in spec:
             vals = np.full(grid.n_nodes, float(spec["constant"]))
         else:
@@ -168,8 +175,6 @@ def parse_model(spec, grid: TimeGrid, where: str = "model") -> drift_mod.DriftMo
         raise
     except KeyError as exc:
         raise ConfigError(f"{where}: missing field {exc} for model {tag!r}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"{where}: a field of model {tag!r} has the wrong type ({exc})") from exc
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -192,6 +197,8 @@ def _check_steps(where: str, T: float, dt: float, cap: float = 0.0) -> None:
 def parse_neuron(spec) -> tuple[dict, str, drift_mod.ShotNoise]:
     """The 'neuron' section: Table 2 parameters with its overrides, the scenario and its drift."""
     _object(spec, "neuron", (*neuro_mod.TABLE2_PARAMS, "scenario"))
+    for key in sorted(set(spec) - {"scenario"}):
+        _number(spec[key], f"neuron.{key}")  # the summary echoes the value as given
     params = dict(neuro_mod.TABLE2_PARAMS)
     params.update({k: v for k, v in spec.items() if k != "scenario"})
     try:

@@ -18,9 +18,9 @@ trapezoid rule and tabulates the CDF: the exact law that the network row is
 both sampled from (one uniform per input) and fitted on (its cumulants).
 
 :func:`first_passage_times` keeps the Euler-Maruyama simulation of the
-inputs: it advances n paths together _FPT_BLOCK steps at a time and draws
-each step block's normals with one call for every input still live. No
-table or command uses it.
+inputs: it advances n paths together, one numpy step over the live paths at
+a time, and draws the normals of each block of _FPT_BLOCK steps with one call
+for every input still live. No table or command uses it.
 
 Units are milliseconds and millivolts throughout.
 """
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import drift as drift_mod
 from .costs import CostReport, run_table
-from .timebase import Curve, TimeGrid, one_pole, pass_rows
+from .timebase import Curve, TimeGrid, pass_rows
 
 __all__ = [
     "LIFNeuron",
@@ -114,27 +114,33 @@ def first_passage_times(
 ) -> np.ndarray:
     """First threshold crossing of n Euler-Maruyama LIF paths drawn from one stream.
 
-    Each path follows v_k = a v_{k-1} + mu_i dt + sigma_i sqrt(dt) n_k with
-    a = 1 - theta_i dt from v_0 = v0_i. The crossing time is interpolated
-    linearly inside the crossing step; paths that do not cross before
-    horizon_cap give CENSORED (= inf). Paths run in sub-batches of at most
-    ``_KERNEL_CELLS // _FPT_BLOCK`` rows (at least one), one sub-batch after
-    the other, _FPT_BLOCK steps at a time: each step block draws the normals
-    of the sub-batch's live paths, in path order, with one
+    Each path follows v_k = a v_{k-1} + x_k with x_k = mu_i dt + sigma_i sqrt(dt) n_k
+    and a = 1 - theta_i dt, from v_0 = v0_i: a rounded product and a rounded
+    sum per step, over the steps of :func:`first_passage_law`. The crossing
+    time is interpolated linearly inside the crossing step; paths that do
+    not cross by then give CENSORED (= inf). Paths run in sub-batches of at
+    most ``_KERNEL_CELLS // _FPT_BLOCK`` rows (at least one), one after the
+    other, _FPT_BLOCK steps at a time: each step block draws the normals of
+    the sub-batch's live paths, in path order, with one
     ``standard_normal((live, steps))`` call. The working set is bounded
-    whatever n, and a single path reads its stream exactly as a sequential
-    per-step loop would. It fires about 0.014 ms late against
-    :func:`first_passage_law` at dt = 1e-2 (Table 2's input), and no table or
-    command draws from it.
+    whatever n, and a single path gives the bits of a sequential per-step
+    loop over its stream. It fires about 0.014 ms late against
+    :func:`first_passage_law` at dt = 1e-2 (Table 2's input), and no table
+    or command draws from it.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    n_total = int(math.ceil(horizon_cap / dt))
+    if dt <= 0 or horizon_cap <= 0:
+        raise ValueError("dt and horizon_cap must be positive")
+    n_total = _cap_steps(dt, horizon_cap)
     out = np.full(n, CENSORED)
     rows = pass_rows(_FPT_BLOCK)
     for lo in range(0, n, rows):
         _first_passage_batch(neuron, dt, n_total, stream, out[lo : lo + rows])
     return out
+
+
+def _cap_steps(dt: float, horizon_cap: float) -> int:
+    """Steps of dt to the first node at or past horizon_cap, with 1e-9 steps of slack for rounding."""
+    return max(1, math.ceil(horizon_cap / dt - 1e-9))
 
 
 def _first_passage_batch(neuron: LIFNeuron, dt: float, n_total: int, stream, out) -> None:
@@ -147,25 +153,23 @@ def _first_passage_batch(neuron: LIFNeuron, dt: float, n_total: int, stream, out
     done = 0
     while done < n_total and live.size:
         block = min(_FPT_BLOCK, n_total - done)
-        # the state enters as a leading column, so the block boundary is one more step
-        x = np.empty((live.size, block + 1))
-        x[:, 0] = v_prev
+        # row k holds v_k of each live path, from the state v_0 the last block ended at
+        path = np.empty((block + 1, live.size))
+        path[0] = v_prev
         if neuron.sigma_i > 0:
-            normals = stream.standard_normal((live.size, block))
-            normals *= s  # rounds exactly as mu_dt + s * n
-            np.add(normals, mu_dt, out=x[:, 1:])
+            np.multiply(stream.standard_normal((live.size, block)).T, s, out=path[1:])
+            path[1:] += mu_dt
         else:
-            x[:, 1:] = mu_dt
-        path = one_pole(x, a)[:, 1:]
-        hit = path >= neuron.v_th
-        fired = hit.any(axis=1)
+            path[1:] = mu_dt
+        for k in range(1, block + 1):
+            path[k] += a * path[k - 1]
+        hit = path[1:] >= neuron.v_th
+        fired = hit.any(axis=0)
         r = np.flatnonzero(fired)
-        k = hit[r].argmax(axis=1)
-        # a crossing at the first step of a block interpolates from the last block's end
-        v_before = np.where(k == 0, v_prev[r], path[r, k - 1])
-        frac = (neuron.v_th - v_before) / (path[r, k] - v_before)
+        k = hit[:, r].argmax(axis=0)
+        frac = (neuron.v_th - path[k, r]) / (path[k + 1, r] - path[k, r])
         out[live[r]] = (done + k + frac) * dt
-        v_prev = path[~fired, -1]
+        v_prev = path[-1, ~fired]
         live = live[~fired]
         done += block
 
@@ -203,7 +207,7 @@ def first_passage_law(
         drive = neuron.mu_i - th * S  # the slope of v at the threshold
         t = math.log1p(th * (S - neuron.v0_i) / drive) / th if drive > 0 else math.inf
         return drift_mod.PointMass(t if t <= horizon_cap else math.inf)
-    steps = max(1, math.ceil(horizon_cap / dt - 1e-9))
+    steps = _cap_steps(dt, horizon_cap)
     cells = math.ceil(steps / _SOLVE_STEPS)  # sim_dt steps per solve step
     n = math.ceil(steps / cells)
     h = cells * dt

@@ -26,25 +26,17 @@ and any such chunking.
 
 Every first-order recurrence that starts from rest runs through a
 :class:`PoleRun`, built once per pole and row length: numpy matrix products
-on blocks of each row, every factor a power of the pole. A run that continues
-one that ended earlier, with its state carried as a leading column, goes
-through :func:`one_pole`, one call of LAPACK's ``dtbtrs``. That routine
-comes from scipy's Cython LAPACK table, the extension module
-``scipy.linalg.cython_lapack``, which is loaded on its own: the
-``scipy.linalg`` package and its Python modules are never imported.
+on blocks of each row, every factor a power of the pole. Its bits depend on
+where the blocks fall, so the one run that continues across calls, the Euler
+loop of :mod:`neuro`, steps on its own.
 """
 
 from __future__ import annotations
 
 import csv
-import ctypes
-import importlib.machinery
-import importlib.util
 import io
 import json
-import os
 import queue
-import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -57,8 +49,6 @@ __all__ = [
     "PathEnsemble",
     "trapezoid",
     "PoleRun",
-    "one_pole",
-    "pole_band",
     "derive_stream",
     "split_stream",
     "child_seed",
@@ -328,101 +318,6 @@ class PoleRun:
             X[:, split] += self.a * ends[:, -1]
             np.matmul(X[:, None, split:], self.step[:r, :r], out=Y[:, None, split:])
         return out
-
-
-def pole_band(a: float, n: int) -> np.ndarray:
-    """The band of y_k = a y_{k-1} + x_k over n steps, as :func:`one_pole` hands it to ``dtbtrs``.
-
-    A caller that runs one recurrence many times builds it once and passes
-    it to :func:`one_pole` in place of ``a``.
-    """
-    ab = np.empty((n, 2))  # Fortran-ordered band: unit diagonal (not read), subdiagonal
-    ab[:, 0] = 1.0
-    ab[:, 1] = -a
-    return ab
-
-
-def one_pole(x: np.ndarray, a) -> np.ndarray:
-    """Run y_k = a y_{k-1} + x_k, from y_{-1} = 0, in place along the last axis of ``x``.
-
-    It is kept for runs that continue one that ended earlier, which a
-    blocked kernel cannot do bit for bit: the first-passage loop of
-    :mod:`neuro` runs block after block this way, and the tests use it as
-    the sequential reference for :class:`PoleRun`, which runs every
-    recurrence from rest.
-
-    ``x`` must be a writeable C-contiguous float64 array; it is overwritten
-    by y and returned. ``a`` is the pole or its :func:`pole_band` over the
-    row length. The rows are one call of LAPACK's unit lower bidiagonal solve
-    ``dtbtrs`` (subdiagonal -a) on their transpose, which is Fortran-ordered,
-    so nothing is copied. The call goes through ctypes to the routine of
-    scipy's Cython LAPACK table (:func:`_lapack_dtbtrs`), so the GIL is
-    released while it runs (the f2py wrapper ``scipy.linalg.lapack.dtbtrs``
-    holds it). A state carried over from an earlier run enters as a leading
-    column: the run over [v, x_1..x_n] continues the one that ended at v.
-
-    Each row is solved on its own, so a row's bits are the same for any
-    thread count and any chunking of the rows. Across machines they follow
-    the BLAS's per-CPU kernel: one fused multiply-add per step where it uses
-    FMA, a rounded product and a rounded sum where it does not.
-    """
-    if x.dtype != np.float64 or not (x.flags.c_contiguous and x.flags.writeable):
-        raise ValueError("one_pole needs a writeable C-contiguous float64 array")
-    if x.size == 0:
-        return x
-    n = x.shape[-1]
-    ab = a if np.ndim(a) == 2 else pole_band(a, n)
-    if ab.shape != (n, 2):
-        raise ValueError(f"band of shape {ab.shape} for rows of {n} steps")
-    n_, kd, nrhs, ldab, info = (ctypes.c_int(v) for v in (n, 1, x.size // n, 2, 0))
-    _DTBTRS(b"L", b"N", b"U", n_, kd, nrhs, ab.ctypes.data, ldab, x.ctypes.data, n_, info)
-    if info.value != 0:
-        raise ValueError(f"dtbtrs failed with info = {info.value}")
-    return x
-
-
-def _lapack_dtbtrs():
-    """dtbtrs(uplo, trans, diag, n, kd, nrhs, ab, ldab, b, ldb, info) from scipy's Cython LAPACK table.
-
-    The table is the ``__pyx_capi__`` of the extension module
-    ``scipy.linalg.cython_lapack``. A module already imported is reused;
-    otherwise the extension is found in the ``linalg`` directory of the
-    scipy package (located without importing it) and executed by itself, so
-    ``scipy/linalg/__init__.py`` never runs. The module enters itself in
-    ``sys.modules`` as it runs; that entry is taken out again, so a later
-    ``import scipy.linalg`` imports it as its own submodule (Cython returns
-    the same module object) and binds ``scipy.linalg.cython_lapack``.
-    ImportError names the directories searched when the extension is
-    missing. Returned as a ctypes function, which releases the GIL for the
-    length of each call.
-    """
-    name = "scipy.linalg.cython_lapack"
-    module = sys.modules.get(name)
-    if module is None:
-        scipy = importlib.util.find_spec("scipy")
-        if scipy is None:
-            raise ImportError(f"no scipy package on sys.path to load {name} from")
-        where = [os.path.join(d, "linalg") for d in scipy.submodule_search_locations]
-        spec = importlib.machinery.PathFinder.find_spec(name, where)
-        if spec is None:
-            raise ImportError(f"no extension module {name} in {where}")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules.pop(name, None)
-    capsule = module.__pyx_capi__["dtbtrs"]
-    api = ctypes.pythonapi
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api)
-    )
-    char, doubles, int_ = ctypes.c_char_p, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int)
-    prototype = ctypes.CFUNCTYPE(
-        None, char, char, char, int_, int_, int_, doubles, int_, doubles, int_, int_
-    )
-    return prototype(get_pointer(capsule, get_name(capsule)))
-
-
-_DTBTRS = _lapack_dtbtrs()
 
 
 def derive_stream(master_seed: int, *key: int) -> np.random.Generator:

@@ -22,7 +22,6 @@ from gmapprox.timebase import (
     derive_stream,
     exp_weighted_values,
     fill_rows,
-    one_pole,
     split_stream,
 )
 
@@ -95,7 +94,7 @@ def event_kernel(events, lam: float, theta: float, grid: TimeGrid):
     """(Z, z) at the nodes, one row per (times, weights) pair in ``events``, through ``drift._EventKernel``.
 
     Z is the kernel's output. z, the state its Z recurrence reads, is binned
-    from the kernel's own z terms and run by the sequential ``one_pole`` with
+    from the kernel's own z terms and run by the sequential ``lfilter`` with
     the scalar pole, independently of the kernel's blocked run.
     """
     times = np.concatenate([np.asarray(e[0], dtype=float) for e in events])
@@ -108,7 +107,7 @@ def event_kernel(events, lam: float, theta: float, grid: TimeGrid):
     live_row, cell, z_term, _ = terms
     z = np.zeros(shape)
     np.add.at(z.reshape(-1), live_row * grid.n_nodes + cell, z_term)
-    return Z, one_pole(z, np.exp(-lam * grid.dt))
+    return Z, lfilter([1.0], [1.0, -np.exp(-lam * grid.dt)], z, axis=-1)
 
 
 def y_path_ensemble(sde: LinearSDE, n_paths: int, master_seed: int, threads: int = 1) -> PathEnsemble:

@@ -111,10 +111,14 @@ class TestConfigValidation:
             ({"mc": dict(MC, seed=1.5)}, "mc.seed must be an integer"),
             ({"mc": dict(MC, seed=None)}, "mc.seed must be an integer"),
             # a field of the wrong JSON type would end in a TypeError traceback
-            ({"model": {"type": "single_shot", "rate": "2"}},
-             "model: a field of model 'single_shot' has the wrong type"),
+            ({"model": {"type": "single_shot", "rate": "2"}}, "model.rate must be a finite number"),
             ({"model": {"type": "compound_poisson", "rate": 2.0, "jump": dict(EXP, rate="2")}},
-             "model.jump: a field of distribution 'exponential' has the wrong type"),
+             "model.jump.rate must be a finite number"),
+            # a bool would run as the number 0 or 1
+            ({"model": {"type": "poisson", "rate": True}}, "model.rate must be a finite number"),
+            ({"neuron": {"M": True}}, "neuron.M must be a finite number"),
+            ({"model": {"type": "shot_noise", "count": {"type": "fixed", "value": True}}},
+             "model.count.value must be a finite number"),
             ({"output": {"directory": 5}}, "output.directory must be a string"),
             # float() would read a string or a bool
             ({"sde": {"theta": "1.5"}}, "sde.theta must be a finite number"),
@@ -125,7 +129,7 @@ class TestConfigValidation:
         ids=["model_key", "poisson_jump", "distribution_key", "arrival_key", "top_level_key", "sde_key",
              "grid_key", "mc_key", "output_key", "costs_key", "fractional_paths", "float_paths",
              "string_paths", "bool_seed", "fractional_seed", "null_seed", "string_model_rate",
-             "string_jump_rate", "numeric_directory", "string_theta", "bool_theta", "string_dt",
+             "string_jump_rate", "bool_model_rate", "bool_neuron_inputs", "bool_fixed_count", "numeric_directory", "string_theta", "bool_theta", "string_dt",
              "nan_sigma"],
     )
     def test_bad_config_is_a_config_error(self, tmp_path, capsys, section, message):
@@ -451,24 +455,13 @@ class TestConfigEcho:
 
 
 def test_import_loads_no_heavy_scipy_modules(tmp_path):
-    """Every command needs numpy and one LAPACK routine: no scipy subpackage, lazy imports included."""
-    heavy = ("scipy.linalg", "scipy.signal", "scipy.stats", "scipy.special", "scipy.integrate")
+    """Every command needs numpy alone: approx (Gamma arrival), table2 and neuron load no scipy module."""
     gamma_arrival = {"type": "shot_noise", "arrival": {"type": "gamma", "rate": 3.0, "shape": 2.5}}
     p = write_config(tmp_path, model=gamma_arrival)
     code = (
         "import sys, gmapprox.cli\n"
-        f"assert gmapprox.cli.main(['approx', '--config', {str(p)!r}]) == 0\n"
-        f"print(*[m for m in {heavy!r} if m in sys.modules])"
+        "for argv in (['approx'], ['table2', '--paths', '20'], ['neuron']):\n"
+        f"    assert gmapprox.cli.main([*argv, '--config', {str(p)!r}]) == 0\n"
+        "print(*[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
     )
     assert fresh_interpreter_stdout(code).splitlines()[-1].split() == []
-
-
-@pytest.mark.parametrize("imports", ["gmapprox.cli, scipy.linalg", "scipy.linalg, gmapprox.cli"])
-def test_loading_lapack_leaves_scipy_importable(imports):
-    # the LAPACK table is loaded without its package; importing the package later must still bind it
-    code = (
-        f"import {imports}, scipy.signal\n"
-        "assert scipy.linalg.cython_lapack.__pyx_capi__['dtbtrs'] is not None\n"
-        "print(*scipy.signal.lfilter([1.0], [1.0, -0.5], [1.0, 0.0, 0.0]))"
-    )
-    assert fresh_interpreter_stdout(code).split() == ["1.0", "0.5", "0.25"]

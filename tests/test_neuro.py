@@ -25,7 +25,7 @@ from gmapprox.neuro import (
 )
 from gmapprox.response import response_moment_curves, response_power_means
 from gmapprox.sde import apply_I
-from gmapprox.timebase import Curve, TimeGrid, block_stream, derive_stream, one_pole, stable_exp_diff
+from gmapprox.timebase import Curve, TimeGrid, block_stream, derive_stream, stable_exp_diff
 from oracles import (
     bridge_first_passages,
     convolution_oracle,
@@ -100,26 +100,26 @@ class TestFirstPassage:
 
 
 def scalar_steps(neuron, dt, v_prev, done, normals):
-    """Advance one neuron over len(normals) steps: (crossing time or None, last potential)."""
+    """Advance one neuron over len(normals) steps: (crossing time or None, last potential).
+
+    A Python-float loop, v = a * v + x: one rounded product and one rounded sum a step.
+    """
     a = 1.0 - neuron.theta_i * dt
-    x = np.full(len(normals) + 1, neuron.mu_i * dt)
-    x[0] = v_prev  # the state enters as a leading column
-    if neuron.sigma_i > 0:
-        x[1:] += neuron.sigma_i * math.sqrt(dt) * normals
-    path = one_pole(x, a)[1:]
-    hits = np.nonzero(path >= neuron.v_th)[0]
-    if hits.size:
-        k = int(hits[0])
-        v_before = v_prev if k == 0 else path[k - 1]
-        frac = (neuron.v_th - v_before) / (path[k] - v_before)
-        return (done + k + frac) * dt, None
-    return None, float(path[-1])
+    mu_dt = neuron.mu_i * dt
+    s = neuron.sigma_i * math.sqrt(dt)
+    v = float(v_prev)
+    for k, normal in enumerate(normals.tolist()):
+        v_next = a * v + (mu_dt + s * normal)
+        if v_next >= neuron.v_th:
+            return (done + k + (neuron.v_th - v) / (v_next - v)) * dt, None
+        v = v_next
+    return None, v
 
 
 def scalar_first_passage(neuron, dt, horizon_cap, stream):
     """Oracle: one neuron on its own stream, 2,048-step blocks, as a sequential loop reads it."""
     block = 2048
-    n_total = int(math.ceil(horizon_cap / dt))
+    n_total = neuro._cap_steps(dt, horizon_cap)
     v_prev = neuron.v0_i
     done = 0
     while done < n_total:
@@ -142,7 +142,7 @@ def oracle_times(neuron, dt, cap, seed, n):
     stream = derive_stream(seed, 0)
     block = neuro._FPT_BLOCK
     rows = max(1, timebase._KERNEL_CELLS // block)
-    n_total = int(math.ceil(cap / dt))
+    n_total = neuro._cap_steps(dt, cap)
     out = np.full(n, CENSORED)
     for lo in range(0, n, rows):
         live = {i: neuron.v0_i for i in range(lo, min(lo + rows, n))}
@@ -235,12 +235,17 @@ class TestBatchedFirstPassage:
         monkeypatch.setattr(neuro, "_FPT_BLOCK", 100)
         cells = []
 
-        def recording(x, a):
-            cells.append(x.size)
-            return one_pole(x, a)
+        class Recording:
+            """The stream, noting the cells of each step block: a state row and the steps, by the live rows."""
 
-        monkeypatch.setattr(neuro, "one_pole", recording)
-        got = batched_times(TABLE2_LIF, 1e-2, 10.0, 9, 75)
+            def __init__(self, stream):
+                self.stream = stream
+
+            def standard_normal(self, shape):
+                cells.append(shape[0] * (shape[1] + 1))
+                return self.stream.standard_normal(shape)
+
+        got = first_passage_times(TABLE2_LIF, 1e-2, 10.0, 75, Recording(derive_stream(9, 0)))
         assert np.array_equal(got, oracle_times(TABLE2_LIF, 1e-2, 10.0, 9, 75))
         assert max(cells) == 2020  # 20 rows of a state column and 100 steps
         assert len(cells) > 4
@@ -248,6 +253,16 @@ class TestBatchedFirstPassage:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             first_passage_times(TABLE2_LIF, 0.0, 10.0, 1, derive_stream(0, 0))
+        with pytest.raises(ValueError):
+            first_passage_times(TABLE2_LIF, 1e-2, 0.0, 1, derive_stream(0, 0))
+
+    def test_no_crossing_past_the_cap(self):
+        # 2.47 / 0.01 is 247.00000000000003: the steps end at the cap's node, not one step past it
+        neuron = LIFNeuron(theta_i=0.1, mu_i=9.0, sigma_i=1.0, v0_i=0.0, v_th=20.0)
+        fired = first_passage_times(neuron, 1e-2, 2.47, 5_000, derive_stream(7, 0))
+        fired = fired[np.isfinite(fired)]
+        assert fired.max() <= 2.47
+        assert (fired > 2.46).any()  # the last step before the cap still runs
 
     def test_batch_matches_independent_euler_scheme(self):
         """1e5 neurons on block streams against an independent per-neuron Euler loop at the same step.

@@ -18,8 +18,6 @@ from gmapprox.timebase import (
     fill_rows,
     iter_block_passes,
     iter_slabs,
-    one_pole,
-    pole_band,
     slab_rows,
     split_stream,
     stable_exp_diff,
@@ -186,65 +184,6 @@ class TestExpWeightedIntegral:
             np.testing.assert_allclose(got, ref, rtol=1e-13)
 
 
-class TestOnePole:
-    @pytest.mark.parametrize("a", [np.exp(-1.5e-4), np.exp(-0.075)])
-    @pytest.mark.parametrize("shape", [(1, 5001), (26, 5001), (256, 513), (50_001,)])
-    def test_matches_lfilter(self, shape, a):
-        x = derive_stream(5, len(shape), shape[-1]).standard_normal(shape)
-        ref = lfilter([1.0], [1.0, -a], x, axis=-1)
-        # the scale keeps the comparison relative where the signed sums cross zero
-        np.testing.assert_allclose(one_pole(x, a), ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
-
-    def test_rows_equal_one_row_calls(self):
-        a = np.exp(-0.075)
-        x = derive_stream(6, 0).standard_normal((37, 501))
-        rows = [one_pole(r.copy(), a) for r in x]
-        got = one_pole(x.copy(), a)
-        for r, ref in zip(got, rows):
-            assert np.array_equal(r, ref)
-        for lo, hi in ((0, 5), (5, 36), (36, 37)):
-            assert np.array_equal(one_pole(x[lo:hi].copy(), a), got[lo:hi])
-
-    def test_runs_in_place(self):
-        x = derive_stream(7, 0).standard_normal((3, 100))
-        x0 = x.copy()
-        y = one_pole(x, 0.9)
-        assert y is x and not np.array_equal(x, x0)
-        ref = lfilter([1.0], [1.0, -0.9], x0, axis=-1)
-        np.testing.assert_allclose(x, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
-
-    def test_state_carried_as_a_leading_column(self):
-        a = 1.0 - 0.1 * 1e-2
-        x = derive_stream(8, 0).standard_normal(41)  # x[0] is the carried state v
-        full = one_pole(x.copy(), a)
-        for k in range(1, 40):
-            head = one_pole(x[: k + 1].copy(), a)
-            tail = x[k:].copy()
-            tail[0] = head[-1]
-            tail = one_pole(tail, a)
-            assert np.array_equal(np.concatenate([head, tail[1:]]), full), k
-
-    def test_rejects_layouts_it_cannot_overwrite(self):
-        x = np.zeros((4, 6))
-        frozen = x.copy()
-        frozen.flags.writeable = False
-        for bad in (x.T, x[:, ::2], x.astype(np.float32), frozen):
-            with pytest.raises(ValueError):
-                one_pole(bad, 0.5)
-
-    def test_empty(self):
-        for shape in ((0, 5), (3, 0)):
-            assert one_pole(np.zeros(shape), 0.5).shape == shape
-
-    def test_band_built_once_gives_the_same_bits(self):
-        a = np.exp(-0.075)
-        x = derive_stream(9, 0).standard_normal((5, 301))
-        band = pole_band(a, 301)
-        assert np.array_equal(one_pole(x.copy(), band), one_pole(x.copy(), a))
-        with pytest.raises(ValueError):
-            one_pole(x.copy(), pole_band(a, 300))
-
-
 class TestPoleRun:
     POLES = [1.0, np.exp(-1.5e-4), np.exp(-0.075), 0.0]
 
@@ -296,7 +235,7 @@ class TestPoleRun:
         x = derive_stream(19, 0).standard_normal((2, n))
         got = PoleRun(a, n)(x.copy())
         assert np.all(np.isfinite(got))
-        ref = one_pole(x.copy(), a)
+        ref = lfilter([1.0], [1.0, -a], x, axis=-1)
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
 
     def test_empty(self):
