@@ -21,7 +21,6 @@ from .timebase import (
     Curve,
     TimeGrid,
     exp_weighted_values,
-    iter_slabs,
     trapezoid,
 )
 
@@ -66,32 +65,38 @@ def d2_closed(model: drift_mod.DriftModel, theta: float, grid: TimeGrid) -> Boun
 
 
 def pointwise_mse_streaming(chunks, F: Curve, n_paths: int) -> tuple[Curve, Curve]:
-    """Per-node sample mean and standard error of (Z_i(t) - F(t))^2 over streamed chunks.
+    """Per-node sample mean and standard error of (Z_i(t) - F(t))^2 over a block stream.
 
-    ``chunks`` yields (start, block) pairs as from drift.iter_Z_chunks and
-    together hold the n_paths rows of one ensemble. Each chunk is cut into
-    slabs (:func:`timebase.iter_slabs`; a chunk of iter_Z_chunks is one
-    slab), and the per-slab column sums are added in row order, so
-    chunks cut on block boundaries give the same bits for any chunk size and
-    thread count. One slab-sized work array and one row of column sums are
-    held.
+    ``chunks`` is what drift.iter_Z_chunks returns, holding the n_paths rows
+    of one ensemble. Each block adds the column sums of its passes in row
+    order, and the block sums are added in block order, so the bits are the
+    same for any thread count. A block holds one pass-sized work array and
+    its rows of column sums.
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths for a standard error")
+
+    def fold(passes):
+        s1 = np.zeros(F.grid.n_nodes)
+        s2 = np.zeros(F.grid.n_nodes)
+        col = np.empty(F.grid.n_nodes)
+        buf = None  # one (pass rows, nodes) work array for the block
+        for _, slab in passes:
+            if buf is None:
+                buf = np.empty_like(slab)
+            w = buf[: slab.shape[0]]
+            np.subtract(slab, F.values, out=w)
+            np.square(w, out=w)
+            s1 += w.sum(axis=0, out=col)
+            np.square(w, out=w)
+            s2 += w.sum(axis=0, out=col)
+        return s1, s2
+
     s1 = np.zeros(F.grid.n_nodes)
     s2 = np.zeros(F.grid.n_nodes)
-    col = np.empty(F.grid.n_nodes)
-    buf = None  # one (slab rows, nodes) work array for every slab
-    for _, slab in iter_slabs(chunks):
-        rows = slab.shape[0]
-        if buf is None or buf.shape[0] < rows:
-            buf = np.empty_like(slab)
-        w = buf[:rows]
-        np.subtract(slab, F.values, out=w)
-        np.square(w, out=w)
-        s1 += w.sum(axis=0, out=col)
-        np.square(w, out=w)
-        s2 += w.sum(axis=0, out=col)
+    for b1, b2 in chunks.map(fold):
+        s1 += b1
+        s2 += b2
     mse = s1 / n_paths
     var = np.maximum(s2 - n_paths * mse**2, 0.0) / (n_paths - 1)
     se = np.sqrt(var / n_paths)

@@ -479,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker threads, each filling whole 512-path blocks; every sample and every sum "
-        "follows the blocks, so results are bit-identical for any count",
+        help="worker threads, each sampling and reducing whole 512-path blocks; every sample "
+        "and every sum follows the blocks, so results are bit-identical for any count",
     )
     common.add_argument("--format", choices=["csv", "json"], default=None)
 

@@ -25,7 +25,6 @@ from .timebase import (
     TimeGrid,
     child_seed,
     derive_stream,
-    iter_slabs,
     trapezoid_values,
     write_csv_columns,
     write_json,
@@ -109,50 +108,39 @@ class CostReport:
         return float(self.values[s, a, 1 - a] - self.values[s, a, a]), float(self.gap_se[s, a])
 
 
-def _mean_se(c: np.ndarray) -> tuple[float, float]:
-    value = float(np.mean(c))
-    se = float(np.std(c, ddof=1) / np.sqrt(len(c))) if len(c) > 1 else 0.0
-    return value, se
-
-
 def per_path_cost_matrix(chunks, curves, dt: float, n_paths: int):
-    """Cost matrix, value SEs and diagonal-gap SEs from streamed Z chunks.
+    """Cost matrix, value SEs and diagonal-gap SEs from a block stream of Z.
 
-    ``curves`` are the node values of the candidate F curves (fit orders in
-    P_ORDERS order); every cost of every candidate is evaluated on the same
-    paths, so the per-path cost differences give tight standard errors for
-    the optimality gaps. Chunks are evaluated a slab at a time
-    (:func:`timebase.iter_slabs`; a chunk of
-    :func:`drift.iter_Z_chunks` is one slab) in one slab-sized work array;
-    per-path costs are row-wise, so they do not depend on the slab or chunk
-    size, and the means and SEs are taken over the per-path costs in row
-    order.
+    ``chunks`` is what :func:`drift.iter_Z_chunks` returns. ``curves`` are
+    the node values of the candidate F curves (fit orders in P_ORDERS
+    order); every cost of every candidate is evaluated on the same paths, so
+    the per-path cost differences give tight standard errors for the
+    optimality gaps. Each block writes its rows' costs, a row-wise function
+    of the row, and the means and SEs are taken over them in row order.
     """
-    per_path = {
-        (p, j): np.empty(n_paths) for p in P_ORDERS for j in range(len(curves))
-    }
-    buf = None  # one (slab rows, nodes) work array for every slab: p is even, so no abs
-    for start, slab in iter_slabs(chunks):
-        rows = slab.shape[0]
-        if buf is None or buf.shape[0] < rows:
-            buf = np.empty_like(slab)
-        err = buf[:rows]
-        for j, fv in enumerate(curves):
-            np.subtract(slab, fv, out=err)
-            np.square(err, out=err)
-            per_path[(2, j)][start : start + rows] = trapezoid_values(err, dt)
-            np.square(err, out=err)
-            per_path[(4, j)][start : start + rows] = trapezoid_values(err, dt)
-    k = len(curves)
-    values = np.empty((len(P_ORDERS), k))
-    se = np.empty((len(P_ORDERS), k))
+    costs = np.empty((len(P_ORDERS), len(curves), n_paths))  # [order, curve, path]
+
+    def fold(passes):
+        buf = None  # one (pass rows, nodes) work array for the block: p is even, so no abs
+        for start, slab in passes:
+            if buf is None:
+                buf = np.empty_like(slab)
+            rows = slice(start, start + len(slab))
+            err = buf[: len(slab)]
+            for j, fv in enumerate(curves):
+                np.subtract(slab, fv, out=err)
+                np.square(err, out=err)
+                costs[0, j, rows] = trapezoid_values(err, dt)
+                np.square(err, out=err)
+                costs[1, j, rows] = trapezoid_values(err, dt)
+
+    for _ in chunks.map(fold):
+        pass
+    sem = lambda c: c.std(axis=-1, ddof=1) / np.sqrt(n_paths) if n_paths > 1 else np.zeros(c.shape[:-1])
     gap_se = np.zeros(len(P_ORDERS))
-    for a, p in enumerate(P_ORDERS):
-        for j in range(k):
-            values[a, j], se[a, j] = _mean_se(per_path[(p, j)])
-        if k == 2:
-            _, gap_se[a] = _mean_se(per_path[(p, 1 - a)] - per_path[(p, a)])
-    return values, se, gap_se
+    if len(curves) == 2:  # J_p[F_other] - J_p[F_p], path by path
+        gap_se = sem(costs[[0, 1], [1, 0]] - costs[[0, 1], [0, 1]])
+    return costs.mean(axis=-1), sem(costs), gap_se
 
 
 def full_path_costs(
@@ -165,21 +153,25 @@ def full_path_costs(
 ) -> np.ndarray:
     """Per-path costs from full trajectories of X and X^f with shared noise.
 
-    Path i uses row i of the Z ensemble of ``master_seed`` (read from the
-    same block streams as :func:`drift.iter_Z_chunks`) and an independent Y
-    stream keyed by (master_seed, i, 1); Y is added to both X and X^f, so
-    these costs agree with the Z-only estimator path by path up to
-    floating-point roundoff.
+    Path i uses row i of the Z ensemble of ``master_seed`` (the blocks of
+    :func:`drift.iter_Z_chunks`) and an independent Y stream keyed by
+    (master_seed, i, 1); Y is added to both X and X^f, so these costs agree
+    with the Z-only estimator path by path up to floating-point roundoff.
     """
     if p < 2 or p % 2 != 0:
         raise ValueError(f"p must be an even integer >= 2, got {p}")
     out = np.empty(n_paths)
-    for start, block in drift_mod.iter_Z_chunks(model, sde.theta, sde.grid, n_paths, master_seed):
-        for i, z_acc in enumerate(block, start):
-            y = simulate_Y(sde, derive_stream(master_seed, i, 1))
-            x = y.values + z_acc
-            xf = y.values + F.values
-            out[i] = trapezoid_values(np.abs(x - xf) ** p, sde.grid.dt)
+
+    def fold(passes):
+        for start, rows in passes:
+            for i, z_acc in enumerate(rows, start):
+                y = simulate_Y(sde, derive_stream(master_seed, i, 1))
+                x = y.values + z_acc
+                xf = y.values + F.values
+                out[i] = trapezoid_values(np.abs(x - xf) ** p, sde.grid.dt)
+
+    for _ in drift_mod.iter_Z_chunks(model, sde.theta, sde.grid, n_paths, master_seed).map(fold):
+        pass
     return out
 
 

@@ -31,15 +31,16 @@ call them.
 Ensembles follow the block-stream contract of :mod:`timebase`: the rows of
 block b = i // _BLOCK are sampled together from ``block_stream(seed, b)`` by
 the variant's block sampler (its ``_block_sampler`` method, see
-:func:`iter_Z_chunks`), a generator that hands the block out pass by pass,
-one reducer slab of at most ``timebase._KERNEL_CELLS`` cells at a time, so
-no block is ever held whole; a single path is a block of one row drawn from
-the stream it is given.
+:func:`iter_Z_chunks`), a generator that fills one pass buffer of at most
+``timebase._KERNEL_CELLS`` cells at a time, so no block is ever held whole;
+the reducers fold each block's passes as they come. A single path is a
+block of one row drawn from the stream it is given.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
@@ -55,6 +56,7 @@ from .response import (
     response_power_means,
 )
 from .timebase import (
+    BlockStream,
     Curve,
     PathEnsemble,
     PoleRun,
@@ -62,9 +64,6 @@ from .timebase import (
     block_stream,
     exp_weight_in_place,
     exp_weighted_values,
-    iter_block_passes,
-    iter_slabs,
-    slab_rows,
     stable_exp_diff,
 )
 
@@ -316,8 +315,11 @@ class SimulatedFiring(_Law):
     horizon_cap: float = 100.0
 
     def __post_init__(self):
+        from .neuro import _cap_steps  # local import: neuro imports this module
+
         if self.sim_dt <= 0 or self.horizon_cap <= 0:
             raise ValueError("sim_dt and horizon_cap must be positive")
+        _cap_steps(self.sim_dt, self.horizon_cap)  # ValueError for a cap below one step
 
     @cached_property
     def law(self) -> PointMass | PiecewiseUniform:
@@ -353,21 +355,21 @@ Distribution = Union[
 # block samplers
 #
 # A variant's ``_block_sampler(theta, grid, tally=None)`` returns
-# ``passes(stream, rows, take, ws)``, a generator over the Z rows of one
+# ``passes(stream, rows, buf, ws)``, a generator over the Z rows of one
 # block of ``rows`` ensemble rows, all drawn from ``stream``: each pass fills
-# the first rows of the array ``take()`` returns with the next
-# :func:`timebase.slab_rows` rows of the block (or what is left of it) and
-# yields them. The stream and the block's drawn events persist from pass to
-# pass, and the pass-sized transients live in ``ws``, a flat scratch array of
-# at least a pass's cells (see :func:`timebase.iter_block_passes`), so the
-# pass loop allocates nothing of pass size. A row's values are a function of
-# its own draws, so they do not depend on the pass size.
+# the first rows of ``buf`` with the block's next ``len(buf)`` rows (or what
+# is left of them) and yields them. The stream and the block's drawn events
+# persist from pass to pass, and the pass-sized transients live in ``ws``, a
+# flat scratch array of at least ``buf``'s cells (see
+# :class:`timebase.BlockStream`), so the pass loop allocates nothing of pass
+# size. A row's values are a function of its own draws, so they do not depend
+# on the pass size.
 
-def _cuts(rows: int, take, grid: TimeGrid):
-    """(first row, pass array) of a block of ``rows`` rows, :func:`timebase.slab_rows` rows a pass."""
-    step = slab_rows(grid.n_nodes)
+def _cuts(rows: int, buf: np.ndarray):
+    """(first row, pass array) of a block of ``rows`` rows, ``len(buf)`` rows a pass."""
+    step = len(buf)
     for a in range(0, rows, step):
-        yield a, take()[: min(step, rows - a)]
+        yield a, buf[: min(step, rows - a)]
 
 
 def _event_sampler(draw, lam: float, theta: float, grid: TimeGrid, tally):
@@ -380,12 +382,12 @@ def _event_sampler(draw, lam: float, theta: float, grid: TimeGrid, tally):
     """
     kernel = _EventKernel(lam, theta, grid)
 
-    def passes(stream, rows, take, ws):
+    def passes(stream, rows, buf, ws):
         times, weights, counts = draw(grid, stream, rows)
         if tally is not None:
             tally.append((int(np.isinf(times).sum()), times.size))
         terms = kernel.terms(times, weights, np.repeat(np.arange(rows), counts))
-        for a, out in _cuts(rows, take, grid):
+        for a, out in _cuts(rows, buf):
             yield kernel.rows(terms, a, out, ws)
 
     return passes
@@ -401,8 +403,8 @@ def _diffusion_sampler(increments, mean: np.ndarray, theta: float, grid: TimeGri
     dt = grid.dt
     run = PoleRun(np.exp(-theta * dt), grid.n_steps)
 
-    def passes(stream, rows, take, ws):
-        for _, out in _cuts(rows, take, grid):
+    def passes(stream, rows, buf, ws):
+        for _, out in _cuts(rows, buf):
             noise = ws[: len(out) * grid.n_steps].reshape(len(out), grid.n_steps)
             stream.standard_normal(out=noise)
             out[:, 0] = 0.0
@@ -535,9 +537,9 @@ class SingleShot(_Drift):
         """One exponential vector of the block's shot times, then the closed form."""
         t = grid.times()
 
-        def passes(stream, rows, take, ws):
+        def passes(stream, rows, buf, ws):
             tau = stream.exponential(1.0 / self.rate, size=rows)
-            for a, out in _cuts(rows, take, grid):
+            for a, out in _cuts(rows, buf):
                 # Z = (1 - e^{-theta u}) / theta after the shot, u = t - tau
                 np.subtract(t, tau[a : a + len(out), None], out=out)
                 np.maximum(out, 0.0, out=out)
@@ -809,8 +811,8 @@ class Deterministic(_Drift):
         _check_same_grid(self.f.grid, grid)
         curve = exp_weighted_values(self.f.values, grid.dt, theta)
 
-        def passes(stream, rows, take, ws):
-            for _, out in _cuts(rows, take, grid):
+        def passes(stream, rows, buf, ws):
+            for _, out in _cuts(rows, buf):
                 out[:] = curve
                 yield out
 
@@ -865,7 +867,7 @@ def sample_Z_path(
     """
     validate_pairing(model, theta)
     out = np.empty((1, grid.n_nodes))
-    for _ in model._block_sampler(theta, grid)(stream, 1, lambda: out, np.empty(grid.n_nodes)):
+    for _ in model._block_sampler(theta, grid)(stream, 1, out, np.empty(grid.n_nodes)):
         pass
     return Curve(grid, out[0])
 
@@ -923,17 +925,19 @@ def Z_path_ensemble(
 ) -> PathEnsemble:
     """n_paths independent Z realizations under the block-stream contract, as one matrix.
 
-    The passes of :func:`iter_Z_chunks`, under the same censoring policy,
-    copied into an (n_paths, n_nodes) matrix: rows i of block b = i // _BLOCK
-    are drawn together from ``block_stream(seed, b)`` by the variant's block
-    sampler (one exponential vector for the single shot, a normal matrix per
-    pass for the diffusions, one vector per event quantity for the event
-    variants). The matrix does not depend on ``threads``; a block holding
-    one row equals ``sample_Z_path`` on the block's stream bit for bit.
+    Each block of :func:`iter_Z_chunks` is copied in as it is sampled, under
+    the same censoring policy, so the matrix does not depend on ``threads``;
+    a block holding one row equals ``sample_Z_path`` on the block's stream
+    bit for bit.
     """
     values = np.empty((n_paths, grid.n_nodes))
-    for start, rows in iter_Z_chunks(model, theta, grid, n_paths, master_seed, threads):
-        values[start : start + len(rows)] = rows
+
+    def copy(passes):
+        for start, rows in passes:
+            values[start : start + len(rows)] = rows
+
+    for _ in iter_Z_chunks(model, theta, grid, n_paths, master_seed, threads).map(copy):
+        pass
     return PathEnsemble(grid, n_paths, values, master_seed)
 
 
@@ -945,36 +949,34 @@ def iter_Z_chunks(
     master_seed: int,
     threads: int = 1,
     censored: list | None = None,
-):
-    """Yield (start_index, pass) row ranges of the Z ensemble, in row order.
+) -> BlockStream:
+    """The Z ensemble as a :class:`timebase.BlockStream`, for ``threads`` workers.
 
-    Streaming form of :func:`Z_path_ensemble`: block b is drawn from
-    ``block_stream(master_seed, b)`` by the variant's block sampler, which
-    hands it out pass by pass (:func:`timebase.iter_block_passes`). Each
-    chunk is one pass, :func:`timebase.slab_rows` rows counted from its
-    block's first row, so a reducer's slabs are the passes themselves. A
-    chunk is a view of a reused buffer, valid until the next chunk is
-    requested: copy it to keep it. No block is ever held whole, every
-    variate is drawn once, and the concatenation of the chunks is
-    bit-identical to the materialized ensemble for any thread count. With
-    ``threads`` > 1 worker threads produce whole blocks ahead of the caller.
+    Its ``map(fold)`` draws block b from ``block_stream(master_seed, b)`` by
+    the variant's block sampler and yields ``fold`` of its (start, pass)
+    pairs, in block order. A pass is :func:`timebase.slab_rows` rows counted
+    from its block's first row, in a reused buffer: copy it to keep it. The
+    passes in row order are the materialized ensemble, bit for bit.
 
-    The block samplers count the censored event times of their blocks, so
-    once the last chunk is out the ensemble's (censored, drawn) event count
-    is the same for any thread count. It is appended to ``censored`` when
+    Once the last block is folded, the ensemble's (censored, drawn) event
+    count, the same for any thread count, is appended to ``censored`` when
     that is a list, and an ensemble with more than half of its event times
     censored raises :class:`CensoringError`.
     """
     validate_pairing(model, theta)
     tally = []
     passes = model._block_sampler(theta, grid, tally)
-    block = lambda b, rows, take, ws: passes(block_stream(master_seed, b), rows, take, ws)
-    yield from iter_block_passes(block, n_paths, grid.n_nodes, threads)
-    lost, drawn = sum(c for c, _ in tally), sum(n for _, n in tally)
-    if censored is not None:
-        censored.append((lost, drawn))
-    if 2 * lost > drawn:
-        raise CensoringError(f"{lost} of {drawn} event times are censored; raise horizon_cap")
+
+    def done():
+        lost, drawn = sum(c for c, _ in tally), sum(n for _, n in tally)
+        tally.clear()
+        if censored is not None:
+            censored.append((lost, drawn))
+        if 2 * lost > drawn:
+            raise CensoringError(f"{lost} of {drawn} event times are censored; raise horizon_cap")
+
+    block = lambda b, rows, buf, ws: passes(block_stream(master_seed, b), rows, buf, ws)
+    return BlockStream(block, n_paths, grid.n_nodes, threads, done)
 
 
 def moments_Z_mc(
@@ -1018,58 +1020,83 @@ def _chunk_stats(block: np.ndarray, ws: np.ndarray):
 
 
 def _merge_stats(a, b):
-    """Pooled (n, c, e, M2, M3) of two disjoint samples (Chan, Golub & LeVeque 1979; Pebay 2008)."""
+    """Pooled (n, c, e, M2, M3) of two disjoint samples (Chan, Golub & LeVeque 1979; Pebay 2008).
+
+    The pooled e, M2 and M3 overwrite a's, which no one else may hold; c is a's.
+    """
     na, ca, ea, M2a, M3a = a
     nb, cb, eb, M2b, M3b = b
     n = na + nb
-    delta = (cb - ca) + (eb - ea)
-    M2 = M2a + M2b + delta * delta * (na * nb / n)
-    M3 = (
-        M3a
-        + M3b
-        + delta * delta * delta * (na * nb * (na - nb) / n**2)
-        + 3.0 * delta * (na * M2b - nb * M2a) / n
-    )
-    return n, ca, ea + delta * (nb / n), M2, M3
+    delta = cb - ca
+    delta += eb - ea
+    # M3 += M3b + delta^3 na nb (na - nb) / n^2 + 3 delta (na M2b - nb M2a) / n, from a's M2
+    cross = na * M2b
+    cross -= nb * M2a
+    cross *= 3.0 * delta
+    cross /= n
+    cube = delta * delta
+    cube *= delta
+    cube *= na * nb * (na - nb) / n**2
+    M3a += M3b
+    M3a += cube
+    M3a += cross
+    # M2 += M2b + delta^2 na nb / n, and e += delta nb / n
+    np.multiply(delta, delta, out=cube)
+    cube *= na * nb / n
+    M2a += M2b
+    M2a += cube
+    delta *= nb / n
+    ea += delta
+    return n, ca, ea, M2a, M3a
+
+
+def _push(stack, level: int, stats) -> None:
+    """Push stats of merge-tree level ``level``, merging equal levels: a binary merge tree."""
+    while stack and stack[-1][0] == level:
+        stats = _merge_stats(stack.pop()[1], stats)
+        level += 1
+    stack.append((level, stats))
 
 
 def moments_from_chunks(chunks, grid: TimeGrid, n_paths: int):
-    """Sample mean, variance, third central moment and the SE of the mean from (start, block) chunks.
+    """Sample mean, variance, third central moment and the SE of the mean of a block stream.
 
-    The chunks together hold the n_paths rows of one ensemble on ``grid``,
-    as :func:`iter_Z_chunks` yields them. Each chunk is cut into slabs
-    (:func:`timebase.iter_slabs`), each slab is reduced to its count, mean
-    and central sums M2, M3, and the slabs are merged pairwise in row order,
+    ``chunks`` is what :func:`iter_Z_chunks` returns for the n_paths rows of
+    one ensemble on ``grid``. Each pass is reduced to its count, mean and
+    central sums M2, M3, and the passes are merged pairwise in row order,
     equal counts first, so no raw power sum is formed: the variance and the
     third central moment keep their relative accuracy however large the mean
-    is against the spread. The slabs are the leaves of the merge tree, so
-    chunks cut on block boundaries give the same bits for any chunk size and
-    thread count. The slab transients live in one work array, so besides the
-    chunk being read only the merge stack's per-node sums are held: about
-    log2 of the slab count of them.
+    is against the spread. A full block's passes form one complete subtree,
+    so each block merges its own, and the block stacks are pushed onto the
+    ensemble's in block order: the same tree, and bits, for any thread count.
     """
     from .approx import MomentCurves  # MomentCurves lives with its consumers
 
     if n_paths < 2:
         raise ValueError("need at least 2 paths for moment estimation")
-    stack = []  # (level, stats), levels strictly decreasing: a binary merge tree
-    ws = np.empty(0)  # deviations and their powers, for every slab
-    for _, slab in iter_slabs(chunks):
-        if ws.size < 2 * slab.size:
-            ws = np.empty(2 * slab.size)
-        level, stats = 0, _chunk_stats(slab, ws)
-        while stack and stack[-1][0] == level:
-            stats = _merge_stats(stack.pop()[1], stats)
-            level += 1
-        stack.append((level, stats))
+
+    local = threading.local()  # each worker's deviations and their powers, for the call
+
+    def fold(passes):
+        stack = []
+        for _, slab in passes:
+            if getattr(local, "ws", np.empty(0)).size < 2 * slab.size:
+                local.ws = np.empty(2 * slab.size)
+            _push(stack, 0, _chunk_stats(slab, local.ws))
+        return stack
+
+    stack = []  # (level, stats), levels strictly decreasing
+    for block in chunks.map(fold):
+        while block:  # popped as pushed, so no merged-away stats stay referenced
+            _push(stack, *block.pop(0))
     if not stack:
-        raise ValueError(f"no chunks, expected {n_paths} rows")
+        raise ValueError(f"no rows, expected {n_paths}")
     stats = stack.pop()[1]
     while stack:
         stats = _merge_stats(stack.pop()[1], stats)
     n, c, e, M2, M3 = stats
     if n != n_paths:
-        raise ValueError(f"chunks hold {n} rows, expected {n_paths}")
+        raise ValueError(f"the blocks hold {n} rows, expected {n_paths}")
     M2 = np.maximum(M2, 0.0)  # rounding of identical rows
     return MomentCurves.from_central(
         grid, m1=c + e, var=M2 / n, mu3=M3 / n, se1=np.sqrt(M2 / (n - 1) / n)

@@ -139,8 +139,11 @@ def first_passage_times(
 
 
 def _cap_steps(dt: float, horizon_cap: float) -> int:
-    """Steps of dt to the first node at or past horizon_cap, with 1e-9 steps of slack for rounding."""
-    return max(1, math.ceil(horizon_cap / dt - 1e-9))
+    """Steps of dt to the last node at or before horizon_cap (1e-9 steps of slack); ValueError below one."""
+    steps = math.floor(horizon_cap / dt + 1e-9)
+    if steps < 1:
+        raise ValueError(f"horizon_cap = {horizon_cap} is below one step dt = {dt}")
+    return steps
 
 
 def _first_passage_batch(neuron: LIFNeuron, dt: float, n_total: int, stream, out) -> None:
@@ -194,8 +197,9 @@ def first_passage_law(
     The kernel is cut after its last lag above float64 resolution of its
     peak, and the solve stops once 1 - G is below float64 resolution.
 
-    h is dt, or the smallest whole multiple of dt that covers horizon_cap in
-    at most _SOLVE_STEPS steps, so the work is bounded for any dt. The CDF G
+    h is dt, or the smallest whole multiple of dt that reaches the last
+    sim_dt node at or before horizon_cap in at most _SOLVE_STEPS steps, so
+    the work is bounded for any dt, and no node lies past the cap. The CDF G
     at the nodes integrates max(g, 0) by the trapezoid rule, capped at 1; the
     law is linear in G between nodes, and the mass 1 - G beyond the last
     node never fires.
@@ -209,7 +213,7 @@ def first_passage_law(
         return drift_mod.PointMass(t if t <= horizon_cap else math.inf)
     steps = _cap_steps(dt, horizon_cap)
     cells = math.ceil(steps / _SOLVE_STEPS)  # sim_dt steps per solve step
-    n = math.ceil(steps / cells)
+    n = steps // cells  # the last solve node lies at or before the cap
     h = cells * dt
     lags = h * np.arange(1, n + 1)
     free = -2.0 * _psi(neuron, neuron.v0_i, lags)

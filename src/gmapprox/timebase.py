@@ -10,19 +10,12 @@ The block-stream contract: the rows of an ensemble fall into blocks of
 rows from the one stream ``block_stream(master_seed, b)``, in an order fixed
 by the sampler, the grid and the number of ensemble rows in the block
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
-A block is produced as a sequence of passes of :func:`slab_rows` rows,
-counted from its first row, and :func:`iter_block_passes` hands the passes
-out in row order, one reused pass buffer at a time; threads produce whole
-blocks, so a row's value depends on neither the thread count nor how a
-caller cuts the rows, and no block is ever held whole.
-
-The contract extends to reductions over the rows. A reducer reads each chunk
-in slabs of :func:`slab_rows` rows, counted from the chunk's start
-(:func:`iter_slabs`): a power of two that divides ``_BLOCK`` and keeps a slab
-within ``_KERNEL_CELLS`` cells. A pass is one slab, and chunks that start on
-block boundaries cut into the same sequence of slabs, so a reduction that
-combines slab partials in row order gives the same bits for any thread count
-and any such chunking.
+A :class:`BlockStream` samples each block as passes of :func:`slab_rows`
+rows, counted from its first row, into one reused buffer, so no block is
+ever held whole. Its ``map(fold)`` folds each block whole, pass by pass, and
+yields the folds in block order; a reducer combines them in that order.
+Threads sample and fold whole blocks, so every row and every reduction is
+the same bits for any thread count.
 
 Every first-order recurrence that starts from rest runs through a
 :class:`PoleRun`, built once per pole and row length: numpy matrix products
@@ -36,10 +29,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import queue
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -54,10 +48,9 @@ __all__ = [
     "child_seed",
     "block_stream",
     "fill_rows",
-    "iter_block_passes",
+    "BlockStream",
     "pass_rows",
     "slab_rows",
-    "iter_slabs",
     "stable_exp_diff",
     "write_csv_columns",
     "write_json",
@@ -347,85 +340,68 @@ def block_stream(master_seed: int, block: int) -> np.random.Generator:
     return derive_stream(master_seed, block)
 
 
-class _Stopped(Exception):
-    """The consumer of :func:`iter_block_passes` stopped reading: a worker ends."""
+@dataclass(frozen=True)
+class BlockStream:
+    """The rows of an n_paths-row ensemble, sampled and folded a whole block at a time.
 
-
-def iter_block_passes(block_passes, n_paths: int, n_nodes: int, threads: int = 1):
-    """Yield (start, pass) for the rows of an n_paths-row ensemble, in row order.
-
-    Block b holds the ``rows = min(_BLOCK, n_paths - b*_BLOCK)`` ensemble rows
-    from b*_BLOCK on. ``block_passes(b, rows, take, ws)`` is a generator of
-    the block's passes: for each it fills the first rows of the array
-    ``take()`` returns, a (min(slab_rows(n_nodes), n_paths), n_nodes) buffer,
-    and yields those rows; it must make them a pure function of (b, rows)
-    and the row indices, which drawing from ``block_stream(seed, b)`` does.
-    ``ws`` is a flat float64 scratch array of as many cells as that buffer,
-    which the generator may overwrite at will.
-
-    A pass is a view of a reused buffer: it is valid until the next pass is
-    requested. One thread runs the blocks in the caller, into one buffer.
-    With more, worker w produces blocks w, w + threads, ... ahead of the
-    caller into its own pool of two buffers, and the caller reads the
-    workers' passes in row order and hands each buffer back when it asks for
-    the next pass. Every buffer and scratch array is allocated once per
-    call, so the rows are the same bits for any thread count, and the memory
-    held is a few passes per thread, whatever n_paths.
+    Block b holds the ``rows = min(_BLOCK, n_paths - b*_BLOCK)`` rows from
+    b*_BLOCK on. ``passes(b, rows, buf, ws)`` generates them: each pass fills
+    the first rows of ``buf``, a (min(slab_rows(n_nodes), n_paths), n_nodes)
+    array, with the block's next rows, a pure function of (b, rows) and the
+    row indices, and yields them. ``ws`` is a flat scratch array of ``buf``'s
+    cells. ``done``, if given, is called once the last block is folded.
     """
-    blocks = [(b, min(_BLOCK, n_paths - b * _BLOCK)) for b in range(-(-n_paths // _BLOCK))]
-    width = min(slab_rows(n_nodes), n_paths)
-    if threads is None or threads <= 1 or len(blocks) < 2:
-        buf, ws = np.empty((width, n_nodes)), np.empty(width * n_nodes)
-        for b, rows in blocks:
-            start = b * _BLOCK
-            for rows_done in block_passes(b, rows, lambda: buf, ws):
-                yield start, rows_done
-                start += len(rows_done)
-        return
-    workers = min(threads, len(blocks))
-    free = [queue.SimpleQueue() for _ in range(workers)]
-    ready = [queue.SimpleQueue() for _ in range(workers)]
 
-    def work(w):
-        taken, ws = [], np.empty(width * n_nodes)
+    passes: Callable
+    n_paths: int
+    n_nodes: int
+    threads: int = 1
+    done: Callable | None = None
 
-        def take():
-            buf = free[w].get()
-            if buf is None:
-                raise _Stopped
-            taken.append(buf)
-            return buf
+    def map(self, fold):
+        """Yield ``fold`` of each block's (start, pass) pairs, in block order.
 
-        try:
-            for b, rows in blocks[w::workers]:
-                for rows_done in block_passes(b, rows, take, ws):
-                    ready[w].put((rows_done, taken.pop()))
-        except _Stopped:
-            pass
-        except BaseException as exc:  # raised in the caller when it reaches this worker's pass
-            ready[w].put((exc, None))
+        A pass is a view of its worker's buffer, valid until the next pass.
+        One thread folds the blocks in the caller; more sample and fold whole
+        blocks, at most ``threads`` of them started and not yet yielded, so
+        the folds held do not grow with n_paths. Each worker allocates its
+        buffer and scratch once per call. A block's error is raised here and
+        stops the blocks after it; no worker outlives the generator.
+        """
+        blocks = [(b, min(_BLOCK, self.n_paths - b * _BLOCK)) for b in range(-(-self.n_paths // _BLOCK))]
+        width = min(slab_rows(self.n_nodes), self.n_paths)
+        local = threading.local()  # each worker's pass buffer and scratch array
 
-    for q in free:
-        for _ in range(2):
-            q.put(np.empty((width, n_nodes)))
-    pool = [threading.Thread(target=work, args=(w,), daemon=True) for w in range(workers)]
-    for t in pool:
-        t.start()
-    try:
-        for i, (b, rows) in enumerate(blocks):
-            start, stop = b * _BLOCK, b * _BLOCK + rows
-            while start < stop:
-                rows_done, buf = ready[i % workers].get()
-                if buf is None:
-                    raise rows_done
-                yield start, rows_done
-                start += len(rows_done)
-                free[i % workers].put(buf)
-    finally:
-        for q in free:
-            q.put(None)
-        for t in pool:
-            t.join()
+        def run(block):
+            if not hasattr(local, "buf"):
+                local.buf, local.ws = np.empty((width, self.n_nodes)), np.empty(width * self.n_nodes)
+            b, rows = block
+            return fold(self._pairs(b, rows, local.buf, local.ws))
+
+        workers = min(self.threads or 1, len(blocks))
+        if workers <= 1:
+            for block in blocks:
+                yield run(block)
+        else:
+            ex = ThreadPoolExecutor(max_workers=workers)
+            try:
+                ahead = deque()
+                for block in blocks:
+                    if len(ahead) == workers:
+                        yield ahead.popleft().result()
+                    ahead.append(ex.submit(run, block))
+                while ahead:
+                    yield ahead.popleft().result()
+            finally:
+                ex.shutdown(cancel_futures=True)
+        if self.done is not None:
+            self.done()
+
+    def _pairs(self, b, rows, buf, ws):
+        start = b * _BLOCK
+        for rows_done in self.passes(b, rows, buf, ws):
+            yield start, rows_done
+            start += len(rows_done)
 
 
 def pass_rows(width: int) -> int:
@@ -434,26 +410,13 @@ def pass_rows(width: int) -> int:
 
 
 def slab_rows(n_nodes: int) -> int:
-    """Rows per reducer slab: the largest power of two within :func:`pass_rows`, at most _BLOCK.
+    """Rows per pass of a :class:`BlockStream`: the largest power of two within :func:`pass_rows`, at most _BLOCK.
 
-    _BLOCK is a power of two, so the slab size divides it and slabs counted
-    from a block's first row never straddle two blocks.
+    _BLOCK is a power of two, so the pass size divides it and the passes of
+    a full block are all the same size.
     """
     rows = pass_rows(n_nodes)
     return min(_BLOCK, 1 << (rows.bit_length() - 1))
-
-
-def iter_slabs(chunks):
-    """Cut each (start, chunk) pair into (start, slab) views of :func:`slab_rows` rows.
-
-    Slabs are counted from the chunk's start, and the last slab of a chunk
-    may be shorter, so chunks that start on block boundaries give the same
-    slabs whatever their size.
-    """
-    for start, chunk in chunks:
-        step = slab_rows(chunk.shape[1])
-        for lo in range(0, chunk.shape[0], step):
-            yield start + lo, chunk[lo : lo + step]
 
 
 def fill_rows(build_row, n_paths: int, n_nodes: int, threads: int = 1) -> np.ndarray:

@@ -15,6 +15,7 @@ from gmapprox import drift as dm
 from gmapprox.sde import LinearSDE, simulate_Y
 from gmapprox.timebase import (
     _BLOCK,
+    BlockStream,
     Curve,
     PathEnsemble,
     TimeGrid,
@@ -22,6 +23,7 @@ from gmapprox.timebase import (
     derive_stream,
     exp_weighted_values,
     fill_rows,
+    slab_rows,
     split_stream,
 )
 
@@ -145,18 +147,37 @@ def x_mean_analytic(sde: LinearSDE, model) -> Curve:
     return Curve(sde.grid, sde.x0 * np.exp(-sde.theta * t) + acc)
 
 
-def stacked_chunks(chunks):
-    """(starts, matrix) of (start, chunk) pairs whose chunks are views of reused buffers."""
+def stacked_chunks(stream):
+    """(starts, matrix) of the (start, pass) pairs of a block stream, copied out of their reused buffers."""
     starts, rows = [], []
-    for start, chunk in chunks:
-        starts.append(start)
-        rows.append(chunk.copy())
+    for block in stream.map(lambda passes: [(start, rows.copy()) for start, rows in passes]):
+        for start, chunk in block:
+            starts.append(start)
+            rows.append(chunk)
     return starts, np.vstack(rows)
 
 
 def cut_rows(values: np.ndarray, size: int):
     """(start, chunk) pairs of ``size`` rows of a materialized ensemble (the last may be shorter)."""
     return ((lo, values[lo : lo + size]) for lo in range(0, len(values), size))
+
+
+def matrix_blocks(values: np.ndarray, rows: int | None = None) -> BlockStream:
+    """A materialized ensemble as a block stream whose passes are views of ``values``.
+
+    Blocks are _BLOCK rows, as in drift.iter_Z_chunks, and each block is cut
+    into passes of ``rows`` rows from its first row: slab_rows by default,
+    the passes of iter_Z_chunks, so a reducer gives the same bits.
+    """
+    n, width = values.shape
+    step = rows or slab_rows(width)
+
+    def passes(b, count, buf, ws):
+        lo = b * _BLOCK
+        for a in range(0, count, step):
+            yield values[lo + a : lo + min(a + step, count)]
+
+    return BlockStream(passes, n, width)
 
 
 def curve_from_csv(path) -> Curve:

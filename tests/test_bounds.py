@@ -4,8 +4,9 @@ import pytest
 from gmapprox import drift as dm
 from gmapprox.approx import F2_analytic
 from gmapprox.bounds import BoundCurve, d2_closed, d2_generic, pointwise_mse_streaming
+from gmapprox import timebase
 from gmapprox.timebase import Curve, TimeGrid, slab_rows
-from oracles import cut_rows
+from oracles import cut_rows, matrix_blocks
 
 THETA = 1.5
 
@@ -101,8 +102,8 @@ def pointwise_mse(Z_ensemble, F):
 
 
 def mse_of(ens, F):
-    """pointwise_mse_streaming over an ensemble handed over as one chunk."""
-    return pointwise_mse_streaming([(0, ens.values)], F, ens.n_paths)
+    """pointwise_mse_streaming over a materialized ensemble."""
+    return pointwise_mse_streaming(matrix_blocks(ens.values), F, ens.n_paths)
 
 
 class TestPointwiseMSE:
@@ -151,52 +152,55 @@ class TestPointwiseMSE:
             mse_of(ens, Curve(g, np.zeros(g.n_nodes)))
 
 
-def streaming_oracle(chunks, F, n_paths):
-    """pointwise_mse_streaming by the former formulas: a fresh (Z - F)^2 and its square per chunk."""
+def streaming_oracle(Z, F, rows):
+    """pointwise_mse_streaming by the former formulas: a fresh (Z - F)^2 and its square per pass.
+
+    The column sums of the passes of ``rows`` rows are added in row order
+    within each block of _BLOCK rows, and the block sums in block order.
+    """
+    n_paths = len(Z)
     s1 = np.zeros(F.grid.n_nodes)
     s2 = np.zeros(F.grid.n_nodes)
-    for _, block in chunks:
-        w = (block - F.values[None, :]) ** 2
-        s1 += w.sum(axis=0)
-        s2 += (w * w).sum(axis=0)
+    for _, block in cut_rows(Z, timebase._BLOCK):
+        b1 = np.zeros(F.grid.n_nodes)
+        b2 = np.zeros(F.grid.n_nodes)
+        for _, slab in cut_rows(block, rows):
+            w = (slab - F.values[None, :]) ** 2
+            b1 += w.sum(axis=0)
+            b2 += (w * w).sum(axis=0)
+        s1 += b1
+        s2 += b2
     mse = s1 / n_paths
     var = np.maximum(s2 - n_paths * mse**2, 0.0) / (n_paths - 1)
     return mse, np.sqrt(var / n_paths)
 
 
-def cut_slabs(chunks, rows):
-    """Each (start, chunk) cut by hand into (start, slab) pieces of ``rows`` rows."""
-    for start, block in chunks:
-        for lo in range(0, len(block), rows):
-            yield start + lo, block[lo : lo + rows]
-
-
 class TestPointwiseMSEStreaming:
     @pytest.mark.parametrize("model", TABLE1_MODELS, ids=lambda m: type(m).__name__)
     def test_bit_identical_to_former_formulas(self, model):
-        # chunks of 300 rows: the last chunk is shorter than the work array
+        # 101 nodes: a block is one pass, and the 188-row last block is
+        # shorter than the work array
         g = grid(T=1.0, dt=0.01)
+        assert slab_rows(g.n_nodes) == 512
         n = 700
         F = F2_analytic(model, THETA, g).F
         Z = dm.Z_path_ensemble(model, THETA, g, n, 4).values
-        chunks = lambda: cut_rows(Z, 300)
-        mse, se = pointwise_mse_streaming(chunks(), F, n)
-        ref_mse, ref_se = streaming_oracle(chunks(), F, n)
+        mse, se = pointwise_mse_streaming(matrix_blocks(Z), F, n)
+        ref_mse, ref_se = streaming_oracle(Z, F, 512)
         assert np.array_equal(mse.values, ref_mse)
         assert np.array_equal(se.values, ref_se)
 
     def test_fine_grid_sums_slabs_in_row_order(self):
-        # 20,001 nodes: slabs of 4 rows, so each 300-row chunk is 75 slabs
-        # and the 50-row last chunk ends in a slab of 2
+        # 20,001 nodes: passes of 4 rows, so the full block is 128 passes
+        # and the 138-row last block ends in a pass of 2
         g = grid(T=2.0, dt=1e-4)
         assert slab_rows(g.n_nodes) == 4
         model = dm.Poisson(2.0)
         n = 650
         F = F2_analytic(model, THETA, g).F
         Z = dm.Z_path_ensemble(model, THETA, g, n, 4).values
-        chunks = lambda: cut_rows(Z, 300)
-        mse, se = pointwise_mse_streaming(chunks(), F, n)
-        ref_mse, ref_se = streaming_oracle(cut_slabs(chunks(), 4), F, n)
+        mse, se = pointwise_mse_streaming(matrix_blocks(Z), F, n)
+        ref_mse, ref_se = streaming_oracle(Z, F, 4)
         assert np.array_equal(mse.values, ref_mse)
         assert np.array_equal(se.values, ref_se)
 

@@ -125,12 +125,14 @@ class TestConfigValidation:
             ({"sde": {"theta": True}}, "sde.theta must be a finite number"),
             ({"grid": {"T": 1.0, "dt": "0.01"}}, "grid.dt must be a finite number"),
             ({"sde": {"sigma": float("nan")}}, "sde.sigma must be a finite number"),
+            # no first-passage node lies at or before the cap
+            ({"neuron": {"horizon_cap": 0.005}}, "horizon_cap = 0.005 is below one step dt = 0.01"),
         ],
         ids=["model_key", "poisson_jump", "distribution_key", "arrival_key", "top_level_key", "sde_key",
              "grid_key", "mc_key", "output_key", "costs_key", "fractional_paths", "float_paths",
              "string_paths", "bool_seed", "fractional_seed", "null_seed", "string_model_rate",
              "string_jump_rate", "bool_model_rate", "bool_neuron_inputs", "bool_fixed_count", "numeric_directory", "string_theta", "bool_theta", "string_dt",
-             "nan_sigma"],
+             "nan_sigma", "cap_below_one_step"],
     )
     def test_bad_config_is_a_config_error(self, tmp_path, capsys, section, message):
         p = write_config(tmp_path, **section)

@@ -20,7 +20,7 @@ from gmapprox.costs import (
 )
 from gmapprox.sde import LinearSDE
 from gmapprox.timebase import Curve, PathEnsemble, TimeGrid, child_seed, slab_rows, trapezoid_values
-from oracles import cut_rows
+from oracles import cut_rows, matrix_blocks
 
 THETA = 1.5
 
@@ -37,8 +37,8 @@ def estimate_cost(p, Z_ensemble, F):
 
 
 def ensemble_costs(ens, curves):
-    """per_path_cost_matrix over an ensemble handed over as one chunk."""
-    return per_path_cost_matrix([(0, ens.values)], curves, ens.grid.dt, ens.n_paths)
+    """per_path_cost_matrix over a materialized ensemble."""
+    return per_path_cost_matrix(matrix_blocks(ens.values), curves, ens.grid.dt, ens.n_paths)
 
 
 class TestEstimateCost:
@@ -126,14 +126,15 @@ class TestPerPathCostMatrix:
     @pytest.mark.parametrize("model", [dm.SingleShot(2.0), dm.Poisson(2.0), dm.BrownianDrift(2.0)],
                              ids=lambda m: type(m).__name__)
     def test_bit_identical_to_former_formulas(self, model):
-        # chunks of 300 rows: the last chunk is shorter than the work array
+        # 201 nodes: a block is one pass, and the 188-row last block is
+        # shorter than the work array
         g = grid(T=2.0, dt=0.01)
+        assert slab_rows(g.n_nodes) == 512
         n = 700
         curves = (F2_analytic(model, THETA, g).F.values, np.linspace(0.0, 1.0, g.n_nodes))
         Z = dm.Z_path_ensemble(model, THETA, g, n, 5).values
-        chunks = lambda: cut_rows(Z, 300)
-        values, se, gap_se = per_path_cost_matrix(chunks(), curves, g.dt, n)
-        ref = cost_matrix_oracle(chunks(), curves, g.dt, n)
+        values, se, gap_se = per_path_cost_matrix(matrix_blocks(Z), curves, g.dt, n)
+        ref = cost_matrix_oracle(cut_rows(Z, 512), curves, g.dt, n)
         for a, p in enumerate((2, 4)):
             for j in range(2):
                 c = ref[(p, j)]
@@ -143,19 +144,17 @@ class TestPerPathCostMatrix:
 
 
     def test_fine_grid_slabs_keep_per_path_costs(self):
-        # 20,001 nodes: slabs of 4 rows, so each 300-row chunk is 75 slabs
-        # and the 50-row last chunk ends in a slab of 2
+        # 20,001 nodes: passes of 4 rows, so the full block is 128 passes
+        # and the 138-row last block ends in a pass of 2
         g = grid(T=2.0, dt=1e-4)
         assert slab_rows(g.n_nodes) == 4
         model = dm.Poisson(2.0)
         n = 650
         curves = (F2_analytic(model, THETA, g).F.values, np.linspace(0.0, 1.0, g.n_nodes))
         Z = dm.Z_path_ensemble(model, THETA, g, n, 5).values
-        chunks = lambda: cut_rows(Z, 300)
-        slabs = lambda: ((s + lo, b[lo : lo + 4]) for s, b in chunks() for lo in range(0, len(b), 4))
-        values, se, gap_se = per_path_cost_matrix(chunks(), curves, g.dt, n)
-        ref = cost_matrix_oracle(slabs(), curves, g.dt, n)
-        whole = cost_matrix_oracle(chunks(), curves, g.dt, n)
+        values, se, gap_se = per_path_cost_matrix(matrix_blocks(Z), curves, g.dt, n)
+        ref = cost_matrix_oracle(cut_rows(Z, 4), curves, g.dt, n)
+        whole = cost_matrix_oracle(cut_rows(Z, 512), curves, g.dt, n)
         for a, p in enumerate((2, 4)):
             for j in range(2):
                 c = ref[(p, j)]
@@ -214,6 +213,20 @@ class TestWorkingSet:
             assert peak < limit, (what, n, peak)
         for what in ("cost_block", "mse"):
             assert abs(peaks[what, 3000] - peaks[what, 600]) < 2**20, (what, peaks)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_moments_combine_the_blocks_as_they_come(self, threads):
+        """moments_Z_mc on Table 1's 5,001-node grid holds a few block folds, not one per block.
+
+        A full block's fold is one merge-tree entry of four 5,001-node curves
+        (160 kB), so twelve held at once would add about 1.9 MB; 6,000 paths
+        (twelve blocks) peak within 1 MiB of 600 (a full and a partial block).
+        """
+        g = TimeGrid.from_step(5.0, 1e-3)
+        ou = dm.OUDrift(2.0, 1.0, 1.0)
+        peaks = {n: traced_peak(lambda: dm.moments_Z_mc(ou, THETA, g, n, 5, threads)) for n in (600, 6000)}
+        assert peaks[6000] < 8 * timebase._KERNEL_CELLS * 8, peaks
+        assert abs(peaks[6000] - peaks[600]) < 2**20, peaks
 
 
 class TestCostReport:

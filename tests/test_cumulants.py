@@ -15,6 +15,7 @@ from gmapprox.neuro import TABLE2_PARAMS, table2_models
 from gmapprox.response import _LEGENDRE, _gauss_jacobi
 from gmapprox.timebase import TimeGrid, child_seed, trapezoid_values
 
+from oracles import matrix_blocks
 from test_acceptance import TABLE1_REFERENCE, CELLS
 
 
@@ -280,8 +281,7 @@ def test_central_moments_of_offset_data():
     x[:, 3] = -2e4 + rng.gamma(0.5, 2.0, size=n)
     grid = TimeGrid(horizon_T=6.0, dt=1.0, n_steps=6)
     x[:, 0] = 0.0  # Z starts at 0
-    cuts = [0, 1, 2, 513, 1000, 1025, 3333, n]
-    mom = dm.moments_from_chunks(((a, x[a:b]) for a, b in zip(cuts[:-1], cuts[1:])), grid, n)
+    mom = dm.moments_from_chunks(matrix_blocks(x), grid, n)
     xl = x.astype(np.longdouble)
     mean = xl.mean(axis=0)
     d = xl - mean

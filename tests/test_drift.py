@@ -18,9 +18,9 @@ from gmapprox.timebase import (
 )
 from oracles import (
     convolution_oracle,
-    cut_rows,
     event_kernel,
     exp_weighted_running_integral,
+    matrix_blocks,
     stacked_chunks,
     z_path,
     z_path_ensemble,
@@ -325,12 +325,13 @@ BLOCK_MODELS = ALL_MODELS + [dm.Deterministic(Curve.from_function(grid(T=2.0, dt
 
 @pytest.mark.parametrize("model", BLOCK_MODELS, ids=lambda m: type(m).__name__)
 def test_block_contract_reproducible(model):
-    """Every variant: threads 1, 2, 4 agree, and the reducers read chunks of 1, 17, 511, 512, 513 rows alike.
+    """Every variant: threads 1, 2, 4 agree, and the reducers read the materialized ensemble alike.
 
     1,025 paths make three blocks, the last holding one path, which is
-    ``sample_Z_path`` on that block's stream. The materialized ensemble, cut
-    into chunks of each size, gives the per-path costs of the streamed
-    passes, and cut on block boundaries also their moments.
+    ``sample_Z_path`` on that block's stream. The materialized ensemble, in
+    passes of 1, 17, 511, 512 and 513 rows (a pass ends with its block),
+    gives the per-path costs of the streamed passes, and in the streamed
+    passes also their moments.
     """
     g = grid(T=2.0, dt=0.05)
     n, seed = 1025, 7
@@ -346,11 +347,11 @@ def test_block_contract_reproducible(model):
     curves = (np.zeros(g.n_nodes), np.linspace(0.0, 1.0, g.n_nodes))
     streamed = per_path_cost_matrix(dm.iter_Z_chunks(model, THETA, g, n, seed, threads=2), curves, g.dt, n)
     for size in (1, 17, 511, 512, 513):
-        cut = per_path_cost_matrix(cut_rows(full, size), curves, g.dt, n)
+        cut = per_path_cost_matrix(matrix_blocks(full, size), curves, g.dt, n)
         for a, b in zip(cut, streamed):
             assert np.array_equal(a, b), size
     mom = dm.moments_Z_mc(model, THETA, g, n, seed, threads=2)
-    cut_mom = dm.moments_from_chunks(cut_rows(full, 512), g, n)
+    cut_mom = dm.moments_from_chunks(matrix_blocks(full), g, n)
     for name in ("m1", "var", "mu3", "se1"):
         assert np.array_equal(getattr(cut_mom, name).values, getattr(mom, name).values), name
     assert np.array_equal(dm.sample_Z_path(model, THETA, g, block_stream(seed, 2)).values, full[1024])

@@ -30,9 +30,9 @@ from oracles import (
     bridge_first_passages,
     convolution_oracle,
     convolve_response,
-    cut_rows,
     event_kernel,
     gamma_pdf,
+    matrix_blocks,
     stacked_chunks,
     z_path_ensemble,
 )
@@ -264,6 +264,29 @@ class TestBatchedFirstPassage:
         assert fired.max() <= 2.47
         assert (fired > 2.46).any()  # the last step before the cap still runs
 
+    def test_no_time_past_a_cap_between_nodes(self):
+        # 2.475 lies between the nodes 2.47 and 2.48: both routines end at 2.47
+        neuron = LIFNeuron(theta_i=0.1, mu_i=9.0, sigma_i=1.0, v0_i=0.0, v_th=20.0)
+        law = neuro.first_passage_law(neuron, 1e-2, 2.475)
+        assert (law.cdf.size - 1) * law.dt == pytest.approx(2.47, rel=1e-12)
+        for times in (
+            law.sample(derive_stream(7, 1), 200_000),
+            first_passage_times(neuron, 1e-2, 2.475, 20_000, derive_stream(7, 0)),
+        ):
+            fired = times[np.isfinite(times)]
+            assert fired.max() <= 2.475
+            assert (fired > 2.46).any()  # the last step before the cap still fires
+
+    def test_rejects_a_cap_below_one_step(self):
+        with pytest.raises(ValueError, match="below one step"):
+            first_passage_times(TABLE2_LIF, 1e-2, 0.005, 1, derive_stream(0, 0))
+        with pytest.raises(ValueError, match="below one step"):
+            neuro.first_passage_law(TABLE2_LIF, 1e-2, 0.005)
+        with pytest.raises(ValueError, match="below one step"):
+            dm.SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=0.005)
+        # one step is enough
+        assert neuro.first_passage_law(TABLE2_LIF, 1e-2, 0.01).cdf.size == 2
+
     def test_batch_matches_independent_euler_scheme(self):
         """1e5 neurons on block streams against an independent per-neuron Euler loop at the same step.
 
@@ -336,7 +359,7 @@ class TestFirstPassageLaw:
         _, kind, model = cli.parse_neuron({})  # the default scenario: the simulated network
         assert kind == "simulated_network" and calls == []
         fit(model, TABLE2_PARAMS["theta"], grid(T=5.0))
-        list(dm.iter_Z_chunks(model, TABLE2_PARAMS["theta"], grid(T=5.0), 20, 3))
+        stacked_chunks(dm.iter_Z_chunks(model, TABLE2_PARAMS["theta"], grid(T=5.0), 20, 3))
         assert calls == [(TABLE2_LIF, 1e-2, 100.0)]
 
     def test_cdf_converges_in_the_step(self):
@@ -372,6 +395,12 @@ class TestFirstPassageLaw:
         ref = neuro.first_passage_law(TABLE2_LIF, 1e-2, 100.0)
         probs = np.arange(1, 10) / 10
         np.testing.assert_allclose(law_quantiles(law, probs), law_quantiles(ref, probs), atol=1e-3)
+
+    def test_coarse_solve_ends_at_or_before_the_cap(self):
+        # 32,769 steps of 1e-3: cells of two steps, and the last solve node is 32.768, not 32.77
+        law = neuro.first_passage_law(TABLE2_LIF, 1e-3, 32.769)
+        assert law.dt == pytest.approx(2e-3, rel=1e-12)
+        assert (law.cdf.size - 1) * law.dt == pytest.approx(32.768, rel=1e-12)
 
     def test_coarse_cells_are_the_solve_at_their_width(self, monkeypatch):
         monkeypatch.setattr(neuro, "_SOLVE_STEPS", 1000)
@@ -584,7 +613,7 @@ class TestBuildDriftFromNetwork:
         Z = build_drift_from_network(model, 1.5, g, derive_stream(0, 0))
         assert Z.values[-1] == pytest.approx(0.28949856204602503, rel=1e-12)
         cens = []
-        list(dm.iter_Z_chunks(model, 1.5, g, 1, 0, censored=cens))
+        stacked_chunks(dm.iter_Z_chunks(model, 1.5, g, 1, 0, censored=cens))
         assert cens == [(0, 1)]
 
     def test_zero_amplitude(self):
@@ -656,12 +685,12 @@ class TestBuildDriftFromNetwork:
                 assert np.array_equal(getattr(mom, name).values, getattr(runs[0], name).values), name
 
     def test_network_chunks_of_one_trial(self):
-        # the network's ensemble cut into chunks of one trial gives the per-path costs of its passes
+        # the network's ensemble in passes of one trial gives the per-path costs of its passes
         g = grid(T=10.0, dt=0.1)
         model = network(dm.SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=5.0), M=2)
         curves = (np.zeros(g.n_nodes), np.linspace(0.0, 1.0, g.n_nodes))
         ref = per_path_cost_matrix(dm.iter_Z_chunks(model, 0.1, g, 40, 3), curves, g.dt, 40)
-        one = per_path_cost_matrix(cut_rows(dm.Z_path_ensemble(model, 0.1, g, 40, 3).values, 1), curves, g.dt, 40)
+        one = per_path_cost_matrix(matrix_blocks(dm.Z_path_ensemble(model, 0.1, g, 40, 3).values, 1), curves, g.dt, 40)
         for a, b in zip(one, ref):
             assert np.array_equal(a, b)
 

@@ -9,6 +9,7 @@ from scipy.signal import lfilter
 
 from gmapprox import timebase
 from gmapprox.timebase import (
+    BlockStream,
     Curve,
     PoleRun,
     TimeGrid,
@@ -16,8 +17,6 @@ from gmapprox.timebase import (
     derive_stream,
     exp_weighted_values,
     fill_rows,
-    iter_block_passes,
-    iter_slabs,
     slab_rows,
     split_stream,
     stable_exp_diff,
@@ -287,30 +286,18 @@ class TestSlabs:
         assert timebase._BLOCK % rows == 0
         assert rows * n_nodes <= timebase._KERNEL_CELLS or rows == 1
 
-    def test_cuts_from_each_chunk_start(self):
-        # 5,001 nodes: slabs of 16 rows; a 40-row chunk ends in a slab of 8
-        x = np.arange(72 * 5001, dtype=float).reshape(72, 5001)
-        got = list(iter_slabs([(0, x[:32]), (32, x[32:])]))
-        assert [(s, len(b)) for s, b in got] == [(0, 16), (16, 16), (32, 16), (48, 16), (64, 8)]
-        for s, b in got:
-            assert np.shares_memory(b, x) and np.array_equal(b, x[s : s + len(b)])
 
-    def test_same_slabs_for_any_whole_block_chunking(self):
-        # every chunking into whole blocks gives the same slabs
-        x = np.zeros((1100, 5001))
-        cuts = lambda size: [(lo, x[lo : lo + size]) for lo in range(0, 1100, size)]
-        ref = [(s, len(b)) for s, b in iter_slabs(cuts(512))]
-        for size in (1024, 2048):
-            assert [(s, len(b)) for s, b in iter_slabs(cuts(size))] == ref
-
-
-def index_passes(b, rows, take, ws):
-    """A block generator whose rows hold their ensemble row index in every column."""
-    step = slab_rows(1025)
-    for a in range(0, rows, step):
-        out = take()[: min(step, rows - a)]
+def index_passes(b, rows, buf, ws):
+    """A block sampler whose rows hold their ensemble row index in every column."""
+    for a in range(0, rows, len(buf)):
+        out = buf[: min(len(buf), rows - a)]
         out[:] = (b * timebase._BLOCK + a + np.arange(len(out)))[:, None]
         yield out
+
+
+def copied(passes):
+    """A fold that keeps a copy of each (start, pass) pair of its block."""
+    return [(start, rows.copy()) for start, rows in passes]
 
 
 class TestBlockPasses:
@@ -319,34 +306,81 @@ class TestBlockPasses:
     def test_passes_in_row_order_for_any_thread_count(self):
         assert slab_rows(1025) == 64
         blocks = ((0, 512), (512, 512), (1024, 76))
-        starts = [b0 + a for b0, rows in blocks for a in range(0, rows, 64)]
+        starts = [[b0 + a for a in range(0, rows, 64)] for b0, rows in blocks]
         for threads in (1, 2, 3):
-            got = [(s, p.copy()) for s, p in iter_block_passes(index_passes, 1100, 1025, threads)]
-            assert [s for s, _ in got] == starts
-            assert len(got[-1][1]) == 12
-            for s, p in got:
+            folds = list(BlockStream(index_passes, 1100, 1025, threads).map(copied))
+            assert [[s for s, _ in fold] for fold in folds] == starts
+            assert len(folds[-1][-1][1]) == 12
+            for s, p in (pair for fold in folds for pair in fold):
                 assert np.array_equal(p, np.broadcast_to((s + np.arange(len(p)))[:, None], p.shape))
 
     def test_one_thread_reuses_one_buffer(self):
-        passes = iter_block_passes(index_passes, 1100, 1025)
-        _, first = next(passes)
-        assert all(np.shares_memory(p, first) for _, p in passes)
+        passes = [p for fold in BlockStream(index_passes, 1100, 1025).map(list) for _, p in fold]
+        assert len(passes) == 18 and all(np.shares_memory(p, passes[0]) for p in passes)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_one_buffer_per_worker(self, threads):
+        # 12 blocks: every worker runs several, each into the buffer it allocated first
+        fold = lambda passes: [(threading.get_ident(), p) for _, p in passes]
+        runs = {}
+        for fold_passes in BlockStream(index_passes, 12 * 512, 1025, threads).map(fold):
+            for worker, p in fold_passes:
+                runs.setdefault(worker, []).append(p)
+        assert 1 < len(runs) <= threads
+        for worker, passes in runs.items():
+            assert all(np.shares_memory(p, passes[0]) for p in passes)
+            others = [q[0] for w, q in runs.items() if w != worker]
+            assert not any(np.shares_memory(passes[0], q) for q in others)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_folds_held_are_one_per_worker(self, threads):
+        started = []
+
+        def recording(b, rows, buf, ws):
+            started.append(b)
+            yield from index_passes(b, rows, buf, ws)
+
+        for b, _ in enumerate(BlockStream(recording, 40 * 512, 1025, threads).map(copied)):
+            assert max(started) <= b + threads - 1
+        assert sorted(started) == list(range(40))
 
     def test_worker_error_reaches_the_caller(self):
-        def failing(b, rows, take, ws):
-            yield from index_passes(b, 1 if b == 1 else rows, take, ws)
+        started = []
+
+        def failing(b, rows, buf, ws):
+            started.append(b)
             if b == 1:
                 raise ArithmeticError("block 1")
+            yield from index_passes(b, rows, buf, ws)
 
-        with pytest.raises(ArithmeticError, match="block 1"):
-            list(iter_block_passes(failing, 1100, 1025, threads=2))
+        before = threading.active_count()
+        for threads in (1, 2, 3):
+            started.clear()
+            with pytest.raises(ArithmeticError, match="block 1"):
+                list(BlockStream(failing, 40 * 512, 1025, threads).map(copied))
+            assert threading.active_count() == before
+            # the blocks after the error never start: 40 blocks, and at most one per worker ahead
+            assert max(started) <= threads
 
     def test_closing_early_ends_the_workers(self):
         before = threading.active_count()
-        passes = iter_block_passes(index_passes, 1100, 1025, threads=3)
-        next(passes)
-        passes.close()
+        list(BlockStream(index_passes, 1100, 1025, threads=3).map(copied))
         assert threading.active_count() == before
+        folds = BlockStream(index_passes, 1100, 1025, threads=3).map(copied)
+        next(folds)
+        folds.close()
+        assert threading.active_count() == before
+        folds = BlockStream(index_passes, 1100, 1025, threads=3).map(copied)
+        next(folds)
+        del folds  # an abandoned generator is closed as it is collected
+        assert threading.active_count() == before
+
+    def test_done_runs_after_the_last_block(self):
+        calls = []
+        stream = BlockStream(index_passes, 1100, 1025, 2, done=lambda: calls.append("done"))
+        for fold in stream.map(lambda passes: len(list(passes))):
+            calls.append(fold)
+        assert calls == [8, 8, 2, "done"]
 
 
 class TestStableExpDiff:
