@@ -50,7 +50,6 @@ from .neuro import (
     build_drift_from_network,
     first_passage_law,
     first_passage_time,
-    first_passage_times,
     run_table2,
 )
 from .sde import (

@@ -12,8 +12,10 @@ batched kernel evaluates Z from the events of many paths at once: each
 event's exact contribution inside its grid cell is binned, then two exact
 exponential recurrences run along the time axis, so the grid introduces no
 bias and the cost is O(events + nodes). The single-shot drift keeps its
-one-event closed form; the two diffusion-driven variants sample z with exact
-Gaussian transitions and pass it through the shared exponential integrator.
+one-event closed form. The Brownian and OU drifts are one Gaussian family
+(Brownian is rate 0 plus a trend) with one sampler: z minus its mean by its
+exact transition, the trapezoid exponential integrator, then the exact mean
+of Z.
 
 Every variant has an exact law for Z: :func:`cumulant_curves` returns its
 first four cumulants at the grid nodes, which is all the order-2 and order-4
@@ -277,8 +279,8 @@ class PiecewiseUniform(_Law):
             raise ValueError(f"cell width must be positive, got {self.dt}")
         if c.ndim != 1 or c.size < 2 or c[0] != 0.0:
             raise ValueError("cdf needs at least two nodes and cdf[0] = 0")
-        if np.any(np.diff(c) < 0) or c[-1] > 1.0:
-            raise ValueError("cdf must be nondecreasing and at most 1")
+        if not np.all(np.isfinite(c)) or np.any(np.diff(c) < 0) or c[-1] > 1.0:
+            raise ValueError("cdf must be finite, nondecreasing and at most 1")
 
     def sample(self, stream: np.random.Generator, size: int):
         # inverse CDF, one uniform per draw: cdf[k - 1] <= u < cdf[k] falls in cell k
@@ -342,7 +344,10 @@ class SimulatedFiring(_Law):
         if self.sim_dt != grid.dt:
             raise ValueError(f"simulated firing has sim_dt = {self.sim_dt}, the grid dt = {grid.dt}")
         if 2 * self.censored > 1:
-            raise CensoringError(f"{self.censored:.2%} of the firing times are censored; raise horizon_cap")
+            raise CensoringError(
+                f"{self.censored:.2%} of the firing times are censored; raise horizon_cap,"
+                " or refine sim_dt for a nearly noiseless input"
+            )
         return self.law.chain_mean(rates, grid)
 
 
@@ -389,29 +394,6 @@ def _event_sampler(draw, lam: float, theta: float, grid: TimeGrid, tally):
         terms = kernel.terms(times, weights, np.repeat(np.arange(rows), counts))
         for a, out in _cuts(rows, buf):
             yield kernel.rows(terms, a, out, ws)
-
-    return passes
-
-
-def _diffusion_sampler(increments, mean: np.ndarray, theta: float, grid: TimeGrid):
-    """The sampler of a drift driven by a (pass rows, n_steps) matrix of normals per pass.
-
-    ``increments(noise, out)`` turns the normals into z - ``mean`` at the
-    nodes of ``out``, whose first column is 0; the exponential integrator
-    then turns z into Z in place.
-    """
-    dt = grid.dt
-    run = PoleRun(np.exp(-theta * dt), grid.n_steps)
-
-    def passes(stream, rows, buf, ws):
-        for _, out in _cuts(rows, buf):
-            noise = ws[: len(out) * grid.n_steps].reshape(len(out), grid.n_steps)
-            stream.standard_normal(out=noise)
-            out[:, 0] = 0.0
-            increments(noise, out)
-            out += mean
-            exp_weight_in_place(out, run, dt, noise)  # the spent normals are its scratch
-            yield out
 
     return passes
 
@@ -502,15 +484,14 @@ def _check_distinct(name: str, value: float, theta: float, what: str) -> None:
         raise PairingError(f"{name} = {value} coincides with {what} = {theta}")
 
 
-def _ramp_d2(th: float, t: np.ndarray) -> np.ndarray:
-    # damped accumulation of D[z(s)] = s
-    return t / (2 * th) + np.expm1(-2 * th * t) / (4 * th**2)
+def _ramp_mean(theta: float, t: np.ndarray) -> np.ndarray:
+    """int_0^t K(u) du with K(u) = (1 - e^{-theta u}) / theta: the damped accumulation of s."""
+    return t / theta + np.expm1(-theta * t) / theta**2
 
 
 def _ramp_cumulants(w, theta: float, grid: TimeGrid, kappa: np.ndarray) -> None:
     """kappa_n = w_n int_0^t K(u)^n du with K(u) = (1 - e^{-theta u}) / theta, for n up to len(w)."""
-    t = grid.times()
-    kappa[0] = w[0] * (t / theta + np.expm1(-theta * t) / theta**2)
+    kappa[0] = w[0] * _ramp_mean(theta, grid.times())
     if len(kappa) > 1:
         # row n + 1 is int_0^t K(u)^n du / n!; one chain for every order,
         # so a lower order gives the same rows bit for bit
@@ -614,7 +595,8 @@ class CompoundPoisson(_Drift):
         _ramp_cumulants(w, theta, grid, kappa)
 
     def _d2(self, theta: float, grid: TimeGrid):
-        return self.rate * self.jump.raw_moment(2) * _ramp_d2(theta, grid.times()), True
+        ramp, _ = BrownianDrift()._d2(theta, grid)  # D[z] is a ramp, as a Brownian drift's
+        return self.rate * self.jump.raw_moment(2) * ramp, True
 
 
 @dataclass(frozen=True)
@@ -716,88 +698,100 @@ class ShotNoise(_Drift):
 
 
 @dataclass(frozen=True)
-class BrownianDrift(_Drift):
-    """z(t) = W~(t) + trend * t for an independent Brownian motion W~."""
+class _GaussianDrift(_Drift):
+    """z(t) = U(t) + trend * t with dU = -rate U dt + sigma_u dW~, U(0) = u0: the Gaussian drifts.
 
-    trend: float = 0.0
-
-    def __post_init__(self):
-        if self.trend < 0:
-            raise ValueError(f"trend must be nonnegative, got {self.trend}")
-
-    def _block_sampler(self, theta: float, grid: TimeGrid, tally=None):
-        """z at the nodes as the running sum of sqrt(dt) normals, plus the trend."""
-        scale = np.sqrt(grid.dt)
-
-        def walk(noise, out):
-            noise *= scale
-            np.cumsum(noise, axis=1, out=out[:, 1:])
-
-        return _diffusion_sampler(walk, self.trend * grid.times(), theta, grid)
-
-    def _mean_z(self, grid: TimeGrid) -> np.ndarray:
-        return self.trend * grid.times()
-
-    def _var_z(self, grid: TimeGrid) -> np.ndarray:
-        return grid.times()
-
-    def _cumulants(self, theta: float, grid: TimeGrid, kappa: np.ndarray) -> None:
-        """Z is Gaussian: kappa_1 = trend int_0^t K(u) du and kappa_2 = int_0^t K(u)^2 du."""
-        _ramp_cumulants([self.trend, 1.0], theta, grid, kappa)
-
-    def _d2(self, theta: float, grid: TimeGrid):
-        return _ramp_d2(theta, grid.times()), True
-
-
-@dataclass(frozen=True)
-class OUDrift(_Drift):
-    """z(t) = U(t) with dU = -rate U dt + sigma_u dW~, U(0) = u0."""
+    Rate 0 makes U a Brownian motion. Every closed form is a chain
+    (:func:`response.chain_states`) that covers rate 0. The variants fix the
+    fields they do not take.
+    """
 
     rate: float
-    sigma_u: float = 1.0
-    u0: float = 0.0
-
-    def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
-        if self.sigma_u < 0:
-            raise ValueError(f"sigma_u must be nonnegative, got {self.sigma_u}")
+    sigma_u: float
+    u0: float
+    trend: float
 
     def _check_pairing(self, theta: float) -> None:
         _check_distinct("OU drift rate", self.rate, theta, "theta")
 
     def _block_sampler(self, theta: float, grid: TimeGrid, tally=None):
-        """z at the nodes through the exact OU transition, one normal per step."""
-        lam, n = self.rate, grid.n_nodes
-        a = np.exp(-lam * grid.dt)
-        scale = self.sigma_u * np.sqrt(-np.expm1(-2 * lam * grid.dt) / (2 * lam))
-        run = PoleRun(a, grid.n_steps)
+        """z - E z at the nodes through the exact transition, one normal per step, then the integrator.
 
-        def transition(noise, out):
-            noise *= scale
-            run(noise, out[:, 1:])
+        The exact mean of Z is added after the integration, so the
+        trapezoid rule acts on the zero-mean part alone.
+        """
+        dt, steps = grid.dt, grid.n_steps
+        scale = self.sigma_u * np.sqrt(stable_exp_diff(0.0, 2 * self.rate, dt))
+        z_run = PoleRun(np.exp(-self.rate * dt), steps)
+        Z_run = PoleRun(np.exp(-theta * dt), steps)
+        mean = np.zeros((1, grid.n_nodes))
+        self._cumulants(theta, grid, mean)
 
-        return _diffusion_sampler(transition, self.u0 * a ** np.arange(n), theta, grid)
+        def passes(stream, rows, buf, ws):
+            for _, out in _cuts(rows, buf):
+                noise = ws[: len(out) * steps].reshape(len(out), steps)
+                stream.standard_normal(out=noise)
+                noise *= scale
+                out[:, 0] = 0.0
+                z_run(noise, out[:, 1:])
+                exp_weight_in_place(out, Z_run, dt, noise)  # the spent normals are its scratch
+                out += mean
+                yield out
+
+        return passes
 
     def _mean_z(self, grid: TimeGrid) -> np.ndarray:
-        return self.u0 * np.exp(-self.rate * grid.times())
+        t = grid.times()
+        return self.u0 * np.exp(-self.rate * t) + self.trend * t
 
     def _var_z(self, grid: TimeGrid) -> np.ndarray:
-        return self.sigma_u**2 / (2 * self.rate) * (-np.expm1(-2 * self.rate * grid.times()))
+        return self.sigma_u**2 * stable_exp_diff(0.0, 2 * self.rate, grid.times())
 
     def _cumulants(self, theta: float, grid: TimeGrid, kappa: np.ndarray) -> None:
-        """Z is Gaussian with kappa_2 = int_0^t G(u)^2 du for the drift's kernel G."""
-        lam, th = self.rate, theta
-        kappa[0] = self.u0 * stable_exp_diff(lam, th, grid.times())
+        """Z is Gaussian with kappa_2 = sigma_u^2 int_0^t G(u)^2 du for the drift's kernel G.
+
+        G(u) = (e^{-rate u} - e^{-theta u}) / (theta - rate), the response of Z to z.
+        """
+        lam, th, t = self.rate, theta, grid.times()
+        kappa[0] = self.u0 * stable_exp_diff(lam, th, t) + self.trend * _ramp_mean(th, t)
         if len(kappa) > 1:
             # G(u)^2 = 2 chain(2 lam, lam + theta, 2 theta), integrated once more
             v = chain_states([0.0, 2 * lam, lam + th, 2 * th], grid)
             kappa[1] = 2.0 * self.sigma_u**2 * v[3]
 
     def _d2(self, theta: float, grid: TimeGrid):
-        lam, s2, th, t = self.rate, self.sigma_u**2, theta, grid.times()
-        vals = s2 / (2 * lam) * (-np.expm1(-2 * th * t) / (2 * th) - stable_exp_diff(2 * lam, 2 * th, t))
-        return vals, True
+        # the damped accumulation of D[z(s)] = sigma_u^2 chain(0, 2 lam)(s)
+        return self.sigma_u**2 * chain_states([0.0, 2 * self.rate, 2 * theta], grid)[2], True
+
+
+@dataclass(frozen=True)
+class BrownianDrift(_GaussianDrift):
+    """z(t) = W~(t) + trend * t for an independent Brownian motion W~."""
+
+    rate: float = field(default=0.0, init=False)
+    sigma_u: float = field(default=1.0, init=False)
+    u0: float = field(default=0.0, init=False)
+    trend: float = 0.0
+
+    def __post_init__(self):
+        if self.trend < 0:
+            raise ValueError(f"trend must be nonnegative, got {self.trend}")
+
+
+@dataclass(frozen=True)
+class OUDrift(_GaussianDrift):
+    """z(t) = U(t) with dU = -rate U dt + sigma_u dW~, U(0) = u0."""
+
+    rate: float
+    sigma_u: float = 1.0
+    u0: float = 0.0
+    trend: float = field(default=0.0, init=False)
+
+    def __post_init__(self):
+        if self.rate <= 0:
+            raise ValueError(f"rate must be positive, got {self.rate}")
+        if self.sigma_u < 0:
+            raise ValueError(f"sigma_u must be nonnegative, got {self.sigma_u}")
 
 
 @dataclass(frozen=True)
@@ -862,8 +856,8 @@ def sample_Z_path(
     A one-row block drawn from ``stream``, so it equals the row of an
     ensemble whose block holds that row alone. Event-driven drifts go
     through the batched event kernel (no grid bias), the single shot uses
-    its closed form, and the two diffusion-driven drifts pass a sampled z
-    path through the exponential integrator.
+    its closed form, and the Gaussian drifts pass a sampled z path through
+    the exponential integrator.
     """
     validate_pairing(model, theta)
     out = np.empty((1, grid.n_nodes))

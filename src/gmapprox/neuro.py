@@ -15,12 +15,8 @@ kernel vanishes on the diagonal (Buonocore, Nobile & Ricciardi 1987, Adv.
 Appl. Prob. 19:784-800; Di Nardo, Nobile, Pirozzi & Ricciardi 2001, Adv.
 Appl. Prob. 33:453-482). :func:`first_passage_law` solves it by the
 trapezoid rule and tabulates the CDF: the exact law that the network row is
-both sampled from (one uniform per input) and fitted on (its cumulants).
-
-:func:`first_passage_times` keeps the Euler-Maruyama simulation of the
-inputs: it advances n paths together, one numpy step over the live paths at
-a time, and draws the normals of each block of _FPT_BLOCK steps with one call
-for every input still live. No table or command uses it.
+both sampled from (one uniform per input) and fitted on (its cumulants);
+:func:`first_passage_time` is one draw from it.
 
 Units are milliseconds and millivolts throughout.
 """
@@ -34,13 +30,12 @@ import numpy as np
 
 from . import drift as drift_mod
 from .costs import CostReport, run_table
-from .timebase import Curve, TimeGrid, pass_rows
+from .timebase import Curve, TimeGrid
 
 __all__ = [
     "LIFNeuron",
     "CENSORED",
     "first_passage_time",
-    "first_passage_times",
     "first_passage_law",
     "build_drift_from_network",
     "table2_models",
@@ -75,7 +70,6 @@ TABLE2_PARAMS = {
     "horizon_cap": 100.0,  # ms
 }
 
-_FPT_BLOCK = 512  # steps per block of the batched first-passage recurrence
 # Most steps a first-passage solve takes: a finer sim_dt grid is solved on
 # cells of a whole number of its steps, so the solve costs at most
 # _SOLVE_STEPS^2 / 2 multiply-adds and holds _SOLVE_STEPS + 1 CDF values.
@@ -105,37 +99,12 @@ class LIFNeuron:
 def first_passage_time(
     neuron: LIFNeuron, dt: float, horizon_cap: float, stream: np.random.Generator
 ) -> float:
-    """First threshold crossing of one LIF path: a one-neuron :func:`first_passage_times`."""
-    return float(first_passage_times(neuron, dt, horizon_cap, 1, stream)[0])
+    """One first threshold crossing of an LIF input: one draw from :func:`first_passage_law`.
 
-
-def first_passage_times(
-    neuron: LIFNeuron, dt: float, horizon_cap: float, n: int, stream: np.random.Generator
-) -> np.ndarray:
-    """First threshold crossing of n Euler-Maruyama LIF paths drawn from one stream.
-
-    Each path follows v_k = a v_{k-1} + x_k with x_k = mu_i dt + sigma_i sqrt(dt) n_k
-    and a = 1 - theta_i dt, from v_0 = v0_i: a rounded product and a rounded
-    sum per step, over the steps of :func:`first_passage_law`. The crossing
-    time is interpolated linearly inside the crossing step; paths that do
-    not cross by then give CENSORED (= inf). Paths run in sub-batches of at
-    most ``_KERNEL_CELLS // _FPT_BLOCK`` rows (at least one), one after the
-    other, _FPT_BLOCK steps at a time: each step block draws the normals of
-    the sub-batch's live paths, in path order, with one
-    ``standard_normal((live, steps))`` call. The working set is bounded
-    whatever n, and a single path gives the bits of a sequential per-step
-    loop over its stream. It fires about 0.014 ms late against
-    :func:`first_passage_law` at dt = 1e-2 (Table 2's input), and no table
-    or command draws from it.
+    A noisy input reads one uniform from ``stream``, a noiseless one none;
+    an input that does not cross by the cap gives CENSORED (= inf).
     """
-    if dt <= 0 or horizon_cap <= 0:
-        raise ValueError("dt and horizon_cap must be positive")
-    n_total = _cap_steps(dt, horizon_cap)
-    out = np.full(n, CENSORED)
-    rows = pass_rows(_FPT_BLOCK)
-    for lo in range(0, n, rows):
-        _first_passage_batch(neuron, dt, n_total, stream, out[lo : lo + rows])
-    return out
+    return float(first_passage_law(neuron, dt, horizon_cap).sample(stream, 1)[0])
 
 
 def _cap_steps(dt: float, horizon_cap: float) -> int:
@@ -144,37 +113,6 @@ def _cap_steps(dt: float, horizon_cap: float) -> int:
     if steps < 1:
         raise ValueError(f"horizon_cap = {horizon_cap} is below one step dt = {dt}")
     return steps
-
-
-def _first_passage_batch(neuron: LIFNeuron, dt: float, n_total: int, stream, out) -> None:
-    """Write the crossing times of one sub-batch of paths into ``out``."""
-    a = 1.0 - neuron.theta_i * dt
-    mu_dt = neuron.mu_i * dt
-    s = neuron.sigma_i * math.sqrt(dt)
-    live = np.arange(len(out))  # paths that have not fired yet
-    v_prev = np.full(len(out), float(neuron.v0_i))
-    done = 0
-    while done < n_total and live.size:
-        block = min(_FPT_BLOCK, n_total - done)
-        # row k holds v_k of each live path, from the state v_0 the last block ended at
-        path = np.empty((block + 1, live.size))
-        path[0] = v_prev
-        if neuron.sigma_i > 0:
-            np.multiply(stream.standard_normal((live.size, block)).T, s, out=path[1:])
-            path[1:] += mu_dt
-        else:
-            path[1:] = mu_dt
-        for k in range(1, block + 1):
-            path[k] += a * path[k - 1]
-        hit = path[1:] >= neuron.v_th
-        fired = hit.any(axis=0)
-        r = np.flatnonzero(fired)
-        k = hit[:, r].argmax(axis=0)
-        frac = (neuron.v_th - path[k, r]) / (path[k + 1, r] - path[k, r])
-        out[live[r]] = (done + k + frac) * dt
-        v_prev = path[-1, ~fired]
-        live = live[~fired]
-        done += block
 
 
 def first_passage_law(
@@ -202,7 +140,8 @@ def first_passage_law(
     the work is bounded for any dt, and no node lies past the cap. The CDF G
     at the nodes integrates max(g, 0) by the trapezoid rule, capped at 1; the
     law is linear in G between nodes, and the mass 1 - G beyond the last
-    node never fires.
+    node never fires. A density that is not finite, as when sigma_i^2
+    underflows, raises ArithmeticError.
     """
     if dt <= 0 or horizon_cap <= 0:
         raise ValueError("dt and horizon_cap must be positive")
@@ -216,8 +155,9 @@ def first_passage_law(
     n = steps // cells  # the last solve node lies at or before the cap
     h = cells * dt
     lags = h * np.arange(1, n + 1)
-    free = -2.0 * _psi(neuron, neuron.v0_i, lags)
-    kernel = 2.0 * h * _psi(neuron, S, lags)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a variance that underflows: raised below
+        free = -2.0 * _psi(neuron, neuron.v0_i, lags)
+        kernel = 2.0 * h * _psi(neuron, S, lags)
     above = np.flatnonzero(np.abs(kernel) > _EPS * np.abs(kernel).max())
     width = int(above[-1]) + 1 if above.size else 0
     kernel = kernel[:width][::-1].copy()  # kernel[-d] weighs g_{n-d}
@@ -229,6 +169,8 @@ def first_passage_law(
         mass += 0.5 * h * (g[k - 1] + g[k])
         if 1.0 - mass < _EPS:
             break
+    if not np.all(np.isfinite(g)):
+        raise ArithmeticError(f"the first-passage density of {neuron} is not finite at sim_dt = {dt}")
     np.maximum(g, 0.0, out=g)
     cdf = np.zeros(n + 1)
     np.cumsum(0.5 * h * (g[:k] + g[1 : k + 1]), out=cdf[1 : k + 1])

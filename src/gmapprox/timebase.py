@@ -17,11 +17,9 @@ yields the folds in block order; a reducer combines them in that order.
 Threads sample and fold whole blocks, so every row and every reduction is
 the same bits for any thread count.
 
-Every first-order recurrence that starts from rest runs through a
-:class:`PoleRun`, built once per pole and row length: numpy matrix products
-on blocks of each row, every factor a power of the pole. Its bits depend on
-where the blocks fall, so the one run that continues across calls, the Euler
-loop of :mod:`neuro`, steps on its own.
+Every first-order recurrence runs from rest through a :class:`PoleRun`,
+built once per pole and row length: numpy matrix products on blocks of each
+row, every factor a power of the pole.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ __all__ = [
     "block_stream",
     "fill_rows",
     "BlockStream",
-    "pass_rows",
     "slab_rows",
     "stable_exp_diff",
     "write_csv_columns",
@@ -404,41 +401,39 @@ class BlockStream:
             start += len(rows_done)
 
 
-def pass_rows(width: int) -> int:
-    """Rows of ``width`` columns per pass: at most _KERNEL_CELLS cells, at least one row."""
-    return max(1, _KERNEL_CELLS // width)
-
-
 def slab_rows(n_nodes: int) -> int:
-    """Rows per pass of a :class:`BlockStream`: the largest power of two within :func:`pass_rows`, at most _BLOCK.
+    """Rows per pass of a :class:`BlockStream`: a power of two, from 1 to _BLOCK.
 
+    The largest whose pass holds at most _KERNEL_CELLS cells, or one row.
     _BLOCK is a power of two, so the pass size divides it and the passes of
     a full block are all the same size.
     """
-    rows = pass_rows(n_nodes)
+    rows = max(1, _KERNEL_CELLS // n_nodes)
     return min(_BLOCK, 1 << (rows.bit_length() - 1))
 
 
 def fill_rows(build_row, n_paths: int, n_nodes: int, threads: int = 1) -> np.ndarray:
     """Assemble a (n_paths, n_nodes) matrix with row i = build_row(i).
 
-    ``build_row`` must be a pure function of the row index. ``threads``
-    workers take whole blocks of _BLOCK rows, so the matrix is the same for
-    any number of threads.
+    ``build_row`` must be a pure function of the row index. The rows run as
+    the passes of a :class:`BlockStream` on ``threads`` workers, so the
+    matrix is the same for any number of threads.
     """
     out = np.empty((n_paths, n_nodes), dtype=float)
 
-    def fill_block(lo):
-        for i in range(lo, min(lo + _BLOCK, n_paths)):
-            out[i] = build_row(i)
+    def passes(b, rows, buf, ws):
+        for lo in range(0, rows, len(buf)):
+            rows_done = buf[: rows - lo]
+            for i, row in enumerate(rows_done):
+                row[:] = build_row(b * _BLOCK + lo + i)
+            yield rows_done
 
-    starts = range(0, n_paths, _BLOCK)
-    if threads is None or threads <= 1 or len(starts) < 2:
-        for lo in starts:
-            fill_block(lo)
-        return out
-    with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as ex:
-        list(ex.map(fill_block, starts))
+    def copy(pairs):
+        for start, rows in pairs:
+            out[start : start + len(rows)] = rows
+
+    for _ in BlockStream(passes, n_paths, n_nodes, threads).map(copy):
+        pass
     return out
 
 

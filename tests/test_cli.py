@@ -382,6 +382,14 @@ class TestNeuron:
         )
         assert main(["neuron", "--config", str(p)]) == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("sigma_i, cause", [(1e-200, "not finite"), (1e-3, "sim_dt")])
+    def test_nearly_noiseless_inputs_exit_code(self, tmp_path, capsys, sigma_i, cause):
+        # sigma_i^2 underflows to 0, so the density is NaN; at 1e-3 the 0.01 ms solve misses the
+        # narrow density of a sure crossing at 4.05 ms and censors nearly all of it: both exit 3
+        p = write_config(tmp_path, neuron={"sigma_i": sigma_i, "T": 2.0}, mc={"n_paths": 3, "seed": 2})
+        assert main(["neuron", "--config", str(p)]) == EXIT_NUMERICAL
+        assert cause in capsys.readouterr().err
+
 
 class TestOnePath:
     @pytest.mark.parametrize("command", ["bound", "costs", "table1", "table2"])
@@ -457,12 +465,12 @@ class TestConfigEcho:
 
 
 def test_import_loads_no_heavy_scipy_modules(tmp_path):
-    """Every command needs numpy alone: approx (Gamma arrival), table2 and neuron load no scipy module."""
+    """Every command needs numpy alone: none of the seven, approx on a Gamma arrival, loads a scipy module."""
     gamma_arrival = {"type": "shot_noise", "arrival": {"type": "gamma", "rate": 3.0, "shape": 2.5}}
-    p = write_config(tmp_path, model=gamma_arrival)
+    p = write_config(tmp_path, model=gamma_arrival, mc={"n_paths": 20, "seed": 7})
     code = (
         "import sys, gmapprox.cli\n"
-        "for argv in (['approx'], ['table2', '--paths', '20'], ['neuron']):\n"
+        "for argv in (['simulate'], ['approx'], ['bound'], ['costs'], ['table1'], ['table2'], ['neuron']):\n"
         f"    assert gmapprox.cli.main([*argv, '--config', {str(p)!r}]) == 0\n"
         "print(*[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
     )

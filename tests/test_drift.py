@@ -198,6 +198,17 @@ class TestAnalyticMoments:
         for model in ALL_MODELS:
             assert dm.var_z(model, g).values[0] == 0.0
 
+    def test_gaussian_variants_fix_the_fields_they_do_not_take(self):
+        # one Gaussian family: Brownian is rate 0 plus a trend, OU has no trend; neither is the other
+        b, ou = dm.BrownianDrift(2.0), dm.OUDrift(2.0, 1.0, 1.0)
+        assert (b.rate, b.sigma_u, b.u0, b.trend) == (0.0, 1.0, 0.0, 2.0)
+        assert ou.trend == 0.0
+        assert not isinstance(b, dm.OUDrift) and not isinstance(ou, dm.BrownianDrift)
+        with pytest.raises(TypeError):
+            dm.BrownianDrift(trend=2.0, rate=1.0)
+        with pytest.raises(TypeError):
+            dm.OUDrift(2.0, trend=1.0)
+
     def test_brownian_variance_is_t(self):
         g = grid(T=2.0)
         assert dm.var_z(dm.BrownianDrift(2.0), g).values[-1] == pytest.approx(2.0)

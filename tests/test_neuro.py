@@ -19,7 +19,6 @@ from gmapprox.neuro import (
     LIFNeuron,
     build_drift_from_network,
     first_passage_time,
-    first_passage_times,
     run_table2,
     table2_models,
 )
@@ -83,9 +82,12 @@ class TestFirstPassage:
         assert first_passage_time(neuron, 1e-2, 50.0, derive_stream(0, 0)) == CENSORED
 
     def test_noisy_crossings_sane(self):
-        times = first_passage_times(TABLE2_LIF, 1e-2, 100.0, 10_000, derive_stream(12, 0))
+        # the solve's mass deficit, 1.6e-5 at this step, is censored: as often as the law says
+        law = neuro.first_passage_law(TABLE2_LIF, 1e-2, 100.0)
+        times = law.sample(derive_stream(12, 0), 10_000)
         det = 4.054651081081644
-        assert np.all(np.isfinite(times))
+        assert np.isinf(times).mean() <= law.censored + 4 * math.sqrt(law.censored / times.size)
+        times = times[np.isfinite(times)]
         assert times.max() < 10 * det
         assert abs(times.mean() - det) < 0.25 * det
 
@@ -99,91 +101,18 @@ class TestFirstPassage:
             LIFNeuron(theta_i=0.1, mu_i=6.0, sigma_i=1.0, v0_i=5.0, v_th=5.0)
 
 
-def scalar_steps(neuron, dt, v_prev, done, normals):
-    """Advance one neuron over len(normals) steps: (crossing time or None, last potential).
-
-    A Python-float loop, v = a * v + x: one rounded product and one rounded sum a step.
-    """
-    a = 1.0 - neuron.theta_i * dt
-    mu_dt = neuron.mu_i * dt
-    s = neuron.sigma_i * math.sqrt(dt)
-    v = float(v_prev)
-    for k, normal in enumerate(normals.tolist()):
-        v_next = a * v + (mu_dt + s * normal)
-        if v_next >= neuron.v_th:
-            return (done + k + (neuron.v_th - v) / (v_next - v)) * dt, None
-        v = v_next
-    return None, v
-
-
-def scalar_first_passage(neuron, dt, horizon_cap, stream):
-    """Oracle: one neuron on its own stream, 2,048-step blocks, as a sequential loop reads it."""
-    block = 2048
-    n_total = neuro._cap_steps(dt, horizon_cap)
-    v_prev = neuron.v0_i
-    done = 0
-    while done < n_total:
-        size = min(block, n_total - done)
-        normals = stream.standard_normal(size) if neuron.sigma_i > 0 else np.zeros(size)
-        t, v_prev = scalar_steps(neuron, dt, v_prev, done, normals)
-        if t is not None:
-            return t
-        done += size
+def inverse_cdf(law, u):
+    """Oracle: the time at which a law's CDF, linear between its nodes, reaches u; inf past its last node."""
+    cdf = law.cdf.tolist()
+    for k in range(1, len(cdf)):
+        if u < cdf[k]:
+            return (k - 1 + (u - cdf[k - 1]) / (cdf[k] - cdf[k - 1])) * law.dt
     return CENSORED
 
 
-def oracle_times(neuron, dt, cap, seed, n):
-    """Oracle for n neurons on one stream: the documented draw layout, stepped neuron by neuron.
-
-    Sub-batches of _KERNEL_CELLS // _FPT_BLOCK neurons in turn; per step
-    block, one (live, steps) normal matrix for the sub-batch's live neurons
-    in order. Each row is then advanced by the scalar loop.
-    """
-    stream = derive_stream(seed, 0)
-    block = neuro._FPT_BLOCK
-    rows = max(1, timebase._KERNEL_CELLS // block)
-    n_total = neuro._cap_steps(dt, cap)
-    out = np.full(n, CENSORED)
-    for lo in range(0, n, rows):
-        live = {i: neuron.v0_i for i in range(lo, min(lo + rows, n))}
-        done = 0
-        while done < n_total and live:
-            size = min(block, n_total - done)
-            if neuron.sigma_i > 0:
-                noise = stream.standard_normal((len(live), size))
-            else:
-                noise = np.zeros((len(live), size))
-            for i, normals in zip(list(live), noise):
-                t, live[i] = scalar_steps(neuron, dt, live[i], done, normals)
-                if t is not None:
-                    out[i] = t
-                    del live[i]
-            done += size
-    return out
-
-
-def batched_times(neuron, dt, cap, seed, n):
-    return first_passage_times(neuron, dt, cap, n, derive_stream(seed, 0))
-
-
-def euler_reference(neuron, dt, cap, n, rng):
-    """Independent per-neuron Euler scheme: a plain step loop on numpy's default generator."""
-    a = 1.0 - neuron.theta_i * dt
-    v = np.full(n, float(neuron.v0_i))
-    out = np.full(n, CENSORED)
-    live = np.arange(n)
-    for k in range(1, int(math.ceil(cap / dt)) + 1):
-        if not live.size:
-            break
-        v_new = a * v + neuron.mu_i * dt + neuron.sigma_i * math.sqrt(dt) * rng.standard_normal(live.size)
-        hit = v_new >= neuron.v_th
-        frac = (neuron.v_th - v[hit]) / (v_new[hit] - v[hit])
-        out[live[hit]] = (k - 1 + frac) * dt
-        v, live = v_new[~hit], live[~hit]
-    return out
-
-
 class TestBatchedFirstPassage:
+    """first_passage_time is one draw from the exact law; the law's draws in a batch."""
+
     @settings(max_examples=40, deadline=None)
     @given(
         theta_i=st.floats(0.01, 1.0),
@@ -195,117 +124,77 @@ class TestBatchedFirstPassage:
         seed=st.integers(0, 2**32),
     )
     def test_matches_scalar_oracle(self, theta_i, mu_i, sigma_i, v_th, cap, dt, seed):
-        # caps up to 3,000 steps: not multiples of the block, crossings past
-        # the first step block, and censored subthreshold inputs
+        # a noisy input reads one uniform and inverts the CDF; a noiseless one reads none
         neuron = LIFNeuron(theta_i=theta_i, mu_i=mu_i, sigma_i=sigma_i, v0_i=0.0, v_th=v_th)
-        got = batched_times(neuron, dt, cap, seed, 5)
-        assert np.array_equal(got, oracle_times(neuron, dt, cap, seed, 5))
+        got = first_passage_time(neuron, dt, cap, derive_stream(seed, 0))
+        law = neuro.first_passage_law(neuron, dt, cap)
+        if sigma_i == 0:
+            assert got == law.value
+        else:
+            assert got == pytest.approx(inverse_cdf(law, derive_stream(seed, 0).random()), rel=1e-14)
 
     def test_noiseless_subthreshold_batch_censored(self):
         neuron = LIFNeuron(theta_i=0.1, mu_i=1.5, sigma_i=0.0, v0_i=0.0, v_th=20.0)
-        got = batched_times(neuron, 1e-2, 37.3, 0, 4)
-        assert np.array_equal(got, np.full(4, CENSORED))
+        law = neuro.first_passage_law(neuron, 1e-2, 37.3)
+        assert np.array_equal(law.sample(derive_stream(0, 0), 4), np.full(4, CENSORED))
+        assert first_passage_time(neuron, 1e-2, 37.3, derive_stream(0, 0)) == CENSORED
 
     @pytest.mark.parametrize("n", [1, 7, 300])
     @pytest.mark.parametrize("block", [1, 3, 2048])
-    def test_independent_of_batch_and_block(self, monkeypatch, n, block):
-        """Any step block and batch size: the batch equals the oracle of the same layout.
+    def test_independent_of_batch_and_block(self, n, block):
+        """n draws from one stream are the same bits however they are cut into calls of ``block``.
 
-        The draws of a batch follow its step block (every step block draws
-        the live neurons' normals together), so the oracle replays that
-        layout; a 4.5 ms cap censors some inputs, and small blocks put
-        crossings at the first step of a later block.
+        A 4.5 ms cap censors some inputs; a single draw is first_passage_time's.
         """
-        monkeypatch.setattr(neuro, "_FPT_BLOCK", block)
-        ref = oracle_times(TABLE2_LIF, 1e-2, 4.5, 4, n)
-        assert np.array_equal(batched_times(TABLE2_LIF, 1e-2, 4.5, 4, n), ref)
+        law = neuro.first_passage_law(TABLE2_LIF, 1e-2, 4.5)
+        ref = law.sample(derive_stream(4, 0), n)
+        stream = derive_stream(4, 0)
+        got = np.concatenate([law.sample(stream, min(block, n - lo)) for lo in range(0, n, block)])
+        assert np.array_equal(got, ref)
         if n == 300:
             assert np.isinf(ref).any() and np.isfinite(ref).any()
         if n == 1:
-            # one neuron reads its stream as the sequential loop does, whatever the block
-            assert np.array_equal(ref, [scalar_first_passage(TABLE2_LIF, 1e-2, 4.5, derive_stream(4, 0))])
+            assert np.array_equal(ref, [first_passage_time(TABLE2_LIF, 1e-2, 4.5, derive_stream(4, 0))])
 
     def test_one_element_call(self):
-        ref = [scalar_first_passage(TABLE2_LIF, 1e-2, 100.0, derive_stream(6, i)) for i in range(20)]
+        law = neuro.first_passage_law(TABLE2_LIF, 1e-2, 100.0)
+        ref = [inverse_cdf(law, derive_stream(6, i).random()) for i in range(20)]
         got = [first_passage_time(TABLE2_LIF, 1e-2, 100.0, derive_stream(6, i)) for i in range(20)]
-        assert np.array_equal(got, ref)
-
-    def test_working_set_within_cell_budget(self, monkeypatch):
-        monkeypatch.setattr(timebase, "_KERNEL_CELLS", 2048)
-        monkeypatch.setattr(neuro, "_FPT_BLOCK", 100)
-        cells = []
-
-        class Recording:
-            """The stream, noting the cells of each step block: a state row and the steps, by the live rows."""
-
-            def __init__(self, stream):
-                self.stream = stream
-
-            def standard_normal(self, shape):
-                cells.append(shape[0] * (shape[1] + 1))
-                return self.stream.standard_normal(shape)
-
-        got = first_passage_times(TABLE2_LIF, 1e-2, 10.0, 75, Recording(derive_stream(9, 0)))
-        assert np.array_equal(got, oracle_times(TABLE2_LIF, 1e-2, 10.0, 9, 75))
-        assert max(cells) == 2020  # 20 rows of a state column and 100 steps
-        assert len(cells) > 4
+        np.testing.assert_allclose(got, ref, rtol=1e-14)
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
-            first_passage_times(TABLE2_LIF, 0.0, 10.0, 1, derive_stream(0, 0))
+            first_passage_time(TABLE2_LIF, 0.0, 10.0, derive_stream(0, 0))
         with pytest.raises(ValueError):
-            first_passage_times(TABLE2_LIF, 1e-2, 0.0, 1, derive_stream(0, 0))
+            first_passage_time(TABLE2_LIF, 1e-2, 0.0, derive_stream(0, 0))
 
     def test_no_crossing_past_the_cap(self):
-        # 2.47 / 0.01 is 247.00000000000003: the steps end at the cap's node, not one step past it
+        # 2.47 / 0.01 is 247.00000000000003: the law ends at the cap's node, not one step past it
         neuron = LIFNeuron(theta_i=0.1, mu_i=9.0, sigma_i=1.0, v0_i=0.0, v_th=20.0)
-        fired = first_passage_times(neuron, 1e-2, 2.47, 5_000, derive_stream(7, 0))
+        fired = neuro.first_passage_law(neuron, 1e-2, 2.47).sample(derive_stream(7, 0), 20_000)
         fired = fired[np.isfinite(fired)]
         assert fired.max() <= 2.47
-        assert (fired > 2.46).any()  # the last step before the cap still runs
+        assert (fired > 2.46).any()  # the last step before the cap still fires
 
     def test_no_time_past_a_cap_between_nodes(self):
-        # 2.475 lies between the nodes 2.47 and 2.48: both routines end at 2.47
+        # 2.475 lies between the nodes 2.47 and 2.48: the law ends at 2.47
         neuron = LIFNeuron(theta_i=0.1, mu_i=9.0, sigma_i=1.0, v0_i=0.0, v_th=20.0)
         law = neuro.first_passage_law(neuron, 1e-2, 2.475)
         assert (law.cdf.size - 1) * law.dt == pytest.approx(2.47, rel=1e-12)
-        for times in (
-            law.sample(derive_stream(7, 1), 200_000),
-            first_passage_times(neuron, 1e-2, 2.475, 20_000, derive_stream(7, 0)),
-        ):
-            fired = times[np.isfinite(times)]
-            assert fired.max() <= 2.475
-            assert (fired > 2.46).any()  # the last step before the cap still fires
+        fired = law.sample(derive_stream(7, 1), 200_000)
+        fired = fired[np.isfinite(fired)]
+        assert fired.max() <= 2.475
+        assert (fired > 2.46).any()  # the last step before the cap still fires
 
     def test_rejects_a_cap_below_one_step(self):
         with pytest.raises(ValueError, match="below one step"):
-            first_passage_times(TABLE2_LIF, 1e-2, 0.005, 1, derive_stream(0, 0))
+            first_passage_time(TABLE2_LIF, 1e-2, 0.005, derive_stream(0, 0))
         with pytest.raises(ValueError, match="below one step"):
             neuro.first_passage_law(TABLE2_LIF, 1e-2, 0.005)
         with pytest.raises(ValueError, match="below one step"):
             dm.SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=0.005)
         # one step is enough
         assert neuro.first_passage_law(TABLE2_LIF, 1e-2, 0.01).cdf.size == 2
-
-    def test_batch_matches_independent_euler_scheme(self):
-        """1e5 neurons on block streams against an independent per-neuron Euler loop at the same step.
-
-        The mean and the nine deciles agree within 3 SE of the difference;
-        a quantile's SE comes from the order statistics p +- sqrt(p (1 - p) / n).
-        """
-        n, dt = 100_000, 1e-2
-        got = np.concatenate([
-            first_passage_times(TABLE2_LIF, dt, 100.0, 5120, block_stream(31, b)) for b in range(n // 5120 + 1)
-        ])[:n]
-        ref = euler_reference(TABLE2_LIF, dt, 100.0, n, np.random.default_rng(32))
-        assert np.all(np.isfinite(got)) and np.all(np.isfinite(ref))
-        se = math.sqrt(got.var(ddof=1) / n + ref.var(ddof=1) / n)
-        assert abs(got.mean() - ref.mean()) <= 3 * se
-        for p in np.arange(1, 10) / 10:
-            h = math.sqrt(p * (1 - p) / n)
-            se_q = [0.5 * (np.quantile(x, p + h) - np.quantile(x, p - h)) for x in (got, ref)]
-            diff = np.quantile(got, p) - np.quantile(ref, p)
-            assert abs(diff) <= 3 * math.hypot(*se_q), (p, diff, se_q)
 
 
 def law_quantiles(law, probs):
@@ -438,6 +327,11 @@ class TestFirstPassageLaw:
         want[u >= 0.75] = np.inf
         np.testing.assert_allclose(got, want, rtol=1e-15)
         assert law.censored == 0.25
+
+    @pytest.mark.parametrize("cdf", [[0.0, np.nan, 0.5], [0.0, 0.5, 0.25], [0.0, 1.5]])
+    def test_rejects_a_cdf_that_is_no_cdf(self, cdf):
+        with pytest.raises(ValueError, match="finite, nondecreasing and at most 1"):
+            dm.PiecewiseUniform(0.5, cdf)
 
     def test_cell_convolution_is_a_mixture_of_uniforms(self):
         law = dm.PiecewiseUniform(1.0, [0.0, 0.25, 0.25, 1.0])

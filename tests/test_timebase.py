@@ -271,9 +271,11 @@ class TestStreams:
         def row(i):
             return derive_stream(11, i).standard_normal(64)
 
-        a = fill_rows(row, 40, 64, threads=1)
-        b = fill_rows(row, 40, 64, threads=4)
+        # three blocks, the last partial: the threaded map runs
+        a = fill_rows(row, 1100, 64, threads=1)
+        b = fill_rows(row, 1100, 64, threads=4)
         assert np.array_equal(a, b)
+        assert np.array_equal(a, [row(i) for i in range(1100)])
 
 
 class TestSlabs:
