@@ -29,7 +29,6 @@ from .drift import (
     FixedCount,
     Gamma,
     OUDrift,
-    PairingError,
     PiecewiseUniform,
     PointMass,
     Poisson,

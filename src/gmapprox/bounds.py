@@ -45,20 +45,20 @@ class BoundCurve:
 
 def d2_generic(model: drift_mod.DriftModel, theta: float, grid: TimeGrid) -> BoundCurve:
     """d2 from the exact variance curve of z via the exponential integrator."""
-    drift_mod.validate_pairing(model, theta)
+    drift_mod._check_theta(theta)
     v = drift_mod.var_z(model, grid)
     d2 = Curve(grid, exp_weighted_values(v.values, grid.dt, 2 * theta))
     return BoundCurve(grid=grid, d2=d2, l1_mass=float(trapezoid(d2)), closed_form=False)
 
 
 def d2_closed(model: drift_mod.DriftModel, theta: float, grid: TimeGrid) -> BoundCurve:
-    """Per-variant closed form of d2; rejects parameter coincidences.
+    """Per-variant closed form of d2, exact at any rates, equal ones included.
 
     Shot noise admits a fully closed form for exponential event times; for
     other arrival laws the defining integral is evaluated on the analytic
     variance curve (flagged as not closed form).
     """
-    drift_mod.validate_pairing(model, theta)
+    drift_mod._check_theta(theta)
     vals, closed = model._d2(theta, grid)
     d2 = Curve(grid, vals)
     return BoundCurve(grid=grid, d2=d2, l1_mass=float(trapezoid(d2)), closed_form=closed)

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -116,65 +116,54 @@ def parse_distribution(spec, where: str) -> drift_mod.Distribution:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-# the fields each model type reads besides "type"
-_MODEL_FIELDS = {
-    "single_shot": ("rate",),
-    "poisson": ("rate",),
-    "compound_poisson": ("rate", "jump"),
-    "shot_noise": ("count", "amplitude", "arrival", "response_rate"),
-    "brownian": ("trend",),
-    "ou": ("rate", "sigma_u", "u0"),
-    "deterministic": ("values", "constant"),
+# model tag -> (class, number fields, law fields); an absent field takes the class's default
+_MODEL_TAGS = {
+    "single_shot": (drift_mod.SingleShot, ("rate",), ()),
+    "poisson": (drift_mod.Poisson, ("rate",), ()),
+    "compound_poisson": (drift_mod.CompoundPoisson, ("rate",), ("jump",)),
+    "shot_noise": (drift_mod.ShotNoise, ("response_rate",), ("count", "amplitude", "arrival")),
+    "brownian": (drift_mod.BrownianDrift, ("trend",), ()),
+    "ou": (drift_mod.OUDrift, ("rate", "sigma_u", "u0"), ()),
 }
-# the model fields that hold an object or a list, not a number
-_NESTED_FIELDS = ("jump", "count", "amplitude", "arrival", "values")
 
 
 def parse_model(spec, grid: TimeGrid, where: str = "model") -> drift_mod.DriftModel:
-    tag = _tag(spec, where, _MODEL_FIELDS, "model")
-    _object(spec, where, ("type", *_MODEL_FIELDS[tag]))
-    for key in sorted(set(spec) - {"type", *_NESTED_FIELDS}):
-        _number(spec[key], f"{where}.{key}")
+    tag = _tag(spec, where, (*_MODEL_TAGS, "deterministic"), "model")
+    if tag == "deterministic":
+        return _parse_deterministic(spec, grid, where)
+    cls, numbers, laws = _MODEL_TAGS[tag]
+    _object(spec, where, ("type", *numbers, *laws))
+    kwargs = {f: spec[f] for f in numbers if f in spec}
+    for key in sorted(kwargs):
+        _number(kwargs[key], f"{where}.{key}")
+    kwargs.update({f: parse_distribution(spec[f], f"{where}.{f}") for f in laws if f in spec})
+    missing = [
+        f.name for f in fields(cls)
+        if f.name not in spec and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ConfigError(f"{where}: missing field {missing[0]!r} for model {tag!r}")
     try:
-        if tag == "single_shot":
-            return drift_mod.SingleShot(rate=spec["rate"])
-        if tag == "poisson":
-            return drift_mod.Poisson(rate=spec["rate"])
-        if tag == "compound_poisson":
-            jump = parse_distribution(spec.get("jump", {"type": "exponential", "rate": 2.0}), f"{where}.jump")
-            return drift_mod.CompoundPoisson(rate=spec["rate"], jump=jump)
-        if tag == "shot_noise":
-            kwargs = {}
-            if "count" in spec:
-                kwargs["count"] = parse_distribution(spec["count"], f"{where}.count")
-            if "amplitude" in spec:
-                kwargs["amplitude"] = parse_distribution(spec["amplitude"], f"{where}.amplitude")
-            if "arrival" in spec:
-                kwargs["arrival"] = parse_distribution(spec["arrival"], f"{where}.arrival")
-            if "response_rate" in spec:
-                kwargs["response_rate"] = spec["response_rate"]
-            return drift_mod.ShotNoise(**kwargs)
-        if tag == "brownian":
-            return drift_mod.BrownianDrift(trend=spec.get("trend", 0.0))
-        if tag == "ou":
-            return drift_mod.OUDrift(
-                rate=spec["rate"], sigma_u=spec.get("sigma_u", 1.0), u0=spec.get("u0", 0.0)
-            )
-        # deterministic, the one type left
-        if "values" in spec:
-            values = spec["values"]
-            if not isinstance(values, list):
-                raise ConfigError(f"{where}.values must be a list of numbers, got {values!r}")
-            vals = np.array([_number(v, f"{where}.values[{i}]") for i, v in enumerate(values)])
-        elif "constant" in spec:
-            vals = np.full(grid.n_nodes, float(spec["constant"]))
-        else:
-            raise ConfigError(f"{where}: deterministic model needs 'values' or 'constant'")
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _parse_deterministic(spec, grid: TimeGrid, where: str) -> drift_mod.Deterministic:
+    _object(spec, where, ("type", "values", "constant"))
+    if "constant" in spec:
+        _number(spec["constant"], f"{where}.constant")
+    if "values" in spec:
+        values = spec["values"]
+        if not isinstance(values, list):
+            raise ConfigError(f"{where}.values must be a list of numbers, got {values!r}")
+        vals = np.array([_number(v, f"{where}.values[{i}]") for i, v in enumerate(values)])
+    elif "constant" in spec:
+        vals = np.full(grid.n_nodes, float(spec["constant"]))
+    else:
+        raise ConfigError(f"{where}: deterministic model needs 'values' or 'constant'")
+    try:
         return drift_mod.Deterministic(Curve(grid, vals))
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"{where}: missing field {exc} for model {tag!r}") from exc
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -203,9 +192,8 @@ def parse_neuron(spec) -> tuple[dict, str, drift_mod.ShotNoise]:
     params.update({k: v for k, v in spec.items() if k != "scenario"})
     try:
         _check_steps("neuron", params["T"], params["dt"], params["horizon_cap"])
+        drift_mod._check_theta(params["theta"])
         models = dict(neuro_mod.table2_models(params))
-        for model in models.values():
-            drift_mod.validate_pairing(model, params["theta"])
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -305,11 +293,7 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
 
     grid = cfg.grid()
     cfg.model_spec = raw.get("model", cfg.model_spec)
-    try:
-        cfg.model = parse_model(cfg.model_spec, grid)
-        drift_mod.validate_pairing(cfg.model, cfg.theta)
-    except drift_mod.PairingError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg.model = parse_model(cfg.model_spec, grid)
     return cfg
 
 
@@ -523,7 +507,7 @@ def main(argv=None) -> int:
             code = cmd_neuron(cfg)
         else:  # pragma: no cover
             raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, drift_mod.PairingError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ArithmeticError as exc:  # drift.CensoringError among them

@@ -87,9 +87,7 @@ __all__ = [
     "OUDrift",
     "Deterministic",
     "DriftModel",
-    "PairingError",
     "CensoringError",
-    "validate_pairing",
     "sample_Z_path",
     "mean_z",
     "var_z",
@@ -99,10 +97,6 @@ __all__ = [
     "Z_path_ensemble",
     "iter_Z_chunks",
 ]
-
-
-class PairingError(ValueError):
-    """A drift parameter coincides with a damping rate it must differ from."""
 
 
 class CensoringError(ArithmeticError):
@@ -466,22 +460,13 @@ class _EventKernel:
 # ---------------------------------------------------------------------------
 # drift variants
 #
-# A variant has _check_pairing(theta), which rejects the coincidences its
-# closed forms exclude; its _block_sampler; _mean_z(grid) and _var_z(grid),
-# exact E[z] and D[z] at the nodes; _cumulants(theta, grid, kappa), which
-# fills the rows of kappa with the cumulants of Z (rows it leaves are 0);
-# and _d2(theta, grid), the d2 curve and whether it is a closed form.
-
-class _Drift:
-    """What a drift variant has unless it says otherwise: no parameter coincidence to reject."""
-
-    def _check_pairing(self, theta: float) -> None:
-        pass
-
-
-def _check_distinct(name: str, value: float, theta: float, what: str) -> None:
-    if abs(value - theta) <= 1e-12 * max(abs(value), abs(theta)):
-        raise PairingError(f"{name} = {value} coincides with {what} = {theta}")
+# A variant has its _block_sampler; _mean_z(grid) and _var_z(grid), exact
+# E[z] and D[z] at the nodes; _cumulants(theta, grid, kappa), which fills the
+# rows of kappa with the cumulants of Z (rows it leaves are 0); and
+# _d2(theta, grid), the d2 curve and whether it is a closed form. Every
+# closed form is a chain (:func:`response.chain_states`) or a
+# :func:`timebase.stable_exp_diff`, exact at equal rates, so no drift rate
+# has to differ from theta or from another rate.
 
 
 def _ramp_mean(theta: float, t: np.ndarray) -> np.ndarray:
@@ -501,7 +486,7 @@ def _ramp_cumulants(w, theta: float, grid: TimeGrid, kappa: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class SingleShot(_Drift):
+class SingleShot:
     """z jumps from 0 to 1 at a single exponential time with the given rate."""
 
     rate: float
@@ -509,10 +494,6 @@ class SingleShot(_Drift):
     def __post_init__(self):
         if self.rate <= 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
-
-    def _check_pairing(self, theta: float) -> None:
-        _check_distinct("single-shot rate", self.rate, theta, "theta")
-        _check_distinct("single-shot rate", self.rate, 2 * theta, "2*theta")
 
     def _block_sampler(self, theta: float, grid: TimeGrid, tally=None):
         """One exponential vector of the block's shot times, then the closed form."""
@@ -563,7 +544,7 @@ class SingleShot(_Drift):
 
 
 @dataclass(frozen=True)
-class CompoundPoisson(_Drift):
+class CompoundPoisson:
     """z(t) = sum of i.i.d. jump sizes at Poisson event times."""
 
     rate: float
@@ -607,7 +588,7 @@ class Poisson(CompoundPoisson):
 
 
 @dataclass(frozen=True)
-class ShotNoise(_Drift):
+class ShotNoise:
     """Sum of exponentially decaying responses at random times.
 
     z(t) = sum_{i<=M} beta_i e^{-response_rate (t - T_i)} on t >= T_i, with a
@@ -634,14 +615,6 @@ class ShotNoise(_Drift):
             pass
         else:
             raise ValueError("arrival must be a distribution over positive reals")
-
-    def _check_pairing(self, theta: float) -> None:
-        _check_distinct("response rate", self.response_rate, theta, "theta")
-        if isinstance(self.arrival, Exponential):
-            # the closed form of d2 for exponential arrivals divides by these differences
-            lam = self.response_rate
-            _check_distinct("arrival rate", self.arrival.rate, lam, "the response rate")
-            _check_distinct("arrival rate", self.arrival.rate, 2 * lam, "twice the response rate")
 
     def _draw_events(self, grid: TimeGrid, stream: np.random.Generator, rows: int):
         """(times, amplitudes, counts per row) of the events of ``rows`` paths."""
@@ -681,24 +654,18 @@ class ShotNoise(_Drift):
         """Closed form for exponential arrivals; else the defining integral on D[z] (not closed form)."""
         if not isinstance(self.arrival, Exponential):
             return exp_weighted_values(var_z(self, grid).values, grid.dt, 2 * theta), False
-        t, th, lam, nu = grid.times(), theta, self.response_rate, self.arrival.rate
+        lam, nu = self.response_rate, self.arrival.rate
         em, vm, eb, eb2 = self._moments()
-        # damped accumulations of phi^2 and of psi: validate_pairing keeps nu
-        # off lam and 2 lam, where the prefactors are singular; coincidences
-        # inside the damped differences are handled by the stable kernel
-        acc_phi2 = (nu / (nu - lam)) ** 2 * (
-            stable_exp_diff(2 * lam, 2 * th, t)
-            - 2 * stable_exp_diff(lam + nu, 2 * th, t)
-            + stable_exp_diff(2 * nu, 2 * th, t)
-        )
-        acc_psi = nu / (nu - 2 * lam) * (
-            stable_exp_diff(2 * lam, 2 * th, t) - stable_exp_diff(nu, 2 * th, t)
-        )
+        # phi = nu chain(nu, lam) and psi = nu chain(nu, 2 lam), so phi^2 is
+        # 2 nu^2 chain(2 nu, nu + lam, 2 lam); each damped accumulation
+        # appends the rate 2 theta to its chain
+        acc_phi2 = 2 * nu**2 * chain_states([2 * nu, nu + lam, 2 * lam, 2 * theta], grid)[3]
+        acc_psi = nu * chain_states([nu, 2 * lam, 2 * theta], grid)[2]
         return eb**2 * (vm - em) * acc_phi2 + em * eb2 * acc_psi, True
 
 
 @dataclass(frozen=True)
-class _GaussianDrift(_Drift):
+class _GaussianDrift:
     """z(t) = U(t) + trend * t with dU = -rate U dt + sigma_u dW~, U(0) = u0: the Gaussian drifts.
 
     Rate 0 makes U a Brownian motion. Every closed form is a chain
@@ -710,9 +677,6 @@ class _GaussianDrift(_Drift):
     sigma_u: float
     u0: float
     trend: float
-
-    def _check_pairing(self, theta: float) -> None:
-        _check_distinct("OU drift rate", self.rate, theta, "theta")
 
     def _block_sampler(self, theta: float, grid: TimeGrid, tally=None):
         """z - E z at the nodes through the exact transition, one normal per step, then the integrator.
@@ -795,7 +759,7 @@ class OUDrift(_GaussianDrift):
 
 
 @dataclass(frozen=True)
-class Deterministic(_Drift):
+class Deterministic:
     """Degenerate drift: z is a fixed curve, independent of the stream."""
 
     f: Curve
@@ -841,11 +805,9 @@ def _check_same_grid(a: TimeGrid, b: TimeGrid) -> None:
 # ---------------------------------------------------------------------------
 # the public entry points: checks, then the variant's method
 
-def validate_pairing(model: DriftModel, theta: float) -> None:
-    """Reject drift/damping parameter coincidences the closed forms exclude."""
+def _check_theta(theta: float) -> None:
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")
-    model._check_pairing(theta)
 
 
 def sample_Z_path(
@@ -859,7 +821,7 @@ def sample_Z_path(
     its closed form, and the Gaussian drifts pass a sampled z path through
     the exponential integrator.
     """
-    validate_pairing(model, theta)
+    _check_theta(theta)
     out = np.empty((1, grid.n_nodes))
     for _ in model._block_sampler(theta, grid)(stream, 1, out, np.empty(grid.n_nodes)):
         pass
@@ -898,7 +860,7 @@ def cumulant_curves(model: DriftModel, theta: float, grid: TimeGrid, order: int 
     their relative accuracy at t -> 0. kappa_1 reuses the closed-form mean
     of each variant that has one.
     """
-    validate_pairing(model, theta)
+    _check_theta(theta)
     if not 1 <= order <= 4:
         raise ValueError(f"order must be 1..4, got {order}")
     kappa = np.zeros((order, grid.n_nodes))
@@ -957,7 +919,7 @@ def iter_Z_chunks(
     that is a list, and an ensemble with more than half of its event times
     censored raises :class:`CensoringError`.
     """
-    validate_pairing(model, theta)
+    _check_theta(theta)
     tally = []
     passes = model._block_sampler(theta, grid, tally)
 

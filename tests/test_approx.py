@@ -96,8 +96,16 @@ class TestF2Analytic:
             assert np.max(np.abs(appr.F.values - quad.values)) < 1e-5 * scale, type(model).__name__
 
     def test_pairing_rejected(self):
-        with pytest.raises(dm.PairingError):
-            F2_analytic(dm.SingleShot(THETA), THETA, grid())
+        # rates equal to theta or 2 theta are accepted, with the quadrature's F2; theta <= 0 is not
+        g = grid(dt=1e-3)
+        for model in (dm.SingleShot(THETA), dm.SingleShot(2 * THETA), dm.OUDrift(THETA, 1.0, 1.0),
+                      dm.ShotNoise(response_rate=THETA)):
+            appr = F2_analytic(model, THETA, g)
+            quad = apply_I(dm.mean_z(model, g), THETA)
+            scale = max(1.0, np.max(np.abs(appr.F.values)))
+            assert np.max(np.abs(appr.F.values - quad.values)) < 1e-5 * scale, model
+        with pytest.raises(ValueError, match="theta must be positive"):
+            F2_analytic(dm.SingleShot(THETA), 0.0, g)
 
 
 class TestCubicRoot:

@@ -64,10 +64,18 @@ class TestD2Closed:
         assert b.d2.values[-1] == pytest.approx(4.479018627510364e-05, rel=1e-10)
 
     def test_single_shot_rejects_coincidences(self):
-        with pytest.raises(dm.PairingError):
-            d2_closed(dm.SingleShot(rate=2 * THETA), THETA, grid())
-        with pytest.raises(dm.PairingError):
-            d2_closed(dm.SingleShot(rate=THETA), THETA, grid())
+        # accepted: at rate theta and 2 theta, d2 = int_0^t (e^{-lam s} - e^{-2 lam s}) e^{-2 theta (t - s)} ds
+        # has a term t e^{-2 theta t} in place of a damped difference
+        t = grid().times()
+        e1, e2, e4 = np.exp(-THETA * t), np.exp(-2 * THETA * t), np.exp(-4 * THETA * t)
+        limits = {
+            THETA: (e1 - e2) / THETA - t * e2,
+            2 * THETA: t * e2 - (e2 - e4) / (2 * THETA),
+        }
+        for rate, ref in limits.items():
+            b = d2_closed(dm.SingleShot(rate=rate), THETA, grid())
+            assert b.closed_form
+            assert np.max(np.abs(b.d2.values - ref)) <= 1e-12 * np.max(ref)
 
     def test_ou_saturation(self):
         # limit sigma_u^2/(4 lam theta) = 1/12
@@ -76,9 +84,15 @@ class TestD2Closed:
         assert b.d2.values[-1] == pytest.approx(1.0 / 12.0, rel=1e-9)
 
     def test_shot_noise_firing_rate_coincidence_rejected(self):
+        # accepted: arrival rate equal to the response rate, the d2 integral of the exact D[z]
+        # within its trapezoid error; only theta <= 0 is refused
         model = dm.ShotNoise(arrival=dm.Exponential(1.0), response_rate=1.0)
-        with pytest.raises(ValueError):
-            d2_closed(model, 0.1, grid())
+        b = d2_closed(model, 0.1, grid())
+        assert b.closed_form
+        gen = d2_generic(model, 0.1, grid())
+        assert np.max(np.abs(b.d2.values - gen.d2.values)) <= 1e-5 * np.max(gen.d2.values)
+        with pytest.raises(ValueError, match="theta must be positive"):
+            d2_closed(model, 0.0, grid())
 
     def test_gamma_arrival_falls_back_to_quadrature(self):
         model = dm.ShotNoise(arrival=dm.Gamma(rate=1.0 / 15.0, shape=2.0))

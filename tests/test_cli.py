@@ -49,9 +49,15 @@ class TestConfigValidation:
         assert "levy" in capsys.readouterr().err
 
     def test_pairing_conflict(self, tmp_path, capsys):
+        # a single shot at rate theta runs; a nonpositive theta is the config error
         p = write_config(tmp_path, model={"type": "single_shot", "rate": 1.5})
-        assert main(["simulate", "--config", str(p)]) == EXIT_CONFIG
-        assert "coincides" in capsys.readouterr().err
+        assert main(["simulate", "--config", str(p)]) == EXIT_OK
+        _, data = read_csv(tmp_path / "out" / "paths.csv")
+        assert np.all(np.isfinite(data))
+        for theta in (0.0, -1.5):
+            p = write_config(tmp_path, sde={"theta": theta, "sigma": 1.0, "x0": 0.0})
+            assert main(["simulate", "--config", str(p)]) == EXIT_CONFIG
+            assert "sde.theta must be positive" in capsys.readouterr().err
 
     def test_bad_field_value(self, tmp_path, capsys):
         p = write_config(tmp_path, grid={"T": -1.0, "dt": 0.01})
@@ -288,13 +294,24 @@ class TestTables:
     @pytest.mark.parametrize("command", ["costs", "approx"])
     @pytest.mark.parametrize("arrival_rate", [1.0, 2.0])
     def test_shot_noise_rate_coincidence_is_a_config_error(self, tmp_path, capsys, command, arrival_rate):
-        # arrival rate equal to the response rate or to twice it
-        model = {"type": "shot_noise", "response_rate": 1.0,
-                 "arrival": {"type": "exponential", "rate": arrival_rate}}
-        p = write_config(tmp_path, sde={"theta": 0.1, "sigma": 1.0, "x0": 0.0}, model=model,
-                         grid={"T": 5.0, "dt": 0.05}, mc={"n_paths": 20, "seed": 3})
-        assert main([command, "--config", str(p)]) == EXIT_CONFIG
-        assert "coincides" in capsys.readouterr().err
+        # accepted: an arrival rate equal to the response rate or to twice it runs, and its
+        # outputs are within 1e-6 of those at an arrival rate 1e-7 away
+        outs = []
+        for k, rate in enumerate((arrival_rate, arrival_rate * (1 + 1e-7))):
+            model = {"type": "shot_noise", "response_rate": 1.0,
+                     "arrival": {"type": "exponential", "rate": rate}}
+            out = tmp_path / f"o{k}"
+            p = write_config(tmp_path, sde={"theta": 0.1, "sigma": 1.0, "x0": 0.0}, model=model,
+                             grid={"T": 5.0, "dt": 0.05}, mc={"n_paths": 20, "seed": 3},
+                             output={"directory": str(out), "formats": ["csv", "json"]})
+            assert main([command, "--config", str(p)]) == EXIT_OK
+            if command == "costs":
+                records = json.loads((out / "costs.json").read_text())["records"]
+                outs.append(np.array([r["value"] for r in records]))
+            else:
+                outs.append(read_csv(out / "approx_p4.csv")[1])
+        assert np.all(np.isfinite(outs[0]))
+        assert np.max(np.abs(outs[0] - outs[1])) <= 1e-6 * np.max(np.abs(outs[0]))
 
     def test_approx_reads_no_paths(self, tmp_path):
         # F2 and F4 are exact: the path count and the seed do not change them
@@ -335,7 +352,7 @@ class TestNeuron:
             {"T": 1e6},
             {"sigma_i": 0, "mu_i": 1, "horizon_cap": 1e9},
             {"mu": 3},
-            {"theta": 1.0},
+            {"theta": 0.0},
             {"T": 1.0, "dt": 0.3},
         ],
         ids=[
@@ -348,7 +365,7 @@ class TestNeuron:
             "too_many_steps",
             "unbounded_horizon_cap",
             "unknown_key",
-            "response_rate_equals_theta",
+            "nonpositive_theta",
             "fractional_steps",
         ],
     )
@@ -356,6 +373,14 @@ class TestNeuron:
         p = write_config(tmp_path, neuron=section, mc={"n_paths": 3, "seed": 2})
         assert main(["neuron", "--config", str(p)]) == EXIT_CONFIG
         assert "config error: neuron:" in capsys.readouterr().err
+
+    def test_response_rate_equal_to_theta_is_accepted(self, tmp_path):
+        # the inputs' response rate is 1.0: theta = 1.0 is an ordinary fit
+        p = write_config(tmp_path, neuron={"scenario": "exponential", "theta": 1.0, "T": 10.0},
+                         mc={"n_paths": 3, "seed": 2})
+        assert main(["neuron", "--config", str(p)]) == EXIT_OK
+        _, f2 = read_csv(tmp_path / "out" / "neuron_F2.csv")
+        assert np.all(np.isfinite(f2)) and f2[-1, 1] > 0
 
     def test_subthreshold_noisy_inputs_exit_code(self, tmp_path, capsys):
         # mu / theta = 15 below the threshold: most inputs never fire before the cap, exit 3

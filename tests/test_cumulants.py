@@ -10,6 +10,7 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from gmapprox import drift as dm
 from gmapprox.approx import F2_analytic, F4_from_moments, exact_moments
+from gmapprox.bounds import d2_closed
 from gmapprox.costs import TABLE1_PARAMS, cost_block, table1_scenarios
 from gmapprox.neuro import TABLE2_PARAMS, table2_models
 from gmapprox.response import _LEGENDRE, _gauss_jacobi
@@ -28,7 +29,12 @@ def _quad(f, a, b, **kw):
 
 
 def _K(lam, theta, u):
-    """Damped response (e^{-lam u} - e^{-theta u}) / (theta - lam); lam = 0 is the jump kernel."""
+    """Damped response (e^{-lam u} - e^{-theta u}) / (theta - lam); lam = 0 is the jump kernel.
+
+    At lam = theta it is the limit u e^{-theta u}.
+    """
+    if lam == theta:
+        return u * np.exp(-theta * u)
     return np.exp(-lam * u) * -np.expm1(-(theta - lam) * u) / (theta - lam)
 
 
@@ -142,6 +148,16 @@ CASES = {
     "shot_near_coincident": (
         dm.ShotNoise(dm.FixedCount(5), dm.Uniform(0.5, 1.5), dm.Exponential(0.5), 1.5 * (1 + 1e-7)),
         1.5, 5.0, 1e-3),
+    # exact coincidences: a rate equal to theta, to 2 theta, or an arrival rate to lam or 2 lam
+    "single_shot_at_theta": (dm.SingleShot(1.5), 1.5, 5.0, 1e-3),
+    "single_shot_at_2theta": (dm.SingleShot(3.0), 1.5, 5.0, 1e-3),
+    "ou_at_theta": (dm.OUDrift(1.5, 1.0, 1.0), 1.5, 5.0, 1e-3),
+    "shot_response_at_theta": (
+        dm.ShotNoise(dm.FixedCount(5), dm.Uniform(0.5, 1.5), dm.Exponential(0.5), 1.5), 1.5, 5.0, 1e-3),
+    "shot_arrival_at_lam": (
+        dm.ShotNoise(dm.FixedCount(2), dm.Uniform(0.5, 1.5), dm.Exponential(1.0), 1.0), 1.5, 5.0, 1e-3),
+    "shot_arrival_at_2lam": (
+        dm.ShotNoise(dm.PoissonCount(4.0), dm.Uniform(0.5, 1.5), dm.Exponential(2.0), 1.0), 1.5, 5.0, 1e-3),
 }
 
 
@@ -186,10 +202,57 @@ def test_F2_is_kappa1():
 
 
 def test_shot_noise_rate_coincidence_is_a_pairing_error():
+    """Arrival rates equal to lam and 2 lam are accepted at theta = 0.1, and kappa_2 matches quadrature.
+
+    Only a nonpositive theta is refused.
+    """
+    grid = TimeGrid.from_step(20.0, 1e-2)
     for nu in (1.0, 2.0):
         model = dm.ShotNoise(arrival=dm.Exponential(nu), response_rate=1.0)
-        with pytest.raises(dm.PairingError):
-            dm.validate_pairing(model, 0.1)
+        kappa = dm.cumulant_curves(model, 0.1, grid, order=2)
+        for k in (1, 100, grid.n_nodes - 1):
+            ref = oracle_cumulants(model, 0.1, grid.times()[k])[1]
+            assert kappa[1, k] == pytest.approx(ref, rel=1e-10, abs=0), (nu, k)
+        with pytest.raises(ValueError, match="theta must be positive"):
+            dm.cumulant_curves(model, 0.0, grid)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form d2 of exponential arrivals against a quadrature of D[z]
+
+
+def oracle_d2(model, theta, t):
+    """d2(t) = int_0^t D[z(s)] e^{-2 theta (t - s)} ds by nested quadrature.
+
+    z(s) sums M i.i.d. terms beta R(s - T) with R(u) = e^{-lam u}, so by the
+    law of total variance D[z] = E[M] D[beta R] + D[M] E[beta R]^2.
+    """
+    lam = model.response_rate
+    em = _raw(model.count, 1)
+    vm = _raw(model.count, 2) - em**2
+    eb, eb2 = _raw(model.amplitude, 1), _raw(model.amplitude, 2)
+
+    def var_z(s):
+        phi = _arrival_mean(model.arrival, lambda u: np.exp(-lam * u), s)
+        psi = _arrival_mean(model.arrival, lambda u: np.exp(-2 * lam * u), s)
+        return em * (eb2 * psi - (eb * phi) ** 2) + vm * (eb * phi) ** 2
+
+    return _quad(lambda s: var_z(s) * np.exp(-2 * theta * (t - s)), 0.0, t)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-10, 1e-8, 1e-6])
+@pytest.mark.parametrize("multiple", [1, 2])
+def test_d2_closed_matches_quadrature_near_coincidence(multiple, eps):
+    # arrival rate nu = multiple * lam (1 + eps): the chain forms have no 1 / (nu - lam) or 1 / (nu - 2 lam)
+    lam, theta = 1.0, 1.5
+    model = dm.ShotNoise(arrival=dm.Exponential(multiple * lam * (1 + eps)), response_rate=lam)
+    grid = TimeGrid.from_step(10.0, 1e-2)
+    bound = d2_closed(model, theta, grid)
+    assert bound.closed_form
+    assert np.all(bound.d2.values >= 0.0)
+    ks = [1, 10, 50, 100, 300, 600, grid.n_nodes - 1]
+    ref = np.array([oracle_d2(model, theta, grid.times()[k]) for k in ks])
+    assert np.max(np.abs(bound.d2.values[ks] - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from gmapprox import approx as approx_mod
 from gmapprox import drift as dm
 from gmapprox import timebase
-from gmapprox.bounds import d2_closed
+from gmapprox.bounds import d2_closed, d2_generic
 from gmapprox.costs import per_path_cost_matrix
 from gmapprox.timebase import (
     Curve,
@@ -90,24 +90,67 @@ class TestDistributions:
 
 
 class TestPairing:
+    """A drift rate equal to theta, 2 theta or the response rate is an ordinary input."""
+
+    @staticmethod
+    def assert_mc_mean_is_F2(model, n=4_000):
+        g = grid(T=1.0, dt=0.02)
+        F2 = approx_mod.F2_analytic(model, THETA, g).F.values
+        moments = dm.moments_Z_mc(model, THETA, g, n, master_seed=31)
+        resid = np.abs(moments.m1.values - F2)
+        assert np.all(resid[1:] <= 4 * np.maximum(moments.se1.values[1:], 1e-12))
+
+    @staticmethod
+    def assert_continuous(make, rate):
+        # cumulants and d2 move by O(1e-7) under a 1e-7 change of the coinciding rate
+        g = grid()
+        at, near = make(rate), make(rate * (1 + 1e-7))
+        for f in (dm.cumulant_curves, lambda m, th, g: d2_closed(m, th, g).d2.values[None]):
+            a, b = f(at, THETA, g), f(near, THETA, g)
+            assert np.all(np.max(np.abs(a - b), axis=1) <= 1e-6 * np.max(np.abs(a), axis=1))
+
     def test_single_shot_coincidences(self):
-        with pytest.raises(dm.PairingError):
-            dm.validate_pairing(dm.SingleShot(rate=THETA), THETA)
-        with pytest.raises(dm.PairingError):
-            dm.validate_pairing(dm.SingleShot(rate=2 * THETA), THETA)
+        g = grid(dt=1e-3)
+        t = g.times()
+        for rate in (THETA, 2 * THETA):
+            z_acc = dm.sample_Z_path(dm.SingleShot(rate), THETA, g, derive_stream(17, 4)).values
+            tau = derive_stream(17, 4).exponential(1.0 / rate)
+            exact = np.where(t >= tau, -np.expm1(-THETA * np.maximum(t - tau, 0)) / THETA, 0.0)
+            np.testing.assert_allclose(z_acc, exact, atol=1e-14)
+            self.assert_mc_mean_is_F2(dm.SingleShot(rate))
+            self.assert_continuous(dm.SingleShot, rate)
 
     def test_ou_coincidence(self):
-        with pytest.raises(dm.PairingError):
-            dm.validate_pairing(dm.OUDrift(rate=THETA), THETA)
+        self.assert_mc_mean_is_F2(dm.OUDrift(THETA, 1.0, 1.0))
+        self.assert_continuous(lambda rate: dm.OUDrift(rate, 1.0, 1.0), THETA)
 
     def test_shot_noise_response_coincidence(self):
+        # the sampled Z is the quadrature of its own z path, as at any response rate
+        g = grid(T=10.0, dt=1e-3)
         model = dm.ShotNoise(response_rate=THETA)
-        with pytest.raises(dm.PairingError):
-            dm.sample_Z_path(model, THETA, grid(), derive_stream(0, 0))
+        z = z_path(model, g, derive_stream(23, 5))
+        z_acc = dm.sample_Z_path(model, THETA, g, derive_stream(23, 5))
+        quad = exp_weighted_running_integral(z, THETA)
+        assert np.max(np.abs(z_acc.values - quad.values)) < 1e-3
+        self.assert_mc_mean_is_F2(model)
+        self.assert_continuous(lambda rate: dm.ShotNoise(response_rate=rate), THETA)
 
     def test_valid_pairings_pass(self):
+        # every entry point that takes theta accepts THETA and refuses theta <= 0
+        g = grid()
+        entry_points = [
+            lambda m, th: dm.sample_Z_path(m, th, g, derive_stream(0, 0)),
+            lambda m, th: dm.cumulant_curves(m, th, g),
+            lambda m, th: dm.iter_Z_chunks(m, th, g, 2, 0),
+            lambda m, th: d2_generic(m, th, g),
+            lambda m, th: d2_closed(m, th, g),
+        ]
         for model in ALL_MODELS:
-            dm.validate_pairing(model, THETA)
+            for call in entry_points:
+                call(model, THETA)
+                for theta in (0.0, -THETA):
+                    with pytest.raises(ValueError, match="theta must be positive"):
+                        call(model, theta)
 
 
 class TestZPaths:

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from gmapprox import drift as dm
 from gmapprox import cli, neuro, timebase
 from gmapprox.approx import Approximant, F2_analytic, fit
-from gmapprox.bounds import d2_closed
+from gmapprox.bounds import d2_closed, d2_generic
 from gmapprox.costs import cost_block, per_path_cost_matrix
 from gmapprox.neuro import (
     CENSORED,
@@ -30,9 +30,11 @@ from oracles import (
     convolution_oracle,
     convolve_response,
     event_kernel,
+    exp_weighted_running_integral,
     gamma_pdf,
     matrix_blocks,
     stacked_chunks,
+    z_path,
     z_path_ensemble,
 )
 
@@ -442,14 +444,17 @@ class TestPhiPsi:
 
     def test_rate_coincidences(self):
         # phi at nu = lam and psi at nu = 2 lam are chains of equal rates, nu t e^{-nu t};
-        # only the closed form of the shot-noise d2 excludes these arrival rates
+        # the closed-form shot-noise d2 is a chain too, the d2 integral of D[z] at these arrival
+        # rates within that integral's trapezoid error
         g = grid()
         t = g.times()
+        fine = grid(T=2.0, dt=1e-3)
         for nu, pick in ((1.0, 0), (2.0, 1)):
             curve = response_moment_curves(dm.Exponential(nu), 1.0, g)[pick]
             np.testing.assert_allclose(curve.values, nu * t * np.exp(-nu * t), rtol=1e-12, atol=0)
-            with pytest.raises(dm.PairingError):
-                dm.validate_pairing(dm.ShotNoise(arrival=dm.Exponential(nu), response_rate=1.0), 1.5)
+            model = dm.ShotNoise(arrival=dm.Exponential(nu), response_rate=1.0)
+            closed, gen = d2_closed(model, 1.5, fine).d2.values, d2_generic(model, 1.5, fine).d2.values
+            assert np.max(np.abs(closed - gen)) <= 1e-5 * np.max(gen)
 
 
 class TestUniformArrival:
@@ -589,8 +594,15 @@ class TestBuildDriftFromNetwork:
             assert np.array_equal(a, b)
 
     def test_rejects_response_equal_theta(self):
-        with pytest.raises(dm.PairingError):
-            build_drift_from_network(network(dm.Exponential(1 / 15)), 1.0, grid(), derive_stream(0, 0))
+        # accepted: a response rate equal to theta gives the quadrature of the drawn z path;
+        # only theta <= 0 is refused
+        g = grid(dt=1e-3)
+        model = network(dm.Exponential(1 / 15))
+        z_acc = build_drift_from_network(model, 1.0, g, derive_stream(0, 0))
+        quad = exp_weighted_running_integral(z_path(model, g, derive_stream(0, 0)), 1.0)
+        assert np.max(np.abs(z_acc.values - quad.values)) < 1e-3
+        with pytest.raises(ValueError, match="theta must be positive"):
+            build_drift_from_network(model, 0.0, g, derive_stream(0, 0))
 
     def test_mostly_censored_inputs_raise(self):
         # subthreshold noiseless inputs never fire: every event time is censored
