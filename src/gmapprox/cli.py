@@ -429,12 +429,14 @@ def cmd_neuron(cfg: ExperimentConfig) -> int:
     Every scenario is fitted on its exact law, the simulated network on the
     first-passage law of its inputs at the neuron grid's dt, so nothing is
     sampled: mc.n_paths and the seed are not read. The summary reports the
-    censor rate 1 - G(horizon_cap) of that law (0 for the other scenarios).
+    drift's censored share (``ShotNoise.censored``), 1 - G(horizon_cap) of
+    the inputs' law (0 for the other scenarios): the ``censor_rate`` that
+    ``table2`` echoes for its network row.
     """
     params, kind, model = parse_neuron(cfg.neuron)
     grid = TimeGrid.from_step(params["T"], params["dt"])
     F2, F4 = approx_mod.fit(model, params["theta"], grid)
-    censor_rate = model.arrival.censored
+    censor_rate = model.censored
     summary = {"scenario": kind, "censor_rate": censor_rate, "params": params}
     _emit(cfg, [
         ("csv", "neuron_F2.csv", F2.F.to_csv),

@@ -208,35 +208,32 @@ def cost_block(
     F2 and F4 come from :func:`approx.fit`, exact for every drift, so the
     reported SEs are complete. Every cost is evaluated on one ensemble of
     n_paths paths keyed by ``eval_seed``. ``extras`` holds the F2 and F4
-    curves, the gap SEs and ``censored``, the (censored, drawn) event times
-    of the ensemble; a law or an ensemble more than half censored raises
-    :class:`drift.CensoringError`.
+    curves and the gap SEs. A law more than half censored raises
+    :class:`drift.CensoringError` before anything is sampled.
     """
-    tally = []
     F2, F4 = approx_mod.fit(model, theta, grid)
     values, se, gap_se = per_path_cost_matrix(
-        drift_mod.iter_Z_chunks(model, theta, grid, n_paths, eval_seed, threads, censored=tally),
+        drift_mod.iter_Z_chunks(model, theta, grid, n_paths, eval_seed, threads),
         (F2.F.values, F4.F.values),
         grid.dt,
         n_paths,
     )
-    return values, se, {"F2": F2.F, "F4": F4.F, "gap_se": gap_se, "censored": tally[0]}
+    return values, se, {"F2": F2.F, "F4": F4.F, "gap_se": gap_se}
 
 
 def run_table(scenarios, params: dict, seed: int, n_paths: int, threads: int = 1) -> CostReport:
     """The cost table of (label, drift) scenarios at params' theta, T and dt.
 
     Scenario k is one :func:`cost_block`, evaluated on n_paths paths keyed
-    by child_seed(seed, k, 1). The echo holds params,
-    n_paths, seed, the censored input count and the largest censor rate of
-    a row.
+    by child_seed(seed, k, 1). The echo holds params, n_paths, seed and
+    ``censor_rate``, the largest censored share of a row's event-time law
+    (``ShotNoise.censored``; 0 for a drift without one), which is also logged.
     """
     grid = TimeGrid.from_step(params["T"], params["dt"])
     values = np.empty((len(scenarios), 2, 2))
     se = np.empty((len(scenarios), 2, 2))
     gap_se = np.empty((len(scenarios), 2))
-    censored, censor_rate = 0, 0.0
-    for k, (label, model) in enumerate(scenarios):
+    for k, (_, model) in enumerate(scenarios):
         values[k], se[k], extras = cost_block(
             model,
             params["theta"],
@@ -246,12 +243,9 @@ def run_table(scenarios, params: dict, seed: int, n_paths: int, threads: int = 1
             threads=threads,
         )
         gap_se[k] = extras["gap_se"]
-        lost, drawn = extras["censored"]
-        if drawn:
-            log.info("%s censor rate: %d/%d = %.2e", label, lost, drawn, lost / drawn)
-            censored += lost
-            censor_rate = max(censor_rate, lost / drawn)
-    echo = dict(params, n_paths=n_paths, seed=seed, censored_inputs=censored, censor_rate=censor_rate)
+    censor_rate = max(getattr(model, "censored", 0.0) for _, model in scenarios)
+    log.info("censor rate: %.2e", censor_rate)
+    echo = dict(params, n_paths=n_paths, seed=seed, censor_rate=censor_rate)
     return CostReport(
         labels=[label for label, _ in scenarios],
         values=values,

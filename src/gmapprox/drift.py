@@ -100,7 +100,7 @@ __all__ = [
 
 
 class CensoringError(ArithmeticError):
-    """More than half of an ensemble's event times are censored (never happened)."""
+    """More than half of a law's event times are censored (never happen before its cap)."""
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +295,15 @@ class PiecewiseUniform(_Law):
         return _cell_convolution(rates, self, grid)[-1]
 
 
+def _refuse_censored(law) -> None:
+    """Raise :class:`CensoringError` for a law with more than half of its times censored."""
+    if 2 * law.censored > 1:
+        raise CensoringError(
+            f"{law.censored:.2%} of the firing times are censored; raise horizon_cap,"
+            " or refine sim_dt for a nearly noiseless input"
+        )
+
+
 @dataclass(frozen=True)
 class SimulatedFiring(_Law):
     """Firing times of a :class:`neuro.LIFNeuron` input: its exact first-passage law.
@@ -337,11 +346,7 @@ class SimulatedFiring(_Law):
         """
         if self.sim_dt != grid.dt:
             raise ValueError(f"simulated firing has sim_dt = {self.sim_dt}, the grid dt = {grid.dt}")
-        if 2 * self.censored > 1:
-            raise CensoringError(
-                f"{self.censored:.2%} of the firing times are censored; raise horizon_cap,"
-                " or refine sim_dt for a nearly noiseless input"
-            )
+        _refuse_censored(self)
         return self.law.chain_mean(rates, grid)
 
 
@@ -353,7 +358,7 @@ Distribution = Union[
 # ---------------------------------------------------------------------------
 # block samplers
 #
-# A variant's ``_block_sampler(theta, grid, tally=None)`` returns
+# A variant's ``_block_sampler(theta, grid)`` returns
 # ``passes(stream, rows, buf, ws)``, a generator over the Z rows of one
 # block of ``rows`` ensemble rows, all drawn from ``stream``: each pass fills
 # the first rows of ``buf`` with the block's next ``len(buf)`` rows (or what
@@ -371,20 +376,17 @@ def _cuts(rows: int, buf: np.ndarray):
         yield a, buf[: min(step, rows - a)]
 
 
-def _event_sampler(draw, lam: float, theta: float, grid: TimeGrid, tally):
+def _event_sampler(draw, lam: float, theta: float, grid: TimeGrid):
     """An event variant's sampler: ``draw(grid, stream, rows)`` the block's events, then the kernel.
 
     ``draw`` takes the counts first, then the times and the weights of all
     events, one call each, so the draws depend on the stream and the row
-    count only. A ``tally`` list gets (censored, drawn), the infinite and all
-    event times of the block, as the generator starts.
+    count only.
     """
     kernel = _EventKernel(lam, theta, grid)
 
     def passes(stream, rows, buf, ws):
         times, weights, counts = draw(grid, stream, rows)
-        if tally is not None:
-            tally.append((int(np.isinf(times).sum()), times.size))
         terms = kernel.terms(times, weights, np.repeat(np.arange(rows), counts))
         for a, out in _cuts(rows, buf):
             yield kernel.rows(terms, a, out, ws)
@@ -495,7 +497,7 @@ class SingleShot:
         if self.rate <= 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
 
-    def _block_sampler(self, theta: float, grid: TimeGrid, tally=None):
+    def _block_sampler(self, theta: float, grid: TimeGrid):
         """One exponential vector of the block's shot times, then the closed form."""
         t = grid.times()
 
@@ -561,8 +563,8 @@ class CompoundPoisson:
         times = stream.uniform(0.0, T, counts.sum())
         return times, self.jump.sample(stream, counts.sum()), counts
 
-    def _block_sampler(self, theta: float, grid: TimeGrid, tally=None):
-        return _event_sampler(self._draw_events, 0.0, theta, grid, tally)
+    def _block_sampler(self, theta: float, grid: TimeGrid):
+        return _event_sampler(self._draw_events, 0.0, theta, grid)
 
     def _mean_z(self, grid: TimeGrid) -> np.ndarray:
         return self.rate * self.jump.raw_moment(1) * grid.times()
@@ -622,8 +624,15 @@ class ShotNoise:
         times = self.arrival.sample(stream, counts.sum())
         return times, self.amplitude.sample(stream, counts.sum()), counts
 
-    def _block_sampler(self, theta: float, grid: TimeGrid, tally=None):
-        return _event_sampler(self._draw_events, self.response_rate, theta, grid, tally)
+    @property
+    def censored(self) -> float:
+        """The share of event times that never happen: the arrival law's censored mass."""
+        return self.arrival.censored
+
+    def _block_sampler(self, theta: float, grid: TimeGrid):
+        """Refuses an arrival law more than half censored before any block is drawn."""
+        _refuse_censored(self.arrival)
+        return _event_sampler(self._draw_events, self.response_rate, theta, grid)
 
     def _moments(self):
         """E[M], D[M], E[beta] and E[beta^2] of the count M and the amplitude beta."""
@@ -678,7 +687,7 @@ class _GaussianDrift:
     u0: float
     trend: float
 
-    def _block_sampler(self, theta: float, grid: TimeGrid, tally=None):
+    def _block_sampler(self, theta: float, grid: TimeGrid):
         """z - E z at the nodes through the exact transition, one normal per step, then the integrator.
 
         The exact mean of Z is added after the integration, so the
@@ -764,7 +773,7 @@ class Deterministic:
 
     f: Curve
 
-    def _block_sampler(self, theta: float, grid: TimeGrid, tally=None):
+    def _block_sampler(self, theta: float, grid: TimeGrid):
         """Draws nothing: every row is I f."""
         _check_same_grid(self.f.grid, grid)
         curve = exp_weighted_values(self.f.values, grid.dt, theta)
@@ -881,10 +890,9 @@ def Z_path_ensemble(
 ) -> PathEnsemble:
     """n_paths independent Z realizations under the block-stream contract, as one matrix.
 
-    Each block of :func:`iter_Z_chunks` is copied in as it is sampled, under
-    the same censoring policy, so the matrix does not depend on ``threads``;
-    a block holding one row equals ``sample_Z_path`` on the block's stream
-    bit for bit.
+    Each block of :func:`iter_Z_chunks` is copied in as it is sampled, so
+    the matrix does not depend on ``threads``; a block holding one row
+    equals ``sample_Z_path`` on the block's stream bit for bit.
     """
     values = np.empty((n_paths, grid.n_nodes))
 
@@ -904,7 +912,6 @@ def iter_Z_chunks(
     n_paths: int,
     master_seed: int,
     threads: int = 1,
-    censored: list | None = None,
 ) -> BlockStream:
     """The Z ensemble as a :class:`timebase.BlockStream`, for ``threads`` workers.
 
@@ -914,25 +921,14 @@ def iter_Z_chunks(
     from its block's first row, in a reused buffer: copy it to keep it. The
     passes in row order are the materialized ensemble, bit for bit.
 
-    Once the last block is folded, the ensemble's (censored, drawn) event
-    count, the same for any thread count, is appended to ``censored`` when
-    that is a list, and an ensemble with more than half of its event times
-    censored raises :class:`CensoringError`.
+    A shot noise whose arrival law is more than half censored raises
+    :class:`CensoringError` here, before any block is drawn; the censored
+    share itself is the law's (``ShotNoise.censored``).
     """
     _check_theta(theta)
-    tally = []
-    passes = model._block_sampler(theta, grid, tally)
-
-    def done():
-        lost, drawn = sum(c for c, _ in tally), sum(n for _, n in tally)
-        tally.clear()
-        if censored is not None:
-            censored.append((lost, drawn))
-        if 2 * lost > drawn:
-            raise CensoringError(f"{lost} of {drawn} event times are censored; raise horizon_cap")
-
+    passes = model._block_sampler(theta, grid)
     block = lambda b, rows, buf, ws: passes(block_stream(master_seed, b), rows, buf, ws)
-    return BlockStream(block, n_paths, grid.n_nodes, threads, done)
+    return BlockStream(block, n_paths, grid.n_nodes, threads)
 
 
 def moments_Z_mc(
@@ -942,15 +938,14 @@ def moments_Z_mc(
     n_paths: int,
     master_seed: int,
     threads: int = 1,
-    censored: list | None = None,
 ):
     """Sample mean, variance and third central moment of Z(t) at each node.
 
     Returns a MomentCurves (n-denominator convention, so the variance is
     nonnegative) plus the standard error of the mean; see
-    :func:`moments_from_chunks`. ``censored`` is passed to :func:`iter_Z_chunks`.
+    :func:`moments_from_chunks`.
     """
-    chunks = iter_Z_chunks(model, theta, grid, n_paths, master_seed, threads, censored=censored)
+    chunks = iter_Z_chunks(model, theta, grid, n_paths, master_seed, threads)
     return moments_from_chunks(chunks, grid, n_paths)
 
 
@@ -1006,25 +1001,17 @@ def _merge_stats(a, b):
     return n, ca, ea, M2a, M3a
 
 
-def _push(stack, level: int, stats) -> None:
-    """Push stats of merge-tree level ``level``, merging equal levels: a binary merge tree."""
-    while stack and stack[-1][0] == level:
-        stats = _merge_stats(stack.pop()[1], stats)
-        level += 1
-    stack.append((level, stats))
-
-
 def moments_from_chunks(chunks, grid: TimeGrid, n_paths: int):
     """Sample mean, variance, third central moment and the SE of the mean of a block stream.
 
     ``chunks`` is what :func:`iter_Z_chunks` returns for the n_paths rows of
     one ensemble on ``grid``. Each pass is reduced to its count, mean and
-    central sums M2, M3, and the passes are merged pairwise in row order,
-    equal counts first, so no raw power sum is formed: the variance and the
-    third central moment keep their relative accuracy however large the mean
-    is against the spread. A full block's passes form one complete subtree,
-    so each block merges its own, and the block stacks are pushed onto the
-    ensemble's in block order: the same tree, and bits, for any thread count.
+    central sums M2, M3, and merged into its block's in row order; the
+    blocks' stats are merged into the ensemble's in block order. No raw
+    power sum is formed, so the variance and the third central moment keep
+    their relative accuracy however large the mean is against the spread,
+    and the merges run in the same order, to the same bits, for any thread
+    count.
     """
     from .approx import MomentCurves  # MomentCurves lives with its consumers
 
@@ -1033,23 +1020,22 @@ def moments_from_chunks(chunks, grid: TimeGrid, n_paths: int):
 
     local = threading.local()  # each worker's deviations and their powers, for the call
 
+    def merged(stats, more):
+        return more if stats is None else _merge_stats(stats, more)
+
     def fold(passes):
-        stack = []
+        stats = None
         for _, slab in passes:
             if getattr(local, "ws", np.empty(0)).size < 2 * slab.size:
                 local.ws = np.empty(2 * slab.size)
-            _push(stack, 0, _chunk_stats(slab, local.ws))
-        return stack
+            stats = merged(stats, _chunk_stats(slab, local.ws))
+        return stats
 
-    stack = []  # (level, stats), levels strictly decreasing
+    stats = None
     for block in chunks.map(fold):
-        while block:  # popped as pushed, so no merged-away stats stay referenced
-            _push(stack, *block.pop(0))
-    if not stack:
+        stats = merged(stats, block)
+    if stats is None:
         raise ValueError(f"no rows, expected {n_paths}")
-    stats = stack.pop()[1]
-    while stack:
-        stats = _merge_stats(stack.pop()[1], stats)
     n, c, e, M2, M3 = stats
     if n != n_paths:
         raise ValueError(f"the blocks hold {n} rows, expected {n_paths}")

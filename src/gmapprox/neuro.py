@@ -239,8 +239,9 @@ def run_table2(seed: int, n_paths: int = 10_000, threads: int = 1) -> CostReport
     is kappa_1 and F4 is fitted on the exact cumulants, the same bits for
     any seed, path count and thread count. Every row is evaluated on an
     ensemble keyed by child_seed(seed, row, 1); the network row samples the
-    same law it was fitted on. The echo reports the censored inputs and the
-    network row's censor rate; a row with more than half of its inputs
-    censored raises :class:`drift.CensoringError`.
+    same law it was fitted on. The echo's ``censor_rate`` is the network
+    row's exact censored share, 1 - G(horizon_cap) of its inputs' law
+    (``ShotNoise.censored``); a law more than half censored raises
+    :class:`drift.CensoringError`.
     """
     return run_table(table2_models(TABLE2_PARAMS), TABLE2_PARAMS, seed, n_paths, threads)

@@ -13,9 +13,10 @@ by the sampler, the grid and the number of ensemble rows in the block
 A :class:`BlockStream` samples each block as passes of :func:`slab_rows`
 rows, counted from its first row, into one reused buffer, so no block is
 ever held whole. Its ``map(fold)`` folds each block whole, pass by pass, and
-yields the folds in block order; a reducer combines them in that order.
-Threads sample and fold whole blocks, so every row and every reduction is
-the same bits for any thread count.
+yields one value per block, in block order; the caller combines them left to
+right, and nothing else crosses a block. Threads sample and fold whole
+blocks, so every row and every reduction is the same bits for any thread
+count.
 
 Every first-order recurrence runs from rest through a :class:`PoleRun`,
 built once per pole and row length: numpy matrix products on blocks of each
@@ -346,17 +347,16 @@ class BlockStream:
     the first rows of ``buf``, a (min(slab_rows(n_nodes), n_paths), n_nodes)
     array, with the block's next rows, a pure function of (b, rows) and the
     row indices, and yields them. ``ws`` is a flat scratch array of ``buf``'s
-    cells. ``done``, if given, is called once the last block is folded.
+    cells.
     """
 
     passes: Callable
     n_paths: int
     n_nodes: int
     threads: int = 1
-    done: Callable | None = None
 
     def map(self, fold):
-        """Yield ``fold`` of each block's (start, pass) pairs, in block order.
+        """Yield ``fold`` of each block's (start, pass) pairs, one value per block, in block order.
 
         A pass is a view of its worker's buffer, valid until the next pass.
         One thread folds the blocks in the caller; more sample and fold whole
@@ -391,8 +391,6 @@ class BlockStream:
                     yield ahead.popleft().result()
             finally:
                 ex.shutdown(cancel_futures=True)
-        if self.done is not None:
-            self.done()
 
     def _pairs(self, b, rows, buf, ws):
         start = b * _BLOCK

@@ -218,9 +218,10 @@ class TestWorkingSet:
     def test_moments_combine_the_blocks_as_they_come(self, threads):
         """moments_Z_mc on Table 1's 5,001-node grid holds a few block folds, not one per block.
 
-        A full block's fold is one merge-tree entry of four 5,001-node curves
-        (160 kB), so twelve held at once would add about 1.9 MB; 6,000 paths
-        (twelve blocks) peak within 1 MiB of 600 (a full and a partial block).
+        A block's fold is one stats tuple of four 5,001-node curves (160 kB),
+        merged into the running total as it comes, so twelve held at once
+        would add about 1.9 MB; 6,000 paths (twelve blocks) peak within 1 MiB
+        of 600 (a full and a partial block).
         """
         g = TimeGrid.from_step(5.0, 1e-3)
         ou = dm.OUDrift(2.0, 1.0, 1.0)

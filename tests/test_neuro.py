@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -511,9 +510,7 @@ class TestBuildDriftFromNetwork:
         model = network(dm.PointMass(0.0), M=1, amplitude=dm.PointMass(1.0))
         Z = build_drift_from_network(model, 1.5, g, derive_stream(0, 0))
         assert Z.values[-1] == pytest.approx(0.28949856204602503, rel=1e-12)
-        cens = []
-        stacked_chunks(dm.iter_Z_chunks(model, 1.5, g, 1, 0, censored=cens))
-        assert cens == [(0, 1)]
+        assert model.censored == 0.0
 
     def test_zero_amplitude(self):
         g = grid()
@@ -541,30 +538,21 @@ class TestBuildDriftFromNetwork:
 
     def test_network_chunks_reproducible(self):
         # 1,025 trials: three blocks, the last holding one trial, and worker
-        # threads produce whole blocks. A 5 ms cap censors some inputs
+        # threads produce whole blocks. A 5 ms cap censors some inputs: the
+        # share 1 - G(cap) of their law
         g = grid(T=10.0, dt=0.1)
         arrival = dm.SimulatedFiring(TABLE2_LIF, sim_dt=1e-2, horizon_cap=5.0)
         model = network(arrival, M=2)
-        runs = {}
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # threads interleave often: a lost tally entry would change the count
-        try:
-            for threads in (1, 2, 4):
-                cens = []
-                blocks = dm.iter_Z_chunks(model, 0.1, g, 1025, 8, threads, censored=cens)
-                runs[threads] = (stacked_chunks(blocks)[1], cens)
-        finally:
-            sys.setswitchinterval(switch)
-        ref, cens = runs[1]
-        # every censored input of the three blocks is counted once: a fixed
-        # count draws nothing, so each block's first draws are its firing times
-        taus = [arrival.sample(block_stream(8, b), 2 * r) for b, r in enumerate((512, 512, 1))]
-        assert cens == [(sum(int(np.isinf(t).sum()) for t in taus), 2 * 1025)] and cens[0][0] > 0
-        for Z, c in runs.values():
-            assert np.array_equal(Z, ref) and c == cens
+        runs = [stacked_chunks(dm.iter_Z_chunks(model, 0.1, g, 1025, 8, threads))[1] for threads in (1, 2, 4)]
+        ref = runs[0]
+        for Z in runs[1:]:
+            assert np.array_equal(Z, ref)
+        law = neuro.first_passage_law(TABLE2_LIF, 1e-2, 5.0)
+        assert model.censored == 1.0 - law.cdf[-1]
+        assert model.censored > 0
         # a block of one trial: the firing times, then the amplitudes, through the event kernel
         stream = block_stream(8, 2)
-        times = neuro.first_passage_law(TABLE2_LIF, 1e-2, 5.0).sample(stream, 2)
+        times = law.sample(stream, 2)
         weights = stream.uniform(0.5, 1.5, 2)
         Z, _ = event_kernel([(times, weights)], 1.0, 0.1, g)
         assert np.array_equal(Z[0], ref[1024])
@@ -613,6 +601,13 @@ class TestBuildDriftFromNetwork:
         with pytest.raises(dm.CensoringError):
             dm.Z_path_ensemble(model, 0.1, grid(T=2.0), 3, 0)
 
+    def test_mostly_censored_ensemble_is_refused_at_the_call(self):
+        # the law refuses the ensemble before map() draws any block
+        silent = LIFNeuron(theta_i=0.1, mu_i=1.0, sigma_i=0.0, v0_i=0.0, v_th=20.0)
+        model = network(dm.SimulatedFiring(silent, sim_dt=1e-2, horizon_cap=5.0), M=2)
+        with pytest.raises(dm.CensoringError, match="100.00% of the firing times are censored"):
+            dm.iter_Z_chunks(model, 0.1, grid(T=2.0), 1100, 0, threads=2)
+
 
 class TestV2Exponential:
     def test_zero_mean_amplitude(self):
@@ -653,6 +648,16 @@ class TestRunTable2Smoke:
         assert a.values.shape == (3, 2, 2)
         assert np.array_equal(a.values, b.values)
         assert a.config_echo["censor_rate"] < 1e-3
+
+    def test_echo_is_the_network_law_censored_share(self):
+        # the echoed rate is the network row's exact 1 - G(cap), not a count of the drawn inputs
+        echo = run_table2(seed=42, n_paths=2000).config_echo
+        p = TABLE2_PARAMS
+        lif = LIFNeuron(p["theta_i"], p["mu_i"], p["sigma_i"], p["v0_i"], p["v_th"])
+        arrival = dm.SimulatedFiring(lif, sim_dt=p["dt"], horizon_cap=p["horizon_cap"])
+        assert echo["censor_rate"] == arrival.censored
+        assert arrival.censored > 0
+        assert "censored_inputs" not in echo
 
     def test_rows_are_shot_noise_by_arrival_law(self):
         rows = table2_models(TABLE2_PARAMS)

@@ -377,13 +377,6 @@ class TestBlockPasses:
         del folds  # an abandoned generator is closed as it is collected
         assert threading.active_count() == before
 
-    def test_done_runs_after_the_last_block(self):
-        calls = []
-        stream = BlockStream(index_passes, 1100, 1025, 2, done=lambda: calls.append("done"))
-        for fold in stream.map(lambda passes: len(list(passes))):
-            calls.append(fold)
-        assert calls == [8, 8, 2, "done"]
-
 
 class TestStableExpDiff:
     @given(
