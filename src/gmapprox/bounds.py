@@ -70,21 +70,18 @@ def pointwise_mse_streaming(chunks, F: Curve, n_paths: int) -> tuple[Curve, Curv
     ``chunks`` is what drift.iter_Z_chunks returns, holding the n_paths rows
     of one ensemble. Each block adds the column sums of its passes in row
     order, and the block sums are added in block order, so the bits are the
-    same for any thread count. A block holds one pass-sized work array and
-    its rows of column sums.
+    same for any thread count. A pass's squared errors go to its block's
+    scratch array; a block holds only its rows of column sums.
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths for a standard error")
 
-    def fold(passes):
+    def fold(pairs, ws):
         s1 = np.zeros(F.grid.n_nodes)
         s2 = np.zeros(F.grid.n_nodes)
         col = np.empty(F.grid.n_nodes)
-        buf = None  # one (pass rows, nodes) work array for the block
-        for _, slab in passes:
-            if buf is None:
-                buf = np.empty_like(slab)
-            w = buf[: slab.shape[0]]
+        for _, slab in pairs:
+            w = ws[: slab.size].reshape(slab.shape)
             np.subtract(slab, F.values, out=w)
             np.square(w, out=w)
             s1 += w.sum(axis=0, out=col)

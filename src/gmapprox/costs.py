@@ -116,17 +116,15 @@ def per_path_cost_matrix(chunks, curves, dt: float, n_paths: int):
     order); every cost of every candidate is evaluated on the same paths, so
     the per-path cost differences give tight standard errors for the
     optimality gaps. Each block writes its rows' costs, a row-wise function
-    of the row, and the means and SEs are taken over them in row order.
+    of the row formed in the block's scratch array, and the means and SEs
+    are taken over them in row order.
     """
     costs = np.empty((len(P_ORDERS), len(curves), n_paths))  # [order, curve, path]
 
-    def fold(passes):
-        buf = None  # one (pass rows, nodes) work array for the block: p is even, so no abs
-        for start, slab in passes:
-            if buf is None:
-                buf = np.empty_like(slab)
+    def fold(pairs, ws):
+        for start, slab in pairs:
             rows = slice(start, start + len(slab))
-            err = buf[: len(slab)]
+            err = ws[: slab.size].reshape(slab.shape)  # p is even, so no abs
             for j, fv in enumerate(curves):
                 np.subtract(slab, fv, out=err)
                 np.square(err, out=err)
@@ -162,8 +160,8 @@ def full_path_costs(
         raise ValueError(f"p must be an even integer >= 2, got {p}")
     out = np.empty(n_paths)
 
-    def fold(passes):
-        for start, rows in passes:
+    def fold(pairs, ws):
+        for start, rows in pairs:
             for i, z_acc in enumerate(rows, start):
                 y = simulate_Y(sde, derive_stream(master_seed, i, 1))
                 x = y.values + z_acc

@@ -42,7 +42,6 @@ block of one row drawn from the stream it is given.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
@@ -63,6 +62,7 @@ from .timebase import (
     PathEnsemble,
     PoleRun,
     TimeGrid,
+    _cuts,
     block_stream,
     exp_weight_in_place,
     exp_weighted_values,
@@ -363,17 +363,11 @@ Distribution = Union[
 # block of ``rows`` ensemble rows, all drawn from ``stream``: each pass fills
 # the first rows of ``buf`` with the block's next ``len(buf)`` rows (or what
 # is left of them) and yields them. The stream and the block's drawn events
-# persist from pass to pass, and the pass-sized transients live in ``ws``, a
-# flat scratch array of at least ``buf``'s cells (see
-# :class:`timebase.BlockStream`), so the pass loop allocates nothing of pass
-# size. A row's values are a function of its own draws, so they do not depend
-# on the pass size.
-
-def _cuts(rows: int, buf: np.ndarray):
-    """(first row, pass array) of a block of ``rows`` rows, ``len(buf)`` rows a pass."""
-    step = len(buf)
-    for a in range(0, rows, step):
-        yield a, buf[: min(step, rows - a)]
+# persist from pass to pass, and the pass-sized transients live in ``ws``, the
+# worker's scratch array of :class:`timebase.BlockStream`, so the pass loop
+# allocates nothing of pass size. The fold spends ``ws`` after each pass, so
+# a sampler rewrites what it reads of it on every pass. A row's values are a
+# function of its own draws, so they do not depend on the pass size.
 
 
 def _event_sampler(draw, lam: float, theta: float, grid: TimeGrid):
@@ -890,18 +884,11 @@ def Z_path_ensemble(
 ) -> PathEnsemble:
     """n_paths independent Z realizations under the block-stream contract, as one matrix.
 
-    Each block of :func:`iter_Z_chunks` is copied in as it is sampled, so
-    the matrix does not depend on ``threads``; a block holding one row
-    equals ``sample_Z_path`` on the block's stream bit for bit.
+    The ``matrix()`` of :func:`iter_Z_chunks`, so it does not depend on
+    ``threads``; a block holding one row equals ``sample_Z_path`` on the
+    block's stream bit for bit.
     """
-    values = np.empty((n_paths, grid.n_nodes))
-
-    def copy(passes):
-        for start, rows in passes:
-            values[start : start + len(rows)] = rows
-
-    for _ in iter_Z_chunks(model, theta, grid, n_paths, master_seed, threads).map(copy):
-        pass
+    values = iter_Z_chunks(model, theta, grid, n_paths, master_seed, threads).matrix()
     return PathEnsemble(grid, n_paths, values, master_seed)
 
 
@@ -955,7 +942,7 @@ def _chunk_stats(block: np.ndarray, ws: np.ndarray):
     c is the rounded slab mean and e the mean of the deviations from it, so
     c + e is the sample mean to far below one ulp of c and M2, M3 are
     central about it. The deviations and their powers go to ``ws``, which
-    holds at least twice the slab's cells.
+    holds at least twice the slab's cells, as a block's scratch does.
     """
     n, size = block.shape[0], block.size
     c = block.mean(axis=0)
@@ -1005,30 +992,26 @@ def moments_from_chunks(chunks, grid: TimeGrid, n_paths: int):
     """Sample mean, variance, third central moment and the SE of the mean of a block stream.
 
     ``chunks`` is what :func:`iter_Z_chunks` returns for the n_paths rows of
-    one ensemble on ``grid``. Each pass is reduced to its count, mean and
-    central sums M2, M3, and merged into its block's in row order; the
-    blocks' stats are merged into the ensemble's in block order. No raw
-    power sum is formed, so the variance and the third central moment keep
-    their relative accuracy however large the mean is against the spread,
-    and the merges run in the same order, to the same bits, for any thread
-    count.
+    one ensemble on ``grid``. Each pass is reduced, in its block's scratch
+    array, to its count, mean and central sums M2, M3, and merged into its
+    block's in row order; the blocks' stats are merged into the ensemble's
+    in block order. No raw power sum is formed, so the variance and the
+    third central moment keep their relative accuracy however large the
+    mean is against the spread, and the merges run in the same order, to
+    the same bits, for any thread count.
     """
     from .approx import MomentCurves  # MomentCurves lives with its consumers
 
     if n_paths < 2:
         raise ValueError("need at least 2 paths for moment estimation")
 
-    local = threading.local()  # each worker's deviations and their powers, for the call
-
     def merged(stats, more):
         return more if stats is None else _merge_stats(stats, more)
 
-    def fold(passes):
+    def fold(pairs, ws):
         stats = None
-        for _, slab in passes:
-            if getattr(local, "ws", np.empty(0)).size < 2 * slab.size:
-                local.ws = np.empty(2 * slab.size)
-            stats = merged(stats, _chunk_stats(slab, local.ws))
+        for _, slab in pairs:
+            stats = merged(stats, _chunk_stats(slab, ws))
         return stats
 
     stats = None

@@ -14,9 +14,10 @@ A :class:`BlockStream` samples each block as passes of :func:`slab_rows`
 rows, counted from its first row, into one reused buffer, so no block is
 ever held whole. Its ``map(fold)`` folds each block whole, pass by pass, and
 yields one value per block, in block order; the caller combines them left to
-right, and nothing else crosses a block. Threads sample and fold whole
-blocks, so every row and every reduction is the same bits for any thread
-count.
+right, and nothing else crosses a block. The map owns every pass-sized
+array: each worker's buffer, and one scratch array that the worker's
+sampler and fold spend in turn. Threads sample and fold whole blocks, so
+every row and every reduction is the same bits for any thread count.
 
 Every first-order recurrence runs from rest through a :class:`PoleRun`,
 built once per pole and row length: numpy matrix products on blocks of each
@@ -346,8 +347,10 @@ class BlockStream:
     b*_BLOCK on. ``passes(b, rows, buf, ws)`` generates them: each pass fills
     the first rows of ``buf``, a (min(slab_rows(n_nodes), n_paths), n_nodes)
     array, with the block's next rows, a pure function of (b, rows) and the
-    row indices, and yields them. ``ws`` is a flat scratch array of ``buf``'s
-    cells.
+    row indices, and yields them. ``ws`` is a flat scratch array of two
+    passes' cells, which the sampler spends while it fills a pass and the
+    block's fold after the pass is yielded, so a sampler rewrites what it
+    reads of ``ws`` on every pass.
     """
 
     passes: Callable
@@ -356,14 +359,18 @@ class BlockStream:
     threads: int = 1
 
     def map(self, fold):
-        """Yield ``fold`` of each block's (start, pass) pairs, one value per block, in block order.
+        """Yield ``fold(pairs, ws)`` of each block's (start, pass) pairs, one value per block, in block order.
 
         A pass is a view of its worker's buffer, valid until the next pass.
-        One thread folds the blocks in the caller; more sample and fold whole
-        blocks, at most ``threads`` of them started and not yet yielded, so
-        the folds held do not grow with n_paths. Each worker allocates its
-        buffer and scratch once per call. A block's error is raised here and
-        stops the blocks after it; no worker outlives the generator.
+        ``ws`` is the scratch of two passes' cells that the block's
+        ``passes`` was given, the fold's to spend between passes. Each
+        worker allocates its buffer and scratch once per call. One thread
+        folds the blocks in the caller: a pool of one worker measured 2-4
+        MiB more peak RSS on every benchmark workload. More threads sample
+        and fold whole blocks, at most ``threads`` of them started and not
+        yet yielded, so the folds held do not grow with n_paths. A block's
+        error is raised here and stops the blocks after it; no worker
+        outlives the generator.
         """
         blocks = [(b, min(_BLOCK, self.n_paths - b * _BLOCK)) for b in range(-(-self.n_paths // _BLOCK))]
         width = min(slab_rows(self.n_nodes), self.n_paths)
@@ -371,9 +378,9 @@ class BlockStream:
 
         def run(block):
             if not hasattr(local, "buf"):
-                local.buf, local.ws = np.empty((width, self.n_nodes)), np.empty(width * self.n_nodes)
+                local.buf, local.ws = np.empty((width, self.n_nodes)), np.empty(2 * width * self.n_nodes)
             b, rows = block
-            return fold(self._pairs(b, rows, local.buf, local.ws))
+            return fold(self._pairs(b, rows, local.buf, local.ws), local.ws)
 
         workers = min(self.threads or 1, len(blocks))
         if workers <= 1:
@@ -391,6 +398,18 @@ class BlockStream:
                     yield ahead.popleft().result()
             finally:
                 ex.shutdown(cancel_futures=True)
+
+    def matrix(self) -> np.ndarray:
+        """The (n_paths, n_nodes) matrix of every row, each pass copied in as it is sampled."""
+        out = np.empty((self.n_paths, self.n_nodes))
+
+        def copy(pairs, ws):
+            for start, rows in pairs:
+                out[start : start + len(rows)] = rows
+
+        for _ in self.map(copy):
+            pass
+        return out
 
     def _pairs(self, b, rows, buf, ws):
         start = b * _BLOCK
@@ -410,6 +429,13 @@ def slab_rows(n_nodes: int) -> int:
     return min(_BLOCK, 1 << (rows.bit_length() - 1))
 
 
+def _cuts(rows: int, buf: np.ndarray):
+    """(first row, pass array) of a block of ``rows`` rows, ``len(buf)`` rows a pass."""
+    step = len(buf)
+    for a in range(0, rows, step):
+        yield a, buf[: min(step, rows - a)]
+
+
 def fill_rows(build_row, n_paths: int, n_nodes: int, threads: int = 1) -> np.ndarray:
     """Assemble a (n_paths, n_nodes) matrix with row i = build_row(i).
 
@@ -417,22 +443,14 @@ def fill_rows(build_row, n_paths: int, n_nodes: int, threads: int = 1) -> np.nda
     the passes of a :class:`BlockStream` on ``threads`` workers, so the
     matrix is the same for any number of threads.
     """
-    out = np.empty((n_paths, n_nodes), dtype=float)
 
     def passes(b, rows, buf, ws):
-        for lo in range(0, rows, len(buf)):
-            rows_done = buf[: rows - lo]
-            for i, row in enumerate(rows_done):
-                row[:] = build_row(b * _BLOCK + lo + i)
-            yield rows_done
+        for a, out in _cuts(rows, buf):
+            for i, row in enumerate(out, b * _BLOCK + a):
+                row[:] = build_row(i)
+            yield out
 
-    def copy(pairs):
-        for start, rows in pairs:
-            out[start : start + len(rows)] = rows
-
-    for _ in BlockStream(passes, n_paths, n_nodes, threads).map(copy):
-        pass
-    return out
+    return BlockStream(passes, n_paths, n_nodes, threads).matrix()
 
 
 def stable_exp_diff(a: float, b: float, t: np.ndarray | float):

@@ -150,7 +150,7 @@ def x_mean_analytic(sde: LinearSDE, model) -> Curve:
 def stacked_chunks(stream):
     """(starts, matrix) of the (start, pass) pairs of a block stream, copied out of their reused buffers."""
     starts, rows = [], []
-    for block in stream.map(lambda passes: [(start, rows.copy()) for start, rows in passes]):
+    for block in stream.map(lambda pairs, ws: [(start, rows.copy()) for start, rows in pairs]):
         for start, chunk in block:
             starts.append(start)
             rows.append(chunk)

@@ -31,6 +31,12 @@ class TestD2Generic:
         assert np.array_equal(b.d2.values, np.zeros(g.n_nodes))
         assert b.l1_mass == 0.0
 
+    def test_deterministic_closed_form_is_zero(self):
+        g = grid(dt=0.01)
+        b = d2_closed(dm.Deterministic(Curve.from_function(g, np.sin)), THETA, g)
+        assert b.closed_form
+        assert np.array_equal(b.d2.values, np.zeros(g.n_nodes)) and b.l1_mass == 0.0
+
     def test_brownian_value(self):
         # d2(t) = t/(2 theta) - (1 - e^{-2 theta t})/(4 theta^2)
         b = d2_generic(dm.BrownianDrift(0.0), THETA, grid())

@@ -228,6 +228,34 @@ class TestBound:
             assert data[k, 3] == pytest.approx(exact[k], abs=5e-5)
 
 
+class TestDeterministicValues:
+    """A deterministic drift given as a list of node values, one per node of T = 1, dt = 0.01."""
+
+    VALUES = [float(v) for v in np.sin(3.0 * np.arange(101) * 0.01) + 0.25]
+
+    def test_approx_bound_and_costs_run(self, tmp_path):
+        p = write_config(tmp_path, model={"type": "deterministic", "values": self.VALUES})
+        for command in ("approx", "bound", "costs"):
+            assert main([command, "--config", str(p)]) == EXIT_OK, command
+        out = tmp_path / "out"
+        head, p2 = read_csv(out / "approx_p2.csv")
+        _, p4 = read_csv(out / "approx_p4.csv")
+        assert head == ["t", "F", "f"]
+        assert p2[:, 2].tolist() == self.VALUES
+        assert np.array_equal(p2[:, 1], p4[:, 1])
+        head, bound = read_csv(out / "bound.csv")
+        assert head == ["t", "mse", "se", "d2"]
+        assert np.all(bound[:, 1:] == 0)
+
+    @pytest.mark.parametrize("values", [VALUES[:-1], VALUES[:50] + ["0.5"] + VALUES[51:]],
+                             ids=["one_short", "string_entry"])
+    def test_bad_values_exit_2(self, tmp_path, capsys, values):
+        p = write_config(tmp_path, model={"type": "deterministic", "values": values})
+        for command in ("approx", "bound", "costs"):
+            assert main([command, "--config", str(p)]) == EXIT_CONFIG, command
+        assert "model" in capsys.readouterr().err
+
+
 class TestTables:
     def test_table1_deterministic_outputs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -154,6 +154,11 @@ class TestPairing:
 
 
 class TestZPaths:
+    def test_deterministic_on_another_grid_is_refused(self):
+        model = dm.Deterministic(Curve.from_function(grid(dt=0.01), np.sin))
+        with pytest.raises(ValueError, match="grids differ"):
+            dm.mean_z(model, grid(dt=0.02))
+
     def test_deterministic_ignores_stream(self):
         g = grid()
         f = Curve.from_function(g, lambda t: np.sin(t))

@@ -297,9 +297,9 @@ def index_passes(b, rows, buf, ws):
         yield out
 
 
-def copied(passes):
+def copied(pairs, ws):
     """A fold that keeps a copy of each (start, pass) pair of its block."""
-    return [(start, rows.copy()) for start, rows in passes]
+    return [(start, rows.copy()) for start, rows in pairs]
 
 
 class TestBlockPasses:
@@ -317,13 +317,13 @@ class TestBlockPasses:
                 assert np.array_equal(p, np.broadcast_to((s + np.arange(len(p)))[:, None], p.shape))
 
     def test_one_thread_reuses_one_buffer(self):
-        passes = [p for fold in BlockStream(index_passes, 1100, 1025).map(list) for _, p in fold]
+        passes = [p for fold in BlockStream(index_passes, 1100, 1025).map(lambda pairs, ws: list(pairs)) for _, p in fold]
         assert len(passes) == 18 and all(np.shares_memory(p, passes[0]) for p in passes)
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_one_buffer_per_worker(self, threads):
         # 12 blocks: every worker runs several, each into the buffer it allocated first
-        fold = lambda passes: [(threading.get_ident(), p) for _, p in passes]
+        fold = lambda pairs, ws: [(threading.get_ident(), p) for _, p in pairs]
         runs = {}
         for fold_passes in BlockStream(index_passes, 12 * 512, 1025, threads).map(fold):
             for worker, p in fold_passes:
@@ -333,6 +333,25 @@ class TestBlockPasses:
             assert all(np.shares_memory(p, passes[0]) for p in passes)
             others = [q[0] for w, q in runs.items() if w != worker]
             assert not any(np.shares_memory(passes[0], q) for q in others)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_fold_spends_its_blocks_scratch(self, threads):
+        # each fold gets the scratch array its block's sampler was given, of two passes' cells
+        given = {}
+
+        def recording(b, rows, buf, ws):
+            given[b] = ws, buf.size
+            yield from index_passes(b, rows, buf, ws)
+
+        def fold(pairs, ws):
+            starts = [start for start, _ in pairs]
+            return starts[0] // timebase._BLOCK, ws
+
+        folds = list(BlockStream(recording, 6 * 512 + 76, 1025, threads).map(fold))
+        assert [b for b, _ in folds] == list(range(7))
+        for b, ws in folds:
+            sampled, pass_cells = given[b]
+            assert ws is sampled and ws.ndim == 1 and ws.size >= 2 * pass_cells
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_folds_held_are_one_per_worker(self, threads):
