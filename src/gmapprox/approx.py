@@ -124,8 +124,7 @@ class Approximant:
 def F2_analytic(model: drift_mod.DriftModel, theta: float, grid: TimeGrid) -> Approximant:
     """The mean-square-optimal approximant: F2 = E[Z] = kappa_1, f2 = E[z].
 
-    kappa_1 comes from :func:`drift.cumulant_curves`, which uses each
-    variant's closed-form mean where one exists.
+    kappa_1 comes from :func:`drift.cumulant_curves`.
     """
     F = Curve(grid, drift_mod.cumulant_curves(model, theta, grid, 1)[0])
     f2 = drift_mod.mean_z(model, grid)
@@ -182,15 +181,17 @@ def F4_from_moments(moments: MomentCurves, theta: float) -> Approximant:
 def fit(model: drift_mod.DriftModel, theta: float, grid: TimeGrid) -> tuple[Approximant, Approximant]:
     """The order-2 and order-4 approximants (F2, F4): the fit of every table row and command.
 
-    F2 is kappa_1 (:func:`F2_analytic`) and F4 the cubic root on
-    kappa_1..kappa_3 (:func:`exact_moments`); nothing is sampled. A shot
-    noise with a :class:`drift.SimulatedFiring` arrival is fitted on the
-    first-passage law it is sampled from, which needs the grid step to equal
-    its sim_dt (ValueError otherwise) and raises
+    One :func:`exact_moments` call gives both: F2 is its mean kappa_1, the
+    bits :func:`F2_analytic` gives, and F4 the cubic root on kappa_1..kappa_3;
+    nothing is sampled. A shot noise with a :class:`drift.SimulatedFiring`
+    arrival is fitted on the first-passage law it is sampled from, which
+    needs the grid step to equal its sim_dt (ValueError otherwise) and raises
     :class:`drift.CensoringError` when more than half of its firing times
     are censored.
     """
-    return F2_analytic(model, theta, grid), F4_from_moments(exact_moments(model, theta, grid), theta)
+    moments = exact_moments(model, theta, grid)
+    F2 = Approximant(p=2, F=moments.m1, f=drift_mod.mean_z(model, grid), theta=theta)
+    return F2, F4_from_moments(moments, theta)
 
 
 def eta2(model: drift_mod.DriftModel, theta: float, grid: TimeGrid) -> Curve:

@@ -3,7 +3,9 @@
 Subcommands: simulate, approx, bound, costs, table1, table2, neuron.
 All randomness flows from a single --seed; every emitted file carries enough
 configuration echo to reproduce it exactly. Exit codes: 0 on success, 2 for
-configuration errors, 3 for numerical failures.
+configuration errors (an output directory that cannot be made among them,
+refused before any work where its path runs through a file), 3 for
+numerical failures.
 """
 
 from __future__ import annotations
@@ -289,6 +291,7 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
             f"output.formats must be a non-empty list drawn from {list(_FORMATS)}, got {formats!r}"
         )
     cfg.formats = tuple(formats)
+    _check_out_dir(cfg.out_dir)
     parse_neuron(cfg.neuron)
 
     grid = cfg.grid()
@@ -300,16 +303,24 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _outpath(cfg: ExperimentConfig, name: str) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return os.path.join(cfg.out_dir, name)
+def _check_out_dir(out_dir: str) -> None:
+    """ConfigError unless the nearest existing ancestor of ``out_dir`` is a directory; makes nothing."""
+    head = os.path.abspath(out_dir)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise ConfigError(f"output.directory {out_dir!r} cannot be made: {head} is not a directory")
 
 
 def _emit(cfg: ExperimentConfig, files) -> None:
     """Write each (format, name, write) whose format output.formats lists, and print its path."""
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output.directory {cfg.out_dir!r}: {exc}") from exc
     for fmt, name, write in files:
         if fmt in cfg.formats:
-            path = _outpath(cfg, name)
+            path = os.path.join(cfg.out_dir, name)
             write(path)
             print(f"wrote {path}")
 

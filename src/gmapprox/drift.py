@@ -7,15 +7,18 @@ damped accumulation
 
 so each drift variant samples Z paths at the grid nodes and has exact
 mean/variance curves of z. The event-driven variants (Poisson, compound
-Poisson, shot noise) draw their event times in continuous time, and one
-batched kernel evaluates Z from the events of many paths at once: each
-event's exact contribution inside its grid cell is binned, then two exact
-exponential recurrences run along the time axis, so the grid introduces no
-bias and the cost is O(events + nodes). The single-shot drift keeps its
-one-event closed form. The Brownian and OU drifts are one Gaussian family
-(Brownian is rate 0 plus a trend) with one sampler: z minus its mean by its
-exact transition, the trapezoid exponential integrator, then the exact mean
-of Z.
+Poisson, shot noise) are one family of three laws: each path's event count,
+the events' times in continuous time, and their weights. A block draws its
+counts, then its times, then its weights, one ``sample`` call each; a
+compound Poisson drift's laws are PoissonCount(rate T), Uniform(0, T) and
+its jump law. One batched kernel evaluates Z from the events of many paths
+at once: each event's exact contribution inside its grid cell is binned,
+then two exact exponential recurrences run along the time axis, so the grid
+introduces no bias and the cost is O(events + nodes). The single-shot drift
+keeps its one-event closed form. The Brownian and OU drifts are one Gaussian
+family (Brownian is rate 0 plus a trend) with one sampler: z minus its mean
+by its exact transition, the trapezoid exponential integrator, then the
+exact mean of Z.
 
 Every variant has an exact law for Z: :func:`cumulant_curves` returns its
 first four cumulants at the grid nodes, which is all the order-2 and order-4
@@ -367,20 +370,27 @@ Distribution = Union[
 # worker's scratch array of :class:`timebase.BlockStream`, so the pass loop
 # allocates nothing of pass size. The fold spends ``ws`` after each pass, so
 # a sampler rewrites what it reads of it on every pass. A row's values are a
-# function of its own draws, so they do not depend on the pass size.
+# function of its own draws, so they do not depend on the pass size. The
+# event variants share one sampler, :func:`_event_sampler`: a block's counts
+# from the count law, then its event times, then its weights, and the kernel.
 
 
-def _event_sampler(draw, lam: float, theta: float, grid: TimeGrid):
-    """An event variant's sampler: ``draw(grid, stream, rows)`` the block's events, then the kernel.
+def _event_sampler(count, time, weight, lam: float, theta: float, grid: TimeGrid):
+    """An event variant's sampler: the block's events from three laws, then the kernel.
 
-    ``draw`` takes the counts first, then the times and the weights of all
-    events, one call each, so the draws depend on the stream and the row
-    count only.
+    Each block draws its per-row event counts from ``count``, then the times
+    of all its events from ``time``, then their weights from ``weight``, one
+    ``sample`` call each, so the draws depend on the stream and the row count
+    only. A time law more than half censored raises :class:`CensoringError`
+    here, before any block is drawn.
     """
+    _refuse_censored(time)
     kernel = _EventKernel(lam, theta, grid)
 
     def passes(stream, rows, buf, ws):
-        times, weights, counts = draw(grid, stream, rows)
+        counts = count.sample(stream, rows)
+        times = time.sample(stream, counts.sum())
+        weights = weight.sample(stream, counts.sum())
         terms = kernel.terms(times, weights, np.repeat(np.arange(rows), counts))
         for a, out in _cuts(rows, buf):
             yield kernel.rows(terms, a, out, ws)
@@ -465,20 +475,21 @@ class _EventKernel:
 # has to differ from theta or from another rate.
 
 
-def _ramp_mean(theta: float, t: np.ndarray) -> np.ndarray:
-    """int_0^t K(u) du with K(u) = (1 - e^{-theta u}) / theta: the damped accumulation of s."""
-    return t / theta + np.expm1(-theta * t) / theta**2
+def _ramp_chain(theta: float, grid: TimeGrid) -> np.ndarray:
+    """Row n + 1 is int_0^t K(u)^n du / n! with K(u) = (1 - e^{-theta u}) / theta, for n up to 4.
+
+    One chain for every order, so a lower order reads the same rows bit for
+    bit; its sums of nonnegative terms keep their relative accuracy at small
+    theta t, where the closed form t / theta + expm1(-theta t) / theta^2 cancels.
+    """
+    return chain_states([0.0, 0.0, theta, 2 * theta, 3 * theta, 4 * theta], grid)
 
 
 def _ramp_cumulants(w, theta: float, grid: TimeGrid, kappa: np.ndarray) -> None:
     """kappa_n = w_n int_0^t K(u)^n du with K(u) = (1 - e^{-theta u}) / theta, for n up to len(w)."""
-    kappa[0] = w[0] * _ramp_mean(theta, grid.times())
-    if len(kappa) > 1:
-        # row n + 1 is int_0^t K(u)^n du / n!; one chain for every order,
-        # so a lower order gives the same rows bit for bit
-        v = chain_states([0.0, 0.0, theta, 2 * theta, 3 * theta, 4 * theta], grid)
-        for n in range(2, min(len(kappa), len(w)) + 1):
-            kappa[n - 1] = w[n - 1] * math.factorial(n) * v[n + 1]
+    v = _ramp_chain(theta, grid)
+    for n in range(1, min(len(kappa), len(w)) + 1):
+        kappa[n - 1] = w[n - 1] * math.factorial(n) * v[n + 1]
 
 
 @dataclass(frozen=True)
@@ -550,15 +561,10 @@ class CompoundPoisson:
         if self.rate <= 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
 
-    def _draw_events(self, grid: TimeGrid, stream: np.random.Generator, rows: int):
-        """(times, jump sizes, counts per row) of the events of ``rows`` paths."""
-        T = grid.horizon_T
-        counts = stream.poisson(self.rate * T, size=rows)
-        times = stream.uniform(0.0, T, counts.sum())
-        return times, self.jump.sample(stream, counts.sum()), counts
-
     def _block_sampler(self, theta: float, grid: TimeGrid):
-        return _event_sampler(self._draw_events, 0.0, theta, grid)
+        """A PoissonCount(rate T) of events per path at Uniform(0, T) times, weighted by the jump law."""
+        T = grid.horizon_T
+        return _event_sampler(PoissonCount(self.rate * T), Uniform(0.0, T), self.jump, 0.0, theta, grid)
 
     def _mean_z(self, grid: TimeGrid) -> np.ndarray:
         return self.rate * self.jump.raw_moment(1) * grid.times()
@@ -612,21 +618,13 @@ class ShotNoise:
         else:
             raise ValueError("arrival must be a distribution over positive reals")
 
-    def _draw_events(self, grid: TimeGrid, stream: np.random.Generator, rows: int):
-        """(times, amplitudes, counts per row) of the events of ``rows`` paths."""
-        counts = np.asarray(self.count.sample(stream, rows), dtype=np.int64)
-        times = self.arrival.sample(stream, counts.sum())
-        return times, self.amplitude.sample(stream, counts.sum()), counts
-
     @property
     def censored(self) -> float:
         """The share of event times that never happen: the arrival law's censored mass."""
         return self.arrival.censored
 
     def _block_sampler(self, theta: float, grid: TimeGrid):
-        """Refuses an arrival law more than half censored before any block is drawn."""
-        _refuse_censored(self.arrival)
-        return _event_sampler(self._draw_events, self.response_rate, theta, grid)
+        return _event_sampler(self.count, self.arrival, self.amplitude, self.response_rate, theta, grid)
 
     def _moments(self):
         """E[M], D[M], E[beta] and E[beta^2] of the count M and the amplitude beta."""
@@ -720,7 +718,7 @@ class _GaussianDrift:
         G(u) = (e^{-rate u} - e^{-theta u}) / (theta - rate), the response of Z to z.
         """
         lam, th, t = self.rate, theta, grid.times()
-        kappa[0] = self.u0 * stable_exp_diff(lam, th, t) + self.trend * _ramp_mean(th, t)
+        kappa[0] = self.u0 * stable_exp_diff(lam, th, t) + self.trend * _ramp_chain(th, grid)[2]
         if len(kappa) > 1:
             # G(u)^2 = 2 chain(2 lam, lam + theta, 2 theta), integrated once more
             v = chain_states([0.0, 2 * lam, lam + th, 2 * th], grid)
@@ -860,8 +858,9 @@ def cumulant_curves(model: DriftModel, theta: float, grid: TimeGrid, order: int 
 
     Each variant's ``_cumulants`` gives them. The integrals are chains of
     exponential convolutions (:func:`response.chain_states`), which keep
-    their relative accuracy at t -> 0. kappa_1 reuses the closed-form mean
-    of each variant that has one.
+    their relative accuracy at t -> 0 and at small theta t; the ramp drifts
+    (Poisson, compound Poisson, a Brownian trend) take kappa_1 from theirs
+    too, while the single shot and the OU drift keep closed-form means.
     """
     _check_theta(theta)
     if not 1 <= order <= 4:
@@ -958,34 +957,16 @@ def _chunk_stats(block: np.ndarray, ws: np.ndarray):
 
 
 def _merge_stats(a, b):
-    """Pooled (n, c, e, M2, M3) of two disjoint samples (Chan, Golub & LeVeque 1979; Pebay 2008).
-
-    The pooled e, M2 and M3 overwrite a's, which no one else may hold; c is a's.
-    """
+    """Pooled (n, c, e, M2, M3) of two disjoint samples (Chan, Golub & LeVeque 1979; Pebay 2008); c is a's."""
     na, ca, ea, M2a, M3a = a
     nb, cb, eb, M2b, M3b = b
     n = na + nb
-    delta = cb - ca
-    delta += eb - ea
-    # M3 += M3b + delta^3 na nb (na - nb) / n^2 + 3 delta (na M2b - nb M2a) / n, from a's M2
-    cross = na * M2b
-    cross -= nb * M2a
-    cross *= 3.0 * delta
-    cross /= n
-    cube = delta * delta
-    cube *= delta
-    cube *= na * nb * (na - nb) / n**2
-    M3a += M3b
-    M3a += cube
-    M3a += cross
-    # M2 += M2b + delta^2 na nb / n, and e += delta nb / n
-    np.multiply(delta, delta, out=cube)
-    cube *= na * nb / n
-    M2a += M2b
-    M2a += cube
-    delta *= nb / n
-    ea += delta
-    return n, ca, ea, M2a, M3a
+    delta = (cb - ca) + (eb - ea)
+    cross = (na * M2b - nb * M2a) * (3.0 * delta) / n
+    cube = delta * delta * delta * (na * nb * (na - nb) / n**2)
+    M3 = M3a + M3b + cube + cross
+    M2 = M2a + M2b + delta * delta * (na * nb / n)
+    return n, ca, ea + delta * (nb / n), M2, M3
 
 
 def moments_from_chunks(chunks, grid: TimeGrid, n_paths: int):

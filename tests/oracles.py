@@ -47,14 +47,14 @@ def z_rows(model, grid: TimeGrid, stream: np.random.Generator, rows: int) -> np.
 
     Brute force from the draws and the closed forms, with none of the
     package's kernels: an event variant sums every event's response
-    w e^{-lam (t - T)} at every node it reaches (``model._draw_events``),
+    w e^{-lam (t - T)} at every node it reaches (:func:`event_draws`),
     the single shot is a step at its exponential time, the Brownian drift
     a running sum of sqrt(dt) normals plus the trend, the OU drift its
     exact transition run by ``lfilter``, and a deterministic drift its curve.
     """
     t = grid.times()
     if isinstance(model, (dm.CompoundPoisson, dm.ShotNoise)):
-        times, weights, counts = model._draw_events(grid, stream, rows)
+        times, weights, counts = event_draws(model, grid, stream, rows)
         lam = getattr(model, "response_rate", 0.0)
         edges = np.concatenate(([0], np.cumsum(counts)))
         out = np.empty((rows, grid.n_nodes))
@@ -76,6 +76,24 @@ def z_rows(model, grid: TimeGrid, stream: np.random.Generator, rows: int) -> np.
     scale = model.sigma_u * np.sqrt(-np.expm1(-2 * lam * grid.dt) / (2 * lam))
     steps = np.hstack([np.full((rows, 1), float(model.u0)), scale * noise])
     return lfilter([1.0], [1.0, -np.exp(-lam * grid.dt)], steps, axis=1)
+
+
+def event_draws(model, grid: TimeGrid, stream: np.random.Generator, rows: int):
+    """(times, weights, counts per row) of the events of ``rows`` paths of an event variant.
+
+    The block sampler's draw order: the counts of every row from the count
+    law, then the times of all events, then their weights. Shot noise draws
+    them from its count, arrival and amplitude laws; a compound Poisson drift
+    from PoissonCount(rate T), Uniform(0, T) and its jump law.
+    """
+    if isinstance(model, dm.ShotNoise):
+        laws = model.count, model.arrival, model.amplitude
+    else:
+        T = grid.horizon_T
+        laws = dm.PoissonCount(model.rate * T), dm.Uniform(0.0, T), model.jump
+    counts = laws[0].sample(stream, rows)
+    times = laws[1].sample(stream, counts.sum())
+    return times, laws[2].sample(stream, counts.sum()), counts
 
 
 def z_path(model, grid: TimeGrid, stream: np.random.Generator) -> Curve:

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from gmapprox import costs as costs_mod
 from gmapprox.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 
 from oracles import fresh_interpreter_stdout
@@ -149,6 +150,25 @@ class TestConfigValidation:
     def test_threads_default_is_one(self):
         for command in ("simulate", "approx", "bound", "costs", "table1", "table2", "neuron"):
             assert build_parser().parse_args([command]).threads == 1
+
+    def test_output_directory_through_a_file_exits_before_any_work(self, tmp_path, capsys, monkeypatch):
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("kept")
+        monkeypatch.setattr(costs_mod, "run_table1", lambda *args: pytest.fail("table1 was computed"))
+        assert main(["table1", "--out", str(blocker)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        p = write_config(tmp_path)
+        assert main(["approx", "--config", str(p), "--out", str(blocker / "sub")]) == EXIT_CONFIG
+        assert "is not a directory" in capsys.readouterr().err
+        assert blocker.read_text() == "kept"
+
+    def test_output_directory_that_cannot_be_made_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise PermissionError("permission denied")
+
+        monkeypatch.setattr(os, "makedirs", refuse)
+        assert main(["approx", "--config", str(write_config(tmp_path))]) == EXIT_CONFIG
+        assert "cannot make output.directory" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.special import roots_jacobi, roots_legendre
 
 from gmapprox import drift as dm
-from gmapprox.approx import F2_analytic, F4_from_moments, exact_moments
+from gmapprox.approx import F2_analytic, F4_from_moments, exact_moments, fit
 from gmapprox.bounds import d2_closed
 from gmapprox.costs import TABLE1_PARAMS, cost_block, table1_scenarios
 from gmapprox.neuro import TABLE2_PARAMS, table2_models
@@ -199,6 +199,22 @@ def test_F2_is_kappa1():
     for model, theta, _, _ in CASES.values():
         F2 = F2_analytic(model, theta, grid).F.values
         assert np.array_equal(F2, dm.cumulant_curves(model, theta, grid)[0])
+        assert np.array_equal(fit(model, theta, grid)[0].F.values, F2)
+
+
+@pytest.mark.parametrize("theta", [1e-6, 1e-8, 1e-10])
+def test_ramp_kappa1_keeps_its_relative_accuracy_at_small_theta(theta):
+    """kappa_1 = w int_0^t K(u) du against its Taylor series, where t / theta + expm1(-theta t) / theta^2 cancels.
+
+    w is rate E[J] for the Poisson and compound Poisson drifts and the trend for the Brownian one.
+    """
+    grid = TimeGrid.from_step(5.0, 1e-2)
+    t = grid.times()
+    series = t**2 / 2 - theta * t**3 / 6 + theta**2 * t**4 / 24
+    for model, w in ((dm.Poisson(2.0), 2.0), (dm.CompoundPoisson(2.0, dm.Exponential(4.0)), 0.5),
+                     (dm.BrownianDrift(0.5), 0.5)):
+        kappa1 = dm.cumulant_curves(model, theta, grid, order=1)[0]
+        np.testing.assert_allclose(kappa1, w * series, rtol=1e-12, atol=0, err_msg=type(model).__name__)
 
 
 def test_shot_noise_rate_coincidence_is_a_pairing_error():

@@ -18,6 +18,7 @@ from gmapprox.timebase import (
 )
 from oracles import (
     convolution_oracle,
+    event_draws,
     event_kernel,
     exp_weighted_running_integral,
     matrix_blocks,
@@ -368,7 +369,7 @@ class TestEnsembles:
         threaded = dm.Z_path_ensemble(model, THETA, g, n, master_seed=seed, threads=3).values
         assert np.array_equal(threaded, full)
         # the block's rows are the kernel of the block's draws, row by row
-        times, weights, counts = model._draw_events(g, block_stream(seed, 0), n)
+        times, weights, counts = event_draws(model, g, block_stream(seed, 0), n)
         edges = np.concatenate(([0], np.cumsum(counts)))
         for i in (0, 23, n - 1):
             events = [(times[edges[i] : edges[i + 1]], weights[edges[i] : edges[i + 1]])]
