@@ -2,10 +2,13 @@
 
 Subcommands: simulate, approx, bound, costs, table1, table2, neuron.
 All randomness flows from a single --seed; every emitted file carries enough
-configuration echo to reproduce it exactly. Exit codes: 0 on success, 2 for
-configuration errors (an output directory that cannot be made among them,
-refused before any work where its path runs through a file), 3 for
-numerical failures.
+configuration echo to reproduce it exactly. Config sections are read through
+one table: ``_FIELDS`` (sde, grid, mc) drives load_config and echo(), and
+``_OVERRIDES`` maps each command-line option to the attribute it sets.
+bound, costs, table1 and table2 need mc.n_paths >= 2 for their standard
+errors. Exit codes: 0 on success, 2 for configuration errors (an output
+directory that cannot be made among them, refused before any work where it
+is empty or its path runs through a file), 3 for numerical failures.
 """
 
 from __future__ import annotations
@@ -38,21 +41,27 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment configuration with the standard protocol defaults."""
+    """Validated experiment configuration with the standard protocol defaults.
+
+    :func:`load_config` sets ``model`` and ``neuron``, which have no default.
+    ``neuron`` is the parsed 'neuron' section, the triple (params, scenario,
+    drift) of :func:`parse_neuron`.
+    """
 
     theta: float = 1.5
     sigma: float = 1.0
     x0: float = 0.0
     T: float = 5.0
     dt: float = 1e-3
-    model: drift_mod.DriftModel = field(default_factory=lambda: drift_mod.SingleShot(2.0))
     model_spec: dict = field(default_factory=lambda: {"type": "single_shot", "rate": 2.0})
     n_paths: int = 10_000
     seed: int = 42
     out_dir: str = "out"
     formats: tuple = ("csv", "json")
     threads: int = 1
-    neuron: dict = field(default_factory=dict)
+    display_paths: int = 1
+    model: drift_mod.DriftModel = field(init=False)
+    neuron: tuple = field(init=False)
 
     def grid(self) -> TimeGrid:
         return TimeGrid.from_step(self.T, self.dt)
@@ -61,13 +70,10 @@ class ExperimentConfig:
         return LinearSDE(theta=self.theta, sigma=self.sigma, x0=self.x0, grid=self.grid())
 
     def echo(self) -> dict:
-        return {
-            "sde": {"theta": self.theta, "sigma": self.sigma, "x0": self.x0},
-            "grid": {"T": self.T, "dt": self.dt},
-            "model": self.model_spec,
-            "mc": {"n_paths": self.n_paths, "seed": self.seed},
-            "output": {"directory": self.out_dir, "formats": list(self.formats)},
-        }
+        echo = {name: {key: getattr(self, key) for key in keys} for name, keys in _FIELDS.items()}
+        echo["model"] = self.model_spec
+        echo["output"] = {"directory": self.out_dir, "formats": list(self.formats)}
+        return echo
 
 
 # ---------------------------------------------------------------------------
@@ -92,33 +98,16 @@ def _tag(spec, where: str, kinds, what: str) -> str:
     return spec["type"]
 
 
+# tag -> (class, number fields, law fields); an absent field takes the class's default
 _DIST_TAGS = {
-    "exponential": (drift_mod.Exponential, ("rate",)),
-    "gamma": (drift_mod.Gamma, ("rate", "shape")),
-    "uniform": (drift_mod.Uniform, ("lo", "hi")),
-    "poisson_count": (drift_mod.PoissonCount, ("mean",)),
-    "fixed": (drift_mod.FixedCount, ("value",)),
-    "fixed_count": (drift_mod.FixedCount, ("value",)),
-    "point_mass": (drift_mod.PointMass, ("value",)),
+    "exponential": (drift_mod.Exponential, ("rate",), ()),
+    "gamma": (drift_mod.Gamma, ("rate", "shape"), ()),
+    "uniform": (drift_mod.Uniform, ("lo", "hi"), ()),
+    "poisson_count": (drift_mod.PoissonCount, ("mean",), ()),
+    "fixed": (drift_mod.FixedCount, ("value",), ()),
+    "fixed_count": (drift_mod.FixedCount, ("value",), ()),
+    "point_mass": (drift_mod.PointMass, ("value",), ()),
 }
-
-
-def parse_distribution(spec, where: str) -> drift_mod.Distribution:
-    tag = _tag(spec, where, _DIST_TAGS, "distribution")
-    cls, fields = _DIST_TAGS[tag]
-    _object(spec, where, ("type", *fields))
-    missing = [f for f in fields if f not in spec]
-    if missing:
-        raise ConfigError(f"{where}: distribution {tag!r} is missing fields {missing}")
-    for f in fields:
-        _number(spec[f], f"{where}.{f}")
-    try:
-        return cls(**{f: spec[f] for f in fields})
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-# model tag -> (class, number fields, law fields); an absent field takes the class's default
 _MODEL_TAGS = {
     "single_shot": (drift_mod.SingleShot, ("rate",), ()),
     "poisson": (drift_mod.Poisson, ("rate",), ()),
@@ -129,26 +118,33 @@ _MODEL_TAGS = {
 }
 
 
-def parse_model(spec, grid: TimeGrid, where: str = "model") -> drift_mod.DriftModel:
-    tag = _tag(spec, where, (*_MODEL_TAGS, "deterministic"), "model")
-    if tag == "deterministic":
-        return _parse_deterministic(spec, grid, where)
-    cls, numbers, laws = _MODEL_TAGS[tag]
+def _parse_tagged(spec, where: str, tags: dict, what: str):
+    """The object a tagged spec names: numbers checked, laws parsed, class errors as ConfigError."""
+    tag = _tag(spec, where, tags, what)
+    cls, numbers, laws = tags[tag]
     _object(spec, where, ("type", *numbers, *laws))
-    kwargs = {f: spec[f] for f in numbers if f in spec}
-    for key in sorted(kwargs):
-        _number(kwargs[key], f"{where}.{key}")
-    kwargs.update({f: parse_distribution(spec[f], f"{where}.{f}") for f in laws if f in spec})
-    missing = [
-        f.name for f in fields(cls)
-        if f.name not in spec and f.default is MISSING and f.default_factory is MISSING
-    ]
+    missing = [f.name for f in fields(cls) if f.init and f.name not in spec
+               and f.default is MISSING and f.default_factory is MISSING]
     if missing:
-        raise ConfigError(f"{where}: missing field {missing[0]!r} for model {tag!r}")
+        raise ConfigError(f"{where}: {what} {tag!r} is missing fields {missing}")
+    kwargs = {f: spec[f] for f in numbers if f in spec}
+    for key, value in kwargs.items():
+        _number(value, f"{where}.{key}")
+    kwargs.update({f: parse_distribution(spec[f], f"{where}.{f}") for f in laws if f in spec})
     try:
         return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def parse_distribution(spec, where: str) -> drift_mod.Distribution:
+    return _parse_tagged(spec, where, _DIST_TAGS, "distribution")
+
+
+def parse_model(spec, grid: TimeGrid, where: str = "model") -> drift_mod.DriftModel:
+    if _tag(spec, where, (*_MODEL_TAGS, "deterministic"), "model") == "deterministic":
+        return _parse_deterministic(spec, grid, where)
+    return _parse_tagged(spec, where, _MODEL_TAGS, "model")
 
 
 def _parse_deterministic(spec, grid: TimeGrid, where: str) -> drift_mod.Deterministic:
@@ -201,20 +197,9 @@ def parse_neuron(spec) -> tuple[dict, str, drift_mod.ShotNoise]:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"neuron: {exc}") from exc
     kind = spec.get("scenario", "simulated_network")
-    if kind not in models:
+    if kind not in tuple(models):  # a tuple: the scenario may be an unhashable JSON value
         raise ConfigError(f"neuron.scenario must be one of {sorted(models)}, got {kind!r}")
     return params, kind, models[kind]
-
-
-_FORMATS = ("csv", "json")
-# the keys of each config section; "model" and "neuron" are checked by their parsers
-_SECTION_KEYS = {
-    "sde": ("theta", "sigma", "x0"),
-    "grid": ("T", "dt"),
-    "mc": ("n_paths", "seed"),
-    "output": ("directory", "formats"),
-    "costs": ("p_list",),
-}
 
 
 def _integer(value, where: str) -> int:
@@ -230,6 +215,24 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+# section -> key -> reader; each key names the ExperimentConfig attribute it sets
+_FIELDS = {
+    "sde": {"theta": _number, "sigma": _number, "x0": _number},
+    "grid": {"T": _number, "dt": _number},
+    "mc": {"n_paths": _integer, "seed": _integer},
+}
+# the keys of each config section; "model" and "neuron" are checked by their parsers
+_SECTION_KEYS = {
+    **{name: tuple(keys) for name, keys in _FIELDS.items()},
+    "output": ("directory", "formats"),
+    "costs": ("p_list",),
+}
+# command-line option -> the ExperimentConfig attribute it overrides
+_OVERRIDES = {"seed": "seed", "paths": "n_paths", "out": "out_dir", "threads": "threads",
+              "display_paths": "display_paths"}
+_FORMATS = ("csv", "json")
+
+
 def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentConfig:
     raw = {}
     if path is not None:
@@ -242,31 +245,18 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     cfg = ExperimentConfig()
     _object(raw, "config", (*_SECTION_KEYS, "model", "neuron"))
-    sde_spec, grid_spec, mc, out, costs = (
-        _object(raw.get(name, {}), name, keys) for name, keys in _SECTION_KEYS.items()
-    )
-    cfg.theta = _number(sde_spec.get("theta", cfg.theta), "sde.theta")
-    cfg.sigma = _number(sde_spec.get("sigma", cfg.sigma), "sde.sigma")
-    cfg.x0 = _number(sde_spec.get("x0", cfg.x0), "sde.x0")
-    cfg.T = _number(grid_spec.get("T", cfg.T), "grid.T")
-    cfg.dt = _number(grid_spec.get("dt", cfg.dt), "grid.dt")
-    cfg.n_paths = _integer(mc.get("n_paths", cfg.n_paths), "mc.n_paths")
-    cfg.seed = _integer(mc.get("seed", cfg.seed), "mc.seed")
-    p_list = costs.get("p_list", list(costs_mod.P_ORDERS))
-    cfg.out_dir = out.get("directory", cfg.out_dir)
+    sections = {name: _object(raw.get(name, {}), name, keys) for name, keys in _SECTION_KEYS.items()}
+    for name, readers in _FIELDS.items():
+        for key, read in readers.items():
+            setattr(cfg, key, read(sections[name].get(key, getattr(cfg, key)), f"{name}.{key}"))
+    p_list = sections["costs"].get("p_list", list(costs_mod.P_ORDERS))
+    cfg.out_dir = sections["output"].get("directory", cfg.out_dir)
     if not isinstance(cfg.out_dir, str):
         raise ConfigError(f"output.directory must be a string, got {cfg.out_dir!r}")
-    formats = out.get("formats", list(cfg.formats))
-    cfg.neuron = raw.get("neuron", {})
-
-    if getattr(overrides, "seed", None) is not None:
-        cfg.seed = overrides.seed
-    if getattr(overrides, "paths", None) is not None:
-        cfg.n_paths = overrides.paths
-    if getattr(overrides, "out", None) is not None:
-        cfg.out_dir = overrides.out
-    if getattr(overrides, "threads", None) is not None:
-        cfg.threads = overrides.threads
+    formats = sections["output"].get("formats", list(cfg.formats))
+    for option, attr in _OVERRIDES.items():
+        if getattr(overrides, option, None) is not None:
+            setattr(cfg, attr, getattr(overrides, option))
     if getattr(overrides, "format", None) is not None:
         formats = [overrides.format]
 
@@ -286,17 +276,17 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
         )
     if cfg.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {cfg.threads}")
+    if cfg.display_paths < 1:
+        raise ConfigError(f"--display-paths must be >= 1, got {cfg.display_paths}")
     if not (isinstance(formats, list) and formats and all(f in _FORMATS for f in formats)):
         raise ConfigError(
             f"output.formats must be a non-empty list drawn from {list(_FORMATS)}, got {formats!r}"
         )
     cfg.formats = tuple(formats)
     _check_out_dir(cfg.out_dir)
-    parse_neuron(cfg.neuron)
-
-    grid = cfg.grid()
+    cfg.neuron = parse_neuron(raw.get("neuron", {}))
     cfg.model_spec = raw.get("model", cfg.model_spec)
-    cfg.model = parse_model(cfg.model_spec, grid)
+    cfg.model = parse_model(cfg.model_spec, cfg.grid())
     return cfg
 
 
@@ -304,7 +294,9 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
 # output helpers
 
 def _check_out_dir(out_dir: str) -> None:
-    """ConfigError unless the nearest existing ancestor of ``out_dir`` is a directory; makes nothing."""
+    """ConfigError if ``out_dir`` is empty or its nearest existing ancestor is not a directory; makes nothing."""
+    if not out_dir:
+        raise ConfigError("output.directory must not be empty")
     head = os.path.abspath(out_dir)
     while not os.path.exists(head):
         head = os.path.dirname(head)
@@ -335,13 +327,11 @@ def _write_table(cfg: ExperimentConfig, report, stem: str) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_simulate(cfg: ExperimentConfig, n_display_paths: int) -> int:
-    """Emit sample paths of X, X2 and X4 sharing one noise realization.
+def cmd_simulate(cfg: ExperimentConfig) -> None:
+    """Emit --display-paths sample paths of X, X2 and X4 sharing one noise realization.
 
     F2 and F4 are exact (from the cumulants of Z); mc.n_paths is not read.
     """
-    if n_display_paths < 1:
-        raise ConfigError(f"--display-paths must be >= 1, got {n_display_paths}")
     grid = cfg.grid()
     sde = cfg.sde()
     F2, F4 = approx_mod.fit(cfg.model, cfg.theta, grid)
@@ -349,7 +339,7 @@ def cmd_simulate(cfg: ExperimentConfig, n_display_paths: int) -> int:
     t = grid.times()
     cols = ["t"]
     data = [t]
-    for i in range(n_display_paths):
+    for i in range(cfg.display_paths):
         stream = derive_stream(child_seed(cfg.seed, 1), i)
         y_stream, z_stream = stream.spawn(2)
         y = simulate_Y(sde, y_stream)
@@ -363,10 +353,9 @@ def cmd_simulate(cfg: ExperimentConfig, n_display_paths: int) -> int:
         ("csv", "F4.csv", F4.F.to_csv),
         ("json", "simulate_config.json", lambda p: write_json(p, cfg.echo())),
     ])
-    return EXIT_OK
 
 
-def cmd_approx(cfg: ExperimentConfig) -> int:
+def cmd_approx(cfg: ExperimentConfig) -> None:
     """Emit the order-2 and order-4 approximants as t,F,f tables.
 
     Both are exact (from the cumulants of Z); nothing is sampled, so
@@ -380,18 +369,10 @@ def cmd_approx(cfg: ExperimentConfig) -> int:
         ("csv", "approx_p4.csv", lambda p: write_csv_columns(p, ["t", "F", "f"], columns(F4))),
         ("json", "approx_config.json", lambda p: write_json(p, cfg.echo())),
     ])
-    return EXIT_OK
 
 
-def _require_two_paths(cfg: ExperimentConfig, what: str) -> None:
-    """Sample variances and SEs need two paths: reject fewer as a config error."""
-    if cfg.n_paths < 2:
-        raise ConfigError(f"mc.n_paths must be >= 2 for {what}, got {cfg.n_paths}")
-
-
-def cmd_bound(cfg: ExperimentConfig) -> int:
+def cmd_bound(cfg: ExperimentConfig) -> None:
     """Emit t,mse,se,d2 and report the worst violation of mse <= d2 + 3 se."""
-    _require_two_paths(cfg, "the pointwise MSE and its SE")
     grid = cfg.grid()
     F2 = approx_mod.F2_analytic(cfg.model, cfg.theta, grid)
     bound = bounds_mod.d2_generic(cfg.model, cfg.theta, grid)
@@ -409,32 +390,25 @@ def cmd_bound(cfg: ExperimentConfig) -> int:
         ("json", "bound_summary.json", lambda p: write_json(p, summary)),
     ])
     print(f"max violation (mse - d2 - 3 se) = {violation.max():.6g}")
-    return EXIT_OK
 
 
-def cmd_costs(cfg: ExperimentConfig) -> int:
+def cmd_costs(cfg: ExperimentConfig) -> None:
     """Cost matrix J_i[X_j] for the configured model: a one-row :func:`costs.run_table`."""
-    _require_two_paths(cfg, "the cost standard errors")
     params = {"theta": cfg.theta, "T": cfg.T, "dt": cfg.dt, "config": cfg.echo()}
     scenario = [(cfg.model_spec.get("type", "model"), cfg.model)]
     report = costs_mod.run_table(scenario, params, cfg.seed, cfg.n_paths, cfg.threads)
     _write_table(cfg, report, "costs")
-    return EXIT_OK
 
 
-def cmd_table1(cfg: ExperimentConfig) -> int:
-    _require_two_paths(cfg, "the cost standard errors")
+def cmd_table1(cfg: ExperimentConfig) -> None:
     _write_table(cfg, costs_mod.run_table1(cfg.seed, cfg.n_paths, cfg.threads), "table1")
-    return EXIT_OK
 
 
-def cmd_table2(cfg: ExperimentConfig) -> int:
-    _require_two_paths(cfg, "the cost standard errors")
+def cmd_table2(cfg: ExperimentConfig) -> None:
     _write_table(cfg, neuro_mod.run_table2(cfg.seed, cfg.n_paths, cfg.threads), "table2")
-    return EXIT_OK
 
 
-def cmd_neuron(cfg: ExperimentConfig) -> int:
+def cmd_neuron(cfg: ExperimentConfig) -> None:
     """Fit the approximants of the embedded-neuron scenario configured under 'neuron'.
 
     Every scenario is fitted on its exact law, the simulated network on the
@@ -444,7 +418,7 @@ def cmd_neuron(cfg: ExperimentConfig) -> int:
     the inputs' law (0 for the other scenarios): the ``censor_rate`` that
     ``table2`` echoes for its network row.
     """
-    params, kind, model = parse_neuron(cfg.neuron)
+    params, kind, model = cfg.neuron
     grid = TimeGrid.from_step(params["T"], params["dt"])
     F2, F4 = approx_mod.fit(model, params["theta"], grid)
     censor_rate = model.censored
@@ -455,7 +429,6 @@ def cmd_neuron(cfg: ExperimentConfig) -> int:
         ("json", "neuron_summary.json", lambda p: write_json(p, summary)),
     ])
     print(f"scenario {kind}, censor rate {censor_rate:.2e}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -504,29 +477,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args)
-        if args.command == "simulate":
-            code = cmd_simulate(cfg, args.display_paths)
-        elif args.command == "approx":
-            code = cmd_approx(cfg)
-        elif args.command == "bound":
-            code = cmd_bound(cfg)
-        elif args.command == "costs":
-            code = cmd_costs(cfg)
-        elif args.command == "table1":
-            code = cmd_table1(cfg)
-        elif args.command == "table2":
-            code = cmd_table2(cfg)
-        elif args.command == "neuron":
-            code = cmd_neuron(cfg)
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown command {args.command!r}")
+        if args.command in ("bound", "costs", "table1", "table2") and cfg.n_paths < 2:
+            # sample variances and standard errors need two paths
+            raise ConfigError(f"mc.n_paths must be >= 2 for the standard errors of {args.command}, "
+                              f"got {cfg.n_paths}")
+        globals()[f"cmd_{args.command}"](cfg)  # looked up now, so a rebound command is the one run
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ArithmeticError as exc:  # drift.CensoringError among them
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

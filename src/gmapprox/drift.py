@@ -718,7 +718,9 @@ class _GaussianDrift:
         G(u) = (e^{-rate u} - e^{-theta u}) / (theta - rate), the response of Z to z.
         """
         lam, th, t = self.rate, theta, grid.times()
-        kappa[0] = self.u0 * stable_exp_diff(lam, th, t) + self.trend * _ramp_chain(th, grid)[2]
+        # no ramp chain for a trend of 0 (every OU); + 0.0 keeps the t = 0 node +0.0 when u0 < 0
+        ramp = self.trend * _ramp_chain(th, grid)[2] if self.trend else 0.0
+        kappa[0] = self.u0 * stable_exp_diff(lam, th, t) + ramp
         if len(kappa) > 1:
             # G(u)^2 = 2 chain(2 lam, lam + theta, 2 theta), integrated once more
             v = chain_states([0.0, 2 * lam, lam + th, 2 * th], grid)

@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from gmapprox import cli
 from gmapprox import costs as costs_mod
+from gmapprox import neuro as neuro_mod
 from gmapprox.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 
 from oracles import fresh_interpreter_stdout
@@ -161,6 +163,13 @@ class TestConfigValidation:
         assert main(["approx", "--config", str(p), "--out", str(blocker / "sub")]) == EXIT_CONFIG
         assert "is not a directory" in capsys.readouterr().err
         assert blocker.read_text() == "kept"
+
+    def test_empty_output_directory_exits_before_any_work(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(costs_mod, "run_table1", lambda *args: pytest.fail("table1 was computed"))
+        assert main(["table1", "--out", ""]) == EXIT_CONFIG
+        assert "output.directory must not be empty" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_output_directory_that_cannot_be_made_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -422,6 +431,12 @@ class TestNeuron:
         assert main(["neuron", "--config", str(p)]) == EXIT_CONFIG
         assert "config error: neuron:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario", [["gamma"], {"type": "gamma"}], ids=["list", "object"])
+    def test_scenario_that_is_not_a_name_is_a_config_error(self, tmp_path, capsys, scenario):
+        p = write_config(tmp_path, neuron={"scenario": scenario})
+        assert main(["approx", "--config", str(p)]) == EXIT_CONFIG
+        assert "neuron.scenario must be one of" in capsys.readouterr().err
+
     def test_response_rate_equal_to_theta_is_accepted(self, tmp_path):
         # the inputs' response rate is 1.0: theta = 1.0 is an ordinary fit
         p = write_config(tmp_path, neuron={"scenario": "exponential", "theta": 1.0, "T": 10.0},
@@ -462,6 +477,24 @@ class TestNeuron:
         p = write_config(tmp_path, neuron={"sigma_i": sigma_i, "T": 2.0}, mc={"n_paths": 3, "seed": 2})
         assert main(["neuron", "--config", str(p)]) == EXIT_NUMERICAL
         assert cause in capsys.readouterr().err
+
+
+class TestDispatch:
+    def test_neuron_section_is_parsed_once(self, tmp_path, monkeypatch):
+        calls = []
+        table2_models = neuro_mod.table2_models
+        monkeypatch.setattr(neuro_mod, "table2_models", lambda params: calls.append(params) or table2_models(params))
+        p = write_config(tmp_path, neuron={"scenario": "exponential", "T": 2.0})
+        assert main(["neuron", "--config", str(p)]) == EXIT_OK
+        assert len(calls) == 1
+
+    def test_command_is_looked_up_when_called(self, tmp_path, monkeypatch):
+        # a tracer rebinds cli.cmd_* after import: main must run the rebound function
+        seen = []
+        monkeypatch.setattr(cli, "cmd_approx", seen.append)
+        assert main(["approx", "--config", str(write_config(tmp_path))]) == EXIT_OK
+        assert [type(cfg) for cfg in seen] == [cli.ExperimentConfig]
+        assert not (tmp_path / "out").exists()
 
 
 class TestOnePath:

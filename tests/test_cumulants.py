@@ -217,6 +217,19 @@ def test_ramp_kappa1_keeps_its_relative_accuracy_at_small_theta(theta):
         np.testing.assert_allclose(kappa1, w * series, rtol=1e-12, atol=0, err_msg=type(model).__name__)
 
 
+def test_ou_drift_builds_no_ramp_chain(monkeypatch):
+    """An OU drift has no trend: its cumulants and its sampler skip the ramp chain, and kappa_1 starts at +0.0."""
+
+    def refuse(*args):
+        raise AssertionError("the ramp chain was built for a drift with no trend")
+
+    monkeypatch.setattr(dm, "_ramp_chain", refuse)
+    model, grid = dm.OUDrift(2.0, 1.0, -1.0), TimeGrid.from_step(1.0, 1e-2)
+    kappa1 = dm.cumulant_curves(model, 1.5, grid)[0]
+    assert kappa1[0] == 0.0 and math.copysign(1.0, kappa1[0]) == 1.0
+    assert dm.Z_path_ensemble(model, 1.5, grid, 3, 7).values.shape == (3, grid.n_nodes)
+
+
 def test_shot_noise_rate_coincidence_is_a_pairing_error():
     """Arrival rates equal to lam and 2 lam are accepted at theta = 0.1, and kappa_2 matches quadrature.
 
