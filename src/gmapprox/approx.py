@@ -101,8 +101,17 @@ class MomentCurves:
 
 
 def exact_moments(model: drift_mod.DriftModel, theta: float, grid: TimeGrid) -> MomentCurves:
-    """The exact moment curves of Z(t) that F4 needs, from :func:`drift.cumulant_curves`."""
-    return MomentCurves.from_cumulants(grid, drift_mod.cumulant_curves(model, theta, grid, 3))
+    """The exact moment curves of Z(t) that F4 needs, from :func:`drift.cumulant_curves`.
+
+    Cumulants that rounding leaves an invalid moment set, or whose raw moments
+    overflow, raise ArithmeticError: a numerical failure, not a bad argument.
+    """
+    kappa = drift_mod.cumulant_curves(model, theta, grid, 3)
+    try:
+        with np.errstate(over="raise"):
+            return MomentCurves.from_cumulants(grid, kappa)
+    except (ValueError, FloatingPointError) as exc:
+        raise ArithmeticError(f"exact moments of {type(model).__name__}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ compound Poisson drift's laws are PoissonCount(rate T), Uniform(0, T) and
 its jump law. One batched kernel evaluates Z from the events of many paths
 at once: each event's exact contribution inside its grid cell is binned,
 then two exact exponential recurrences run along the time axis, so the grid
-introduces no bias and the cost is O(events + nodes). The single-shot drift
-keeps its one-event closed form. The Brownian and OU drifts are one Gaussian
-family (Brownian is rate 0 plus a trend) with one sampler: z minus its mean
-by its exact transition, the trapezoid exponential integrator, then the
-exact mean of Z.
+introduces no bias and the cost is O(events + nodes). The single shot keeps
+a closed form for its sampler only. The Brownian and OU drifts are one
+Gaussian family (Brownian is rate 0 plus a trend) with one sampler: z minus
+its mean by its exact transition, the trapezoid exponential integrator,
+then the exact mean of Z.
 
 Every variant has an exact law for Z: :func:`cumulant_curves` returns its
 first four cumulants at the grid nodes, which is all the order-2 and order-4
@@ -527,23 +527,23 @@ class SingleShot:
         return p * (1.0 - p)
 
     def _cumulants(self, theta: float, grid: TimeGrid, kappa: np.ndarray) -> None:
-        """The chain means of an exponential arrival (:func:`response.response_power_means`).
+        """Chain moments about 0 and about K(t) = (1 - e^{-theta t}) / theta; each node takes the nearer.
 
-        They are converted to cumulants about 0 or about the limit 1/theta,
-        whichever lies nearer the mean, so the conversion never cancels.
+        About 0 they are the chain means of an exponential arrival (:func:`response.response_power_means`);
+        about K(t), Z for a shot at t = 0, those of D = K(t) - Z: K(t) before the shot and
+        e^{-theta (t - tau)} K(tau) after it, so E[D^n] = e^{-lam t} K(t)^n + lam n! chain(lam + j theta,
+        j = 0..n, then n theta)(t). Both are sums of nonnegative terms, and about the centre nearer the
+        mean the spread is of the order of the mean's distance from it, so neither conversion cancels.
         """
         lam, th, t, order = self.rate, theta, grid.times(), len(kappa)
-        kappa[0] = -np.expm1(-th * t) / th - stable_exp_diff(lam, th, t)
-        if order > 1:
-            near0 = response_power_means(Exponential(lam), 0.0, th, grid, order)
-            # W = 1/theta - Z: 1/theta before the shot, e^{-theta (t - tau)} / theta after it
-            near1 = np.array([
-                (np.exp(-lam * t) + lam * stable_exp_diff(lam, n * th, t)) / th**n
-                for n in range(1, order + 1)
-            ])
-            about0, about1 = _cumulants_from_raw(near0), _cumulants_from_raw(near1)
-            about1[2:3] *= -1.0  # kappa_3 of Z is minus that of W
-            kappa[1:] = np.where(kappa[0] > 0.5 / th, about1, about0)[1:]
+        about0 = _cumulants_from_raw(response_power_means(Exponential(lam), 0.0, th, grid, order))
+        K = -np.expm1(-th * t) / th
+        about_K = _cumulants_from_raw(np.array([
+            lam * math.factorial(n) * chain_states([lam + j * th for j in range(n + 1)] + [n * th], grid)[-1]
+            + np.exp(-lam * t) * K**n for n in range(1, order + 1)]))
+        about_K[0] = K - about_K[0]
+        about_K[2:3] *= -1.0  # kappa_3 of Z is minus that of D
+        kappa[:] = np.where(about0[0] > 0.5 * K, about_K, about0)
 
     def _d2(self, theta: float, grid: TimeGrid):
         lam, t = self.rate, grid.times()
@@ -578,8 +578,8 @@ class CompoundPoisson:
         _ramp_cumulants(w, theta, grid, kappa)
 
     def _d2(self, theta: float, grid: TimeGrid):
-        ramp, _ = BrownianDrift()._d2(theta, grid)  # D[z] is a ramp, as a Brownian drift's
-        return self.rate * self.jump.raw_moment(2) * ramp, True
+        # the damped accumulation of the ramp D[z(s)] = rate E[J^2] s = rate E[J^2] chain(0, 0)(s)
+        return self.rate * self.jump.raw_moment(2) * chain_states([0.0, 0.0, 2 * theta], grid)[2], True
 
 
 @dataclass(frozen=True)
@@ -861,8 +861,8 @@ def cumulant_curves(model: DriftModel, theta: float, grid: TimeGrid, order: int 
     Each variant's ``_cumulants`` gives them. The integrals are chains of
     exponential convolutions (:func:`response.chain_states`), which keep
     their relative accuracy at t -> 0 and at small theta t; the ramp drifts
-    (Poisson, compound Poisson, a Brownian trend) take kappa_1 from theirs
-    too, while the single shot and the OU drift keep closed-form means.
+    (Poisson, compound Poisson, a Brownian trend) and the single shot take
+    kappa_1 from theirs too, while the OU drift keeps a closed-form mean.
     """
     _check_theta(theta)
     if not 1 <= order <= 4:

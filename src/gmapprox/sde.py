@@ -102,13 +102,12 @@ def z_variance_quadrature(cov_kernel, theta: float, grid: TimeGrid) -> Curve:
     accept meshgrid arrays. Cost and memory are O(n^2) in the node count;
     intended for verification on moderate grids, not for inner loops.
     """
-    from scipy.integrate import cumulative_trapezoid
-
-    t = grid.times()
+    t, dt = grid.times(), grid.dt
     uu, vv = np.meshgrid(t, t, indexing="ij")
     k = np.exp(theta * uu) * np.asarray(cov_kernel(uu, vv), dtype=float)
-    inner = cumulative_trapezoid(k, dx=grid.dt, axis=0, initial=0.0)
-    outer = cumulative_trapezoid(np.exp(theta * t)[None, :] * inner, dx=grid.dt, axis=1, initial=0.0)
+    inner = np.cumulative_sum(dt * (k[1:] + k[:-1]) / 2.0, axis=0, include_initial=True)
+    w = np.exp(theta * t)[None, :] * inner
+    outer = np.cumulative_sum(dt * (w[:, 1:] + w[:, :-1]) / 2.0, axis=1, include_initial=True)
     return Curve(grid, np.exp(-2 * theta * t) * np.diagonal(outer))
 
 

@@ -136,17 +136,64 @@ class TestConfigValidation:
             ({"sde": {"sigma": float("nan")}}, "sde.sigma must be a finite number"),
             # no first-passage node lies at or before the cap
             ({"neuron": {"horizon_cap": 0.005}}, "horizon_cap = 0.005 is below one step dt = 0.01"),
+            # a law, a model or a field that its class or the section refuses
+            ({"model": {"type": "compound_poisson", "rate": 2.0, "jump": 3}},
+             "model.jump: expected a tagged distribution object"),
+            ({"model": {"type": "ou"}}, "model 'ou' is missing fields ['rate']"),
+            ({"model": {"type": "deterministic", "values": 3}}, "model.values must be a list of numbers"),
+            ({"model": {"type": "deterministic"}}, "needs 'values' or 'constant'"),
+            ({"sde": {"theta": 1.5, "sigma": -1.0}}, "sde.sigma must be nonnegative"),
+            ({"mc": dict(MC, n_paths=0)}, "mc.n_paths must be >= 1"),
+            ({"mc": dict(MC, seed=-1)}, "mc.seed must be nonnegative"),
+            ({"model": {"type": "shot_noise", "count": EXP}},
+             "count must be a PoissonCount or FixedCount distribution"),
+            ({"model": {"type": "shot_noise", "arrival": {"type": "poisson_count", "mean": 2.0}}},
+             "arrival must be a distribution over positive reals"),
+            ({"model": {"type": "shot_noise", "arrival": {"type": "uniform", "lo": -1.0, "hi": 1.0}}},
+             "arrival must be a distribution over positive reals"),
+            ({"model": {"type": "shot_noise", "count": {"type": "poisson_count", "mean": 0.0}}},
+             "poisson count mean must be positive"),
+            ({"model": {"type": "shot_noise", "response_rate": 0.0}}, "response_rate must be positive"),
+            ({"model": {"type": "brownian", "trend": -1.0}}, "trend must be nonnegative"),
+            ({"neuron": {"theta_i": 0.0}}, "theta_i must be positive"),
         ],
         ids=["model_key", "poisson_jump", "distribution_key", "arrival_key", "top_level_key", "sde_key",
              "grid_key", "mc_key", "output_key", "costs_key", "fractional_paths", "float_paths",
              "string_paths", "bool_seed", "fractional_seed", "null_seed", "string_model_rate",
              "string_jump_rate", "bool_model_rate", "bool_neuron_inputs", "bool_fixed_count", "numeric_directory", "string_theta", "bool_theta", "string_dt",
-             "nan_sigma", "cap_below_one_step"],
+             "nan_sigma", "cap_below_one_step", "untagged_jump", "missing_model_field",
+             "values_not_a_list", "deterministic_without_values", "negative_sigma", "zero_paths",
+             "negative_seed", "exponential_count", "count_law_arrival", "negative_arrival",
+             "zero_poisson_count", "zero_response_rate", "negative_trend", "zero_theta_i"],
     )
     def test_bad_config_is_a_config_error(self, tmp_path, capsys, section, message):
         p = write_config(tmp_path, **section)
         assert main(["costs", "--config", str(p)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_threads_is_a_config_error(self, tmp_path, capsys):
+        p = write_config(tmp_path)
+        assert main(["costs", "--config", str(p), "--threads", "0"]) == EXIT_CONFIG
+        assert "--threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["approx", "costs"])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            # the fixed count's kappa_2 cancels in a sum of nearly equal terms: m2 < m1^2 after rounding
+            {"type": "shot_noise", "count": {"type": "fixed", "value": 10},
+             "amplitude": {"type": "point_mass", "value": 1.0}, "arrival": {"type": "exponential", "rate": 3e5}},
+            # m1^2 overflows, though F4 reads only the central moments
+            {"type": "deterministic", "constant": 1e200},
+        ],
+        ids=["fixed_count_shot_noise", "huge_deterministic"],
+    )
+    def test_invalid_exact_moments_are_a_numerical_failure(self, tmp_path, capsys, command, model):
+        p = write_config(tmp_path, model=model)
+        assert main([command, "--config", str(p)]) == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_threads_default_is_one(self):

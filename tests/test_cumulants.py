@@ -1,6 +1,8 @@
 """Exact cumulant curves of Z against quadrature, sampling and the Table 1 reference."""
 
+import csv
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,16 +10,18 @@ from scipy import stats
 from scipy.integrate import quad
 from scipy.special import roots_jacobi, roots_legendre
 
+from gmapprox import cli
 from gmapprox import drift as dm
 from gmapprox.approx import F2_analytic, F4_from_moments, exact_moments, fit
 from gmapprox.bounds import d2_closed
 from gmapprox.costs import TABLE1_PARAMS, cost_block, table1_scenarios
 from gmapprox.neuro import TABLE2_PARAMS, table2_models
 from gmapprox.response import _LEGENDRE, _gauss_jacobi
-from gmapprox.timebase import TimeGrid, child_seed, trapezoid_values
+from gmapprox.timebase import TimeGrid, child_seed, stable_exp_diff, trapezoid_values
 
 from oracles import matrix_blocks
 from test_acceptance import TABLE1_REFERENCE, CELLS
+from test_cli import write_config
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +232,43 @@ def test_ou_drift_builds_no_ramp_chain(monkeypatch):
     kappa1 = dm.cumulant_curves(model, 1.5, grid)[0]
     assert kappa1[0] == 0.0 and math.copysign(1.0, kappa1[0]) == 1.0
     assert dm.Z_path_ensemble(model, 1.5, grid, 3, 7).values.shape == (3, grid.n_nodes)
+
+
+@pytest.mark.parametrize("lam, T, dt", [(3e5, 5.0, 1e-3), (1e6, 1.0, 1e-2)])
+def test_single_shot_at_large_rates_keeps_its_spread(lam, T, dt):
+    """kappa_2 and kappa_3 against their tau -> 0 limits e^{-2 theta t} / lam^2 and -2 e^{-3 theta t} / lam^3.
+
+    The shot comes within a few 1 / lam of t = 0, so K(t) - Z is about tau e^{-theta t};
+    the next terms are O(theta / lam).
+    """
+    theta, grid = 1.5, TimeGrid.from_step(T, dt)
+    t = grid.times()[1:]
+    kappa = dm.cumulant_curves(dm.SingleShot(lam), theta, grid)[:, 1:]
+    np.testing.assert_allclose(lam**2 * kappa[1] * np.exp(2 * theta * t), 1.0, rtol=0, atol=1e-3)
+    np.testing.assert_allclose(-(lam**3) * kappa[2] * np.exp(3 * theta * t) / 2, 1.0, rtol=0, atol=1e-3)
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-8])
+def test_single_shot_at_small_rates_keeps_its_mean(lam):
+    """kappa_1 against (-expm1(-lam t) - lam stable_exp_diff(lam, theta, t)) / theta, which does not cancel here."""
+    theta, grid = TABLE1_PARAMS["theta"], TimeGrid.from_step(TABLE1_PARAMS["T"], TABLE1_PARAMS["dt"])
+    t = grid.times()
+    ref = (-np.expm1(-lam * t) - lam * stable_exp_diff(lam, theta, t)) / theta
+    kappa1 = dm.cumulant_curves(dm.SingleShot(lam), theta, grid, order=1)[0]
+    np.testing.assert_allclose(kappa1, ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("command", ["approx", "costs"])
+def test_single_shot_at_a_large_rate_runs_from_the_cli(tmp_path, command):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, model={"type": "single_shot", "rate": 3e5},
+                        output={"directory": str(out), "formats": ["csv"]})
+    assert cli.main([command, "--config", str(path)]) == cli.EXIT_OK
+    for name in os.listdir(out):
+        with open(out / name, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        values = np.array([[float(v) for v in row if v != "single_shot"] for row in rows])
+        assert values.size and np.all(np.isfinite(values)), name
 
 
 def test_shot_noise_rate_coincidence_is_a_pairing_error():
