@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="JSON experiment configuration")
-    common.add_argument("--seed", type=int, default=None, help="master seed (uint64)")
+    common.add_argument("--seed", type=int, default=None, help="master seed (a nonnegative integer)")
     common.add_argument("--paths", type=int, default=None, help="Monte Carlo path count")
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument(

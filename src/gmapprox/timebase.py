@@ -2,14 +2,17 @@
 
 Everything downstream shares three conventions fixed here: curves hold node
 values on a uniform grid, integrals between nodes are trapezoidal, and every
-source of randomness is a counter-based Philox stream that is a pure function
-of its key, so ensembles are reproducible under any execution schedule.
+source of randomness is an SFC64 generator seeded from a ``SeedSequence``
+keyed by (master seed, key...), so each stream is a pure function of its key
+and ensembles are reproducible under any execution schedule. Keying each
+stream by its place in the work, not by the order it is drawn in, is the
+scheme of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC
+2011); the generator behind the key need not be counter-based.
 
 The block-stream contract: the rows of an ensemble fall into blocks of
 ``_BLOCK`` rows, and block b (rows b*_BLOCK onward) draws every variate of its
 rows from the one stream ``block_stream(master_seed, b)``, in an order fixed
-by the sampler, the grid and the number of ensemble rows in the block
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
+by the sampler, the grid and the number of ensemble rows in the block.
 A :class:`BlockStream` samples each block as passes of :func:`slab_rows`
 rows, counted from its first row, into one reused buffer, so no block is
 ever held whole. Its ``map(fold)`` folds each block whole, pass by pass, and
@@ -315,12 +318,13 @@ class PoleRun:
 def derive_stream(master_seed: int, *key: int) -> np.random.Generator:
     """Independent, reproducible random stream for a given (seed, index...) key.
 
-    Counter-based derivation: the stream is a pure function of its arguments,
-    so ensembles assembled in any order (or on any number of threads) are
+    An SFC64 generator seeded from ``SeedSequence(master_seed,
+    spawn_key=key)``: the stream is a pure function of its arguments, so
+    ensembles assembled in any order (or on any number of threads) are
     identical. Streams with distinct keys are statistically independent.
     """
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def split_stream(stream: np.random.Generator, n: int) -> list[np.random.Generator]:

@@ -13,6 +13,7 @@ from gmapprox.timebase import (
     Curve,
     PoleRun,
     TimeGrid,
+    block_stream,
     child_seed,
     derive_stream,
     exp_weighted_values,
@@ -242,6 +243,24 @@ class TestPoleRun:
 
 
 class TestStreams:
+    @pytest.mark.parametrize("seed, key", [(0, ()), (42, (3,)), (7, (1, 0)), (2**64 + 5, (511, 2, 9))])
+    def test_stream_is_sfc64_seeded_from_its_key(self, seed, key):
+        expected = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
+        s = derive_stream(seed, *key)
+        assert np.array_equal(s.standard_normal(257), expected.standard_normal(257))
+        assert np.array_equal(s.exponential(size=33), expected.exponential(size=33))
+        assert np.array_equal(s.poisson(4.5, size=33), expected.poisson(4.5, size=33))
+        assert np.array_equal(s.bit_generator.random_raw(9), expected.bit_generator.random_raw(9))
+
+    def test_block_stream_is_the_stream_keyed_by_its_block(self):
+        for seed, block in [(0, 0), (42, 1), (9, 31)]:
+            a = block_stream(seed, block).standard_normal(64)
+            assert np.array_equal(a, derive_stream(seed, block).standard_normal(64))
+
+    def test_block_keys_start_apart(self):
+        firsts = {int(derive_stream(s, b).bit_generator.random_raw()) for s in range(32) for b in range(32)}
+        assert len(firsts) == 32 * 32
+
     def test_same_key_same_draws(self):
         a = derive_stream(123, 5).standard_normal(100)
         b = derive_stream(123, 5).standard_normal(100)
