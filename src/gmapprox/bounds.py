@@ -5,7 +5,8 @@ d2 is the damped accumulation of the drift variance,
     d2(t) = e^{-2 theta t} int_0^t D[z(s)] e^{2 theta s} ds,
 
 available generically through the exponential integrator and in closed form
-from each drift variant (its ``_d2`` method). The companion estimator
+from each drift variant: its variance statement ``_var_z`` with the rate
+2 theta appended to its chain. The companion estimator
 measures the pointwise mean square error E[(Z(t) - F(t))^2] from an
 ensemble, with per-node standard errors.
 """
@@ -54,12 +55,13 @@ def d2_generic(model: drift_mod.DriftModel, theta: float, grid: TimeGrid) -> Bou
 def d2_closed(model: drift_mod.DriftModel, theta: float, grid: TimeGrid) -> BoundCurve:
     """Per-variant closed form of d2, exact at any rates, equal ones included.
 
+    d2 is the variant's D[z] damped at 2 theta, ``_var_z(grid, [2 theta])``.
     Shot noise admits a fully closed form for exponential event times; for
     other arrival laws the defining integral is evaluated on the analytic
     variance curve (flagged as not closed form).
     """
     drift_mod._check_theta(theta)
-    vals, closed = model._d2(theta, grid)
+    vals, closed = model._var_z(grid, [2 * theta])
     d2 = Curve(grid, vals)
     return BoundCurve(grid=grid, d2=d2, l1_mass=float(trapezoid(d2)), closed_form=closed)
 

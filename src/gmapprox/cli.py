@@ -209,10 +209,14 @@ def _integer(value, where: str) -> int:
 
 
 def _number(value, where: str) -> float:
-    # a JSON number: not a bool or a string that float() would read, nor NaN or Infinity
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ConfigError(f"{where} must be a finite number, got {value!r}")
-    return float(value)
+    # a JSON number: not a bool or a string that float() would read, nor NaN or Infinity,
+    # nor an integer past the float range (isfinite raises OverflowError for it)
+    try:
+        if type(value) in (int, float) and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
 # section -> key -> reader; each key names the ExperimentConfig attribute it sets
@@ -237,11 +241,11 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
     raw = {}
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8 (RFC 8259)
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, an integer past int()'s digit limit, or not UTF-8
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     cfg = ExperimentConfig()
     _object(raw, "config", (*_SECTION_KEYS, "model", "neuron"))

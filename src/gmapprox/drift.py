@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Union
 
 import numpy as np
@@ -466,13 +466,14 @@ class _EventKernel:
 # ---------------------------------------------------------------------------
 # drift variants
 #
-# A variant has its _block_sampler; _mean_z(grid) and _var_z(grid), exact
-# E[z] and D[z] at the nodes; _cumulants(theta, grid, kappa), which fills the
-# rows of kappa with the cumulants of Z (rows it leaves are 0); and
-# _d2(theta, grid), the d2 curve and whether it is a closed form. Every
-# closed form is a chain (:func:`response.chain_states`) or a
-# :func:`timebase.stable_exp_diff`, exact at equal rates, so no drift rate
-# has to differ from theta or from another rate.
+# A variant has its _block_sampler; _mean_z(grid), exact E[z] at the nodes;
+# _var_z(grid, tail=()), D[z] damped by the chain of rates ``tail`` (D[z]
+# itself for no tail, d2 for the tail [2 theta]) and whether that is exact;
+# and _cumulants(theta, grid, kappa), which fills the rows of kappa with the
+# cumulants of Z (rows it leaves are 0). Every closed form is a chain
+# (:func:`response.chain_states`) or a :func:`timebase.stable_exp_diff`,
+# exact at equal rates, so no drift rate has to differ from theta or from
+# another rate, and appending a rate to a chain keeps it exact.
 
 
 def _ramp_chain(theta: float, grid: TimeGrid) -> np.ndarray:
@@ -522,9 +523,10 @@ class SingleShot:
     def _mean_z(self, grid: TimeGrid) -> np.ndarray:
         return -np.expm1(-self.rate * grid.times())
 
-    def _var_z(self, grid: TimeGrid) -> np.ndarray:
-        p = -np.expm1(-self.rate * grid.times())
-        return p * (1.0 - p)
+    def _var_z(self, grid: TimeGrid, tail=()):
+        # D[z] = e^{-lam s} - e^{-2 lam s} = lam chain(lam, 2 lam)(s)
+        lam = self.rate
+        return lam * chain_states([lam, 2 * lam, *tail], grid)[-1], True
 
     def _cumulants(self, theta: float, grid: TimeGrid, kappa: np.ndarray) -> None:
         """Chain moments about 0 and about K(t) = (1 - e^{-theta t}) / theta; each node takes the nearer.
@@ -544,10 +546,6 @@ class SingleShot:
         about_K[0] = K - about_K[0]
         about_K[2:3] *= -1.0  # kappa_3 of Z is minus that of D
         kappa[:] = np.where(about0[0] > 0.5 * K, about_K, about0)
-
-    def _d2(self, theta: float, grid: TimeGrid):
-        lam, t = self.rate, grid.times()
-        return stable_exp_diff(lam, 2 * theta, t) - stable_exp_diff(2 * lam, 2 * theta, t), True
 
 
 @dataclass(frozen=True)
@@ -569,17 +567,14 @@ class CompoundPoisson:
     def _mean_z(self, grid: TimeGrid) -> np.ndarray:
         return self.rate * self.jump.raw_moment(1) * grid.times()
 
-    def _var_z(self, grid: TimeGrid) -> np.ndarray:
-        return self.rate * self.jump.raw_moment(2) * grid.times()
+    def _var_z(self, grid: TimeGrid, tail=()):
+        # the ramp D[z(s)] = rate E[J^2] s = rate E[J^2] chain(0, 0)(s)
+        return self.rate * self.jump.raw_moment(2) * chain_states([0.0, 0.0, *tail], grid)[-1], True
 
     def _cumulants(self, theta: float, grid: TimeGrid, kappa: np.ndarray) -> None:
         """Campbell's theorem: kappa_n = rate E[J^n] int_0^t K(u)^n du, K(u) = (1 - e^{-theta u}) / theta."""
         w = [self.rate * self.jump.raw_moment(n) for n in range(1, len(kappa) + 1)]
         _ramp_cumulants(w, theta, grid, kappa)
-
-    def _d2(self, theta: float, grid: TimeGrid):
-        # the damped accumulation of the ramp D[z(s)] = rate E[J^2] s = rate E[J^2] chain(0, 0)(s)
-        return self.rate * self.jump.raw_moment(2) * chain_states([0.0, 0.0, 2 * theta], grid)[2], True
 
 
 @dataclass(frozen=True)
@@ -626,19 +621,30 @@ class ShotNoise:
     def _block_sampler(self, theta: float, grid: TimeGrid):
         return _event_sampler(self.count, self.arrival, self.amplitude, self.response_rate, theta, grid)
 
-    def _moments(self):
-        """E[M], D[M], E[beta] and E[beta^2] of the count M and the amplitude beta."""
-        em, eb = self.count.raw_moment(1), self.amplitude.raw_moment(1)
-        return em, self.count.raw_moment(2) - em**2, eb, self.amplitude.raw_moment(2)
-
     def _mean_z(self, grid: TimeGrid) -> np.ndarray:
         phi = self.arrival.chain_mean([self.response_rate], grid)
         return self.count.raw_moment(1) * self.amplitude.raw_moment(1) * phi
 
-    def _var_z(self, grid: TimeGrid) -> np.ndarray:
-        phi, psi = response_moment_curves(self.arrival, self.response_rate, grid)
-        em, vm, eb, eb2 = self._moments()
-        return eb**2 * phi.values**2 * (vm - em) + em * eb2 * psi.values
+    def _var_z(self, grid: TimeGrid, tail=()):
+        """D[z] = E[beta]^2 (D[M] - E[M]) phi^2 + E[M] E[beta^2] psi, damped by ``tail``.
+
+        For exponential arrivals phi = nu chain(nu, lam) and psi = nu chain(nu, 2 lam),
+        so phi^2 is 2 nu^2 chain(2 nu, nu + lam, 2 lam), and damping appends the
+        tail to each chain. Other arrivals damp the curve by the trapezoid
+        exponential integrator, one rate at a time: exact only for no tail.
+        """
+        lam, em, eb = self.response_rate, self.count.raw_moment(1), self.amplitude.raw_moment(1)
+        vm, eb2 = self.count.raw_moment(2) - em**2, self.amplitude.raw_moment(2)
+        if isinstance(self.arrival, Exponential):
+            nu = self.arrival.rate
+            phi2 = 2 * nu**2 * chain_states([2 * nu, nu + lam, 2 * lam, *tail], grid)[-1]
+            psi = nu * chain_states([nu, 2 * lam, *tail], grid)[-1]
+            return eb**2 * phi2 * (vm - em) + em * eb2 * psi, True
+        phi, psi = response_moment_curves(self.arrival, lam, grid)
+        v = eb**2 * phi.values**2 * (vm - em) + em * eb2 * psi.values
+        for rate in tail:
+            v = exp_weighted_values(v, grid.dt, rate)
+        return v, not tail
 
     def _cumulants(self, theta: float, grid: TimeGrid, kappa: np.ndarray) -> None:
         """Z is a count of i.i.d. terms X = beta K_lam(t - T) (Rice 1944).
@@ -650,19 +656,6 @@ class ShotNoise:
         means = response_power_means(self.arrival, self.response_rate, theta, grid, order)
         raw = np.array([self.amplitude.raw_moment(n) for n in range(1, order + 1)])[:, None] * means
         kappa[:] = self.count._sum_cumulants(raw)
-
-    def _d2(self, theta: float, grid: TimeGrid):
-        """Closed form for exponential arrivals; else the defining integral on D[z] (not closed form)."""
-        if not isinstance(self.arrival, Exponential):
-            return exp_weighted_values(var_z(self, grid).values, grid.dt, 2 * theta), False
-        lam, nu = self.response_rate, self.arrival.rate
-        em, vm, eb, eb2 = self._moments()
-        # phi = nu chain(nu, lam) and psi = nu chain(nu, 2 lam), so phi^2 is
-        # 2 nu^2 chain(2 nu, nu + lam, 2 lam); each damped accumulation
-        # appends the rate 2 theta to its chain
-        acc_phi2 = 2 * nu**2 * chain_states([2 * nu, nu + lam, 2 * lam, 2 * theta], grid)[3]
-        acc_psi = nu * chain_states([nu, 2 * lam, 2 * theta], grid)[2]
-        return eb**2 * (vm - em) * acc_phi2 + em * eb2 * acc_psi, True
 
 
 @dataclass(frozen=True)
@@ -709,8 +702,9 @@ class _GaussianDrift:
         t = grid.times()
         return self.u0 * np.exp(-self.rate * t) + self.trend * t
 
-    def _var_z(self, grid: TimeGrid) -> np.ndarray:
-        return self.sigma_u**2 * stable_exp_diff(0.0, 2 * self.rate, grid.times())
+    def _var_z(self, grid: TimeGrid, tail=()):
+        # D[z(s)] = sigma_u^2 chain(0, 2 rate)(s)
+        return self.sigma_u**2 * chain_states([0.0, 2 * self.rate, *tail], grid)[-1], True
 
     def _cumulants(self, theta: float, grid: TimeGrid, kappa: np.ndarray) -> None:
         """Z is Gaussian with kappa_2 = sigma_u^2 int_0^t G(u)^2 du for the drift's kernel G.
@@ -725,10 +719,6 @@ class _GaussianDrift:
             # G(u)^2 = 2 chain(2 lam, lam + theta, 2 theta), integrated once more
             v = chain_states([0.0, 2 * lam, lam + th, 2 * th], grid)
             kappa[1] = 2.0 * self.sigma_u**2 * v[3]
-
-    def _d2(self, theta: float, grid: TimeGrid):
-        # the damped accumulation of D[z(s)] = sigma_u^2 chain(0, 2 lam)(s)
-        return self.sigma_u**2 * chain_states([0.0, 2 * self.rate, 2 * theta], grid)[2], True
 
 
 @dataclass(frozen=True)
@@ -783,16 +773,13 @@ class Deterministic:
         _check_same_grid(self.f.grid, grid)
         return self.f.values
 
-    def _var_z(self, grid: TimeGrid) -> np.ndarray:
-        return np.zeros(grid.n_nodes)
+    def _var_z(self, grid: TimeGrid, tail=()):
+        return np.zeros(grid.n_nodes), True
 
     def _cumulants(self, theta: float, grid: TimeGrid, kappa: np.ndarray) -> None:
         """kappa_1 = I f and no spread."""
         _check_same_grid(self.f.grid, grid)
         kappa[0] = exp_weighted_values(self.f.values, grid.dt, theta)
-
-    def _d2(self, theta: float, grid: TimeGrid):
-        return np.zeros(grid.n_nodes), True
 
 
 DriftModel = Union[
@@ -838,7 +825,7 @@ def mean_z(model: DriftModel, grid: TimeGrid) -> Curve:
 
 def var_z(model: DriftModel, grid: TimeGrid) -> Curve:
     """Exact D[z(t)] at the grid nodes."""
-    return Curve(grid, model._var_z(grid))
+    return Curve(grid, model._var_z(grid)[0])
 
 
 def _cumulants_from_raw(r: np.ndarray) -> np.ndarray:
@@ -988,21 +975,10 @@ def moments_from_chunks(chunks, grid: TimeGrid, n_paths: int):
     if n_paths < 2:
         raise ValueError("need at least 2 paths for moment estimation")
 
-    def merged(stats, more):
-        return more if stats is None else _merge_stats(stats, more)
-
     def fold(pairs, ws):
-        stats = None
-        for _, slab in pairs:
-            stats = merged(stats, _chunk_stats(slab, ws))
-        return stats
+        return reduce(_merge_stats, (_chunk_stats(slab, ws) for _, slab in pairs))
 
-    stats = None
-    for block in chunks.map(fold):
-        stats = merged(stats, block)
-    if stats is None:
-        raise ValueError(f"no rows, expected {n_paths}")
-    n, c, e, M2, M3 = stats
+    n, c, e, M2, M3 = reduce(_merge_stats, chunks.map(fold))
     if n != n_paths:
         raise ValueError(f"the blocks hold {n} rows, expected {n_paths}")
     M2 = np.maximum(M2, 0.0)  # rounding of identical rows

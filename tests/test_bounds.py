@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from gmapprox import drift as dm
 from gmapprox.approx import F2_analytic
@@ -108,10 +109,55 @@ class TestD2Closed:
         gen = d2_generic(model, 0.1, g)
         np.testing.assert_allclose(b.d2.values, gen.d2.values, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("rate", [1e-3, 0.75, 1.5, 2.0, 50.0])
+    def test_single_shot_matches_quadrature(self, rate):
+        # d2 = lam chain(lam, 2 lam, 2 theta) is a sum of nonnegative terms; the difference
+        # of two damped exponential differences that it replaces cancels at small rates
+        g = TimeGrid.from_step(5.0, 1e-3)
+        d2 = d2_closed(dm.SingleShot(rate), THETA, g).d2.values
+        for k in (1, 2, 5, 20, 100, 1000, 2500, 5000):
+            t = g.times()[k]
+            integrand = lambda s: -np.exp(-rate * s) * np.expm1(-rate * s) * np.exp(-2 * THETA * (t - s))
+            ref = quad(integrand, 0.0, t, epsabs=0.0, epsrel=1e-13)[0]
+            assert d2[k] == pytest.approx(ref, rel=1e-11, abs=0), (rate, k)
+
     def test_bound_curve_invariants(self):
         g = grid(dt=0.01)
         with pytest.raises(ValueError):
             BoundCurve(grid=g, d2=Curve(g, np.ones(g.n_nodes)), l1_mass=1.0, closed_form=True)
+
+
+# every variant and law whose damped D[z] is exact; a trapezoid-damped one is not a bound
+CAUCHY_SCHWARZ_MODELS = {
+    "single_shot_2": dm.SingleShot(2.0),
+    "single_shot_50": dm.SingleShot(50.0),
+    "single_shot_at_theta": dm.SingleShot(THETA),
+    "poisson": dm.Poisson(2.0),
+    "compound_poisson_exponential": dm.CompoundPoisson(2.0, dm.Exponential(2.0)),
+    "compound_poisson_gamma": dm.CompoundPoisson(2.0, dm.Gamma(rate=2.0, shape=0.7)),
+    "brownian": dm.BrownianDrift(),
+    "brownian_trend": dm.BrownianDrift(trend=2.0),
+    "ou": dm.OUDrift(2.0, 1.0, 1.0),
+    "ou_at_theta": dm.OUDrift(THETA, 0.5, -1.0),
+    "deterministic": None,  # built on each grid
+    "shot_noise_fixed_count": dm.ShotNoise(arrival=dm.Exponential(2.0)),
+    "shot_noise_poisson_count": dm.ShotNoise(count=dm.PoissonCount(3.0), arrival=dm.Exponential(2.0)),
+}
+
+
+@pytest.mark.parametrize("T, dt", [(5.0, 1e-3), (5.0, 0.1), (250.0, 0.05)])
+@pytest.mark.parametrize("name", list(CAUCHY_SCHWARZ_MODELS))
+def test_kappa2_below_cauchy_schwarz_curve(name, T, dt):
+    # Z(t) = int_0^t e^{-theta (t - s)} z(s) ds, so by Cauchy-Schwarz
+    # D[Z(t)] <= K(t) int_0^t e^{-theta (t - s)} D[z(s)] ds, K(t) = (1 - e^{-theta t}) / theta:
+    # D[z] damped at theta, the variance statement with the tail [theta]
+    g = TimeGrid.from_step(T, dt)
+    model = CAUCHY_SCHWARZ_MODELS[name] or dm.Deterministic(Curve.from_function(g, np.sin))
+    damped, exact = model._var_z(g, [THETA])
+    assert exact
+    curve = -np.expm1(-THETA * g.times()) / THETA * damped
+    kappa2 = dm.cumulant_curves(model, THETA, g, order=2)[1]
+    assert np.all(kappa2 <= curve * (1 + 1e-12))
 
 
 def pointwise_mse(Z_ensemble, F):

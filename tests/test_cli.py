@@ -46,6 +46,18 @@ class TestConfigValidation:
         p.write_text("{not json")
         assert main(["table1", "--config", str(p)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "text",
+        [b'{"sde": {"theta": ' + b"1" * 4301 + b"}}", b"\xff\xfe{}"],
+        ids=["int_past_digit_limit", "not_utf8"],
+    )
+    def test_unreadable_json_is_a_config_error(self, tmp_path, capsys, text):
+        p = tmp_path / "config.json"
+        p.write_bytes(text)
+        assert main(["costs", "--config", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "is not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_model(self, tmp_path, capsys):
         p = write_config(tmp_path, model={"type": "levy"})
         assert main(["simulate", "--config", str(p)]) == EXIT_CONFIG
@@ -134,6 +146,12 @@ class TestConfigValidation:
             ({"sde": {"theta": True}}, "sde.theta must be a finite number"),
             ({"grid": {"T": 1.0, "dt": "0.01"}}, "grid.dt must be a finite number"),
             ({"sde": {"sigma": float("nan")}}, "sde.sigma must be a finite number"),
+            # an integer past the float range: float() and isfinite() raise OverflowError
+            ({"sde": {"theta": 10**400}}, "sde.theta must be a finite number"),
+            ({"model": {"type": "single_shot", "rate": 10**400}}, "model.rate must be a finite number"),
+            ({"model": {"type": "compound_poisson", "rate": 2.0, "jump": dict(EXP, rate=10**400)}},
+             "model.jump.rate must be a finite number"),
+            ({"neuron": {"M": 10**400}}, "neuron.M must be a finite number"),
             # no first-passage node lies at or before the cap
             ({"neuron": {"horizon_cap": 0.005}}, "horizon_cap = 0.005 is below one step dt = 0.01"),
             # a law, a model or a field that its class or the section refuses
@@ -161,7 +179,7 @@ class TestConfigValidation:
              "grid_key", "mc_key", "output_key", "costs_key", "fractional_paths", "float_paths",
              "string_paths", "bool_seed", "fractional_seed", "null_seed", "string_model_rate",
              "string_jump_rate", "bool_model_rate", "bool_neuron_inputs", "bool_fixed_count", "numeric_directory", "string_theta", "bool_theta", "string_dt",
-             "nan_sigma", "cap_below_one_step", "untagged_jump", "missing_model_field",
+             "nan_sigma", "huge_theta", "huge_model_rate", "huge_jump_rate", "huge_neuron_inputs", "cap_below_one_step", "untagged_jump", "missing_model_field",
              "values_not_a_list", "deterministic_without_values", "negative_sigma", "zero_paths",
              "negative_seed", "exponential_count", "count_law_arrival", "negative_arrival",
              "zero_poisson_count", "zero_response_rate", "negative_trend", "zero_theta_i"],
