@@ -179,7 +179,8 @@ class TestConfigValidation:
              "grid_key", "mc_key", "output_key", "costs_key", "fractional_paths", "float_paths",
              "string_paths", "bool_seed", "fractional_seed", "null_seed", "string_model_rate",
              "string_jump_rate", "bool_model_rate", "bool_neuron_inputs", "bool_fixed_count", "numeric_directory", "string_theta", "bool_theta", "string_dt",
-             "nan_sigma", "huge_theta", "huge_model_rate", "huge_jump_rate", "huge_neuron_inputs", "cap_below_one_step", "untagged_jump", "missing_model_field",
+             "nan_sigma", "huge_theta", "huge_model_rate", "huge_jump_rate", "huge_neuron_inputs",
+             "cap_below_one_step", "untagged_jump", "missing_model_field",
              "values_not_a_list", "deterministic_without_values", "negative_sigma", "zero_paths",
              "negative_seed", "exponential_count", "count_law_arrival", "negative_arrival",
              "zero_poisson_count", "zero_response_rate", "negative_trend", "zero_theta_i"],
