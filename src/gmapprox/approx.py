@@ -72,8 +72,9 @@ class MomentCurves:
                 raise ValueError(f"{name} grid does not match the moment grid")
         v1, v2, v3 = self.m1.values, self.m2.values, self.m3.values
         if self.var is None:
-            object.__setattr__(self, "var", Curve(self.grid, v2 - v1**2))
-            object.__setattr__(self, "mu3", Curve(self.grid, v3 - 3.0 * v1 * v2 + 2.0 * v1**3))
+            _, var, mu3 = drift_mod._cumulants_from_raw(np.array([v1, v2, v3]))
+            object.__setattr__(self, "var", Curve(self.grid, var))
+            object.__setattr__(self, "mu3", Curve(self.grid, mu3))
         scale = np.maximum(v1**2, 1.0)
         if np.any(self.var.values < -_MOMENT_SLACK * scale):
             raise ValueError("invalid moments: m2 < m1^2 at some node")
@@ -171,8 +172,8 @@ def cubic_el_root(m1: float, m2: float, m3: float) -> float:
     nondecreasing and the root unique. Uses the closed form of
     ``F4_from_moments``; degenerate moments (a point mass) return m1 exactly.
     """
-    v1, v2, v3 = (np.array([v], dtype=float) for v in (m1, m2, m3))
-    return float(_el_roots(v1, v2 - v1 * v1, v3 - 3.0 * v1 * v2 + 2.0 * v1**3)[0])
+    raw = np.array([[m1], [m2], [m3]], dtype=float)
+    return float(_el_roots(raw[0], *drift_mod._cumulants_from_raw(raw)[1:])[0])
 
 
 def F4_from_moments(moments: MomentCurves, theta: float) -> Approximant:

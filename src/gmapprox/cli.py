@@ -271,6 +271,9 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
     _check_steps("grid", cfg.T, cfg.dt)
     if cfg.n_paths < 1:
         raise ConfigError(f"mc.n_paths must be >= 1, got {cfg.n_paths}")
+    if cfg.n_paths > 10**9:
+        # the cost matrix alone holds 32 B per path
+        raise ConfigError("mc.n_paths: unreasonably many paths (more than 1e9)")
     if cfg.seed < 0:
         raise ConfigError(f"mc.seed must be nonnegative, got {cfg.seed}")
     if p_list != list(costs_mod.P_ORDERS):

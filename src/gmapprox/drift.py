@@ -8,13 +8,14 @@ damped accumulation
 so each drift variant samples Z paths at the grid nodes and has exact
 mean/variance curves of z. The event-driven variants (Poisson, compound
 Poisson, shot noise) are one family of three laws: each path's event count,
-the events' times in continuous time, and their weights. A block draws its
-counts, then its times, then its weights, one ``sample`` call each; a
-compound Poisson drift's laws are PoissonCount(rate T), Uniform(0, T) and
-its jump law. One batched kernel evaluates Z from the events of many paths
-at once: each event's exact contribution inside its grid cell is binned,
-then two exact exponential recurrences run along the time axis, so the grid
-introduces no bias and the cost is O(events + nodes). The single shot keeps
+the events' times in continuous time, and their weights. Each pass draws
+its rows' counts, then their times, then their weights, one ``sample`` call
+each; a compound Poisson drift's laws are PoissonCount(rate T),
+Uniform(0, T) and its jump law. One batched kernel evaluates Z from the
+events of a pass's paths at once: each event's exact contribution inside
+its grid cell is binned, then two exact exponential recurrences run along
+the time axis, so the grid introduces no bias and the cost is
+O(events + nodes). The single shot keeps
 a closed form for its sampler only. The Brownian and OU drifts are one
 Gaussian family (Brownian is rate 0 plus a trend) with one sampler: z minus
 its mean by its exact transition, the trapezoid exponential integrator,
@@ -34,12 +35,12 @@ where their sections open); the public functions check their arguments and
 call them.
 
 Ensembles follow the block-stream contract of :mod:`timebase`: the rows of
-block b = i // _BLOCK are sampled together from ``block_stream(seed, b)`` by
-the variant's block sampler (its ``_block_sampler`` method, see
-:func:`iter_Z_chunks`), a generator that fills one pass buffer of at most
-``timebase._KERNEL_CELLS`` cells at a time, so no block is ever held whole;
-the reducers fold each block's passes as they come. A single path is a
-block of one row drawn from the stream it is given.
+block b = i // _BLOCK are sampled from ``block_stream(seed, b)`` by the
+variant's block sampler (its ``_block_sampler`` method, see
+:func:`iter_Z_chunks`), a function that fills one pass of at most
+``timebase._KERNEL_CELLS`` cells from where the block's stream stands, so
+no block is ever held whole; the reducers fold each block's passes as they
+come. A single path is a pass of one row drawn from the stream it is given.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .timebase import (
     PathEnsemble,
     PoleRun,
     TimeGrid,
-    _cuts,
     block_stream,
     exp_weight_in_place,
     exp_weighted_values,
@@ -361,45 +361,40 @@ Distribution = Union[
 # ---------------------------------------------------------------------------
 # block samplers
 #
-# A variant's ``_block_sampler(theta, grid)`` returns
-# ``passes(stream, rows, buf, ws)``, a generator over the Z rows of one
-# block of ``rows`` ensemble rows, all drawn from ``stream``: each pass fills
-# the first rows of ``buf`` with the block's next ``len(buf)`` rows (or what
-# is left of them) and yields them. The stream and the block's drawn events
-# persist from pass to pass, and the pass-sized transients live in ``ws``, the
-# worker's scratch array of :class:`timebase.BlockStream`, so the pass loop
-# allocates nothing of pass size. The fold spends ``ws`` after each pass, so
-# a sampler rewrites what it reads of it on every pass. A row's values are a
-# function of its own draws, so they do not depend on the pass size. The
-# event variants share one sampler, :func:`_event_sampler`: a block's counts
-# from the count law, then its event times, then its weights, and the kernel.
+# A variant's ``_block_sampler(theta, grid)`` returns ``fill(stream, out,
+# ws)``, which fills ``out``, one pass of Z rows, with rows drawn next from
+# ``stream``; :class:`timebase.BlockStream` calls it for each pass of a block
+# in row order, on the block's stream. The pass-sized transients live in
+# ``ws``, the worker's scratch array, so a pass allocates nothing of pass
+# size beyond its own draws. The fold spends ``ws`` after each pass, so a
+# sampler rewrites what it reads of it on every pass. A row's values are a
+# function of its own draws. The event variants share one sampler,
+# :func:`_event_sampler`: the pass's counts from the count law, then its
+# event times, then its weights, and the kernel.
 
 
 def _event_sampler(count, time, weight, lam: float, theta: float, grid: TimeGrid):
-    """An event variant's sampler: the block's events from three laws, then the kernel.
+    """An event variant's sampler: each pass's events from three laws, then the kernel.
 
-    Each block draws its per-row event counts from ``count``, then the times
+    Each pass draws its per-row event counts from ``count``, then the times
     of all its events from ``time``, then their weights from ``weight``, one
-    ``sample`` call each, so the draws depend on the stream and the row count
-    only. A time law more than half censored raises :class:`CensoringError`
-    here, before any block is drawn.
+    ``sample`` call each, so a pass holds only its own events and its draws
+    depend on the stream and the pass size only. A time law more than half
+    censored raises :class:`CensoringError` here, before any block is drawn.
     """
     _refuse_censored(time)
     kernel = _EventKernel(lam, theta, grid)
 
-    def passes(stream, rows, buf, ws):
-        counts = count.sample(stream, rows)
+    def fill(stream, out, ws):
+        counts = count.sample(stream, len(out))
         times = time.sample(stream, counts.sum())
-        weights = weight.sample(stream, counts.sum())
-        terms = kernel.terms(times, weights, np.repeat(np.arange(rows), counts))
-        for a, out in _cuts(rows, buf):
-            yield kernel.rows(terms, a, out, ws)
+        kernel.rows(times, weight.sample(stream, counts.sum()), counts, out, ws)
 
-    return passes
+    return fill
 
 
 class _EventKernel:
-    """Z at the grid nodes of paths given by their events, pass by pass, in caller-owned arrays.
+    """Z at the grid nodes of one pass of paths given by their events, in caller-owned arrays.
 
     A path with events (T_i, w_i) has z(t) = sum_{T_i <= t} w_i e^{-lam (t - T_i)}
     and Z(t) = sum_{T_i <= t} w_i K(t - T_i) with
@@ -428,36 +423,27 @@ class _EventKernel:
         self.Z_run = PoleRun(np.exp(-theta * grid.dt), self.n)
         self.k_dt = stable_exp_diff(lam, theta, grid.dt)
 
-    def terms(self, times, weights, row):
-        """(row, cell, z term, Z term) of the events that reach a node; ``row`` is nondecreasing.
+    def rows(self, times, weights, counts, out, ws):
+        """Z into ``out``, a C-contiguous (rows, n) array, of rows with ``counts`` events each.
 
-        The terms are an event's exact contributions at the node that closes
-        its cell.
-        """
-        cell = np.searchsorted(self.t, times)
-        live = cell < self.n
-        row, cell, times, weights = row[live], cell[live], times[live], weights[live]
-        u = self.t[cell] - times
-        Z_term = weights * stable_exp_diff(self.lam, self.theta, u)
-        return row, cell, weights * np.exp(-self.lam * u), Z_term
-
-    def rows(self, terms, lo: int, out, ws):
-        """Z of rows lo.. into ``out``, a C-contiguous (rows, n) array.
-
+        ``times`` and ``weights`` hold the events in row order. An event's
+        terms are its exact contributions at the node that closes its cell.
         ``ws`` holds at least ``out.size`` cells, for the binned terms of
         each recurrence; z runs into ``out`` before Z does. Events are binned
         by ``fill(0)`` and ``np.add.at``, which add each bin's terms in event
         order, as ``np.bincount`` does.
         """
-        row, cell, z_term, Z_term = terms
-        e0, e1 = np.searchsorted(row, (lo, lo + len(out)))
-        idx = (row[e0:e1] - lo) * self.n + cell[e0:e1]
+        cell = np.searchsorted(self.t, times)
+        live = cell < self.n
+        cell, times, weights = cell[live], times[live], weights[live]
+        idx = np.repeat(np.arange(0, out.size, self.n), counts)[live] + cell
+        u = self.t[cell] - times
         x = ws[: out.size].reshape(out.shape)
         x.fill(0.0)
-        np.add.at(x.reshape(-1), idx, z_term[e0:e1])
+        np.add.at(x.reshape(-1), idx, weights * np.exp(-self.lam * u))
         z = self.z_run(x, out)
         x.fill(0.0)
-        np.add.at(x.reshape(-1), idx, Z_term[e0:e1])
+        np.add.at(x.reshape(-1), idx, weights * stable_exp_diff(self.lam, self.theta, u))
         z[:, :-1] *= self.k_dt  # z is spent: K(dt) z_{k-1} in place
         x[:, 1:] += z[:, :-1]
         return self.Z_run(x, out)
@@ -504,21 +490,19 @@ class SingleShot:
             raise ValueError(f"rate must be positive, got {self.rate}")
 
     def _block_sampler(self, theta: float, grid: TimeGrid):
-        """One exponential vector of the block's shot times, then the closed form."""
+        """One exponential vector of the pass's shot times, then the closed form."""
         t = grid.times()
 
-        def passes(stream, rows, buf, ws):
-            tau = stream.exponential(1.0 / self.rate, size=rows)
-            for a, out in _cuts(rows, buf):
-                # Z = (1 - e^{-theta u}) / theta after the shot, u = t - tau
-                np.subtract(t, tau[a : a + len(out), None], out=out)
-                np.maximum(out, 0.0, out=out)
-                out *= -theta
-                np.expm1(out, out=out)
-                out /= -theta
-                yield out
+        def fill(stream, out, ws):
+            tau = stream.exponential(1.0 / self.rate, size=len(out))
+            # Z = (1 - e^{-theta u}) / theta after the shot, u = t - tau
+            np.subtract(t, tau[:, None], out=out)
+            np.maximum(out, 0.0, out=out)
+            out *= -theta
+            np.expm1(out, out=out)
+            out /= -theta
 
-        return passes
+        return fill
 
     def _mean_z(self, grid: TimeGrid) -> np.ndarray:
         return -np.expm1(-self.rate * grid.times())
@@ -685,18 +669,16 @@ class _GaussianDrift:
         mean = np.zeros((1, grid.n_nodes))
         self._cumulants(theta, grid, mean)
 
-        def passes(stream, rows, buf, ws):
-            for _, out in _cuts(rows, buf):
-                noise = ws[: len(out) * steps].reshape(len(out), steps)
-                stream.standard_normal(out=noise)
-                noise *= scale
-                out[:, 0] = 0.0
-                z_run(noise, out[:, 1:])
-                exp_weight_in_place(out, Z_run, dt, noise)  # the spent normals are its scratch
-                out += mean
-                yield out
+        def fill(stream, out, ws):
+            noise = ws[: len(out) * steps].reshape(len(out), steps)
+            stream.standard_normal(out=noise)
+            noise *= scale
+            out[:, 0] = 0.0
+            z_run(noise, out[:, 1:])
+            exp_weight_in_place(out, Z_run, dt, noise)  # the spent normals are its scratch
+            out += mean
 
-        return passes
+        return fill
 
     def _mean_z(self, grid: TimeGrid) -> np.ndarray:
         t = grid.times()
@@ -762,12 +744,10 @@ class Deterministic:
         _check_same_grid(self.f.grid, grid)
         curve = exp_weighted_values(self.f.values, grid.dt, theta)
 
-        def passes(stream, rows, buf, ws):
-            for _, out in _cuts(rows, buf):
-                out[:] = curve
-                yield out
+        def fill(stream, out, ws):
+            out[:] = curve
 
-        return passes
+        return fill
 
     def _mean_z(self, grid: TimeGrid) -> np.ndarray:
         _check_same_grid(self.f.grid, grid)
@@ -805,7 +785,7 @@ def sample_Z_path(
 ) -> Curve:
     """One realization of Z(t) = e^{-theta t} int_0^t z(s) e^{theta s} ds.
 
-    A one-row block drawn from ``stream``, so it equals the row of an
+    A one-row pass drawn from ``stream``, so it equals the row of an
     ensemble whose block holds that row alone. Event-driven drifts go
     through the batched event kernel (no grid bias), the single shot uses
     its closed form, and the Gaussian drifts pass a sampled z path through
@@ -813,8 +793,7 @@ def sample_Z_path(
     """
     _check_theta(theta)
     out = np.empty((1, grid.n_nodes))
-    for _ in model._block_sampler(theta, grid)(stream, 1, out, np.empty(grid.n_nodes)):
-        pass
+    model._block_sampler(theta, grid)(stream, out, np.empty(grid.n_nodes))
     return Curve(grid, out[0])
 
 
@@ -890,19 +869,25 @@ def iter_Z_chunks(
 ) -> BlockStream:
     """The Z ensemble as a :class:`timebase.BlockStream`, for ``threads`` workers.
 
-    Its ``map(fold)`` draws block b from ``block_stream(master_seed, b)`` by
-    the variant's block sampler and yields ``fold`` of its (start, pass)
-    pairs, in block order. A pass is :func:`timebase.slab_rows` rows counted
-    from its block's first row, in a reused buffer: copy it to keep it. The
-    passes in row order are the materialized ensemble, bit for bit.
+    Its ``map(fold)`` fills the passes of block b, one after the other, by
+    the variant's block sampler from the one stream
+    ``block_stream(master_seed, b)``, and yields ``fold`` of its (start,
+    pass) pairs, in block order. A pass is :func:`timebase.slab_rows` rows
+    counted from its block's first row (the block's last pass takes what is
+    left), in a reused buffer: copy it to keep it. The passes in row order
+    are the materialized ensemble, bit for bit.
 
     A shot noise whose arrival law is more than half censored raises
     :class:`CensoringError` here, before any block is drawn; the censored
     share itself is the law's (``ShotNoise.censored``).
     """
     _check_theta(theta)
-    passes = model._block_sampler(theta, grid)
-    block = lambda b, rows, buf, ws: passes(block_stream(master_seed, b), rows, buf, ws)
+    fill = model._block_sampler(theta, grid)
+
+    def block(b):
+        stream = block_stream(master_seed, b)
+        return lambda a, out, ws: fill(stream, out, ws)
+
     return BlockStream(block, n_paths, grid.n_nodes, threads)
 
 

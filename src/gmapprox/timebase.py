@@ -11,16 +11,18 @@ scheme of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC
 
 The block-stream contract: the rows of an ensemble fall into blocks of
 ``_BLOCK`` rows, and block b (rows b*_BLOCK onward) draws every variate of its
-rows from the one stream ``block_stream(master_seed, b)``, in an order fixed
-by the sampler, the grid and the number of ensemble rows in the block.
-A :class:`BlockStream` samples each block as passes of :func:`slab_rows`
-rows, counted from its first row, into one reused buffer, so no block is
-ever held whole. Its ``map(fold)`` folds each block whole, pass by pass, and
-yields one value per block, in block order; the caller combines them left to
-right, and nothing else crosses a block. The map owns every pass-sized
-array: each worker's buffer, and one scratch array that the worker's
-sampler and fold spend in turn. Threads sample and fold whole blocks, so
-every row and every reduction is the same bits for any thread count.
+rows from the one stream ``block_stream(master_seed, b)``. A
+:class:`BlockStream` cuts each block into passes of :func:`slab_rows` rows,
+counted from its first row (the last pass takes what is left), and fills
+them in row order into one reused buffer, so no block is ever held whole.
+A sampler fills one pass from where its block's stream stands, in an order
+fixed by the sampler, the grid and the pass sizes. Its ``map(fold)`` folds
+each block whole, pass by pass, and yields one value per block, in block
+order; the caller combines them left to right, and nothing else crosses a
+block. The map owns every pass-sized array: each worker's buffer, and one
+scratch array that the worker's sampler and fold spend in turn. Threads
+sample and fold whole blocks, so every row and every reduction is the same
+bits for any thread count.
 
 Every first-order recurrence runs from rest through a :class:`PoleRun`,
 built once per pole and row length: numpy matrix products on blocks of each
@@ -347,17 +349,19 @@ def block_stream(master_seed: int, block: int) -> np.random.Generator:
 class BlockStream:
     """The rows of an n_paths-row ensemble, sampled and folded a whole block at a time.
 
-    Block b holds the ``rows = min(_BLOCK, n_paths - b*_BLOCK)`` rows from
-    b*_BLOCK on. ``passes(b, rows, buf, ws)`` generates them: each pass fills
-    the first rows of ``buf``, a (min(slab_rows(n_nodes), n_paths), n_nodes)
-    array, with the block's next rows, a pure function of (b, rows) and the
-    row indices, and yields them. ``ws`` is a flat scratch array of two
-    passes' cells, which the sampler spends while it fills a pass and the
-    block's fold after the pass is yielded, so a sampler rewrites what it
-    reads of ``ws`` on every pass.
+    Block b holds the ``min(_BLOCK, n_paths - b*_BLOCK)`` rows from b*_BLOCK
+    on, cut into passes of ``min(slab_rows(n_nodes), n_paths)`` rows counted
+    from its first row; the last pass takes what is left. ``block(b)`` is
+    called once per block, in the worker that runs it, and returns
+    ``fill(a, out, ws)``. ``fill`` is called for each pass in row order: it
+    fills ``out``, a (pass size, n_nodes) view of the worker's buffer, with
+    the block's rows a.., a pure function of b, the row indices and the
+    pass sizes. ``ws`` is a flat scratch array of two passes' cells, which
+    ``fill`` spends while it fills a pass and the block's fold after it, so
+    ``fill`` rewrites what it reads of ``ws`` on every pass.
     """
 
-    passes: Callable
+    block: Callable
     n_paths: int
     n_nodes: int
     threads: int = 1
@@ -365,39 +369,45 @@ class BlockStream:
     def map(self, fold):
         """Yield ``fold(pairs, ws)`` of each block's (start, pass) pairs, one value per block, in block order.
 
-        A pass is a view of its worker's buffer, valid until the next pass.
-        ``ws`` is the scratch of two passes' cells that the block's
-        ``passes`` was given, the fold's to spend between passes. Each
-        worker allocates its buffer and scratch once per call. One thread
-        folds the blocks in the caller: a pool of one worker measured 2-4
-        MiB more peak RSS on every benchmark workload. More threads sample
-        and fold whole blocks, at most ``threads`` of them started and not
-        yet yielded, so the folds held do not grow with n_paths. A block's
-        error is raised here and stops the blocks after it; no worker
-        outlives the generator.
+        A pass is a view of its worker's buffer, valid until the next pass,
+        and start its first row in the ensemble. ``ws`` is the scratch of two
+        passes' cells that the block's ``fill`` was given, the fold's to
+        spend between passes. Each worker allocates its buffer and scratch
+        once per call. One thread folds the blocks in the caller: a pool of
+        one worker measured 2-4 MiB more peak RSS on every benchmark
+        workload. More threads sample and fold whole blocks, at most
+        ``threads`` of them started and not yet yielded, so the folds held
+        do not grow with n_paths. A block's error is raised here and stops
+        the blocks after it; no worker outlives the generator.
         """
-        blocks = [(b, min(_BLOCK, self.n_paths - b * _BLOCK)) for b in range(-(-self.n_paths // _BLOCK))]
+        n_blocks = -(-self.n_paths // _BLOCK)
         width = min(slab_rows(self.n_nodes), self.n_paths)
         local = threading.local()  # each worker's pass buffer and scratch array
 
-        def run(block):
+        def run(b):
             if not hasattr(local, "buf"):
                 local.buf, local.ws = np.empty((width, self.n_nodes)), np.empty(2 * width * self.n_nodes)
-            b, rows = block
-            return fold(self._pairs(b, rows, local.buf, local.ws), local.ws)
+            fill, start, buf, ws = self.block(b), b * _BLOCK, local.buf, local.ws
 
-        workers = min(self.threads or 1, len(blocks))
+            def pairs():
+                for a, out in _cuts(min(_BLOCK, self.n_paths - start), buf):
+                    fill(a, out, ws)
+                    yield start + a, out
+
+            return fold(pairs(), ws)
+
+        workers = min(self.threads or 1, n_blocks)
         if workers <= 1:
-            for block in blocks:
-                yield run(block)
+            for b in range(n_blocks):
+                yield run(b)
         else:
             ex = ThreadPoolExecutor(max_workers=workers)
             try:
                 ahead = deque()
-                for block in blocks:
+                for b in range(n_blocks):
                     if len(ahead) == workers:
                         yield ahead.popleft().result()
-                    ahead.append(ex.submit(run, block))
+                    ahead.append(ex.submit(run, b))
                 while ahead:
                     yield ahead.popleft().result()
             finally:
@@ -414,12 +424,6 @@ class BlockStream:
         for _ in self.map(copy):
             pass
         return out
-
-    def _pairs(self, b, rows, buf, ws):
-        start = b * _BLOCK
-        for rows_done in self.passes(b, rows, buf, ws):
-            yield start, rows_done
-            start += len(rows_done)
 
 
 def slab_rows(n_nodes: int) -> int:
@@ -448,13 +452,14 @@ def fill_rows(build_row, n_paths: int, n_nodes: int, threads: int = 1) -> np.nda
     matrix is the same for any number of threads.
     """
 
-    def passes(b, rows, buf, ws):
-        for a, out in _cuts(rows, buf):
+    def block(b):
+        def fill(a, out, ws):
             for i, row in enumerate(out, b * _BLOCK + a):
                 row[:] = build_row(i)
-            yield out
 
-    return BlockStream(passes, n_paths, n_nodes, threads).matrix()
+        return fill
+
+    return BlockStream(block, n_paths, n_nodes, threads).matrix()
 
 
 def stable_exp_diff(a: float, b: float, t: np.ndarray | float):

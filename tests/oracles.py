@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.signal import lfilter
@@ -15,7 +16,6 @@ from gmapprox import drift as dm
 from gmapprox.sde import LinearSDE, simulate_Y
 from gmapprox.timebase import (
     _BLOCK,
-    BlockStream,
     Curve,
     PathEnsemble,
     TimeGrid,
@@ -81,10 +81,11 @@ def z_rows(model, grid: TimeGrid, stream: np.random.Generator, rows: int) -> np.
 def event_draws(model, grid: TimeGrid, stream: np.random.Generator, rows: int):
     """(times, weights, counts per row) of the events of ``rows`` paths of an event variant.
 
-    The block sampler's draw order: the counts of every row from the count
-    law, then the times of all events, then their weights. Shot noise draws
-    them from its count, arrival and amplitude laws; a compound Poisson drift
-    from PoissonCount(rate T), Uniform(0, T) and its jump law.
+    The block sampler's draw order for one pass of ``rows`` rows: the counts
+    of every row from the count law, then the times of all events, then
+    their weights. Shot noise draws them from its count, arrival and
+    amplitude laws; a compound Poisson drift from PoissonCount(rate T),
+    Uniform(0, T) and its jump law.
     """
     if isinstance(model, dm.ShotNoise):
         laws = model.count, model.arrival, model.amplitude
@@ -102,31 +103,37 @@ def z_path(model, grid: TimeGrid, stream: np.random.Generator) -> Curve:
 
 
 def z_path_ensemble(model, grid: TimeGrid, n_paths: int, master_seed: int) -> PathEnsemble:
-    """n_paths z paths by :func:`z_rows`, block b from ``block_stream(master_seed, b)`` as the Z ensemble's."""
-    blocks = [
-        z_rows(model, grid, block_stream(master_seed, b), min(_BLOCK, n_paths - lo))
-        for b, lo in enumerate(range(0, n_paths, _BLOCK))
-    ]
-    return PathEnsemble(grid, n_paths, np.vstack(blocks), master_seed)
+    """n_paths z paths by :func:`z_rows`, drawn as the Z ensemble's.
+
+    Block b's passes of ``slab_rows`` rows, counted from its first row, draw
+    one after the other from ``block_stream(master_seed, b)``.
+    """
+    step, passes = slab_rows(grid.n_nodes), []
+    for b, lo in enumerate(range(0, n_paths, _BLOCK)):
+        stream, rows = block_stream(master_seed, b), min(_BLOCK, n_paths - lo)
+        passes += [z_rows(model, grid, stream, min(step, rows - a)) for a in range(0, rows, step)]
+    return PathEnsemble(grid, n_paths, np.vstack(passes), master_seed)
 
 
 def event_kernel(events, lam: float, theta: float, grid: TimeGrid):
     """(Z, z) at the nodes, one row per (times, weights) pair in ``events``, through ``drift._EventKernel``.
 
-    Z is the kernel's output. z, the state its Z recurrence reads, is binned
-    from the kernel's own z terms and run by the sequential ``lfilter`` with
-    the scalar pole, independently of the kernel's blocked run.
+    Z is the kernel's output. z, the state its Z recurrence reads, bins
+    each event's exact term w e^{-lam u} at the node that closes its cell
+    (u = t_k - T), and is run by the sequential ``lfilter`` with the scalar
+    pole, independently of the kernel's blocked run.
     """
     times = np.concatenate([np.asarray(e[0], dtype=float) for e in events])
     weights = np.concatenate([np.asarray(e[1], dtype=float) for e in events])
-    row = np.repeat(np.arange(len(events)), [len(e[0]) for e in events])
-    kernel = dm._EventKernel(lam, theta, grid)
-    terms = kernel.terms(times, weights, row)
+    counts = [len(e[0]) for e in events]
     shape = (len(events), grid.n_nodes)
-    Z = kernel.rows(terms, 0, np.empty(shape), np.empty(shape[0] * shape[1]))
-    live_row, cell, z_term, _ = terms
+    Z = dm._EventKernel(lam, theta, grid).rows(times, weights, counts, np.empty(shape), np.empty(shape[0] * shape[1]))
+    t = grid.times()
+    cell = np.searchsorted(t, times)
+    live = cell < grid.n_nodes
+    row, cell = np.repeat(np.arange(len(events)), counts)[live], cell[live]
     z = np.zeros(shape)
-    np.add.at(z.reshape(-1), live_row * grid.n_nodes + cell, z_term)
+    np.add.at(z.reshape(-1), row * grid.n_nodes + cell, weights[live] * np.exp(-lam * (t[cell] - times[live])))
     return Z, lfilter([1.0], [1.0, -np.exp(-lam * grid.dt)], z, axis=-1)
 
 
@@ -180,22 +187,25 @@ def cut_rows(values: np.ndarray, size: int):
     return ((lo, values[lo : lo + size]) for lo in range(0, len(values), size))
 
 
-def matrix_blocks(values: np.ndarray, rows: int | None = None) -> BlockStream:
-    """A materialized ensemble as a block stream whose passes are views of ``values``.
+def matrix_blocks(values: np.ndarray, rows: int | None = None) -> SimpleNamespace:
+    """A materialized ensemble read as a block stream whose passes are views of ``values``.
 
     Blocks are _BLOCK rows, as in drift.iter_Z_chunks, and each block is cut
     into passes of ``rows`` rows from its first row: slab_rows by default,
-    the passes of iter_Z_chunks, so a reducer gives the same bits.
+    the passes of iter_Z_chunks, so a reducer gives the same bits. Its
+    ``map(fold)`` folds the blocks in order, each with one scratch array of
+    two passes' cells.
     """
     n, width = values.shape
     step = rows or slab_rows(width)
 
-    def passes(b, count, buf, ws):
-        lo = b * _BLOCK
-        for a in range(0, count, step):
-            yield values[lo + a : lo + min(a + step, count)]
+    def map(fold):
+        ws = np.empty(2 * min(step, _BLOCK, n) * width)
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            yield fold(((a, values[a : min(a + step, hi)]) for a in range(lo, hi, step)), ws)
 
-    return BlockStream(passes, n, width)
+    return SimpleNamespace(map=map)
 
 
 def curve_from_csv(path) -> Curve:

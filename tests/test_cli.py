@@ -152,6 +152,8 @@ class TestConfigValidation:
             ({"model": {"type": "compound_poisson", "rate": 2.0, "jump": dict(EXP, rate=10**400)}},
              "model.jump.rate must be a finite number"),
             ({"neuron": {"M": 10**400}}, "neuron.M must be a finite number"),
+            # a count no array could hold: numpy's shape check would raise ValueError
+            ({"mc": dict(MC, n_paths=10**400)}, "mc.n_paths: unreasonably many paths"),
             # no first-passage node lies at or before the cap
             ({"neuron": {"horizon_cap": 0.005}}, "horizon_cap = 0.005 is below one step dt = 0.01"),
             # a law, a model or a field that its class or the section refuses
@@ -180,6 +182,7 @@ class TestConfigValidation:
              "string_paths", "bool_seed", "fractional_seed", "null_seed", "string_model_rate",
              "string_jump_rate", "bool_model_rate", "bool_neuron_inputs", "bool_fixed_count", "numeric_directory", "string_theta", "bool_theta", "string_dt",
              "nan_sigma", "huge_theta", "huge_model_rate", "huge_jump_rate", "huge_neuron_inputs",
+             "huge_paths",
              "cap_below_one_step", "untagged_jump", "missing_model_field",
              "values_not_a_list", "deterministic_without_values", "negative_sigma", "zero_paths",
              "negative_seed", "exponential_count", "count_law_arrival", "negative_arrival",
@@ -214,6 +217,14 @@ class TestConfigValidation:
         assert main([command, "--config", str(p)]) == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_too_many_paths_on_the_command_line_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(costs_mod, "run_table", lambda *args: pytest.fail("the costs were computed"))
+        p = write_config(tmp_path)
+        assert main(["costs", "--config", str(p), "--paths", str(10**9 + 1)]) == EXIT_CONFIG
+        assert "unreasonably many paths (more than 1e9)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert main(["approx", "--config", str(p), "--paths", str(10**9)]) == 0
 
     def test_threads_default_is_one(self):
         for command in ("simulate", "approx", "bound", "costs", "table1", "table2", "neuron"):

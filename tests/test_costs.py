@@ -214,6 +214,16 @@ class TestWorkingSet:
         for what in ("cost_block", "mse"):
             assert abs(peaks[what, 3000] - peaks[what, 600]) < 2**20, (what, peaks)
 
+    def test_holds_one_pass_of_events_at_a_high_rate(self):
+        """cost_block of a rate-200 Poisson drift (10,000 events per path) holds one pass's events.
+
+        On 5,001 nodes a pass is 16 rows, about 160,000 events; drawing the
+        200-row block's 2 million events at once traces about 157 MiB.
+        """
+        g = TimeGrid.from_step(50.0, 0.01)
+        peak = traced_peak(lambda: cost_block(dm.Poisson(200.0), THETA, g, 200, 5))
+        assert peak < 32 * 2**20, peak
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_moments_combine_the_blocks_as_they_come(self, threads):
         """moments_Z_mc on Table 1's 5,001-node grid holds a few block folds, not one per block.

@@ -368,16 +368,38 @@ class TestEnsembles:
         assert np.array_equal(parts, full)
         threaded = dm.Z_path_ensemble(model, THETA, g, n, master_seed=seed, threads=3).values
         assert np.array_equal(threaded, full)
-        # the block's rows are the kernel of the block's draws, row by row
-        times, weights, counts = event_draws(model, g, block_stream(seed, 0), n)
-        edges = np.concatenate(([0], np.cumsum(counts)))
+        # the block's rows are the kernel of its passes' draws, row by row, pass after pass
+        step, stream = timebase.slab_rows(g.n_nodes), block_stream(seed, 0)
+        draws = [event_draws(model, g, stream, step) for _ in range(0, n, step)]
         for i in (0, 23, n - 1):
-            events = [(times[edges[i] : edges[i + 1]], weights[edges[i] : edges[i + 1]])]
+            times, weights, counts = draws[i // step]
+            edges = np.concatenate(([0], np.cumsum(counts)))
+            j = i % step
+            events = [(times[edges[j] : edges[j + 1]], weights[edges[j] : edges[j + 1]])]
             row = event_kernel(events, getattr(model, "response_rate", 0.0), THETA, g)[0][0]
             assert np.array_equal(row, full[i])
         # a block of one row is sample_Z_path on the block's stream
         one = dm.Z_path_ensemble(model, THETA, g, 1, master_seed=seed).values[0]
         assert np.array_equal(dm.sample_Z_path(model, THETA, g, block_stream(seed, 0)).values, one)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [dm.Poisson(2.0), dm.ShotNoise(count=dm.PoissonCount(3.0), arrival=dm.Gamma(0.7, 0.5))],
+    ids=["poisson", "gamma_shot_noise"],
+)
+def test_event_rows_do_not_depend_on_later_paths(model):
+    """Each pass draws its own events, so a row depends on its block's stream and the passes before it.
+
+    On 5,001 nodes a pass is 16 rows: the 88-row second block of 600 paths
+    and the 89-row one of 601 share their first five passes, rows 512..591.
+    Only the last pass of a block draws by its size.
+    """
+    g = grid(T=5.0, dt=1e-3)
+    assert timebase.slab_rows(g.n_nodes) == 16
+    a = dm.Z_path_ensemble(model, THETA, g, 600, master_seed=4).values
+    b = dm.Z_path_ensemble(model, THETA, g, 601, master_seed=4).values
+    assert np.array_equal(a[:592], b[:592])
 
 
 BLOCK_MODELS = ALL_MODELS + [dm.Deterministic(Curve.from_function(grid(T=2.0, dt=0.05), np.sin))]

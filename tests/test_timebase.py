@@ -1,5 +1,6 @@
 import csv
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,12 +309,13 @@ class TestSlabs:
         assert rows * n_nodes <= timebase._KERNEL_CELLS or rows == 1
 
 
-def index_passes(b, rows, buf, ws):
-    """A block sampler whose rows hold their ensemble row index in every column."""
-    for a in range(0, rows, len(buf)):
-        out = buf[: min(len(buf), rows - a)]
+def index_block(b):
+    """A block whose rows hold their ensemble row index in every column."""
+
+    def fill(a, out, ws):
         out[:] = (b * timebase._BLOCK + a + np.arange(len(out)))[:, None]
-        yield out
+
+    return fill
 
 
 def copied(pairs, ws):
@@ -329,14 +331,14 @@ class TestBlockPasses:
         blocks = ((0, 512), (512, 512), (1024, 76))
         starts = [[b0 + a for a in range(0, rows, 64)] for b0, rows in blocks]
         for threads in (1, 2, 3):
-            folds = list(BlockStream(index_passes, 1100, 1025, threads).map(copied))
+            folds = list(BlockStream(index_block, 1100, 1025, threads).map(copied))
             assert [[s for s, _ in fold] for fold in folds] == starts
             assert len(folds[-1][-1][1]) == 12
             for s, p in (pair for fold in folds for pair in fold):
                 assert np.array_equal(p, np.broadcast_to((s + np.arange(len(p)))[:, None], p.shape))
 
     def test_one_thread_reuses_one_buffer(self):
-        passes = [p for fold in BlockStream(index_passes, 1100, 1025).map(lambda pairs, ws: list(pairs)) for _, p in fold]
+        passes = [p for fold in BlockStream(index_block, 1100, 1025).map(lambda pairs, ws: list(pairs)) for _, p in fold]
         assert len(passes) == 18 and all(np.shares_memory(p, passes[0]) for p in passes)
 
     @pytest.mark.parametrize("threads", [2, 3])
@@ -344,7 +346,7 @@ class TestBlockPasses:
         # 12 blocks: every worker runs several, each into the buffer it allocated first
         fold = lambda pairs, ws: [(threading.get_ident(), p) for _, p in pairs]
         runs = {}
-        for fold_passes in BlockStream(index_passes, 12 * 512, 1025, threads).map(fold):
+        for fold_passes in BlockStream(index_block, 12 * 512, 1025, threads).map(fold):
             for worker, p in fold_passes:
                 runs.setdefault(worker, []).append(p)
         assert 1 < len(runs) <= threads
@@ -358,9 +360,12 @@ class TestBlockPasses:
         # each fold gets the scratch array its block's sampler was given, of two passes' cells
         given = {}
 
-        def recording(b, rows, buf, ws):
-            given[b] = ws, buf.size
-            yield from index_passes(b, rows, buf, ws)
+        def recording(b):
+            def fill(a, out, ws):
+                given.setdefault(b, (ws, out.size))
+                index_block(b)(a, out, ws)
+
+            return fill
 
         def fold(pairs, ws):
             starts = [start for start, _ in pairs]
@@ -376,9 +381,9 @@ class TestBlockPasses:
     def test_folds_held_are_one_per_worker(self, threads):
         started = []
 
-        def recording(b, rows, buf, ws):
+        def recording(b):
             started.append(b)
-            yield from index_passes(b, rows, buf, ws)
+            return index_block(b)
 
         for b, _ in enumerate(BlockStream(recording, 40 * 512, 1025, threads).map(copied)):
             assert max(started) <= b + threads - 1
@@ -387,11 +392,11 @@ class TestBlockPasses:
     def test_worker_error_reaches_the_caller(self):
         started = []
 
-        def failing(b, rows, buf, ws):
+        def failing(b):
             started.append(b)
             if b == 1:
                 raise ArithmeticError("block 1")
-            yield from index_passes(b, rows, buf, ws)
+            return index_block(b)
 
         before = threading.active_count()
         for threads in (1, 2, 3):
@@ -402,15 +407,26 @@ class TestBlockPasses:
             # the blocks after the error never start: 40 blocks, and at most one per worker ahead
             assert max(started) <= threads
 
+    def test_first_fold_holds_no_list_of_blocks(self):
+        # 200,000 blocks of 5-node rows: a list of (block, rows) pairs alone traces about 18 MiB
+        tracemalloc.start()
+        try:
+            folds = BlockStream(index_block, 512 * 200_000, 5).map(lambda pairs, ws: sum(1 for _ in pairs))
+            assert next(folds) == timebase._BLOCK // slab_rows(5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
     def test_closing_early_ends_the_workers(self):
         before = threading.active_count()
-        list(BlockStream(index_passes, 1100, 1025, threads=3).map(copied))
+        list(BlockStream(index_block, 1100, 1025, threads=3).map(copied))
         assert threading.active_count() == before
-        folds = BlockStream(index_passes, 1100, 1025, threads=3).map(copied)
+        folds = BlockStream(index_block, 1100, 1025, threads=3).map(copied)
         next(folds)
         folds.close()
         assert threading.active_count() == before
-        folds = BlockStream(index_passes, 1100, 1025, threads=3).map(copied)
+        folds = BlockStream(index_block, 1100, 1025, threads=3).map(copied)
         next(folds)
         del folds  # an abandoned generator is closed as it is collected
         assert threading.active_count() == before
