@@ -1,12 +1,13 @@
 """Command-line entry point for simulations, approximants, bounds and tables.
 
-Subcommands: simulate, approx, bound, costs, table1, table2, neuron.
+Commands: simulate, approx, bound, costs, table1, table2, neuron, each with
+its help line and fewest mc.n_paths in the one ``_COMMANDS`` table. One parser
+reads the command and the options, which all share but simulate's --display-paths.
 All randomness flows from a single --seed; every emitted file carries enough
 configuration echo to reproduce it exactly. Config sections are read through
 one table: ``_FIELDS`` (sde, grid, mc) drives load_config and echo(), and
 ``_OVERRIDES`` maps each command-line option to the attribute it sets.
-bound, costs, table1 and table2 need mc.n_paths >= 2 for their standard
-errors. Exit codes: 0 on success, 2 for configuration errors (an output
+Exit codes: 0 on success, 2 for configuration errors (an output
 directory that cannot be made among them, refused before any work where it
 is empty or its path runs through a file), 3 for numerical failures.
 """
@@ -41,19 +42,20 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment configuration with the standard protocol defaults.
+    """Validated experiment configuration with the Table 1 protocol's defaults.
 
     :func:`load_config` sets ``model`` and ``neuron``, which have no default.
     ``neuron`` is the parsed 'neuron' section, the triple (params, scenario,
     drift) of :func:`parse_neuron`.
     """
 
-    theta: float = 1.5
-    sigma: float = 1.0
-    x0: float = 0.0
-    T: float = 5.0
-    dt: float = 1e-3
-    model_spec: dict = field(default_factory=lambda: {"type": "single_shot", "rate": 2.0})
+    theta: float = costs_mod.TABLE1_PARAMS["theta"]
+    sigma: float = costs_mod.TABLE1_PARAMS["sigma"]
+    x0: float = costs_mod.TABLE1_PARAMS["x0"]
+    T: float = costs_mod.TABLE1_PARAMS["T"]
+    dt: float = costs_mod.TABLE1_PARAMS["dt"]
+    model_spec: dict = field(
+        default_factory=lambda: {"type": "single_shot", "rate": costs_mod.TABLE1_PARAMS["rate"]})
     n_paths: int = 10_000
     seed: int = 42
     out_dir: str = "out"
@@ -235,6 +237,7 @@ _SECTION_KEYS = {
 _OVERRIDES = {"seed": "seed", "paths": "n_paths", "out": "out_dir", "threads": "threads",
               "display_paths": "display_paths"}
 _FORMATS = ("csv", "json")
+_MAX_THREADS = 256  # each worker is an OS thread, and outputs do not depend on the count
 
 
 def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentConfig:
@@ -283,6 +286,9 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
         )
     if cfg.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {cfg.threads}")
+    if cfg.threads > _MAX_THREADS:
+        raise ConfigError(f"--threads: unreasonably many threads (more than {_MAX_THREADS}); "
+                          "outputs do not depend on the count")
     if cfg.display_paths < 1:
         raise ConfigError(f"--display-paths must be >= 1, got {cfg.display_paths}")
     if not (isinstance(formats, list) and formats and all(f in _FORMATS for f in formats)):
@@ -332,7 +338,7 @@ def _write_table(cfg: ExperimentConfig, report, stem: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# commands
 
 def cmd_simulate(cfg: ExperimentConfig) -> None:
     """Emit --display-paths sample paths of X, X2 and X4 sharing one noise realization.
@@ -440,53 +446,54 @@ def cmd_neuron(cfg: ExperimentConfig) -> None:
 
 # ---------------------------------------------------------------------------
 
+# command -> (help line, the fewest mc.n_paths it runs: two for a sample variance); it runs cmd_<command>
+_COMMANDS = {
+    "simulate": ("sample paths of X, X2, X4 (F2 and F4 exact; mc.n_paths is not read)", 1),
+    "approx": ("export the exact F2/F4 approximants (nothing is sampled; mc.n_paths is not read)", 1),
+    "bound": ("pointwise MSE against d2", 2),
+    "costs": ("cost matrix for the configured model", 2),
+    "table1": ("five-scenario cost table", 2),
+    "table2": ("embedded-neuron cost table", 2),
+    "neuron": ("embedded-neuron approximants", 1),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    commands = "\n".join(f"  {name:<9} {note}" for name, (note, _) in _COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="gmapprox",
         description="Simulate linear SDEs with stochastic drift and their "
         "optimal Gauss-Markov approximations.",
+        epilog=f"commands:\n{commands}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="JSON experiment configuration")
-    common.add_argument("--seed", type=int, default=None, help="master seed (a nonnegative integer)")
-    common.add_argument("--paths", type=int, default=None, help="Monte Carlo path count")
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument(
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="one of the commands below")
+    parser.add_argument("--config", default=None, help="JSON experiment configuration")
+    parser.add_argument("--seed", type=int, default=None, help="master seed (a nonnegative integer)")
+    parser.add_argument("--paths", type=int, default=None, help="Monte Carlo path count")
+    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument(
         "--threads",
         type=int,
         default=1,
-        help="worker threads, each sampling and reducing whole 512-path blocks; every sample "
-        "and every sum follows the blocks, so results are bit-identical for any count",
+        help=f"worker threads (at most {_MAX_THREADS}), each sampling and reducing whole 512-path blocks; "
+        "every sample and every sum follows the blocks, so results are bit-identical for any count",
     )
-    common.add_argument("--format", choices=["csv", "json"], default=None)
-
-    p = sub.add_parser(
-        "simulate",
-        parents=[common],
-        help="sample paths of X, X2, X4 (F2 and F4 exact; mc.n_paths is not read)",
-    )
-    p.add_argument("--display-paths", type=int, default=1)
-    sub.add_parser(
-        "approx",
-        parents=[common],
-        help="export the exact F2/F4 approximants (nothing is sampled; mc.n_paths is not read)",
-    )
-    sub.add_parser("bound", parents=[common], help="pointwise MSE against d2")
-    sub.add_parser("costs", parents=[common], help="cost matrix for the configured model")
-    sub.add_parser("table1", parents=[common], help="five-scenario cost table")
-    sub.add_parser("table2", parents=[common], help="embedded-neuron cost table")
-    sub.add_parser("neuron", parents=[common], help="embedded-neuron approximants")
+    parser.add_argument("--format", choices=_FORMATS, default=None)
+    parser.add_argument("--display-paths", type=int, default=None, help="sample paths to write (simulate only)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.display_paths is not None and args.command != "simulate":
+        parser.error(f"--display-paths is an option of simulate, not of {args.command}")
     try:
         cfg = load_config(args.config, args)
-        if args.command in ("bound", "costs", "table1", "table2") and cfg.n_paths < 2:
-            # sample variances and standard errors need two paths
-            raise ConfigError(f"mc.n_paths must be >= 2 for the standard errors of {args.command}, "
+        least = _COMMANDS[args.command][1]
+        if cfg.n_paths < least:
+            raise ConfigError(f"mc.n_paths must be >= {least} for the standard errors of {args.command}, "
                               f"got {cfg.n_paths}")
         globals()[f"cmd_{args.command}"](cfg)  # looked up now, so a rebound command is the one run
     except ConfigError as exc:

@@ -35,7 +35,7 @@ where their sections open); the public functions check their arguments and
 call them.
 
 Ensembles follow the block-stream contract of :mod:`timebase`: the rows of
-block b = i // _BLOCK are sampled from ``block_stream(seed, b)`` by the
+block b = i // _BLOCK are sampled from ``derive_stream(seed, b)`` by the
 variant's block sampler (its ``_block_sampler`` method, see
 :func:`iter_Z_chunks`), a function that fills one pass of at most
 ``timebase._KERNEL_CELLS`` cells from where the block's stream stands, so
@@ -66,7 +66,7 @@ from .timebase import (
     PathEnsemble,
     PoleRun,
     TimeGrid,
-    block_stream,
+    derive_stream,
     exp_weight_in_place,
     exp_weighted_values,
     stable_exp_diff,
@@ -871,7 +871,7 @@ def iter_Z_chunks(
 
     Its ``map(fold)`` fills the passes of block b, one after the other, by
     the variant's block sampler from the one stream
-    ``block_stream(master_seed, b)``, and yields ``fold`` of its (start,
+    ``derive_stream(master_seed, b)``, and yields ``fold`` of its (start,
     pass) pairs, in block order. A pass is :func:`timebase.slab_rows` rows
     counted from its block's first row (the block's last pass takes what is
     left), in a reused buffer: copy it to keep it. The passes in row order
@@ -885,7 +885,7 @@ def iter_Z_chunks(
     fill = model._block_sampler(theta, grid)
 
     def block(b):
-        stream = block_stream(master_seed, b)
+        stream = derive_stream(master_seed, b)
         return lambda a, out, ws: fill(stream, out, ws)
 
     return BlockStream(block, n_paths, grid.n_nodes, threads)

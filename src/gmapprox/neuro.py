@@ -34,7 +34,6 @@ from .timebase import Curve, TimeGrid
 
 __all__ = [
     "LIFNeuron",
-    "CENSORED",
     "first_passage_time",
     "first_passage_law",
     "build_drift_from_network",
@@ -42,8 +41,6 @@ __all__ = [
     "run_table2",
     "TABLE2_PARAMS",
 ]
-
-CENSORED = math.inf  # distinguished outcome: no threshold crossing before the cap
 
 # The cost horizon is five membrane time constants (T = 5/theta = 50 ms).
 # A shorter horizon cannot produce the reference costs: for any error
@@ -102,7 +99,7 @@ def first_passage_time(
     """One first threshold crossing of an LIF input: one draw from :func:`first_passage_law`.
 
     A noisy input reads one uniform from ``stream``, a noiseless one none;
-    an input that does not cross by the cap gives CENSORED (= inf).
+    an input that does not cross by the cap gives inf.
     """
     return float(first_passage_law(neuron, dt, horizon_cap).sample(stream, 1)[0])
 

@@ -11,7 +11,7 @@ scheme of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC
 
 The block-stream contract: the rows of an ensemble fall into blocks of
 ``_BLOCK`` rows, and block b (rows b*_BLOCK onward) draws every variate of its
-rows from the one stream ``block_stream(master_seed, b)``. A
+rows from the one stream ``derive_stream(master_seed, b)``. A
 :class:`BlockStream` cuts each block into passes of :func:`slab_rows` rows,
 counted from its first row (the last pass takes what is left), and fills
 them in row order into one reused buffer, so no block is ever held whole.
@@ -51,7 +51,6 @@ __all__ = [
     "derive_stream",
     "split_stream",
     "child_seed",
-    "block_stream",
     "fill_rows",
     "BlockStream",
     "slab_rows",
@@ -142,7 +141,7 @@ class PathEnsemble:
 
     Regenerating with the same ``master_seed`` reproduces the values
     bit-for-bit: the rows of block b = i // _BLOCK are drawn from
-    ``block_stream(master_seed, b)`` (see the module docstring), whatever the
+    ``derive_stream(master_seed, b)`` (see the module docstring), whatever the
     order in which the blocks are filled.
     """
 
@@ -338,11 +337,6 @@ def child_seed(master_seed: int, *key: int) -> int:
     """Deterministic 64-bit sub-seed, used to key derived ensembles."""
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def block_stream(master_seed: int, block: int) -> np.random.Generator:
-    """The stream that draws every variate of the ensemble rows in ``block``."""
-    return derive_stream(master_seed, block)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from gmapprox.timebase import (
     Curve,
     PathEnsemble,
     TimeGrid,
-    block_stream,
     derive_stream,
     exp_weighted_values,
     fill_rows,
@@ -106,11 +105,11 @@ def z_path_ensemble(model, grid: TimeGrid, n_paths: int, master_seed: int) -> Pa
     """n_paths z paths by :func:`z_rows`, drawn as the Z ensemble's.
 
     Block b's passes of ``slab_rows`` rows, counted from its first row, draw
-    one after the other from ``block_stream(master_seed, b)``.
+    one after the other from ``derive_stream(master_seed, b)``.
     """
     step, passes = slab_rows(grid.n_nodes), []
     for b, lo in enumerate(range(0, n_paths, _BLOCK)):
-        stream, rows = block_stream(master_seed, b), min(_BLOCK, n_paths - lo)
+        stream, rows = derive_stream(master_seed, b), min(_BLOCK, n_paths - lo)
         passes += [z_rows(model, grid, stream, min(step, rows - a)) for a in range(0, rows, step)]
     return PathEnsemble(grid, n_paths, np.vstack(passes), master_seed)
 

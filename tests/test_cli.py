@@ -226,9 +226,24 @@ class TestConfigValidation:
         assert not (tmp_path / "out").exists()
         assert main(["approx", "--config", str(p), "--paths", str(10**9)]) == 0
 
+    def test_too_many_threads_is_a_config_error(self, tmp_path, capsys):
+        # approx starts no thread, so neither count below is ever run
+        p = write_config(tmp_path)
+        limit = cli._MAX_THREADS
+        assert main(["approx", "--config", str(p), "--threads", str(limit + 1)]) == EXIT_CONFIG
+        assert f"unreasonably many threads (more than {limit})" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert main(["approx", "--config", str(p), "--threads", str(limit)]) == EXIT_OK
+
     def test_threads_default_is_one(self):
         for command in ("simulate", "approx", "bound", "costs", "table1", "table2", "neuron"):
             assert build_parser().parse_args([command]).threads == 1
+
+    def test_defaults_are_the_table1_protocol(self):
+        cfg, params = cli.ExperimentConfig(), costs_mod.TABLE1_PARAMS
+        for key in ("theta", "sigma", "x0", "T", "dt"):
+            assert getattr(cfg, key) == params[key], key
+        assert cfg.model_spec == {"type": "single_shot", "rate": params["rate"]}
 
     def test_output_directory_through_a_file_exits_before_any_work(self, tmp_path, capsys, monkeypatch):
         blocker = tmp_path / "not_a_dir"
@@ -572,6 +587,38 @@ class TestDispatch:
         assert main(["approx", "--config", str(write_config(tmp_path))]) == EXIT_OK
         assert [type(cfg) for cfg in seen] == [cli.ExperimentConfig]
         assert not (tmp_path / "out").exists()
+
+
+class TestParser:
+    COMMANDS = ("simulate", "approx", "bound", "costs", "table1", "table2", "neuron")
+
+    def test_every_command_is_a_cmd_function(self):
+        functions = {name.removeprefix("cmd_") for name in vars(cli) if name.startswith("cmd_")}
+        assert set(cli._COMMANDS) == functions == set(self.COMMANDS)
+
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "simulate"])
+    def test_display_paths_is_an_option_of_simulate_alone(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--display-paths", "2", "--out", str(tmp_path / "out")])
+        assert exit_.value.code == EXIT_CONFIG
+        assert "--display-paths" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "costs"])
+    def test_options_before_the_command_parse_as_after_it(self, command):
+        options = ["--config", "c.json", "--seed", "3", "--paths", "5", "--out", "o", "--threads", "2",
+                   "--format", "csv"] + (["--display-paths", "4"] if command == "simulate" else [])
+        after = build_parser().parse_args([command, *options])
+        assert build_parser().parse_args([*options, command]) == after
+        assert after.command == command and after.seed == 3 and after.paths == 5
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        for command in self.COMMANDS:
+            assert any(line.startswith(f"  {command} ") for line in lines), command
 
 
 class TestOnePath:

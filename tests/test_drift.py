@@ -11,7 +11,6 @@ from gmapprox.costs import per_path_cost_matrix
 from gmapprox.timebase import (
     Curve,
     TimeGrid,
-    block_stream,
     derive_stream,
     exp_weighted_values,
     stable_exp_diff,
@@ -369,7 +368,7 @@ class TestEnsembles:
         threaded = dm.Z_path_ensemble(model, THETA, g, n, master_seed=seed, threads=3).values
         assert np.array_equal(threaded, full)
         # the block's rows are the kernel of its passes' draws, row by row, pass after pass
-        step, stream = timebase.slab_rows(g.n_nodes), block_stream(seed, 0)
+        step, stream = timebase.slab_rows(g.n_nodes), derive_stream(seed, 0)
         draws = [event_draws(model, g, stream, step) for _ in range(0, n, step)]
         for i in (0, 23, n - 1):
             times, weights, counts = draws[i // step]
@@ -380,7 +379,7 @@ class TestEnsembles:
             assert np.array_equal(row, full[i])
         # a block of one row is sample_Z_path on the block's stream
         one = dm.Z_path_ensemble(model, THETA, g, 1, master_seed=seed).values[0]
-        assert np.array_equal(dm.sample_Z_path(model, THETA, g, block_stream(seed, 0)).values, one)
+        assert np.array_equal(dm.sample_Z_path(model, THETA, g, derive_stream(seed, 0)).values, one)
 
 
 @pytest.mark.parametrize(
@@ -436,7 +435,7 @@ def test_block_contract_reproducible(model):
     cut_mom = dm.moments_from_chunks(matrix_blocks(full), g, n)
     for name in ("m1", "var", "mu3", "se1"):
         assert np.array_equal(getattr(cut_mom, name).values, getattr(mom, name).values), name
-    assert np.array_equal(dm.sample_Z_path(model, THETA, g, block_stream(seed, 2)).values, full[1024])
+    assert np.array_equal(dm.sample_Z_path(model, THETA, g, derive_stream(seed, 2)).values, full[1024])
     # the rows of a partial block do not draw the block's missing rows
     if not isinstance(model, dm.Deterministic):
         assert not np.array_equal(full[1024], full[0]) and not np.array_equal(full[1024], full[512])

@@ -13,7 +13,6 @@ from gmapprox.approx import Approximant, F2_analytic, fit
 from gmapprox.bounds import d2_closed, d2_generic
 from gmapprox.costs import cost_block, per_path_cost_matrix
 from gmapprox.neuro import (
-    CENSORED,
     TABLE2_PARAMS,
     LIFNeuron,
     build_drift_from_network,
@@ -23,7 +22,7 @@ from gmapprox.neuro import (
 )
 from gmapprox.response import response_moment_curves, response_power_means
 from gmapprox.sde import apply_I
-from gmapprox.timebase import Curve, TimeGrid, block_stream, derive_stream, stable_exp_diff
+from gmapprox.timebase import Curve, TimeGrid, derive_stream, stable_exp_diff
 from oracles import (
     bridge_first_passages,
     convolution_oracle,
@@ -80,7 +79,7 @@ class TestFirstPassage:
     def test_subthreshold_censored(self):
         # asymptote mu/theta = 15 below the threshold 20
         neuron = LIFNeuron(theta_i=0.1, mu_i=1.5, sigma_i=0.0, v0_i=0.0, v_th=20.0)
-        assert first_passage_time(neuron, 1e-2, 50.0, derive_stream(0, 0)) == CENSORED
+        assert first_passage_time(neuron, 1e-2, 50.0, derive_stream(0, 0)) == math.inf
 
     def test_noisy_crossings_sane(self):
         # the solve's mass deficit, 1.6e-5 at this step, is censored: as often as the law says
@@ -108,7 +107,7 @@ def inverse_cdf(law, u):
     for k in range(1, len(cdf)):
         if u < cdf[k]:
             return (k - 1 + (u - cdf[k - 1]) / (cdf[k] - cdf[k - 1])) * law.dt
-    return CENSORED
+    return math.inf
 
 
 class TestBatchedFirstPassage:
@@ -137,8 +136,8 @@ class TestBatchedFirstPassage:
     def test_noiseless_subthreshold_batch_censored(self):
         neuron = LIFNeuron(theta_i=0.1, mu_i=1.5, sigma_i=0.0, v0_i=0.0, v_th=20.0)
         law = neuro.first_passage_law(neuron, 1e-2, 37.3)
-        assert np.array_equal(law.sample(derive_stream(0, 0), 4), np.full(4, CENSORED))
-        assert first_passage_time(neuron, 1e-2, 37.3, derive_stream(0, 0)) == CENSORED
+        assert np.array_equal(law.sample(derive_stream(0, 0), 4), np.full(4, math.inf))
+        assert first_passage_time(neuron, 1e-2, 37.3, derive_stream(0, 0)) == math.inf
 
     @pytest.mark.parametrize("n", [1, 7, 300])
     @pytest.mark.parametrize("block", [1, 3, 2048])
@@ -551,14 +550,14 @@ class TestBuildDriftFromNetwork:
         assert model.censored == 1.0 - law.cdf[-1]
         assert model.censored > 0
         # a block of one trial: the firing times, then the amplitudes, through the event kernel
-        stream = block_stream(8, 2)
+        stream = derive_stream(8, 2)
         times = law.sample(stream, 2)
         weights = stream.uniform(0.5, 1.5, 2)
         Z, _ = event_kernel([(times, weights)], 1.0, 0.1, g)
         assert np.array_equal(Z[0], ref[1024])
-        assert np.array_equal(build_drift_from_network(model, 0.1, g, block_stream(8, 2)).values, ref[1024])
+        assert np.array_equal(build_drift_from_network(model, 0.1, g, derive_stream(8, 2)).values, ref[1024])
         _, one = stacked_chunks(dm.iter_Z_chunks(model, 0.1, g, 1, 8))
-        assert np.array_equal(build_drift_from_network(model, 0.1, g, block_stream(8, 0)).values, one[0])
+        assert np.array_equal(build_drift_from_network(model, 0.1, g, derive_stream(8, 0)).values, one[0])
 
     def test_network_moments_identical_for_any_thread_count(self):
         # 600 trials at 20,001 nodes: two blocks, streamed as passes of four rows

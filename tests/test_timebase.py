@@ -14,7 +14,6 @@ from gmapprox.timebase import (
     Curve,
     PoleRun,
     TimeGrid,
-    block_stream,
     child_seed,
     derive_stream,
     exp_weighted_values,
@@ -252,11 +251,6 @@ class TestStreams:
         assert np.array_equal(s.exponential(size=33), expected.exponential(size=33))
         assert np.array_equal(s.poisson(4.5, size=33), expected.poisson(4.5, size=33))
         assert np.array_equal(s.bit_generator.random_raw(9), expected.bit_generator.random_raw(9))
-
-    def test_block_stream_is_the_stream_keyed_by_its_block(self):
-        for seed, block in [(0, 0), (42, 1), (9, 31)]:
-            a = block_stream(seed, block).standard_normal(64)
-            assert np.array_equal(a, derive_stream(seed, block).standard_normal(64))
 
     def test_block_keys_start_apart(self):
         firsts = {int(derive_stream(s, b).bit_generator.random_raw()) for s in range(32) for b in range(32)}
