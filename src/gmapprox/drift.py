@@ -417,7 +417,7 @@ class _EventKernel:
     """
 
     def __init__(self, lam: float, theta: float, grid: TimeGrid):
-        self.t, self.n = grid.times(), grid.n_nodes
+        self.t, self.n, self.dt = grid.times(), grid.n_nodes, grid.dt
         self.lam, self.theta = lam, theta
         self.z_run = PoleRun(np.exp(-lam * grid.dt), self.n)
         self.Z_run = PoleRun(np.exp(-theta * grid.dt), self.n)
@@ -433,9 +433,9 @@ class _EventKernel:
         by ``fill(0)`` and ``np.add.at``, which add each bin's terms in event
         order, as ``np.bincount`` does.
         """
-        cell = np.searchsorted(self.t, times)
-        live = cell < self.n
-        cell, times, weights = cell[live], times[live], weights[live]
+        live = times <= self.t[-1]
+        times, weights = times[live], weights[live]
+        cell = self.cells(times)
         idx = np.repeat(np.arange(0, out.size, self.n), counts)[live] + cell
         u = self.t[cell] - times
         x = ws[: out.size].reshape(out.shape)
@@ -447,6 +447,20 @@ class _EventKernel:
         z[:, :-1] *= self.k_dt  # z is spent: K(dt) z_{k-1} in place
         x[:, 1:] += z[:, :-1]
         return self.Z_run(x, out)
+
+    def cells(self, times):
+        """Index of the first node t_k >= each time up to t_n, as ``np.searchsorted`` finds it.
+
+        The grid is uniform, so ceil(time / dt), kept within 1..n - 1, is that
+        node or one beside it (the quotient and each node k dt are rounded
+        once); one step each way corrects it.
+        """
+        cell = np.ceil(times / self.dt).astype(np.intp)
+        np.minimum(cell, self.n - 1, out=cell)
+        np.maximum(cell, 1, out=cell)  # so that t[cell - 1] exists; the step down reaches 0
+        cell -= self.t.take(cell - 1) >= times
+        cell += self.t.take(cell) < times
+        return cell
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ row, every factor a power of the pole.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import threading
@@ -59,8 +60,14 @@ __all__ = [
     "write_json",
 ]
 
-_CSV_FMT = "%.17g"  # full double precision round-trip
-_CSV_BLOCK_CELLS = 4096  # cells formatted per write: about a thousand rows of a narrow table
+# Every CSV cell is written as exactly the bytes of this format (a lossless round
+# trip). The kernel in write_csv_columns reproduces it; a cell it cannot certify
+# (not finite, nonzero |x| outside _CSV_CERTIFIED, or within _CSV_TIE_MARGIN of a
+# rounding tie) is formatted with it directly.
+_CSV_FMT = "%.17g"
+# Cells per kernel block: every transient array of the kernel holds at most this
+# many cells (32 bytes each for the byte rows, 8 for the float and int steps).
+_CSV_BLOCK_CELLS = 8192
 _BLOCK = 512  # ensemble rows per random stream: part of the reproducibility contract
 # Cells (rows x columns) of every transient array in one pass of a sampler and
 # of every reducer slab: bounds the working set at about 1 MiB of float64.
@@ -167,27 +174,41 @@ class PathEnsemble:
 def write_csv_columns(path, header, columns, labels=None) -> None:
     """Write float columns, optionally after a column of string labels, as CSV.
 
-    Floats are formatted with "%.17g" (a lossless round trip) and rows end in
-    CRLF: the file is byte-identical to what ``csv.writer`` writes for the
-    same cells. Rows are formatted a block of ``_CSV_BLOCK_CELLS`` cells at a
-    time with one format string, so the memory used does not grow with the
-    table length.
+    The file is byte-identical to what ``csv.writer`` writes for the same
+    cells, each float formatted with ``_CSV_FMT`` ("%.17g"), rows ending in
+    CRLF. The floats are formatted by a numpy kernel a block of
+    ``_CSV_BLOCK_CELLS`` cells at a time, so the memory used does not grow with
+    the table length:
+
+    1. Digits. For each cell a double-double product a 10^(16 - E) gives the
+       17-digit integer N and decimal exponent E of |x| (:func:`_csv_digits`).
+       N is certified only where the product's error cannot move its rounding.
+    2. Digit strings. N's leading digit and four 4-digit groups come from a
+       table of 10,000 four-byte strings; its count of significant digits
+       from a companion table.
+    3. Layout. (E, digit count) picks three 32-byte masks that place sign,
+       digits, point, exponent and separator from the cell's source row
+       (:func:`_csv_layout`, :func:`_csv_source_rows`); the bytes they leave
+       0, a positive cell's sign among them, are dropped.
+    4. Fallback. A cell not certified (non-finite, |x| outside
+       ``_CSV_CERTIFIED``, or within ``_CSV_TIE_MARGIN`` of a tie at the 17th
+       digit) is formatted with ``_CSV_FMT`` on its own.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
-    row = ",".join([_CSV_FMT] * len(columns)) + "\r\n"
     if labels is not None:
-        row = "%s," + row
-        labels = np.array([_csv_field(label) for label in labels], dtype=object)
-    n_rows = len(columns[0])
-    block = max(1, _CSV_BLOCK_CELLS // len(columns))
+        labels = [_csv_field(label) for label in labels]
+    n_rows, n_cols = len(columns[0]), len(columns)
+    block = max(1, _CSV_BLOCK_CELLS // n_cols)
+    source = _csv_source_rows(min(block, n_rows) * n_cols, n_cols)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for lo in range(0, n_rows, block):
-            cells = [c[lo : lo + block] for c in columns]
+            cells = np.column_stack([c[lo : lo + block] for c in columns]).ravel()
+            text = _csv_cells(cells, source)
             if labels is not None:
-                cells.insert(0, labels[lo : lo + block])
-            cells = np.column_stack(cells)
-            fh.write(row * len(cells) % tuple(cells.ravel().tolist()))
+                rows = text.split("\r\n")
+                text = "".join(f"{label},{row}\r\n" for label, row in zip(labels[lo : lo + block], rows))
+            fh.write(text)
 
 
 def write_json(path, payload) -> None:
@@ -202,6 +223,217 @@ def _csv_field(text: str) -> str:
     buf = io.StringIO()
     csv.writer(buf).writerow([text, ""])
     return buf.getvalue()[: -len(",\r\n")]
+
+
+# The CSV kernel. A cell's 17 significant digits are N = round(|x| 10^(16 - E))
+# with 10^16 <= N < 10^17; "%.17g" prints them in fixed notation for
+# -4 <= E <= 16 and as d.ddd...e+XX otherwise, trailing zeros dropped.
+_CSV_CERTIFIED = (1e-280, 1e280)  # |x| the kernel formats: 10^(16 - E) and its split stay normal
+_CSV_TIE_MARGIN = 2.0**-30  # certified: the scaled |x| is this far from a tie, its error below 10^17 2^-100 (1e-13)
+_VELTKAMP = 134217729.0  # 2^27 + 1 splits a double into two 26-bit halves
+_POW10_MIN, _POW10_MAX = -270, 300  # 10^s needed for 16 - E over the certified range
+_CSV_E_MIN = -300  # first exponent of the layout class table
+_CSV_ROW = 32  # bytes of one cell's source row and output row
+_CSV_FIXED = 21 * 21  # fixed-notation layouts: E in -4..16 by 0..20 characters after the point
+_CSV_LAYOUTS = _CSV_FIXED + 2 * 17  # and exponent layouts: three or two exponent digits by 0..16 after the point
+
+
+@functools.cache
+def _pow10() -> tuple:
+    """10^s for s in [_POW10_MIN, _POW10_MAX] as double-doubles hi + lo, hi split in halves.
+
+    hi is 10^s correctly rounded, lo the correctly rounded remainder, both from
+    exact integers; the Veltkamp halves of hi serve the exact products.
+    """
+    hi, lo = [], []
+    for k in range(_POW10_MIN, _POW10_MAX + 1):
+        if k >= 0:
+            h = float(10**k)
+            hi.append(h)
+            lo.append(float(10**k - int(h)))
+        else:
+            h = 1 / 10**-k  # int true division rounds correctly
+            num, den = h.as_integer_ratio()
+            hi.append(h)
+            lo.append((den - num * 10**-k) / (den * 10**-k))
+    hi = np.array(hi)
+    c = _VELTKAMP * hi
+    hi_hi = c - (c - hi)
+    return _read_only(hi, hi_hi, hi - hi_hi, np.array(lo))
+
+
+def _scale10(a: np.ndarray, s: np.ndarray) -> tuple:
+    """a 10^s as a double-double (h, l), relative error below 2^-100.
+
+    Dekker's exact product of a and hi(10^s), with Veltkamp splits since numpy
+    has no fused multiply-add, plus a lo(10^s), then one exact two-sum.
+    """
+    hi, hi_hi, hi_lo, lo = _pow10()
+    i = s - _POW10_MIN
+    b, b_hi, b_lo = hi.take(i), hi_hi.take(i), hi_lo.take(i)
+    c = _VELTKAMP * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    p = a * b
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    e += a * lo.take(i)
+    h = p + e
+    return h, e - (h - p)
+
+
+def _csv_digits(a: np.ndarray) -> tuple:
+    """N (int64), E and whether N is certified, for positive a inside ``_CSV_CERTIFIED``.
+
+    E starts at floor(log10 a), which is one off only next to a power of ten;
+    those cells are scaled again at the exponent the double-double says. N is
+    the product rounded, certified when the product is not within
+    ``_CSV_TIE_MARGIN`` of a tie. A product that rounds up to 10^17 is 10^16 at
+    E + 1; N is never divided by 10, which would round twice.
+    """
+    E = np.floor(np.log10(a)).astype(np.int64)
+    h, l = _scale10(a, 16 - E)
+    over = (h - 1e17) + l >= 0  # h - 10^17 is exact, so this is the sign of (h + l) - 10^17
+    under = (h - 1e16) + l < 0
+    off = over | under
+    if off.any():
+        E[off] += over[off].astype(np.int64) - under[off]
+        h[off], l[off] = _scale10(a[off], 16 - E[off])
+    r = np.rint(l)  # h >= 2^53 is an integer; l holds the fraction
+    ok = np.abs(l - r) < 0.5 - _CSV_TIE_MARGIN
+    N = h.astype(np.int64)
+    N += r.astype(np.int64)
+    ok &= (N >= 10**16) & (N <= 10**17)
+    carry = N == 10**17
+    N[carry] = 10**16
+    E += carry
+    return N, E, ok
+
+
+@functools.cache
+def _csv_layout() -> tuple:
+    """The kernel's lookup tables, built on first use.
+
+    - ``quad``: the four ASCII digits of 0..9999 as one uint32, read with
+      ``mode="wrap"`` so that group j's index j 10^4 + g finds g;
+    - ``last``: for group j (0..3) of N's digits after the first, 4 j + 1 + the
+      place of the group's last nonzero digit, 0 for a zero group, so the
+      largest over the groups is N's count of significant digits;
+    - ``expo``: the exponent's sign and three digits for each E - _CSV_E_MIN,
+      as two uint16;
+    - ``lead``, ``trail``, ``point``: the masks of each layout, see below;
+    - ``layout``: the layout of each (E - _CSV_E_MIN, significant digits).
+    """
+    # small dtypes: the tables stay in memory for the life of the process
+    v = np.arange(10000, dtype=np.int16)
+    quad = np.empty((10000, 4), np.uint8)
+    for j in range(4):
+        quad[:, j] = v // 10 ** (3 - j) % 10 + 48
+    place = sum((v % 10**p > 0).astype(np.uint8) for p in (1, 2, 3, 4))
+    last = np.stack([np.where(v > 0, place + 1 + 4 * j, 0) for j in range(4)]).astype(np.uint8)
+    e = np.arange(_CSV_E_MIN, 1 - _CSV_E_MIN, dtype=np.int16)
+    expo = np.stack([np.where(e < 0, ord("-"), ord("+")), np.abs(e) // 100 + 48,
+                     np.abs(e) // 10 % 10 + 48, np.abs(e) % 10 + 48], axis=1).astype(np.uint8)
+    # Output column c is source column c + 2 where `lead` is set (the sign, the
+    # characters before the point, the exponent, the separator), source column
+    # c + 1 where `trail` is set (the characters after the point, moved one
+    # column right to make room for it) and `point` elsewhere. Character i of
+    # "0000" + N's digits is source column 3 + i; a layout puts the point after
+    # character P - 1, with `before` characters before it and `after` after.
+    lead, trail, point = np.zeros((3, _CSV_LAYOUTS, _CSV_ROW), np.uint8)
+    lead[:, [0, 28, 29]] = 0xFF  # the sign ("-" or a dropped 0) and the separator
+    for g in range(_CSV_LAYOUTS):
+        if g < _CSV_FIXED:
+            E, after = divmod(g, 21)
+            E -= 4
+            P, before = E + 5, max(E + 1, 1)  # E < 0: one "0" before the point
+        else:
+            short, after = divmod(g - _CSV_FIXED, 17)
+            P, before = 5, 1
+            lead[g, 23:25] = 0xFF  # "e" and the exponent's sign
+            lead[g, 25 + short : 28] = 0xFF  # three or two exponent digits
+        lead[g, 1 + P - before : 1 + P] = 0xFF
+        trail[g, 2 + P : 2 + P + after] = 0xFF
+        if after:
+            point[g, 1 + P] = ord(".")
+    E = e[:, None]
+    k = np.maximum(np.arange(18, dtype=np.int16), 1)  # N = 0 (a zero cell) prints as one digit
+    fixed = (E >= -4) & (E <= 16)
+    after = np.where(fixed, np.maximum(k - E - 1, 0), k - 1)
+    short = np.abs(E) < 100
+    layout = np.where(fixed, (E + 4) * 21 + after, _CSV_FIXED + short * 17 + after).astype(np.int16)
+    return _read_only(quad.view(np.uint32).ravel(), last.ravel(), expo.view(np.uint16), lead, trail, point,
+                      layout.ravel())
+
+
+def _read_only(*tables) -> tuple:
+    """``tables``, each made read-only: a cached table is shared by every caller."""
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _csv_source_rows(n_cells: int, n_cols: int) -> np.ndarray:
+    """The kernel's source rows for blocks of up to ``n_cells`` cells, ``n_cols`` to a row.
+
+    Row i (32 bytes) holds, by column: 2 cell i's sign ("-" or 0), 3..6
+    "0000", 7..23 the 17 digits of N, 25 "e", 26 the exponent's sign, 27..29
+    its three digits, 30..31 the separator after cell i ("," or CRLF). The
+    constant columns are set here once; one spare row lets the shifted views
+    run past the last.
+    """
+    rows = np.zeros((n_cells + 1, _CSV_ROW), np.uint8)
+    rows[:, 3:7] = ord("0")
+    rows[:, 25] = ord("e")
+    sep = rows[:n_cells, 30:32].reshape(-1, n_cols, 2)
+    sep[:, :-1, 0] = ord(",")
+    sep[:, -1] = (ord("\r"), ord("\n"))
+    return rows
+
+
+def _csv_cells(cells: np.ndarray, source: np.ndarray) -> str:
+    """The CSV text of whole rows of ``cells`` (row-major), each with its separator."""
+    quad, last, expo, lead, trail, point, layout = _csv_layout()
+    n = cells.size
+    src = source[: n + 1]
+    a = np.abs(cells)
+    inside = (a >= _CSV_CERTIFIED[0]) & (a <= _CSV_CERTIFIED[1])
+    if inside.all():  # the common case skips the zero and range fix-ups, 5% of the kernel
+        N, E, ok = _csv_digits(a)
+        slow = np.flatnonzero(~ok)
+    else:
+        N, E, ok = _csv_digits(np.where(inside, a, 1.0))
+        zero = a == 0
+        N[zero] = 0  # prints as "0" or "-0"
+        E[zero] = 0
+        slow = np.flatnonzero(~(ok & inside | zero))
+    # N = d0 10^16 + groups . (10^12, 10^8, 10^4, 1). Group j's table entries start at
+    # j 10^4, so one index serves its four digits and the significant-digit count.
+    groups = np.empty((n, 4), np.int64)
+    for j in (3, 2, 1, 0):
+        q = N // 10000
+        np.subtract(N, q * 10000 - 10000 * j, out=groups[:, j])
+        N = q
+    src[:n, 7] = N + 48
+    src[:n].view(np.uint32)[:, 2:6] = quad.take(groups, mode="wrap")
+    digits = last.take(groups, mode="wrap")  # wrap: an uncertified N may be out of range
+    k = np.maximum(np.maximum(digits[:, 0], digits[:, 1]), np.maximum(digits[:, 2], digits[:, 3]))
+    E -= _CSV_E_MIN
+    cls = layout.take(E * 18 + k)
+    if (cls >= _CSV_FIXED).any():
+        src[:n].view(np.uint16)[:, 13:15] = expo.take(E, axis=0)
+    src[:n, 2] = np.signbit(cells) * np.uint8(ord("-"))
+    flat = src.reshape(-1)
+    out = lead.take(cls, axis=0)
+    out &= flat[2 : 2 + _CSV_ROW * n].reshape(n, _CSV_ROW)
+    after = trail.take(cls, axis=0)
+    after &= flat[1 : 1 + _CSV_ROW * n].reshape(n, _CSV_ROW)
+    out |= after
+    out |= point.take(cls, axis=0)
+    for i in slow:
+        text = (_CSV_FMT % cells[i]).encode()
+        out[i, :28] = 0
+        out[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def trapezoid(curve: Curve) -> float:

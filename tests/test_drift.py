@@ -582,6 +582,17 @@ class TestEventKernel:
         assert_matches_oracle(events[:2] + [(events[2][0][:2], events[2][1][:2])], lam, THETA, g)
         assert np.array_equal(Z[2], event_kernel([events[2]], lam, THETA, g)[0][0])
 
+    @pytest.mark.parametrize("T, dt", [(1.0, 1e-2), (1.0, 1e-3), (5.0, 1e-4), (50.0, 1e-2), (250.0, 0.05), (7.3, 0.1)])
+    def test_cells_match_a_binary_search(self, T, dt):
+        # every node and the doubles either side of it, besides uniform times
+        kernel = dm._EventKernel(0.7, THETA, grid(T, dt))
+        t = kernel.t
+        rng = np.random.default_rng(0)
+        times = np.concatenate([rng.uniform(0.0, t[-1], 200_000), t,
+                                np.nextafter(t, -np.inf), np.nextafter(t, np.inf)])
+        times = times[times <= t[-1]]
+        assert np.array_equal(kernel.cells(times), np.searchsorted(t, times))
+
     def test_no_event_before_T_in_any_row(self):
         g = grid(T=1.0, dt=1e-2)
         events = [(np.array([2.0, 3.0]), np.array([1.0, 1.0]))] * 3

@@ -1,6 +1,9 @@
 import csv
+import math
 import threading
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,6 +84,99 @@ class TestWriteCsvColumns:
         rows = [[label, *vals] for label, vals in zip(labels, zip(*cols))]
         self.reference(tmp_path / "ref.csv", ["scenario", "x", "y"], rows)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _decimal_digits(x: float) -> int:
+    """Significant digits of the exact decimal expansion of a finite nonzero double."""
+    return len(Decimal(x).as_tuple().digits)
+
+
+def _near_ties(E: int) -> list:
+    """Doubles a in [10^E, 10^(E + 1)) with a 10^(16 - E) within 2^-48 of a half-integer, not on it.
+
+    Those are the cells whose 17th digit a double-double product may round the
+    wrong way. For a = m 2^q (2^52 <= m < 2^53) and 2^q 10^(16 - E) = c / M in
+    lowest terms, they ask for 2 m c mod 2M near M: the lattice of
+    (w m, 2 m c - 2 M k) is Gauss-reduced and rounded to its point nearest
+    (w m0, M) for seven m0 across the binade (Babai).
+    """
+    found = []
+    for q in range(math.frexp(10.0**E)[1] - 53, math.frexp(10.0 ** (E + 1))[1] - 52):
+        c, M = (Fraction(2) ** q * Fraction(10) ** (16 - E)).as_integer_ratio()
+        w = max(1, M >> 99)  # weighs m's range of 2^52 against the residue's 2M
+        b1, b2 = (w, 2 * c), (0, 2 * M)
+        while True:
+            if b1[0] ** 2 + b1[1] ** 2 > b2[0] ** 2 + b2[1] ** 2:
+                b1, b2 = b2, b1
+            mu = round(Fraction(b1[0] * b2[0] + b1[1] * b2[1], b1[0] ** 2 + b1[1] ** 2))
+            if mu == 0:
+                break
+            b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1])
+        det = b1[0] * b2[1] - b1[1] * b2[0]
+        for m0 in range(2**52 + 2**49, 2**53, 2**50):
+            x = round(Fraction(w * m0 * b2[1] - M * b2[0], det))
+            y = round(Fraction(b1[0] * M - b1[1] * w * m0, det))
+            m = (x * b1[0] + y * b2[0]) // w
+            if 2**52 <= m < 2**53:
+                a = math.ldexp(m, q)
+                d = Fraction(a) * Fraction(10) ** (16 - E) % 1 - Fraction(1, 2)
+                if 0 < abs(d) < Fraction(1, 2**48) and 10**E <= a < 10 ** (E + 1):
+                    found.append(a)
+    return found
+
+
+class TestCsvKernel:
+    """The vectorised writer against csv.writer with "%.17g" cell by cell."""
+
+    @staticmethod
+    def assert_matches_reference(tmp_path, columns, labels=None):
+        header = ["label"] * (labels is not None) + [f"c{j}" for j in range(len(columns))]
+        write_csv_columns(tmp_path / "new.csv", header, columns, labels=labels)
+        rows = zip(*columns) if labels is None else ([lab, *vals] for lab, vals in zip(labels, zip(*columns)))
+        TestWriteCsvColumns.reference(tmp_path / "ref.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @given(cells=st.lists(st.floats(), min_size=1, max_size=60), n_cols=st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_any_double_matches(self, tmp_path_factory, cells, n_cols):
+        cells = np.resize(np.array(cells, dtype=float), -(-len(cells) // n_cols) * n_cols)
+        self.assert_matches_reference(tmp_path_factory.mktemp("csv"), list(cells.reshape(-1, n_cols).T))
+
+    def test_adversarial_cells_match(self, tmp_path):
+        powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+        powers = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        twos = np.ldexp(1.0, np.arange(-1074, 1024))
+        below_1e17 = 1e17 - 16.0 * np.arange(1, 40)  # 16 is the spacing of doubles below 1e17
+        subnormal = np.array([5e-324, 1e-310, 2.2250738585072009e-308, np.nextafter(2.2250738585072014e-308, 0)])
+        # F / 2^j with F odd and F 5^j of 18 digits: the exact expansion has 18 significant
+        # digits, the last a 5, so "%.17g" rounds at a tie, half to even. Over j = 2..25
+        # they span E = -8..15, scaled by 10^s up to s = 24, past the powers a double holds.
+        rng = np.random.default_rng(1)
+        ties = []
+        for j in range(2, 26):
+            lo, hi = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+            F = rng.integers(lo // 2, hi // 2, 150) * 2 + 1
+            ties.append(F / 2.0**j)
+        ties = np.concatenate(ties)
+        assert all(_decimal_digits(x) == 18 for x in ties)
+        # within 2^-48 of a tie, where the double-double's error may round either way
+        near = np.array([a for E in range(-280, 281, 7) for a in _near_ties(E)])
+        assert near.size > 500
+        inside = near[(near >= 1e-280) & (near <= 1e280)]  # also in a block with no other fallback
+        self.assert_matches_reference(tmp_path, [inside, -inside])
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.7976931348623157e308, 1e16, 1e17])
+        cells = np.concatenate([powers, twos, below_1e17, subnormal, ties, near, specials])
+        cells = np.concatenate([cells, -cells])
+        cells = np.resize(cells, -(-cells.size // 3) * 3)
+        self.assert_matches_reference(tmp_path, list(cells.reshape(-1, 3).T))
+
+    def test_quoted_labels_across_blocks(self, tmp_path):
+        n_rows = 3 * timebase._CSV_BLOCK_CELLS // 2 + 7  # four blocks of two-column rows
+        names = ["plain", "with,comma", 'with "quote"', "line\nbreak", " padded ", ""]
+        labels = [names[i % len(names)] + str(i) for i in range(n_rows)]
+        rng = np.random.default_rng(3)
+        columns = [rng.standard_normal(n_rows) * 10.0 ** rng.integers(-30, 30, n_rows), np.arange(n_rows) * 1e-4]
+        self.assert_matches_reference(tmp_path, columns, labels=labels)
 
 
 class TestCurve:
