@@ -68,9 +68,13 @@ TABLE2_PARAMS = {
 }
 
 # Most steps a first-passage solve takes: a finer sim_dt grid is solved on
-# cells of a whole number of its steps, so the solve costs at most
-# _SOLVE_STEPS^2 / 2 multiply-adds and holds _SOLVE_STEPS + 1 CDF values.
+# cells of a whole number of its steps. The solve runs in blocks of
+# _SOLVE_BLOCK nodes, so with a kernel of W lags it costs at most
+# _SOLVE_STEPS (W + _SOLVE_BLOCK) multiply-adds, all in numpy, and one Python
+# iteration per block; it holds a few arrays of _SOLVE_STEPS values and no
+# matrix of nodes by lags.
 _SOLVE_STEPS = 2**15
+_SOLVE_BLOCK = 128
 _EPS = np.finfo(float).eps
 
 
@@ -127,10 +131,24 @@ def first_passage_law(
     with S = v_th, f the OU transition density from y at tau, and m, v its
     mean and variance over t - tau. Psi(S, t | S, tau) vanishes as
     t - tau -> 0, and it depends on t - tau alone, so the trapezoid rule on
-    the nodes t_n = n h is one sequential convolution,
+    the nodes t_n = n h is a lower-triangular Toeplitz system,
     g_n = -2 Psi(S, t_n | v0, 0) + 2 h sum_{0<j<n} g_j Psi(S, t_n | S, t_j).
     The kernel is cut after its last lag above float64 resolution of its
-    peak, and the solve stops once 1 - G is below float64 resolution.
+    peak, keeping at least one lag. The system is solved L = _SOLVE_BLOCK
+    nodes at a time. For the block of nodes k0 .. k0 + L - 1:
+
+    - the history, the sum over the nodes before k0, is one ``np.convolve``
+      of the kernel with the density solved so far; the block's own nodes
+      are still 0 in that buffer, so they add nothing;
+    - the block is (I - T_L)^-1 (free term + history), T_L the L x L
+      lower-triangular Toeplitz matrix of the lags 1 .. L - 1. Its inverse
+      is lower-triangular Toeplitz too, so it is applied as a convolution
+      with its first column, which the same recursion from a unit impulse
+      gives once per solve;
+    - the mass G_k is the sequential sum of 0.5 h (g_{k-1} + g_k), a
+      ``cumsum`` seeded with the mass before the block, so every partial
+      sum is that of a node-by-node loop. The solve stops at the first node
+      where 1 - G_k is below float64 resolution, and g is 0 after it.
 
     h is dt, or the smallest whole multiple of dt that reaches the last
     sim_dt node at or before horizon_cap in at most _SOLVE_STEPS steps, so
@@ -153,20 +171,35 @@ def first_passage_law(
     h = cells * dt
     lags = h * np.arange(1, n + 1)
     with np.errstate(divide="ignore", invalid="ignore"):  # a variance that underflows: raised below
-        free = -2.0 * _psi(neuron, neuron.v0_i, lags)
-        kernel = 2.0 * h * _psi(neuron, S, lags)
-    above = np.flatnonzero(np.abs(kernel) > _EPS * np.abs(kernel).max())
-    width = int(above[-1]) + 1 if above.size else 0
-    kernel = kernel[:width][::-1].copy()  # kernel[-d] weighs g_{n-d}
-    g = np.zeros(n + 1)
+        psi = _psi(neuron, np.array([[neuron.v0_i], [S]]), lags)  # from v0 and from S at t - tau
+    free, kernel = -2.0 * psi[0], 2.0 * h * psi[1]
+    size = np.abs(kernel)
+    above = np.flatnonzero(size > _EPS * size.max())
+    width = int(above[-1]) + 1 if above.size else 1  # a kernel of zeros keeps one lag of 0
+    kernel = kernel[:width]  # kernel[d - 1] weighs g_{n-d}
+    L = min(_SOLVE_BLOCK, n)
+    col = _inverse_column(kernel, L)
+    buf = np.zeros(L + n + 1)  # g_k at buf[L + k], after L zeros that stand for k < 0
+    g = buf[L:]
     mass = 0.0
-    for k in range(1, n + 1):
-        lo = max(0, k - width)
-        g[k] = free[k - 1] + np.dot(g[lo:k], kernel[width - (k - lo) :])
-        mass += 0.5 * h * (g[k - 1] + g[k])
-        if 1.0 - mass < _EPS:
+    for k0 in range(1, n + 1, L):
+        m = min(L, n + 1 - k0)
+        w = min(width, k0 + m - 1)  # the lags from the block back to node 0
+        # g_{k0+i} - sum_{j<i} kernel[i-j-1] g_{k0+j} = free + history, with the block still 0 in buf
+        history = np.convolve(buf[L + k0 - w : L + k0 + m - 1], kernel[:w], "valid")
+        g[k0 : k0 + m] = np.convolve(col[:m], free[k0 - 1 : k0 - 1 + m] + history)[:m]
+        run = 0.5 * h * (g[k0 - 1 : k0 + m - 1] + g[k0 : k0 + m])
+        run[0] += mass  # a cumsum seeded with the mass so far adds in the order of a loop
+        np.cumsum(run, out=run)
+        spent = 1.0 - run < _EPS
+        if spent.any():
+            k = k0 + int(spent.argmax())  # the first node whose 1 - mass is below _EPS
+            g[k + 1 :] = 0.0
             break
-    if not np.all(np.isfinite(g)):
+        mass = run[-1]
+    else:
+        k = n
+    if not np.isfinite(g).all():
         raise ArithmeticError(f"the first-passage density of {neuron} is not finite at sim_dt = {dt}")
     np.maximum(g, 0.0, out=g)
     cdf = np.zeros(n + 1)
@@ -176,14 +209,31 @@ def first_passage_law(
     return drift_mod.PiecewiseUniform(h, cdf)
 
 
-def _psi(neuron: LIFNeuron, y: float, lags: np.ndarray) -> np.ndarray:
-    """Psi(S, t | y, tau) of :func:`first_passage_law` at the lags t - tau."""
+def _inverse_column(kernel: np.ndarray, L: int) -> np.ndarray:
+    """First column c of (I - T_L)^-1, T_L the L x L lower-triangular Toeplitz T[i, j] = kernel[i - j - 1].
+
+    The inverse is lower-triangular Toeplitz too, so c is all of it, and c
+    is the solve's own recursion from a unit impulse: c_0 = 1,
+    c_i = sum_{d=1}^{i} kernel[d - 1] c_{i-d}.
+    """
+    col = np.zeros(L)
+    col[0] = 1.0
+    back = kernel[::-1]  # back[-d] weighs c_{i-d}
+    for i in range(1, L):
+        w = min(i, back.size)
+        col[i] = np.dot(col[i - w : i], back[back.size - w :])
+    return col
+
+
+def _psi(neuron: LIFNeuron, y: float | np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """Psi(S, t | y, tau) of :func:`first_passage_law` at the lags t - tau (y broadcast against them)."""
     th, mu, s2, S = neuron.theta_i, neuron.mu_i, neuron.sigma_i**2, neuron.v_th
-    m = y * np.exp(-th * lags) - (mu / th) * np.expm1(-th * lags)
+    x = -th * lags
+    m = y * np.exp(x) - (mu / th) * np.expm1(x)
     v = -s2 * np.expm1(-2.0 * th * lags) / (2.0 * th)
-    d = S - m
-    f = np.exp(-d * d / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
-    return f * (0.5 * (th * S - mu) - s2 * d / (2.0 * v))
+    d, v2 = S - m, 2.0 * v
+    f = np.exp(-d * d / v2) / np.sqrt(2.0 * np.pi * v)
+    return f * (0.5 * (th * S - mu) - s2 * d / v2)
 
 
 def build_drift_from_network(

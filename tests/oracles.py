@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from scipy.signal import lfilter
 
 import gmapprox
 from gmapprox import drift as dm
+from gmapprox import neuro
 from gmapprox.sde import LinearSDE, simulate_Y
 from gmapprox.timebase import (
     _BLOCK,
@@ -299,6 +301,61 @@ def bridge_first_passages(neuron, dt: float, horizon_cap: float, n: int, rng) ->
         out[live[crossed]] = (k + x / (1.0 + x)) * dt
         v, live = v1[~crossed], live[~crossed]
     return out
+
+
+def stepwise_first_passage_law(neuron, dt: float, horizon_cap: float):
+    """The first-passage law of a noisy LIF input by the Volterra solve, one node per step.
+
+    The reference for :func:`gmapprox.neuro.first_passage_law`: the same
+    trapezoid rule, kernel cut, stop rule and CDF, with g_n formed by one
+    ``np.dot`` over its lags at a time. It reads ``neuro._EPS`` and
+    ``neuro._SOLVE_STEPS`` when called, so a test that patches them patches both.
+    """
+    if neuron.sigma_i <= 0:
+        raise ValueError("the stepwise solve is for a noisy input")
+    S = neuron.v_th
+    steps = neuro._cap_steps(dt, horizon_cap)
+    cells = math.ceil(steps / neuro._SOLVE_STEPS)
+    n = steps // cells
+    h = cells * dt
+    lags = h * np.arange(1, n + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        free = -2.0 * neuro._psi(neuron, neuron.v0_i, lags)
+        kernel = 2.0 * h * neuro._psi(neuron, S, lags)
+    above = np.flatnonzero(np.abs(kernel) > neuro._EPS * np.abs(kernel).max())
+    width = int(above[-1]) + 1 if above.size else 0
+    kernel = kernel[:width][::-1].copy()  # kernel[-d] weighs g_{n-d}
+    g = np.zeros(n + 1)
+    mass = 0.0
+    for k in range(1, n + 1):
+        lo = max(0, k - width)
+        g[k] = free[k - 1] + np.dot(g[lo:k], kernel[width - (k - lo) :])
+        mass += 0.5 * h * (g[k - 1] + g[k])
+        if 1.0 - mass < neuro._EPS:
+            break
+    if not np.all(np.isfinite(g)):
+        raise ArithmeticError(f"the first-passage density of {neuron} is not finite at sim_dt = {dt}")
+    np.maximum(g, 0.0, out=g)
+    cdf = np.zeros(n + 1)
+    np.cumsum(0.5 * h * (g[:k] + g[1 : k + 1]), out=cdf[1 : k + 1])
+    cdf[k + 1 :] = cdf[k]
+    np.minimum(cdf, 1.0, out=cdf)
+    return dm.PiecewiseUniform(h, cdf)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc traces while ``fn()`` runs, above what was traced before."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def Fp_root(p: int, samples: np.ndarray, tol: float = 1e-13) -> float:

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from gmapprox.costs import (
 )
 from gmapprox.sde import LinearSDE
 from gmapprox.timebase import Curve, PathEnsemble, TimeGrid, child_seed, slab_rows, trapezoid_values
-from oracles import cut_rows, matrix_blocks
+from oracles import cut_rows, matrix_blocks, traced_peak
 
 THETA = 1.5
 
@@ -171,21 +170,6 @@ class TestCostBlock:
         for a in range(2):
             other = 1 - a
             assert values[a, a] <= values[a, other] + 4 * (se[a, a] + se[a, other])
-
-
-def traced_peak(fn) -> int:
-    """Peak bytes that tracemalloc traces while ``fn()`` runs, above what was traced before."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    base = tracemalloc.get_traced_memory()[0]
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
 
 
 class TestWorkingSet:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from oracles import (
     gamma_pdf,
     matrix_blocks,
     stacked_chunks,
+    stepwise_first_passage_law,
+    traced_peak,
     z_path,
     z_path_ensemble,
 )
@@ -316,6 +319,40 @@ class TestFirstPassageLaw:
         monkeypatch.setattr(neuro, "_EPS", 0.0)
         full = neuro.first_passage_law(TABLE2_LIF, 1e-2, 100.0)
         np.testing.assert_allclose(cut.cdf, full.cdf, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize(
+        "neuron, dt, cap, eps",
+        [
+            (TABLE2_LIF, 1e-2, 100.0, None),
+            (TABLE2_LIF, 5e-3, 100.0, None),
+            (replace(TABLE2_LIF, sigma_i=0.01), 1e-2, 100.0, None),
+            (replace(TABLE2_LIF, sigma_i=0.1), 1e-2, 100.0, None),
+            (replace(TABLE2_LIF, sigma_i=3.0), 1e-2, 100.0, None),  # the widest kernel
+            (replace(TABLE2_LIF, mu_i=2.5, sigma_i=0.5), 1e-2, 100.0, None),
+            (replace(TABLE2_LIF, mu_i=9.0), 1e-2, 2.475, None),  # 247 nodes: shorter than one block
+            (TABLE2_LIF, 1e-2, 0.01, None),  # a single node
+            (TABLE2_LIF, 100.0 / 5e7, 100.0, None),  # the finest admitted step: 32,765 nodes
+            (TABLE2_LIF, 1e-2, 100.0, 0.0),  # no kernel cut: every lag of every node
+            (TABLE2_LIF, 1e-2, 100.0, 1e-3),  # the mass is spent in the middle of a block
+        ],
+        ids=["table2", "table2_h5e-3", "sigma_i0.01", "sigma_i0.1", "sigma_i3", "mu_i2.5",
+             "mu_i9_cap2.475", "one_node", "finest_step", "eps0", "eps1e-3"],
+    )
+    def test_blocked_solve_matches_the_stepwise_reference(self, monkeypatch, neuron, dt, cap, eps):
+        if eps is not None:
+            monkeypatch.setattr(neuro, "_EPS", eps)
+        got = neuro.first_passage_law(neuron, dt, cap)
+        ref = stepwise_first_passage_law(neuron, dt, cap)
+        assert got.dt == ref.dt and got.cdf.size == ref.cdf.size
+        assert np.max(np.abs(got.cdf - ref.cdf)) <= 1e-14
+        last_rise = lambda cdf: np.flatnonzero(np.diff(cdf)).max(initial=-1) + 1
+        assert last_rise(got.cdf) == last_rise(ref.cdf)
+
+    def test_blocked_solve_holds_no_history_matrix(self, monkeypatch):
+        """At _EPS = 0 the kernel keeps all 1e4 lags of Table 2's input, so a history
+        matrix of 128 nodes by 1e4 lags would take 10 MiB; the solve stays under 2 MiB."""
+        monkeypatch.setattr(neuro, "_EPS", 0.0)
+        assert traced_peak(lambda: neuro.first_passage_law(TABLE2_LIF, 1e-2, 100.0)) < 2 * 2**20
 
     def test_inverse_cdf_sampling(self):
         law = dm.PiecewiseUniform(0.5, [0.0, 0.0, 0.25, 0.25, 0.75])
