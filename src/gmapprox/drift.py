@@ -429,9 +429,9 @@ class _EventKernel:
         ``times`` and ``weights`` hold the events in row order. An event's
         terms are its exact contributions at the node that closes its cell.
         ``ws`` holds at least ``out.size`` cells, for the binned terms of
-        each recurrence; z runs into ``out`` before Z does. Events are binned
-        by ``fill(0)`` and ``np.add.at``, which add each bin's terms in event
-        order, as ``np.bincount`` does.
+        each recurrence; z runs into ``out`` before Z does. ``np.add.at`` adds
+        each bin's terms in event order, as ``np.bincount`` does: z's onto
+        zeros, Z's onto K(dt) z_{k-1}, so each pass zeroes ``ws`` once.
         """
         live = times <= self.t[-1]
         times, weights = times[live], weights[live]
@@ -442,10 +442,9 @@ class _EventKernel:
         x.fill(0.0)
         np.add.at(x.reshape(-1), idx, weights * np.exp(-self.lam * u))
         z = self.z_run(x, out)
-        x.fill(0.0)
+        x[:, 0] = 0.0
+        np.multiply(z[:, :-1], self.k_dt, out=x[:, 1:])  # K(dt) z_{k-1}
         np.add.at(x.reshape(-1), idx, weights * stable_exp_diff(self.lam, self.theta, u))
-        z[:, :-1] *= self.k_dt  # z is spent: K(dt) z_{k-1} in place
-        x[:, 1:] += z[:, :-1]
         return self.Z_run(x, out)
 
     def cells(self, times):

@@ -75,8 +75,10 @@ _KERNEL_CELLS = 2**17
 _RUN_BLOCK = 16  # columns per block of a PoleRun
 _RUN_DENSE = 64  # a PoleRun over at most this many columns is one dense product
 # Entry (j, i) is i - j, the index of a^{i-j} in a list of powers, on and above the
-# diagonal, and -1 below it, which picks the 0 that ends the list.
-_TOEPLITZ = np.subtract.outer(np.arange(_RUN_DENSE), np.arange(_RUN_DENSE)).T
+# diagonal, and -1 below it, which picks the 0 that ends the list. C-ordered, so
+# every PoleRun.step indexed from it is too: numpy hands BLAS an F-ordered operand
+# as a transpose, which took twice as long for (16, 5001) rows.
+_TOEPLITZ = np.arange(_RUN_DENSE) - np.arange(_RUN_DENSE)[:, None]
 _TOEPLITZ[_TOEPLITZ < 0] = -1
 
 
@@ -496,13 +498,16 @@ class PoleRun:
       over the n // L blocks;
     - a c_{b-1} is added to block b's first input (the tail is the block
       after the last), and then each block is one product with T of L.
+      ``end``, a block's end state from rest, carries the factor a, so the
+      carry run yields a c_b directly.
 
     Every factor is a power of a, at most 1, so no scale grows with the row
     length and a run stays finite at any theta T (a prefix-sum scan of
     a^{-k} x_k, as in Blelloch 1990, would have to be cut to keep a^{-k}
     finite). The products run on the (rows, blocks, L) view, so each row is
     a GEMM of its own whose shape depends only on n: a row's bits are the
-    same for any row count, thread count and BLAS threading.
+    same for any row count, thread count and BLAS threading. Every ``step``
+    and ``end`` is C-contiguous, so BLAS gets no transposed operand.
     """
 
     def __init__(self, a: float, n: int):
@@ -515,7 +520,7 @@ class PoleRun:
         self.step = powers[_TOEPLITZ[:width, :width]]
         self.carry = None
         if n > _RUN_DENSE:
-            self.end = np.ascontiguousarray(self.step[:, -1])  # a block's end state from rest
+            self.end = self.a * self.step[:, -1]  # a times a block's end state from rest
             self.carry = PoleRun(self.a**_RUN_BLOCK, n // _RUN_BLOCK)
 
     def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -539,11 +544,11 @@ class PoleRun:
         rows, split = len(X), self.n - self.n % _RUN_BLOCK
         body = X[:, :split].reshape(rows, -1, _RUN_BLOCK, copy=False)
         ends = self.carry(body @ self.end)
-        body[:, 1:, 0] += self.a * ends[:, :-1]
+        body[:, 1:, 0] += ends[:, :-1]
         np.matmul(body, self.step, out=Y[:, :split].reshape(rows, -1, _RUN_BLOCK, copy=False))
         if split < self.n:
             r = self.n - split
-            X[:, split] += self.a * ends[:, -1]
+            X[:, split] += ends[:, -1]
             np.matmul(X[:, None, split:], self.step[:r, :r], out=Y[:, None, split:])
         return out
 

@@ -284,6 +284,19 @@ class TestPointwiseMSEStreaming:
             assert np.array_equal(mse.values, runs[0][0].values)
             assert np.array_equal(se.values, runs[0][1].values)
 
+    def test_two_paths_are_enough_and_one_is_not(self):
+        g = grid(dt=0.01)
+        model = dm.Poisson(2.0)
+        F = F2_analytic(model, THETA, g).F
+        chunks = dm.iter_Z_chunks(model, THETA, g, 2, 11)
+        w = (chunks.matrix() - F.values) ** 2
+        mse, se = pointwise_mse_streaming(chunks, F, 2)
+        np.testing.assert_allclose(mse.values, w.mean(axis=0), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(se.values, w.std(axis=0, ddof=1) / np.sqrt(2), rtol=1e-9, atol=1e-15)
+        assert se.values.max() > 0
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            pointwise_mse_streaming(dm.iter_Z_chunks(model, THETA, g, 1, 11), F, 1)
+
 
 class TestGrowthClasses:
     def test_quadratic_growth_exponent(self):

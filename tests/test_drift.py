@@ -284,6 +284,16 @@ class TestAnalyticMoments:
         scale = model.count.raw_moment(1) * model.amplitude.raw_moment(1)
         assert np.max(np.abs(mz - scale * conv)) < 1e-4 * max(1.0, np.max(np.abs(mz)))
 
+    @pytest.mark.parametrize("count", [dm.FixedCount(3), dm.PoissonCount(2.0)], ids=["fixed", "poisson"])
+    @pytest.mark.parametrize("amplitude", [dm.PointMass(1.5), dm.Exponential(2.0)], ids=["point", "exp"])
+    def test_shot_noise_variance_of_unit_shape_gamma_is_the_exponential_closed_form(self, count, amplitude):
+        # Gamma(nu, 1) arrivals take the response-curve branch, Exponential(nu) the chain closed form
+        g, nu = grid(T=5.0), 0.7
+        shot = lambda arrival: dm.ShotNoise(count=count, amplitude=amplitude, arrival=arrival, response_rate=1.3)
+        gamma = dm.var_z(shot(dm.Gamma(rate=nu, shape=1.0)), g).values
+        exponential = dm.var_z(shot(dm.Exponential(nu)), g).values
+        np.testing.assert_allclose(gamma, exponential, rtol=1e-10, atol=0.0)
+
 
 class TestMomentCurves:
     def test_deterministic_moments_exact(self):

@@ -337,6 +337,16 @@ class TestPoleRun:
     def test_empty(self):
         assert PoleRun(0.5, 5)(np.zeros((0, 5))).shape == (0, 5)
 
+    @pytest.mark.parametrize("n", [40, 5001, 50_001])
+    def test_products_run_on_c_ordered_operands(self, n):
+        # a transposed operand sends every product to BLAS's slower kernel
+        run, levels = PoleRun(np.exp(-0.075), n), 0
+        while run is not None:
+            assert run.step.flags.c_contiguous, (n, levels)
+            assert run.carry is None or run.end.flags.c_contiguous, (n, levels)
+            run, levels = run.carry, levels + 1
+        assert levels == {40: 1, 5001: 3, 50_001: 4}[n]
+
 
 class TestStreams:
     @pytest.mark.parametrize("seed, key", [(0, ()), (42, (3,)), (7, (1, 0)), (2**64 + 5, (511, 2, 9))])
