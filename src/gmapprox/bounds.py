@@ -6,9 +6,11 @@ d2 is the damped accumulation of the drift variance,
 
 available generically through the exponential integrator and in closed form
 from each drift variant: its variance statement ``_var_z`` with the rate
-2 theta appended to its chain. The companion estimator
+2 theta appended to its chain. The closed form is the curve ``gmapprox
+bound`` writes; the generic one is its cross-check. The companion estimator
 measures the pointwise mean square error E[(Z(t) - F(t))^2] from an
-ensemble, with per-node standard errors.
+ensemble, with per-node standard errors, by the fold that gives the moments
+of Z.
 """
 
 from __future__ import annotations
@@ -70,33 +72,16 @@ def pointwise_mse_streaming(chunks, F: Curve, n_paths: int) -> tuple[Curve, Curv
     """Per-node sample mean and standard error of (Z_i(t) - F(t))^2 over a block stream.
 
     ``chunks`` is what drift.iter_Z_chunks returns, holding the n_paths rows
-    of one ensemble. Each block adds the column sums of its passes in row
-    order, and the block sums are added in block order, so the bits are the
-    same for any thread count. A pass's squared errors go to its block's
-    scratch array; a block holds only its rows of column sums.
+    of one ensemble. Each pass is overwritten by its squared errors, which
+    are folded as the moments of Z are (``drift._fold_moments``, at order
+    2): about each block's first row, blocks merged in block order. So the
+    bits are the same for any thread count, and a node where every path has
+    the same squared error has se exactly 0.
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths for a standard error")
 
-    def fold(pairs, ws):
-        s1 = np.zeros(F.grid.n_nodes)
-        s2 = np.zeros(F.grid.n_nodes)
-        col = np.empty(F.grid.n_nodes)
-        for _, slab in pairs:
-            w = ws[: slab.size].reshape(slab.shape)
-            np.subtract(slab, F.values, out=w)
-            np.square(w, out=w)
-            s1 += w.sum(axis=0, out=col)
-            np.square(w, out=w)
-            s2 += w.sum(axis=0, out=col)
-        return s1, s2
-
-    s1 = np.zeros(F.grid.n_nodes)
-    s2 = np.zeros(F.grid.n_nodes)
-    for b1, b2 in chunks.map(fold):
-        s1 += b1
-        s2 += b2
-    mse = s1 / n_paths
-    var = np.maximum(s2 - n_paths * mse**2, 0.0) / (n_paths - 1)
-    se = np.sqrt(var / n_paths)
-    return Curve(F.grid, mse), Curve(F.grid, se)
+    squared_errors = lambda z: np.square(np.subtract(z, F.values, out=z), out=z)
+    n, c, e, M2, _ = drift_mod._fold_moments(chunks, n_paths, 2, squared_errors)
+    se = np.sqrt(np.maximum(M2, 0.0) / (n - 1) / n)
+    return Curve(F.grid, c + e), Curve(F.grid, se)

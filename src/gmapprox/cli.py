@@ -1,7 +1,8 @@
 """Command-line entry point for simulations, approximants, bounds and tables.
 
 Commands: simulate, approx, bound, costs, table1, table2, neuron, each with
-its help line and fewest mc.n_paths in the one ``_COMMANDS`` table. One parser
+its help line, fewest mc.n_paths and result formats in the one ``_COMMANDS``
+table; output.formats must list one of a command's result formats. One parser
 reads the command and the options, which all share but simulate's --display-paths.
 All randomness flows from a single --seed; every emitted file carries enough
 configuration echo to reproduce it exactly. Config sections are read through
@@ -385,17 +386,22 @@ def cmd_approx(cfg: ExperimentConfig) -> None:
 
 
 def cmd_bound(cfg: ExperimentConfig) -> None:
-    """Emit t,mse,se,d2 and report the worst violation of mse <= d2 + 3 se."""
+    """Emit t,mse,se,d2 and report the worst violation of mse <= d2 + 3 se.
+
+    d2 is :func:`bounds.d2_closed`, the curve the acceptance criteria hold
+    the Monte Carlo mse against; the summary says whether it is closed form.
+    """
     grid = cfg.grid()
     F2 = approx_mod.F2_analytic(cfg.model, cfg.theta, grid)
-    bound = bounds_mod.d2_generic(cfg.model, cfg.theta, grid)
+    bound = bounds_mod.d2_closed(cfg.model, cfg.theta, grid)
     chunks = drift_mod.iter_Z_chunks(
         cfg.model, cfg.theta, grid, cfg.n_paths, child_seed(cfg.seed, 2), cfg.threads
     )
     mse, se = bounds_mod.pointwise_mse_streaming(chunks, F2.F, cfg.n_paths)
     violation = mse.values - bound.d2.values - 3 * se.values
     summary = {
-        "max_violation": float(violation.max()), "d2_l1_mass": bound.l1_mass, "config": cfg.echo()
+        "max_violation": float(violation.max()), "d2_l1_mass": bound.l1_mass,
+        "closed_form": bound.closed_form, "config": cfg.echo(),
     }
     columns = [grid.times(), mse.values, se.values, bound.d2.values]
     _emit(cfg, [
@@ -446,20 +452,21 @@ def cmd_neuron(cfg: ExperimentConfig) -> None:
 
 # ---------------------------------------------------------------------------
 
-# command -> (help line, the fewest mc.n_paths it runs: two for a sample variance); it runs cmd_<command>
+# command -> (help line, the fewest mc.n_paths it runs: two for a sample variance, the formats
+# its results are written in: output.formats must list one); it runs cmd_<command>
 _COMMANDS = {
-    "simulate": ("sample paths of X, X2, X4 (F2 and F4 exact; mc.n_paths is not read)", 1),
-    "approx": ("export the exact F2/F4 approximants (nothing is sampled; mc.n_paths is not read)", 1),
-    "bound": ("pointwise MSE against d2", 2),
-    "costs": ("cost matrix for the configured model", 2),
-    "table1": ("five-scenario cost table", 2),
-    "table2": ("embedded-neuron cost table", 2),
-    "neuron": ("embedded-neuron approximants", 1),
+    "simulate": ("sample paths of X, X2, X4 (F2 and F4 exact; mc.n_paths is not read)", 1, ("csv",)),
+    "approx": ("export the exact F2/F4 approximants (nothing is sampled; mc.n_paths is not read)", 1, ("csv",)),
+    "bound": ("pointwise MSE against the closed-form d2", 2, _FORMATS),
+    "costs": ("cost matrix for the configured model", 2, _FORMATS),
+    "table1": ("five-scenario cost table", 2, _FORMATS),
+    "table2": ("embedded-neuron cost table", 2, _FORMATS),
+    "neuron": ("embedded-neuron approximants", 1, _FORMATS),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    commands = "\n".join(f"  {name:<9} {note}" for name, (note, _) in _COMMANDS.items())
+    commands = "\n".join(f"  {name:<9} {note}" for name, (note, *_) in _COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="gmapprox",
         description="Simulate linear SDEs with stochastic drift and their "
@@ -491,10 +498,13 @@ def main(argv=None) -> int:
         parser.error(f"--display-paths is an option of simulate, not of {args.command}")
     try:
         cfg = load_config(args.config, args)
-        least = _COMMANDS[args.command][1]
+        _, least, results = _COMMANDS[args.command]
         if cfg.n_paths < least:
             raise ConfigError(f"mc.n_paths must be >= {least} for the standard errors of {args.command}, "
                               f"got {cfg.n_paths}")
+        if not set(results) & set(cfg.formats):
+            raise ConfigError(f"{args.command} writes its results as {' or '.join(results)} only; "
+                              f"output.formats {list(cfg.formats)} lists none of them")
         globals()[f"cmd_{args.command}"](cfg)  # looked up now, so a rebound command is the one run
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

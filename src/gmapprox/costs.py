@@ -12,6 +12,7 @@ identity cross-check of that cancellation.
 
 from __future__ import annotations
 
+import csv
 import logging
 from dataclasses import dataclass, field
 
@@ -21,12 +22,12 @@ from . import approx as approx_mod
 from . import drift as drift_mod
 from .sde import LinearSDE, simulate_Y
 from .timebase import (
+    _CSV_FMT,
     Curve,
     TimeGrid,
     child_seed,
     derive_stream,
     trapezoid_values,
-    write_csv_columns,
     write_json,
 )
 
@@ -293,11 +294,10 @@ def write_report_json(report: CostReport, path) -> None:
 
 
 def write_report_csv(report: CostReport, path) -> None:
-    cols = [(a, b) for a in range(2) for b in range(2)]
-    head = [f"J{P_ORDERS[a]}[F{P_ORDERS[b]}]" for a, b in cols]
-    write_csv_columns(
-        path,
-        ["scenario"] + head + [f"se_{h}" for h in head],
-        [report.values[:, a, b] for a, b in cols] + [report.se[:, a, b] for a, b in cols],
-        labels=report.labels,
-    )
+    """One labelled row per scenario, its cells formatted as every CSV's are (``timebase._CSV_FMT``)."""
+    head = [f"J{p_eval}[F{p_fit}]" for p_eval in P_ORDERS for p_fit in P_ORDERS]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["scenario"] + head + [f"se_{h}" for h in head])
+        for label, values, se in zip(report.labels, report.values, report.se):
+            writer.writerow([label] + [_CSV_FMT % v for v in (*values.ravel(), *se.ravel())])

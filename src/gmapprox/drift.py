@@ -366,11 +366,12 @@ Distribution = Union[
 # ``stream``; :class:`timebase.BlockStream` calls it for each pass of a block
 # in row order, on the block's stream. The pass-sized transients live in
 # ``ws``, the worker's scratch array, so a pass allocates nothing of pass
-# size beyond its own draws. The fold spends ``ws`` after each pass, so a
-# sampler rewrites what it reads of it on every pass. A row's values are a
-# function of its own draws. The event variants share one sampler,
-# :func:`_event_sampler`: the pass's counts from the count law, then its
-# event times, then its weights, and the kernel.
+# size beyond its own draws. The fold spends ``ws`` after each pass and may
+# overwrite the pass, so a sampler rewrites what it reads of ``ws`` and every
+# cell of ``out`` on every pass. A row's values are a function of its own
+# draws. The event variants share one sampler, :func:`_event_sampler`: the
+# pass's counts from the count law, then its event times, then its weights,
+# and the kernel.
 
 
 def _event_sampler(count, time, weight, lam: float, theta: float, grid: TimeGrid):
@@ -922,36 +923,57 @@ def moments_Z_mc(
     return moments_from_chunks(chunks, grid, n_paths)
 
 
-def _chunk_stats(block: np.ndarray, ws: np.ndarray):
-    """(n, c, e, M2, M3) of one slab of rows: mean c + e, central sums M2 and M3.
+def _fold_moments(chunks, n_paths: int, order: int, prep=None):
+    """(n, K, e, M2, M3) of a block stream's rows: mean K + e, central sums M2 and M3.
 
-    c is the rounded slab mean and e the mean of the deviations from it, so
-    c + e is the sample mean to far below one ulp of c and M2, M3 are
-    central about it. The deviations and their powers go to ``ws``, which
-    holds at least twice the slab's cells, as a block's scratch does.
+    Each block sums the powers 1..``order`` (2 or 3) of its rows' deviations
+    from K, its first row, pass by pass in row order; its (n, K, s1/n, M2,
+    M3) are merged into the ensemble's in block order, so the bits are the
+    same for any thread count. ``prep`` maps a pass in place before that.
+    The deviations overwrite the pass, and ``np.einsum`` adds their powers
+    row by row without forming them, twice as fast as a product and a sum.
+    They are of the size of the spread, however large the mean, so M2 and
+    M3 (None at order 2) keep their relative accuracy, and a column whose
+    rows all agree has M2 = 0 exactly.
     """
-    n, size = block.shape[0], block.size
-    c = block.mean(axis=0)
-    d = np.subtract(block, c, out=ws[:size].reshape(block.shape))
-    e = d.sum(axis=0) / n
-    d2 = np.multiply(d, d, out=ws[size : 2 * size].reshape(block.shape))
-    s2 = d2.sum(axis=0)
-    d2 *= d  # now d^3
-    M2 = s2 - n * e * e
-    # cubes as products: numpy's power(x, 3) costs about 50 times as much
-    M3 = d2.sum(axis=0) - 3.0 * e * s2 + 2.0 * n * (e * e * e)
-    return n, c, e, M2, M3
+
+    def fold(pairs, ws):
+        n = 0
+        for _, x in pairs:
+            if prep is not None:
+                prep(x)
+            if not n:
+                K, col, s = x[0].copy(), np.empty(x.shape[1]), np.zeros((order, x.shape[1]))
+            d = np.subtract(x, K, out=x)
+            s[0] += d.sum(axis=0, out=col)
+            s[1] += np.einsum("ij,ij->j", d, d, out=col)
+            if order == 3:
+                s[2] += np.einsum("ij,ij,ij->j", d, d, d, out=col)
+            n += len(x)
+        e = s[0] / n
+        M3 = s[2] - 3.0 * e * s[1] + 2.0 * n * (e * e * e) if order == 3 else None
+        return n, K, e, s[1] - n * e * e, M3
+
+    stats = reduce(_merge_stats, chunks.map(fold))
+    if stats[0] != n_paths:
+        raise ValueError(f"the blocks hold {stats[0]} rows, expected {n_paths}")
+    return stats
 
 
 def _merge_stats(a, b):
-    """Pooled (n, c, e, M2, M3) of two disjoint samples (Chan, Golub & LeVeque 1979; Pebay 2008); c is a's."""
+    """Pooled (n, c, e, M2, M3) of two disjoint samples (Chan, Golub & LeVeque 1979; Pebay 2008); c is a's.
+
+    M3 is None if a's is.
+    """
     na, ca, ea, M2a, M3a = a
     nb, cb, eb, M2b, M3b = b
     n = na + nb
     delta = (cb - ca) + (eb - ea)
-    cross = (na * M2b - nb * M2a) * (3.0 * delta) / n
-    cube = delta * delta * delta * (na * nb * (na - nb) / n**2)
-    M3 = M3a + M3b + cube + cross
+    M3 = M3a
+    if M3 is not None:
+        cross = (na * M2b - nb * M2a) * (3.0 * delta) / n
+        cube = delta * delta * delta * (na * nb * (na - nb) / n**2)
+        M3 = M3a + M3b + cube + cross
     M2 = M2a + M2b + delta * delta * (na * nb / n)
     return n, ca, ea + delta * (nb / n), M2, M3
 
@@ -960,25 +982,17 @@ def moments_from_chunks(chunks, grid: TimeGrid, n_paths: int):
     """Sample mean, variance, third central moment and the SE of the mean of a block stream.
 
     ``chunks`` is what :func:`iter_Z_chunks` returns for the n_paths rows of
-    one ensemble on ``grid``. Each pass is reduced, in its block's scratch
-    array, to its count, mean and central sums M2, M3, and merged into its
-    block's in row order; the blocks' stats are merged into the ensemble's
-    in block order. No raw power sum is formed, so the variance and the
-    third central moment keep their relative accuracy however large the
-    mean is against the spread, and the merges run in the same order, to
-    the same bits, for any thread count.
+    one ensemble on ``grid``, folded by :func:`_fold_moments` at order 3:
+    powers of the deviations from each block's first row, not raw power
+    sums, so the variance and the third central moment keep their relative
+    accuracy however large the mean is against the spread, and the same
+    bits for any thread count. The passes are overwritten.
     """
     from .approx import MomentCurves  # MomentCurves lives with its consumers
 
     if n_paths < 2:
         raise ValueError("need at least 2 paths for moment estimation")
-
-    def fold(pairs, ws):
-        return reduce(_merge_stats, (_chunk_stats(slab, ws) for _, slab in pairs))
-
-    n, c, e, M2, M3 = reduce(_merge_stats, chunks.map(fold))
-    if n != n_paths:
-        raise ValueError(f"the blocks hold {n} rows, expected {n_paths}")
+    n, c, e, M2, M3 = _fold_moments(chunks, n_paths, 3)
     M2 = np.maximum(M2, 0.0)  # rounding of identical rows
     return MomentCurves.from_central(
         grid, m1=c + e, var=M2 / n, mu3=M3 / n, se1=np.sqrt(M2 / (n - 1) / n)

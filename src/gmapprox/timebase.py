@@ -20,9 +20,10 @@ fixed by the sampler, the grid and the pass sizes. Its ``map(fold)`` folds
 each block whole, pass by pass, and yields one value per block, in block
 order; the caller combines them left to right, and nothing else crosses a
 block. The map owns every pass-sized array: each worker's buffer, and one
-scratch array that the worker's sampler and fold spend in turn. Threads
-sample and fold whole blocks, so every row and every reduction is the same
-bits for any thread count.
+scratch array that the worker's sampler and fold spend in turn. A fold may
+overwrite its pass, because every sampler rewrites all of it on the next.
+Threads sample and fold whole blocks, so every row and every reduction is
+the same bits for any thread count.
 
 Every first-order recurrence runs from rest through a :class:`PoleRun`,
 built once per pole and row length: numpy matrix products on blocks of each
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import json
 import threading
 from collections import deque
@@ -173,8 +173,8 @@ class PathEnsemble:
             raise ValueError("ensemble values must be finite")
 
 
-def write_csv_columns(path, header, columns, labels=None) -> None:
-    """Write float columns, optionally after a column of string labels, as CSV.
+def write_csv_columns(path, header, columns) -> None:
+    """Write float columns as CSV.
 
     The file is byte-identical to what ``csv.writer`` writes for the same
     cells, each float formatted with ``_CSV_FMT`` ("%.17g"), rows ending in
@@ -197,8 +197,6 @@ def write_csv_columns(path, header, columns, labels=None) -> None:
        digit) is formatted with ``_CSV_FMT`` on its own.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
-    if labels is not None:
-        labels = [_csv_field(label) for label in labels]
     n_rows, n_cols = len(columns[0]), len(columns)
     block = max(1, _CSV_BLOCK_CELLS // n_cols)
     source = _csv_source_rows(min(block, n_rows) * n_cols, n_cols)
@@ -206,11 +204,7 @@ def write_csv_columns(path, header, columns, labels=None) -> None:
         csv.writer(fh).writerow(header)
         for lo in range(0, n_rows, block):
             cells = np.column_stack([c[lo : lo + block] for c in columns]).ravel()
-            text = _csv_cells(cells, source)
-            if labels is not None:
-                rows = text.split("\r\n")
-                text = "".join(f"{label},{row}\r\n" for label, row in zip(labels[lo : lo + block], rows))
-            fh.write(text)
+            fh.write(_csv_cells(cells, source))
 
 
 def write_json(path, payload) -> None:
@@ -218,13 +212,6 @@ def write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _csv_field(text: str) -> str:
-    """One CSV field as ``csv.writer`` renders it inside a row (quoted if needed)."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow([text, ""])
-    return buf.getvalue()[: -len(",\r\n")]
 
 
 # The CSV kernel. A cell's 17 significant digits are N = round(|x| 10^(16 - E))
@@ -589,7 +576,8 @@ class BlockStream:
     the block's rows a.., a pure function of b, the row indices and the
     pass sizes. ``ws`` is a flat scratch array of two passes' cells, which
     ``fill`` spends while it fills a pass and the block's fold after it, so
-    ``fill`` rewrites what it reads of ``ws`` on every pass.
+    ``fill`` rewrites what it reads of ``ws`` on every pass. A fold may
+    overwrite its pass, because ``fill`` rewrites all of it on the next one.
     """
 
     block: Callable

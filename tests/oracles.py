@@ -189,22 +189,30 @@ def cut_rows(values: np.ndarray, size: int):
 
 
 def matrix_blocks(values: np.ndarray, rows: int | None = None) -> SimpleNamespace:
-    """A materialized ensemble read as a block stream whose passes are views of ``values``.
+    """A materialized ensemble read as a block stream whose passes are copies of ``values``' rows.
 
     Blocks are _BLOCK rows, as in drift.iter_Z_chunks, and each block is cut
     into passes of ``rows`` rows from its first row: slab_rows by default,
-    the passes of iter_Z_chunks, so a reducer gives the same bits. Its
-    ``map(fold)`` folds the blocks in order, each with one scratch array of
-    two passes' cells.
+    the passes of iter_Z_chunks, so a reducer gives the same bits. Each pass
+    is copied into one reused buffer, as BlockStream fills its passes, so a
+    fold may overwrite it and ``values`` stays as it is. Its ``map(fold)``
+    folds the blocks in order, each with one scratch array of two passes'
+    cells.
     """
     n, width = values.shape
     step = rows or slab_rows(width)
+    buf = np.empty((min(step, _BLOCK, n), width))
+    ws = np.empty(2 * buf.size)
+
+    def passes(lo, hi):
+        for a in range(lo, hi, step):
+            out = buf[: min(a + step, hi) - a]
+            out[:] = values[a : a + len(out)]
+            yield a, out
 
     def map(fold):
-        ws = np.empty(2 * min(step, _BLOCK, n) * width)
         for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            yield fold(((a, values[a : min(a + step, hi)]) for a in range(lo, hi, step)), ws)
+            yield fold(passes(lo, min(lo + _BLOCK, n)), ws)
 
     return SimpleNamespace(map=map)
 

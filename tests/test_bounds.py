@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -6,7 +9,7 @@ from gmapprox import drift as dm
 from gmapprox.approx import F2_analytic
 from gmapprox.bounds import BoundCurve, d2_closed, d2_generic, pointwise_mse_streaming
 from gmapprox import timebase
-from gmapprox.timebase import Curve, TimeGrid, slab_rows
+from gmapprox.timebase import Curve, TimeGrid, child_seed, slab_rows
 from oracles import cut_rows, matrix_blocks
 
 THETA = 1.5
@@ -160,6 +163,37 @@ def test_kappa2_below_cauchy_schwarz_curve(name, T, dt):
     assert np.all(kappa2 <= curve * (1 + 1e-12))
 
 
+def arrival_means(arrival, t, rates):
+    """E[e^{-r (t - T)} 1{T <= t}] for each rate r by scipy's quad of the arrival density (point masses exactly)."""
+    if isinstance(arrival, dm.PointMass):
+        return [math.exp(-r * (t - arrival.value)) if t >= arrival.value else 0.0 for r in rates]
+    if isinstance(arrival, dm.Uniform):
+        hi = min(t, arrival.hi)
+        return [quad(lambda s: math.exp(-r * (t - s)), arrival.lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+                / (arrival.hi - arrival.lo) if hi > arrival.lo else 0.0 for r in rates]
+    c = math.exp(arrival.shape * math.log(arrival.rate) - math.lgamma(arrival.shape))
+    # the weight s^(shape - 1) is quad's algebraic one, so a shape below 1 is no singularity to it
+    return [c * quad(lambda s: math.exp(-arrival.rate * s - r * (t - s)), 0.0, t, weight="alg",
+                     wvar=(arrival.shape - 1.0, 0.0), epsabs=0.0, epsrel=1e-13, limit=200)[0] for r in rates]
+
+
+@pytest.mark.parametrize("count", [dm.FixedCount(10), dm.PoissonCount(10.0)], ids=["fixed", "poisson"])
+@pytest.mark.parametrize("arrival", [dm.Gamma(0.7, 0.5), dm.Gamma(1.0 / 15.0, 2.0), dm.Uniform(0.0, 3.0),
+                                     dm.PointMass(0.0015)], ids=["gamma_0.5", "gamma_2", "uniform", "point_mass"])
+def test_shot_noise_var_z_matches_quadrature(count, arrival):
+    """D[z] = E[beta]^2 (D[M] - E[M]) phi^2 + E[M] E[beta^2] psi, phi and psi by quadrature."""
+    g = TimeGrid.from_step(5.0, 1e-3)
+    model = dm.ShotNoise(count=count, arrival=arrival)
+    v = dm.var_z(model, g).values
+    em = count.raw_moment(1)
+    vm = count.raw_moment(2) - em**2
+    eb, eb2 = model.amplitude.raw_moment(1), model.amplitude.raw_moment(2)
+    for k in (1, 2, 100, g.n_steps):
+        phi, psi = arrival_means(arrival, g.times()[k], (model.response_rate, 2.0 * model.response_rate))
+        ref = eb**2 * (vm - em) * phi**2 + em * eb2 * psi
+        assert v[k] == pytest.approx(ref, rel=1e-8, abs=0.0), k
+
+
 def pointwise_mse(Z_ensemble, F):
     """Oracle: per-node sample mean and SE of (Z_i(t) - F(t))^2 over a materialized ensemble."""
     w = (Z_ensemble.values - F.values[None, :]) ** 2
@@ -219,26 +253,34 @@ class TestPointwiseMSE:
 
 
 def streaming_oracle(Z, F, rows):
-    """pointwise_mse_streaming by the former formulas: a fresh (Z - F)^2 and its square per pass.
+    """pointwise_mse_streaming by its formulas: power sums of (Z - F)^2 about each block's first row.
 
     The column sums of the passes of ``rows`` rows are added in row order
-    within each block of _BLOCK rows, and the block sums in block order.
+    within each block of _BLOCK rows, and each block's mean and central sum
+    are pooled into the ensemble's in block order (Chan et al. 1979).
     """
     n_paths = len(Z)
-    s1 = np.zeros(F.grid.n_nodes)
-    s2 = np.zeros(F.grid.n_nodes)
+    pooled = None
     for _, block in cut_rows(Z, timebase._BLOCK):
-        b1 = np.zeros(F.grid.n_nodes)
-        b2 = np.zeros(F.grid.n_nodes)
+        K = (block[0] - F.values) ** 2
+        s1 = np.zeros(F.grid.n_nodes)
+        s2 = np.zeros(F.grid.n_nodes)
         for _, slab in cut_rows(block, rows):
-            w = (slab - F.values[None, :]) ** 2
-            b1 += w.sum(axis=0)
-            b2 += (w * w).sum(axis=0)
-        s1 += b1
-        s2 += b2
-    mse = s1 / n_paths
-    var = np.maximum(s2 - n_paths * mse**2, 0.0) / (n_paths - 1)
-    return mse, np.sqrt(var / n_paths)
+            d = (slab - F.values[None, :]) ** 2 - K
+            s1 += d.sum(axis=0)
+            s2 += np.einsum("ij,ij->j", d, d)  # the rows' squares added in row order, as the fold adds them
+        nb = len(block)
+        e = s1 / nb
+        stats = (nb, K, e, s2 - nb * e * e)
+        if pooled is None:
+            pooled = stats
+            continue
+        na, ca, ea, M2a = pooled
+        delta = (K - ca) + (e - ea)
+        n = na + nb
+        pooled = (n, ca, ea + delta * (nb / n), M2a + stats[3] + delta * delta * (na * nb / n))
+    n, c, e, M2 = pooled
+    return c + e, np.sqrt(np.maximum(M2, 0.0) / (n_paths - 1) / n_paths)
 
 
 class TestPointwiseMSEStreaming:
@@ -296,6 +338,25 @@ class TestPointwiseMSEStreaming:
         assert se.values.max() > 0
         with pytest.raises(ValueError, match="at least 2 paths"):
             pointwise_mse_streaming(dm.iter_Z_chunks(model, THETA, g, 1, 11), F, 1)
+
+    def test_equal_squared_errors_have_zero_se(self):
+        # before any path's first event every squared error is F2^2: raw sums read se up to 2e-21 there
+        g = TimeGrid.from_step(5.0, 1e-3)
+        model = dm.ShotNoise(arrival=dm.Gamma(1.0 / 15.0, 2.0))
+        F = F2_analytic(model, THETA, g).F
+        chunks = dm.iter_Z_chunks(model, THETA, g, 1000, child_seed(7, 2))
+        w = (chunks.matrix() - F.values) ** 2
+        mse, se = pointwise_mse_streaming(chunks, F, 1000)
+        equal = np.ptp(w, axis=0) == 0
+        assert 60 < equal.sum() < g.n_nodes
+        assert np.all(se.values[equal] == 0)
+        varied = np.flatnonzero(~equal)
+        for k in [*varied[:5], *varied[:: len(varied) // 20]]:
+            x = [Fraction(v) for v in w[:, k]]
+            mean = sum(x) / len(x)
+            var = sum((v - mean) ** 2 for v in x) / (len(x) - 1)
+            assert mse.values[k] == pytest.approx(float(mean), rel=1e-14, abs=0.0), k
+            assert se.values[k] == pytest.approx(math.sqrt(float(var / len(x))), rel=1e-12, abs=0.0), k
 
 
 class TestGrowthClasses:

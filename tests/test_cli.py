@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from gmapprox import bounds as bounds_mod
 from gmapprox import cli
 from gmapprox import costs as costs_mod
 from gmapprox import neuro as neuro_mod
@@ -348,6 +349,21 @@ class TestBound:
         for k in np.linspace(0, len(t) - 1, 10).astype(int):
             assert data[k, 3] == pytest.approx(exact[k], abs=5e-5)
 
+    @pytest.mark.parametrize("model, closed", [
+        ({"type": "poisson", "rate": 2.0}, True),
+        ({"type": "shot_noise", "arrival": {"type": "gamma", "rate": 0.7, "shape": 0.5}}, False),
+    ], ids=["poisson", "gamma_arrival"])
+    def test_d2_is_the_closed_form_bit_for_bit(self, tmp_path, model, closed):
+        p = write_config(tmp_path, model=model, mc={"n_paths": 20, "seed": 1})
+        assert main(["bound", "--config", str(p)]) == EXIT_OK
+        _, data = read_csv(tmp_path / "out" / "bound.csv")
+        cfg = cli.load_config(str(p), build_parser().parse_args(["bound"]))
+        bound = bounds_mod.d2_closed(cfg.model, cfg.theta, cfg.grid())
+        assert np.array_equal(data[:, 3], bound.d2.values)
+        summary = json.loads((tmp_path / "out" / "bound_summary.json").read_text())
+        assert summary["closed_form"] is bound.closed_form is closed
+        assert summary["d2_l1_mass"] == bound.l1_mass
+
 
 class TestDeterministicValues:
     """A deterministic drift given as a list of node values, one per node of T = 1, dt = 0.01."""
@@ -674,14 +690,19 @@ class TestFormats:
         out = tmp_path / "out"
         p = write_config(tmp_path, mc={"n_paths": 20, "seed": 1}, neuron={"T": 2.0},
                          output={"directory": str(out), "formats": [fmt]})
+        if (command, fmt) in (("approx", "json"), ("simulate", "json")):
+            # their results are CSV files alone: refused before any work, no directory made
+            assert main([command, "--config", str(p)]) == EXIT_CONFIG
+            assert not out.exists()
+            return
         assert main([command, "--config", str(p)]) == EXIT_OK
         assert sorted(os.listdir(out)) == sorted(self.FILES[command][fmt])
 
     def test_format_flag_overrides_the_config(self, tmp_path):
         out = tmp_path / "out"
         p = write_config(tmp_path, output={"directory": str(out), "formats": ["csv"]})
-        assert main(["approx", "--config", str(p), "--format", "json"]) == EXIT_OK
-        assert os.listdir(out) == ["approx_config.json"]
+        assert main(["costs", "--config", str(p), "--format", "json"]) == EXIT_OK
+        assert os.listdir(out) == ["costs.json"]
 
 
 class TestConfigEcho:

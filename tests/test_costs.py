@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -251,6 +252,41 @@ class TestCostReport:
         lines = cp.read_text().splitlines()
         assert len(lines) == 3  # header + 2 scenarios
         assert lines[0].startswith("scenario,J2[F2],J2[F4],J4[F2],J4[F4]")
+
+    @staticmethod
+    def assert_report_csv_is_csv_writer(tmp_path, report):
+        """write_report_csv against csv.writer with "%.17g" cells, byte for byte."""
+        write_report_csv(report, tmp_path / "new.csv")
+        head = ["J2[F2]", "J2[F4]", "J4[F2]", "J4[F4]"]
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["scenario"] + head + [f"se_{h}" for h in head])
+            for s, label in enumerate(report.labels):
+                cells = [report.values[s, a, b] for a in range(2) for b in range(2)]
+                cells += [report.se[s, a, b] for a in range(2) for b in range(2)]
+                w.writerow([label] + ["%.17g" % v for v in cells])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_labelled_rows_bytes_equal_csv_writer(self, tmp_path):
+        # positive, subnormal, huge, with an integer part, zero, fractional
+        specimens = [1.5, 5e-324, 2.5e-310, 1.7976931348623157e308, 1e300, 3.0, 12345678.9, 0.0, 0.1, 2.0 / 3.0]
+        cells = np.resize(specimens, 3 * 8)
+        report = CostReport(
+            labels=("single_shot", "with,comma", 'with "quote"'),
+            values=cells[:12].reshape(3, 2, 2),
+            se=cells[12:].reshape(3, 2, 2),
+        )
+        self.assert_report_csv_is_csv_writer(tmp_path, report)
+
+    def test_quoted_labels_bytes_equal_csv_writer(self, tmp_path):
+        names = ["plain", "with,comma", 'with "quote"', "line\nbreak", " padded ", ""]
+        rng = np.random.default_rng(3)
+        report = CostReport(
+            labels=tuple(names),
+            values=rng.exponential(1.0, (6, 2, 2)) * 10.0 ** rng.integers(-30, 30, (6, 2, 2)),
+            se=rng.exponential(1.0, (6, 2, 2)) * 1e-4,
+        )
+        self.assert_report_csv_is_csv_writer(tmp_path, report)
 
     def test_entry_lookup(self):
         report = CostReport(

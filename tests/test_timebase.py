@@ -67,7 +67,7 @@ class TestWriteCsvColumns:
             w = csv.writer(fh)
             w.writerow(header)
             for row in rows:
-                w.writerow([v if isinstance(v, str) else "%.17g" % v for v in row])
+                w.writerow(["%.17g" % v for v in row])
 
     def test_bytes_equal_csv_writer(self, tmp_path):
         # enough rows to span several write blocks
@@ -75,14 +75,6 @@ class TestWriteCsvColumns:
         cols = [rng.permutation(np.resize(self.SPECIMENS, 12_001)) for _ in range(3)]
         write_csv_columns(tmp_path / "new.csv", ["t", "a", "b"], cols)
         self.reference(tmp_path / "ref.csv", ["t", "a", "b"], zip(*cols))
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-    def test_labelled_rows_bytes_equal_csv_writer(self, tmp_path):
-        labels = ["single_shot", "with,comma", 'with "quote"']
-        cols = [np.array(self.SPECIMENS[:3]), np.array(self.SPECIMENS[3:6])]
-        write_csv_columns(tmp_path / "new.csv", ["scenario", "x", "y"], cols, labels=labels)
-        rows = [[label, *vals] for label, vals in zip(labels, zip(*cols))]
-        self.reference(tmp_path / "ref.csv", ["scenario", "x", "y"], rows)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
@@ -129,11 +121,10 @@ class TestCsvKernel:
     """The vectorised writer against csv.writer with "%.17g" cell by cell."""
 
     @staticmethod
-    def assert_matches_reference(tmp_path, columns, labels=None):
-        header = ["label"] * (labels is not None) + [f"c{j}" for j in range(len(columns))]
-        write_csv_columns(tmp_path / "new.csv", header, columns, labels=labels)
-        rows = zip(*columns) if labels is None else ([lab, *vals] for lab, vals in zip(labels, zip(*columns)))
-        TestWriteCsvColumns.reference(tmp_path / "ref.csv", header, rows)
+    def assert_matches_reference(tmp_path, columns):
+        header = [f"c{j}" for j in range(len(columns))]
+        write_csv_columns(tmp_path / "new.csv", header, columns)
+        TestWriteCsvColumns.reference(tmp_path / "ref.csv", header, zip(*columns))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @given(cells=st.lists(st.floats(), min_size=1, max_size=60), n_cols=st.integers(1, 4))
@@ -169,14 +160,6 @@ class TestCsvKernel:
         cells = np.concatenate([cells, -cells])
         cells = np.resize(cells, -(-cells.size // 3) * 3)
         self.assert_matches_reference(tmp_path, list(cells.reshape(-1, 3).T))
-
-    def test_quoted_labels_across_blocks(self, tmp_path):
-        n_rows = 3 * timebase._CSV_BLOCK_CELLS // 2 + 7  # four blocks of two-column rows
-        names = ["plain", "with,comma", 'with "quote"', "line\nbreak", " padded ", ""]
-        labels = [names[i % len(names)] + str(i) for i in range(n_rows)]
-        rng = np.random.default_rng(3)
-        columns = [rng.standard_normal(n_rows) * 10.0 ** rng.integers(-30, 30, n_rows), np.arange(n_rows) * 1e-4]
-        self.assert_matches_reference(tmp_path, columns, labels=labels)
 
 
 class TestCurve:
