@@ -14,10 +14,11 @@ whose derivative 3((x - m1)^2 + var) is nonnegative for any valid moment
 set. In the central variable d = x - E[Z] it reads d^3 + 3 var d - mu3 = 0,
 so it needs only the mean, the variance and the third central moment: the
 exact cumulants kappa_1..kappa_3 of :func:`drift.cumulant_curves`, or sample
-moments (:meth:`MomentCurves.from_central`). It is solved at every node at once
-by the hyperbolic closed form d = 2 sqrt(var) sinh(asinh(mu3 / (2 var^{3/2})) / 3)
-and one Newton step. The drift of the approximating SDE is recovered as
-f = I^{-1} F. :func:`fit`, the fit of every table row and command, uses the
+moments (:func:`drift.moments_Z_mc`), which :class:`MomentCurves` holds as
+they are; it forms the raw moments E[Z^2] and E[Z^3] only when they are
+read. The root is taken at every node at once by the hyperbolic closed form
+d = 2 sqrt(var) sinh(asinh(mu3 / (2 var^{3/2})) / 3) and one Newton step.
+The drift of the approximating SDE is recovered as f = I^{-1} F. :func:`fit`, the fit of every table row and command, uses the
 exact cumulants: every drift variant has an exact law, the simulated
 network's included.
 """
@@ -43,75 +44,75 @@ __all__ = [
     "eta2",
 ]
 
-_MOMENT_SLACK = 1e-12  # relative rounding slack allowed in m2 >= m1^2
+_MOMENT_SLACK = 1e-12  # relative rounding slack allowed in var >= 0
 
 
-@dataclass(frozen=True)
+def _variance_slack(m1: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Each node's rounding slack of the variance: _MOMENT_SLACK max(m1^2, 1), inf where m1^2 overflows.
+
+    Raises ValueError naming the first node whose variance is below minus
+    its slack.
+    """
+    with np.errstate(over="ignore"):
+        slack = _MOMENT_SLACK * np.maximum(m1 * m1, 1.0)
+    bad = np.flatnonzero(var < -slack)
+    if bad.size:
+        raise ValueError(f"invalid moments at node {bad[0]}: variance {var[bad[0]]} < 0")
+    return slack
+
+
+@dataclass(frozen=True, init=False)
 class MomentCurves:
-    """Mean, raw moments and central moments of Z(t) on a grid, plus the SE of the mean.
+    """Mean, variance and third central moment of Z(t) on a grid, plus the SE of the mean.
 
-    Built from raw moments (m1, m2, m3) the central ones follow by the
-    raw-moment conversion; built with :meth:`from_central` or
-    :meth:`from_cumulants` the variance and third central moment are kept
-    as given and the raw moments are derived, so an exact or pairwise-merged
-    fit never goes through the cancelling conversion.
+    Built from the central moments ``var`` and ``mu3``, kept as given, or
+    from the raw moments ``m2`` and ``m3``, converted once. The raw moments
+    are formed from the central ones when read; no fit reads them, so a mean
+    whose square overflows still fits.
     """
 
     grid: TimeGrid
     m1: Curve
-    m2: Curve
-    m3: Curve
+    var: Curve
+    mu3: Curve
     se1: Curve
-    var: Curve = None
-    mu3: Curve = None
 
-    def __post_init__(self):
-        for name in ("m1", "m2", "m3", "se1"):
-            c = getattr(self, name)
-            if c.grid != self.grid:
+    def __init__(self, grid: TimeGrid, *, m1: Curve, se1: Curve, var=None, mu3=None, m2=None, m3=None):
+        for name, c in dict(m1=m1, se1=se1, var=var, mu3=mu3, m2=m2, m3=m3).items():
+            if c is not None and c.grid != grid:
                 raise ValueError(f"{name} grid does not match the moment grid")
-        v1, v2, v3 = self.m1.values, self.m2.values, self.m3.values
-        if self.var is None:
-            _, var, mu3 = drift_mod._cumulants_from_raw(np.array([v1, v2, v3]))
-            object.__setattr__(self, "var", Curve(self.grid, var))
-            object.__setattr__(self, "mu3", Curve(self.grid, mu3))
-        scale = np.maximum(v1**2, 1.0)
-        if np.any(self.var.values < -_MOMENT_SLACK * scale):
-            raise ValueError("invalid moments: m2 < m1^2 at some node")
-        if any(abs(getattr(self, n).values[0]) > 1e-12 for n in ("m1", "m2", "m3")):
+        if var is None:  # the raw moments, converted once
+            _, v, u = drift_mod._cumulants_from_raw(np.array([m1.values, m2.values, m3.values]))
+            var, mu3 = Curve(grid, v), Curve(grid, u)
+        for name, c in dict(grid=grid, m1=m1, var=var, mu3=mu3, se1=se1).items():
+            object.__setattr__(self, name, c)
+        _variance_slack(m1.values, var.values)
+        if any(abs(c.values[0]) > 1e-12 for c in (m1, var, mu3)):
             raise ValueError("moments must vanish at t = 0 (Z starts at 0)")
 
-    @classmethod
-    def from_central(cls, grid: TimeGrid, m1, var, mu3, se1) -> "MomentCurves":
-        """Moment curves from node values of the mean, variance, third central moment and SE."""
-        m1, var, mu3 = (np.asarray(v, dtype=float) for v in (m1, var, mu3))
-        return cls(
-            grid=grid,
-            m1=Curve(grid, m1),
-            m2=Curve(grid, var + m1 * m1),
-            m3=Curve(grid, mu3 + 3.0 * m1 * var + m1**3),
-            se1=Curve(grid, se1),
-            var=Curve(grid, var),
-            mu3=Curve(grid, mu3),
-        )
+    @property
+    def m2(self) -> Curve:
+        """E[Z^2] = var + m1^2."""
+        m1 = self.m1.values
+        return Curve(self.grid, self.var.values + m1 * m1)
 
-    @classmethod
-    def from_cumulants(cls, grid: TimeGrid, kappa) -> "MomentCurves":
-        """Exact moment curves from cumulant rows kappa_1, kappa_2, kappa_3 (no sampling error)."""
-        return cls.from_central(grid, kappa[0], kappa[1], kappa[2], np.zeros(grid.n_nodes))
+    @property
+    def m3(self) -> Curve:
+        """E[Z^3] = mu3 + 3 m1 var + m1^3."""
+        m1, var = self.m1.values, self.var.values
+        return Curve(self.grid, self.mu3.values + 3.0 * m1 * var + m1**3)
 
 
 def exact_moments(model: drift_mod.DriftModel, theta: float, grid: TimeGrid) -> MomentCurves:
-    """The exact moment curves of Z(t) that F4 needs, from :func:`drift.cumulant_curves`.
+    """The exact moment curves of Z(t) that F4 needs: kappa_1..kappa_3 of :func:`drift.cumulant_curves`, SE 0.
 
-    Cumulants that rounding leaves an invalid moment set, or whose raw moments
-    overflow, raise ArithmeticError: a numerical failure, not a bad argument.
+    Cumulants that rounding leaves an invalid moment set raise
+    ArithmeticError: a numerical failure, not a bad argument.
     """
-    kappa = drift_mod.cumulant_curves(model, theta, grid, 3)
+    m1, var, mu3 = (Curve(grid, k) for k in drift_mod.cumulant_curves(model, theta, grid, 3))
     try:
-        with np.errstate(over="raise"):
-            return MomentCurves.from_cumulants(grid, kappa)
-    except (ValueError, FloatingPointError) as exc:
+        return MomentCurves(grid, m1=m1, var=var, mu3=mu3, se1=Curve(grid, np.zeros(grid.n_nodes)))
+    except ValueError as exc:
         raise ArithmeticError(f"exact moments of {type(model).__name__}: {exc}") from exc
 
 
@@ -147,16 +148,12 @@ def _el_roots(m1: np.ndarray, var: np.ndarray, mu3: np.ndarray) -> np.ndarray:
     In the central variable d = x - m1 the single real root is
     d = 2 sqrt(var) sinh(asinh(mu3 / (2 var^{3/2})) / 3); one Newton step
     then removes the rounding of the hyperbolic functions. Degenerate nodes
-    (var within rounding slack of 0, a point mass at m1) and nodes with
-    mu3 = 0 return m1 exactly. Raises ValueError naming the first node with
-    a negative variance.
+    (var within the rounding slack of :func:`_variance_slack` of 0, a point
+    mass at m1; every node whose m1^2 overflows) and nodes with mu3 = 0
+    return m1 exactly. Raises ValueError naming the first node with a
+    negative variance.
     """
-    scale = np.maximum(m1 * m1, 1.0)
-    bad = np.flatnonzero(var < -_MOMENT_SLACK * scale)
-    if bad.size:
-        k = int(bad[0])
-        raise ValueError(f"invalid moments at node {k}: variance {var[k]} < 0")
-    degenerate = var <= _MOMENT_SLACK * scale
+    degenerate = var <= _variance_slack(m1, var)
     var = np.where(degenerate, 1.0, var)
     mu3 = np.where(degenerate, 0.0, mu3)
     s = np.sqrt(var)
@@ -193,7 +190,9 @@ def fit(model: drift_mod.DriftModel, theta: float, grid: TimeGrid) -> tuple[Appr
 
     One :func:`exact_moments` call gives both: F2 is its mean kappa_1, the
     bits :func:`F2_analytic` gives, and F4 the cubic root on kappa_1..kappa_3;
-    nothing is sampled. A shot noise with a :class:`drift.SimulatedFiring`
+    nothing is sampled, and no raw moment is formed, so a drift whose mean
+    squared overflows fits, with F4 = F2 where its variance is within the
+    rounding slack of 0. A shot noise with a :class:`drift.SimulatedFiring`
     arrival is fitted on the first-passage law it is sampled from, which
     needs the grid step to equal its sim_dt (ValueError otherwise) and raises
     :class:`drift.CensoringError` when more than half of its firing times

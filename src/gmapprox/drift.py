@@ -365,13 +365,13 @@ Distribution = Union[
 # ws)``, which fills ``out``, one pass of Z rows, with rows drawn next from
 # ``stream``; :class:`timebase.BlockStream` calls it for each pass of a block
 # in row order, on the block's stream. The pass-sized transients live in
-# ``ws``, the worker's scratch array, so a pass allocates nothing of pass
-# size beyond its own draws. The fold spends ``ws`` after each pass and may
-# overwrite the pass, so a sampler rewrites what it reads of ``ws`` and every
-# cell of ``out`` on every pass. A row's values are a function of its own
-# draws. The event variants share one sampler, :func:`_event_sampler`: the
-# pass's counts from the count law, then its event times, then its weights,
-# and the kernel.
+# ``ws``, the worker's scratch array of one pass's cells, so a pass
+# allocates nothing of pass size beyond its own draws. The fold spends ``ws``
+# after each pass and may overwrite the pass, so a sampler rewrites what it
+# reads of ``ws`` and every cell of ``out`` on every pass. A row's values are
+# a function of its own draws. The event variants share one sampler,
+# :func:`_event_sampler`: the pass's counts from the count law, then its
+# event times, then its weights, and the kernel.
 
 
 def _event_sampler(count, time, weight, lam: float, theta: float, grid: TimeGrid):
@@ -979,7 +979,7 @@ def _merge_stats(a, b):
 
 
 def moments_from_chunks(chunks, grid: TimeGrid, n_paths: int):
-    """Sample mean, variance, third central moment and the SE of the mean of a block stream.
+    """The MomentCurves of a block stream: sample mean, variance, third central moment, SE of the mean.
 
     ``chunks`` is what :func:`iter_Z_chunks` returns for the n_paths rows of
     one ensemble on ``grid``, folded by :func:`_fold_moments` at order 3:
@@ -994,6 +994,5 @@ def moments_from_chunks(chunks, grid: TimeGrid, n_paths: int):
         raise ValueError("need at least 2 paths for moment estimation")
     n, c, e, M2, M3 = _fold_moments(chunks, n_paths, 3)
     M2 = np.maximum(M2, 0.0)  # rounding of identical rows
-    return MomentCurves.from_central(
-        grid, m1=c + e, var=M2 / n, mu3=M3 / n, se1=np.sqrt(M2 / (n - 1) / n)
-    )
+    m1, var, mu3, se1 = (Curve(grid, v) for v in (c + e, M2 / n, M3 / n, np.sqrt(M2 / (n - 1) / n)))
+    return MomentCurves(grid, m1=m1, var=var, mu3=mu3, se1=se1)

@@ -47,10 +47,9 @@ __all__ = [
 # process, (int_0^T E e^2)^2 <= T int_0^T E e^4, and the reference pair
 # (26.8471, 61.20081) forces T >= 11.8 ms; at 50 ms both the exponential
 # and Gamma reference rows are reproduced to well within Monte Carlo noise.
+# The output neuron's own noise and start value cancel from every cost.
 TABLE2_PARAMS = {
     "theta": 0.1,  # ms^-1
-    "sigma": 1.0,  # mV ms^-1/2
-    "v0": 0.0,  # mV
     "response_rate": 1.0,  # ms^-1
     "firing_rate": 1.0 / 15.0,  # ms^-1
     "gamma_shape": 2.0,

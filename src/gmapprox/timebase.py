@@ -20,10 +20,10 @@ fixed by the sampler, the grid and the pass sizes. Its ``map(fold)`` folds
 each block whole, pass by pass, and yields one value per block, in block
 order; the caller combines them left to right, and nothing else crosses a
 block. The map owns every pass-sized array: each worker's buffer, and one
-scratch array that the worker's sampler and fold spend in turn. A fold may
-overwrite its pass, because every sampler rewrites all of it on the next.
-Threads sample and fold whole blocks, so every row and every reduction is
-the same bits for any thread count.
+scratch array of a pass's cells that its sampler and fold spend in turn. A
+fold may overwrite its pass, because every sampler rewrites all of it on the
+next. Threads sample and fold whole blocks, so every row and every reduction
+is the same bits for any thread count.
 
 Every first-order recurrence runs from rest through a :class:`PoleRun`,
 built once per pole and row length: numpy matrix products on blocks of each
@@ -574,7 +574,7 @@ class BlockStream:
     ``fill(a, out, ws)``. ``fill`` is called for each pass in row order: it
     fills ``out``, a (pass size, n_nodes) view of the worker's buffer, with
     the block's rows a.., a pure function of b, the row indices and the
-    pass sizes. ``ws`` is a flat scratch array of two passes' cells, which
+    pass sizes. ``ws`` is a flat scratch array of one pass's cells, which
     ``fill`` spends while it fills a pass and the block's fold after it, so
     ``fill`` rewrites what it reads of ``ws`` on every pass. A fold may
     overwrite its pass, because ``fill`` rewrites all of it on the next one.
@@ -589,8 +589,8 @@ class BlockStream:
         """Yield ``fold(pairs, ws)`` of each block's (start, pass) pairs, one value per block, in block order.
 
         A pass is a view of its worker's buffer, valid until the next pass,
-        and start its first row in the ensemble. ``ws`` is the scratch of two
-        passes' cells that the block's ``fill`` was given, the fold's to
+        and start its first row in the ensemble. ``ws`` is the scratch of one
+        pass's cells that the block's ``fill`` was given, the fold's to
         spend between passes. Each worker allocates its buffer and scratch
         once per call. One thread folds the blocks in the caller: a pool of
         one worker measured 2-4 MiB more peak RSS on every benchmark
@@ -605,7 +605,7 @@ class BlockStream:
 
         def run(b):
             if not hasattr(local, "buf"):
-                local.buf, local.ws = np.empty((width, self.n_nodes)), np.empty(2 * width * self.n_nodes)
+                local.buf, local.ws = np.empty((width, self.n_nodes)), np.empty(width * self.n_nodes)
             fill, start, buf, ws = self.block(b), b * _BLOCK, local.buf, local.ws
 
             def pairs():

@@ -196,13 +196,13 @@ def matrix_blocks(values: np.ndarray, rows: int | None = None) -> SimpleNamespac
     the passes of iter_Z_chunks, so a reducer gives the same bits. Each pass
     is copied into one reused buffer, as BlockStream fills its passes, so a
     fold may overwrite it and ``values`` stays as it is. Its ``map(fold)``
-    folds the blocks in order, each with one scratch array of two passes'
+    folds the blocks in order, each with one scratch array of one pass's
     cells.
     """
     n, width = values.shape
     step = rows or slab_rows(width)
     buf = np.empty((min(step, _BLOCK, n), width))
-    ws = np.empty(2 * buf.size)
+    ws = np.empty(buf.size)
 
     def passes(lo, hi):
         for a in range(lo, hi, step):

@@ -125,6 +125,9 @@ class TestConfigValidation:
             ({"mc": dict(MC, threads=2)}, "mc: unknown keys ['threads']"),
             ({"output": {"formats": ["csv"], "dir": "elsewhere"}}, "output: unknown keys ['dir']"),
             ({"costs": {"p_list": [2, 4], "p": 4}}, "costs: unknown keys ['p']"),
+            # the neuron's own noise and start cancel from every cost, and no command simulates V
+            ({"neuron": {"sigma": 1.0}}, "neuron: unknown keys ['sigma']"),
+            ({"neuron": {"v0": 0.0}}, "neuron: unknown keys ['v0']"),
             # int() would truncate a float and read a bool or a string
             ({"mc": dict(MC, n_paths=2.9)}, "mc.n_paths must be an integer"),
             ({"mc": dict(MC, n_paths=300.0)}, "mc.n_paths must be an integer"),
@@ -179,7 +182,7 @@ class TestConfigValidation:
             ({"neuron": {"theta_i": 0.0}}, "theta_i must be positive"),
         ],
         ids=["model_key", "poisson_jump", "distribution_key", "arrival_key", "top_level_key", "sde_key",
-             "grid_key", "mc_key", "output_key", "costs_key", "fractional_paths", "float_paths",
+             "grid_key", "mc_key", "output_key", "costs_key", "neuron_sigma", "neuron_v0", "fractional_paths", "float_paths",
              "string_paths", "bool_seed", "fractional_seed", "null_seed", "string_model_rate",
              "string_jump_rate", "bool_model_rate", "bool_neuron_inputs", "bool_fixed_count", "numeric_directory", "string_theta", "bool_theta", "string_dt",
              "nan_sigma", "huge_theta", "huge_model_rate", "huge_jump_rate", "huge_neuron_inputs",
@@ -208,10 +211,8 @@ class TestConfigValidation:
             # the fixed count's kappa_2 cancels in a sum of nearly equal terms: m2 < m1^2 after rounding
             {"type": "shot_noise", "count": {"type": "fixed", "value": 10},
              "amplitude": {"type": "point_mass", "value": 1.0}, "arrival": {"type": "exponential", "rate": 3e5}},
-            # m1^2 overflows, though F4 reads only the central moments
-            {"type": "deterministic", "constant": 1e200},
         ],
-        ids=["fixed_count_shot_noise", "huge_deterministic"],
+        ids=["fixed_count_shot_noise"],
     )
     def test_invalid_exact_moments_are_a_numerical_failure(self, tmp_path, capsys, command, model):
         p = write_config(tmp_path, model=model)
@@ -339,7 +340,7 @@ class TestBound:
         assert np.all(data[:, 3] == 0)
 
     def test_brownian_d2_spot_values(self, tmp_path):
-        # dt = 0.01 here, so the generic quadrature carries O(dt^2) error
+        # bound.csv's d2 is d2_closed, exact up to rounding at any dt
         p = write_config(tmp_path, model={"type": "brownian", "trend": 2.0}, mc={"n_paths": 50, "seed": 2})
         assert main(["bound", "--config", str(p)]) == EXIT_OK
         _, data = read_csv(tmp_path / "out" / "bound.csv")
@@ -347,7 +348,7 @@ class TestBound:
         t = data[:, 0]
         exact = t / (2 * th) + np.expm1(-2 * th * t) / (4 * th**2)
         for k in np.linspace(0, len(t) - 1, 10).astype(int):
-            assert data[k, 3] == pytest.approx(exact[k], abs=5e-5)
+            assert data[k, 3] == pytest.approx(exact[k], rel=1e-12)
 
     @pytest.mark.parametrize("model, closed", [
         ({"type": "poisson", "rate": 2.0}, True),
@@ -383,6 +384,20 @@ class TestDeterministicValues:
         head, bound = read_csv(out / "bound.csv")
         assert head == ["t", "mse", "se", "d2"]
         assert np.all(bound[:, 1:] == 0)
+
+    def test_a_mean_whose_square_overflows_fits(self, tmp_path):
+        # F4 reads only the central moments, so a mean of order 1e200 (m1^2 = inf) fits: F4 = F2
+        p = write_config(tmp_path, model={"type": "deterministic", "constant": 1e200})
+        for command in ("approx", "costs", "simulate", "bound"):
+            assert main([command, "--config", str(p)]) == EXIT_OK, command
+        out = tmp_path / "out"
+        _, p2 = read_csv(out / "approx_p2.csv")
+        _, p4 = read_csv(out / "approx_p4.csv")
+        assert p2[-1, 1] > 1e199 and np.array_equal(p2[:, 1], p4[:, 1])
+        assert (out / "F2.csv").read_bytes() == (out / "F4.csv").read_bytes()
+        with open(out / "costs.csv", newline="") as fh:
+            (row,) = list(csv.reader(fh))[1:]
+        assert row[0] == "deterministic" and all(float(v) == 0 for v in row[1:])
 
     @pytest.mark.parametrize("values", [VALUES[:-1], VALUES[:50] + ["0.5"] + VALUES[51:]],
                              ids=["one_short", "string_entry"])

@@ -440,7 +440,7 @@ class TestBlockPasses:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_fold_spends_its_blocks_scratch(self, threads):
-        # each fold gets the scratch array its block's sampler was given, of two passes' cells
+        # each fold gets the scratch array its block's sampler was given, of one pass's cells
         given = {}
 
         def recording(b):
@@ -458,7 +458,7 @@ class TestBlockPasses:
         assert [b for b, _ in folds] == list(range(7))
         for b, ws in folds:
             sampled, pass_cells = given[b]
-            assert ws is sampled and ws.ndim == 1 and ws.size >= 2 * pass_cells
+            assert ws is sampled and ws.ndim == 1 and ws.size == pass_cells
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_folds_held_are_one_per_worker(self, threads):
